@@ -5,6 +5,13 @@ additionally take a prompt-routed mixture of low-rank experts (one
 mixing weight vector per forward pass, shared by all tokens), and key
 projections take a token-routed sparse mixture (per visual token, only
 the top-B gate weights survive, unrenormalized by default).
+
+Both mixtures are one mechanism, a weighted sum of low-rank experts.
+An expert bank stacks its O rank-r experts into two tensors, A [O r x
+d_in] and B [d_out x O r], expert o being the row block A[o r:(o+1) r]
+and the column block B[:, o r:(o+1) r]. Either router's weights go
+through the one fused op ``autodiff.lowrank_rows_apply`` as an [S x O]
+matrix: the query side repeats its single weight vector on every row.
 """
 
 from __future__ import annotations
@@ -43,31 +50,24 @@ class AdapterConfig:
             raise ParameterError("expert counts must be >= 1")
 
 
+def _factor_pair(d_out: int, d_in: int, rank: int,
+                 rng: np.random.Generator) -> tuple[Tensor, Tensor]:
+    """Trainable A [rank x d_in] drawn uniform in +-1/sqrt(d_in), and B = 0."""
+    if rank < 1:
+        raise ParameterError(f"LoRA rank must be >= 1, got {rank}")
+    bound = 1.0 / np.sqrt(d_in)
+    return (Tensor(rng.uniform(-bound, bound, size=(rank, d_in)), requires_grad=True),
+            Tensor(np.zeros((d_out, rank)), requires_grad=True))
+
+
 class LoRAAdapter:
     """delta = scale * B @ A with A [r x d_in], B [d_out x r], B zero-initialized."""
 
     def __init__(self, d_out: int, d_in: int, rank: int, rng: np.random.Generator,
                  scale: float = 1.0):
-        if rank < 1:
-            raise ParameterError(f"LoRA rank must be >= 1, got {rank}")
-        bound = 1.0 / np.sqrt(d_in)
-        self.A = Tensor(rng.uniform(-bound, bound, size=(rank, d_in)),
-                        requires_grad=True)
-        self.B = Tensor(np.zeros((d_out, rank)), requires_grad=True)
+        self.A, self.B = _factor_pair(d_out, d_in, rank, rng)
         self.rank = rank
         self.scale = scale
-
-    @property
-    def d_out(self) -> int:
-        return self.B.shape[0]
-
-    @property
-    def d_in(self) -> int:
-        return self.A.shape[1]
-
-    def delta(self) -> Tensor:
-        d = ad.matmul(self.B, self.A)
-        return d if self.scale == 1.0 else ad.mul(d, self.scale)
 
     def apply(self, x: Tensor) -> Tensor:
         """x @ delta^T without materializing the full matrix."""
@@ -79,30 +79,30 @@ class LoRAAdapter:
 
 
 class ExpertBank:
-    """A list of equally-shaped low-rank experts."""
+    """O equally shaped rank-r experts, stacked into two trainable tensors.
 
-    def __init__(self, experts: list[LoRAAdapter]):
-        if not experts:
+    ``A`` [O r x d_in] holds expert o's down-projection in rows o r to
+    (o+1) r, and ``B`` [d_out x O r] its up-projection in the same
+    columns, so expert o's delta is scale * B[:, o r:(o+1) r] @ A[o r:(o+1) r].
+    B starts at zero. A is drawn in one call, which consumes the generator
+    exactly as O successive (r x d_in) draws would.
+    """
+
+    def __init__(self, n: int, d_out: int, d_in: int, rank: int,
+                 rng: np.random.Generator, scale: float = 1.0):
+        if n < 1:
             raise ParameterError("expert bank needs at least one expert")
-        shape = (experts[0].d_out, experts[0].d_in, experts[0].rank)
-        for e in experts:
-            if (e.d_out, e.d_in, e.rank) != shape:
-                raise ShapeError("experts in one bank must share shapes")
-        self.experts = experts
+        if rank < 1:
+            raise ParameterError(f"expert rank must be >= 1, got {rank}")
+        self.A, self.B = _factor_pair(d_out, d_in, n * rank, rng)
+        self.rank = rank
+        self.scale = scale
 
     def __len__(self) -> int:
-        return len(self.experts)
-
-    @staticmethod
-    def build(n: int, d_out: int, d_in: int, rank: int,
-              rng: np.random.Generator) -> "ExpertBank":
-        return ExpertBank([LoRAAdapter(d_out, d_in, rank, rng) for _ in range(n)])
+        return self.A.shape[0] // self.rank
 
     def params(self, prefix: str) -> list[tuple[str, Tensor]]:
-        out = []
-        for i, e in enumerate(self.experts):
-            out.extend(e.params(f"{prefix}.expert{i}"))
-        return out
+        return [(prefix + ".A", self.A), (prefix + ".B", self.B)]
 
 
 class GatingNetwork:
@@ -132,7 +132,11 @@ class GatingNetwork:
 
 @dataclass
 class RouterDecision:
-    """Routing outcome for one delta: full gate weights and the survivors."""
+    """Routing outcome of one router call: full gate weights and the survivors.
+
+    The query router gives [O] vectors, the key router [N x O] arrays with
+    one row per visual token.
+    """
 
     weights: np.ndarray
     kept: np.ndarray
@@ -174,6 +178,13 @@ def qmoe_weights(h_prompt: Tensor, bank: ExpertBank,
     return alpha, decision
 
 
+def _mixture_delta(bank: ExpertBank, w: Tensor) -> Tensor:
+    """sum_o w_o scale B_o A_o for a length-O weight vector, as one [d_out x d_in]."""
+    per_row = ad.take(w, np.repeat(np.arange(len(bank)), bank.rank))
+    d = ad.matmul(bank.B, ad.scale_rows(bank.A, per_row))
+    return d if bank.scale == 1.0 else ad.mul(d, bank.scale)
+
+
 def qmoe_delta(h_prompt: Tensor, bank: ExpertBank,
                gate: GatingNetwork) -> tuple[Tensor, RouterDecision]:
     """Prompt-routed dense mixture, materialized as one [d x d] delta.
@@ -183,24 +194,19 @@ def qmoe_delta(h_prompt: Tensor, bank: ExpertBank,
     (`qmoe_apply`); both agree to 1e-12.
     """
     alpha, decision = qmoe_weights(h_prompt, bank, gate)
-    delta: Tensor | None = None
-    for o, expert in enumerate(bank.experts):
-        term = ad.mul(ad.element(alpha, (o,)), expert.delta())
-        delta = term if delta is None else ad.add(delta, term)
-    return delta, decision
+    return _mixture_delta(bank, alpha), decision
 
 
 def qmoe_apply(x: Tensor, alpha: Tensor, bank: ExpertBank) -> Tensor:
     """x @ delta^T for the alpha-weighted mixture, without materializing it."""
-    return ad.lowrank_mix_apply(x, alpha,
-                                [e.A for e in bank.experts],
-                                [e.B for e in bank.experts],
-                                scale=bank.experts[0].scale)
+    rows = ad.take(ad.reshape(alpha, (1, len(bank))),
+                   np.zeros(x.shape[0], dtype=np.intp))
+    return ad.lowrank_rows_apply(x, rows, bank.A, bank.B, bank.rank, bank.scale)
 
 
 def kmoe_gate_weights(h_tokens: Tensor, bank: ExpertBank, gate: GatingNetwork,
                       b: int, renormalize: bool = False
-                      ) -> tuple[Tensor, list[RouterDecision]]:
+                      ) -> tuple[Tensor, RouterDecision]:
     """Per-token sparse gate weights [n_tokens x n_experts].
 
     Row c holds softmax(MLP(h_c)) with everything outside its top-b
@@ -216,26 +222,17 @@ def kmoe_gate_weights(h_tokens: Tensor, bank: ExpertBank, gate: GatingNetwork,
                              (h_tokens.shape[0],))
         inv = ad.div(Tensor(np.ones(h_tokens.shape[0])), row_sum)
         masked = ad.scale_rows(masked, inv)
-    decisions = [RouterDecision(weights=beta.data[c].copy(), kept=keep[c], top_b=b)
-                 for c in range(h_tokens.shape[0])]
-    return masked, decisions
+    return masked, RouterDecision(weights=beta.data, kept=keep, top_b=b)
 
 
 def kmoe_delta_per_token(h_tokens: Tensor, bank: ExpertBank, gate: GatingNetwork,
                          b: int, renormalize: bool = False
-                         ) -> tuple[list[Tensor], list[RouterDecision]]:
+                         ) -> tuple[list[Tensor], RouterDecision]:
     """Materialized per-token deltas (reference path; tests and inspection)."""
-    weights, decisions = kmoe_gate_weights(h_tokens, bank, gate, b, renormalize)
-    deltas = []
-    for c in range(h_tokens.shape[0]):
-        delta: Tensor | None = None
-        for o, expert in enumerate(bank.experts):
-            if not decisions[c].kept[o]:
-                continue
-            term = ad.mul(ad.element(weights, (c, o)), expert.delta())
-            delta = term if delta is None else ad.add(delta, term)
-        deltas.append(delta)
-    return deltas, decisions
+    weights, decision = kmoe_gate_weights(h_tokens, bank, gate, b, renormalize)
+    deltas = [_mixture_delta(bank, ad.reshape(ad.take(weights, [c]), (len(bank),)))
+              for c in range(h_tokens.shape[0])]
+    return deltas, decision
 
 
 def kmoe_apply(x: Tensor, weights: Tensor, bank: ExpertBank) -> Tensor:
@@ -244,10 +241,7 @@ def kmoe_apply(x: Tensor, weights: Tensor, bank: ExpertBank) -> Tensor:
     Equals applying the materialized per-token deltas row by row, to
     1e-12, at a fraction of the tape size.
     """
-    return ad.lowrank_rows_apply(x, weights,
-                                 [e.A for e in bank.experts],
-                                 [e.B for e in bank.experts],
-                                 scale=bank.experts[0].scale)
+    return ad.lowrank_rows_apply(x, weights, bank.A, bank.B, bank.rank, bank.scale)
 
 
 def adapted_projection(x: Tensor, base_w: Tensor,
@@ -300,12 +294,12 @@ class LayerAdapters:
         self.q_bank = self.q_gate = None
         self.k_bank = self.k_gate = None
         if cfg.use_qmoe:
-            self.q_bank = ExpertBank.build(cfg.n_q_experts, d_model, d_model,
-                                           cfg.expert_rank, rng)
+            self.q_bank = ExpertBank(cfg.n_q_experts, d_model, d_model,
+                                     cfg.expert_rank, rng)
             self.q_gate = GatingNetwork(d_model, d_gate, cfg.n_q_experts, rng)
         if cfg.use_kmoe:
-            self.k_bank = ExpertBank.build(cfg.n_k_experts, d_model, d_model,
-                                           cfg.expert_rank, rng)
+            self.k_bank = ExpertBank(cfg.n_k_experts, d_model, d_model,
+                                     cfg.expert_rank, rng)
             self.k_gate = GatingNetwork(d_model, d_gate, cfg.n_k_experts, rng)
 
     def params(self, prefix: str) -> list[tuple[str, Tensor]]:

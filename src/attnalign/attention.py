@@ -54,8 +54,7 @@ class Spans:
 class AttentionStack:
     """Per-layer [H x S x S] attention planes from one forward pass.
 
-    ``head(l, h)`` exposes one head's [S x S] map as a graph tensor;
-    ``head_data(l, h)`` reads its values without touching the tape.
+    ``head_data(l, h)`` reads one head's [S x S] map without touching the tape.
     """
 
     planes: list[Tensor]
@@ -68,9 +67,6 @@ class AttentionStack:
     @property
     def n_heads(self) -> int:
         return self.planes[0].shape[0]
-
-    def head(self, layer: int, head: int) -> Tensor:
-        return ad.take_plane(self.planes[layer], head)
 
     def head_data(self, layer: int, head: int) -> np.ndarray:
         return self.planes[layer].data[head]

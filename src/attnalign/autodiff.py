@@ -342,50 +342,6 @@ def slice_rows(a, start: int, stop: int) -> Tensor:
     return _wrap(a.data[start:stop], (a,), back)
 
 
-def slice_cols(a, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
-    if len(a.shape) != 2 or not (0 <= start <= stop <= a.shape[1]):
-        raise ShapeError(f"slice_cols[{start}:{stop}] invalid for shape {a.shape}")
-
-    def back(g, sink):
-        z = np.zeros_like(a.data)
-        z[:, start:stop] = g
-        sink(a, z)
-
-    return _wrap(a.data[:, start:stop], (a,), back)
-
-
-def submatrix(a, rows, col_start: int, col_stop: int) -> Tensor:
-    """Gather rows then a contiguous column range in one op."""
-    a = _as_tensor(a)
-    idx = np.asarray(rows, dtype=np.intp)
-    if len(a.shape) != 2 or not (0 <= col_start <= col_stop <= a.shape[1]):
-        raise ShapeError(f"submatrix cols[{col_start}:{col_stop}] invalid for {a.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise IndexError(f"submatrix: row index out of range for {a.shape}")
-
-    def back(g, sink):
-        z = np.zeros_like(a.data)
-        np.add.at(z[:, col_start:col_stop], idx, g)
-        sink(a, z)
-
-    return _wrap(a.data[idx, col_start:col_stop], (a,), back)
-
-
-def element(a, index: tuple[int, ...]) -> Tensor:
-    """A single entry as a 0-d tensor."""
-    a = _as_tensor(a)
-    if len(index) != a.data.ndim:
-        raise ShapeError(f"element index {index} does not match shape {a.shape}")
-
-    def back(g, sink):
-        z = np.zeros_like(a.data)
-        z[index] = g
-        sink(a, z)
-
-    return _wrap(np.asarray(a.data[index]), (a,), back)
-
-
 # ---------------------------------------------------------------------------
 # reductions and row ops
 
@@ -650,20 +606,6 @@ def softmax_heads(a, mask: np.ndarray | None = None) -> Tensor:
     return _wrap(y, (a,), back)
 
 
-def take_plane(a, index: int) -> Tensor:
-    """Plane i of a [B x m x n] tensor as a 2-d tensor."""
-    a = _as_tensor(a)
-    if len(a.shape) != 3 or not (0 <= index < a.shape[0]):
-        raise ShapeError(f"take_plane({index}) invalid for shape {a.shape}")
-
-    def back(g, sink):
-        z = np.zeros_like(a.data)
-        z[index] = g
-        sink(a, z)
-
-    return _wrap(a.data[index], (a,), back)
-
-
 def plane_submatrix(a, index: int, rows, col_start: int, col_stop: int) -> Tensor:
     """Rows x column-range of one plane, in a single op."""
     a = _as_tensor(a)
@@ -721,74 +663,41 @@ def linear_with_lora(x, w, lora_a=None, lora_b=None, scale: float = 1.0) -> Tens
     return _wrap(out, (x, w, a, b), back)
 
 
-def lowrank_mix_apply(x, alpha, lora_as: Sequence, lora_bs: Sequence,
-                      scale: float = 1.0) -> Tensor:
-    """x @ (sum_o alpha_o scale B_o A_o)^T without materializing the mixture."""
-    x, alpha = _as_tensor(x), _as_tensor(alpha)
-    lora_as = [_as_tensor(a) for a in lora_as]
-    lora_bs = [_as_tensor(b) for b in lora_bs]
-    n_exp = len(lora_as)
-    if alpha.shape != (n_exp,) or len(lora_bs) != n_exp:
-        raise ShapeError(f"alpha {alpha.shape} does not match {n_exp} experts")
-    us = [x.data @ a.data.T for a in lora_as]
-    ys = [u @ b.data.T for u, b in zip(us, lora_bs)]
-    out = sum(alpha.data[o] * scale * ys[o] for o in range(n_exp))
+def lowrank_rows_apply(x, weights, a, b, rank: int, scale: float = 1.0) -> Tensor:
+    """Row-wise mixture of stacked low-rank experts in two GEMMs.
 
-    def back(g, sink):
-        galpha = np.empty(n_exp)
-        gx = np.zeros_like(x.data) if x.requires_grad else None
-        for o in range(n_exp):
-            galpha[o] = scale * float((g * ys[o]).sum())
-            gb_in = g @ lora_bs[o].data
-            coeff = alpha.data[o] * scale
-            if gx is not None:
-                gx += coeff * (gb_in @ lora_as[o].data)
-            if lora_as[o].requires_grad:
-                sink(lora_as[o], coeff * gb_in.T @ x.data)
-            if lora_bs[o].requires_grad:
-                sink(lora_bs[o], coeff * g.T @ us[o])
-        if alpha.requires_grad:
-            sink(alpha, galpha)
-        if gx is not None:
-            sink(x, gx)
-
-    return _wrap(out, (x, alpha, *lora_as, *lora_bs), back)
-
-
-def lowrank_rows_apply(x, weights, lora_as: Sequence, lora_bs: Sequence,
-                       scale: float = 1.0) -> Tensor:
-    """Row-wise expert mixture: out_c = x_c @ (sum_o w[c,o] scale B_o A_o)^T."""
-    x, weights = _as_tensor(x), _as_tensor(weights)
-    lora_as = [_as_tensor(a) for a in lora_as]
-    lora_bs = [_as_tensor(b) for b in lora_bs]
-    n_exp = len(lora_as)
-    if len(weights.shape) != 2 or weights.shape != (x.shape[0], n_exp):
+    Expert o is the row block A[o r:(o+1) r] of ``a`` [O r x d_in] and the
+    column block B[:, o r:(o+1) r] of ``b`` [d_out x O r]. Row c of the
+    result is x_c @ (sum_o weights[c, o] scale B_o A_o)^T, computed as
+    ((x A^T) * repeat(scale weights, r)) B^T.
+    """
+    x, weights, a, b = (_as_tensor(t) for t in (x, weights, a, b))
+    if len(x.shape) != 2 or len(weights.shape) != 2 or len(b.shape) != 2 \
+            or weights.shape[0] != x.shape[0] \
+            or a.shape != (weights.shape[1] * rank, x.shape[1]) \
+            or b.shape[1] != a.shape[0]:
         raise ShapeError(
-            f"weights {weights.shape} do not match rows {x.shape[0]} x {n_exp}"
+            f"lowrank_rows_apply: x {x.shape}, weights {weights.shape}, "
+            f"A {a.shape}, B {b.shape} do not fit rank {rank}"
         )
-    us = [x.data @ a.data.T for a in lora_as]
-    ys = [u @ b.data.T for u, b in zip(us, lora_bs)]
-    out = sum(weights.data[:, o:o + 1] * scale * ys[o] for o in range(n_exp))
+    s, n_exp = weights.shape
+    u = x.data @ a.data.T                                   # [S x O r]
+    wr = np.repeat(scale * weights.data, rank, axis=1)      # [S x O r]
+    z = u * wr
 
     def back(g, sink):
-        gw = np.empty_like(weights.data)
-        gx = np.zeros_like(x.data) if x.requires_grad else None
-        for o in range(n_exp):
-            gw[:, o] = scale * (g * ys[o]).sum(axis=1)
-            g_w = g * (scale * weights.data[:, o:o + 1])
-            gb_in = g_w @ lora_bs[o].data
-            if gx is not None:
-                gx += gb_in @ lora_as[o].data
-            if lora_as[o].requires_grad:
-                sink(lora_as[o], gb_in.T @ x.data)
-            if lora_bs[o].requires_grad:
-                sink(lora_bs[o], g_w.T @ us[o])
+        gz = g @ b.data                                     # [S x O r]
         if weights.requires_grad:
-            sink(weights, gw)
-        if gx is not None:
-            sink(x, gx)
+            sink(weights, scale * (gz * u).reshape(s, n_exp, rank).sum(axis=2))
+        gu = gz * wr
+        if x.requires_grad:
+            sink(x, gu @ a.data)
+        if a.requires_grad:
+            sink(a, gu.T @ x.data)
+        if b.requires_grad:
+            sink(b, g.T @ z)
 
-    return _wrap(out, (x, weights, *lora_as, *lora_bs), back)
+    return _wrap(z @ b.data.T, (x, weights, a, b), back)
 
 
 # ---------------------------------------------------------------------------

@@ -119,15 +119,17 @@ def cmd_train(args) -> int:
     weak_labels = None
     if cfg.lambda_align > 0 and cfg.heads_r > 0:
         if args.weak_cache:
-            cache = load_weak_label_cache(args.weak_cache)
+            # a cache built with another --topk must not stand in for this K
+            by_key = {(rec["image_id"], rec["prompt_id"], rec["K"]): rec
+                      for rec in load_weak_label_cache(args.weak_cache).values()}
             weak_labels = {}
             for s in train_samples:
-                match = [rec for key, rec in cache.items()
-                         if key[0] == s.image_id and key[1] == s.prompt_id]
-                if not match:
+                rec = by_key.get((s.image_id, s.prompt_id, cfg.weak_k))
+                if rec is None:
                     raise AttnAlignError(
-                        f"weak-label cache misses sample {s.id}")
-                weak_labels[s.id] = record_to_weak_labels(match[0])
+                        f"weak-label cache has no K={cfg.weak_k} record for "
+                        f"sample {s.id}")
+                weak_labels[s.id] = record_to_weak_labels(rec)
         else:
             weak_labels = compute_weak_labels(train_samples, meta, cfg.weak_k,
                                               noise=args.weak_noise,

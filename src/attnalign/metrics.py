@@ -82,6 +82,8 @@ def evaluate(model: VisualDecoder, adapters: AdapterSet | None,
              samples: Sequence[SyntheticSample],
              tau: float = DEFAULT_TAU) -> MetricsReport:
     """Greedy-decode every sample and score attention against its RoI."""
+    if not samples:
+        raise MetricError("evaluation needs at least one sample")
     records = []
     for s in samples:
         gen = model.generate_greedy(VisualInput(s.features, s.grid), s.prompt,
@@ -109,7 +111,7 @@ def evaluate(model: VisualDecoder, adapters: AdapterSet | None,
 def check_compatibility(model: VisualDecoder,
                         samples: Sequence[SyntheticSample]) -> None:
     c = model.config
-    for s in samples[:1]:
+    for s in samples:
         if s.grid != c.grid:
             raise CompatibilityError(f"dataset grid {s.grid} != model grid {c.grid}")
         if s.features.shape[1] != c.d_visual:

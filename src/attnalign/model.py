@@ -22,9 +22,9 @@ from .adapters import AdapterConfig, AdapterSet, kmoe_apply, kmoe_gate_weights, 
     qmoe_apply, qmoe_weights
 from .attention import AttentionStack, Spans
 from .autodiff import Tensor
-from .errors import CapacityError, ShapeError
+from .errors import CapacityError, CompatibilityError, ShapeError
 
-CHECKPOINT_SCHEMA = "attnalign-checkpoint-1"
+CHECKPOINT_SCHEMA = "attnalign-checkpoint-2"
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,6 @@ class VisualInput:
 class ForwardOutput:
     logits: Tensor                     # [S x V], one row per sequence position
     attention: AttentionStack
-    hidden_prompt: list[np.ndarray]    # per layer, prompt-position inputs
-    hidden_visual: list[np.ndarray]    # per layer, visual-position inputs
     spans: Spans
 
     def answer_logit_rows(self) -> tuple[int, ...]:
@@ -198,21 +196,13 @@ class VisualDecoder:
         mask = sequence_mask(spans.total, c.n_visual)
 
         planes: list[Tensor] = []
-        hidden_prompt: list[np.ndarray] = []
-        hidden_visual: list[np.ndarray] = []
         for l in range(c.n_layers):
-            # the gates in layer l see exactly these incoming hidden states
-            hidden_prompt.append(
-                x.data[spans.prompt_range.start: spans.prompt_range.stop].copy())
-            hidden_visual.append(x.data[: c.n_visual].copy())
             x, att = self._layer(l, x, spans, mask, adapters)
             planes.append(att)
         x = ad.layer_norm_rows(x, self.params["ln_f.g"], self.params["ln_f.b"])
         logits = ad.linear_with_lora(x, self.params["w_out"])
         return ForwardOutput(logits=logits,
                              attention=AttentionStack(planes=planes, spans=spans),
-                             hidden_prompt=hidden_prompt,
-                             hidden_visual=hidden_visual,
                              spans=spans)
 
     def _layer(self, l: int, x: Tensor, spans: Spans, mask: np.ndarray,
@@ -331,13 +321,25 @@ def load_checkpoint(path: str | Path) -> tuple[VisualDecoder, AdapterSet | None,
         raise ShapeError(f"unknown checkpoint schema {doc.get('schema')!r}")
     config = ModelConfig(**doc["model_config"])
     model = VisualDecoder(config)
-    for name, entry in doc["tensors"].items():
-        model.params[name] = Tensor(_decode_array(entry))
+    _restore(model.params, doc["tensors"])
     adapters = None
     if doc["adapter_config"] is not None:
         acfg = AdapterConfig(**doc["adapter_config"])
         adapters = AdapterSet(config.n_layers, config.d_model, config.d_ff, acfg)
-        by_name = dict(adapters.params())
-        for name, entry in doc["adapter_tensors"].items():
-            by_name[name].data = _decode_array(entry)
+    _restore(dict(adapters.params()) if adapters is not None else {},
+             doc["adapter_tensors"])
     return model, adapters, doc.get("extra", {})
+
+
+def _restore(tensors: dict[str, Tensor], entries: dict) -> None:
+    """Overwrite every tensor from its entry; names and shapes must match exactly."""
+    odd = sorted(set(tensors) ^ set(entries))
+    if odd:
+        state = "missing from" if odd[0] in tensors else "unexpected in"
+        raise CompatibilityError(f"tensor {odd[0]!r} {state} the checkpoint")
+    for name, t in tensors.items():
+        shape = tuple(entries[name]["shape"])
+        if shape != t.shape:
+            raise CompatibilityError(
+                f"checkpoint tensor {name!r} has shape {shape}, model needs {t.shape}")
+        t.data = _decode_array(entries[name])

@@ -136,6 +136,13 @@ def _lora(x, adapter):
     return adapter.scale * (x @ adapter.A.data.T) @ adapter.B.data.T
 
 
+def expert_delta(bank, o):
+    """Expert o's [d_out x d_in] delta from its row block of A and column block of B."""
+    r = bank.rank
+    return bank.scale * (bank.B.data[:, o * r:(o + 1) * r]
+                         @ bank.A.data[o * r:(o + 1) * r])
+
+
 def _gate_logits(x, gate):
     hidden = _gelu(x @ gate.w1.data + gate.b1.data)
     return hidden @ gate.w2.data + gate.b2.data
@@ -185,8 +192,8 @@ def straight_line_forward(model, visual, prompt, answer, adapters=None):
             e = np.exp(logits - logits.max())
             alpha = e / e.sum()
             delta = np.zeros((cfg.d_model, cfg.d_model))
-            for o, expert in enumerate(la.q_bank.experts):
-                delta += alpha[o] * expert.scale * (expert.B.data @ expert.A.data)
+            for o in range(len(alpha)):
+                delta += alpha[o] * expert_delta(la.q_bank, o)
             q_mat = q_mat + h @ delta.T
 
         k_mat = h @ p[pre + "wk"].T + _lora(h, lora_k)
@@ -202,9 +209,7 @@ def straight_line_forward(model, visual, prompt, answer, adapters=None):
                     norm = 1.0
                 delta = np.zeros((cfg.d_model, cfg.d_model))
                 for o in kept:
-                    expert = la.k_bank.experts[o]
-                    delta += (beta[o] / norm) * expert.scale \
-                        * (expert.B.data @ expert.A.data)
+                    delta += (beta[o] / norm) * expert_delta(la.k_bank, o)
                 k_mat[c] = k_mat[c] + h[c] @ delta.T
 
         v_mat = h @ p[pre + "wv"].T + _lora(h, la.lora_v if la else None)

@@ -3,24 +3,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attnalign import autodiff as ad
-from attnalign.adapters import AdapterConfig, ExpertBank, GatingNetwork, \
-    LoRAAdapter, adapted_projection, kmoe_apply, kmoe_delta_per_token, \
-    kmoe_gate_weights, qmoe_apply, qmoe_delta, qmoe_weights, topb_mask, \
-    topb_mask_rows
+from attnalign.adapters import AdapterConfig, AdapterSet, ExpertBank, \
+    GatingNetwork, LoRAAdapter, adapted_projection, kmoe_apply, \
+    kmoe_delta_per_token, kmoe_gate_weights, qmoe_apply, qmoe_delta, \
+    qmoe_weights, topb_mask, topb_mask_rows
 from attnalign.autodiff import Tensor
 from attnalign.errors import ParameterError
 
-from oracles import topk_select_loop
+from oracles import expert_delta, topk_select_loop
 
 D = 6
 RANK = 2
 
 
 def make_bank(n, rng, d=D, rank=RANK, zero_b=False):
-    bank = ExpertBank.build(n, d, d, rank, rng)
+    bank = ExpertBank(n, d, d, rank, rng)
     if not zero_b:
-        for e in bank.experts:
-            e.B.data = rng.normal(size=e.B.data.shape)
+        bank.B.data = rng.normal(size=bank.B.data.shape)
     return bank
 
 
@@ -39,7 +38,7 @@ class TestQMoE:
         h = Tensor(rng.normal(size=(3, D)))
         delta, decision = qmoe_delta(h, bank, gate)
         assert np.allclose(decision.weights, [1.0])
-        expected = bank.experts[0].B.data @ bank.experts[0].A.data
+        expected = expert_delta(bank, 0)
         assert np.max(np.abs(delta.data - expected)) < 1e-12
 
     def test_equal_logits_symmetric_mixture(self, rng):
@@ -48,8 +47,8 @@ class TestQMoE:
         h = Tensor(rng.normal(size=(2, D)))
         delta, decision = qmoe_delta(h, bank, gate)
         assert np.allclose(decision.weights, [0.5, 0.5])
-        e1 = bank.experts[0].B.data @ bank.experts[0].A.data
-        e2 = bank.experts[1].B.data @ bank.experts[1].A.data
+        e1 = expert_delta(bank, 0)
+        e2 = expert_delta(bank, 1)
         assert np.max(np.abs(delta.data - 0.5 * e1 - 0.5 * e2)) < 1e-12
 
     def test_matches_loop_and_sum_oracle(self, rng):
@@ -58,8 +57,8 @@ class TestQMoE:
         h = Tensor(rng.normal(size=(3, D)))
         delta, decision = qmoe_delta(h, bank, gate)
         expected = np.zeros((D, D))
-        for o, e in enumerate(bank.experts):
-            expected += decision.weights[o] * (e.B.data @ e.A.data)
+        for o in range(len(bank)):
+            expected += decision.weights[o] * expert_delta(bank, o)
         assert np.max(np.abs(delta.data - expected)) < 1e-12
 
     def test_gate_gradient_finite_difference(self, rng):
@@ -87,9 +86,8 @@ class TestQMoE:
         bank = make_bank(3, rng)
         shared_a = rng.normal(size=(RANK, D))
         shared_b = rng.normal(size=(D, RANK))
-        for e in bank.experts:
-            e.A.data = shared_a.copy()
-            e.B.data = shared_b.copy()
+        bank.A.data = np.tile(shared_a, (3, 1))
+        bank.B.data = np.tile(shared_b, (1, 3))
         gate = make_gate(3, rng)
         delta, _ = qmoe_delta(Tensor(rng.normal(size=(2, D))), bank, gate)
         assert np.max(np.abs(delta.data - shared_b @ shared_a)) < 1e-12
@@ -111,20 +109,20 @@ class TestKMoE:
         bank = make_bank(3, rng)
         gate = make_gate(3, rng)
         h = Tensor(rng.normal(size=(4, D)))
-        weights, decisions = kmoe_gate_weights(h, bank, gate, b=3)
-        for c, dec in enumerate(decisions):
-            assert dec.kept.all()
-            assert np.max(np.abs(weights.data[c] - dec.weights)) < 1e-12
+        weights, decision = kmoe_gate_weights(h, bank, gate, b=3)
+        for c in range(4):
+            assert decision.kept[c].all()
+            assert np.max(np.abs(weights.data[c] - decision.weights[c])) < 1e-12
 
     def test_equal_logits_tie_break_literal_sum(self, rng):
         bank = make_bank(3, rng)
         gate = make_gate(3, rng, zero=True)
         h = Tensor(rng.normal(size=(2, D)))
-        deltas, decisions = kmoe_delta_per_token(h, bank, gate, b=2)
+        deltas, decision = kmoe_delta_per_token(h, bank, gate, b=2)
         for c in range(2):
-            assert list(np.flatnonzero(decisions[c].kept)) == [0, 1]
-            e1 = bank.experts[0].B.data @ bank.experts[0].A.data
-            e2 = bank.experts[1].B.data @ bank.experts[1].A.data
+            assert list(np.flatnonzero(decision.kept[c])) == [0, 1]
+            e1 = expert_delta(bank, 0)
+            e2 = expert_delta(bank, 1)
             expected = (e1 + e2) / 3.0  # two thirds total, unrenormalized
             assert np.max(np.abs(deltas[c].data - expected)) < 1e-12
 
@@ -132,12 +130,12 @@ class TestKMoE:
         bank = make_bank(4, rng)
         gate = make_gate(4, rng)
         h = Tensor(rng.normal(size=(5, D)))
-        deltas, decisions = kmoe_delta_per_token(h, bank, gate, b=2)
+        deltas, decision = kmoe_delta_per_token(h, bank, gate, b=2)
         for c in range(5):
             expected = np.zeros((D, D))
-            for o, e in enumerate(bank.experts):
-                if decisions[c].kept[o]:
-                    expected += decisions[c].weights[o] * (e.B.data @ e.A.data)
+            for o in range(len(bank)):
+                if decision.kept[c, o]:
+                    expected += decision.weights[c, o] * expert_delta(bank, o)
             assert np.max(np.abs(deltas[c].data - expected)) < 1e-12
 
     def test_perturbing_one_token_changes_only_its_delta(self, rng):
@@ -155,10 +153,10 @@ class TestKMoE:
     def test_kept_weight_sum_at_most_one(self, rng):
         bank = make_bank(5, rng)
         gate = make_gate(5, rng)
-        weights, decisions = kmoe_gate_weights(
+        weights, decision = kmoe_gate_weights(
             Tensor(rng.normal(size=(6, D))), bank, gate, b=2)
-        for c, dec in enumerate(decisions):
-            assert dec.kept.sum() == 2
+        for c in range(6):
+            assert decision.kept[c].sum() == 2
             assert weights.data[c].sum() <= 1.0 + 1e-12
 
     def test_renormalize_flag(self, rng):
@@ -206,9 +204,25 @@ class TestKMoE:
             out = kmoe_apply(h, weights, bank)
             return ad.sum_all(ad.mul(out, out))
 
-        params = [gate.w1, gate.b1, gate.w2, gate.b2] \
-            + [e.A for e in bank.experts] + [e.B for e in bank.experts]
+        params = [gate.w1, gate.b1, gate.w2, gate.b2, bank.A, bank.B]
         assert ad.finite_diff_check_params(f, params, 1e-4) < 1e-3
+
+
+class TestExpertBank:
+    def test_stacked_init_matches_per_expert_draws(self):
+        bank = ExpertBank(4, 5, D, RANK, np.random.default_rng(3))
+        r = np.random.default_rng(3)
+        bound = 1.0 / np.sqrt(D)
+        draws = [r.uniform(-bound, bound, size=(RANK, D)) for _ in range(4)]
+        assert np.array_equal(bank.A.data, np.concatenate(draws))
+        assert bank.B.shape == (5, 4 * RANK) and not bank.B.data.any()
+        assert len(bank) == 4
+
+    def test_two_tensors_per_bank(self):
+        adapters = AdapterSet(2, D, 4 * D, AdapterConfig(gate_hidden=4))
+        names = [n for n, _ in adapters.params() if "moe" in n]
+        assert names == [f"adapter.layer{l}.{side}.{t}" for l in range(2)
+                         for side in ("qmoe", "kmoe") for t in ("A", "B")]
 
 
 class TestTopB:

@@ -261,8 +261,17 @@ class TestFusedOps:
         As = [rng.normal(size=(2, 6)) for _ in range(3)]
         Bs = [rng.normal(size=(6, 2)) for _ in range(3)]
         out = ad.lowrank_rows_apply(ad.Tensor(x), ad.Tensor(wts),
-                                    [ad.Tensor(a) for a in As],
-                                    [ad.Tensor(b) for b in Bs])
+                                    ad.Tensor(np.concatenate(As)),
+                                    ad.Tensor(np.concatenate(Bs, axis=1)), 2)
         for c in range(5):
             delta = sum(wts[c, o] * Bs[o] @ As[o] for o in range(3))
             assert np.max(np.abs(out.data[c] - x[c] @ delta.T)) < 1e-12
+
+    def test_lowrank_rows_apply_gradients(self, rng):
+        x, w, a, b = (ad.Tensor(rng.normal(size=s), requires_grad=True)
+                      for s in ((5, 6), (5, 3), (6, 6), (4, 6)))
+
+        def f():
+            return scalar_of(ad.lowrank_rows_apply(x, w, a, b, 2, 0.7))
+
+        assert ad.finite_diff_check_params(f, [x, w, a, b], 1e-6) < 1e-6

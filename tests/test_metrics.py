@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,3 +155,15 @@ class TestEvaluate:
                                         max_text_len=6), seed=0)
         with pytest.raises(CompatibilityError):
             check_compatibility(bad, test_s)
+
+    def test_compatibility_checks_every_sample(self):
+        from attnalign.metrics import check_compatibility
+        model, test_s, _ = eval_setup()
+        last = replace(test_s[-1], answer=(model.config.vocab_size,))
+        with pytest.raises(CompatibilityError):
+            check_compatibility(model, list(test_s[:-1]) + [last])
+
+    def test_empty_evaluation_rejected(self):
+        model, _, _ = eval_setup()
+        with pytest.raises(MetricError):
+            evaluate(model, None, [])

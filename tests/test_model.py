@@ -1,8 +1,11 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 from attnalign.adapters import AdapterConfig
-from attnalign.errors import CapacityError, ShapeError
+from attnalign.errors import CapacityError, CompatibilityError, ShapeError
 from attnalign.model import ModelConfig, VisualDecoder, VisualInput, \
     load_checkpoint, save_checkpoint
 from attnalign.training import total_loss, TrainConfig
@@ -250,6 +253,29 @@ class TestCheckpoint:
         m2, a2, _ = load_checkpoint(tmp_path / "c.json")
         after = m2.forward(v, (1, 2), (3,), a2).logits.data
         assert np.array_equal(before, after)
+
+
+    @pytest.mark.parametrize("section,name,source", [
+        ("adapter_tensors", "adapter.layer0.kmoe.B", None),   # missing
+        ("tensors", "layer9.wq", "layer0.wq"),                # extra base
+        ("adapter_tensors", "adapter.layer0.zmoe.A",          # unknown adapter
+         "adapter.layer0.qmoe.A"),
+        ("adapter_tensors", "adapter.layer0.qmoe.A",          # wrong shape
+         "adapter.layer0.qmoe.B"),
+    ])
+    def test_tensor_names_and_shapes_must_match(self, tmp_path, section, name,
+                                                source):
+        model, adapters = make_model_and_adapters()
+        path = tmp_path / "c.json"
+        save_checkpoint(path, model, adapters)
+        doc = json.loads(path.read_text())
+        if source is None:
+            del doc[section][name]
+        else:
+            doc[section][name] = doc[section][source]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CompatibilityError, match=re.escape(name)):
+            load_checkpoint(path)
 
 
 class TestConfigValidation:

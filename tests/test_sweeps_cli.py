@@ -168,6 +168,20 @@ class TestCli:
                        str(train_config_file), "--weak-cache", str(cache)])
         assert rc == 0
 
+    def test_weak_cache_with_other_k_rejected(self, tmp_path, data_dir,
+                                              train_config_file, capsys):
+        cache = tmp_path / "cache.jsonl"
+        rc = cli.main(["weaklabels", "--data", str(data_dir / "train.jsonl"),
+                       "--meta", str(data_dir / "meta.json"), "--out",
+                       str(cache), "--topk", "1"])
+        assert rc == 0
+        rc = cli.main(["train", "--data", str(data_dir), "--out",
+                       str(tmp_path / "run"), "--config",
+                       str(train_config_file), "--weak-cache", str(cache),
+                       "--topk", "2"])
+        assert rc == 1
+        assert "no K=2 record" in capsys.readouterr().err
+
     def test_ablation_flags(self, tmp_path, data_dir, train_config_file):
         for flag in ("--no-qmoe", "--no-kmoe", "--no-a3moe"):
             rc = cli.main(["train", "--data", str(data_dir), "--out",
