@@ -13,6 +13,52 @@ import os as _os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     _os.environ.setdefault(_var, "1")
 
+
+def _blas_function(name: str):
+    """Entry point ``name`` of numpy's bundled OpenBLAS (the 64-bit-int or
+    the plain scipy-openblas build), or None when numpy bundles neither."""
+    import ctypes
+    import glob
+    from pathlib import Path
+
+    import numpy
+
+    libdir = Path(numpy.__file__).parent.parent / "numpy.libs"
+    for path in sorted(glob.glob(str(libdir / "libscipy_openblas*.so*"))):
+        lib = ctypes.CDLL(path)
+        for symbol in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}"):
+            if hasattr(lib, symbol):
+                return getattr(lib, symbol)
+    return None
+
+
+def _pin_blas_threads() -> None:
+    """Apply OPENBLAS_NUM_THREADS to a library that is already loaded.
+
+    OpenBLAS reads the variable only when it is loaded, so the setdefault
+    above does nothing once numpy was imported first; setting the count
+    through the library itself works either way. An explicit user value
+    of the variable still wins.
+    """
+    import ctypes
+    import warnings
+
+    fn = _blas_function("set_num_threads")
+    if fn is None:
+        warnings.warn("attnalign: numpy's bundled OpenBLAS was not found, so "
+                      "its thread count is not pinned", RuntimeWarning)
+        return
+    try:
+        threads = int(_os.environ["OPENBLAS_NUM_THREADS"])
+    except ValueError:
+        return  # not a count; OpenBLAS fell back to its default as well
+    fn.argtypes = [ctypes.c_int]
+    fn.restype = None
+    fn(threads)
+
+
+_pin_blas_threads()
+
 from .adapters import AdapterConfig, AdapterSet, ExpertBank, GatingNetwork, \
     LoRAAdapter, RouterDecision, adapted_projection, kmoe_delta_per_token, \
     qmoe_delta

@@ -17,11 +17,29 @@ so a closure must never pass overlapping writable memory to two
 different parents (``g`` itself may go to at most one), must skip
 parents with ``requires_grad`` False before doing expensive work, and
 must not touch a contribution after sinking it.
+
+Kernel rules (the elementwise ops are bound by memory traffic, not by
+FLOPs, at the sizes used here):
+
+- Make as few passes over memory as possible, writing into buffers the
+  op owns (``out=`` and in-place ufuncs) instead of chaining
+  temporaries; a backward closure writes only into its own ``g`` or
+  into arrays it allocates.
+- Values only the backward reads (the gelu slope, say) are computed
+  inside the closure, so a ``no_grad`` or frozen-input call never pays
+  for them.
+- Every output element sees the same IEEE operation sequence as the
+  plain expression it replaces (kept in ``tests/oracles.py``), so
+  results are bit-identical to it. The only rewrites allowed are
+  swapping the operands of a single ``*`` or ``+``, dropping an exact
+  ``* 1.0`` and adding ``+ 0.0`` / ``- inf`` to apply a mask; never
+  re-associate an expression.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -274,7 +292,7 @@ def transpose(a) -> Tensor:
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = _as_tensor(a)
-    if int(np.prod(shape)) != a.data.size:
+    if math.prod(shape) != a.data.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
 
     def back(g, sink):
@@ -392,47 +410,89 @@ def softmax_rows(a, mask: np.ndarray | None = None) -> Tensor:
     a = _as_tensor(a)
     if len(a.shape) != 2:
         raise ShapeError(f"softmax_rows needs a 2-d tensor, got {a.shape}")
-    x = a.data
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != a.shape:
             raise ShapeError(f"softmax mask shape {mask.shape} != input {a.shape}")
-        if not mask.any(axis=1).all():
-            bad = int(np.flatnonzero(~mask.any(axis=1))[0])
-            raise DegenerateRowError(f"softmax row {bad} is fully masked")
-        neg = np.where(mask, x, -np.inf)
-        rowmax = neg.max(axis=1, keepdims=True)
-        e = np.exp(np.where(mask, x - rowmax, 0.0)) * mask
+        _check_rows_visible(mask)
+    y = _softmax_last_axis(a.data, mask)
+    return _wrap(y, (a,), _softmax_backward(a, y))
+
+
+def _check_rows_visible(mask: np.ndarray) -> None:
+    if not mask.any(axis=1).all():
+        bad = int(np.flatnonzero(~mask.any(axis=1))[0])
+        raise DegenerateRowError(f"softmax row {bad} is fully masked")
+
+
+def _softmax_last_axis(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """exp(x - rowmax) / rowsum in one owned buffer; masked entries are 0.
+
+    The mask enters as an additive 0 / -inf term, so a visible entry
+    keeps x exactly and a masked one becomes exp(-inf) = 0.
+    """
+    if mask is None:
+        y = x - x.max(axis=-1, keepdims=True)
     else:
-        rowmax = x.max(axis=1, keepdims=True)
-        e = np.exp(x - rowmax)
-    y = e / e.sum(axis=1, keepdims=True)
+        y = x + np.where(mask, 0.0, -np.inf)
+        y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    return y
 
+
+def _softmax_backward(a: Tensor, y: np.ndarray) -> Callable:
     def back(g, sink):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        sink(a, y * (g - dot))
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        g -= dot
+        g *= y
+        sink(a, g)
 
-    return _wrap(y, (a,), back)
+    return back
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_K = 0.044715
 
 
-def _gelu_value_slope(x):
-    x2 = x * x
-    t = np.tanh(_GELU_C * (x + _GELU_K * (x2 * x)))
-    du = _GELU_C * (1.0 + 3 * _GELU_K * x2)
-    return 0.5 * x * (1.0 + t), 0.5 * (1.0 + t) + 0.5 * x * ((1.0 - t * t) * du)
+def _gelu_value(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """0.5 x (1 + t) and t = tanh(C (x + K x^3)), the value its slope reuses."""
+    t = x * x
+    t *= x
+    t *= _GELU_K
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = x * 0.5
+    y *= t + 1.0
+    return y, t
+
+
+def _gelu_slope_into(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """g *= 0.5 (1 + t) + 0.5 x ((1 - t^2) C (1 + 3 K x^2)); returns g."""
+    s = t * t
+    np.subtract(1.0, s, out=s)
+    w = x * x
+    w *= 3 * _GELU_K
+    w += 1.0
+    w *= _GELU_C
+    s *= w
+    np.multiply(x, 0.5, out=w)
+    s *= w
+    np.add(t, 1.0, out=w)
+    w *= 0.5
+    s += w
+    g *= s
+    return g
 
 
 def gelu(a) -> Tensor:
     """Smooth ReLU-family activation (tanh form)."""
     a = _as_tensor(a)
-    y, slope = _gelu_value_slope(a.data)
+    y, t = _gelu_value(a.data)
 
     def back(g, sink):
-        sink(a, g * slope)
+        sink(a, _gelu_slope_into(g, a.data, t))
 
     return _wrap(y, (a,), back)
 
@@ -447,16 +507,18 @@ def mlp_two_layer(x, w1, b1, w2, b2) -> Tensor:
             f"mlp_two_layer: shapes {x.shape}, {w1.shape}, {b1.shape}, "
             f"{w2.shape}, {b2.shape} do not chain"
         )
-    u = x.data @ w1.data + b1.data
-    hidden, slope = _gelu_value_slope(u)
-    out = hidden @ w2.data + b2.data
+    u = x.data @ w1.data
+    u += b1.data
+    hidden, t = _gelu_value(u)
+    out = hidden @ w2.data
+    out += b2.data
 
     def back(g, sink):
         if b2.requires_grad:
             sink(b2, g.sum(axis=0))
         if w2.requires_grad:
             sink(w2, hidden.T @ g)
-        gu = (g @ w2.data.T) * slope
+        gu = _gelu_slope_into(g @ w2.data.T, u, t)
         if b1.requires_grad:
             sink(b1, gu.sum(axis=0))
         if w1.requires_grad:
@@ -476,25 +538,36 @@ def layer_norm_rows(a, gain, bias, eps: float = 1e-5) -> Tensor:
         )
     x = a.data
     n = x.shape[1]
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
-    y = xhat * gain.data + bias.data
+    mu = x.sum(axis=1, keepdims=True)
+    mu /= n
+    xhat = x - mu
+    y = xhat * xhat
+    var = y.sum(axis=1, keepdims=True)
+    var /= n
+    var += eps
+    inv = np.sqrt(var, out=var)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=y)
+    y += bias.data
 
     def back(g, sink):
-        if a.requires_grad:
-            gx_hat = g * gain.data
-            sink(
-                a,
-                inv / n * (n * gx_hat
-                           - gx_hat.sum(axis=1, keepdims=True)
-                           - xhat * (gx_hat * xhat).sum(axis=1, keepdims=True)),
-            )
         if gain.requires_grad:
             sink(gain, (g * xhat).sum(axis=0))
         if bias.requires_grad:
             sink(bias, g.sum(axis=0))
+        if a.requires_grad:
+            # inv / n (n gx_hat - sum(gx_hat) - xhat sum(gx_hat xhat)),
+            # gx_hat = g gain
+            g *= gain.data
+            r = g * xhat
+            dot = r.sum(axis=1, keepdims=True)
+            total = g.sum(axis=1, keepdims=True)
+            g *= n
+            g -= total
+            g -= np.multiply(xhat, dot, out=r)
+            g *= inv / n
+            sink(a, g)
 
     return _wrap(y, (a, gain, bias), back)
 
@@ -584,26 +657,13 @@ def softmax_heads(a, mask: np.ndarray | None = None) -> Tensor:
     a = _as_tensor(a)
     if len(a.shape) != 3:
         raise ShapeError(f"softmax_heads needs a 3-d tensor, got {a.shape}")
-    x = a.data
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != a.shape[1:]:
             raise ShapeError(f"mask {mask.shape} does not cover planes {a.shape[1:]}")
-        if not mask.any(axis=1).all():
-            bad = int(np.flatnonzero(~mask.any(axis=1))[0])
-            raise DegenerateRowError(f"softmax row {bad} is fully masked")
-        neg = np.where(mask[None], x, -np.inf)
-        rowmax = neg.max(axis=2, keepdims=True)
-        e = np.exp(np.where(mask[None], x - rowmax, 0.0)) * mask[None]
-    else:
-        e = np.exp(x - x.max(axis=2, keepdims=True))
-    y = e / e.sum(axis=2, keepdims=True)
-
-    def back(g, sink):
-        dot = (g * y).sum(axis=2, keepdims=True)
-        sink(a, y * (g - dot))
-
-    return _wrap(y, (a,), back)
+        _check_rows_visible(mask)
+    y = _softmax_last_axis(a.data, mask)
+    return _wrap(y, (a,), _softmax_backward(a, y))
 
 
 def plane_submatrix(a, index: int, rows, col_start: int, col_stop: int) -> Tensor:
@@ -646,19 +706,30 @@ def linear_with_lora(x, w, lora_a=None, lora_b=None, scale: float = 1.0) -> Tens
         raise ShapeError(
             f"lora shapes A {a.shape} / B {b.shape} do not fit weight {w.shape}"
         )
+    # scale * M is exact when scale == 1.0, so that product is skipped
+    scaled = scale != 1.0
     u = x.data @ a.data.T
-    out = x.data @ w.data.T + scale * (u @ b.data.T)
+    out = x.data @ w.data.T
+    low = u @ b.data.T
+    if scaled:
+        low *= scale
+    out += low
 
     def back(g, sink):
         gb_in = g @ b.data          # [S x r]
         if x.requires_grad:
-            sink(x, g @ w.data + scale * (gb_in @ a.data))
+            gx = g @ w.data
+            low_x = gb_in @ a.data
+            if scaled:
+                low_x *= scale
+            gx += low_x
+            sink(x, gx)
         if w.requires_grad:
             sink(w, g.T @ x.data)
         if a.requires_grad:
-            sink(a, scale * gb_in.T @ x.data)
+            sink(a, (scale * gb_in.T if scaled else gb_in.T) @ x.data)
         if b.requires_grad:
-            sink(b, scale * g.T @ u)
+            sink(b, (scale * g.T if scaled else g.T) @ u)
 
     return _wrap(out, (x, w, a, b), back)
 

@@ -105,16 +105,23 @@ def cmd_weaklabels(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    doc = _load_config(args.config)
-    model_cfg, cfg, model_seed = _build_train_config(doc, args)
-    data_dir = Path(args.data)
+def _read_data_dir(path: str, model: VisualDecoder):
+    """Both splits and the meta of a dataset directory, every sample checked
+    against the model before any training starts."""
+    data_dir = Path(path)
     train_samples = read_samples(data_dir / "train.jsonl")
     test_samples = read_samples(data_dir / "test.jsonl")
     meta = read_meta(data_dir / "meta.json")
-
-    model = VisualDecoder(model_cfg, seed=model_seed)
     metricsmod.check_compatibility(model, train_samples)
+    metricsmod.check_compatibility(model, test_samples)
+    return train_samples, test_samples, meta
+
+
+def cmd_train(args) -> int:
+    doc = _load_config(args.config)
+    model_cfg, cfg, model_seed = _build_train_config(doc, args)
+    model = VisualDecoder(model_cfg, seed=model_seed)
+    train_samples, test_samples, meta = _read_data_dir(args.data, model)
 
     weak_labels = None
     if cfg.lambda_align > 0 and cfg.heads_r > 0:
@@ -158,10 +165,8 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     doc = _load_config(args.config)
     model_cfg, cfg, model_seed = _build_train_config(doc, args)
-    data_dir = Path(args.data)
-    train_samples = read_samples(data_dir / "train.jsonl")
-    test_samples = read_samples(data_dir / "test.jsonl")
-    meta = read_meta(data_dir / "meta.json")
+    train_samples, test_samples, meta = _read_data_dir(
+        args.data, VisualDecoder(model_cfg, seed=model_seed))
     values = [float(v) for v in args.values.split(",") if v != ""]
     rows = sweep(args.param, values, cfg, model_seed, train_samples,
                  test_samples, meta, model_config=model_cfg, out_csv=args.out)

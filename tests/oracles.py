@@ -108,6 +108,70 @@ def mask_tokens_loop(bitmap, grid):
 
 
 # ---------------------------------------------------------------------------
+# plain-expression kernels: the formulas the in-place autodiff kernels must
+# reproduce bit for bit; each returns the forward value and, given the
+# output gradient g, the gradient of every input
+
+
+_GELU_C = np.sqrt(2.0 / np.pi)
+_GELU_K = 0.044715
+
+
+def gelu_value_slope(x):
+    x2 = x * x
+    t = np.tanh(_GELU_C * (x + _GELU_K * (x2 * x)))
+    du = _GELU_C * (1.0 + 3 * _GELU_K * x2)
+    return 0.5 * x * (1.0 + t), 0.5 * (1.0 + t) + 0.5 * x * ((1.0 - t * t) * du)
+
+
+def mlp_two_layer_ref(x, w1, b1, w2, b2, g):
+    """gelu(x w1 + b1) w2 + b2 and the gradients of (x, w1, b1, w2, b2)."""
+    u = x @ w1 + b1
+    hidden, slope = gelu_value_slope(u)
+    out = hidden @ w2 + b2
+    gu = (g @ w2.T) * slope
+    return out, (gu @ w1.T, x.T @ gu, gu.sum(axis=0), hidden.T @ g,
+                 g.sum(axis=0))
+
+
+def softmax_ref(x, mask, g):
+    """Last-axis masked softmax of rows or [H x S x S] planes, and its gradient."""
+    if mask is not None:
+        neg = np.where(mask, x, -np.inf)
+        rowmax = neg.max(axis=-1, keepdims=True)
+        e = np.exp(np.where(mask, x - rowmax, 0.0)) * mask
+    else:
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    return y, y * (g - dot)
+
+
+def layer_norm_ref(x, gain, bias, g, eps=1e-5):
+    """Row standardization with gain and bias; gradients of (x, gain, bias)."""
+    n = x.shape[1]
+    mu = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    y = xhat * gain + bias
+    gx_hat = g * gain
+    gx = inv / n * (n * gx_hat
+                    - gx_hat.sum(axis=1, keepdims=True)
+                    - xhat * (gx_hat * xhat).sum(axis=1, keepdims=True))
+    return y, (gx, (g * xhat).sum(axis=0), g.sum(axis=0))
+
+
+def linear_with_lora_ref(x, w, a, b, scale, g):
+    """x w^T + scale (x A^T) B^T and the gradients of (x, w, A, B)."""
+    u = x @ a.T
+    out = x @ w.T + scale * (u @ b.T)
+    gb_in = g @ b
+    return out, (g @ w + scale * (gb_in @ a), g.T @ x, scale * gb_in.T @ x,
+                 scale * g.T @ u)
+
+
+# ---------------------------------------------------------------------------
 # straight-line forward pass (no autodiff, explicit head loops)
 
 

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from attnalign import autodiff as ad
 from attnalign.errors import DegenerateRowError, NumericError, ShapeError
 
-from oracles import softmax_row_decimal
+from oracles import gelu_value_slope, layer_norm_ref, linear_with_lora_ref, \
+    mlp_two_layer_ref, softmax_ref, softmax_row_decimal
 
 
 def scalar_of(t):
@@ -275,3 +276,104 @@ class TestFusedOps:
             return scalar_of(ad.lowrank_rows_apply(x, w, a, b, 2, 0.7))
 
         assert ad.finite_diff_check_params(f, [x, w, a, b], 1e-6) < 1e-6
+
+
+def backward_with(out, g):
+    """Backpropagate the output gradient g exactly: d sum(out * g) / d out = g."""
+    ad.sum_all(ad.mul(out, ad.Tensor(g))).backward()
+
+
+def leaves(rng, shapes, magnitude):
+    return [ad.Tensor(rng.uniform(-magnitude, magnitude, size=s), requires_grad=True)
+            for s in shapes]
+
+
+def assert_bits(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+
+
+MAGNITUDES = [1.0, 30.0]
+
+
+class TestKernelsBitExact:
+    """The in-place kernels reproduce the plain expressions in oracles.py bit for bit."""
+
+    @pytest.mark.parametrize("magnitude", MAGNITUDES)
+    @pytest.mark.parametrize("shape", [(67, 256), (5, 7)])
+    def test_gelu(self, rng, shape, magnitude):
+        (x,) = leaves(rng, [shape], magnitude)
+        g = rng.normal(size=shape)
+        out = ad.gelu(x)
+        backward_with(out, g)
+        value, slope = gelu_value_slope(x.data)
+        assert_bits(out.data, value)
+        assert_bits(x.grad, g * slope)
+        with ad.no_grad():
+            assert_bits(ad.gelu(x).data, out.data)
+        assert_bits(ad.gelu(ad.Tensor(x.data)).data, out.data)
+
+    @pytest.mark.parametrize("magnitude", MAGNITUDES)
+    def test_mlp_two_layer(self, rng, magnitude):
+        params = leaves(rng, [(9, 64), (64, 32), (32,), (32, 8), (8,)], magnitude)
+        g = rng.normal(size=(9, 8))
+        out = ad.mlp_two_layer(*params)
+        backward_with(out, g)
+        value, grads = mlp_two_layer_ref(*(p.data for p in params), g)
+        assert_bits(out.data, value)
+        for p, expected in zip(params, grads):
+            assert_bits(p.grad, expected)
+
+    @pytest.mark.parametrize("magnitude", MAGNITUDES)
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_softmax_rows(self, rng, masked, magnitude):
+        (x,) = leaves(rng, [(67, 67)], magnitude)
+        mask = None
+        if masked:
+            mask = rng.random((67, 67)) < 0.6
+            mask[:, 3] = True
+        g = rng.normal(size=(67, 67))
+        out = ad.softmax_rows(x, mask)
+        backward_with(out, g)
+        value, grad = softmax_ref(x.data, mask, g)
+        assert_bits(out.data, value)
+        assert_bits(x.grad, grad)
+
+    @pytest.mark.parametrize("magnitude", MAGNITUDES)
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_softmax_heads(self, rng, masked, magnitude):
+        (x,) = leaves(rng, [(4, 67, 67)], magnitude)
+        mask = np.tril(np.ones((67, 67), dtype=bool)) if masked else None
+        if masked:
+            mask[:, :64] = True
+        g = rng.normal(size=(4, 67, 67))
+        out = ad.softmax_heads(x, mask)
+        backward_with(out, g)
+        value, grad = softmax_ref(x.data, mask, g)
+        assert_bits(out.data, value)
+        assert_bits(x.grad, grad)
+
+    @pytest.mark.parametrize("magnitude", MAGNITUDES)
+    @pytest.mark.parametrize("shape", [(67, 64), (3, 5)])
+    def test_layer_norm_rows(self, rng, shape, magnitude):
+        params = leaves(rng, [shape, shape[1:], shape[1:]], magnitude)
+        params[0].data += rng.uniform(-magnitude, magnitude, size=(shape[0], 1))
+        g = rng.normal(size=shape)
+        out = ad.layer_norm_rows(*params)
+        backward_with(out, g)
+        value, grads = layer_norm_ref(*(p.data for p in params), g)
+        assert_bits(out.data, value)
+        for p, expected in zip(params, grads):
+            assert_bits(p.grad, expected)
+
+    @pytest.mark.parametrize("magnitude", MAGNITUDES)
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 0.8])
+    def test_linear_with_lora(self, rng, scale, magnitude):
+        params = leaves(rng, [(67, 64), (256, 64), (8, 64), (256, 8)], magnitude)
+        g = rng.normal(size=(67, 256))
+        out = ad.linear_with_lora(*params, scale)
+        backward_with(out, g)
+        value, grads = linear_with_lora_ref(*(p.data for p in params), scale, g)
+        assert_bits(out.data, value)
+        for p, expected in zip(params, grads):
+            assert_bits(p.grad, expected)

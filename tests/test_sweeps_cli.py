@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -181,6 +182,23 @@ class TestCli:
                        "--topk", "2"])
         assert rc == 1
         assert "no K=2 record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", [
+        ["train"],
+        ["sweep", "--param", "lambda", "--values", "0,0.1"],
+    ])
+    def test_out_of_vocabulary_test_split_rejected_before_training(
+            self, tmp_path, data_dir, train_config_file, capsys, verb):
+        _, test_s, _ = small_data()
+        bad = dataclasses.replace(test_s[-1], prompt=(12,) + test_s[-1].prompt[1:])
+        write_samples(data_dir / "test.jsonl", test_s[:-1] + [bad])
+        out = tmp_path / "out"
+        rc = cli.main(verb + ["--data", str(data_dir), "--out", str(out),
+                              "--config", str(train_config_file)])
+        assert rc == 1
+        assert "dataset token 12 outside model vocabulary 12" in capsys.readouterr().err
+        assert not out.exists()
+        assert not list(tmp_path.rglob("metrics.jsonl"))
 
     def test_ablation_flags(self, tmp_path, data_dir, train_config_file):
         for flag in ("--no-qmoe", "--no-kmoe", "--no-a3moe"):
