@@ -60,10 +60,9 @@ def _pin_blas_threads() -> None:
 _pin_blas_threads()
 
 from .adapters import AdapterConfig, AdapterSet, ExpertBank, GatingNetwork, \
-    LoRAAdapter, RouterDecision, adapted_projection, kmoe_delta_per_token, \
-    qmoe_delta
-from .attention import AttentionStack, HeadSelection, Spans, VisualAttentionView, \
-    extract_visual_view, mean_map, refined_map, select_heads, visual_ratio
+    LoRAAdapter, RouterDecision
+from .attention import AttentionStack, HeadSelection, Spans, refined_map, \
+    select_heads
 from .autodiff import Tensor, finite_diff_check, no_grad
 from .data import DataSpec, SyntheticSample, generate_dataset
 from .metrics import MetricsReport, coverage_score, evaluate, intensity_alignment

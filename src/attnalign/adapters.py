@@ -69,11 +69,6 @@ class LoRAAdapter:
         self.rank = rank
         self.scale = scale
 
-    def apply(self, x: Tensor) -> Tensor:
-        """x @ delta^T without materializing the full matrix."""
-        out = ad.matmul(ad.matmul(x, ad.transpose(self.A)), ad.transpose(self.B))
-        return out if self.scale == 1.0 else ad.mul(out, self.scale)
-
     def params(self, prefix: str) -> list[tuple[str, Tensor]]:
         return [(prefix + ".A", self.A), (prefix + ".B", self.B)]
 
@@ -143,19 +138,8 @@ class RouterDecision:
     top_b: int
 
 
-def topb_mask(weights: np.ndarray, b: int) -> np.ndarray:
-    """Boolean mask of the b largest entries, ties broken by ascending index."""
-    n = weights.shape[0]
-    if not (1 <= b <= n):
-        raise ParameterError(f"top_b={b} outside [1, {n}]")
-    order = np.lexsort((np.arange(n), -weights))
-    mask = np.zeros(n, dtype=bool)
-    mask[order[:b]] = True
-    return mask
-
-
 def topb_mask_rows(weights: np.ndarray, b: int) -> np.ndarray:
-    """Row-wise topb_mask; stable argsort keeps the ascending-index tie rule."""
+    """Mask of each row's b largest entries; ties by ascending index (stable sort)."""
     m, n = weights.shape
     if not (1 <= b <= n):
         raise ParameterError(f"top_b={b} outside [1, {n}]")
@@ -176,25 +160,6 @@ def qmoe_weights(h_prompt: Tensor, bank: ExpertBank,
                               kept=np.ones(len(bank), dtype=bool),
                               top_b=len(bank))
     return alpha, decision
-
-
-def _mixture_delta(bank: ExpertBank, w: Tensor) -> Tensor:
-    """sum_o w_o scale B_o A_o for a length-O weight vector, as one [d_out x d_in]."""
-    per_row = ad.take(w, np.repeat(np.arange(len(bank)), bank.rank))
-    d = ad.matmul(bank.B, ad.scale_rows(bank.A, per_row))
-    return d if bank.scale == 1.0 else ad.mul(d, bank.scale)
-
-
-def qmoe_delta(h_prompt: Tensor, bank: ExpertBank,
-               gate: GatingNetwork) -> tuple[Tensor, RouterDecision]:
-    """Prompt-routed dense mixture, materialized as one [d x d] delta.
-
-    The delta is shared by every token's query projection this pass. The
-    model's hot path applies the same mixture in factored form
-    (`qmoe_apply`); both agree to 1e-12.
-    """
-    alpha, decision = qmoe_weights(h_prompt, bank, gate)
-    return _mixture_delta(bank, alpha), decision
 
 
 def qmoe_apply(x: Tensor, alpha: Tensor, bank: ExpertBank) -> Tensor:
@@ -225,16 +190,6 @@ def kmoe_gate_weights(h_tokens: Tensor, bank: ExpertBank, gate: GatingNetwork,
     return masked, RouterDecision(weights=beta.data, kept=keep, top_b=b)
 
 
-def kmoe_delta_per_token(h_tokens: Tensor, bank: ExpertBank, gate: GatingNetwork,
-                         b: int, renormalize: bool = False
-                         ) -> tuple[list[Tensor], RouterDecision]:
-    """Materialized per-token deltas (reference path; tests and inspection)."""
-    weights, decision = kmoe_gate_weights(h_tokens, bank, gate, b, renormalize)
-    deltas = [_mixture_delta(bank, ad.reshape(ad.take(weights, [c]), (len(bank),)))
-              for c in range(h_tokens.shape[0])]
-    return deltas, decision
-
-
 def kmoe_apply(x: Tensor, weights: Tensor, bank: ExpertBank) -> Tensor:
     """Row-wise x_c @ delta_c^T in factored form.
 
@@ -242,40 +197,6 @@ def kmoe_apply(x: Tensor, weights: Tensor, bank: ExpertBank) -> Tensor:
     1e-12, at a fraction of the tape size.
     """
     return ad.lowrank_rows_apply(x, weights, bank.A, bank.B, bank.rank, bank.scale)
-
-
-def adapted_projection(x: Tensor, base_w: Tensor,
-                       dense_lora: LoRAAdapter | None = None,
-                       moe_delta: Tensor | None = None,
-                       per_token_deltas: list[Tensor] | None = None) -> Tensor:
-    """output_row_i = x_i @ (base_w + dense_delta + moe_delta_i)^T.
-
-    ``moe_delta`` is one matrix shared by all rows (query-side);
-    ``per_token_deltas`` supplies one matrix per leading row, None for
-    rows without a delta (key-side; text rows stay dense-only).
-    """
-    if len(x.shape) != 2 or base_w.shape[1] != x.shape[1]:
-        raise ShapeError(f"projection: input {x.shape} vs weight {base_w.shape}")
-    out = ad.matmul(x, ad.transpose(base_w))
-    if dense_lora is not None:
-        out = ad.add(out, dense_lora.apply(x))
-    if moe_delta is not None:
-        out = ad.add(out, ad.matmul(x, ad.transpose(moe_delta)))
-    if per_token_deltas is not None:
-        if len(per_token_deltas) > x.shape[0]:
-            raise ShapeError("more per-token deltas than rows")
-        rows = []
-        for i, delta in enumerate(per_token_deltas):
-            row = ad.slice_rows(x, i, i + 1)
-            if delta is None:
-                rows.append(Tensor(np.zeros((1, out.shape[1]))))
-            else:
-                rows.append(ad.matmul(row, ad.transpose(delta)))
-        if len(per_token_deltas) < x.shape[0]:
-            pad = Tensor(np.zeros((x.shape[0] - len(per_token_deltas), out.shape[1])))
-            rows.append(pad)
-        out = ad.add(out, ad.concat_rows(rows))
-    return out
 
 
 class LayerAdapters:
@@ -332,10 +253,3 @@ class AdapterSet:
         for i, layer in enumerate(self.layers):
             out.extend(layer.params(f"adapter.layer{i}"))
         return out
-
-    def trainable_tensors(self) -> list[Tensor]:
-        return [t for _, t in self.params()]
-
-    def zero_grads(self) -> None:
-        for t in self.trainable_tensors():
-            t.zero_grad()

@@ -1,10 +1,10 @@
-"""Visual-attention views, head statistics and map aggregation.
+"""Head statistics, refined and generated visual maps, heatmap export.
 
 One forward pass yields an AttentionStack of L*H row-stochastic maps
-over the full sequence. From it we carve the text-query x visual-key
-submatrices, average them into a length-N map, rank heads by the share
-of attention they put on visual keys, and fold the top-R heads into the
-refined map that the alignment loss consumes.
+over the full sequence. We rank heads by the share of attention their
+text queries put on visual keys, then carve the text-query x visual-key
+submatrices of the top-R heads only and fold them into the refined map
+that the alignment loss consumes.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ class Spans:
     @property
     def total(self) -> int:
         return self.n_visual + self.n_prompt + self.n_answer
-
-    @property
-    def visual_range(self) -> range:
-        return range(0, self.n_visual)
 
     @property
     def prompt_range(self) -> range:
@@ -73,23 +69,6 @@ class AttentionStack:
 
 
 @dataclass
-class VisualAttentionView:
-    """Per-head [|Q| x N] submatrices: query rows x visual key columns."""
-
-    per_head: list[list[Tensor]]
-    query_rows: tuple[int, ...]
-    n_visual: int
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.per_head)
-
-    @property
-    def n_heads(self) -> int:
-        return len(self.per_head[0])
-
-
-@dataclass
 class HeadSelection:
     """Top-R head indicator over the L x H grid."""
 
@@ -104,51 +83,6 @@ class HeadSelection:
 def answer_query_rows(spans: Spans) -> tuple[int, ...]:
     """Query rows used during teacher-forced training: the answer positions."""
     return tuple(spans.answer_range)
-
-
-def extract_visual_view(stack: AttentionStack,
-                        query_rows: Sequence[int]) -> VisualAttentionView:
-    """Slice the [|Q| x N] visual submatrix out of every head's map."""
-    rows = tuple(int(r) for r in query_rows)
-    if not rows:
-        raise SelectionError("query set is empty")
-    text = stack.spans.text_range
-    for r in rows:
-        if r not in text:
-            raise SelectionError(f"query row {r} outside text spans {text}")
-    n = stack.spans.n_visual
-    per_head = [[ad.plane_submatrix(stack.planes[l], h, rows, 0, n)
-                 for h in range(stack.n_heads)]
-                for l in range(stack.n_layers)]
-    return VisualAttentionView(per_head=per_head, query_rows=rows, n_visual=n)
-
-
-def mean_map(view: VisualAttentionView) -> Tensor:
-    """Average over layers, heads and query rows; a length-N tensor."""
-    acc: Tensor | None = None
-    for l in range(view.n_layers):
-        for h in range(view.n_heads):
-            v = ad.mean_pool_rows(view.per_head[l][h])
-            acc = v if acc is None else ad.add(acc, v)
-    return ad.mul(acc, 1.0 / (view.n_layers * view.n_heads))
-
-
-def visual_ratio(stack: AttentionStack, layer: int, head: int,
-                 query_rows: Sequence[int]) -> float:
-    """Share of query attention mass on visual keys among visual+prompt keys."""
-    rows = tuple(int(r) for r in query_rows)
-    if not rows:
-        raise SelectionError("query set is empty")
-    m = stack.head_data(layer, head)
-    spans = stack.spans
-    vis = m[rows, : spans.n_visual].sum()
-    prm = m[rows, spans.n_visual: spans.n_visual + spans.n_prompt].sum()
-    denom = vis + prm
-    if denom == 0.0:
-        raise DegenerateRatioError(
-            f"head ({layer},{head}) has zero visual+prompt mass on rows {rows}"
-        )
-    return float(vis / denom)
 
 
 def all_visual_ratios(stack: AttentionStack,
@@ -189,21 +123,28 @@ def select_heads(ratios: np.ndarray, top_r: int) -> HeadSelection:
                          top_r=top_r)
 
 
-def refined_map(view: VisualAttentionView, selection: HeadSelection) -> Tensor:
-    """Average the selected heads' query-mean vectors into a length-N map.
+def refined_map(stack: AttentionStack, query_rows: Sequence[int],
+                selection: HeadSelection) -> Tensor:
+    """Average the selected heads' query-mean visual vectors into a length-N map.
 
-    Differentiable in the attention values; the selection itself is a
-    constant of the pass.
+    Only the selected heads' [|Q| x N] submatrices (query rows x visual
+    key columns) enter the tape, in row-major (l, h) order. Differentiable
+    in the attention values; the selection itself is a constant of the pass.
     """
+    rows = tuple(int(r) for r in query_rows)
+    if not rows:
+        raise SelectionError("query set is empty")
+    text = stack.spans.text_range
+    for r in rows:
+        if r not in text:
+            raise SelectionError(f"query row {r} outside text spans {text}")
     if selection.top_r < 1:
         raise ParameterError("refined_map needs at least one selected head")
+    n = stack.spans.n_visual
     acc: Tensor | None = None
-    for l in range(view.n_layers):
-        for h in range(view.n_heads):
-            if not selection.selected[l, h]:
-                continue
-            v = ad.mean_pool_rows(view.per_head[l][h])
-            acc = v if acc is None else ad.add(acc, v)
+    for l, h in selection.pairs():
+        v = ad.mean_pool_rows(ad.plane_submatrix(stack.planes[l], h, rows, 0, n))
+        acc = v if acc is None else ad.add(acc, v)
     return ad.mul(acc, 1.0 / selection.top_r)
 
 

@@ -167,11 +167,6 @@ def _wrap(data: np.ndarray, parents: Sequence[Tensor], backward: Callable) -> Te
     return out
 
 
-def parameter(data, rng: np.random.Generator | None = None) -> Tensor:
-    """A trainable leaf tensor."""
-    return Tensor(data, requires_grad=True)
-
-
 # ---------------------------------------------------------------------------
 # arithmetic
 
@@ -792,26 +787,7 @@ def finite_diff_check(f, x: Tensor, step: float = 1e-5) -> float:
     e_i)) / (2 step). Mutates x.data in place during probing and
     restores it; x.grad is left holding the analytic gradient.
     """
-    x.zero_grad()
-    y = f(x)
-    _scalar_value(y)
-    y.backward()
-    analytic = x.grad if x.grad is not None else np.zeros_like(x.data)
-    analytic = np.array(analytic)
-
-    flat = x.data.reshape(-1)
-    worst = 0.0
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        fp = _scalar_value(f(x))
-        flat[i] = orig - step
-        fm = _scalar_value(f(x))
-        flat[i] = orig
-        central = (fp - fm) / (2.0 * step)
-        err = abs(analytic.reshape(-1)[i] - central) / max(1.0, abs(central))
-        worst = max(worst, err)
-    return worst
+    return finite_diff_check_params(lambda: f(x), [x], step)
 
 
 def finite_diff_check_params(f, params: Iterable[Tensor], step: float = 1e-4) -> float:

@@ -22,8 +22,8 @@ from .errors import AttnAlignError
 from .model import ModelConfig, VisualDecoder, VisualInput, load_checkpoint
 from .sweeps import sweep
 from .training import TASK_PROFILES, TrainConfig, compute_weak_labels, train
-from .weaklabels import load_weak_label_cache, record_to_weak_labels, \
-    save_weak_label_cache, weak_labels_to_record
+from .weaklabels import SyntheticOracleBackend, cache_key, load_weak_label_cache, \
+    record_to_weak_labels, save_weak_label_cache, weak_labels_to_record
 
 
 def _load_config(path: str | None) -> dict:
@@ -96,7 +96,8 @@ def cmd_weaklabels(args) -> int:
     noise = args.noise if args.noise is not None else doc.get("noise", 0.0)
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
     labels = compute_weak_labels(samples, meta, k, noise=noise, seed=seed)
-    backend_id = f"synthetic-oracle(noise={float(noise)},seed={int(seed)})"
+    backend_id = SyntheticOracleBackend(meta.concept_vectors, meta.layout.concept_base,
+                                        noise=noise, seed=seed).backend_id
     records = [weak_labels_to_record(s.image_id, s.prompt_id, labels[s.id],
                                      backend_id)
                for s in samples]
@@ -126,16 +127,19 @@ def cmd_train(args) -> int:
     weak_labels = None
     if cfg.lambda_align > 0 and cfg.heads_r > 0:
         if args.weak_cache:
-            # a cache built with another --topk must not stand in for this K
-            by_key = {(rec["image_id"], rec["prompt_id"], rec["K"]): rec
-                      for rec in load_weak_label_cache(args.weak_cache).values()}
+            # only records of this run's K and backend may stand in for it
+            backend_id = SyntheticOracleBackend(
+                meta.concept_vectors, meta.layout.concept_base,
+                noise=args.weak_noise, seed=cfg.seed).backend_id
+            cache = load_weak_label_cache(args.weak_cache)
             weak_labels = {}
             for s in train_samples:
-                rec = by_key.get((s.image_id, s.prompt_id, cfg.weak_k))
+                rec = cache.get(cache_key(s.image_id, s.prompt_id, cfg.weak_k,
+                                          backend_id))
                 if rec is None:
                     raise AttnAlignError(
-                        f"weak-label cache has no K={cfg.weak_k} record for "
-                        f"sample {s.id}")
+                        f"weak-label cache has no K={cfg.weak_k} record from "
+                        f"backend {backend_id} for sample {s.id}")
                 weak_labels[s.id] = record_to_weak_labels(rec)
         else:
             weak_labels = compute_weak_labels(train_samples, meta, cfg.weak_k,

@@ -44,10 +44,6 @@ class TokenLayout:
     def ask_token(self) -> int:
         return self.n_labels + self.n_concepts
 
-    @property
-    def tokens_used(self) -> int:
-        return self.ask_token + 1
-
     def concept_token(self, concept: int) -> int:
         return self.concept_base + concept
 
@@ -252,30 +248,6 @@ class PlantedSegmentProposer:
                                source="background"))
             placed += 1
         return out
-
-
-# ---------------------------------------------------------------------------
-# reference classifiers (used to certify the task at generation time)
-
-
-def roi_oracle_predict(sample: SyntheticSample, layout: TokenLayout) -> int:
-    """Reads the RoI directly: argmax of the label channels' mean activation."""
-    mean = sample.features[list(sample.roi)].mean(axis=0)
-    label = int(np.argmax(mean[layout.n_concepts: layout.n_concepts + layout.n_labels]))
-    return layout.label_token(label)
-
-
-def blind_majority_token(samples: Sequence[SyntheticSample]) -> int:
-    """Most frequent answer token; the best RoI-blind constant guess."""
-    counts: dict[int, int] = {}
-    for s in samples:
-        counts[s.answer[0]] = counts.get(s.answer[0], 0) + 1
-    return max(sorted(counts), key=lambda t: counts[t])
-
-
-def classifier_accuracy(samples: Sequence[SyntheticSample], predict) -> float:
-    hits = sum(1 for s in samples if predict(s) == s.answer[0])
-    return hits / len(samples)
 
 
 # ---------------------------------------------------------------------------

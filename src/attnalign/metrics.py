@@ -118,10 +118,17 @@ def check_compatibility(model: VisualDecoder,
             raise CompatibilityError(
                 f"dataset feature width {s.features.shape[1]} != model "
                 f"d_visual {c.d_visual}")
-        top = max(list(s.prompt) + list(s.answer))
-        if top >= c.vocab_size:
+        if not s.prompt:
+            raise CompatibilityError(f"dataset sample {s.id} has an empty prompt")
+        tokens = list(s.prompt) + list(s.answer)
+        if len(tokens) > c.max_text_len:
             raise CompatibilityError(
-                f"dataset token {top} outside model vocabulary {c.vocab_size}")
+                f"dataset sample {s.id} has {len(tokens)} prompt+answer tokens, "
+                f"model max_text_len is {c.max_text_len}")
+        bad = [t for t in tokens if not 0 <= t < c.vocab_size]
+        if bad:
+            raise CompatibilityError(
+                f"dataset token {bad[0]} outside model vocabulary {c.vocab_size}")
 
 
 def evaluate_checkpoint(checkpoint_path: str | Path, data_path: str | Path,

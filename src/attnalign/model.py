@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -319,24 +319,38 @@ def load_checkpoint(path: str | Path) -> tuple[VisualDecoder, AdapterSet | None,
     doc = json.loads(Path(path).read_text())
     if doc.get("schema") != CHECKPOINT_SCHEMA:
         raise ShapeError(f"unknown checkpoint schema {doc.get('schema')!r}")
-    config = ModelConfig(**doc["model_config"])
+    for section in ("model_config", "adapter_config", "tensors", "adapter_tensors"):
+        if section not in doc:
+            raise CompatibilityError(f"checkpoint has no {section!r} section")
+    config = _config(ModelConfig, doc["model_config"])
     model = VisualDecoder(config)
     _restore(model.params, doc["tensors"])
     adapters = None
     if doc["adapter_config"] is not None:
-        acfg = AdapterConfig(**doc["adapter_config"])
-        adapters = AdapterSet(config.n_layers, config.d_model, config.d_ff, acfg)
+        adapters = AdapterSet(config.n_layers, config.d_model, config.d_ff,
+                              _config(AdapterConfig, doc["adapter_config"]))
     _restore(dict(adapters.params()) if adapters is not None else {},
              doc["adapter_tensors"])
     return model, adapters, doc.get("extra", {})
 
 
+def _require_names(expected, stored, kind: str) -> None:
+    """The stored names must be exactly the expected ones."""
+    odd = sorted(set(expected) ^ set(stored))
+    if odd:
+        state = "missing from" if odd[0] in expected else "unexpected in"
+        raise CompatibilityError(f"{kind} {odd[0]!r} {state} the checkpoint")
+
+
+def _config(cls, stored: dict):
+    """A config dataclass from its stored fields, whose names must match exactly."""
+    _require_names({f.name for f in fields(cls)}, stored, f"{cls.__name__} field")
+    return cls(**stored)
+
+
 def _restore(tensors: dict[str, Tensor], entries: dict) -> None:
     """Overwrite every tensor from its entry; names and shapes must match exactly."""
-    odd = sorted(set(tensors) ^ set(entries))
-    if odd:
-        state = "missing from" if odd[0] in tensors else "unexpected in"
-        raise CompatibilityError(f"tensor {odd[0]!r} {state} the checkpoint")
+    _require_names(tensors, entries, "tensor")
     for name, t in tensors.items():
         shape = tuple(entries[name]["shape"])
         if shape != t.shape:

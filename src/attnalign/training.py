@@ -46,20 +46,6 @@ TASK_PROFILES: dict[str, TaskProfile] = {
     "mimic-cxr": TaskProfile(epochs=12, lambda_align=0.05),
 }
 
-# Full-scale adapter defaults from the same reference configuration; the
-# toy AdapterConfig scales these down (see AdapterConfig docstring).
-REFERENCE_ADAPTER_SETTINGS = {
-    "dense_rank": 64,
-    "expert_rank": 16,
-    "n_q_experts": 4,
-    "n_k_experts": 8,
-    "top_b": 2,       # 3 when n_k_experts is 16
-    "weak_k": 4,
-    "heads_r": 128,   # of 1024 heads; the toy default keeps the same fraction
-    "lr": 2e-4,
-}
-
-
 @dataclass
 class TrainConfig:
     lambda_align: float = 0.1
@@ -223,8 +209,7 @@ def total_loss(model: VisualDecoder, adapters: AdapterSet | None,
     if selection is None:
         ratios = attn.all_visual_ratios(out.attention, rows)
         selection = attn.select_heads(ratios, cfg.heads_r)
-    view = attn.extract_visual_view(out.attention, rows)
-    refined = attn.refined_map(view, selection)
+    refined = attn.refined_map(out.attention, rows, selection)
     align, fractions = alignment_loss(refined, labels)
     total = ad.add(llm, ad.mul(align, cfg.lambda_align))
     breakdown = LossBreakdown(llm=float(llm.data), align=float(align.data),

@@ -1,9 +1,10 @@
 """Prompt-aware weak-label selection over candidate segments.
 
-Candidate segments come from a pluggable proposer, get embedded next to
-the prompt by a pluggable backend, and the K most prompt-similar ones
-survive an adaptive threshold (the K-th order statistic, ties broken by
-ascending segment id). A synthetic oracle backend stands in for real
+Candidate segments (the planted segments plus background distractors,
+see ``data.PlantedSegmentProposer``) get embedded next to the prompt by
+a pluggable backend, and the K most prompt-similar ones survive an
+adaptive threshold (the K-th order statistic, ties broken by ascending
+segment id). A synthetic oracle backend stands in for real
 segment/text encoders so the whole pipeline is verifiable at desk scale.
 """
 
@@ -14,7 +15,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +30,6 @@ class Segment:
     id: str
     token_indices: tuple[int, ...]
     source: str = "unknown"
-    bitmap: object = None
 
     def __post_init__(self):
         idx = tuple(sorted(int(i) for i in self.token_indices))
@@ -38,13 +38,6 @@ class Segment:
         if len(set(idx)) != len(idx) or idx[0] < 0:
             raise ParameterError(f"segment {self.id!r} has bad token indices")
         object.__setattr__(self, "token_indices", idx)
-
-
-class SegmentProposer(Protocol):
-    """Interface slot for a segment generator (a real segmenter would plug in here)."""
-
-    def propose(self, image: np.ndarray, grid: int) -> list[Segment]:
-        ...
 
 
 class EmbedderBackend(abc.ABC):

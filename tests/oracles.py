@@ -108,6 +108,30 @@ def mask_tokens_loop(bitmap, grid):
 
 
 # ---------------------------------------------------------------------------
+# reference classifiers that certify the planted task
+
+
+def roi_oracle_predict(sample, layout):
+    """Reads the RoI directly: argmax of the label channels' mean activation."""
+    mean = sample.features[list(sample.roi)].mean(axis=0)
+    label = int(np.argmax(mean[layout.n_concepts: layout.n_concepts + layout.n_labels]))
+    return layout.label_token(label)
+
+
+def blind_majority_token(samples):
+    """Most frequent answer token; the best RoI-blind constant guess."""
+    counts = {}
+    for s in samples:
+        counts[s.answer[0]] = counts.get(s.answer[0], 0) + 1
+    return max(sorted(counts), key=lambda t: counts[t])
+
+
+def classifier_accuracy(samples, predict):
+    hits = sum(1 for s in samples if predict(s) == s.answer[0])
+    return hits / len(samples)
+
+
+# ---------------------------------------------------------------------------
 # plain-expression kernels: the formulas the in-place autodiff kernels must
 # reproduce bit for bit; each returns the forward value and, given the
 # output gradient g, the gradient of every input

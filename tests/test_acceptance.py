@@ -14,9 +14,8 @@ import pytest
 from attnalign import autodiff as ad
 from attnalign import cli
 from attnalign.adapters import AdapterConfig, AdapterSet, ExpertBank, \
-    GatingNetwork, kmoe_delta_per_token, topb_mask
-from attnalign.attention import answer_query_rows, extract_visual_view, \
-    mean_map, refined_map, select_heads
+    GatingNetwork, topb_mask_rows
+from attnalign.attention import answer_query_rows, refined_map, select_heads
 from attnalign.autodiff import Tensor
 from attnalign.data import DataSpec, generate_dataset, write_meta, write_samples
 from attnalign.metrics import coverage_score, intensity_alignment
@@ -28,7 +27,8 @@ from attnalign.weaklabels import Segment, select_weak_labels
 
 from conftest import make_visual
 from oracles import coverage_loop, expert_delta, intensity_loop, \
-    topk_select_loop
+    mean_map_loop, topk_select_loop
+from references import kmoe_delta_per_token
 from test_weaklabels import MappedBackend
 
 
@@ -139,12 +139,12 @@ def test_a3_alignment_loss_hand_values():
 
 
 def test_a4_reduction_identities(rng):
-    from test_attention import make_stack
+    from test_attention import make_stack, visual_views
     stack = make_stack(rng, n_layers=2, n_heads=3)
     rows = answer_query_rows(stack.spans)
-    view = extract_visual_view(stack, rows)
     sel = select_heads(np.ones((2, 3)), 6)
-    gap = np.max(np.abs(refined_map(view, sel).data - mean_map(view).data))
+    gap = np.max(np.abs(refined_map(stack, rows, sel).data
+                        - mean_map_loop(visual_views(stack, rows))))
     assert gap <= 1e-12
 
     d = 6
@@ -191,7 +191,7 @@ def test_a5_selection_sort_oracles():
         n = int(r.integers(1, 10))
         values = r.integers(0, 4, size=n) / 4.0
         b = int(r.integers(1, n + 1))
-        assert sorted(np.flatnonzero(topb_mask(values, b))) \
+        assert sorted(np.flatnonzero(topb_mask_rows(values[None, :], b)[0])) \
             == topk_select_loop(values, b)
 
     image = np.zeros((1, 2))

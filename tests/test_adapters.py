@@ -4,13 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from attnalign import autodiff as ad
 from attnalign.adapters import AdapterConfig, AdapterSet, ExpertBank, \
-    GatingNetwork, LoRAAdapter, adapted_projection, kmoe_apply, \
-    kmoe_delta_per_token, kmoe_gate_weights, qmoe_apply, qmoe_delta, \
-    qmoe_weights, topb_mask, topb_mask_rows
+    GatingNetwork, LoRAAdapter, kmoe_apply, kmoe_gate_weights, qmoe_apply, \
+    qmoe_weights, topb_mask_rows
 from attnalign.autodiff import Tensor
 from attnalign.errors import ParameterError
 
 from oracles import expert_delta, topk_select_loop
+from references import adapted_projection, kmoe_delta_per_token, qmoe_delta
 
 D = 6
 RANK = 2
@@ -231,14 +231,14 @@ class TestTopB:
             n = int(rng.integers(1, 9))
             b = int(rng.integers(1, n + 1))
             values = rng.integers(0, 4, size=n) / 4.0  # force ties
-            mask = topb_mask(values, b)
+            mask = topb_mask_rows(values[None, :], b)[0]
             assert sorted(np.flatnonzero(mask)) == topk_select_loop(values, b)
 
     def test_rows_variant_agrees(self, rng):
         w = rng.integers(0, 3, size=(50, 6)) / 3.0
         rows = topb_mask_rows(w, 2)
         for i in range(50):
-            assert np.array_equal(rows[i], topb_mask(w[i], 2))
+            assert np.array_equal(rows[i], topb_mask_rows(w[i][None, :], 2)[0])
 
 
 class TestAdaptedProjection:
@@ -292,4 +292,5 @@ class TestConfig:
         b = min(b, n)
         w = r.random(n)
         scaled = w * 7.3
-        assert np.array_equal(topb_mask(w, b), topb_mask(scaled, b))
+        assert np.array_equal(topb_mask_rows(w[None, :], b)[0],
+                              topb_mask_rows(scaled[None, :], b)[0])

@@ -3,14 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attnalign import attention as attn
+from attnalign import autodiff as ad
 from attnalign.autodiff import Tensor
 from attnalign.errors import ParameterError, SelectionError
 
 from oracles import mean_map_loop, refined_map_loop, topk_select_loop, \
     visual_ratio_loop
+from references import refined_map_all_heads
 
 
-def make_stack(rng, n_layers=2, n_heads=2, n_visual=4, n_prompt=2, n_answer=3):
+def make_stack(rng, n_layers=2, n_heads=2, n_visual=4, n_prompt=2, n_answer=3,
+               requires_grad=False):
     """Random row-stochastic stack respecting the sequence mask."""
     spans = attn.Spans(n_visual, n_prompt, n_answer)
     total = spans.total
@@ -25,59 +28,96 @@ def make_stack(rng, n_layers=2, n_heads=2, n_visual=4, n_prompt=2, n_answer=3):
                     visible[n_visual:q + 1] = True
                 raw = rng.random(total) * visible
                 plane[h, q] = raw / raw.sum()
-        planes.append(Tensor(plane))
+        planes.append(Tensor(plane, requires_grad=requires_grad))
     return attn.AttentionStack(planes=planes, spans=spans)
+
+
+def head_selection(n_layers, n_heads, heads):
+    """A HeadSelection marking exactly the given (l, h) pairs."""
+    selected = np.zeros((n_layers, n_heads), dtype=bool)
+    for l, h in heads:
+        selected[l, h] = True
+    return attn.HeadSelection(ratios=np.zeros((n_layers, n_heads)),
+                              selected=selected, top_r=len(heads))
+
+
+def all_heads(stack):
+    return attn.select_heads(np.ones((stack.n_layers, stack.n_heads)),
+                             stack.n_layers * stack.n_heads)
+
+
+def visual_views(stack, rows):
+    """Per-head [|Q| x N] numpy submatrices, the oracles' input."""
+    n = stack.spans.n_visual
+    return [[stack.head_data(l, h)[list(rows), :n] for h in range(stack.n_heads)]
+            for l in range(stack.n_layers)]
+
+
+def submatrix_nodes(out):
+    """Every plane_submatrix node in the graph behind ``out``."""
+    found, seen, todo = [], set(), [out]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is not None \
+                and node._backward.__qualname__.startswith("plane_submatrix."):
+            found.append(node)
+        todo.extend(node._parents)
+    return found
 
 
 class TestExtractVisualView:
     def test_single_query_row_identity_slice(self, rng):
         stack = make_stack(rng)
         row = stack.spans.total - 1
-        view = attn.extract_visual_view(stack, [row])
         for l in range(2):
             for h in range(2):
+                out = attn.refined_map(stack, [row], head_selection(2, 2, [(l, h)]))
                 expected = stack.head_data(l, h)[row, :4]
-                assert np.array_equal(view.per_head[l][h].data[0], expected)
+                assert np.array_equal(out.data, expected)
 
     def test_answer_rows_count(self, rng):
-        stack = make_stack(rng, n_answer=3)
+        stack = make_stack(rng, n_answer=3, requires_grad=True)
         rows = attn.answer_query_rows(stack.spans)
-        view = attn.extract_visual_view(stack, rows)
-        assert view.per_head[0][0].shape == (3, 4)
+        out = attn.refined_map(stack, rows, head_selection(2, 2, [(0, 0)]))
+        assert submatrix_nodes(out)[0].shape == (3, 4)
 
     def test_matches_index_lookup_oracle(self, rng):
-        stack = make_stack(rng)
+        stack = make_stack(rng, requires_grad=True)
         rows = [4, 6, 7]
-        view = attn.extract_visual_view(stack, rows)
         for l in range(2):
             for h in range(2):
+                out = attn.refined_map(stack, rows, head_selection(2, 2, [(l, h)]))
+                sub = submatrix_nodes(out)[0]
                 m = stack.head_data(l, h)
                 for i, q in enumerate(rows):
                     for c in range(4):
-                        assert view.per_head[l][h].data[i, c] == m[q, c]
+                        assert sub.data[i, c] == m[q, c]
 
     def test_empty_query_set(self, rng):
+        stack = make_stack(rng)
         with pytest.raises(SelectionError):
-            attn.extract_visual_view(make_stack(rng), [])
+            attn.refined_map(stack, [], all_heads(stack))
 
     def test_visual_row_rejected(self, rng):
+        stack = make_stack(rng)
         with pytest.raises(SelectionError):
-            attn.extract_visual_view(make_stack(rng), [0])
+            attn.refined_map(stack, [0], all_heads(stack))
 
 
 class TestMeanMap:
     def test_single_head_single_query_identity(self, rng):
         stack = make_stack(rng, n_layers=1, n_heads=1)
         row = stack.spans.total - 1
-        view = attn.extract_visual_view(stack, [row])
-        out = attn.mean_map(view)
+        out = attn.refined_map(stack, [row], all_heads(stack))
         assert np.max(np.abs(out.data - stack.head_data(0, 0)[row, :4])) < 1e-15
 
     def test_two_heads_average(self, rng):
         stack = make_stack(rng, n_layers=1, n_heads=2)
         row = stack.spans.total - 1
-        view = attn.extract_visual_view(stack, [row])
-        out = attn.mean_map(view)
+        out = attn.refined_map(stack, [row], all_heads(stack))
         a = stack.head_data(0, 0)[row, :4]
         b = stack.head_data(0, 1)[row, :4]
         assert np.max(np.abs(out.data - (a + b) / 2)) < 1e-15
@@ -85,10 +125,8 @@ class TestMeanMap:
     def test_matches_triple_loop_oracle(self, rng):
         stack = make_stack(rng, n_layers=2, n_heads=2, n_answer=3)
         rows = attn.answer_query_rows(stack.spans)
-        view = attn.extract_visual_view(stack, rows)
-        out = attn.mean_map(view)
-        oracle = mean_map_loop([[view.per_head[l][h].data for h in range(2)]
-                                for l in range(2)])
+        out = attn.refined_map(stack, rows, all_heads(stack))
+        oracle = mean_map_loop(visual_views(stack, rows))
         assert np.max(np.abs(out.data - oracle)) < 1e-12
 
     @given(st.integers(0, 2**32 - 1))
@@ -96,8 +134,8 @@ class TestMeanMap:
     def test_nonnegative_and_mass_bounded(self, seed):
         r = np.random.default_rng(seed)
         stack = make_stack(r)
-        view = attn.extract_visual_view(stack, attn.answer_query_rows(stack.spans))
-        out = attn.mean_map(view).data
+        out = attn.refined_map(stack, attn.answer_query_rows(stack.spans),
+                               all_heads(stack)).data
         assert np.all(out >= 0.0)
         assert out.sum() <= 1.0 + 1e-12
 
@@ -108,28 +146,26 @@ class TestVisualRatio:
         plane = np.zeros((1, 5, 5))
         plane[0, 4] = [0.3, 0.3, 0.2, 0.2, 0.0]
         stack = attn.AttentionStack(planes=[Tensor(plane)], spans=spans)
-        assert abs(attn.visual_ratio(stack, 0, 0, [4]) - 0.6) < 1e-15
+        assert abs(attn.all_visual_ratios(stack, [4])[0, 0] - 0.6) < 1e-15
 
     def test_all_visual_boundary(self):
         spans = attn.Spans(2, 1, 1)
         plane = np.zeros((1, 4, 4))
         plane[0, 3] = [0.5, 0.5, 0.0, 0.0]
         stack = attn.AttentionStack(planes=[Tensor(plane)], spans=spans)
-        assert attn.visual_ratio(stack, 0, 0, [3]) == 1.0
+        assert attn.all_visual_ratios(stack, [3])[0, 0] == 1.0
 
     def test_matches_double_sum_oracle(self, rng):
         stack = make_stack(rng)
         rows = list(attn.answer_query_rows(stack.spans))
-        for l in range(2):
-            for h in range(2):
-                got = attn.visual_ratio(stack, l, h, rows)
-                want = visual_ratio_loop(stack.head_data(l, h), rows, 4, 2)
-                assert abs(got - want) < 1e-12
         grid = attn.all_visual_ratios(stack, rows)
         for l in range(2):
             for h in range(2):
-                assert abs(grid[l, h] - attn.visual_ratio(stack, l, h, rows)) \
-                    < 1e-15
+                want = visual_ratio_loop(stack.head_data(l, h), rows, 4, 2)
+                assert abs(grid[l, h] - want) < 1e-12
+                m = stack.head_data(l, h)[rows]
+                vis, prm = m[:, :4].sum(), m[:, 4:6].sum()
+                assert abs(grid[l, h] - vis / (vis + prm)) < 1e-15
 
     def test_ratio_in_unit_interval(self, rng):
         stack = make_stack(rng)
@@ -179,41 +215,70 @@ class TestRefinedMap:
     def test_single_head_identity(self, rng):
         stack = make_stack(rng)
         rows = attn.answer_query_rows(stack.spans)
-        view = attn.extract_visual_view(stack, rows)
         selected = np.zeros((2, 2), dtype=bool)
         selected[1, 0] = True
         sel = attn.HeadSelection(ratios=np.zeros((2, 2)), selected=selected,
                                  top_r=1)
-        out = attn.refined_map(view, sel)
-        assert np.max(np.abs(out.data - view.per_head[1][0].data.mean(axis=0))) \
-            < 1e-15
+        out = attn.refined_map(stack, rows, sel)
+        expected = stack.head_data(1, 0)[list(rows), :4].mean(axis=0)
+        assert np.max(np.abs(out.data - expected)) < 1e-15
 
     def test_all_heads_equals_mean_map(self, rng):
         stack = make_stack(rng)
         rows = attn.answer_query_rows(stack.spans)
-        view = attn.extract_visual_view(stack, rows)
         sel = attn.select_heads(np.ones((2, 2)), 4)
-        assert np.max(np.abs(attn.refined_map(view, sel).data
-                             - attn.mean_map(view).data)) < 1e-12
+        assert np.max(np.abs(attn.refined_map(stack, rows, sel).data
+                             - mean_map_loop(visual_views(stack, rows)))) < 1e-12
 
     def test_matches_masked_loop_oracle(self, rng):
         stack = make_stack(rng)
         rows = attn.answer_query_rows(stack.spans)
-        view = attn.extract_visual_view(stack, rows)
         ratios = attn.all_visual_ratios(stack, rows)
         sel = attn.select_heads(ratios, 2)
-        out = attn.refined_map(view, sel)
-        oracle = refined_map_loop([[view.per_head[l][h].data for h in range(2)]
-                                   for l in range(2)], sel.selected)
+        out = attn.refined_map(stack, rows, sel)
+        oracle = refined_map_loop(visual_views(stack, rows), sel.selected)
         assert np.max(np.abs(out.data - oracle)) < 1e-12
 
     def test_zero_heads_rejected(self, rng):
         stack = make_stack(rng)
-        view = attn.extract_visual_view(stack,
-                                        attn.answer_query_rows(stack.spans))
         sel = attn.select_heads(np.ones((2, 2)), 0)
         with pytest.raises(ParameterError):
-            attn.refined_map(view, sel)
+            attn.refined_map(stack, attn.answer_query_rows(stack.spans), sel)
+
+    @pytest.mark.parametrize("heads", [
+        [(1, 2)],                                            # R = 1
+        [(1, 0), (1, 2)],                                    # R = 2, one layer
+        [(l, h) for l in range(2) for h in range(3)],        # R = L H
+    ])
+    def test_bit_identical_to_all_head_view(self, rng, heads):
+        stack = make_stack(rng, n_heads=3, requires_grad=True)
+        rows = attn.answer_query_rows(stack.spans)
+        sel = head_selection(2, 3, heads)
+        weights = Tensor(rng.normal(size=4))
+        results = []
+        for build in (attn.refined_map, refined_map_all_heads):
+            for plane in stack.planes:
+                plane.zero_grad()
+            out = build(stack, rows, sel)
+            ad.sum_all(ad.mul(out, weights)).backward()
+            results.append((out.data, [None if p.grad is None else p.grad.copy()
+                                       for p in stack.planes]))
+        (new, new_grads), (ref, ref_grads) = results
+        assert np.array_equal(new, ref)
+        for g_new, g_ref in zip(new_grads, ref_grads):
+            assert (g_new is None and g_ref is None) or np.array_equal(g_new, g_ref)
+
+    @pytest.mark.parametrize("r", [1, 2, 6])
+    def test_graph_holds_only_selected_submatrices(self, rng, monkeypatch, r):
+        stack = make_stack(rng, n_heads=3, requires_grad=True)
+        rows = attn.answer_query_rows(stack.spans)
+        sel = attn.select_heads(attn.all_visual_ratios(stack, rows), r)
+        calls = []
+        slice_op = ad.plane_submatrix
+        monkeypatch.setattr(ad, "plane_submatrix",
+                            lambda *a: calls.append(a) or slice_op(*a))
+        assert len(submatrix_nodes(attn.refined_map(stack, rows, sel))) == r
+        assert len(calls) == r  # no unread slice is built either
 
 
 class TestHeatmaps:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from attnalign.data import DataSpec, blind_majority_token, \
-    classifier_accuracy, generate_dataset, read_meta, read_samples, \
-    roi_oracle_predict, write_meta, write_samples
+from attnalign.data import DataSpec, generate_dataset, read_meta, read_samples, \
+    write_meta, write_samples
 from attnalign.errors import GenerationError
+
+from oracles import blind_majority_token, classifier_accuracy, roi_oracle_predict
 
 
 class TestGeneration:

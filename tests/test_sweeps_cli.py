@@ -4,11 +4,11 @@ import json
 
 import pytest
 
-from attnalign.adapters import AdapterConfig
+from attnalign.adapters import AdapterConfig, AdapterSet
 from attnalign.data import DataSpec, generate_dataset, write_meta, write_samples
 from attnalign.errors import ParameterError
 from attnalign.metrics import evaluate
-from attnalign.model import ModelConfig, VisualDecoder
+from attnalign.model import ModelConfig, VisualDecoder, save_checkpoint
 from attnalign.sweeps import SWEEP_HEADER, apply_sweep_value, run_single, sweep
 from attnalign.training import TrainConfig
 from attnalign import cli
@@ -199,6 +199,69 @@ class TestCli:
         assert "dataset token 12 outside model vocabulary 12" in capsys.readouterr().err
         assert not out.exists()
         assert not list(tmp_path.rglob("metrics.jsonl"))
+
+    def test_weak_cache_from_other_backend_rejected(self, tmp_path, data_dir,
+                                                    train_config_file, capsys):
+        cache = tmp_path / "cache.jsonl"
+        rc = cli.main(["weaklabels", "--data", str(data_dir / "train.jsonl"),
+                       "--meta", str(data_dir / "meta.json"), "--out",
+                       str(cache), "--topk", "1", "--noise", "5.0", "--seed", "7"])
+        assert rc == 0
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--data", str(data_dir), "--out", str(out),
+                       "--config", str(train_config_file), "--weak-cache",
+                       str(cache)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "no K=1 record" in err
+        assert "synthetic-oracle(noise=0.0,seed=0)" in err
+        assert not (out / "metrics.jsonl").exists()
+
+    @pytest.mark.parametrize("verb", [
+        ["train"],
+        ["sweep", "--param", "lambda", "--values", "0,0.1"],
+    ])
+    @pytest.mark.parametrize("prompt,message", [
+        (lambda p: p * 4, "9 prompt+answer tokens, model max_text_len is 6"),
+        (lambda p: (-1,) + p[1:], "dataset token -1 outside model vocabulary"),
+        (lambda p: (), "has an empty prompt"),
+    ], ids=["too-long", "negative-token", "empty-prompt"])
+    def test_unfit_test_sample_rejected_before_training(
+            self, tmp_path, data_dir, train_config_file, capsys, verb, prompt,
+            message):
+        _, test_s, _ = small_data()
+        bad = dataclasses.replace(test_s[-1], prompt=prompt(test_s[-1].prompt))
+        write_samples(data_dir / "test.jsonl", test_s[:-1] + [bad])
+        out = tmp_path / "out"
+        rc = cli.main(verb + ["--data", str(data_dir), "--out", str(out),
+                              "--config", str(train_config_file)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert not list(tmp_path.rglob("metrics.jsonl"))
+
+    @pytest.mark.parametrize("edit,name", [
+        (lambda doc: doc["adapter_config"].update(bogus=1), "bogus"),
+        (lambda doc: doc["model_config"].pop("max_text_len"), "max_text_len"),
+        (lambda doc: doc.pop("tensors"), "tensors"),
+    ], ids=["extra-field", "missing-field", "missing-section"])
+    def test_checkpoint_must_match_field_for_field(self, tmp_path, data_dir,
+                                                   capsys, edit, name):
+        model = VisualDecoder(SMALL_MODEL, seed=0)
+        adapters = AdapterSet(SMALL_MODEL.n_layers, SMALL_MODEL.d_model,
+                              SMALL_MODEL.d_ff, SMALL_ADAPTER)
+        ckpt = tmp_path / "checkpoint.json"
+        save_checkpoint(ckpt, model, adapters)
+        doc = json.loads(ckpt.read_text())
+        edit(doc)
+        ckpt.write_text(json.dumps(doc))
+        rc = cli.main(["evaluate", "--checkpoint", str(ckpt), "--data",
+                       str(data_dir / "test.jsonl"), "--out",
+                       str(tmp_path / "report.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert repr(name) in err and "checkpoint" in err
+        assert not (tmp_path / "report.json").exists()
 
     def test_ablation_flags(self, tmp_path, data_dir, train_config_file):
         for flag in ("--no-qmoe", "--no-kmoe", "--no-a3moe"):
