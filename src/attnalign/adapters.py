@@ -4,7 +4,7 @@ Every decoder linear map carries a dense LoRA delta. Query projections
 additionally take a prompt-routed mixture of low-rank experts (one
 mixing weight vector per forward pass, shared by all tokens), and key
 projections take a token-routed sparse mixture (per visual token, only
-the top-B gate weights survive, unrenormalized by default).
+the top-B gate weights survive, unrenormalized).
 
 Both mixtures are one mechanism, a weighted sum of low-rank experts.
 An expert bank stacks its O rank-r experts into two tensors, A [O r x
@@ -36,10 +36,6 @@ class AdapterConfig:
     top_b: int = 2
     use_qmoe: bool = True
     use_kmoe: bool = True
-    dense_lora_on_qk: bool = True
-    renormalize_topb: bool = False
-    gate_hidden: int | None = None  # defaults to d_model // 2
-    lora_scale: float = 1.0
 
     def validate(self) -> None:
         if self.use_kmoe and not (1 <= self.top_b <= self.n_k_experts):
@@ -61,13 +57,11 @@ def _factor_pair(d_out: int, d_in: int, rank: int,
 
 
 class LoRAAdapter:
-    """delta = scale * B @ A with A [r x d_in], B [d_out x r], B zero-initialized."""
+    """delta = B @ A with A [r x d_in], B [d_out x r], B zero-initialized."""
 
-    def __init__(self, d_out: int, d_in: int, rank: int, rng: np.random.Generator,
-                 scale: float = 1.0):
+    def __init__(self, d_out: int, d_in: int, rank: int, rng: np.random.Generator):
         self.A, self.B = _factor_pair(d_out, d_in, rank, rng)
         self.rank = rank
-        self.scale = scale
 
     def params(self, prefix: str) -> list[tuple[str, Tensor]]:
         return [(prefix + ".A", self.A), (prefix + ".B", self.B)]
@@ -78,20 +72,19 @@ class ExpertBank:
 
     ``A`` [O r x d_in] holds expert o's down-projection in rows o r to
     (o+1) r, and ``B`` [d_out x O r] its up-projection in the same
-    columns, so expert o's delta is scale * B[:, o r:(o+1) r] @ A[o r:(o+1) r].
+    columns, so expert o's delta is B[:, o r:(o+1) r] @ A[o r:(o+1) r].
     B starts at zero. A is drawn in one call, which consumes the generator
     exactly as O successive (r x d_in) draws would.
     """
 
     def __init__(self, n: int, d_out: int, d_in: int, rank: int,
-                 rng: np.random.Generator, scale: float = 1.0):
+                 rng: np.random.Generator):
         if n < 1:
             raise ParameterError("expert bank needs at least one expert")
         if rank < 1:
             raise ParameterError(f"expert rank must be >= 1, got {rank}")
         self.A, self.B = _factor_pair(d_out, d_in, n * rank, rng)
         self.rank = rank
-        self.scale = scale
 
     def __len__(self) -> int:
         return self.A.shape[0] // self.rank
@@ -135,7 +128,6 @@ class RouterDecision:
 
     weights: np.ndarray
     kept: np.ndarray
-    top_b: int
 
 
 def topb_mask_rows(weights: np.ndarray, b: int) -> np.ndarray:
@@ -157,8 +149,7 @@ def qmoe_weights(h_prompt: Tensor, bank: ExpertBank,
     pooled = ad.reshape(ad.mean_pool_rows(h_prompt), (1, h_prompt.shape[1]))
     alpha = ad.reshape(ad.softmax_rows(gate.logits(pooled)), (len(bank),))
     decision = RouterDecision(weights=alpha.data.copy(),
-                              kept=np.ones(len(bank), dtype=bool),
-                              top_b=len(bank))
+                              kept=np.ones(len(bank), dtype=bool))
     return alpha, decision
 
 
@@ -166,28 +157,22 @@ def qmoe_apply(x: Tensor, alpha: Tensor, bank: ExpertBank) -> Tensor:
     """x @ delta^T for the alpha-weighted mixture, without materializing it."""
     rows = ad.take(ad.reshape(alpha, (1, len(bank))),
                    np.zeros(x.shape[0], dtype=np.intp))
-    return ad.lowrank_rows_apply(x, rows, bank.A, bank.B, bank.rank, bank.scale)
+    return ad.lowrank_rows_apply(x, rows, bank.A, bank.B, bank.rank)
 
 
 def kmoe_gate_weights(h_tokens: Tensor, bank: ExpertBank, gate: GatingNetwork,
-                      b: int, renormalize: bool = False
-                      ) -> tuple[Tensor, RouterDecision]:
+                      b: int) -> tuple[Tensor, RouterDecision]:
     """Per-token sparse gate weights [n_tokens x n_experts].
 
     Row c holds softmax(MLP(h_c)) with everything outside its top-b
-    entries zeroed; surviving weights are not renormalized unless asked.
+    entries zeroed; surviving weights are not renormalized.
     """
     if not (1 <= b <= len(bank)):
         raise ParameterError(f"top_b={b} outside [1, {len(bank)}]")
     beta = ad.softmax_rows(gate.logits(h_tokens))
     keep = topb_mask_rows(beta.data, b)
     masked = ad.mul(beta, Tensor(keep.astype(np.float64)))
-    if renormalize:
-        row_sum = ad.reshape(ad.matmul(masked, Tensor(np.ones((len(bank), 1)))),
-                             (h_tokens.shape[0],))
-        inv = ad.div(Tensor(np.ones(h_tokens.shape[0])), row_sum)
-        masked = ad.scale_rows(masked, inv)
-    return masked, RouterDecision(weights=beta.data, kept=keep, top_b=b)
+    return masked, RouterDecision(weights=beta.data, kept=keep)
 
 
 def kmoe_apply(x: Tensor, weights: Tensor, bank: ExpertBank) -> Tensor:
@@ -196,7 +181,7 @@ def kmoe_apply(x: Tensor, weights: Tensor, bank: ExpertBank) -> Tensor:
     Equals applying the materialized per-token deltas row by row, to
     1e-12, at a fraction of the tape size.
     """
-    return ad.lowrank_rows_apply(x, weights, bank.A, bank.B, bank.rank, bank.scale)
+    return ad.lowrank_rows_apply(x, weights, bank.A, bank.B, bank.rank)
 
 
 class LayerAdapters:
@@ -205,13 +190,13 @@ class LayerAdapters:
     def __init__(self, d_model: int, d_ff: int, cfg: AdapterConfig,
                  rng: np.random.Generator):
         r = cfg.dense_rank
-        self.lora_q = LoRAAdapter(d_model, d_model, r, rng, cfg.lora_scale)
-        self.lora_k = LoRAAdapter(d_model, d_model, r, rng, cfg.lora_scale)
-        self.lora_v = LoRAAdapter(d_model, d_model, r, rng, cfg.lora_scale)
-        self.lora_o = LoRAAdapter(d_model, d_model, r, rng, cfg.lora_scale)
-        self.lora_ff1 = LoRAAdapter(d_ff, d_model, r, rng, cfg.lora_scale)
-        self.lora_ff2 = LoRAAdapter(d_model, d_ff, r, rng, cfg.lora_scale)
-        d_gate = cfg.gate_hidden or d_model // 2
+        self.lora_q = LoRAAdapter(d_model, d_model, r, rng)
+        self.lora_k = LoRAAdapter(d_model, d_model, r, rng)
+        self.lora_v = LoRAAdapter(d_model, d_model, r, rng)
+        self.lora_o = LoRAAdapter(d_model, d_model, r, rng)
+        self.lora_ff1 = LoRAAdapter(d_ff, d_model, r, rng)
+        self.lora_ff2 = LoRAAdapter(d_model, d_ff, r, rng)
+        d_gate = d_model // 2
         self.q_bank = self.q_gate = None
         self.k_bank = self.k_gate = None
         if cfg.use_qmoe:

@@ -683,8 +683,8 @@ def plane_submatrix(a, index: int, rows, col_start: int, col_stop: int) -> Tenso
 # fused adapter ops (single tape nodes; backward rules spelled out by hand)
 
 
-def linear_with_lora(x, w, lora_a=None, lora_b=None, scale: float = 1.0) -> Tensor:
-    """x @ w^T plus the low-rank correction scale * (x A^T) B^T."""
+def linear_with_lora(x, w, lora_a=None, lora_b=None) -> Tensor:
+    """x @ w^T plus the low-rank correction (x A^T) B^T."""
     x, w = _as_tensor(x), _as_tensor(w)
     if len(x.shape) != 2 or len(w.shape) != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear: input {x.shape} vs weight {w.shape}")
@@ -701,41 +701,33 @@ def linear_with_lora(x, w, lora_a=None, lora_b=None, scale: float = 1.0) -> Tens
         raise ShapeError(
             f"lora shapes A {a.shape} / B {b.shape} do not fit weight {w.shape}"
         )
-    # scale * M is exact when scale == 1.0, so that product is skipped
-    scaled = scale != 1.0
     u = x.data @ a.data.T
     out = x.data @ w.data.T
-    low = u @ b.data.T
-    if scaled:
-        low *= scale
-    out += low
+    out += u @ b.data.T
 
     def back(g, sink):
         gb_in = g @ b.data          # [S x r]
         if x.requires_grad:
             gx = g @ w.data
-            low_x = gb_in @ a.data
-            if scaled:
-                low_x *= scale
-            gx += low_x
+            gx += gb_in @ a.data
             sink(x, gx)
         if w.requires_grad:
             sink(w, g.T @ x.data)
         if a.requires_grad:
-            sink(a, (scale * gb_in.T if scaled else gb_in.T) @ x.data)
+            sink(a, gb_in.T @ x.data)
         if b.requires_grad:
-            sink(b, (scale * g.T if scaled else g.T) @ u)
+            sink(b, g.T @ u)
 
     return _wrap(out, (x, w, a, b), back)
 
 
-def lowrank_rows_apply(x, weights, a, b, rank: int, scale: float = 1.0) -> Tensor:
+def lowrank_rows_apply(x, weights, a, b, rank: int) -> Tensor:
     """Row-wise mixture of stacked low-rank experts in two GEMMs.
 
     Expert o is the row block A[o r:(o+1) r] of ``a`` [O r x d_in] and the
     column block B[:, o r:(o+1) r] of ``b`` [d_out x O r]. Row c of the
-    result is x_c @ (sum_o weights[c, o] scale B_o A_o)^T, computed as
-    ((x A^T) * repeat(scale weights, r)) B^T.
+    result is x_c @ (sum_o weights[c, o] B_o A_o)^T, computed as
+    ((x A^T) * repeat(weights, r)) B^T.
     """
     x, weights, a, b = (_as_tensor(t) for t in (x, weights, a, b))
     if len(x.shape) != 2 or len(weights.shape) != 2 or len(b.shape) != 2 \
@@ -748,13 +740,13 @@ def lowrank_rows_apply(x, weights, a, b, rank: int, scale: float = 1.0) -> Tenso
         )
     s, n_exp = weights.shape
     u = x.data @ a.data.T                                   # [S x O r]
-    wr = np.repeat(scale * weights.data, rank, axis=1)      # [S x O r]
+    wr = np.repeat(weights.data, rank, axis=1)              # [S x O r]
     z = u * wr
 
     def back(g, sink):
         gz = g @ b.data                                     # [S x O r]
         if weights.requires_grad:
-            sink(weights, scale * (gz * u).reshape(s, n_exp, rank).sum(axis=2))
+            sink(weights, (gz * u).reshape(s, n_exp, rank).sum(axis=2))
         gu = gz * wr
         if x.requires_grad:
             sink(x, gu @ a.data)

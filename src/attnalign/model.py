@@ -24,7 +24,7 @@ from .attention import AttentionStack, Spans
 from .autodiff import Tensor
 from .errors import CapacityError, CompatibilityError, ShapeError
 
-CHECKPOINT_SCHEMA = "attnalign-checkpoint-2"
+CHECKPOINT_SCHEMA = "attnalign-checkpoint-3"
 
 
 @dataclass(frozen=True)
@@ -213,18 +213,15 @@ class VisualDecoder:
         la = adapters.layers[l] if adapters is not None else None
         acfg = adapters.cfg if adapters is not None else None
 
-        def lwl(inp, w, lora):
-            if lora is None:
+        def lwl(inp, w, name):
+            if la is None:
                 return ad.linear_with_lora(inp, w)
-            return ad.linear_with_lora(inp, w, lora.A, lora.B, lora.scale)
+            lora = getattr(la, name)
+            return ad.linear_with_lora(inp, w, lora.A, lora.B)
 
         h = ad.layer_norm_rows(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
 
-        # with a MoE branch removed, its projection falls back to dense LoRA
-        lora_on_q = la is not None and (acfg.dense_lora_on_qk or not acfg.use_qmoe)
-        lora_on_k = la is not None and (acfg.dense_lora_on_qk or not acfg.use_kmoe)
-
-        q = lwl(h, p[pre + "wq"], la.lora_q if lora_on_q else None)
+        q = lwl(h, p[pre + "wq"], "lora_q")
         if la is not None and acfg.use_qmoe:
             h_prompt = ad.slice_rows(x, spans.prompt_range.start,
                                      spans.prompt_range.stop)
@@ -232,18 +229,18 @@ class VisualDecoder:
             adapters.last_decisions[f"layer{l}.q"] = q_dec
             q = ad.add(q, qmoe_apply(h, alpha, la.q_bank))
 
-        k = lwl(h, p[pre + "wk"], la.lora_k if lora_on_k else None)
+        k = lwl(h, p[pre + "wk"], "lora_k")
         if la is not None and acfg.use_kmoe:
             h_vis_gate = ad.slice_rows(x, 0, c.n_visual)
             weights, k_dec = kmoe_gate_weights(h_vis_gate, la.k_bank, la.k_gate,
-                                               acfg.top_b, acfg.renormalize_topb)
+                                               acfg.top_b)
             adapters.last_decisions[f"layer{l}.k"] = k_dec
             k_vis = ad.add(ad.slice_rows(k, 0, c.n_visual),
                            kmoe_apply(ad.slice_rows(h, 0, c.n_visual), weights,
                                       la.k_bank))
             k = ad.concat_rows([k_vis, ad.slice_rows(k, c.n_visual, spans.total)])
 
-        v = lwl(h, p[pre + "wv"], la.lora_v if la is not None else None)
+        v = lwl(h, p[pre + "wv"], "lora_v")
 
         q3 = ad.split_heads(q, c.n_heads)
         k3 = ad.split_heads(k, c.n_heads)
@@ -252,12 +249,12 @@ class VisualDecoder:
             ad.mul(ad.bmm(q3, ad.transpose_last2(k3)), 1.0 / np.sqrt(c.head_dim)),
             mask)
         merged = ad.merge_heads(ad.bmm(att, v3))
-        out = lwl(merged, p[pre + "wo"], la.lora_o if la is not None else None)
+        out = lwl(merged, p[pre + "wo"], "lora_o")
         x = ad.add(x, out)
 
         h2 = ad.layer_norm_rows(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
-        f = lwl(h2, p[pre + "ff1"], la.lora_ff1 if la is not None else None)
-        f = lwl(ad.gelu(f), p[pre + "ff2"], la.lora_ff2 if la is not None else None)
+        f = lwl(h2, p[pre + "ff1"], "lora_ff1")
+        f = lwl(ad.gelu(f), p[pre + "ff2"], "lora_ff2")
         x = ad.add(x, f)
         return x, att
 
@@ -318,7 +315,7 @@ def save_checkpoint(path: str | Path, model: VisualDecoder,
 def load_checkpoint(path: str | Path) -> tuple[VisualDecoder, AdapterSet | None, dict]:
     doc = json.loads(Path(path).read_text())
     if doc.get("schema") != CHECKPOINT_SCHEMA:
-        raise ShapeError(f"unknown checkpoint schema {doc.get('schema')!r}")
+        raise CompatibilityError(f"unknown checkpoint schema {doc.get('schema')!r}")
     for section in ("model_config", "adapter_config", "tensors", "adapter_tensors"):
         if section not in doc:
             raise CompatibilityError(f"checkpoint has no {section!r} section")

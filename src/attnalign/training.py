@@ -11,7 +11,7 @@ frozen; only adapter and gate tensors move.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -54,10 +54,6 @@ class TrainConfig:
     batch_size: int = 8
     weak_k: int = 4
     heads_r: int = 2              # ceil(0.125 * L * H) for the toy 4x4 model
-    selection_mode: str = "live"  # or "frozen": calibrate selection once per sample
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
-    weight_decay: float = 0.0
     seed: int = 0
     adapter: AdapterConfig = field(default_factory=AdapterConfig)
     heatmap_sample_ids: tuple[str, ...] = ()
@@ -65,12 +61,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.lambda_align < 0:
             raise ParameterError(f"lambda_align must be >= 0, got {self.lambda_align}")
-
-    @staticmethod
-    def from_profile(name: str, **overrides) -> "TrainConfig":
-        profile = TASK_PROFILES[name]
-        cfg = TrainConfig(lambda_align=profile.lambda_align, epochs=profile.epochs)
-        return replace(cfg, **overrides)
 
 
 @dataclass
@@ -82,19 +72,13 @@ class LossBreakdown:
 
 
 class AdamW:
-    """Adaptive moments with decoupled weight decay.
+    """Adam with bias-corrected moments (0.9, 0.999), eps 1e-8 and no weight decay."""
 
-    Gate biases (and any other 1-d tensor) are excluded from decay.
-    """
+    b1, b2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, named_params: Sequence[tuple[str, Tensor]],
-                 lr: float, betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+    def __init__(self, named_params: Sequence[tuple[str, Tensor]], lr: float):
         self.named_params = list(named_params)
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = [np.zeros_like(t.data) for _, t in self.named_params]
         self.v = [np.zeros_like(t.data) for _, t in self.named_params]
@@ -113,8 +97,6 @@ class AdamW:
             v *= self.b2
             v += (1 - self.b2) * g * g
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay and p.data.ndim > 1:
-                update = update + self.weight_decay * p.data
             p.data = p.data - self.lr * update
 
     def zero_grads(self) -> None:
@@ -123,10 +105,14 @@ class AdamW:
 
 
 def compute_weak_labels(samples: Sequence[SyntheticSample], meta: DatasetMeta,
-                        k: int, noise: float = 0.0, seed: int = 0,
-                        n_background: int = 3) -> dict[str, WeakLabelSet]:
-    """Weak labels for every sample, fixed before training and cacheable."""
-    proposer = PlantedSegmentProposer(n_background=n_background)
+                        k: int, noise: float = 0.0,
+                        seed: int = 0) -> dict[str, WeakLabelSet]:
+    """Weak labels for every sample, fixed before training and cacheable.
+
+    Each sample's candidates are its planted segments plus the dataset's
+    ``n_background_segments`` background distractors.
+    """
+    proposer = PlantedSegmentProposer(n_background=meta.spec.n_background_segments)
     backend = SyntheticOracleBackend(meta.concept_vectors,
                                      meta.layout.concept_base,
                                      noise=noise, seed=seed)
@@ -183,13 +169,10 @@ def lm_loss(output: ForwardOutput, answer: Sequence[int]) -> Tensor:
 
 def total_loss(model: VisualDecoder, adapters: AdapterSet | None,
                sample: SyntheticSample, labels: WeakLabelSet | None,
-               cfg: TrainConfig,
-               selection: attn.HeadSelection | None = None
-               ) -> tuple[Tensor, LossBreakdown]:
+               cfg: TrainConfig) -> tuple[Tensor, LossBreakdown]:
     """One shared forward pass feeding both loss terms.
 
-    When ``selection`` is given (frozen calibration mode) it overrides
-    the per-pass top-R recomputation.
+    The top-R heads are ranked again on every pass.
     """
     if cfg.lambda_align > 0 and cfg.heads_r == 0:
         raise ConfigurationError("alignment requested (lambda > 0) but heads_r == 0")
@@ -206,9 +189,8 @@ def total_loss(model: VisualDecoder, adapters: AdapterSet | None,
     if labels is None or not labels.segments:
         raise ConfigurationError("alignment requested but no weak labels supplied")
     rows = attn.answer_query_rows(out.spans)
-    if selection is None:
-        ratios = attn.all_visual_ratios(out.attention, rows)
-        selection = attn.select_heads(ratios, cfg.heads_r)
+    ratios = attn.all_visual_ratios(out.attention, rows)
+    selection = attn.select_heads(ratios, cfg.heads_r)
     refined = attn.refined_map(out.attention, rows, selection)
     align, fractions = alignment_loss(refined, labels)
     total = ad.add(llm, ad.mul(align, cfg.lambda_align))
@@ -228,21 +210,6 @@ class TrainResult:
     adapters: AdapterSet
     epoch_logs: list[dict]
     final_metrics: dict
-
-
-def _frozen_selections(model: VisualDecoder, adapters: AdapterSet,
-                       samples: Sequence[SyntheticSample],
-                       cfg: TrainConfig) -> dict[str, attn.HeadSelection]:
-    """Calibration pass: fix each sample's head selection at the start."""
-    out: dict[str, attn.HeadSelection] = {}
-    with ad.no_grad():
-        for s in samples:
-            fwd = model.forward(VisualInput(s.features, s.grid), s.prompt,
-                                s.answer, adapters)
-            rows = attn.answer_query_rows(fwd.spans)
-            ratios = attn.all_visual_ratios(fwd.attention, rows)
-            out[s.id] = attn.select_heads(ratios, cfg.heads_r)
-    return out
 
 
 def train(model: VisualDecoder, train_samples: Sequence[SyntheticSample],
@@ -269,14 +236,7 @@ def train(model: VisualDecoder, train_samples: Sequence[SyntheticSample],
                               model.config.d_ff, cfg.adapter, seed=int(seeds[0]))
     shuffle_rng = np.random.default_rng(int(seeds[1]))
 
-    optimizer = AdamW(adapters.params(), lr=cfg.lr, betas=cfg.betas, eps=cfg.eps,
-                      weight_decay=cfg.weight_decay)
-
-    selections: dict[str, attn.HeadSelection] = {}
-    if cfg.selection_mode == "frozen" and cfg.lambda_align > 0 and cfg.heads_r > 0:
-        selections = _frozen_selections(model, adapters, train_samples, cfg)
-    elif cfg.selection_mode not in ("live", "frozen"):
-        raise ConfigurationError(f"unknown selection_mode {cfg.selection_mode!r}")
+    optimizer = AdamW(adapters.params(), lr=cfg.lr)
 
     epoch_logs: list[dict] = []
     step = 0
@@ -291,9 +251,7 @@ def train(model: VisualDecoder, train_samples: Sequence[SyntheticSample],
             for idx in batch:
                 sample = train_samples[int(idx)]
                 labels = weak_labels.get(sample.id) if weak_labels else None
-                loss, breakdown = total_loss(
-                    model, adapters, sample, labels, cfg,
-                    selection=selections.get(sample.id))
+                loss, breakdown = total_loss(model, adapters, sample, labels, cfg)
                 if not np.isfinite(breakdown.total):
                     raise DivergenceError(f"non-finite loss at step {step}")
                 loss.backward()

@@ -17,7 +17,7 @@ ONE_LAYER = ModelConfig(n_layers=1, n_heads=1, d_visual=4, d_model=8,
                         vocab_size=12, grid=2, max_text_len=6)
 
 TINY_ADAPTER = AdapterConfig(dense_rank=2, expert_rank=2, n_q_experts=2,
-                             n_k_experts=3, top_b=2, gate_hidden=4)
+                             n_k_experts=3, top_b=2)
 
 
 @pytest.fixture

@@ -186,13 +186,12 @@ def layer_norm_ref(x, gain, bias, g, eps=1e-5):
     return y, (gx, (g * xhat).sum(axis=0), g.sum(axis=0))
 
 
-def linear_with_lora_ref(x, w, a, b, scale, g):
-    """x w^T + scale (x A^T) B^T and the gradients of (x, w, A, B)."""
+def linear_with_lora_ref(x, w, a, b, g):
+    """x w^T + (x A^T) B^T and the gradients of (x, w, A, B)."""
     u = x @ a.T
-    out = x @ w.T + scale * (u @ b.T)
+    out = x @ w.T + u @ b.T
     gb_in = g @ b
-    return out, (g @ w + scale * (gb_in @ a), g.T @ x, scale * gb_in.T @ x,
-                 scale * g.T @ u)
+    return out, (g @ w + gb_in @ a, g.T @ x, gb_in.T @ x, g.T @ u)
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +220,13 @@ def _softmax_masked(row, visible):
 def _lora(x, adapter):
     if adapter is None:
         return 0.0
-    return adapter.scale * (x @ adapter.A.data.T) @ adapter.B.data.T
+    return (x @ adapter.A.data.T) @ adapter.B.data.T
 
 
 def expert_delta(bank, o):
     """Expert o's [d_out x d_in] delta from its row block of A and column block of B."""
     r = bank.rank
-    return bank.scale * (bank.B.data[:, o * r:(o + 1) * r]
-                         @ bank.A.data[o * r:(o + 1) * r])
+    return bank.B.data[:, o * r:(o + 1) * r] @ bank.A.data[o * r:(o + 1) * r]
 
 
 def _gate_logits(x, gate):
@@ -266,14 +264,7 @@ def straight_line_forward(model, visual, prompt, answer, adapters=None):
         x_in = x
         h = _layer_norm(x_in, p[pre + "ln1.g"], p[pre + "ln1.b"])
 
-        lora_q = lora_k = None
-        if la is not None:
-            if acfg.dense_lora_on_qk or not acfg.use_qmoe:
-                lora_q = la.lora_q
-            if acfg.dense_lora_on_qk or not acfg.use_kmoe:
-                lora_k = la.lora_k
-
-        q_mat = h @ p[pre + "wq"].T + _lora(h, lora_q)
+        q_mat = h @ p[pre + "wq"].T + _lora(h, la.lora_q if la else None)
         if la is not None and acfg.use_qmoe:
             pooled = x_in[n: n + n_prompt].mean(axis=0)
             logits = _gate_logits(pooled[None, :], la.q_gate)[0]
@@ -284,20 +275,15 @@ def straight_line_forward(model, visual, prompt, answer, adapters=None):
                 delta += alpha[o] * expert_delta(la.q_bank, o)
             q_mat = q_mat + h @ delta.T
 
-        k_mat = h @ p[pre + "wk"].T + _lora(h, lora_k)
+        k_mat = h @ p[pre + "wk"].T + _lora(h, la.lora_k if la else None)
         if la is not None and acfg.use_kmoe:
             gate_logits = _gate_logits(x_in[:n], la.k_gate)
             for c in range(n):
                 e = np.exp(gate_logits[c] - gate_logits[c].max())
                 beta = e / e.sum()
-                kept = _topb_indices(beta, acfg.top_b)
-                if acfg.renormalize_topb:
-                    norm = sum(beta[o] for o in kept)
-                else:
-                    norm = 1.0
                 delta = np.zeros((cfg.d_model, cfg.d_model))
-                for o in kept:
-                    delta += (beta[o] / norm) * expert_delta(la.k_bank, o)
+                for o in _topb_indices(beta, acfg.top_b):
+                    delta += beta[o] * expert_delta(la.k_bank, o)
                 k_mat[c] = k_mat[c] + h[c] @ delta.T
 
         v_mat = h @ p[pre + "wv"].T + _lora(h, la.lora_v if la else None)

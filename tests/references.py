@@ -17,15 +17,13 @@ from attnalign.errors import ParameterError, SelectionError, ShapeError
 
 def lora_apply(lora: LoRAAdapter, x: Tensor) -> Tensor:
     """x @ delta^T without materializing the full matrix."""
-    out = ad.matmul(ad.matmul(x, ad.transpose(lora.A)), ad.transpose(lora.B))
-    return out if lora.scale == 1.0 else ad.mul(out, lora.scale)
+    return ad.matmul(ad.matmul(x, ad.transpose(lora.A)), ad.transpose(lora.B))
 
 
 def _mixture_delta(bank: ExpertBank, w: Tensor) -> Tensor:
-    """sum_o w_o scale B_o A_o for a length-O weight vector, as one [d_out x d_in]."""
+    """sum_o w_o B_o A_o for a length-O weight vector, as one [d_out x d_in]."""
     per_row = ad.take(w, np.repeat(np.arange(len(bank)), bank.rank))
-    d = ad.matmul(bank.B, ad.scale_rows(bank.A, per_row))
-    return d if bank.scale == 1.0 else ad.mul(d, bank.scale)
+    return ad.matmul(bank.B, ad.scale_rows(bank.A, per_row))
 
 
 def qmoe_delta(h_prompt: Tensor, bank: ExpertBank,
@@ -41,10 +39,9 @@ def qmoe_delta(h_prompt: Tensor, bank: ExpertBank,
 
 
 def kmoe_delta_per_token(h_tokens: Tensor, bank: ExpertBank, gate: GatingNetwork,
-                         b: int, renormalize: bool = False
-                         ) -> tuple[list[Tensor], RouterDecision]:
+                         b: int) -> tuple[list[Tensor], RouterDecision]:
     """Materialized per-token deltas of the key-side mixture."""
-    weights, decision = kmoe_gate_weights(h_tokens, bank, gate, b, renormalize)
+    weights, decision = kmoe_gate_weights(h_tokens, bank, gate, b)
     deltas = [_mixture_delta(bank, ad.reshape(ad.take(weights, [c]), (len(bank),)))
               for c in range(h_tokens.shape[0])]
     return deltas, decision

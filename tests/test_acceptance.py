@@ -75,20 +75,20 @@ def test_a2_gradient_integrity():
     t0 = time.time()
     spec = DataSpec(n_train=1, n_test=1, grid=2, d_visual=6, n_concepts=2,
                     n_segments=1, n_labels=2, seg_side_min=1, seg_side_max=1,
-                    seed=4)
+                    n_background_segments=1, seed=4)
     train_s, _, meta = generate_dataset(spec)
     sample = train_s[0]
     mcfg = ModelConfig(n_layers=1, n_heads=1, d_visual=6, d_model=8,
                        vocab_size=8, grid=2, max_text_len=6)
     acfg = AdapterConfig(dense_rank=2, expert_rank=2, n_q_experts=2,
-                         n_k_experts=3, top_b=2, gate_hidden=4)
+                         n_k_experts=3, top_b=2)
     model = VisualDecoder(mcfg, seed=0)
     adapters = AdapterSet(1, 8, 32, acfg, seed=1)
     r = np.random.default_rng(9)
     for _, t in adapters.params():
         t.data = r.normal(0.0, 0.3, size=t.data.shape)
 
-    labels = compute_weak_labels(train_s, meta, k=1, n_background=1)
+    labels = compute_weak_labels(train_s, meta, k=1)
     cfg = TrainConfig(lambda_align=0.1, heads_r=1, weak_k=1, adapter=acfg)
 
     # top-B routing margins must dominate the probe step or the finite
@@ -163,7 +163,7 @@ def test_a4_reduction_identities(rng):
     mcfg = ModelConfig(n_layers=2, n_heads=2, d_visual=5, d_model=8,
                        vocab_size=11, grid=2, max_text_len=8)
     acfg = AdapterConfig(dense_rank=2, expert_rank=2, n_q_experts=2,
-                         n_k_experts=3, top_b=2, gate_hidden=4)
+                         n_k_experts=3, top_b=2)
     model = VisualDecoder(mcfg, seed=0)
     adapters = AdapterSet(2, 8, 32, acfg, seed=1)  # zero-initialized deltas
     v = make_visual(mcfg, rng)
@@ -231,7 +231,7 @@ def test_a6_ablation_harness(tmp_path):
         "model": {"n_layers": 1, "n_heads": 2, "d_visual": 8, "d_model": 8,
                   "vocab_size": 12, "grid": 3, "max_text_len": 6},
         "adapter": {"dense_rank": 2, "expert_rank": 2, "n_q_experts": 2,
-                    "n_k_experts": 3, "top_b": 2, "gate_hidden": 4},
+                    "n_k_experts": 3, "top_b": 2},
         "train": {"lambda_align": 0.1, "epochs": 1, "lr": 1e-3,
                   "batch_size": 4, "weak_k": 1, "heads_r": 1},
     }
@@ -345,7 +345,7 @@ def test_a9_determinism(tmp_path):
         "model": {"n_layers": 1, "n_heads": 2, "d_visual": 8, "d_model": 8,
                   "vocab_size": 12, "grid": 3, "max_text_len": 6},
         "adapter": {"dense_rank": 2, "expert_rank": 2, "n_q_experts": 2,
-                    "n_k_experts": 3, "top_b": 2, "gate_hidden": 4},
+                    "n_k_experts": 3, "top_b": 2},
         "train": {"lambda_align": 0.1, "epochs": 2, "lr": 1e-3,
                   "batch_size": 4, "weak_k": 1, "heads_r": 1},
     }))

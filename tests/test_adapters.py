@@ -159,13 +159,6 @@ class TestKMoE:
             assert decision.kept[c].sum() == 2
             assert weights.data[c].sum() <= 1.0 + 1e-12
 
-    def test_renormalize_flag(self, rng):
-        bank = make_bank(4, rng)
-        gate = make_gate(4, rng)
-        weights, _ = kmoe_gate_weights(Tensor(rng.normal(size=(3, D))), bank,
-                                       gate, b=2, renormalize=True)
-        assert np.max(np.abs(weights.data.sum(axis=1) - 1.0)) < 1e-9
-
     def test_b_out_of_range(self, rng):
         bank = make_bank(3, rng)
         gate = make_gate(3, rng)
@@ -219,7 +212,7 @@ class TestExpertBank:
         assert len(bank) == 4
 
     def test_two_tensors_per_bank(self):
-        adapters = AdapterSet(2, D, 4 * D, AdapterConfig(gate_hidden=4))
+        adapters = AdapterSet(2, D, 4 * D, AdapterConfig())
         names = [n for n, _ in adapters.params() if "moe" in n]
         assert names == [f"adapter.layer{l}.{side}.{t}" for l in range(2)
                          for side in ("qmoe", "kmoe") for t in ("A", "B")]

@@ -218,8 +218,8 @@ class TestFusedOps:
         w = ad.Tensor(rng.normal(size=(4, 6)))
         a = ad.Tensor(rng.normal(size=(2, 6)))
         b = ad.Tensor(rng.normal(size=(4, 2)))
-        fused = ad.linear_with_lora(x, w, a, b, 0.5)
-        manual = x.data @ w.data.T + 0.5 * (x.data @ a.data.T) @ b.data.T
+        fused = ad.linear_with_lora(x, w, a, b)
+        manual = x.data @ w.data.T + (x.data @ a.data.T) @ b.data.T
         assert np.max(np.abs(fused.data - manual)) < 1e-12
 
     def test_fused_gradients(self, rng):
@@ -229,7 +229,7 @@ class TestFusedOps:
         b = ad.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
 
         def f():
-            return scalar_of(ad.linear_with_lora(x, w, a, b, 0.8))
+            return scalar_of(ad.linear_with_lora(x, w, a, b))
 
         assert ad.finite_diff_check_params(f, [x, w, a, b], 1e-6) < 1e-6
 
@@ -273,7 +273,7 @@ class TestFusedOps:
                       for s in ((5, 6), (5, 3), (6, 6), (4, 6)))
 
         def f():
-            return scalar_of(ad.lowrank_rows_apply(x, w, a, b, 2, 0.7))
+            return scalar_of(ad.lowrank_rows_apply(x, w, a, b, 2))
 
         assert ad.finite_diff_check_params(f, [x, w, a, b], 1e-6) < 1e-6
 
@@ -367,13 +367,12 @@ class TestKernelsBitExact:
             assert_bits(p.grad, expected)
 
     @pytest.mark.parametrize("magnitude", MAGNITUDES)
-    @pytest.mark.parametrize("scale", [1.0, 0.5, 0.8])
-    def test_linear_with_lora(self, rng, scale, magnitude):
+    def test_linear_with_lora(self, rng, magnitude):
         params = leaves(rng, [(67, 64), (256, 64), (8, 64), (256, 8)], magnitude)
         g = rng.normal(size=(67, 256))
-        out = ad.linear_with_lora(*params, scale)
+        out = ad.linear_with_lora(*params)
         backward_with(out, g)
-        value, grads = linear_with_lora_ref(*(p.data for p in params), scale, g)
+        value, grads = linear_with_lora_ref(*(p.data for p in params), g)
         assert_bits(out.data, value)
         for p, expected in zip(params, grads):
             assert_bits(p.grad, expected)

@@ -98,12 +98,10 @@ class TestForward:
                 assert np.max(np.abs(out.attention.head_data(l, h) - maps[l][h])) \
                     < 1e-10
 
-    @pytest.mark.parametrize("flags", [
-        {"use_qmoe": False}, {"use_kmoe": False},
-        {"dense_lora_on_qk": False}, {"renormalize_topb": True}])
+    @pytest.mark.parametrize("flags", [{"use_qmoe": False}, {"use_kmoe": False}])
     def test_oracle_agreement_across_config_flags(self, rng, flags):
         acfg = AdapterConfig(dense_rank=2, expert_rank=2, n_q_experts=2,
-                             n_k_experts=3, top_b=2, gate_hidden=4, **flags)
+                             n_k_experts=3, top_b=2, **flags)
         model, adapters = make_model_and_adapters(acfg=acfg, randomize=True)
         v = make_visual(TINY_MODEL, rng)
         out = model.forward(v, (1, 2), (4,), adapters)
@@ -254,6 +252,15 @@ class TestCheckpoint:
         after = m2.forward(v, (1, 2), (3,), a2).logits.data
         assert np.array_equal(before, after)
 
+    def test_other_schema_rejected(self, tmp_path):
+        model, adapters = make_model_and_adapters()
+        path = tmp_path / "c.json"
+        save_checkpoint(path, model, adapters)
+        doc = json.loads(path.read_text())
+        doc["schema"] = "attnalign-checkpoint-2"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CompatibilityError, match="'attnalign-checkpoint-2'"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("section,name,source", [
         ("adapter_tensors", "adapter.layer0.kmoe.B", None),   # missing

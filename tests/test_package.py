@@ -1,6 +1,9 @@
-"""Import-time behaviour of the package: the BLAS thread pin."""
+"""Package-wide properties: the BLAS thread pin at import time, and no
+config field that the package never reads."""
 
+import ast
 import ctypes
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,6 +12,10 @@ from pathlib import Path
 import pytest
 
 import attnalign
+from attnalign.adapters import AdapterConfig
+from attnalign.data import DataSpec
+from attnalign.model import ModelConfig
+from attnalign.training import TrainConfig
 
 PROBE = ("import ctypes, numpy, attnalign; "
          "fn = attnalign._blas_function('get_num_threads'); "
@@ -37,3 +44,21 @@ def test_pin_holds_when_numpy_is_imported_first(setting, expected):
     out = subprocess.run([sys.executable, "-c", PROBE], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == expected
+
+
+def attributes_read_in_package() -> set[str]:
+    """Every attribute name the package's source loads (``x.name``)."""
+    names = set()
+    for path in Path(attnalign.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("cls", [ModelConfig, AdapterConfig, TrainConfig, DataSpec],
+                         ids=lambda cls: cls.__name__)
+def test_every_config_field_is_read(cls):
+    # a declaration is not a load, so a field nothing reads shows up here
+    read = attributes_read_in_package()
+    assert [f.name for f in dataclasses.fields(cls) if f.name not in read] == []

@@ -15,7 +15,7 @@ from attnalign import cli
 
 
 SMALL_ADAPTER = AdapterConfig(dense_rank=2, expert_rank=2, n_q_experts=2,
-                              n_k_experts=3, top_b=2, gate_hidden=4)
+                              n_k_experts=3, top_b=2)
 SMALL_MODEL = ModelConfig(n_layers=1, n_heads=2, d_visual=8, d_model=8,
                           vocab_size=12, grid=3, max_text_len=6)
 
@@ -105,7 +105,7 @@ def train_config_file(tmp_path):
         "model": {"n_layers": 1, "n_heads": 2, "d_visual": 8, "d_model": 8,
                   "vocab_size": 12, "grid": 3, "max_text_len": 6},
         "adapter": {"dense_rank": 2, "expert_rank": 2, "n_q_experts": 2,
-                    "n_k_experts": 3, "top_b": 2, "gate_hidden": 4},
+                    "n_k_experts": 3, "top_b": 2},
         "train": {"lambda_align": 0.1, "epochs": 1, "lr": 1e-3,
                   "batch_size": 4, "weak_k": 1, "heads_r": 1},
     }
@@ -244,7 +244,9 @@ class TestCli:
         (lambda doc: doc["adapter_config"].update(bogus=1), "bogus"),
         (lambda doc: doc["model_config"].pop("max_text_len"), "max_text_len"),
         (lambda doc: doc.pop("tensors"), "tensors"),
-    ], ids=["extra-field", "missing-field", "missing-section"])
+        (lambda doc: doc.update(schema="attnalign-checkpoint-2"),
+         "attnalign-checkpoint-2"),
+    ], ids=["extra-field", "missing-field", "missing-section", "old-schema"])
     def test_checkpoint_must_match_field_for_field(self, tmp_path, data_dir,
                                                    capsys, edit, name):
         model = VisualDecoder(SMALL_MODEL, seed=0)
@@ -302,8 +304,7 @@ class TestCli:
                          "d_model": 8, "vocab_size": 12, "grid": 3,
                          "max_text_len": 6},
                "adapter": {"dense_rank": 2, "expert_rank": 2,
-                           "n_q_experts": 2, "n_k_experts": 3, "top_b": 2,
-                           "gate_hidden": 4},
+                           "n_q_experts": 2, "n_k_experts": 3, "top_b": 2},
                "train": {"lr": 1e-3, "batch_size": 4, "weak_k": 1,
                          "heads_r": 1, "epochs": 1}}
         cfgf = tmp_path / "t.json"
@@ -322,9 +323,23 @@ class TestCli:
                        str(tmp_path / "r.json")])
         assert rc == 1
 
-    def test_unknown_config_field_fails(self, tmp_path, data_dir):
+    # on a config that trains, a field of an earlier version gets a value
+    # that version accepted, so only its name can make the run fail
+    @pytest.mark.parametrize("section,name,value", [
+        ("train", "not_a_field", 1),
+        ("train", "selection_mode", "frozen"),
+        ("train", "weight_decay", 0.01),
+        ("adapter", "lora_scale", 0.5),
+        ("adapter", "gate_hidden", 4),
+    ], ids=["not_a_field", "selection_mode", "weight_decay", "lora_scale",
+            "gate_hidden"])
+    def test_unknown_config_field_fails(self, tmp_path, data_dir,
+                                        train_config_file, section, name, value):
+        doc = json.loads(train_config_file.read_text())
+        doc[section][name] = value
         cfgf = tmp_path / "bad.json"
-        cfgf.write_text(json.dumps({"train": {"not_a_field": 1}}))
+        cfgf.write_text(json.dumps(doc))
         rc = cli.main(["train", "--data", str(data_dir), "--out",
                        str(tmp_path / "x"), "--config", str(cfgf)])
         assert rc == 1
+        assert not list(tmp_path.rglob("metrics.jsonl"))

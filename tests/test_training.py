@@ -37,7 +37,7 @@ def small_model():
 
 
 SMALL_ADAPTER = AdapterConfig(dense_rank=2, expert_rank=2, n_q_experts=2,
-                              n_k_experts=3, top_b=2, gate_hidden=4)
+                              n_k_experts=3, top_b=2)
 
 
 class TestAlignmentLoss:
@@ -167,15 +167,16 @@ class TestAdamW:
         opt.step()
         assert p.data[0, 0] < 1.0
 
-    def test_decay_skips_vectors(self):
-        w = Tensor(np.ones((2, 2)), requires_grad=True)
-        b = Tensor(np.ones(2), requires_grad=True)
-        opt = AdamW([("w", w), ("b", b)], lr=0.0, weight_decay=0.5)
-        w.grad = np.zeros((2, 2))
-        b.grad = np.zeros(2)
-        opt.step()
-        assert np.array_equal(w.data, np.ones((2, 2)))
-        assert np.array_equal(b.data, np.ones(2))
+
+class TestComputeWeakLabels:
+    @pytest.mark.parametrize("n_background", [0, 3])
+    def test_background_count_comes_from_the_dataset(self, n_background):
+        train_s, _, meta = generate_dataset(DataSpec(
+            n_train=4, n_test=1, seed=1, n_background_segments=n_background))
+        labels = compute_weak_labels(train_s, meta, k=1)
+        for s in train_s:
+            assert len(s.segments) == 3
+            assert len(labels[s.id].similarities) == 3 + n_background
 
 
 class TestTrainLoop:
@@ -211,8 +212,6 @@ class TestTrainLoop:
         assert TASK_PROFILES["slake"].lambda_align == 0.1
         assert TASK_PROFILES["vqa-rad"].lambda_align == 0.06
         assert TASK_PROFILES["mimic-cxr"].epochs == 12
-        cfg = TrainConfig.from_profile("slake")
-        assert cfg.epochs == 6 and cfg.lambda_align == 0.1
 
     def test_deterministic_training(self, tmp_path):
         from attnalign.model import save_checkpoint
@@ -232,11 +231,6 @@ class TestTrainLoop:
                           adapter=SMALL_ADAPTER, seed=0)
         with pytest.raises(DivergenceError, match="step 0"):
             train(model, train_s, cfg)
-
-    def test_frozen_selection_mode_runs(self):
-        result, _ = self.run_small(lam=0.1, epochs=1, lr=1e-3,
-                                   selection_mode="frozen")
-        assert len(result.epoch_logs) == 1
 
     def test_run_dir_artifacts(self, tmp_path):
         train_s, test_s, meta = small_task(seed=3)
