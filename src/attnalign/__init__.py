@@ -71,6 +71,6 @@ from .model import ModelConfig, VisualDecoder, VisualInput, load_checkpoint, \
 from .training import TASK_PROFILES, AdamW, LossBreakdown, TrainConfig, \
     alignment_loss, compute_weak_labels, total_loss, train
 from .weaklabels import EmbedderBackend, Segment, SyntheticOracleBackend, \
-    WeakLabelSet, cosine_sim, mask_to_tokens, select_weak_labels
+    WeakLabelSet, cosine_sim, select_weak_labels
 
 __version__ = "0.1.0"

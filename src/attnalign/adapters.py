@@ -61,7 +61,6 @@ class LoRAAdapter:
 
     def __init__(self, d_out: int, d_in: int, rank: int, rng: np.random.Generator):
         self.A, self.B = _factor_pair(d_out, d_in, rank, rng)
-        self.rank = rank
 
     def params(self, prefix: str) -> list[tuple[str, Tensor]]:
         return [(prefix + ".A", self.A), (prefix + ".B", self.B)]

@@ -48,10 +48,7 @@ class Spans:
 
 @dataclass
 class AttentionStack:
-    """Per-layer [H x S x S] attention planes from one forward pass.
-
-    ``head_data(l, h)`` reads one head's [S x S] map without touching the tape.
-    """
+    """Per-layer [H x S x S] attention planes from one forward pass."""
 
     planes: list[Tensor]
     spans: Spans
@@ -63,9 +60,6 @@ class AttentionStack:
     @property
     def n_heads(self) -> int:
         return self.planes[0].shape[0]
-
-    def head_data(self, layer: int, head: int) -> np.ndarray:
-        return self.planes[layer].data[head]
 
 
 @dataclass

@@ -81,9 +81,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -160,10 +157,13 @@ def _as_tensor(x) -> Tensor:
 
 def _wrap(data: np.ndarray, parents: Sequence[Tensor], backward: Callable) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+    if _grad_enabled:
+        for p in parents:   # a plain loop: a generator costs more per call
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = tuple(parents)
+                out._backward = backward
+                break
     return out
 
 
@@ -274,17 +274,6 @@ def matmul(a, b) -> Tensor:
     return _wrap(a.data @ b.data, (a, b), back)
 
 
-def transpose(a) -> Tensor:
-    a = _as_tensor(a)
-    if len(a.shape) != 2:
-        raise ShapeError(f"transpose needs a 2-d tensor, got {a.shape}")
-
-    def back(g, sink):
-        sink(a, g.T)
-
-    return _wrap(a.data.T, (a,), back)
-
-
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = _as_tensor(a)
     if math.prod(shape) != a.data.size:
@@ -379,21 +368,6 @@ def mean_pool_rows(a) -> Tensor:
         sink(a, np.broadcast_to(g / m, a.shape))
 
     return _wrap(a.data.mean(axis=0), (a,), back)
-
-
-def scale_rows(a, s) -> Tensor:
-    """Scale row i of a matrix by s[i]."""
-    a, s = _as_tensor(a), _as_tensor(s)
-    if len(a.shape) != 2 or s.shape != (a.shape[0],):
-        raise ShapeError(f"scale_rows: shapes {a.shape} and {s.shape} do not align")
-
-    def back(g, sink):
-        if a.requires_grad:
-            sink(a, g * s.data[:, None])
-        if s.requires_grad:
-            sink(s, (g * a.data).sum(axis=1))
-
-    return _wrap(a.data * s.data[:, None], (a, s), back)
 
 
 def softmax_rows(a, mask: np.ndarray | None = None) -> Tensor:

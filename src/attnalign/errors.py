@@ -49,10 +49,6 @@ class BackendError(AttnAlignError):
     """An embedder backend failed; message carries the segment id."""
 
 
-class GeometryError(AttnAlignError):
-    """Pixel mask dimensions are not divisible by the patch grid."""
-
-
 class GenerationError(AttnAlignError):
     """Synthetic dataset constraints cannot be satisfied."""
 

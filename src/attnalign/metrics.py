@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import attention as attn
+from . import cores
 from .adapters import AdapterSet
 from .data import SyntheticSample, read_samples
 from .errors import CompatibilityError, MetricError
@@ -84,19 +85,24 @@ def evaluate(model: VisualDecoder, adapters: AdapterSet | None,
     """Greedy-decode every sample and score attention against its RoI."""
     if not samples:
         raise MetricError("evaluation needs at least one sample")
-    records = []
-    for s in samples:
+
+    def record(i: int) -> SampleRecord:
+        s = samples[i]
         gen = model.generate_greedy(VisualInput(s.features, s.grid), s.prompt,
                                     max_len=len(s.answer), adapters=adapters)
         heat = attn.generated_query_mean_map(gen.stacks, gen.step_rows)
-        records.append(SampleRecord(
+        return SampleRecord(
             id=s.id,
             coverage=coverage_score(heat, s.roi, tau),
             intensity=intensity_alignment(heat, s.roi),
             correct=gen.tokens == s.answer,
             predicted=list(gen.tokens),
             answer=list(s.answer),
-        ))
+        )
+
+    # the samples are split across the cores; records come back in order
+    with cores.Split(record, len(samples)) as split:
+        records = list(split.map(range(len(samples))))
     n = len(records)
     return MetricsReport(
         coverage=sum(r.coverage for r in records) / n,

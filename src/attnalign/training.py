@@ -19,6 +19,7 @@ import numpy as np
 
 from . import attention as attn
 from . import autodiff as ad
+from . import cores
 from .adapters import AdapterConfig, AdapterSet
 from .autodiff import Tensor
 from .data import DatasetMeta, PlantedSegmentProposer, SyntheticSample
@@ -91,13 +92,24 @@ class AdamW:
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
+            # in place, in the operation order of
+            # g = g * s; m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
+            # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
             g = g * grad_scale
+            t = np.multiply(g, 1 - self.b1)
             m *= self.b1
-            m += (1 - self.b1) * g
+            m += t
+            np.multiply(g, 1 - self.b2, out=t)
+            t *= g
             v *= self.b2
-            v += (1 - self.b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data = p.data - self.lr * update
+            v += t
+            update = np.divide(m, bc1, out=g)
+            np.divide(v, bc2, out=t)
+            np.sqrt(t, out=t)
+            t += self.eps
+            update /= t
+            update *= self.lr
+            p.data -= update
 
     def zero_grads(self) -> None:
         for _, p in self.named_params:
@@ -237,36 +249,60 @@ def train(model: VisualDecoder, train_samples: Sequence[SyntheticSample],
     shuffle_rng = np.random.default_rng(int(seeds[1]))
 
     optimizer = AdamW(adapters.params(), lr=cfg.lr)
+    params = [p for _, p in optimizer.named_params]
+
+    def sample_grads(idx: int) -> tuple[LossBreakdown, list | None]:
+        """One sample's loss terms and its own leaf gradients (None if diverged)."""
+        sample = train_samples[idx]
+        labels = weak_labels.get(sample.id) if weak_labels else None
+        loss, breakdown = total_loss(model, adapters, sample, labels, cfg)
+        if not np.isfinite(breakdown.total):
+            return breakdown, None
+        optimizer.zero_grads()
+        loss.backward()
+        return breakdown, [p.grad for p in params]
+
+    def install(state: list[np.ndarray]) -> None:
+        for p, data in zip(params, state):
+            p.data[...] = data
 
     epoch_logs: list[dict] = []
     step = 0
     order = np.arange(len(train_samples))
-    for epoch in range(cfg.epochs):
-        shuffle_rng.shuffle(order)
-        llm_sum = 0.0
-        align_sum = 0.0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start: start + cfg.batch_size]
-            optimizer.zero_grads()
-            for idx in batch:
-                sample = train_samples[int(idx)]
-                labels = weak_labels.get(sample.id) if weak_labels else None
-                loss, breakdown = total_loss(model, adapters, sample, labels, cfg)
-                if not np.isfinite(breakdown.total):
-                    raise DivergenceError(f"non-finite loss at step {step}")
-                loss.backward()
-                llm_sum += breakdown.llm
-                align_sum += breakdown.align
-                step += 1
-            optimizer.step(grad_scale=1.0 / len(batch))
-        log = {
-            "epoch": epoch,
-            "train_llm": llm_sum / len(order),
-            "train_align": align_sum / len(order),
-        }
-        if eval_fn is not None:
-            log.update(eval_fn(model, adapters))
-        epoch_logs.append(log)
+    # each batch's samples are split across the cores; their gradients
+    # are summed here in batch order, exactly as backward() accumulates
+    with cores.Split(sample_grads, min(cfg.batch_size, len(order)), install) as split:
+        for epoch in range(cfg.epochs):
+            shuffle_rng.shuffle(order)
+            llm_sum = 0.0
+            align_sum = 0.0
+            for start in range(0, len(order), cfg.batch_size):
+                batch = [int(i) for i in order[start: start + cfg.batch_size]]
+                total: list[np.ndarray | None] = [None] * len(params)
+                for breakdown, grads in split.map(batch, [p.data for p in params]):
+                    if grads is None:
+                        raise DivergenceError(f"non-finite loss at step {step}")
+                    for i, g in enumerate(grads):
+                        if g is None:
+                            continue
+                        if total[i] is None:
+                            total[i] = g
+                        else:
+                            total[i] += g
+                    llm_sum += breakdown.llm
+                    align_sum += breakdown.align
+                    step += 1
+                for p, g in zip(params, total):
+                    p.grad = g
+                optimizer.step(grad_scale=1.0 / len(batch))
+            log = {
+                "epoch": epoch,
+                "train_llm": llm_sum / len(order),
+                "train_align": align_sum / len(order),
+            }
+            if eval_fn is not None:
+                log.update(eval_fn(model, adapters))
+            epoch_logs.append(log)
 
     final_metrics = {k: v for k, v in epoch_logs[-1].items() if k != "epoch"}
     result = TrainResult(model=model, adapters=adapters, epoch_logs=epoch_logs,

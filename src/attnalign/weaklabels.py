@@ -19,8 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BackendError, DegenerateEmbeddingError, GeometryError, \
-    ParameterError
+from .errors import BackendError, DegenerateEmbeddingError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -108,24 +107,6 @@ def select_weak_labels(candidates: Sequence[Segment], prompt: Sequence[int],
     chosen = ranked[: min(k, len(ranked))]
     tau = sims[chosen[-1].id]
     return WeakLabelSet(segments=tuple(chosen), similarities=sims, tau=tau, k=k)
-
-
-def mask_to_tokens(bitmap: np.ndarray, grid: int) -> tuple[int, ...]:
-    """Pixel mask to token indices; a token counts when >= 50% of its patch is set."""
-    mask = np.asarray(bitmap, dtype=bool)
-    if mask.ndim != 2:
-        raise GeometryError(f"bitmap must be 2-d, got shape {mask.shape}")
-    h, w = mask.shape
-    if h % grid or w % grid:
-        raise GeometryError(f"bitmap {h}x{w} not divisible by grid {grid}")
-    ph, pw = h // grid, w // grid
-    tokens = []
-    for gy in range(grid):
-        for gx in range(grid):
-            patch = mask[gy * ph:(gy + 1) * ph, gx * pw:(gx + 1) * pw]
-            if patch.sum() * 2 >= patch.size:
-                tokens.append(gy * grid + gx)
-    return tuple(tokens)
 
 
 class SyntheticOracleBackend(EmbedderBackend):

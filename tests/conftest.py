@@ -6,6 +6,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
+from attnalign import cores
 from attnalign.adapters import AdapterConfig, AdapterSet
 from attnalign.model import ModelConfig, VisualDecoder, VisualInput
 
@@ -23,6 +24,20 @@ TINY_ADAPTER = AdapterConfig(dense_rank=2, expert_rank=2, n_q_experts=2,
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def processes(monkeypatch):
+    """``processes(n)`` makes every later split use n processes."""
+    def use(n: int) -> None:
+        monkeypatch.setattr(cores, "process_count", lambda: n)
+    return use
+
+
+def assert_no_children() -> None:
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def make_visual(cfg: ModelConfig, rng, scale: float = 1.0) -> VisualInput:

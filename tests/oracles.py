@@ -91,22 +91,6 @@ def intensity_loop(values, roi):
     return total / len(roi)
 
 
-def mask_tokens_loop(bitmap, grid):
-    h, w = bitmap.shape
-    ph, pw = h // grid, w // grid
-    out = []
-    for gy in range(grid):
-        for gx in range(grid):
-            count = 0
-            for y in range(gy * ph, (gy + 1) * ph):
-                for x in range(gx * pw, (gx + 1) * pw):
-                    if bitmap[y][x]:
-                        count += 1
-            if 2 * count >= ph * pw:
-                out.append(gy * grid + gx)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # reference classifiers that certify the planted task
 
@@ -192,6 +176,17 @@ def linear_with_lora_ref(x, w, a, b, g):
     out = x @ w.T + u @ b.T
     gb_in = g @ b
     return out, (g @ w + gb_in @ a, g.T @ x, gb_in.T @ x, g.T @ u)
+
+
+def adamw_ref(p, m, v, grads, lr, grad_scale, b1=0.9, b2=0.999, eps=1e-8):
+    """Successive Adam steps, one per gradient, as plain expressions."""
+    for t, g in enumerate(grads, start=1):
+        g = g * grad_scale
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        update = (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+        p = p - lr * update
+    return p, m, v
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,41 @@ from attnalign.autodiff import Tensor
 from attnalign.errors import ParameterError, SelectionError, ShapeError
 
 
+def transpose(a) -> Tensor:
+    a = ad._as_tensor(a)
+    if len(a.shape) != 2:
+        raise ShapeError(f"transpose needs a 2-d tensor, got {a.shape}")
+
+    def back(g, sink):
+        sink(a, g.T)
+
+    return ad._wrap(a.data.T, (a,), back)
+
+
+def scale_rows(a, s) -> Tensor:
+    """Scale row i of a matrix by s[i]."""
+    a, s = ad._as_tensor(a), ad._as_tensor(s)
+    if len(a.shape) != 2 or s.shape != (a.shape[0],):
+        raise ShapeError(f"scale_rows: shapes {a.shape} and {s.shape} do not align")
+
+    def back(g, sink):
+        if a.requires_grad:
+            sink(a, g * s.data[:, None])
+        if s.requires_grad:
+            sink(s, (g * a.data).sum(axis=1))
+
+    return ad._wrap(a.data * s.data[:, None], (a, s), back)
+
+
 def lora_apply(lora: LoRAAdapter, x: Tensor) -> Tensor:
     """x @ delta^T without materializing the full matrix."""
-    return ad.matmul(ad.matmul(x, ad.transpose(lora.A)), ad.transpose(lora.B))
+    return ad.matmul(ad.matmul(x, transpose(lora.A)), transpose(lora.B))
 
 
 def _mixture_delta(bank: ExpertBank, w: Tensor) -> Tensor:
     """sum_o w_o B_o A_o for a length-O weight vector, as one [d_out x d_in]."""
     per_row = ad.take(w, np.repeat(np.arange(len(bank)), bank.rank))
-    return ad.matmul(bank.B, ad.scale_rows(bank.A, per_row))
+    return ad.matmul(bank.B, scale_rows(bank.A, per_row))
 
 
 def qmoe_delta(h_prompt: Tensor, bank: ExpertBank,
@@ -59,11 +85,11 @@ def adapted_projection(x: Tensor, base_w: Tensor,
     """
     if len(x.shape) != 2 or base_w.shape[1] != x.shape[1]:
         raise ShapeError(f"projection: input {x.shape} vs weight {base_w.shape}")
-    out = ad.matmul(x, ad.transpose(base_w))
+    out = ad.matmul(x, transpose(base_w))
     if dense_lora is not None:
         out = ad.add(out, lora_apply(dense_lora, x))
     if moe_delta is not None:
-        out = ad.add(out, ad.matmul(x, ad.transpose(moe_delta)))
+        out = ad.add(out, ad.matmul(x, transpose(moe_delta)))
     if per_token_deltas is not None:
         if len(per_token_deltas) > x.shape[0]:
             raise ShapeError("more per-token deltas than rows")
@@ -73,7 +99,7 @@ def adapted_projection(x: Tensor, base_w: Tensor,
             if delta is None:
                 rows.append(Tensor(np.zeros((1, out.shape[1]))))
             else:
-                rows.append(ad.matmul(row, ad.transpose(delta)))
+                rows.append(ad.matmul(row, transpose(delta)))
         if len(per_token_deltas) < x.shape[0]:
             pad = Tensor(np.zeros((x.shape[0] - len(per_token_deltas), out.shape[1])))
             rows.append(pad)

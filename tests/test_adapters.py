@@ -10,7 +10,8 @@ from attnalign.autodiff import Tensor
 from attnalign.errors import ParameterError
 
 from oracles import expert_delta, topk_select_loop
-from references import adapted_projection, kmoe_delta_per_token, qmoe_delta
+from references import adapted_projection, kmoe_delta_per_token, qmoe_delta, \
+    transpose
 
 D = 6
 RANK = 2
@@ -69,7 +70,7 @@ class TestQMoE:
 
         def f():
             delta, _ = qmoe_delta(h, bank, gate)
-            out = ad.matmul(x, ad.transpose(delta))
+            out = ad.matmul(x, transpose(delta))
             return ad.sum_all(ad.mul(out, out))
 
         params = [gate.w1, gate.b1, gate.w2, gate.b2]

@@ -49,7 +49,7 @@ def all_heads(stack):
 def visual_views(stack, rows):
     """Per-head [|Q| x N] numpy submatrices, the oracles' input."""
     n = stack.spans.n_visual
-    return [[stack.head_data(l, h)[list(rows), :n] for h in range(stack.n_heads)]
+    return [[stack.planes[l].data[h][list(rows), :n] for h in range(stack.n_heads)]
             for l in range(stack.n_layers)]
 
 
@@ -75,7 +75,7 @@ class TestExtractVisualView:
         for l in range(2):
             for h in range(2):
                 out = attn.refined_map(stack, [row], head_selection(2, 2, [(l, h)]))
-                expected = stack.head_data(l, h)[row, :4]
+                expected = stack.planes[l].data[h][row, :4]
                 assert np.array_equal(out.data, expected)
 
     def test_answer_rows_count(self, rng):
@@ -91,7 +91,7 @@ class TestExtractVisualView:
             for h in range(2):
                 out = attn.refined_map(stack, rows, head_selection(2, 2, [(l, h)]))
                 sub = submatrix_nodes(out)[0]
-                m = stack.head_data(l, h)
+                m = stack.planes[l].data[h]
                 for i, q in enumerate(rows):
                     for c in range(4):
                         assert sub.data[i, c] == m[q, c]
@@ -112,14 +112,14 @@ class TestMeanMap:
         stack = make_stack(rng, n_layers=1, n_heads=1)
         row = stack.spans.total - 1
         out = attn.refined_map(stack, [row], all_heads(stack))
-        assert np.max(np.abs(out.data - stack.head_data(0, 0)[row, :4])) < 1e-15
+        assert np.max(np.abs(out.data - stack.planes[0].data[0][row, :4])) < 1e-15
 
     def test_two_heads_average(self, rng):
         stack = make_stack(rng, n_layers=1, n_heads=2)
         row = stack.spans.total - 1
         out = attn.refined_map(stack, [row], all_heads(stack))
-        a = stack.head_data(0, 0)[row, :4]
-        b = stack.head_data(0, 1)[row, :4]
+        a = stack.planes[0].data[0][row, :4]
+        b = stack.planes[0].data[1][row, :4]
         assert np.max(np.abs(out.data - (a + b) / 2)) < 1e-15
 
     def test_matches_triple_loop_oracle(self, rng):
@@ -161,9 +161,9 @@ class TestVisualRatio:
         grid = attn.all_visual_ratios(stack, rows)
         for l in range(2):
             for h in range(2):
-                want = visual_ratio_loop(stack.head_data(l, h), rows, 4, 2)
+                want = visual_ratio_loop(stack.planes[l].data[h], rows, 4, 2)
                 assert abs(grid[l, h] - want) < 1e-12
-                m = stack.head_data(l, h)[rows]
+                m = stack.planes[l].data[h][rows]
                 vis, prm = m[:, :4].sum(), m[:, 4:6].sum()
                 assert abs(grid[l, h] - vis / (vis + prm)) < 1e-15
 
@@ -220,7 +220,7 @@ class TestRefinedMap:
         sel = attn.HeadSelection(ratios=np.zeros((2, 2)), selected=selected,
                                  top_r=1)
         out = attn.refined_map(stack, rows, sel)
-        expected = stack.head_data(1, 0)[list(rows), :4].mean(axis=0)
+        expected = stack.planes[1].data[0][list(rows), :4].mean(axis=0)
         assert np.max(np.abs(out.data - expected)) < 1e-15
 
     def test_all_heads_equals_mean_map(self, rng):

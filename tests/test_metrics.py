@@ -10,6 +10,7 @@ from attnalign.metrics import coverage_score, evaluate, \
     intensity_alignment, save_report
 from attnalign.model import ModelConfig, VisualDecoder
 
+from conftest import assert_no_children
 from oracles import coverage_loop, intensity_loop
 
 
@@ -162,6 +163,29 @@ class TestEvaluate:
         last = replace(test_s[-1], answer=(model.config.vocab_size,))
         with pytest.raises(CompatibilityError):
             check_compatibility(model, list(test_s[:-1]) + [last])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_split_report_matches_one_process(self, processes, n):
+        model, test_s, _ = eval_setup()
+        processes(1)
+        want = evaluate(model, None, test_s).to_dict()
+        processes(n)
+        assert evaluate(model, None, test_s).to_dict() == want
+        assert_no_children()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_split_error_matches_one_process(self, processes, n):
+        model, test_s, _ = eval_setup()
+        # the last sample is in a helper's chunk
+        bad = list(test_s[:-1]) + [replace(test_s[-1], roi=(99,))]
+        messages = []
+        for count in (1, n):
+            processes(count)
+            with pytest.raises(MetricError) as info:
+                evaluate(model, None, bad)
+            assert_no_children()
+            messages.append(str(info.value))
+        assert messages[1] == messages[0]
 
     def test_empty_evaluation_rejected(self):
         model, _, _ = eval_setup()

@@ -59,7 +59,7 @@ class TestForward:
         model.params["layer0.wq"].data = np.zeros((8, 8))
         model.params["layer0.wk"].data = np.zeros((8, 8))
         out = model.forward(make_visual(cfg, rng), (1, 2), (3,))
-        att = out.attention.head_data(0, 0)
+        att = out.attention.planes[0].data[0]
         n = cfg.n_visual
         for q in range(out.spans.total):
             visible = n + max(0, q - n + 1) if q >= n else n
@@ -84,7 +84,7 @@ class TestForward:
         assert np.max(np.abs(out.logits.data - logits)) < 1e-10
         for l in range(TINY_MODEL.n_layers):
             for h in range(TINY_MODEL.n_heads):
-                assert np.max(np.abs(out.attention.head_data(l, h) - maps[l][h])) \
+                assert np.max(np.abs(out.attention.planes[l].data[h] - maps[l][h])) \
                     < 1e-10
 
     def test_matches_straight_line_oracle_with_adapters(self, rng):
@@ -95,7 +95,7 @@ class TestForward:
         assert np.max(np.abs(out.logits.data - logits)) < 1e-10
         for l in range(TINY_MODEL.n_layers):
             for h in range(TINY_MODEL.n_heads):
-                assert np.max(np.abs(out.attention.head_data(l, h) - maps[l][h])) \
+                assert np.max(np.abs(out.attention.planes[l].data[h] - maps[l][h])) \
                     < 1e-10
 
     @pytest.mark.parametrize("flags", [{"use_qmoe": False}, {"use_kmoe": False}])
@@ -130,7 +130,7 @@ class TestMaskInvariants:
         n = out.spans.n_visual
         for l in range(TINY_MODEL.n_layers):
             for h in range(TINY_MODEL.n_heads):
-                att = out.attention.head_data(l, h)
+                att = out.attention.planes[l].data[h]
                 for q in range(out.spans.total):
                     assert np.array_equal(att[q, max(q + 1, n):],
                                           np.zeros(out.spans.total
@@ -142,7 +142,7 @@ class TestMaskInvariants:
         out = model.forward(make_visual(TINY_MODEL, rng), (1, 2), (3,), adapters)
         for l in range(TINY_MODEL.n_layers):
             for h in range(TINY_MODEL.n_heads):
-                sums = out.attention.head_data(l, h).sum(axis=1)
+                sums = out.attention.planes[l].data[h].sum(axis=1)
                 assert np.max(np.abs(sums - 1.0)) < 1e-9
 
 
@@ -182,8 +182,8 @@ class TestVisualEquivariance:
 
         out0 = model.forward(v, (1, 2), (3,), adapters)
         out1 = model.forward(v_perm, (1, 2), (3,), adapters)
-        att0 = out0.attention.head_data(0, 0)
-        att1 = out1.attention.head_data(0, 0)
+        att0 = out0.attention.planes[0].data[0]
+        att1 = out1.attention.planes[0].data[0]
         q = out0.spans.total - 1
         assert np.max(np.abs(att0[q, :cfg.n_visual][perm]
                              - att1[q, :cfg.n_visual])) < 1e-10

@@ -1,6 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -343,3 +347,28 @@ class TestCli:
                        str(tmp_path / "x"), "--config", str(cfgf)])
         assert rc == 1
         assert not list(tmp_path.rglob("metrics.jsonl"))
+
+
+def pin_to_one_core():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs at least 2 cores in this process's affinity")
+def test_train_bytes_do_not_depend_on_the_core_count(tmp_path, data_dir,
+                                                     train_config_file):
+    """`attnalign train` pinned to one core writes what it writes on all."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    written = []
+    for pin in (pin_to_one_core, None):
+        out = tmp_path / ("one" if pin else "all")
+        subprocess.run([sys.executable, "-m", "attnalign.cli", "train", "--data",
+                        str(data_dir), "--out", str(out), "--config",
+                        str(train_config_file), "--seed", "1"],
+                       env=env, preexec_fn=pin, check=True, capture_output=True)
+        written.append([(out / name).read_bytes()
+                        for name in ("metrics.jsonl", "checkpoint.json")])
+    assert written[1] == written[0]

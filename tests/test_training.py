@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,13 @@ from attnalign.autodiff import Tensor
 from attnalign.data import DataSpec, generate_dataset
 from attnalign.errors import ConfigurationError, DegenerateAttentionError, \
     DivergenceError
+from attnalign.metrics import evaluate
 from attnalign.model import ModelConfig, VisualDecoder
 from attnalign.training import TASK_PROFILES, AdamW, TrainConfig, \
     alignment_loss, compute_weak_labels, lm_loss, total_loss, train
 from attnalign.weaklabels import Segment, WeakLabelSet
 
-from conftest import make_visual
+from conftest import assert_no_children, make_visual
 
 
 def labels_of(*token_sets):
@@ -23,8 +26,8 @@ def labels_of(*token_sets):
                         k=len(segs))
 
 
-def small_task(n_train=6, seed=0, **spec_kw):
-    spec = DataSpec(n_train=n_train, n_test=2, grid=3, d_visual=8,
+def small_task(n_train=6, seed=0, n_test=2, **spec_kw):
+    spec = DataSpec(n_train=n_train, n_test=n_test, grid=3, d_visual=8,
                     n_concepts=3, n_segments=2, n_labels=3, seg_side_min=1,
                     seg_side_max=1, seed=seed, **spec_kw)
     return generate_dataset(spec)
@@ -44,27 +47,27 @@ class TestAlignmentLoss:
     def test_all_mass_inside_single_segment(self):
         m = Tensor(np.array([0.5, 0.5, 0.0, 0.0]))
         loss, fracs = alignment_loss(m, labels_of((0, 1)))
-        assert abs(loss.item()) < 1e-12
+        assert abs(float(loss.data)) < 1e-12
         assert fracs == (1.0,)
 
     def test_uniform_half_coverage(self):
         m = Tensor(np.full(4, 0.25))
         loss, _ = alignment_loss(m, labels_of((0, 1)))
-        assert abs(loss.item() - 0.25) < 1e-12
+        assert abs(float(loss.data) - 0.25) < 1e-12
 
     def test_two_segment_hand_value(self):
         # fractions 0.8 and 0.3 need overlapping segments on one unit of mass
         m = Tensor(np.array([0.5, 0.3, 0.2, 0.0]))
         loss, fracs = alignment_loss(m, labels_of((0, 1), (1,)))
         assert fracs == pytest.approx((0.8, 0.3), abs=1e-15)
-        assert abs(loss.item() - (0.04 + 0.49)) < 1e-12
+        assert abs(float(loss.data) - (0.04 + 0.49)) < 1e-12
 
     def test_bounded_by_segment_count(self, rng):
         for _ in range(20):
             m = Tensor(rng.random(6) + 1e-9)
             segs = [(0, 1), (2,), (3, 4, 5)]
             loss, _ = alignment_loss(m, labels_of(*segs))
-            assert 0.0 <= loss.item() <= len(segs)
+            assert 0.0 <= float(loss.data) <= len(segs)
 
     def test_zero_mass_rejected(self):
         with pytest.raises(DegenerateAttentionError):
@@ -86,7 +89,7 @@ class TestLmLoss:
         rng = np.random.default_rng(0)
         out = model.forward(make_visual(model.config, rng), (1, 2), (3,))
         loss = lm_loss(out, (3,))
-        assert abs(loss.item() - np.log(model.config.vocab_size)) < 1e-12
+        assert abs(float(loss.data) - np.log(model.config.vocab_size)) < 1e-12
 
     def test_gradient_check(self, rng):
         logits = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
@@ -246,3 +249,89 @@ class TestTrainLoop:
         assert (run / "checkpoint.json").exists()
         assert (run / "heatmaps" / f"{train_s[0].id}.mean.csv").exists()
         assert (run / "heatmaps" / f"{train_s[0].id}.mean.pgm").exists()
+
+
+def shuffled_order(cfg: TrainConfig, n: int) -> np.ndarray:
+    """The sample order of train()'s first epoch."""
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(2)
+    order = np.arange(n)
+    np.random.default_rng(int(seeds[1])).shuffle(order)
+    return order
+
+
+class TestSplitAcrossProcesses:
+    """A batch's samples split across processes train exactly as in one.
+
+    Seven samples in batches of 3 give chunks of 2 + 1 (or 1 + 1 + 1) and
+    a last batch of one sample, which runs in the main process alone.
+    """
+
+    def task(self):
+        train_s, test_s, meta = small_task(n_train=7, seed=3, n_test=3)
+        cfg = TrainConfig(lambda_align=0.1, epochs=2, lr=1e-3, batch_size=3,
+                          weak_k=1, heads_r=1, adapter=SMALL_ADAPTER, seed=0,
+                          heatmap_sample_ids=(train_s[0].id,))
+        labels = compute_weak_labels(train_s, meta, k=1)
+        return train_s, test_s, cfg, labels
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_run_dir_bytes_match_one_process(self, tmp_path, processes, n):
+        runs = []
+        for count in (1, n):
+            processes(count)
+            train_s, test_s, cfg, labels = self.task()
+
+            def eval_fn(m, adapters):
+                report = evaluate(m, adapters, test_s)
+                return {"coverage": report.coverage, "accuracy": report.accuracy}
+
+            out = tmp_path / str(count)
+            train(small_model(), train_s, cfg, weak_labels=labels,
+                  eval_fn=eval_fn, out_dir=out)
+            assert_no_children()
+            runs.append({p.relative_to(out): p.read_bytes()
+                         for p in sorted(out.rglob("*")) if p.is_file()})
+        assert len(runs[0]) == 5
+        assert runs[1] == runs[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gradients_summed_as_backward_accumulates(self, processes, n):
+        processes(n)
+        train_s, _, cfg, labels = self.task()
+        cfg = replace(cfg, epochs=1, batch_size=len(train_s), lr=0.0)
+        model = small_model()
+        result = train(model, train_s, cfg, weak_labels=labels)
+        params = [p for _, p in result.adapters.params()]
+        summed = [p.grad for p in params]
+        # one batch at lr 0: the adapters are still the initial ones
+        for p in params:
+            p.zero_grad()
+        for idx in shuffled_order(cfg, len(train_s)):
+            s = train_s[idx]
+            total_loss(model, result.adapters, s, labels[s.id], cfg)[0].backward()
+        for p, g in zip(params, summed):
+            assert np.array_equal(g, p.grad)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_helper_error_matches_one_process(self, processes, n):
+        messages = []
+        for count in (1, n):
+            processes(count)
+            train_s, _, cfg, labels = self.task()
+            # the last sample of the first batch falls in a helper's chunk
+            victim = train_s[shuffled_order(cfg, len(train_s))[2]]
+            labels[victim.id] = replace(labels[victim.id], segments=())
+            with pytest.raises(ConfigurationError) as info:
+                train(small_model(), train_s, cfg, weak_labels=labels)
+            assert_no_children()
+            messages.append(str(info.value))
+        assert messages[1] == messages[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_divergence_in_a_helper_names_the_step(self, processes, n):
+        processes(n)
+        train_s, _, cfg, labels = self.task()
+        train_s[shuffled_order(cfg, len(train_s))[2]].features[0, 0] = np.nan
+        with pytest.raises(DivergenceError, match="step 2$"):
+            train(small_model(), train_s, cfg, weak_labels=labels)
+        assert_no_children()

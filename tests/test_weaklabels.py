@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from attnalign.data import DataSpec, PlantedSegmentProposer, generate_dataset
 from attnalign.errors import BackendError, DegenerateEmbeddingError, \
-    GeometryError, ParameterError
+    ParameterError
 from attnalign.weaklabels import EmbedderBackend, Segment, \
     SyntheticOracleBackend, WeakLabelSet, cosine_sim, load_weak_label_cache, \
-    mask_to_tokens, record_to_weak_labels, save_weak_label_cache, \
-    select_weak_labels, weak_labels_to_record
+    record_to_weak_labels, save_weak_label_cache, select_weak_labels, \
+    weak_labels_to_record
 
-from oracles import cosine_decimal, mask_tokens_loop
+from oracles import cosine_decimal
 
 
 class MappedBackend(EmbedderBackend):
@@ -144,31 +144,6 @@ class TestSelectWeakLabels:
         with pytest.raises(ParameterError):
             select_weak_labels([seg("a")], (0,), np.zeros((1, 2)),
                                MappedBackend({"a": 1.0}), 0)
-
-
-class TestMaskToTokens:
-    def test_full_mask_all_tokens(self):
-        assert mask_to_tokens(np.ones((8, 8), dtype=bool), 4) \
-            == tuple(range(16))
-
-    def test_single_patch(self):
-        bitmap = np.zeros((8, 8), dtype=bool)
-        bitmap[2:4, 4:6] = True  # exactly patch (1, 2) on a 4-grid
-        assert mask_to_tokens(bitmap, 4) == (6,)
-
-    def test_matches_pixel_count_oracle(self, rng):
-        for _ in range(25):
-            bitmap = rng.random((12, 12)) < 0.4
-            assert mask_to_tokens(bitmap, 4) == mask_tokens_loop(bitmap, 4)
-
-    def test_half_coverage_included(self):
-        bitmap = np.zeros((4, 4), dtype=bool)
-        bitmap[0, :2] = True  # half of patch (0, 0) on a 2-grid
-        assert 0 in mask_to_tokens(bitmap, 2)
-
-    def test_indivisible_raises(self):
-        with pytest.raises(GeometryError):
-            mask_to_tokens(np.zeros((9, 8), dtype=bool), 4)
 
 
 class TestSyntheticOracle:
