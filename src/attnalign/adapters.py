@@ -104,10 +104,6 @@ class GatingNetwork:
                          requires_grad=True)
         self.b2 = Tensor(np.zeros(n_out), requires_grad=True)
 
-    @property
-    def n_out(self) -> int:
-        return self.w2.shape[1]
-
     def logits(self, h: Tensor) -> Tensor:
         """h is [m x d_in]; returns [m x n_out]."""
         return ad.mlp_two_layer(h, self.w1, self.b1, self.w2, self.b2)

@@ -66,7 +66,6 @@ class AttentionStack:
 class HeadSelection:
     """Top-R head indicator over the L x H grid."""
 
-    ratios: np.ndarray
     selected: np.ndarray
     top_r: int
 
@@ -88,9 +87,9 @@ def all_visual_ratios(stack: AttentionStack,
     spans = stack.spans
     out = np.empty((stack.n_layers, stack.n_heads))
     for l, plane in enumerate(stack.planes):
-        sub = plane.data[:, rows, :]
-        vis = sub[:, :, : spans.n_visual].sum(axis=(1, 2))
-        prm = sub[:, :, spans.n_visual: spans.n_visual + spans.n_prompt].sum(axis=(1, 2))
+        view = plane.data[:, rows, :]
+        vis = view[:, :, : spans.n_visual].sum(axis=(1, 2))
+        prm = view[:, :, spans.n_visual: spans.n_visual + spans.n_prompt].sum(axis=(1, 2))
         denom = vis + prm
         if (denom == 0.0).any():
             bad = int(np.flatnonzero(denom == 0.0)[0])
@@ -112,18 +111,18 @@ def select_heads(ratios: np.ndarray, top_r: int) -> HeadSelection:
     order = np.lexsort((np.arange(total), -flat))
     selected = np.zeros(total, dtype=bool)
     selected[order[:top_r]] = True
-    return HeadSelection(ratios=ratios.copy(),
-                         selected=selected.reshape(n_layers, n_heads),
-                         top_r=top_r)
+    return HeadSelection(selected=selected.reshape(n_layers, n_heads), top_r=top_r)
 
 
 def refined_map(stack: AttentionStack, query_rows: Sequence[int],
                 selection: HeadSelection) -> Tensor:
     """Average the selected heads' query-mean visual vectors into a length-N map.
 
+    One tape node over the planes of the layers holding a selected head.
     Only the selected heads' [|Q| x N] submatrices (query rows x visual
-    key columns) enter the tape, in row-major (l, h) order. Differentiable
-    in the attention values; the selection itself is a constant of the pass.
+    key columns) are read, in row-major (l, h) order, and only they
+    receive gradient. Differentiable in the attention values; the
+    selection itself is a constant of the pass.
     """
     rows = tuple(int(r) for r in query_rows)
     if not rows:
@@ -135,11 +134,31 @@ def refined_map(stack: AttentionStack, query_rows: Sequence[int],
     if selection.top_r < 1:
         raise ParameterError("refined_map needs at least one selected head")
     n = stack.spans.n_visual
-    acc: Tensor | None = None
-    for l, h in selection.pairs():
-        v = ad.mean_pool_rows(ad.plane_submatrix(stack.planes[l], h, rows, 0, n))
-        acc = v if acc is None else ad.add(acc, v)
-    return ad.mul(acc, 1.0 / selection.top_r)
+    idx = np.asarray(rows, dtype=np.intp)
+    pairs = selection.pairs()
+    acc = None
+    for l, h in pairs:
+        v = stack.planes[l].data[h][idx, :n].mean(axis=0)
+        acc = v if acc is None else acc + v
+    layers = sorted({l for l, _ in pairs})
+
+    def back(g, sink):
+        # (g / R) / |Q| into each selected block, one zeroed plane per layer;
+        # add.at keeps repeated query rows accumulating
+        block = np.broadcast_to(g * (1.0 / selection.top_r) / len(rows),
+                                (len(rows), n))
+        for l in layers:
+            plane = stack.planes[l]
+            if not plane.requires_grad:
+                continue
+            z = np.zeros_like(plane.data)
+            for pl, h in pairs:
+                if pl == l:
+                    np.add.at(z[h, :, :n], idx, block)
+            sink(plane, z)
+
+    return ad._wrap(acc * (1.0 / selection.top_r), [stack.planes[l] for l in layers],
+                    back)
 
 
 def generated_query_mean_map(stacks: Sequence[AttentionStack],

@@ -202,19 +202,6 @@ def add(a, b) -> Tensor:
     return _wrap(a.data + b.data, (a, b), back)
 
 
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def back(g, sink):
-        sink(a, -g)
-
-    return _wrap(-a.data, (a,), back)
-
-
-def sub(a, b) -> Tensor:
-    return add(a, neg(b))
-
-
 def mul(a, b) -> Tensor:
     """Elementwise product; either operand may be a scalar."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -235,26 +222,6 @@ def mul(a, b) -> Tensor:
     else:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
     return _wrap(a.data * b.data, (a, b), back)
-
-
-def div(a, b) -> Tensor:
-    """Elementwise quotient; denominator may be a scalar."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape == b.shape:
-        def back(g, sink):
-            if a.requires_grad:
-                sink(a, g / b.data)
-            if b.requires_grad:
-                sink(b, -g * a.data / (b.data * b.data))
-    elif b.shape == ():
-        def back(g, sink):
-            if a.requires_grad:
-                sink(a, g / b.data)
-            if b.requires_grad:
-                sink(b, np.asarray(np.sum(-g * a.data) / (b.data * b.data)))
-    else:
-        raise ShapeError(f"div: incompatible shapes {a.shape} and {b.shape}")
-    return _wrap(a.data / b.data, (a, b), back)
 
 
 def matmul(a, b) -> Tensor:
@@ -346,15 +313,6 @@ def slice_rows(a, start: int, stop: int) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # reductions and row ops
-
-
-def sum_all(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def back(g, sink):
-        sink(a, np.full(a.shape, g, dtype=np.float64))
-
-    return _wrap(np.asarray(a.data.sum()), (a,), back)
 
 
 def mean_pool_rows(a) -> Tensor:
@@ -633,24 +591,6 @@ def softmax_heads(a, mask: np.ndarray | None = None) -> Tensor:
         _check_rows_visible(mask)
     y = _softmax_last_axis(a.data, mask)
     return _wrap(y, (a,), _softmax_backward(a, y))
-
-
-def plane_submatrix(a, index: int, rows, col_start: int, col_stop: int) -> Tensor:
-    """Rows x column-range of one plane, in a single op."""
-    a = _as_tensor(a)
-    idx = np.asarray(rows, dtype=np.intp)
-    if len(a.shape) != 3 or not (0 <= index < a.shape[0]) \
-            or not (0 <= col_start <= col_stop <= a.shape[2]):
-        raise ShapeError(f"plane_submatrix invalid for shape {a.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[1]):
-        raise IndexError(f"plane_submatrix: row index out of range for {a.shape}")
-
-    def back(g, sink):
-        z = np.zeros_like(a.data)
-        np.add.at(z[index, :, col_start:col_stop], idx, g)
-        sink(a, z)
-
-    return _wrap(a.data[index][idx, col_start:col_stop], (a,), back)
 
 
 # ---------------------------------------------------------------------------

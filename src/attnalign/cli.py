@@ -207,18 +207,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="attnalign",
         description="attention-aligned adapter tuning on a toy visual decoder",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    verbs = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
 
-    p = sub.add_parser("gen-data", help="generate the synthetic dataset")
+    p = verbs.add_parser("gen-data", help="generate the synthetic dataset")
     common(p)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen_data)
 
-    p = sub.add_parser("weaklabels", help="precompute the weak-label cache")
+    p = verbs.add_parser("weaklabels", help="precompute the weak-label cache")
     common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--meta", required=True)
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=None)
     p.set_defaults(fn=cmd_weaklabels)
 
-    p = sub.add_parser("train", help="fine-tune adapters on a dataset directory")
+    p = verbs.add_parser("train", help="fine-tune adapters on a dataset directory")
     common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-a3moe", action="store_true")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("evaluate", help="score a checkpoint on a dataset")
+    p = verbs.add_parser("evaluate", help="score a checkpoint on a dataset")
     common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=metricsmod.DEFAULT_TAU)
     p.set_defaults(fn=cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="one training run per hyperparameter value")
+    p = verbs.add_parser("sweep", help="one training run per hyperparameter value")
     common(p)
     p.add_argument("--param", choices=["K", "R", "lambda", "B"], required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_sweep)
 
-    p = sub.add_parser("visualize", help="export attention heatmaps")
+    p = verbs.add_parser("visualize", help="export attention heatmaps")
     common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)

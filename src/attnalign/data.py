@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GenerationError
+from .errors import GenerationError, stored_config
 from .weaklabels import Segment
 
 DATASET_SCHEMA = "attnalign-dataset-1"
@@ -136,9 +136,9 @@ class DatasetMeta:
 
     @staticmethod
     def from_dict(doc: dict) -> "DatasetMeta":
-        spec = DataSpec(**doc["spec"])
-        return DatasetMeta(spec=spec,
-                           layout=TokenLayout(**doc["layout"]),
+        where = "the dataset meta"
+        return DatasetMeta(spec=stored_config(DataSpec, doc["spec"], where),
+                           layout=stored_config(TokenLayout, doc["layout"], where),
                            concept_vectors=np.array(doc["concept_vectors"]))
 
 

@@ -1,8 +1,12 @@
 """Exception types shared across the package.
 
 Every failure mode named in a module contract maps to one of these, so
-callers can catch precisely and tests can assert on type.
+callers can catch precisely and tests can assert on type. The rule that
+a file read back (checkpoint, dataset meta) stores exactly the expected
+names lives here too.
 """
+
+from dataclasses import fields
 
 
 class AttnAlignError(Exception):
@@ -66,4 +70,19 @@ class MetricError(AttnAlignError):
 
 
 class CompatibilityError(AttnAlignError):
-    """Checkpoint header does not match the evaluation configuration."""
+    """A checkpoint or dataset does not match what the code builds or reads."""
+
+
+def require_names(expected, stored, kind: str, source: str) -> None:
+    """The stored names must be exactly the expected ones."""
+    odd = sorted(set(expected) ^ set(stored))
+    if odd:
+        state = "missing from" if odd[0] in expected else "unexpected in"
+        raise CompatibilityError(f"{kind} {odd[0]!r} {state} {source}")
+
+
+def stored_config(cls, stored: dict, source: str):
+    """A config dataclass from its stored fields, whose names must match exactly."""
+    require_names({f.name for f in fields(cls)}, stored, f"{cls.__name__} field",
+                  source)
+    return cls(**stored)

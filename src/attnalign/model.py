@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,8 @@ from .adapters import AdapterConfig, AdapterSet, kmoe_apply, kmoe_gate_weights, 
     qmoe_apply, qmoe_weights
 from .attention import AttentionStack, Spans
 from .autodiff import Tensor
-from .errors import CapacityError, CompatibilityError, ShapeError
+from .errors import CapacityError, CompatibilityError, ShapeError, require_names, \
+    stored_config
 
 CHECKPOINT_SCHEMA = "attnalign-checkpoint-3"
 
@@ -319,35 +320,22 @@ def load_checkpoint(path: str | Path) -> tuple[VisualDecoder, AdapterSet | None,
     for section in ("model_config", "adapter_config", "tensors", "adapter_tensors"):
         if section not in doc:
             raise CompatibilityError(f"checkpoint has no {section!r} section")
-    config = _config(ModelConfig, doc["model_config"])
+    config = stored_config(ModelConfig, doc["model_config"], "the checkpoint")
     model = VisualDecoder(config)
     _restore(model.params, doc["tensors"])
     adapters = None
     if doc["adapter_config"] is not None:
         adapters = AdapterSet(config.n_layers, config.d_model, config.d_ff,
-                              _config(AdapterConfig, doc["adapter_config"]))
+                              stored_config(AdapterConfig, doc["adapter_config"],
+                                            "the checkpoint"))
     _restore(dict(adapters.params()) if adapters is not None else {},
              doc["adapter_tensors"])
     return model, adapters, doc.get("extra", {})
 
 
-def _require_names(expected, stored, kind: str) -> None:
-    """The stored names must be exactly the expected ones."""
-    odd = sorted(set(expected) ^ set(stored))
-    if odd:
-        state = "missing from" if odd[0] in expected else "unexpected in"
-        raise CompatibilityError(f"{kind} {odd[0]!r} {state} the checkpoint")
-
-
-def _config(cls, stored: dict):
-    """A config dataclass from its stored fields, whose names must match exactly."""
-    _require_names({f.name for f in fields(cls)}, stored, f"{cls.__name__} field")
-    return cls(**stored)
-
-
 def _restore(tensors: dict[str, Tensor], entries: dict) -> None:
     """Overwrite every tensor from its entry; names and shapes must match exactly."""
-    _require_names(tensors, entries, "tensor")
+    require_names(tensors, entries, "tensor", "the checkpoint")
     for name, t in tensors.items():
         shape = tuple(entries[name]["shape"])
         if shape != t.shape:

@@ -142,7 +142,7 @@ def compute_weak_labels(samples: Sequence[SyntheticSample], meta: DatasetMeta,
 
 def alignment_loss(refined: Tensor,
                    labels: WeakLabelSet | Sequence) -> tuple[Tensor, tuple[float, ...]]:
-    """Sum over segments of (1 - captured mass fraction)^2.
+    """Sum over segments of (1 - captured mass fraction)^2, as one tape node.
 
     ``refined`` is a nonnegative length-N map; the fraction normalizes
     by its total mass, so the penalty only cares how attention is
@@ -156,21 +156,40 @@ def alignment_loss(refined: Tensor,
     data = refined.data
     if (data < 0).any():
         raise ParameterError("refined map has negative entries")
-    if data.sum() <= 0:
+    total = data.sum()
+    if total <= 0:
         raise DegenerateAttentionError("refined map has zero total mass")
     for ts in token_sets:
-        if max(ts) >= n:
-            raise IndexError(f"segment token {max(ts)} outside map of size {n}")
+        for t in (min(ts), max(ts)):
+            if not 0 <= t < n:
+                raise IndexError(f"segment token {t} outside map of size {n}")
 
-    total = ad.sum_all(refined)
-    loss: Tensor | None = None
-    fractions = []
-    for ts in token_sets:
-        frac = ad.div(ad.sum_all(ad.take(refined, list(ts))), total)
-        fractions.append(float(frac.data))
-        term = ad.mul(ad.sub(1.0, frac), ad.sub(1.0, frac))
-        loss = term if loss is None else ad.add(loss, term)
-    return loss, tuple(fractions)
+    idx = [np.asarray(ts, dtype=np.intp) for ts in token_sets]
+    masses = [data[i].sum() for i in idx]
+    fractions = [m / total for m in masses]
+    loss = None
+    for f in fractions:
+        term = (1.0 - f) * (1.0 - f)
+        loss = term if loss is None else loss + term
+
+    def back(g, sink):
+        # repeats, in its order, the arithmetic of the generic-op composition
+        # (tests/references.py, alignment_loss_composed) so that gradients
+        # stay bit-identical to it: each segment's tokens, total mass last
+        grad, g_total = np.zeros(n), None
+        for i, m, f in zip(idx, masses, fractions):
+            d = 1.0 - f
+            g_f = -(g * d) + -(g * d)
+            z = np.zeros(n)
+            np.add.at(z, i, g_f / total)
+            grad += z           # exact even for the first: z holds no -0.0
+            t = -g_f * m / (total * total)
+            g_total = t if g_total is None else g_total + t
+        grad += g_total
+        sink(refined, grad)
+
+    return ad._wrap(np.asarray(loss), (refined,), back), \
+        tuple(float(f) for f in fractions)
 
 
 def lm_loss(output: ForwardOutput, answer: Sequence[int]) -> Tensor:

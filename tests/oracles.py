@@ -145,8 +145,8 @@ def mlp_two_layer_ref(x, w1, b1, w2, b2, g):
 def softmax_ref(x, mask, g):
     """Last-axis masked softmax of rows or [H x S x S] planes, and its gradient."""
     if mask is not None:
-        neg = np.where(mask, x, -np.inf)
-        rowmax = neg.max(axis=-1, keepdims=True)
+        masked = np.where(mask, x, -np.inf)
+        rowmax = masked.max(axis=-1, keepdims=True)
         e = np.exp(np.where(mask, x - rowmax, 0.0)) * mask
     else:
         e = np.exp(x - x.max(axis=-1, keepdims=True))

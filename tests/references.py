@@ -12,7 +12,54 @@ from attnalign.adapters import ExpertBank, GatingNetwork, LoRAAdapter, \
     RouterDecision, kmoe_gate_weights, qmoe_weights
 from attnalign.attention import AttentionStack, HeadSelection
 from attnalign.autodiff import Tensor
-from attnalign.errors import ParameterError, SelectionError, ShapeError
+from attnalign.errors import ConfigurationError, DegenerateAttentionError, \
+    ParameterError, SelectionError, ShapeError
+
+
+def sum_all(a) -> Tensor:
+    a = ad._as_tensor(a)
+
+    def back(g, sink):
+        sink(a, np.full(a.shape, g, dtype=np.float64))
+
+    return ad._wrap(np.asarray(a.data.sum()), (a,), back)
+
+
+def plane_submatrix(a, index: int, rows, col_start: int, col_stop: int) -> Tensor:
+    """Rows x column-range of one plane, in a single op."""
+    a = ad._as_tensor(a)
+    idx = np.asarray(rows, dtype=np.intp)
+    if len(a.shape) != 3 or not (0 <= index < a.shape[0]) \
+            or not (0 <= col_start <= col_stop <= a.shape[2]):
+        raise ShapeError(f"plane_submatrix invalid for shape {a.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[1]):
+        raise IndexError(f"plane_submatrix: row index out of range for {a.shape}")
+
+    def back(g, sink):
+        z = np.zeros_like(a.data)
+        np.add.at(z[index, :, col_start:col_stop], idx, g)
+        sink(a, z)
+
+    return ad._wrap(a.data[index][idx, col_start:col_stop], (a,), back)
+
+
+def quotient(a: Tensor, b: Tensor) -> Tensor:
+    """a / b of two 0-d tensors."""
+    def back(g, sink):
+        if a.requires_grad:
+            sink(a, g / b.data)
+        if b.requires_grad:
+            sink(b, -g * a.data / (b.data * b.data))
+
+    return ad._wrap(a.data / b.data, (a, b), back)
+
+
+def one_minus(a: Tensor) -> Tensor:
+    """1 - a as two nodes: a negation, then ``ad.add(1.0, .)``."""
+    def back(g, sink):
+        sink(a, -g)
+
+    return ad.add(1.0, ad._wrap(-a.data, (a,), back))
 
 
 def transpose(a) -> Tensor:
@@ -120,7 +167,7 @@ def refined_map_all_heads(stack: AttentionStack, query_rows,
         if r not in text:
             raise SelectionError(f"query row {r} outside text spans {text}")
     n = stack.spans.n_visual
-    per_head = [[ad.plane_submatrix(stack.planes[l], h, rows, 0, n)
+    per_head = [[plane_submatrix(stack.planes[l], h, rows, 0, n)
                  for h in range(stack.n_heads)]
                 for l in range(stack.n_layers)]
     if selection.top_r < 1:
@@ -133,3 +180,30 @@ def refined_map_all_heads(stack: AttentionStack, query_rows,
             v = ad.mean_pool_rows(per_head[l][h])
             acc = v if acc is None else ad.add(acc, v)
     return ad.mul(acc, 1.0 / selection.top_r)
+
+
+def alignment_loss_composed(refined: Tensor, token_sets):
+    """The alignment energy built from generic ops: the total mass, then per
+    segment a gather, its sum, the quotient by the total, (1 - f) built
+    twice, their product and the running ``ad.add``."""
+    token_sets = [tuple(s) for s in token_sets]
+    if not token_sets:
+        raise ConfigurationError("alignment loss needs at least one segment")
+    n = refined.shape[0]
+    if (refined.data < 0).any():
+        raise ParameterError("refined map has negative entries")
+    if refined.data.sum() <= 0:
+        raise DegenerateAttentionError("refined map has zero total mass")
+    for ts in token_sets:
+        if max(ts) >= n:
+            raise IndexError(f"segment token {max(ts)} outside map of size {n}")
+
+    total = sum_all(refined)
+    loss: Tensor | None = None
+    fractions = []
+    for ts in token_sets:
+        frac = quotient(sum_all(ad.take(refined, list(ts))), total)
+        fractions.append(float(frac.data))
+        term = ad.mul(one_minus(frac), one_minus(frac))
+        loss = term if loss is None else ad.add(loss, term)
+    return loss, tuple(fractions)

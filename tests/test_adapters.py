@@ -11,7 +11,7 @@ from attnalign.errors import ParameterError
 
 from oracles import expert_delta, topk_select_loop
 from references import adapted_projection, kmoe_delta_per_token, qmoe_delta, \
-    transpose
+    sum_all, transpose
 
 D = 6
 RANK = 2
@@ -71,7 +71,7 @@ class TestQMoE:
         def f():
             delta, _ = qmoe_delta(h, bank, gate)
             out = ad.matmul(x, transpose(delta))
-            return ad.sum_all(ad.mul(out, out))
+            return sum_all(ad.mul(out, out))
 
         params = [gate.w1, gate.b1, gate.w2, gate.b2]
         assert ad.finite_diff_check_params(f, params, 1e-4) < 1e-4
@@ -196,7 +196,7 @@ class TestKMoE:
         def f():
             weights, _ = kmoe_gate_weights(h, bank, gate, b=2)
             out = kmoe_apply(h, weights, bank)
-            return ad.sum_all(ad.mul(out, out))
+            return sum_all(ad.mul(out, out))
 
         params = [gate.w1, gate.b1, gate.w2, gate.b2, bank.A, bank.B]
         assert ad.finite_diff_check_params(f, params, 1e-4) < 1e-3

@@ -9,7 +9,7 @@ from attnalign.errors import ParameterError, SelectionError
 
 from oracles import mean_map_loop, refined_map_loop, topk_select_loop, \
     visual_ratio_loop
-from references import refined_map_all_heads
+from references import refined_map_all_heads, sum_all
 
 
 def make_stack(rng, n_layers=2, n_heads=2, n_visual=4, n_prompt=2, n_answer=3,
@@ -37,8 +37,7 @@ def head_selection(n_layers, n_heads, heads):
     selected = np.zeros((n_layers, n_heads), dtype=bool)
     for l, h in heads:
         selected[l, h] = True
-    return attn.HeadSelection(ratios=np.zeros((n_layers, n_heads)),
-                              selected=selected, top_r=len(heads))
+    return attn.HeadSelection(selected=selected, top_r=len(heads))
 
 
 def all_heads(stack):
@@ -53,19 +52,20 @@ def visual_views(stack, rows):
             for l in range(stack.n_layers)]
 
 
-def submatrix_nodes(out):
-    """Every plane_submatrix node in the graph behind ``out``."""
-    found, seen, todo = [], set(), [out]
-    while todo:
-        node = todo.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if node._backward is not None \
-                and node._backward.__qualname__.startswith("plane_submatrix."):
-            found.append(node)
-        todo.extend(node._parents)
-    return found
+def gradient_support(out, stack):
+    """The (l, h, q, c) plane entries that get gradient from ``out`` when
+    every map entry has a positive upstream gradient."""
+    for plane in stack.planes:
+        plane.zero_grad()
+    weights = Tensor(np.linspace(1.0, 2.0, out.shape[0]))
+    sum_all(ad.mul(out, weights)).backward()
+    return {(l, *map(int, e)) for l, plane in enumerate(stack.planes)
+            if plane.grad is not None for e in np.argwhere(plane.grad != 0)}
+
+
+def block(l, h, rows, n):
+    """The (l, h, q, c) entries of head (l, h)'s [|Q| x N] visual block."""
+    return {(l, h, q, c) for q in rows for c in range(n)}
 
 
 class TestExtractVisualView:
@@ -82,7 +82,9 @@ class TestExtractVisualView:
         stack = make_stack(rng, n_answer=3, requires_grad=True)
         rows = attn.answer_query_rows(stack.spans)
         out = attn.refined_map(stack, rows, head_selection(2, 2, [(0, 0)]))
-        assert submatrix_nodes(out)[0].shape == (3, 4)
+        assert out._parents == (stack.planes[0],)
+        # the gradient reaches exactly one [3 x 4] block: 3 query rows, 4 keys
+        assert gradient_support(out, stack) == block(0, 0, rows, 4)
 
     def test_matches_index_lookup_oracle(self, rng):
         stack = make_stack(rng, requires_grad=True)
@@ -90,11 +92,11 @@ class TestExtractVisualView:
         for l in range(2):
             for h in range(2):
                 out = attn.refined_map(stack, rows, head_selection(2, 2, [(l, h)]))
-                sub = submatrix_nodes(out)[0]
+                assert out._parents == (stack.planes[l],)
+                assert gradient_support(out, stack) == block(l, h, rows, 4)
                 m = stack.planes[l].data[h]
-                for i, q in enumerate(rows):
-                    for c in range(4):
-                        assert sub.data[i, c] == m[q, c]
+                for c in range(4):
+                    assert out.data[c] == (m[4, c] + m[6, c] + m[7, c]) / 3
 
     def test_empty_query_set(self, rng):
         stack = make_stack(rng)
@@ -217,8 +219,7 @@ class TestRefinedMap:
         rows = attn.answer_query_rows(stack.spans)
         selected = np.zeros((2, 2), dtype=bool)
         selected[1, 0] = True
-        sel = attn.HeadSelection(ratios=np.zeros((2, 2)), selected=selected,
-                                 top_r=1)
+        sel = attn.HeadSelection(selected=selected, top_r=1)
         out = attn.refined_map(stack, rows, sel)
         expected = stack.planes[1].data[0][list(rows), :4].mean(axis=0)
         assert np.max(np.abs(out.data - expected)) < 1e-15
@@ -260,7 +261,7 @@ class TestRefinedMap:
             for plane in stack.planes:
                 plane.zero_grad()
             out = build(stack, rows, sel)
-            ad.sum_all(ad.mul(out, weights)).backward()
+            sum_all(ad.mul(out, weights)).backward()
             results.append((out.data, [None if p.grad is None else p.grad.copy()
                                        for p in stack.planes]))
         (new, new_grads), (ref, ref_grads) = results
@@ -269,16 +270,23 @@ class TestRefinedMap:
             assert (g_new is None and g_ref is None) or np.array_equal(g_new, g_ref)
 
     @pytest.mark.parametrize("r", [1, 2, 6])
-    def test_graph_holds_only_selected_submatrices(self, rng, monkeypatch, r):
+    def test_graph_holds_only_selected_submatrices(self, rng, r):
         stack = make_stack(rng, n_heads=3, requires_grad=True)
         rows = attn.answer_query_rows(stack.spans)
         sel = attn.select_heads(attn.all_visual_ratios(stack, rows), r)
-        calls = []
-        slice_op = ad.plane_submatrix
-        monkeypatch.setattr(ad, "plane_submatrix",
-                            lambda *a: calls.append(a) or slice_op(*a))
-        assert len(submatrix_nodes(attn.refined_map(stack, rows, sel))) == r
-        assert len(calls) == r  # no unread slice is built either
+        out = attn.refined_map(stack, rows, sel)
+        layers = sorted({l for l, _ in sel.pairs()})
+        assert out._parents == tuple(stack.planes[l] for l in layers)
+        support = gradient_support(out, stack)
+        assert support == set().union(*(block(l, h, rows, 4) for l, h in sel.pairs()))
+        assert len({(l, h) for l, h, _, _ in support}) == r
+        # no unread entry is read either: NaN outside the R blocks changes nothing
+        poisoned = [np.full_like(p.data, np.nan) for p in stack.planes]
+        for l, h in sel.pairs():
+            poisoned[l][h][list(rows), :4] = stack.planes[l].data[h][list(rows), :4]
+        again = attn.refined_map(
+            attn.AttentionStack([Tensor(p) for p in poisoned], stack.spans), rows, sel)
+        assert np.array_equal(again.data, out.data)
 
 
 class TestHeatmaps:

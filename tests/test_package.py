@@ -1,9 +1,11 @@
-"""Package-wide properties: the BLAS thread pin at import time, and no
-config field that the package never reads."""
+"""Package-wide properties: the BLAS thread pin at import time, no config
+field that the package never reads, and no autodiff op that only tests
+call."""
 
 import ast
 import ctypes
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import attnalign
+from attnalign import autodiff
 from attnalign.adapters import AdapterConfig
 from attnalign.data import DataSpec
 from attnalign.model import ModelConfig
@@ -62,3 +65,38 @@ def test_every_config_field_is_read(cls):
     # a declaration is not a load, so a field nothing reads shows up here
     read = attributes_read_in_package()
     assert [f.name for f in dataclasses.fields(cls) if f.name not in read] == []
+
+
+def autodiff_names_used_in_package() -> set[str]:
+    """Every autodiff name that a package module outside autodiff.py loads,
+    as ``alias.name`` on a module alias or as a name imported from it."""
+    names = set()
+    for path in Path(attnalign.__file__).parent.glob("*.py"):
+        if path.name == "autodiff.py":
+            continue
+        tree = ast.parse(path.read_text())
+        aliases, imported = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module == "autodiff":
+                    imported.update(a.asname or a.name for a in node.names)
+                elif node.module is None:
+                    aliases.update(a.asname or a.name for a in node.names
+                                   if a.name == "autodiff")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in aliases:
+                names.add(node.attr)
+            elif isinstance(node, ast.Name) and node.id in imported:
+                names.add(node.id)
+    return names
+
+
+def test_every_autodiff_function_has_a_package_caller():
+    # ops that only tests call belong in tests/references.py; the finite-
+    # difference checker is the one public tool kept for the tests
+    checker = {"finite_diff_check", "finite_diff_check_params"}
+    public = {name for name, fn in vars(autodiff).items()
+              if inspect.isfunction(fn) and fn.__module__ == autodiff.__name__
+              and not name.startswith("_")}
+    assert sorted(public - checker - autodiff_names_used_in_package()) == []

@@ -269,6 +269,34 @@ class TestCli:
         assert repr(name) in err and "checkpoint" in err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("verb", ["train", "weaklabels"])
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["spec"].update(bogus=1),
+         "DataSpec field 'bogus' unexpected in the dataset meta"),
+        (lambda doc: doc["spec"].pop("n_background_segments"),
+         "DataSpec field 'n_background_segments' missing from the dataset meta"),
+        (lambda doc: doc["layout"].update(n_controls=1),
+         "TokenLayout field 'n_controls' unexpected in the dataset meta"),
+    ], ids=["unknown-field", "missing-field", "unknown-layout-field"])
+    def test_meta_must_match_field_for_field(self, tmp_path, data_dir,
+                                             train_config_file, capsys, verb,
+                                             edit, message):
+        # a missing spec field used to train silently on its default, and an
+        # unknown one to end in a TypeError traceback
+        doc = json.loads((data_dir / "meta.json").read_text())
+        edit(doc)
+        (data_dir / "meta.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = {"train": ["train", "--data", str(data_dir), "--out", str(out),
+                          "--config", str(train_config_file)],
+                "weaklabels": ["weaklabels", "--data", str(data_dir / "train.jsonl"),
+                               "--meta", str(data_dir / "meta.json"),
+                               "--out", str(out)]}[verb]
+        assert cli.main(argv) == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+        assert not list(tmp_path.rglob("metrics.jsonl"))
+
     def test_ablation_flags(self, tmp_path, data_dir, train_config_file):
         for flag in ("--no-qmoe", "--no-kmoe", "--no-a3moe"):
             rc = cli.main(["train", "--data", str(data_dir), "--out",

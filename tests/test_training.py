@@ -3,7 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from attnalign import attention as attn
 from attnalign import autodiff as ad
+from attnalign import training
 from attnalign.adapters import AdapterConfig, AdapterSet
 from attnalign.autodiff import Tensor
 from attnalign.data import DataSpec, generate_dataset
@@ -16,6 +18,7 @@ from attnalign.training import TASK_PROFILES, AdamW, TrainConfig, \
 from attnalign.weaklabels import Segment, WeakLabelSet
 
 from conftest import assert_no_children, make_visual
+from references import alignment_loss_composed, refined_map_all_heads
 
 
 def labels_of(*token_sets):
@@ -78,6 +81,30 @@ class TestAlignmentLoss:
         err = ad.finite_diff_check(
             lambda t: alignment_loss(t, labels_of((0, 2), (4,)))[0], m, 1e-6)
         assert err < 1e-6
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bit_identical_to_composition(self, seed):
+        # 50 maps per seed: K = 1-5 segments that may overlap, some zero
+        # entries, upstream gradients of either sign; signed zeros count
+        r = np.random.default_rng(seed)
+        for _ in range(50):
+            n = int(r.integers(3, 12))
+            segs = [tuple(int(t) for t in r.choice(n, int(r.integers(1, n + 1)),
+                                                    replace=False))
+                    for _ in range(int(r.integers(1, 6)))]
+            data = r.random(n) * (r.random(n) < 0.8)
+            data[r.integers(n)] += 0.1
+            scale = float(r.normal())
+            results = []
+            labels = labels_of(*segs)
+            for build in (lambda m: alignment_loss(m, labels),
+                          lambda m: alignment_loss_composed(m, labels.token_sets())):
+                m = Tensor(data.copy(), requires_grad=True)
+                loss, fracs = build(m)
+                ad.mul(loss, scale).backward()
+                results.append((loss.data.tobytes(), np.array(fracs).tobytes(),
+                                m.grad.tobytes()))
+            assert results[0] == results[1], segs
 
 
 class TestLmLoss:
@@ -152,6 +179,70 @@ class TestTotalLoss:
         params = [t for _, t in adapters.params()]
         err = ad.finite_diff_check_params(f, params, 1e-4)
         assert err < 1e-3
+
+
+def graph_size(t: Tensor) -> int:
+    """Tensors reachable from ``t`` through recorded parents, ``t`` included."""
+    seen, todo = set(), [t]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(node._parents)
+    return len(seen)
+
+
+class TestFusedAlignmentPath:
+    """The refined map and the alignment energy, one tape node each, give
+    adapter gradients bit for bit those of the generic-op composition."""
+
+    def setup_case(self, k):
+        train_s, _, meta = small_task()
+        model = VisualDecoder(ModelConfig(n_layers=2, n_heads=2, d_visual=8, d_model=8,
+                                          vocab_size=12, grid=3, max_text_len=6),
+                              seed=0)
+        adapters = AdapterSet(2, 8, model.config.d_ff, SMALL_ADAPTER, seed=1)
+        r = np.random.default_rng(7)
+        for _, t in adapters.params():
+            t.data = r.normal(0.0, 0.3, size=t.data.shape)
+        labels = compute_weak_labels(train_s, meta, k=k)
+        assert all(len(labels[s.id].segments) == k for s in train_s)
+        return model, adapters, train_s, labels
+
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("r", [1, 2, 4])  # R = 4 is every head of 2 x 2
+    def test_adapter_gradients_match_composition(self, monkeypatch, k, r):
+        model, adapters, train_s, labels = self.setup_case(k)
+        cfg = TrainConfig(lambda_align=0.1, heads_r=r, weak_k=k,
+                          adapter=SMALL_ADAPTER)
+
+        def run():
+            out = []
+            for s in train_s[:3]:
+                for _, t in adapters.params():
+                    t.zero_grad()
+                loss, breakdown = total_loss(model, adapters, s, labels[s.id], cfg)
+                loss.backward()
+                out.append((breakdown, [None if t.grad is None else t.grad.tobytes()
+                                        for _, t in adapters.params()]))
+            return out
+
+        fused = run()
+        monkeypatch.setattr(attn, "refined_map", refined_map_all_heads)
+        monkeypatch.setattr(training, "alignment_loss",
+                            lambda m, ls: alignment_loss_composed(m, ls.token_sets()))
+        assert run() == fused
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_alignment_path_adds_five_nodes(self, k):
+        # the refined map, the energy, lambda, lambda * energy, the sum
+        model, adapters, train_s, labels = self.setup_case(k)
+        sizes = [graph_size(total_loss(model, adapters, train_s[0],
+                                       labels[train_s[0].id],
+                                       TrainConfig(lambda_align=lam, heads_r=2,
+                                                   weak_k=k, adapter=SMALL_ADAPTER))[0])
+                 for lam in (0.0, 0.1)]
+        assert sizes[1] - sizes[0] == 5
 
 
 class TestAdamW:
