@@ -21,9 +21,10 @@ from .data import DataSpec, generate_dataset, read_meta, read_samples, \
 from .errors import AttnAlignError
 from .model import ModelConfig, VisualDecoder, VisualInput, load_checkpoint
 from .sweeps import sweep
-from .training import TASK_PROFILES, TrainConfig, compute_weak_labels, train
-from .weaklabels import SyntheticOracleBackend, cache_key, load_weak_label_cache, \
-    record_to_weak_labels, save_weak_label_cache, weak_labels_to_record
+from .training import TASK_PROFILES, TrainConfig, compute_weak_labels, \
+    oracle_backend, train
+from .weaklabels import cache_key, load_weak_label_cache, record_to_weak_labels, \
+    save_weak_label_cache, weak_labels_to_record
 
 
 def _load_config(path: str | None) -> dict:
@@ -77,12 +78,12 @@ def cmd_gen_data(args) -> int:
     if args.seed is not None:
         doc["seed"] = args.seed
     spec = _dataclass_from(DataSpec, doc)
-    train_samples, test_samples, meta = generate_dataset(spec)
+    train_samples, test_samples, _ = generate_dataset(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_samples(out / "train.jsonl", train_samples)
     write_samples(out / "test.jsonl", test_samples)
-    write_meta(out / "meta.json", meta)
+    write_meta(out / "meta.json", spec)
     print(f"wrote {len(train_samples)} train / {len(test_samples)} test samples "
           f"to {out}")
     return 0
@@ -91,13 +92,12 @@ def cmd_gen_data(args) -> int:
 def cmd_weaklabels(args) -> int:
     doc = _load_config(args.config)
     samples = read_samples(args.data)
-    meta = read_meta(args.meta)
+    spec = read_meta(args.meta)
     k = args.topk if args.topk is not None else doc.get("topk", 4)
     noise = args.noise if args.noise is not None else doc.get("noise", 0.0)
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    labels = compute_weak_labels(samples, meta, k, noise=noise, seed=seed)
-    backend_id = SyntheticOracleBackend(meta.concept_vectors, meta.layout.concept_base,
-                                        noise=noise, seed=seed).backend_id
+    labels = compute_weak_labels(samples, spec, k, noise=noise, seed=seed)
+    backend_id = oracle_backend(spec, noise=noise, seed=seed).backend_id
     records = [weak_labels_to_record(s.image_id, s.prompt_id, labels[s.id],
                                      backend_id)
                for s in samples]
@@ -107,30 +107,29 @@ def cmd_weaklabels(args) -> int:
 
 
 def _read_data_dir(path: str, model: VisualDecoder):
-    """Both splits and the meta of a dataset directory, every sample checked
+    """Both splits and the spec of a dataset directory, every sample checked
     against the model before any training starts."""
     data_dir = Path(path)
     train_samples = read_samples(data_dir / "train.jsonl")
     test_samples = read_samples(data_dir / "test.jsonl")
-    meta = read_meta(data_dir / "meta.json")
+    spec = read_meta(data_dir / "meta.json")
     metricsmod.check_compatibility(model, train_samples)
     metricsmod.check_compatibility(model, test_samples)
-    return train_samples, test_samples, meta
+    return train_samples, test_samples, spec
 
 
 def cmd_train(args) -> int:
     doc = _load_config(args.config)
     model_cfg, cfg, model_seed = _build_train_config(doc, args)
     model = VisualDecoder(model_cfg, seed=model_seed)
-    train_samples, test_samples, meta = _read_data_dir(args.data, model)
+    train_samples, test_samples, spec = _read_data_dir(args.data, model)
 
     weak_labels = None
     if cfg.lambda_align > 0 and cfg.heads_r > 0:
         if args.weak_cache:
             # only records of this run's K and backend may stand in for it
-            backend_id = SyntheticOracleBackend(
-                meta.concept_vectors, meta.layout.concept_base,
-                noise=args.weak_noise, seed=cfg.seed).backend_id
+            backend_id = oracle_backend(spec, noise=args.weak_noise,
+                                        seed=cfg.seed).backend_id
             cache = load_weak_label_cache(args.weak_cache)
             weak_labels = {}
             for s in train_samples:
@@ -142,7 +141,7 @@ def cmd_train(args) -> int:
                         f"backend {backend_id} for sample {s.id}")
                 weak_labels[s.id] = record_to_weak_labels(rec)
         else:
-            weak_labels = compute_weak_labels(train_samples, meta, cfg.weak_k,
+            weak_labels = compute_weak_labels(train_samples, spec, cfg.weak_k,
                                               noise=args.weak_noise,
                                               seed=cfg.seed)
 
@@ -169,11 +168,11 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     doc = _load_config(args.config)
     model_cfg, cfg, model_seed = _build_train_config(doc, args)
-    train_samples, test_samples, meta = _read_data_dir(
+    train_samples, test_samples, spec = _read_data_dir(
         args.data, VisualDecoder(model_cfg, seed=model_seed))
     values = [float(v) for v in args.values.split(",") if v != ""]
     rows = sweep(args.param, values, cfg, model_seed, train_samples,
-                 test_samples, meta, model_config=model_cfg, out_csv=args.out)
+                 test_samples, spec, model_config=model_cfg, out_csv=args.out)
     print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0
 

@@ -19,40 +19,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GenerationError, stored_config
+from .errors import CompatibilityError, GenerationError, require_names, \
+    stored_config
 from .weaklabels import Segment
 
-DATASET_SCHEMA = "attnalign-dataset-1"
-
-
-@dataclass(frozen=True)
-class TokenLayout:
-    """Where label / concept / control tokens live in the vocabulary."""
-
-    n_labels: int
-    n_concepts: int
-
-    @property
-    def label_base(self) -> int:
-        return 0
-
-    @property
-    def concept_base(self) -> int:
-        return self.n_labels
-
-    @property
-    def ask_token(self) -> int:
-        return self.n_labels + self.n_concepts
-
-    def concept_token(self, concept: int) -> int:
-        return self.concept_base + concept
-
-    def label_token(self, label: int) -> int:
-        return self.label_base + label
+DATASET_SCHEMA = "attnalign-dataset-2"
 
 
 @dataclass(frozen=True)
 class DataSpec:
+    """Everything that defines a dataset; the token layout and the concept
+    signatures are derived from it, never stored."""
+
     n_train: int = 2000
     n_test: int = 500
     grid: int = 8
@@ -70,7 +48,7 @@ class DataSpec:
     n_background_segments: int = 3
     seed: int = 0
 
-    def validate(self) -> TokenLayout:
+    def validate(self) -> None:
         if self.n_concepts < 2:
             raise GenerationError("need at least 2 concepts")
         if self.n_segments > self.n_concepts:
@@ -88,7 +66,26 @@ class DataSpec:
                 f"segments could cover {worst} of {self.grid * self.grid} patches; "
                 "must stay under half"
             )
-        return TokenLayout(n_labels=self.n_labels, n_concepts=self.n_concepts)
+
+    # the vocabulary holds the label tokens, then the concepts', then ask
+    def label_token(self, label: int) -> int:
+        return label
+
+    @property
+    def concept_base(self) -> int:
+        return self.n_labels
+
+    def concept_token(self, concept: int) -> int:
+        return self.concept_base + concept
+
+    @property
+    def ask_token(self) -> int:
+        return self.n_labels + self.n_concepts
+
+    @property
+    def concept_vectors(self) -> np.ndarray:
+        """[n_concepts x d_visual] channel signatures: concept c is channel c."""
+        return np.eye(self.n_concepts, self.d_visual)
 
 
 @dataclass(frozen=True)
@@ -118,30 +115,6 @@ class SyntheticSample:
         return "p" + "-".join(str(t) for t in self.prompt)
 
 
-@dataclass
-class DatasetMeta:
-    spec: DataSpec
-    layout: TokenLayout
-    concept_vectors: np.ndarray        # [n_concepts x d_visual] channel signatures
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": DATASET_SCHEMA,
-            "spec": asdict(self.spec),
-            "layout": {"n_labels": self.layout.n_labels,
-                       "n_concepts": self.layout.n_concepts},
-            "concept_vectors": [[float(v) for v in row]
-                                for row in self.concept_vectors],
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "DatasetMeta":
-        where = "the dataset meta"
-        return DatasetMeta(spec=stored_config(DataSpec, doc["spec"], where),
-                           layout=stored_config(TokenLayout, doc["layout"], where),
-                           concept_vectors=np.array(doc["concept_vectors"]))
-
-
 def _place_rectangles(rng: np.random.Generator, spec: DataSpec) -> list[tuple[int, ...]]:
     """Disjoint rectangles as token-index tuples; raises when packing fails."""
     g = spec.grid
@@ -168,7 +141,7 @@ def _place_rectangles(rng: np.random.Generator, spec: DataSpec) -> list[tuple[in
 
 
 def _make_sample(idx: int, prefix: str, rng: np.random.Generator,
-                 spec: DataSpec, layout: TokenLayout) -> SyntheticSample:
+                 spec: DataSpec) -> SyntheticSample:
     n = spec.grid * spec.grid
     rects = _place_rectangles(rng, spec)
     concepts = rng.permutation(spec.n_concepts)[: spec.n_segments]
@@ -184,8 +157,8 @@ def _make_sample(idx: int, prefix: str, rng: np.random.Generator,
                                        concept=int(concept), label=int(label)))
 
     queried = segments[queried_slot]
-    prompt = (layout.ask_token, layout.concept_token(queried.concept))
-    answer = (layout.label_token(queried.label),)
+    prompt = (spec.ask_token, spec.concept_token(queried.concept))
+    answer = (spec.label_token(queried.label),)
     return SyntheticSample(id=f"{prefix}{idx:06d}", grid=spec.grid,
                            features=features, segments=tuple(segments),
                            queried_concept=queried.concept, prompt=prompt,
@@ -193,61 +166,53 @@ def _make_sample(idx: int, prefix: str, rng: np.random.Generator,
 
 
 def generate_dataset(spec: DataSpec) -> tuple[list[SyntheticSample],
-                                              list[SyntheticSample], DatasetMeta]:
-    """Deterministic train/test split plus metadata for backends."""
-    layout = spec.validate()
-    concept_vectors = np.zeros((spec.n_concepts, spec.d_visual))
-    concept_vectors[np.arange(spec.n_concepts), np.arange(spec.n_concepts)] = 1.0
-
+                                              list[SyntheticSample], DataSpec]:
+    """Deterministic train/test split, plus the spec that describes it."""
+    spec.validate()
     rng = np.random.default_rng(spec.seed)
-    train = [_make_sample(i, "tr", rng, spec, layout) for i in range(spec.n_train)]
-    test = [_make_sample(i, "te", rng, spec, layout) for i in range(spec.n_test)]
-    meta = DatasetMeta(spec=spec, layout=layout, concept_vectors=concept_vectors)
-    return train, test, meta
+    train = [_make_sample(i, "tr", rng, spec) for i in range(spec.n_train)]
+    test = [_make_sample(i, "te", rng, spec) for i in range(spec.n_test)]
+    return train, test, spec
 
 
 # ---------------------------------------------------------------------------
 # candidate proposal for the weak-label pipeline
 
 
-class PlantedSegmentProposer:
-    """Proposes the planted segments plus deterministic background distractors.
+BACKGROUND_SIDE = 2
 
-    Background rectangles avoid the planted tokens, mimicking a proposer
+
+def propose_segments(sample: SyntheticSample, n_background: int) -> list[Segment]:
+    """The planted segments plus ``n_background`` deterministic background squares.
+
+    Background squares avoid the planted tokens, mimicking a proposer
     that respects region boundaries; partial overlaps would otherwise
     inherit concept signal from the planted region.
     """
-
-    def __init__(self, n_background: int = 3, seg_side: int = 2):
-        self.n_background = n_background
-        self.seg_side = seg_side
-
-    def propose_for_sample(self, sample: SyntheticSample) -> list[Segment]:
-        out = [Segment(id=f"seg{i}", token_indices=s.token_indices,
-                       source="planted")
-               for i, s in enumerate(sample.segments)]
-        planted = set()
-        for s in sample.segments:
-            planted.update(s.token_indices)
-        # stable across processes, unlike the builtin string hash
-        digest = hashlib.sha256(("bg:" + sample.id).encode()).digest()
-        rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
-        g = sample.grid
-        placed = 0
-        for _ in range(50 * self.n_background):
-            if placed >= self.n_background:
-                break
-            x0 = int(rng.integers(0, g - self.seg_side + 1))
-            y0 = int(rng.integers(0, g - self.seg_side + 1))
-            tokens = tuple(y * g + x
-                           for y in range(y0, y0 + self.seg_side)
-                           for x in range(x0, x0 + self.seg_side))
-            if planted.intersection(tokens):
-                continue
-            out.append(Segment(id=f"bg{placed}", token_indices=tokens,
-                               source="background"))
-            placed += 1
-        return out
+    out = [Segment(id=f"seg{i}", token_indices=s.token_indices, source="planted")
+           for i, s in enumerate(sample.segments)]
+    planted = set()
+    for s in sample.segments:
+        planted.update(s.token_indices)
+    # stable across processes, unlike the builtin string hash
+    digest = hashlib.sha256(("bg:" + sample.id).encode()).digest()
+    rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
+    g, side = sample.grid, BACKGROUND_SIDE
+    placed = 0
+    for _ in range(50 * n_background):
+        if placed >= n_background:
+            break
+        x0 = int(rng.integers(0, g - side + 1))
+        y0 = int(rng.integers(0, g - side + 1))
+        tokens = tuple(y * g + x
+                       for y in range(y0, y0 + side)
+                       for x in range(x0, x0 + side))
+        if planted.intersection(tokens):
+            continue
+        out.append(Segment(id=f"bg{placed}", token_indices=tokens,
+                           source="background"))
+        placed += 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +261,18 @@ def read_samples(path: str | Path) -> list[SyntheticSample]:
         return [_sample_from_dict(json.loads(line)) for line in fh]
 
 
-def write_meta(path: str | Path, meta: DatasetMeta) -> None:
-    Path(path).write_text(json.dumps(meta.to_dict(), sort_keys=True, indent=1) + "\n")
+def write_meta(path: str | Path, spec: DataSpec) -> None:
+    doc = {"schema": DATASET_SCHEMA, "spec": asdict(spec)}
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
-def read_meta(path: str | Path) -> DatasetMeta:
-    return DatasetMeta.from_dict(json.loads(Path(path).read_text()))
+def read_meta(path: str | Path) -> DataSpec:
+    """The spec of a meta.json, held to the rules of a checkpoint: the
+    current schema, exactly its sections and fields, and a valid spec."""
+    doc = json.loads(Path(path).read_text())
+    if doc.get("schema") != DATASET_SCHEMA:
+        raise CompatibilityError(f"unknown dataset schema {doc.get('schema')!r}")
+    require_names(("schema", "spec"), doc, "section", "the dataset meta")
+    spec = stored_config(DataSpec, doc["spec"], "the dataset meta")
+    spec.validate()
+    return spec

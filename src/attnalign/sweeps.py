@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
-from .data import DatasetMeta, SyntheticSample
+from .data import DataSpec, SyntheticSample
 from .errors import ParameterError
 from .metrics import MetricsReport, evaluate
 from .model import VisualDecoder
@@ -26,14 +26,13 @@ SWEEPABLE = ("K", "R", "lambda", "B")
 
 
 def run_single(model: VisualDecoder, train_samples: Sequence[SyntheticSample],
-               test_samples: Sequence[SyntheticSample], meta: DatasetMeta,
-               cfg: TrainConfig, weak_noise: float = 0.0
-               ) -> tuple[TrainResult, MetricsReport]:
+               test_samples: Sequence[SyntheticSample], spec: DataSpec,
+               cfg: TrainConfig) -> tuple[TrainResult, MetricsReport]:
     """Train once under cfg and evaluate on the held-out split."""
     labels = None
     if cfg.lambda_align > 0 and cfg.heads_r > 0:
-        labels = compute_weak_labels(train_samples, meta, cfg.weak_k,
-                                     noise=weak_noise, seed=cfg.seed)
+        labels = compute_weak_labels(train_samples, spec, cfg.weak_k,
+                                     seed=cfg.seed)
     result = train(model, train_samples, cfg, weak_labels=labels)
     report = evaluate(model, result.adapters, test_samples)
     return result, report
@@ -57,7 +56,7 @@ def apply_sweep_value(cfg: TrainConfig, param: str, value) -> TrainConfig:
 
 def sweep(param: str, values: Sequence, base_cfg: TrainConfig,
           model_seed: int, train_samples: Sequence[SyntheticSample],
-          test_samples: Sequence[SyntheticSample], meta: DatasetMeta,
+          test_samples: Sequence[SyntheticSample], spec: DataSpec,
           model_config=None, out_csv: str | Path | None = None) -> list[dict]:
     """One run per value; rows keep the spec'd CSV column order."""
     if not values:
@@ -67,7 +66,7 @@ def sweep(param: str, values: Sequence, base_cfg: TrainConfig,
     for value in values:
         cfg = apply_sweep_value(base_cfg, param, value)
         model = VisualDecoder(model_config or ModelConfig(), seed=model_seed)
-        result, report = run_single(model, train_samples, test_samples, meta, cfg)
+        result, report = run_single(model, train_samples, test_samples, spec, cfg)
         rows.append({
             "param": param,
             "value": value,

@@ -22,7 +22,7 @@ from . import autodiff as ad
 from . import cores
 from .adapters import AdapterConfig, AdapterSet
 from .autodiff import Tensor
-from .data import DatasetMeta, PlantedSegmentProposer, SyntheticSample
+from .data import DataSpec, SyntheticSample, propose_segments
 from .errors import ConfigurationError, DegenerateAttentionError, DivergenceError, \
     ParameterError
 from .model import ForwardOutput, VisualDecoder, VisualInput, save_checkpoint
@@ -116,7 +116,15 @@ class AdamW:
             p.zero_grad()
 
 
-def compute_weak_labels(samples: Sequence[SyntheticSample], meta: DatasetMeta,
+def oracle_backend(spec: DataSpec, noise: float = 0.0,
+                   seed: int = 0) -> SyntheticOracleBackend:
+    """The weak-label backend of a dataset: prompts embed as the channel
+    signature of their concept token."""
+    return SyntheticOracleBackend(spec.concept_vectors, spec.concept_base,
+                                  noise=noise, seed=seed)
+
+
+def compute_weak_labels(samples: Sequence[SyntheticSample], spec: DataSpec,
                         k: int, noise: float = 0.0,
                         seed: int = 0) -> dict[str, WeakLabelSet]:
     """Weak labels for every sample, fixed before training and cacheable.
@@ -124,13 +132,10 @@ def compute_weak_labels(samples: Sequence[SyntheticSample], meta: DatasetMeta,
     Each sample's candidates are its planted segments plus the dataset's
     ``n_background_segments`` background distractors.
     """
-    proposer = PlantedSegmentProposer(n_background=meta.spec.n_background_segments)
-    backend = SyntheticOracleBackend(meta.concept_vectors,
-                                     meta.layout.concept_base,
-                                     noise=noise, seed=seed)
+    backend = oracle_backend(spec, noise=noise, seed=seed)
     out = {}
     for s in samples:
-        candidates = proposer.propose_for_sample(s)
+        candidates = propose_segments(s, spec.n_background_segments)
         out[s.id] = select_weak_labels(candidates, s.prompt, s.features,
                                        backend, k)
     return out

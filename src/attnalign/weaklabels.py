@@ -1,7 +1,7 @@
 """Prompt-aware weak-label selection over candidate segments.
 
 Candidate segments (the planted segments plus background distractors,
-see ``data.PlantedSegmentProposer``) get embedded next to the prompt by
+see ``data.propose_segments``) get embedded next to the prompt by
 a pluggable backend, and the K most prompt-similar ones survive an
 adaptive threshold (the K-th order statistic, ties broken by ascending
 segment id). A synthetic oracle backend stands in for real

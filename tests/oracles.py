@@ -95,11 +95,11 @@ def intensity_loop(values, roi):
 # reference classifiers that certify the planted task
 
 
-def roi_oracle_predict(sample, layout):
+def roi_oracle_predict(sample, spec):
     """Reads the RoI directly: argmax of the label channels' mean activation."""
     mean = sample.features[list(sample.roi)].mean(axis=0)
-    label = int(np.argmax(mean[layout.n_concepts: layout.n_concepts + layout.n_labels]))
-    return layout.label_token(label)
+    label = int(np.argmax(mean[spec.n_concepts: spec.n_concepts + spec.n_labels]))
+    return spec.label_token(label)
 
 
 def blind_majority_token(samples):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -52,7 +54,7 @@ class TestGeneration:
         for s in train:
             queried = next(seg for seg in s.segments
                            if seg.concept == s.queried_concept)
-            assert s.answer == (meta.layout.label_token(queried.label),)
+            assert s.answer == (meta.label_token(queried.label),)
 
 
 class TestReferenceClassifiers:
@@ -60,7 +62,7 @@ class TestReferenceClassifiers:
         train, _, meta = generate_dataset(DataSpec(n_train=1000, n_test=1,
                                                    seed=13))
         acc = classifier_accuracy(
-            train, lambda s: roi_oracle_predict(s, meta.layout))
+            train, lambda s: roi_oracle_predict(s, meta))
         assert acc == 1.0
 
     def test_blind_majority_bounded_by_chance(self):
@@ -68,7 +70,7 @@ class TestReferenceClassifiers:
                                                    seed=13))
         majority = blind_majority_token(train)
         acc = classifier_accuracy(train, lambda s: majority)
-        assert acc <= 1.0 / meta.layout.n_labels + 0.05
+        assert acc <= 1.0 / meta.n_labels + 0.05
 
 
 class TestRoundTrip:
@@ -88,7 +90,15 @@ class TestRoundTrip:
         _, _, meta = generate_dataset(DataSpec(n_train=2, n_test=1, seed=2))
         path = tmp_path / "meta.json"
         write_meta(path, meta)
+        assert sorted(json.loads(path.read_text())) == ["schema", "spec"]
         loaded = read_meta(path)
-        assert loaded.spec == meta.spec
-        assert loaded.layout == meta.layout
+        assert loaded == meta
+        assert loaded.concept_base == meta.concept_base
         assert np.array_equal(loaded.concept_vectors, meta.concept_vectors)
+
+    def test_concept_vectors_are_the_concept_channels(self):
+        spec = DataSpec(n_concepts=3, d_visual=8)
+        planted = np.zeros((3, 8))
+        planted[np.arange(3), np.arange(3)] = 1.0
+        assert spec.concept_vectors.dtype == np.float64
+        assert spec.concept_vectors.tobytes() == planted.tobytes()

@@ -31,6 +31,16 @@ def small_data(n_train=8, n_test=4, seed=3):
     return generate_dataset(spec)
 
 
+def schema_1_meta(spec: dict) -> dict:
+    """A meta.json as schema 1 wrote it: the spec plus a stored token layout
+    and concept signatures."""
+    n, d = spec["n_concepts"], spec["d_visual"]
+    return {"schema": "attnalign-dataset-1", "spec": spec,
+            "layout": {"n_labels": spec["n_labels"], "n_concepts": n},
+            "concept_vectors": [[float(i == j) for j in range(d)]
+                                for i in range(n)]}
+
+
 def small_cfg(**kw):
     base = dict(lambda_align=0.1, epochs=1, lr=1e-3, batch_size=4, weak_k=1,
                 heads_r=1, adapter=SMALL_ADAPTER, seed=0)
@@ -275,14 +285,23 @@ class TestCli:
          "DataSpec field 'bogus' unexpected in the dataset meta"),
         (lambda doc: doc["spec"].pop("n_background_segments"),
          "DataSpec field 'n_background_segments' missing from the dataset meta"),
-        (lambda doc: doc["layout"].update(n_controls=1),
-         "TokenLayout field 'n_controls' unexpected in the dataset meta"),
-    ], ids=["unknown-field", "missing-field", "unknown-layout-field"])
+        (lambda doc: doc.update(layout={"n_labels": 7, "n_concepts": 3}),
+         "section 'layout' unexpected in the dataset meta"),
+        (lambda doc: doc.update(schema="attnalign-dataset-0"),
+         "unknown dataset schema 'attnalign-dataset-0'"),
+        (lambda doc: doc.update(schema_1_meta(doc["spec"])),
+         "unknown dataset schema 'attnalign-dataset-1'"),
+        (lambda doc: doc["spec"].update(d_visual=4),
+         "d_visual=4 too small for 3 concepts + 3 labels"),
+    ], ids=["unknown-field", "missing-field", "stored-layout", "schema-0",
+            "schema-1", "invalid-spec"])
     def test_meta_must_match_field_for_field(self, tmp_path, data_dir,
                                              train_config_file, capsys, verb,
                                              edit, message):
-        # a missing spec field used to train silently on its default, and an
-        # unknown one to end in a TypeError traceback
+        # a missing spec field used to train silently on its default, an
+        # unknown one to end in a TypeError traceback, a stored layout that
+        # disagreed with the spec to fail later on a misleading prompt error,
+        # and an unknown schema or an invalid spec to be read as if valid
         doc = json.loads((data_dir / "meta.json").read_text())
         edit(doc)
         (data_dir / "meta.json").write_text(json.dumps(doc))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from attnalign.data import DataSpec, PlantedSegmentProposer, generate_dataset
+from attnalign.data import DataSpec, generate_dataset, propose_segments
 from attnalign.errors import BackendError, DegenerateEmbeddingError, \
     ParameterError
 from attnalign.weaklabels import EmbedderBackend, Segment, \
@@ -151,24 +151,23 @@ class TestSyntheticOracle:
         spec = DataSpec(n_train=8, n_test=2, seed=seed)
         train, _, meta = generate_dataset(spec)
         backend = SyntheticOracleBackend(meta.concept_vectors,
-                                         meta.layout.concept_base, 0.0, 0)
+                                         meta.concept_base, 0.0, 0)
         return train, meta, backend
 
     def test_planted_segment_ranks_first(self):
         train, meta, backend = self.make_case()
-        proposer = PlantedSegmentProposer()
         for sample in train:
-            candidates = proposer.propose_for_sample(sample)
+            candidates = propose_segments(sample, meta.n_background_segments)
             out = select_weak_labels(candidates, sample.prompt,
                                      sample.features, backend, len(candidates))
             assert out.segments[0].token_indices == sample.roi
 
     def test_k1_returns_ground_truth(self):
         train, meta, backend = self.make_case()
-        proposer = PlantedSegmentProposer()
         for sample in train:
-            out = select_weak_labels(proposer.propose_for_sample(sample),
-                                     sample.prompt, sample.features, backend, 1)
+            candidates = propose_segments(sample, meta.n_background_segments)
+            out = select_weak_labels(candidates, sample.prompt, sample.features,
+                                     backend, 1)
             assert len(out.segments) == 1
             assert out.segments[0].token_indices == sample.roi
 
@@ -176,12 +175,12 @@ class TestSyntheticOracle:
         spec = DataSpec(n_train=200, n_test=0, seed=5)
         train, _, meta = generate_dataset(spec)
         backend = SyntheticOracleBackend(meta.concept_vectors,
-                                         meta.layout.concept_base, 0.5, 0)
-        proposer = PlantedSegmentProposer()
+                                         meta.concept_base, 0.5, 0)
         hits = 0
         for sample in train:
-            out = select_weak_labels(proposer.propose_for_sample(sample),
-                                     sample.prompt, sample.features, backend, 1)
+            candidates = propose_segments(sample, meta.n_background_segments)
+            out = select_weak_labels(candidates, sample.prompt, sample.features,
+                                     backend, 1)
             hits += out.segments[0].token_indices == sample.roi
         rate = hits / len(train)
         # measured, not asserted to a value; only sanity bounds
@@ -192,7 +191,7 @@ class TestSyntheticOracle:
         train, meta, _ = self.make_case()
         sample = train[0]
         backend = SyntheticOracleBackend(meta.concept_vectors,
-                                         meta.layout.concept_base, 0.7, 3)
+                                         meta.concept_base, 0.7, 3)
         seg0 = Segment(id="s", token_indices=sample.roi, source="t")
         a = backend.embed_segment(seg0, sample.features)
         b = backend.embed_segment(seg0, sample.features)
