@@ -1,11 +1,14 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Tensors are 0-d scalars, 1-d vectors or 2-d matrices over float64 (plus
-[B x m x n] planes for the batched head ops); there is no broadcasting
-beyond the handful of patterns the models here need. Each differentiable
-op records its parents and a backward closure on the output tensor, so
-the op graph doubles as the tape and is rebuilt on every forward pass
-(selection-dependent graph topology makes a static graph useless).
+Tensors are 0-d scalars, 1-d vectors or 2-d matrices over float64, plus
+the [H x S x S] planes of multi-head attention; there is no broadcasting
+beyond the handful of patterns the models here need. Only the two
+attention ops know that head h owns columns h dh:(h+1) dh of q, k and v.
+
+Each differentiable op records its parents and a backward closure on
+the output tensor, so the op graph doubles as the tape and is rebuilt
+on every forward pass (selection-dependent graph topology makes a
+static graph useless).
 ``Tensor.backward()`` walks the graph once in reverse topological order
 and accumulates gradients additively into every ``requires_grad`` leaf;
 callers zero gradients between steps.
@@ -343,7 +346,7 @@ def softmax_rows(a, mask: np.ndarray | None = None) -> Tensor:
             raise ShapeError(f"softmax mask shape {mask.shape} != input {a.shape}")
         _check_rows_visible(mask)
     y = _softmax_last_axis(a.data, mask)
-    return _wrap(y, (a,), _softmax_backward(a, y))
+    return _wrap(y, (a,), lambda g, sink: sink(a, _softmax_grad_into(g, y)))
 
 
 def _check_rows_visible(mask: np.ndarray) -> None:
@@ -368,14 +371,12 @@ def _softmax_last_axis(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     return y
 
 
-def _softmax_backward(a: Tensor, y: np.ndarray) -> Callable:
-    def back(g, sink):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        g -= dot
-        g *= y
-        sink(a, g)
-
-    return back
+def _softmax_grad_into(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """g = y (g - sum(g y)) along the last axis, in place; returns g."""
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    g -= dot
+    g *= y
+    return g
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -524,73 +525,70 @@ def cross_entropy(logits, targets) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# batched head ops: [H x S x S] planes for multi-head attention
+# multi-head attention: [S x H*dh] columns, head-major, against [H x S x S] planes
 
 
-def split_heads(x, n_heads: int) -> Tensor:
-    """[S x H*dh] columns, head-major, into [H x S x dh] planes."""
-    x = _as_tensor(x)
+def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """[S x H*dh] columns as an [H x S x dh] view; head h owns columns h dh:(h+1) dh."""
     s, d = x.shape
+    return x.reshape(s, n_heads, d // n_heads).transpose(1, 0, 2)
+
+
+def _columns(x: np.ndarray) -> np.ndarray:
+    """[H x S x dh] planes back into [S x H*dh] columns."""
+    h, s, dh = x.shape
+    return x.transpose(1, 0, 2).reshape(s, h * dh)
+
+
+def attention_planes(q, k, n_heads: int, mask: np.ndarray | None = None) -> Tensor:
+    """softmax(q_h k_h^T / sqrt(dh)) of every head, masked as ``softmax_rows``
+    is by one [S x S] mask that all heads share."""
+    q, k = _as_tensor(q), _as_tensor(k)
+    if len(q.shape) != 2 or q.shape != k.shape:
+        raise ShapeError(f"attention_planes: q {q.shape} and k {k.shape} disagree")
+    s, d = q.shape
     if d % n_heads:
         raise ShapeError(f"width {d} not divisible into {n_heads} heads")
-    dh = d // n_heads
-
-    def back(g, sink):
-        sink(x, g.transpose(1, 0, 2).reshape(s, d))
-
-    return _wrap(x.data.reshape(s, n_heads, dh).transpose(1, 0, 2), (x,), back)
-
-
-def merge_heads(x) -> Tensor:
-    """[H x S x dh] planes back into [S x H*dh] columns."""
-    x = _as_tensor(x)
-    h, s, dh = x.shape
-
-    def back(g, sink):
-        sink(x, g.reshape(s, h, dh).transpose(1, 0, 2))
-
-    return _wrap(x.data.transpose(1, 0, 2).reshape(s, h * dh), (x,), back)
-
-
-def transpose_last2(a) -> Tensor:
-    a = _as_tensor(a)
-    if len(a.shape) != 3:
-        raise ShapeError(f"transpose_last2 needs a 3-d tensor, got {a.shape}")
-
-    def back(g, sink):
-        sink(a, g.swapaxes(1, 2))
-
-    return _wrap(a.data.swapaxes(1, 2), (a,), back)
-
-
-def bmm(a, b) -> Tensor:
-    """Plane-wise matrix product of [B x m x k] and [B x k x n]."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if len(a.shape) != 3 or len(b.shape) != 3 or a.shape[0] != b.shape[0] \
-            or a.shape[2] != b.shape[1]:
-        raise ShapeError(f"bmm: incompatible shapes {a.shape} and {b.shape}")
-
-    def back(g, sink):
-        if a.requires_grad:
-            sink(a, g @ b.data.swapaxes(1, 2))
-        if b.requires_grad:
-            sink(b, a.data.swapaxes(1, 2) @ g)
-
-    return _wrap(a.data @ b.data, (a, b), back)
-
-
-def softmax_heads(a, mask: np.ndarray | None = None) -> Tensor:
-    """Last-axis softmax over [H x S x S] planes with one shared [S x S] mask."""
-    a = _as_tensor(a)
-    if len(a.shape) != 3:
-        raise ShapeError(f"softmax_heads needs a 3-d tensor, got {a.shape}")
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != a.shape[1:]:
-            raise ShapeError(f"mask {mask.shape} does not cover planes {a.shape[1:]}")
+        if mask.shape != (s, s):
+            raise ShapeError(f"mask {mask.shape} does not cover planes {(s, s)}")
         _check_rows_visible(mask)
-    y = _softmax_last_axis(a.data, mask)
-    return _wrap(y, (a,), _softmax_backward(a, y))
+    scale = 1.0 / np.sqrt(d // n_heads)
+    q3, k3 = _heads(q.data, n_heads), _heads(k.data, n_heads)
+    scores = q3 @ k3.swapaxes(1, 2)
+    scores *= scale
+    y = _softmax_last_axis(scores, mask)
+
+    def back(g, sink):
+        g = _softmax_grad_into(g, y)
+        g *= scale
+        if q.requires_grad:
+            sink(q, _columns(g @ k3))
+        if k.requires_grad:
+            sink(k, _columns((q3.swapaxes(1, 2) @ g).swapaxes(1, 2)))
+
+    return _wrap(y, (q, k), back)
+
+
+def attend(planes, v) -> Tensor:
+    """planes_h @ v_h of every head, merged into [S x H*dh] columns."""
+    planes, v = _as_tensor(planes), _as_tensor(v)
+    if len(planes.shape) != 3 or len(v.shape) != 2 \
+            or planes.shape[1:] != (v.shape[0], v.shape[0]) \
+            or v.shape[1] % planes.shape[0]:
+        raise ShapeError(f"attend: planes {planes.shape} do not fit values {v.shape}")
+    h = planes.shape[0]
+    v3 = _heads(v.data, h)
+
+    def back(g, sink):
+        g3 = _heads(g, h)
+        if planes.requires_grad:
+            sink(planes, g3 @ v3.swapaxes(1, 2))
+        if v.requires_grad:
+            sink(v, _columns(planes.data.swapaxes(1, 2) @ g3))
+
+    return _wrap(_columns(planes.data @ v3), (planes, v), back)
 
 
 # ---------------------------------------------------------------------------

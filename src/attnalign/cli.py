@@ -1,8 +1,8 @@
 """Command-line entry points.
 
-Verbs: gen-data, weaklabels, train, evaluate, sweep, visualize. Every
-verb accepts --seed and --config; the process exits 0 only when the
-whole requested operation succeeded.
+Verbs: gen-data, weaklabels, train, sweep, evaluate, visualize. The first
+four accept --seed and --config; the process exits 0 only when the whole
+requested operation succeeded.
 """
 
 from __future__ import annotations
@@ -242,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_train)
 
     p = verbs.add_parser("evaluate", help="score a checkpoint on a dataset")
-    common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
@@ -258,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = verbs.add_parser("visualize", help="export attention heatmaps")
-    common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)

@@ -19,8 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CompatibilityError, GenerationError, require_names, \
-    stored_config
+from .errors import GenerationError, read_document, require_names, stored_config
 from .weaklabels import Segment
 
 DATASET_SCHEMA = "attnalign-dataset-2"
@@ -189,7 +188,7 @@ def propose_segments(sample: SyntheticSample, n_background: int) -> list[Segment
     that respects region boundaries; partial overlaps would otherwise
     inherit concept signal from the planted region.
     """
-    out = [Segment(id=f"seg{i}", token_indices=s.token_indices, source="planted")
+    out = [Segment(id=f"seg{i}", token_indices=s.token_indices)
            for i, s in enumerate(sample.segments)]
     planted = set()
     for s in sample.segments:
@@ -209,8 +208,7 @@ def propose_segments(sample: SyntheticSample, n_background: int) -> list[Segment
                        for x in range(x0, x0 + side))
         if planted.intersection(tokens):
             continue
-        out.append(Segment(id=f"bg{placed}", token_indices=tokens,
-                           source="background"))
+        out.append(Segment(id=f"bg{placed}", token_indices=tokens))
         placed += 1
     return out
 
@@ -269,9 +267,8 @@ def write_meta(path: str | Path, spec: DataSpec) -> None:
 def read_meta(path: str | Path) -> DataSpec:
     """The spec of a meta.json, held to the rules of a checkpoint: the
     current schema, exactly its sections and fields, and a valid spec."""
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema") != DATASET_SCHEMA:
-        raise CompatibilityError(f"unknown dataset schema {doc.get('schema')!r}")
+    doc = read_document(path, DATASET_SCHEMA, "dataset", "the dataset meta",
+                        objects=("spec",))
     require_names(("schema", "spec"), doc, "section", "the dataset meta")
     spec = stored_config(DataSpec, doc["spec"], "the dataset meta")
     spec.validate()

@@ -1,12 +1,13 @@
 """Exception types shared across the package.
 
 Every failure mode named in a module contract maps to one of these, so
-callers can catch precisely and tests can assert on type. The rule that
-a file read back (checkpoint, dataset meta) stores exactly the expected
-names lives here too.
+callers can catch precisely and tests can assert on type. The rules for
+a file read back (checkpoint, dataset meta) live here too.
 """
 
+import json
 from dataclasses import fields
+from pathlib import Path
 
 
 class AttnAlignError(Exception):
@@ -86,3 +87,19 @@ def stored_config(cls, stored: dict, source: str):
     require_names({f.name for f in fields(cls)}, stored, f"{cls.__name__} field",
                   source)
     return cls(**stored)
+
+
+def read_document(path: str | Path, schema: str, kind: str, source: str,
+                  objects=(), nullable=()) -> dict:
+    """The JSON object at ``path``, of schema ``schema``, in which each section
+    named in ``objects`` or ``nullable`` (which may be null) is an object."""
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise CompatibilityError(f"{source} is not a JSON object")
+    if doc.get("schema") != schema:
+        raise CompatibilityError(f"unknown {kind} schema {doc.get('schema')!r}")
+    for name in (*objects, *nullable):
+        value = doc.get(name, {})
+        if not isinstance(value, dict) and not (value is None and name in nullable):
+            raise CompatibilityError(f"section {name!r} of {source} is not a JSON object")
+    return doc

@@ -22,8 +22,8 @@ from .adapters import AdapterConfig, AdapterSet, kmoe_apply, kmoe_gate_weights, 
     qmoe_apply, qmoe_weights
 from .attention import AttentionStack, Spans
 from .autodiff import Tensor
-from .errors import CapacityError, CompatibilityError, ShapeError, require_names, \
-    stored_config
+from .errors import CapacityError, CompatibilityError, ShapeError, read_document, \
+    require_names, stored_config
 
 CHECKPOINT_SCHEMA = "attnalign-checkpoint-3"
 
@@ -47,10 +47,6 @@ class ModelConfig:
                      "grid", "max_text_len"):
             if getattr(self, name) <= 0:
                 raise ShapeError(f"{name} must be positive")
-
-    @property
-    def head_dim(self) -> int:
-        return self.d_model // self.n_heads
 
     @property
     def n_visual(self) -> int:
@@ -241,15 +237,8 @@ class VisualDecoder:
                                       la.k_bank))
             k = ad.concat_rows([k_vis, ad.slice_rows(k, c.n_visual, spans.total)])
 
-        v = lwl(h, p[pre + "wv"], "lora_v")
-
-        q3 = ad.split_heads(q, c.n_heads)
-        k3 = ad.split_heads(k, c.n_heads)
-        v3 = ad.split_heads(v, c.n_heads)
-        att = ad.softmax_heads(
-            ad.mul(ad.bmm(q3, ad.transpose_last2(k3)), 1.0 / np.sqrt(c.head_dim)),
-            mask)
-        merged = ad.merge_heads(ad.bmm(att, v3))
+        att = ad.attention_planes(q, k, c.n_heads, mask)
+        merged = ad.attend(att, lwl(h, p[pre + "wv"], "lora_v"))
         out = lwl(merged, p[pre + "wo"], "lora_o")
         x = ad.add(x, out)
 
@@ -314,9 +303,9 @@ def save_checkpoint(path: str | Path, model: VisualDecoder,
 
 
 def load_checkpoint(path: str | Path) -> tuple[VisualDecoder, AdapterSet | None, dict]:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema") != CHECKPOINT_SCHEMA:
-        raise CompatibilityError(f"unknown checkpoint schema {doc.get('schema')!r}")
+    doc = read_document(path, CHECKPOINT_SCHEMA, "checkpoint", "the checkpoint",
+                        objects=("model_config", "tensors", "adapter_tensors"),
+                        nullable=("adapter_config",))
     for section in ("model_config", "adapter_config", "tensors", "adapter_tensors"):
         if section not in doc:
             raise CompatibilityError(f"checkpoint has no {section!r} section")

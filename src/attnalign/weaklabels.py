@@ -28,7 +28,6 @@ class Segment:
 
     id: str
     token_indices: tuple[int, ...]
-    source: str = "unknown"
 
     def __post_init__(self):
         idx = tuple(sorted(int(i) for i in self.token_indices))
@@ -197,8 +196,7 @@ def weak_labels_to_record(image_id: str, prompt_id: str, labels: WeakLabelSet,
 
 
 def record_to_weak_labels(rec: dict) -> WeakLabelSet:
-    segments = tuple(Segment(id=e["id"], token_indices=tuple(e["token_indices"]),
-                             source="cache")
+    segments = tuple(Segment(id=e["id"], token_indices=tuple(e["token_indices"]))
                      for e in rec["segments"])
     sims = {e["id"]: float(e["similarity"]) for e in rec["segments"]}
     return WeakLabelSet(segments=segments, similarities=sims,

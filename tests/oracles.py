@@ -67,6 +67,19 @@ def visual_ratio_loop(full_map, rows, n_visual, n_prompt):
     return vis / tot
 
 
+def generated_ratio_loop(step_maps, step_rows, n_visual, n_prompt):
+    """One head's visual ratio over greedy steps: the emitting row of each
+    step's map, visual mass over visual plus prompt mass."""
+    vis = 0.0
+    tot = 0.0
+    for full_map, q in zip(step_maps, step_rows):
+        for c in range(n_visual):
+            vis += full_map[q, c]
+        for c in range(n_visual + n_prompt):
+            tot += full_map[q, c]
+    return vis / tot
+
+
 def topk_select_loop(values, k, ids=None):
     """Indices of the k largest values; ties by ascending id/index."""
     n = len(values)
@@ -283,7 +296,7 @@ def straight_line_forward(model, visual, prompt, answer, adapters=None):
 
         v_mat = h @ p[pre + "wv"].T + _lora(h, la.lora_v if la else None)
 
-        dh = cfg.head_dim
+        dh = cfg.d_model // cfg.n_heads
         merged = np.zeros_like(h)
         layer_maps = []
         for head in range(cfg.n_heads):

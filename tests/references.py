@@ -88,6 +88,90 @@ def scale_rows(a, s) -> Tensor:
     return ad._wrap(a.data * s.data[:, None], (a, s), back)
 
 
+# the nine-node attention chain that ``attention_planes`` and ``attend`` fuse
+
+
+def split_heads(x, n_heads: int) -> Tensor:
+    """[S x H*dh] columns, head-major, into [H x S x dh] planes."""
+    x = ad._as_tensor(x)
+    s, d = x.shape
+    if d % n_heads:
+        raise ShapeError(f"width {d} not divisible into {n_heads} heads")
+    dh = d // n_heads
+
+    def back(g, sink):
+        sink(x, g.transpose(1, 0, 2).reshape(s, d))
+
+    return ad._wrap(x.data.reshape(s, n_heads, dh).transpose(1, 0, 2), (x,), back)
+
+
+def merge_heads(x) -> Tensor:
+    """[H x S x dh] planes back into [S x H*dh] columns."""
+    x = ad._as_tensor(x)
+    h, s, dh = x.shape
+
+    def back(g, sink):
+        sink(x, g.reshape(s, h, dh).transpose(1, 0, 2))
+
+    return ad._wrap(x.data.transpose(1, 0, 2).reshape(s, h * dh), (x,), back)
+
+
+def transpose_last2(a) -> Tensor:
+    a = ad._as_tensor(a)
+    if len(a.shape) != 3:
+        raise ShapeError(f"transpose_last2 needs a 3-d tensor, got {a.shape}")
+
+    def back(g, sink):
+        sink(a, g.swapaxes(1, 2))
+
+    return ad._wrap(a.data.swapaxes(1, 2), (a,), back)
+
+
+def bmm(a, b) -> Tensor:
+    """Plane-wise matrix product of [B x m x k] and [B x k x n]."""
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    if len(a.shape) != 3 or len(b.shape) != 3 or a.shape[0] != b.shape[0] \
+            or a.shape[2] != b.shape[1]:
+        raise ShapeError(f"bmm: incompatible shapes {a.shape} and {b.shape}")
+
+    def back(g, sink):
+        if a.requires_grad:
+            sink(a, g @ b.data.swapaxes(1, 2))
+        if b.requires_grad:
+            sink(b, a.data.swapaxes(1, 2) @ g)
+
+    return ad._wrap(a.data @ b.data, (a, b), back)
+
+
+def softmax_heads(a, mask=None) -> Tensor:
+    """Last-axis softmax over [H x S x S] planes with one shared [S x S] mask."""
+    a = ad._as_tensor(a)
+    if len(a.shape) != 3:
+        raise ShapeError(f"softmax_heads needs a 3-d tensor, got {a.shape}")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != a.shape[1:]:
+            raise ShapeError(f"mask {mask.shape} does not cover planes {a.shape[1:]}")
+        ad._check_rows_visible(mask)
+    y = ad._softmax_last_axis(a.data, mask)
+
+    def back(g, sink):
+        sink(a, ad._softmax_grad_into(g, y))
+
+    return ad._wrap(y, (a,), back)
+
+
+def attention_chain(q, k, v, n_heads: int, mask=None) -> tuple[Tensor, Tensor]:
+    """The planes and the merged output as the decoder layer built them
+    before ``attention_planes`` and ``attend``."""
+    q3 = split_heads(q, n_heads)
+    k3 = split_heads(k, n_heads)
+    v3 = split_heads(v, n_heads)
+    dh = q.shape[1] // n_heads
+    att = softmax_heads(ad.mul(bmm(q3, transpose_last2(k3)), 1.0 / np.sqrt(dh)), mask)
+    return att, merge_heads(bmm(att, v3))
+
+
 def lora_apply(lora: LoRAAdapter, x: Tensor) -> Tensor:
     """x @ delta^T without materializing the full matrix."""
     return ad.matmul(ad.matmul(x, transpose(lora.A)), transpose(lora.B))

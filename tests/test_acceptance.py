@@ -199,7 +199,7 @@ def test_a5_selection_sort_oracles():
         n = int(r.integers(2, 12))
         sims = {f"s{i:02d}": float(r.integers(0, 4)) / 4.0 for i in range(n)}
         backend = MappedBackend(sims)
-        candidates = [Segment(id=sid, token_indices=(i,), source="t")
+        candidates = [Segment(id=sid, token_indices=(i,))
                       for i, sid in enumerate(sims)]
         k = int(r.integers(1, n + 2))
         out = select_weak_labels(candidates, (0,), image, backend, k)

@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 from attnalign import attention as attn
 from attnalign import autodiff as ad
 from attnalign.autodiff import Tensor
-from attnalign.errors import ParameterError, SelectionError
+from attnalign.errors import DegenerateRatioError, ParameterError, SelectionError
 
-from oracles import mean_map_loop, refined_map_loop, topk_select_loop, \
-    visual_ratio_loop
+from oracles import generated_ratio_loop, mean_map_loop, refined_map_loop, \
+    topk_select_loop, visual_ratio_loop
 from references import refined_map_all_heads, sum_all
 
 
@@ -287,6 +287,82 @@ class TestRefinedMap:
         again = attn.refined_map(
             attn.AttentionStack([Tensor(p) for p in poisoned], stack.spans), rows, sel)
         assert np.array_equal(again.data, out.data)
+
+
+def greedy_steps(rng, answers=(0, 1)):
+    """Stacks of greedy steps that have generated ``answers`` tokens so far,
+    so each is one row longer than the last, and each step's emitting row."""
+    stacks = [make_stack(rng, n_answer=a) for a in answers]
+    return stacks, [s.spans.total - 1 for s in stacks]
+
+
+def step_views(stacks, rows):
+    """Per head, the emitting rows' visual vectors stacked over the steps."""
+    n = stacks[0].spans.n_visual
+    return [[np.array([s.planes[l].data[h][r, :n] for s, r in zip(stacks, rows)])
+             for h in range(stacks[0].n_heads)]
+            for l in range(stacks[0].n_layers)]
+
+
+def step_ratios(stacks, rows):
+    """Row-major [L*H] visual ratios from the loop oracle."""
+    spans = stacks[0].spans
+    return [generated_ratio_loop([s.planes[l].data[h] for s in stacks], rows,
+                                 spans.n_visual, spans.n_prompt)
+            for l in range(stacks[0].n_layers) for h in range(stacks[0].n_heads)]
+
+
+class TestGeneratedMaps:
+    def test_mean_map_matches_loop(self, rng):
+        stacks, rows = greedy_steps(rng)
+        out = attn.generated_query_mean_map(stacks, rows)
+        assert np.max(np.abs(out - mean_map_loop(step_views(stacks, rows)))) < 1e-12
+
+    def test_head_maps_match_loops(self, rng):
+        stacks, rows = greedy_steps(rng)
+        vis, ratios = attn.generated_head_maps(stacks, rows)
+        views = step_views(stacks, rows)
+        assert vis.shape == (2, 2, 4) and ratios.shape == (2, 2)
+        for l in range(2):
+            for h in range(2):
+                assert np.max(np.abs(vis[l, h] - views[l][h].mean(axis=0))) < 1e-12
+        assert np.max(np.abs(ratios.reshape(-1) - step_ratios(stacks, rows))) < 1e-12
+
+    @pytest.mark.parametrize("top_r", [1, 2, 4])
+    def test_refined_map_matches_loop(self, rng, top_r):
+        stacks, rows = greedy_steps(rng)
+        out = attn.generated_query_refined_map(stacks, rows, top_r)
+        picked = topk_select_loop(step_ratios(stacks, rows), top_r)
+        selected = [[2 * l + h in picked for h in range(2)] for l in range(2)]
+        oracle = refined_map_loop(step_views(stacks, rows), selected)
+        assert np.max(np.abs(out - oracle)) < 1e-12
+
+    @pytest.mark.parametrize("maps", [
+        attn.generated_query_mean_map,
+        attn.generated_head_maps,
+        lambda stacks, rows: attn.generated_query_refined_map(stacks, rows, 1),
+    ], ids=["mean", "heads", "refined"])
+    def test_no_steps(self, maps):
+        with pytest.raises(SelectionError, match="no generation steps"):
+            maps([], [])
+
+    @pytest.mark.parametrize("maps", [
+        attn.generated_head_maps,
+        lambda stacks, rows: attn.generated_query_refined_map(stacks, rows, 1),
+    ], ids=["heads", "refined"])
+    def test_head_without_visual_or_prompt_mass(self, rng, maps):
+        stacks, rows = greedy_steps(rng, answers=(1, 2))
+        for stack, row in zip(stacks, rows):
+            plane = stack.planes[1].data[0]
+            plane[row] = 0.0
+            plane[row, row] = 1.0   # every step's emitting row reads only itself
+        with pytest.raises(DegenerateRatioError):
+            maps(stacks, rows)
+
+    def test_refined_map_needs_a_head(self, rng):
+        stacks, rows = greedy_steps(rng)
+        with pytest.raises(ParameterError, match="top_r >= 1"):
+            attn.generated_query_refined_map(stacks, rows, 0)
 
 
 class TestHeatmaps:

@@ -9,7 +9,8 @@ from attnalign.training import AdamW
 
 from oracles import adamw_ref, gelu_value_slope, layer_norm_ref, \
     linear_with_lora_ref, mlp_two_layer_ref, softmax_ref, softmax_row_decimal
-from references import sum_all
+from references import attention_chain, bmm, merge_heads, softmax_heads, \
+    split_heads, sum_all
 
 
 def scalar_of(t):
@@ -215,6 +216,8 @@ class TestStructuralOps:
 
 
 class TestFusedOps:
+    # split_heads, merge_heads, bmm and softmax_heads live in references.py:
+    # they build the chain that attention_planes and attend are pinned to
     def test_linear_with_lora_matches_composition(self, rng):
         x = ad.Tensor(rng.normal(size=(5, 6)))
         w = ad.Tensor(rng.normal(size=(4, 6)))
@@ -237,23 +240,23 @@ class TestFusedOps:
 
     def test_head_ops_roundtrip(self, rng):
         x = rng.normal(size=(6, 8))
-        planes = ad.split_heads(ad.Tensor(x), 2)
+        planes = split_heads(ad.Tensor(x), 2)
         assert planes.shape == (2, 6, 4)
         assert np.array_equal(planes.data[1], x[:, 4:])
-        back = ad.merge_heads(planes)
+        back = merge_heads(planes)
         assert np.array_equal(back.data, x)
 
     def test_bmm_matches_per_plane(self, rng):
         a = rng.normal(size=(3, 4, 5))
         b = rng.normal(size=(3, 5, 2))
-        out = ad.bmm(ad.Tensor(a), ad.Tensor(b))
+        out = bmm(ad.Tensor(a), ad.Tensor(b))
         for i in range(3):
             assert np.max(np.abs(out.data[i] - a[i] @ b[i])) < 1e-12
 
     def test_softmax_heads_matches_softmax_rows(self, rng):
         x = rng.normal(size=(2, 4, 4))
         mask = np.tril(np.ones((4, 4), dtype=bool))
-        out3 = ad.softmax_heads(ad.Tensor(x), mask)
+        out3 = softmax_heads(ad.Tensor(x), mask)
         for i in range(2):
             out2 = ad.softmax_rows(ad.Tensor(x[i]), mask)
             assert np.max(np.abs(out3.data[i] - out2.data)) < 1e-15
@@ -344,12 +347,13 @@ class TestKernelsBitExact:
     @pytest.mark.parametrize("magnitude", MAGNITUDES)
     @pytest.mark.parametrize("masked", [False, True])
     def test_softmax_heads(self, rng, masked, magnitude):
+        # the reference chain's softmax, which attention_planes must reproduce
         (x,) = leaves(rng, [(4, 67, 67)], magnitude)
         mask = np.tril(np.ones((67, 67), dtype=bool)) if masked else None
         if masked:
             mask[:, :64] = True
         g = rng.normal(size=(4, 67, 67))
-        out = ad.softmax_heads(x, mask)
+        out = softmax_heads(x, mask)
         backward_with(out, g)
         value, grad = softmax_ref(x.data, mask, g)
         assert_bits(out.data, value)
@@ -403,3 +407,140 @@ class TestKernelsBitExact:
         assert not ad.add(frozen, frozen).requires_grad
         with ad.no_grad():
             assert not ad.add(frozen, leaf).requires_grad
+
+
+N_HEADS = 4
+# head widths 16 (A1's, whose 1/sqrt(dh) is a power of two and so cannot
+# show a moved scale) and 12
+WIDTHS = [64, 48]
+
+
+def attention_mask(masked):
+    """The decoder's mask at A1 shape: 64 visual keys, causal text keys."""
+    if not masked:
+        return None
+    mask = np.tril(np.ones((67, 67), dtype=bool))
+    mask[:, :64] = True
+    return mask
+
+
+def heads(x):
+    s, d = x.shape
+    return x.reshape(s, N_HEADS, d // N_HEADS).transpose(1, 0, 2)
+
+
+def columns(x):
+    h, s, dh = x.shape
+    return x.transpose(1, 0, 2).reshape(s, h * dh)
+
+
+def fused_attention(q, k, v, mask):
+    planes = ad.attention_planes(q, k, N_HEADS, mask)
+    return planes, ad.attend(planes, v)
+
+
+class TestAttentionOps:
+    """attention_planes and attend reproduce the nine-node chain in
+    references.py bit for bit, and the plain softmax in oracles.py."""
+
+    def run(self, build, q, k, v, mask, g_out, g_planes):
+        """Values and q/k/v gradients of sum(out g_out) + sum(planes g_planes);
+        the second term stands for the refined map reading the planes."""
+        for t in (q, k, v):
+            t.zero_grad()
+        planes, out = build(q, k, v, mask)
+        ad.add(sum_all(ad.mul(out, ad.Tensor(g_out))),
+               sum_all(ad.mul(planes, ad.Tensor(g_planes)))).backward()
+        return [planes.data, out.data] + [t.grad for t in (q, k, v)]
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("magnitude", MAGNITUDES)
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_bit_exact_against_chain(self, rng, masked, magnitude, width):
+        q, k, v = leaves(rng, [(67, width)] * 3, magnitude)
+        g = (rng.normal(size=(67, width)), rng.normal(size=(N_HEADS, 67, 67)))
+        mask = attention_mask(masked)
+        fused = self.run(fused_attention, q, k, v, mask, *g)
+        chain = self.run(lambda *a: attention_chain(*a[:3], N_HEADS, a[3]),
+                         q, k, v, mask, *g)
+        for actual, expected in zip(fused, chain):
+            assert_bits(actual, expected)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("magnitude", MAGNITUDES)
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_attend_plane_gradient_against_chain(self, rng, masked, magnitude,
+                                                 width):
+        q, k, v = leaves(rng, [(67, width)] * 3, magnitude)
+        g = rng.normal(size=(67, width))
+        data = ad.attention_planes(q, k, N_HEADS, attention_mask(masked)).data
+        results = []
+        for build in (ad.attend,
+                      lambda p, v: merge_heads(bmm(p, split_heads(v, N_HEADS)))):
+            planes = ad.Tensor(data.copy(), requires_grad=True)
+            v.zero_grad()
+            out = build(planes, v)
+            backward_with(out, g)
+            results.append((out.data, planes.grad, v.grad))
+        for actual, expected in zip(*results):
+            assert_bits(actual, expected)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("magnitude", MAGNITUDES)
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_planes_against_softmax_oracle(self, rng, masked, magnitude, width):
+        q, k = leaves(rng, [(67, width)] * 2, magnitude)
+        g = rng.normal(size=(N_HEADS, 67, 67))
+        mask = attention_mask(masked)
+        planes = ad.attention_planes(q, k, N_HEADS, mask)
+        backward_with(planes, g)
+        q3, k3 = heads(q.data), heads(k.data)
+        scale = 1.0 / np.sqrt(width // N_HEADS)
+        value, g_scores = softmax_ref((q3 @ k3.swapaxes(1, 2)) * scale, mask, g)
+        assert_bits(planes.data, value)
+        g_scores = g_scores * scale
+        assert_bits(q.grad, columns(g_scores @ k3))
+        assert_bits(k.grad, columns((q3.swapaxes(1, 2) @ g_scores).swapaxes(1, 2)))
+
+    def test_backward_vs_finite_differences(self, rng):
+        q, k, v = leaves(rng, [(6, 8)] * 3, 1.0)
+        mask = np.tril(np.ones((6, 6), dtype=bool))
+        mask[:, :2] = True
+        g_planes = ad.Tensor(rng.normal(size=(2, 6, 6)))
+
+        def f():
+            planes = ad.attention_planes(q, k, 2, mask)
+            return ad.add(scalar_of(ad.attend(planes, v)),
+                          sum_all(ad.mul(planes, g_planes)))
+
+        assert ad.finite_diff_check_params(f, [q, k, v], 1e-6) < 1e-6
+
+    def test_shape_and_mask_errors(self):
+        x = ad.Tensor(np.zeros((5, 8)))
+        with pytest.raises(ShapeError, match="disagree"):
+            ad.attention_planes(x, ad.Tensor(np.zeros((5, 6))), 2)
+        with pytest.raises(ShapeError, match="not divisible into 3 heads"):
+            ad.attention_planes(x, x, 3)
+        with pytest.raises(ShapeError, match="does not cover"):
+            ad.attention_planes(x, x, 2, np.ones((5, 4), dtype=bool))
+        mask = np.ones((5, 5), dtype=bool)
+        mask[3] = False
+        with pytest.raises(DegenerateRowError, match="row 3"):
+            ad.attention_planes(x, x, 2, mask)
+        planes = ad.attention_planes(x, x, 2)
+        for bad_planes, bad_v in [(planes, ad.Tensor(np.zeros((4, 8)))),
+                                  (planes, ad.Tensor(np.zeros((5, 7)))),
+                                  (ad.Tensor(np.zeros((5, 5))), x)]:
+            with pytest.raises(ShapeError, match="attend"):
+                ad.attend(bad_planes, bad_v)
+
+    def test_two_nodes_with_parents_in_chain_order(self, rng):
+        # the tape adds the contributions into q, k and v's common input in
+        # an order that follows these parents; (q, k) and (planes, v) keep
+        # the chain's order, so the layer-norm input gradient stays bit-exact
+        q, k, v = leaves(rng, [(5, 8)] * 3, 1.0)
+        planes, out = fused_attention(q, k, v, None)
+        assert planes._parents == (q, k)
+        assert out._parents == (planes, v)
+        with ad.no_grad():
+            assert not any(t.requires_grad for t in fused_attention(q, k, v, None))

@@ -160,7 +160,7 @@ class TestVisualEquivariance:
                            adapter=TINY_ADAPTER)
         from attnalign.weaklabels import Segment, WeakLabelSet
         def labels_for(tokens):
-            seg = Segment(id="s", token_indices=tokens, source="test")
+            seg = Segment(id="s", token_indices=tokens)
             return WeakLabelSet(segments=(seg,), similarities={"s": 1.0},
                                 tau=1.0, k=1)
 

@@ -1,7 +1,8 @@
 """Package-wide properties: the BLAS thread pin at import time, no config
-field that the package never reads, and no autodiff op that only tests
-call."""
+field that the package never reads, no autodiff op that only tests call,
+and no CLI option that its verb ignores."""
 
+import argparse
 import ast
 import ctypes
 import dataclasses
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import attnalign
-from attnalign import autodiff
+from attnalign import autodiff, cli
 from attnalign.adapters import AdapterConfig
 from attnalign.data import DataSpec
 from attnalign.model import ModelConfig
@@ -100,3 +101,52 @@ def test_every_autodiff_function_has_a_package_caller():
               if inspect.isfunction(fn) and fn.__module__ == autodiff.__name__
               and not name.startswith("_")}
     assert sorted(public - checker - autodiff_names_used_in_package()) == []
+
+
+def cli_options_read() -> dict[str, set[str]]:
+    """Per cli.py function, the options it reads from ``args``: an
+    ``args.<dest>`` load or a ``getattr(args, "<dest>", ...)``, in its own
+    body or in a cli.py function that it passes ``args`` to."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    reads = {name: set() for name in funcs}
+    callees = {name: set() for name in funcs}
+
+    def is_args(node):
+        return isinstance(node, ast.Name) and node.id == "args"
+
+    for name, fn in funcs.items():
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
+                    and is_args(node.value):
+                reads[name].add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "getattr" and len(node.args) >= 2 \
+                        and is_args(node.args[0]) \
+                        and isinstance(node.args[1], ast.Constant):
+                    reads[name].add(node.args[1].value)
+                elif node.func.id in funcs and any(map(is_args, node.args)):
+                    callees[name].add(node.func.id)
+
+    def closure(name, seen):
+        seen.add(name)
+        out = set(reads[name])
+        for callee in callees[name] - seen:
+            out |= closure(callee, seen)
+        return out
+
+    return {name: closure(name, set()) for name in funcs}
+
+
+def test_every_cli_option_is_read_by_its_verb():
+    # an option that its command never reads is accepted and silently
+    # ignored, as evaluate's and visualize's --config and --seed once were
+    read = cli_options_read()
+    verbs = next(a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    unread = [f"{verb} {action.dest}"
+              for verb, parser in verbs.items()
+              for action in parser._actions
+              if action.dest != "help"
+              and action.dest not in read[parser.get_default("fn").__name__]]
+    assert unread == []

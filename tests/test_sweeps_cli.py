@@ -254,30 +254,52 @@ class TestCli:
         assert not out.exists()
         assert not list(tmp_path.rglob("metrics.jsonl"))
 
-    @pytest.mark.parametrize("edit,name", [
-        (lambda doc: doc["adapter_config"].update(bogus=1), "bogus"),
-        (lambda doc: doc["model_config"].pop("max_text_len"), "max_text_len"),
-        (lambda doc: doc.pop("tensors"), "tensors"),
+    @pytest.mark.parametrize("edit,fragment", [
+        (lambda doc: doc["adapter_config"].update(bogus=1), "'bogus'"),
+        (lambda doc: doc["model_config"].pop("max_text_len"), "'max_text_len'"),
+        (lambda doc: doc.pop("tensors"), "'tensors'"),
         (lambda doc: doc.update(schema="attnalign-checkpoint-2"),
-         "attnalign-checkpoint-2"),
-    ], ids=["extra-field", "missing-field", "missing-section", "old-schema"])
+         "'attnalign-checkpoint-2'"),
+        ([], "error: the checkpoint is not a JSON object\n"),
+        (lambda doc: doc.update(model_config=None),
+         "error: section 'model_config' of the checkpoint is not a JSON object\n"),
+        (lambda doc: doc.update(adapter_tensors=[]),
+         "error: section 'adapter_tensors' of the checkpoint is not a JSON object\n"),
+        (lambda doc: doc.update(adapter_config=[]),
+         "error: section 'adapter_config' of the checkpoint is not a JSON object\n"),
+    ], ids=["extra-field", "missing-field", "missing-section", "old-schema",
+            "not-an-object", "null-config", "list-section", "list-config"])
     def test_checkpoint_must_match_field_for_field(self, tmp_path, data_dir,
-                                                   capsys, edit, name):
+                                                   capsys, edit, fragment):
+        # a top level or a section that is not an object used to end in an
+        # AttributeError or TypeError traceback
         model = VisualDecoder(SMALL_MODEL, seed=0)
         adapters = AdapterSet(SMALL_MODEL.n_layers, SMALL_MODEL.d_model,
                               SMALL_MODEL.d_ff, SMALL_ADAPTER)
         ckpt = tmp_path / "checkpoint.json"
         save_checkpoint(ckpt, model, adapters)
         doc = json.loads(ckpt.read_text())
-        edit(doc)
+        if callable(edit):
+            edit(doc)
+        else:
+            doc = edit   # the whole document replaced
         ckpt.write_text(json.dumps(doc))
         rc = cli.main(["evaluate", "--checkpoint", str(ckpt), "--data",
                        str(data_dir / "test.jsonl"), "--out",
                        str(tmp_path / "report.json")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert repr(name) in err and "checkpoint" in err
+        assert fragment in err and "checkpoint" in err
         assert not (tmp_path / "report.json").exists()
+
+    def test_checkpoint_without_adapters_stores_null_config(self, tmp_path,
+                                                             data_dir):
+        ckpt = tmp_path / "checkpoint.json"
+        save_checkpoint(ckpt, VisualDecoder(SMALL_MODEL, seed=0))
+        assert json.loads(ckpt.read_text())["adapter_config"] is None
+        assert cli.main(["evaluate", "--checkpoint", str(ckpt), "--data",
+                         str(data_dir / "test.jsonl"), "--out",
+                         str(tmp_path / "report.json")]) == 0
 
     @pytest.mark.parametrize("verb", ["train", "weaklabels"])
     @pytest.mark.parametrize("edit,message", [
@@ -293,17 +315,24 @@ class TestCli:
          "unknown dataset schema 'attnalign-dataset-1'"),
         (lambda doc: doc["spec"].update(d_visual=4),
          "d_visual=4 too small for 3 concepts + 3 labels"),
+        ([], "the dataset meta is not a JSON object"),
+        (lambda doc: doc.update(spec=None),
+         "section 'spec' of the dataset meta is not a JSON object"),
     ], ids=["unknown-field", "missing-field", "stored-layout", "schema-0",
-            "schema-1", "invalid-spec"])
+            "schema-1", "invalid-spec", "not-an-object", "null-spec"])
     def test_meta_must_match_field_for_field(self, tmp_path, data_dir,
                                              train_config_file, capsys, verb,
                                              edit, message):
         # a missing spec field used to train silently on its default, an
         # unknown one to end in a TypeError traceback, a stored layout that
         # disagreed with the spec to fail later on a misleading prompt error,
-        # and an unknown schema or an invalid spec to be read as if valid
+        # and an unknown schema or an invalid spec to be read as if valid; a
+        # top level or a spec that is not an object ended in a traceback
         doc = json.loads((data_dir / "meta.json").read_text())
-        edit(doc)
+        if callable(edit):
+            edit(doc)
+        else:
+            doc = edit   # the whole document replaced
         (data_dir / "meta.json").write_text(json.dumps(doc))
         out = tmp_path / "out"
         argv = {"train": ["train", "--data", str(data_dir), "--out", str(out),

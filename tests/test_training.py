@@ -22,7 +22,7 @@ from references import alignment_loss_composed, refined_map_all_heads
 
 
 def labels_of(*token_sets):
-    segs = tuple(Segment(id=f"s{i}", token_indices=ts, source="test")
+    segs = tuple(Segment(id=f"s{i}", token_indices=ts)
                  for i, ts in enumerate(token_sets))
     sims = {s.id: 1.0 for s in segs}
     return WeakLabelSet(segments=segs, similarities=sims, tau=1.0,

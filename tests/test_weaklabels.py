@@ -52,7 +52,7 @@ class TestCosine:
 
 
 def seg(sid, tokens=(0,)):
-    return Segment(id=sid, token_indices=tokens, source="test")
+    return Segment(id=sid, token_indices=tokens)
 
 
 class TestSelectWeakLabels:
@@ -192,7 +192,7 @@ class TestSyntheticOracle:
         sample = train[0]
         backend = SyntheticOracleBackend(meta.concept_vectors,
                                          meta.concept_base, 0.7, 3)
-        seg0 = Segment(id="s", token_indices=sample.roi, source="t")
+        seg0 = Segment(id="s", token_indices=sample.roi)
         a = backend.embed_segment(seg0, sample.features)
         b = backend.embed_segment(seg0, sample.features)
         assert np.array_equal(a, b)
