@@ -63,7 +63,7 @@ from .adapters import AdapterConfig, AdapterSet, ExpertBank, GatingNetwork, \
     LoRAAdapter, RouterDecision
 from .attention import AttentionStack, HeadSelection, Spans, refined_map, \
     select_heads
-from .autodiff import Tensor, finite_diff_check, no_grad
+from .autodiff import Tensor, no_grad
 from .data import DataSpec, SyntheticSample, generate_dataset
 from .metrics import MetricsReport, coverage_score, evaluate, intensity_alignment
 from .model import ModelConfig, VisualDecoder, VisualInput, load_checkpoint, \

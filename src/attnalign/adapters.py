@@ -10,8 +10,16 @@ Both mixtures are one mechanism, a weighted sum of low-rank experts.
 An expert bank stacks its O rank-r experts into two tensors, A [O r x
 d_in] and B [d_out x O r], expert o being the row block A[o r:(o+1) r]
 and the column block B[:, o r:(o+1) r]. Either router's weights go
-through the one fused op ``autodiff.lowrank_rows_apply`` as an [S x O]
-matrix: the query side repeats its single weight vector on every row.
+through the one fused op ``autodiff.lowrank_rows_apply``: the query
+side passes its single [O] weight vector, which every row uses, and the
+key side its [N x O] matrix for the N visual rows, the text rows getting
+no delta.
+
+Each router is two tape nodes here, and the decoder layer's sum into q
+or k is the third. The gate node reads the residual stream directly: it
+takes the router's rows, mean-pools them (query side), runs the gate MLP
+and the softmax, and masks all but the top-B weights (key side). The
+apply node mixes the experts into the whole projection.
 """
 
 from __future__ import annotations
@@ -104,10 +112,6 @@ class GatingNetwork:
                          requires_grad=True)
         self.b2 = Tensor(np.zeros(n_out), requires_grad=True)
 
-    def logits(self, h: Tensor) -> Tensor:
-        """h is [m x d_in]; returns [m x n_out]."""
-        return ad.mlp_two_layer(h, self.w1, self.b1, self.w2, self.b2)
-
     def params(self, prefix: str) -> list[tuple[str, Tensor]]:
         return [(prefix + ".w1", self.w1), (prefix + ".b1", self.b1),
                 (prefix + ".w2", self.w2), (prefix + ".b2", self.b2)]
@@ -136,13 +140,65 @@ def topb_mask_rows(weights: np.ndarray, b: int) -> np.ndarray:
     return mask
 
 
-def qmoe_weights(h_prompt: Tensor, bank: ExpertBank,
+def _gate(x: Tensor, start: int, stop: int, gate: GatingNetwork, pool: bool,
+          b: int = 0) -> tuple[Tensor, np.ndarray, np.ndarray | None]:
+    """softmax(MLP(rows start:stop of x)) as one tape node, the rows
+    mean-pooled into one first when ``pool``; with ``b`` only each row's
+    top-b weights survive. Returns the node, the unmasked weights and the
+    top-b mask (None without ``b``); a pooled node is an [O] vector.
+
+    The forward and backward repeat, in order, the arithmetic of the chain
+    slice, mean-pool, two-layer MLP, softmax and mask product.
+    """
+    if len(x.shape) != 2 or not (0 <= start < stop <= x.shape[0]):
+        raise ShapeError(f"router rows {start}:{stop} do not fit input {x.shape}")
+    w1, b1, w2, b2 = gate.w1, gate.b1, gate.w2, gate.b2
+    inp = x.data[start:stop]
+    if pool:
+        inp = inp.mean(axis=0).reshape(1, -1)
+    u = inp @ w1.data
+    u += b1.data
+    hidden, t = ad._gelu_value(u)
+    logits = hidden @ w2.data
+    logits += b2.data
+    y = ad._softmax_last_axis(logits, None)
+    keep = keepf = None
+    out = y[0] if pool else y
+    if b:
+        keep = topb_mask_rows(y, b)
+        keepf = keep.astype(np.float64)
+        out = y * keepf
+
+    def back(g, sink):
+        g = g.reshape(y.shape)
+        if keepf is not None:
+            g = g * keepf
+        g = ad._softmax_grad_into(g, y)
+        if b2.requires_grad:
+            sink(b2, g.sum(axis=0))
+        if w2.requires_grad:
+            sink(w2, hidden.T @ g)
+        gu = ad._gelu_slope_into(g @ w2.data.T, u, t)
+        if b1.requires_grad:
+            sink(b1, gu.sum(axis=0))
+        if w1.requires_grad:
+            sink(w1, inp.T @ gu)
+        if x.requires_grad:
+            gx = gu @ w1.data.T
+            if pool:
+                gx = np.broadcast_to(gx.reshape(-1) / (stop - start),
+                                     (stop - start, gx.shape[1]))
+            z = np.zeros_like(x.data)
+            z[start:stop] = gx
+            sink(x, z)
+
+    return ad._wrap(out, (x, w1, b1, w2, b2), back), y, keep
+
+
+def qmoe_weights(x: Tensor, rows: range, bank: ExpertBank,
                  gate: GatingNetwork) -> tuple[Tensor, RouterDecision]:
-    """Prompt-level router weights: softmax(MLP(mean(h_prompt))), length O."""
-    if h_prompt.shape[0] < 1:
-        raise ShapeError("prompt routing needs at least one prompt row")
-    pooled = ad.reshape(ad.mean_pool_rows(h_prompt), (1, h_prompt.shape[1]))
-    alpha = ad.reshape(ad.softmax_rows(gate.logits(pooled)), (len(bank),))
+    """Prompt-level router weights softmax(MLP(mean(x[rows]))), length O."""
+    alpha, _, _ = _gate(x, rows.start, rows.stop, gate, pool=True)
     decision = RouterDecision(weights=alpha.data.copy(),
                               kept=np.ones(len(bank), dtype=bool))
     return alpha, decision
@@ -150,28 +206,26 @@ def qmoe_weights(h_prompt: Tensor, bank: ExpertBank,
 
 def qmoe_apply(x: Tensor, alpha: Tensor, bank: ExpertBank) -> Tensor:
     """x @ delta^T for the alpha-weighted mixture, without materializing it."""
-    rows = ad.take(ad.reshape(alpha, (1, len(bank))),
-                   np.zeros(x.shape[0], dtype=np.intp))
-    return ad.lowrank_rows_apply(x, rows, bank.A, bank.B, bank.rank)
+    return ad.lowrank_rows_apply(x, alpha, bank.A, bank.B, bank.rank)
 
 
-def kmoe_gate_weights(h_tokens: Tensor, bank: ExpertBank, gate: GatingNetwork,
-                      b: int) -> tuple[Tensor, RouterDecision]:
-    """Per-token sparse gate weights [n_tokens x n_experts].
+def kmoe_gate_weights(x: Tensor, n_tokens: int, bank: ExpertBank,
+                      gate: GatingNetwork, b: int) -> tuple[Tensor, RouterDecision]:
+    """Per-token sparse gate weights [n_tokens x n_experts] of x's first
+    n_tokens rows.
 
-    Row c holds softmax(MLP(h_c)) with everything outside its top-b
+    Row c holds softmax(MLP(x_c)) with everything outside its top-b
     entries zeroed; surviving weights are not renormalized.
     """
     if not (1 <= b <= len(bank)):
         raise ParameterError(f"top_b={b} outside [1, {len(bank)}]")
-    beta = ad.softmax_rows(gate.logits(h_tokens))
-    keep = topb_mask_rows(beta.data, b)
-    masked = ad.mul(beta, Tensor(keep.astype(np.float64)))
-    return masked, RouterDecision(weights=beta.data, kept=keep)
+    weights, beta, keep = _gate(x, 0, n_tokens, gate, pool=False, b=b)
+    return weights, RouterDecision(weights=beta, kept=keep)
 
 
 def kmoe_apply(x: Tensor, weights: Tensor, bank: ExpertBank) -> Tensor:
-    """Row-wise x_c @ delta_c^T in factored form.
+    """Row-wise x_c @ delta_c^T in factored form for the first N rows of x,
+    N being the rows of ``weights``; the later rows get a zero delta.
 
     Equals applying the materialized per-token deltas row by row, to
     1e-12, at a fraction of the tape size.

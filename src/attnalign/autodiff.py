@@ -4,6 +4,8 @@ Tensors are 0-d scalars, 1-d vectors or 2-d matrices over float64, plus
 the [H x S x S] planes of multi-head attention; there is no broadcasting
 beyond the handful of patterns the models here need. Only the two
 attention ops know that head h owns columns h dh:(h+1) dh of q, k and v.
+The two router gates are single nodes too; ``adapters.py`` builds them
+from this module's private row kernels (the gelu and softmax halves).
 
 Each differentiable op records its parents and a backward closure on
 the output tensor, so the op graph doubles as the tape and is rebuilt
@@ -42,12 +44,11 @@ FLOPs, at the sizes used here):
 from __future__ import annotations
 
 import contextlib
-import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateRowError, NumericError, ShapeError
+from .errors import DegenerateRowError, ShapeError
 
 _grad_enabled = True
 
@@ -244,19 +245,8 @@ def matmul(a, b) -> Tensor:
     return _wrap(a.data @ b.data, (a, b), back)
 
 
-def reshape(a, shape: tuple[int, ...]) -> Tensor:
-    a = _as_tensor(a)
-    if math.prod(shape) != a.data.size:
-        raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-
-    def back(g, sink):
-        sink(a, g.reshape(a.shape))
-
-    return _wrap(a.data.reshape(shape), (a,), back)
-
-
 # ---------------------------------------------------------------------------
-# structure: concatenation, slicing, gathering
+# structure: concatenation, gathering
 
 
 def concat_rows(parts: Sequence) -> Tensor:
@@ -301,52 +291,8 @@ def take(a, indices) -> Tensor:
     return _wrap(a.data[idx], (a,), back)
 
 
-def slice_rows(a, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
-    if len(a.shape) != 2 or not (0 <= start <= stop <= a.shape[0]):
-        raise ShapeError(f"slice_rows[{start}:{stop}] invalid for shape {a.shape}")
-
-    def back(g, sink):
-        z = np.zeros_like(a.data)
-        z[start:stop] = g
-        sink(a, z)
-
-    return _wrap(a.data[start:stop], (a,), back)
-
-
 # ---------------------------------------------------------------------------
-# reductions and row ops
-
-
-def mean_pool_rows(a) -> Tensor:
-    """Column-wise arithmetic mean; an [m x n] matrix pools to [n]."""
-    a = _as_tensor(a)
-    if len(a.shape) != 2 or a.shape[0] < 1:
-        raise ShapeError(f"mean_pool_rows needs a nonempty 2-d tensor, got {a.shape}")
-    m = a.shape[0]
-
-    def back(g, sink):
-        sink(a, np.broadcast_to(g / m, a.shape))
-
-    return _wrap(a.data.mean(axis=0), (a,), back)
-
-
-def softmax_rows(a, mask: np.ndarray | None = None) -> Tensor:
-    """Row-stochastic softmax, stabilized by row-max subtraction.
-
-    ``mask`` marks visible entries with True; masked entries come out
-    exactly 0. A row with no visible entry raises DegenerateRowError.
-    """
-    a = _as_tensor(a)
-    if len(a.shape) != 2:
-        raise ShapeError(f"softmax_rows needs a 2-d tensor, got {a.shape}")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != a.shape:
-            raise ShapeError(f"softmax mask shape {mask.shape} != input {a.shape}")
-        _check_rows_visible(mask)
-    y = _softmax_last_axis(a.data, mask)
-    return _wrap(y, (a,), lambda g, sink: sink(a, _softmax_grad_into(g, y)))
+# row kernels shared by the fused nodes, here and in adapters.py
 
 
 def _check_rows_visible(mask: np.ndarray) -> None:
@@ -423,38 +369,6 @@ def gelu(a) -> Tensor:
         sink(a, _gelu_slope_into(g, a.data, t))
 
     return _wrap(y, (a,), back)
-
-
-def mlp_two_layer(x, w1, b1, w2, b2) -> Tensor:
-    """gelu(x w1 + b1) w2 + b2 as one tape node (router MLPs)."""
-    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
-    if len(x.shape) != 2 or x.shape[1] != w1.shape[0] \
-            or w1.shape[1] != w2.shape[0] \
-            or b1.shape != (w1.shape[1],) or b2.shape != (w2.shape[1],):
-        raise ShapeError(
-            f"mlp_two_layer: shapes {x.shape}, {w1.shape}, {b1.shape}, "
-            f"{w2.shape}, {b2.shape} do not chain"
-        )
-    u = x.data @ w1.data
-    u += b1.data
-    hidden, t = _gelu_value(u)
-    out = hidden @ w2.data
-    out += b2.data
-
-    def back(g, sink):
-        if b2.requires_grad:
-            sink(b2, g.sum(axis=0))
-        if w2.requires_grad:
-            sink(w2, hidden.T @ g)
-        gu = _gelu_slope_into(g @ w2.data.T, u, t)
-        if b1.requires_grad:
-            sink(b1, gu.sum(axis=0))
-        if w1.requires_grad:
-            sink(w1, x.data.T @ gu)
-        if x.requires_grad:
-            sink(x, gu @ w1.data.T)
-
-    return _wrap(out, (x, w1, b1, w2, b2), back)
 
 
 def layer_norm_rows(a, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -541,8 +455,9 @@ def _columns(x: np.ndarray) -> np.ndarray:
 
 
 def attention_planes(q, k, n_heads: int, mask: np.ndarray | None = None) -> Tensor:
-    """softmax(q_h k_h^T / sqrt(dh)) of every head, masked as ``softmax_rows``
-    is by one [S x S] mask that all heads share."""
+    """softmax(q_h k_h^T / sqrt(dh)) of every head under one [S x S] mask that
+    all heads share: True marks a visible key, a masked entry comes out
+    exactly 0, and a row with no visible key raises DegenerateRowError."""
     q, k = _as_tensor(q), _as_tensor(k)
     if len(q.shape) != 2 or q.shape != k.shape:
         raise ShapeError(f"attention_planes: q {q.shape} and k {k.shape} disagree")
@@ -637,86 +552,44 @@ def lowrank_rows_apply(x, weights, a, b, rank: int) -> Tensor:
     """Row-wise mixture of stacked low-rank experts in two GEMMs.
 
     Expert o is the row block A[o r:(o+1) r] of ``a`` [O r x d_in] and the
-    column block B[:, o r:(o+1) r] of ``b`` [d_out x O r]. Row c of the
-    result is x_c @ (sum_o weights[c, o] B_o A_o)^T, computed as
-    ((x A^T) * repeat(weights, r)) B^T.
+    column block B[:, o r:(o+1) r] of ``b`` [d_out x O r]. ``weights`` is
+    either one [O] vector that every row of x uses, or [m x O] weights for
+    the first m rows, the rows from m on getting a zero delta. Row c < m of
+    the result is x_c @ (sum_o w_c[o] B_o A_o)^T, computed as
+    ((x[:m] A^T) * repeat(w, r)) B^T; the GEMMs see only those m rows.
     """
     x, weights, a, b = (_as_tensor(t) for t in (x, weights, a, b))
-    if len(x.shape) != 2 or len(weights.shape) != 2 or len(b.shape) != 2 \
-            or weights.shape[0] != x.shape[0] \
-            or a.shape != (weights.shape[1] * rank, x.shape[1]) \
-            or b.shape[1] != a.shape[0]:
+    shared = len(weights.shape) == 1
+    s = x.shape[0] if len(x.shape) == 2 else -1
+    m = weights.shape[0] if len(weights.shape) == 2 else s
+    n_exp = weights.shape[-1] if weights.shape else -1
+    if len(x.shape) != 2 or len(weights.shape) not in (1, 2) \
+            or len(b.shape) != 2 or m > s \
+            or a.shape != (n_exp * rank, x.shape[1]) or b.shape[1] != a.shape[0]:
         raise ShapeError(
             f"lowrank_rows_apply: x {x.shape}, weights {weights.shape}, "
             f"A {a.shape}, B {b.shape} do not fit rank {rank}"
         )
-    s, n_exp = weights.shape
-    u = x.data @ a.data.T                                   # [S x O r]
-    wr = np.repeat(weights.data, rank, axis=1)              # [S x O r]
+    rows = x.data[:m]
+    u = rows @ a.data.T                                     # [m x O r]
+    wr = np.repeat(weights.data, rank, axis=-1)             # [(m x) O r]
     z = u * wr
 
+    def pad(y):                     # zero rows for x's rows from m on
+        return y if m == s else np.concatenate([y, np.zeros((s - m, y.shape[1]))])
+
     def back(g, sink):
-        gz = g @ b.data                                     # [S x O r]
+        g = g[:m]
+        gz = g @ b.data                                     # [m x O r]
         if weights.requires_grad:
-            sink(weights, (gz * u).reshape(s, n_exp, rank).sum(axis=2))
+            gw = (gz * u).reshape(m, n_exp, rank).sum(axis=2)
+            sink(weights, gw.sum(axis=0) if shared else gw)
         gu = gz * wr
         if x.requires_grad:
-            sink(x, gu @ a.data)
+            sink(x, pad(gu @ a.data))
         if a.requires_grad:
-            sink(a, gu.T @ x.data)
+            sink(a, gu.T @ rows)
         if b.requires_grad:
             sink(b, g.T @ z)
 
-    return _wrap(z @ b.data.T, (x, weights, a, b), back)
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-
-
-def _scalar_value(y) -> float:
-    if not isinstance(y, Tensor) or y.shape != ():
-        raise ShapeError("finite_diff_check needs a scalar Tensor result")
-    val = float(y.data)
-    if not np.isfinite(val):
-        raise NumericError(f"objective evaluated to non-finite value {val}")
-    return val
-
-
-def finite_diff_check(f, x: Tensor, step: float = 1e-5) -> float:
-    """Worst-coordinate gradient error of f at x.
-
-    Returns max_i |analytic_i - central_i| / max(1, |central_i|), where
-    central_i is the central difference (f(x + step e_i) - f(x - step
-    e_i)) / (2 step). Mutates x.data in place during probing and
-    restores it; x.grad is left holding the analytic gradient.
-    """
-    return finite_diff_check_params(lambda: f(x), [x], step)
-
-
-def finite_diff_check_params(f, params: Iterable[Tensor], step: float = 1e-4) -> float:
-    """Worst gradient error of a no-argument objective over many leaves."""
-    params = list(params)
-    for p in params:
-        p.zero_grad()
-    y = f()
-    _scalar_value(y)
-    y.backward()
-    analytic = [np.array(p.grad) if p.grad is not None else np.zeros_like(p.data)
-                for p in params]
-
-    worst = 0.0
-    for p, g in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        gf = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            fp = _scalar_value(f())
-            flat[i] = orig - step
-            fm = _scalar_value(f())
-            flat[i] = orig
-            central = (fp - fm) / (2.0 * step)
-            err = abs(gf[i] - central) / max(1.0, abs(central))
-            worst = max(worst, err)
-    return worst
+    return _wrap(pad(z @ b.data.T), (x, weights, a, b), back)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -220,22 +221,18 @@ class VisualDecoder:
 
         q = lwl(h, p[pre + "wq"], "lora_q")
         if la is not None and acfg.use_qmoe:
-            h_prompt = ad.slice_rows(x, spans.prompt_range.start,
-                                     spans.prompt_range.stop)
-            alpha, q_dec = qmoe_weights(h_prompt, la.q_bank, la.q_gate)
+            alpha, q_dec = qmoe_weights(x, spans.prompt_range, la.q_bank, la.q_gate)
             adapters.last_decisions[f"layer{l}.q"] = q_dec
             q = ad.add(q, qmoe_apply(h, alpha, la.q_bank))
 
         k = lwl(h, p[pre + "wk"], "lora_k")
         if la is not None and acfg.use_kmoe:
-            h_vis_gate = ad.slice_rows(x, 0, c.n_visual)
-            weights, k_dec = kmoe_gate_weights(h_vis_gate, la.k_bank, la.k_gate,
+            weights, k_dec = kmoe_gate_weights(x, c.n_visual, la.k_bank, la.k_gate,
                                                acfg.top_b)
             adapters.last_decisions[f"layer{l}.k"] = k_dec
-            k_vis = ad.add(ad.slice_rows(k, 0, c.n_visual),
-                           kmoe_apply(ad.slice_rows(h, 0, c.n_visual), weights,
-                                      la.k_bank))
-            k = ad.concat_rows([k_vis, ad.slice_rows(k, c.n_visual, spans.total)])
+            # the delta first: the tape then sums the gradients into h in
+            # the order the earlier slice-and-splice chain did
+            k = ad.add(kmoe_apply(h, weights, la.k_bank), k)
 
         att = ad.attention_planes(q, k, c.n_heads, mask)
         merged = ad.attend(att, lwl(h, p[pre + "wv"], "lora_v"))
@@ -280,9 +277,28 @@ def _encode_array(a: np.ndarray) -> dict:
             "data": base64.b64encode(arr.tobytes()).decode("ascii")}
 
 
-def _decode_array(entry: dict) -> np.ndarray:
-    raw = base64.b64decode(entry["data"])
-    return np.frombuffer(raw, dtype=np.float64).reshape(entry["shape"]).copy()
+def _decode_entry(name: str, entry) -> np.ndarray:
+    """The array of checkpoint tensor ``name`` from its entry, which must be
+    exactly {shape, data}: non-negative int dimensions and base64 of exactly
+    their product of float64 values."""
+    where = f"checkpoint tensor {name!r}"
+    if not isinstance(entry, dict) or set(entry) != {"shape", "data"}:
+        raise CompatibilityError(f"{where} is not an object of exactly "
+                                 "'shape' and 'data'")
+    shape = entry["shape"]
+    if not isinstance(shape, list) \
+            or not all(type(n) is int and n >= 0 for n in shape):
+        raise CompatibilityError(
+            f"{where} has shape {shape!r}, not a list of non-negative ints")
+    try:
+        raw = base64.b64decode(entry["data"], validate=True)
+    except (TypeError, ValueError):
+        raise CompatibilityError(f"{where} has data that is not base64") from None
+    size = 8 * math.prod(shape)
+    if len(raw) != size:
+        raise CompatibilityError(
+            f"{where} holds {len(raw)} bytes, its shape {tuple(shape)} needs {size}")
+    return np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
 
 
 def save_checkpoint(path: str | Path, model: VisualDecoder,
@@ -326,8 +342,8 @@ def _restore(tensors: dict[str, Tensor], entries: dict) -> None:
     """Overwrite every tensor from its entry; names and shapes must match exactly."""
     require_names(tensors, entries, "tensor", "the checkpoint")
     for name, t in tensors.items():
-        shape = tuple(entries[name]["shape"])
-        if shape != t.shape:
-            raise CompatibilityError(
-                f"checkpoint tensor {name!r} has shape {shape}, model needs {t.shape}")
-        t.data = _decode_array(entries[name])
+        data = _decode_entry(name, entries[name])
+        if data.shape != t.shape:
+            raise CompatibilityError(f"checkpoint tensor {name!r} has shape "
+                                     f"{data.shape}, model needs {t.shape}")
+        t.data = data

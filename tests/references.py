@@ -5,11 +5,13 @@ materialized or unfused forms of what the hot path computes in factored
 or pruned form, kept so tests can compare the two.
 """
 
+import math
+
 import numpy as np
 
 from attnalign import autodiff as ad
 from attnalign.adapters import ExpertBank, GatingNetwork, LoRAAdapter, \
-    RouterDecision, kmoe_gate_weights, qmoe_weights
+    RouterDecision, kmoe_gate_weights, qmoe_weights, topb_mask_rows
 from attnalign.attention import AttentionStack, HeadSelection
 from attnalign.autodiff import Tensor
 from attnalign.errors import ConfigurationError, DegenerateAttentionError, \
@@ -172,6 +174,144 @@ def attention_chain(q, k, v, n_heads: int, mask=None) -> tuple[Tensor, Tensor]:
     return att, merge_heads(bmm(att, v3))
 
 
+# the generic ops that built the two routers before their gate nodes, and
+# the router chain itself
+
+
+def reshape(a, shape: tuple[int, ...]) -> Tensor:
+    a = ad._as_tensor(a)
+    if math.prod(shape) != a.data.size:
+        raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
+
+    def back(g, sink):
+        sink(a, g.reshape(a.shape))
+
+    return ad._wrap(a.data.reshape(shape), (a,), back)
+
+
+def slice_rows(a, start: int, stop: int) -> Tensor:
+    a = ad._as_tensor(a)
+    if len(a.shape) != 2 or not (0 <= start <= stop <= a.shape[0]):
+        raise ShapeError(f"slice_rows[{start}:{stop}] invalid for shape {a.shape}")
+
+    def back(g, sink):
+        z = np.zeros_like(a.data)
+        z[start:stop] = g
+        sink(a, z)
+
+    return ad._wrap(a.data[start:stop], (a,), back)
+
+
+def mean_pool_rows(a) -> Tensor:
+    """Column-wise arithmetic mean; an [m x n] matrix pools to [n]."""
+    a = ad._as_tensor(a)
+    if len(a.shape) != 2 or a.shape[0] < 1:
+        raise ShapeError(f"mean_pool_rows needs a nonempty 2-d tensor, got {a.shape}")
+    m = a.shape[0]
+
+    def back(g, sink):
+        sink(a, np.broadcast_to(g / m, a.shape))
+
+    return ad._wrap(a.data.mean(axis=0), (a,), back)
+
+
+def softmax_rows(a, mask: np.ndarray | None = None) -> Tensor:
+    """Row-stochastic softmax, stabilized by row-max subtraction.
+
+    ``mask`` marks visible entries with True; masked entries come out
+    exactly 0. A row with no visible entry raises DegenerateRowError.
+    """
+    a = ad._as_tensor(a)
+    if len(a.shape) != 2:
+        raise ShapeError(f"softmax_rows needs a 2-d tensor, got {a.shape}")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != a.shape:
+            raise ShapeError(f"softmax mask shape {mask.shape} != input {a.shape}")
+        ad._check_rows_visible(mask)
+    y = ad._softmax_last_axis(a.data, mask)
+    return ad._wrap(y, (a,), lambda g, sink: sink(a, ad._softmax_grad_into(g, y)))
+
+
+def mlp_two_layer(x, w1, b1, w2, b2) -> Tensor:
+    """gelu(x w1 + b1) w2 + b2 as one tape node (router MLPs)."""
+    x, w1, b1, w2, b2 = (ad._as_tensor(t) for t in (x, w1, b1, w2, b2))
+    if len(x.shape) != 2 or x.shape[1] != w1.shape[0] \
+            or w1.shape[1] != w2.shape[0] \
+            or b1.shape != (w1.shape[1],) or b2.shape != (w2.shape[1],):
+        raise ShapeError(
+            f"mlp_two_layer: shapes {x.shape}, {w1.shape}, {b1.shape}, "
+            f"{w2.shape}, {b2.shape} do not chain"
+        )
+    u = x.data @ w1.data
+    u += b1.data
+    hidden, t = ad._gelu_value(u)
+    out = hidden @ w2.data
+    out += b2.data
+
+    def back(g, sink):
+        if b2.requires_grad:
+            sink(b2, g.sum(axis=0))
+        if w2.requires_grad:
+            sink(w2, hidden.T @ g)
+        gu = ad._gelu_slope_into(g @ w2.data.T, u, t)
+        if b1.requires_grad:
+            sink(b1, gu.sum(axis=0))
+        if w1.requires_grad:
+            sink(w1, x.data.T @ gu)
+        if x.requires_grad:
+            sink(x, gu @ w1.data.T)
+
+    return ad._wrap(out, (x, w1, b1, w2, b2), back)
+
+
+def gate_logits(gate: GatingNetwork, h: Tensor) -> Tensor:
+    """The router MLP's logits, [m x d_in] to [m x n_out]."""
+    return mlp_two_layer(h, gate.w1, gate.b1, gate.w2, gate.b2)
+
+
+def qmoe_weights_chain(x: Tensor, rows: range, bank: ExpertBank,
+                       gate: GatingNetwork) -> tuple[Tensor, RouterDecision]:
+    """``qmoe_weights`` as six nodes: slice, mean-pool, reshape, MLP,
+    softmax, reshape."""
+    h_prompt = slice_rows(x, rows.start, rows.stop)
+    pooled = reshape(mean_pool_rows(h_prompt), (1, h_prompt.shape[1]))
+    alpha = reshape(softmax_rows(gate_logits(gate, pooled)), (len(bank),))
+    decision = RouterDecision(weights=alpha.data.copy(),
+                              kept=np.ones(len(bank), dtype=bool))
+    return alpha, decision
+
+
+def qmoe_apply_chain(x: Tensor, alpha: Tensor, bank: ExpertBank) -> Tensor:
+    """``qmoe_apply`` with alpha gathered into one [S x O] row per token."""
+    rows = ad.take(reshape(alpha, (1, len(bank))),
+                   np.zeros(x.shape[0], dtype=np.intp))
+    return ad.lowrank_rows_apply(x, rows, bank.A, bank.B, bank.rank)
+
+
+def kmoe_gate_weights_chain(x: Tensor, n_tokens: int, bank: ExpertBank,
+                            gate: GatingNetwork,
+                            b: int) -> tuple[Tensor, RouterDecision]:
+    """``kmoe_gate_weights`` as slice, MLP, softmax and the mask product."""
+    if not (1 <= b <= len(bank)):
+        raise ParameterError(f"top_b={b} outside [1, {len(bank)}]")
+    beta = softmax_rows(gate_logits(gate, slice_rows(x, 0, n_tokens)))
+    keep = topb_mask_rows(beta.data, b)
+    masked = ad.mul(beta, Tensor(keep.astype(np.float64)))
+    return masked, RouterDecision(weights=beta.data, kept=keep)
+
+
+def kmoe_splice_chain(k: Tensor, h: Tensor, weights: Tensor,
+                      bank: ExpertBank) -> Tensor:
+    """k with the key-side delta added to its first N rows, as the decoder
+    layer spliced it before ``add(kmoe_apply(h, weights, bank), k)``."""
+    n = weights.shape[0]
+    k_vis = ad.add(slice_rows(k, 0, n),
+                   ad.lowrank_rows_apply(slice_rows(h, 0, n), weights, bank.A,
+                                         bank.B, bank.rank))
+    return ad.concat_rows([k_vis, slice_rows(k, n, k.shape[0])])
+
+
 def lora_apply(lora: LoRAAdapter, x: Tensor) -> Tensor:
     """x @ delta^T without materializing the full matrix."""
     return ad.matmul(ad.matmul(x, transpose(lora.A)), transpose(lora.B))
@@ -191,15 +331,15 @@ def qmoe_delta(h_prompt: Tensor, bank: ExpertBank,
     model's hot path applies the same mixture in factored form
     (`qmoe_apply`); both agree to 1e-12.
     """
-    alpha, decision = qmoe_weights(h_prompt, bank, gate)
+    alpha, decision = qmoe_weights(h_prompt, range(h_prompt.shape[0]), bank, gate)
     return _mixture_delta(bank, alpha), decision
 
 
 def kmoe_delta_per_token(h_tokens: Tensor, bank: ExpertBank, gate: GatingNetwork,
                          b: int) -> tuple[list[Tensor], RouterDecision]:
     """Materialized per-token deltas of the key-side mixture."""
-    weights, decision = kmoe_gate_weights(h_tokens, bank, gate, b)
-    deltas = [_mixture_delta(bank, ad.reshape(ad.take(weights, [c]), (len(bank),)))
+    weights, decision = kmoe_gate_weights(h_tokens, h_tokens.shape[0], bank, gate, b)
+    deltas = [_mixture_delta(bank, reshape(ad.take(weights, [c]), (len(bank),)))
               for c in range(h_tokens.shape[0])]
     return deltas, decision
 
@@ -226,7 +366,7 @@ def adapted_projection(x: Tensor, base_w: Tensor,
             raise ShapeError("more per-token deltas than rows")
         rows = []
         for i, delta in enumerate(per_token_deltas):
-            row = ad.slice_rows(x, i, i + 1)
+            row = slice_rows(x, i, i + 1)
             if delta is None:
                 rows.append(Tensor(np.zeros((1, out.shape[1]))))
             else:
@@ -261,7 +401,7 @@ def refined_map_all_heads(stack: AttentionStack, query_rows,
         for h in range(stack.n_heads):
             if not selection.selected[l, h]:
                 continue
-            v = ad.mean_pool_rows(per_head[l][h])
+            v = mean_pool_rows(per_head[l][h])
             acc = v if acc is None else ad.add(acc, v)
     return ad.mul(acc, 1.0 / selection.top_r)
 

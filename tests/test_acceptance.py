@@ -26,8 +26,8 @@ from attnalign.training import TrainConfig, alignment_loss, compute_weak_labels,
 from attnalign.weaklabels import Segment, select_weak_labels
 
 from conftest import make_visual
-from oracles import coverage_loop, expert_delta, intensity_loop, \
-    mean_map_loop, topk_select_loop
+from oracles import coverage_loop, expert_delta, finite_diff_check_params, \
+    intensity_loop, mean_map_loop, topk_select_loop
 from references import kmoe_delta_per_token
 from test_weaklabels import MappedBackend
 
@@ -106,7 +106,7 @@ def test_a2_gradient_integrity():
 
     params = [t for _, t in adapters.params()]
     n_coords = sum(t.data.size for t in params)
-    err = ad.finite_diff_check_params(f, params, step=1e-4)
+    err = finite_diff_check_params(f, params, step=1e-4)
     elapsed = time.time() - t0
     assert err < 1e-3
     assert elapsed < 30.0

@@ -7,11 +7,13 @@ from attnalign.adapters import AdapterConfig, AdapterSet, ExpertBank, \
     GatingNetwork, LoRAAdapter, kmoe_apply, kmoe_gate_weights, qmoe_apply, \
     qmoe_weights, topb_mask_rows
 from attnalign.autodiff import Tensor
-from attnalign.errors import ParameterError
+from attnalign.errors import ParameterError, ShapeError
 
-from oracles import expert_delta, topk_select_loop
-from references import adapted_projection, kmoe_delta_per_token, qmoe_delta, \
-    sum_all, transpose
+from conftest import ONE_LAYER, make_model_and_adapters, make_visual
+from oracles import expert_delta, finite_diff_check_params, topk_select_loop
+from references import adapted_projection, kmoe_delta_per_token, \
+    kmoe_gate_weights_chain, kmoe_splice_chain, qmoe_apply_chain, qmoe_delta, \
+    qmoe_weights_chain, sum_all, transpose
 
 D = 6
 RANK = 2
@@ -74,12 +76,13 @@ class TestQMoE:
             return sum_all(ad.mul(out, out))
 
         params = [gate.w1, gate.b1, gate.w2, gate.b2]
-        assert ad.finite_diff_check_params(f, params, 1e-4) < 1e-4
+        assert finite_diff_check_params(f, params, 1e-4) < 1e-4
 
     def test_alpha_probability_vector(self, rng):
         bank = make_bank(5, rng)
         gate = make_gate(5, rng)
-        alpha, decision = qmoe_weights(Tensor(rng.normal(size=(3, D))), bank, gate)
+        alpha, decision = qmoe_weights(Tensor(rng.normal(size=(3, D))), range(3),
+                                       bank, gate)
         assert np.all(decision.weights >= 0)
         assert abs(decision.weights.sum() - 1.0) < 1e-9
 
@@ -99,7 +102,7 @@ class TestQMoE:
         h = Tensor(rng.normal(size=(2, D)))
         x = Tensor(rng.normal(size=(5, D)))
         delta, _ = qmoe_delta(h, bank, gate)
-        alpha, _ = qmoe_weights(h, bank, gate)
+        alpha, _ = qmoe_weights(h, range(2), bank, gate)
         fused = qmoe_apply(x, alpha, bank)
         direct = x.data @ delta.data.T
         assert np.max(np.abs(fused.data - direct)) < 1e-12
@@ -110,7 +113,7 @@ class TestKMoE:
         bank = make_bank(3, rng)
         gate = make_gate(3, rng)
         h = Tensor(rng.normal(size=(4, D)))
-        weights, decision = kmoe_gate_weights(h, bank, gate, b=3)
+        weights, decision = kmoe_gate_weights(h, 4, bank, gate, b=3)
         for c in range(4):
             assert decision.kept[c].all()
             assert np.max(np.abs(weights.data[c] - decision.weights[c])) < 1e-12
@@ -155,7 +158,7 @@ class TestKMoE:
         bank = make_bank(5, rng)
         gate = make_gate(5, rng)
         weights, decision = kmoe_gate_weights(
-            Tensor(rng.normal(size=(6, D))), bank, gate, b=2)
+            Tensor(rng.normal(size=(6, D))), 6, bank, gate, b=2)
         for c in range(6):
             assert decision.kept[c].sum() == 2
             assert weights.data[c].sum() <= 1.0 + 1e-12
@@ -164,15 +167,15 @@ class TestKMoE:
         bank = make_bank(3, rng)
         gate = make_gate(3, rng)
         with pytest.raises(ParameterError):
-            kmoe_gate_weights(Tensor(rng.normal(size=(2, D))), bank, gate, b=4)
+            kmoe_gate_weights(Tensor(rng.normal(size=(2, D))), 2, bank, gate, b=4)
         with pytest.raises(ParameterError):
-            kmoe_gate_weights(Tensor(rng.normal(size=(2, D))), bank, gate, b=0)
+            kmoe_gate_weights(Tensor(rng.normal(size=(2, D))), 2, bank, gate, b=0)
 
     def test_apply_matches_materialized_deltas(self, rng):
         bank = make_bank(4, rng)
         gate = make_gate(4, rng)
         h = Tensor(rng.normal(size=(5, D)))
-        weights, _ = kmoe_gate_weights(h, bank, gate, b=2)
+        weights, _ = kmoe_gate_weights(h, 5, bank, gate, b=2)
         fused = kmoe_apply(h, weights, bank)
         deltas, _ = kmoe_delta_per_token(h, bank, gate, b=2)
         for c in range(5):
@@ -194,12 +197,217 @@ class TestKMoE:
         h = Tensor(rng.normal(size=(4, D)), requires_grad=False)
 
         def f():
-            weights, _ = kmoe_gate_weights(h, bank, gate, b=2)
+            weights, _ = kmoe_gate_weights(h, 4, bank, gate, b=2)
             out = kmoe_apply(h, weights, bank)
             return sum_all(ad.mul(out, out))
 
         params = [gate.w1, gate.b1, gate.w2, gate.b2, bank.A, bank.B]
-        assert ad.finite_diff_check_params(f, params, 1e-4) < 1e-3
+        assert finite_diff_check_params(f, params, 1e-4) < 1e-3
+
+
+def leaves(rng, shapes, magnitude):
+    return [Tensor(rng.uniform(-magnitude, magnitude, size=s), requires_grad=True)
+            for s in shapes]
+
+
+def backward_with(out, g):
+    """Backpropagate the output gradient g exactly: d sum(out * g) / d out = g."""
+    sum_all(ad.mul(out, Tensor(g))).backward()
+
+
+def assert_bits(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+
+
+MAGNITUDES = [1.0, 30.0]
+# A1's decoder: 64 visual rows and 3 text rows of width 64, 4 query experts
+# and 8 key experts of rank 4, top-2 key routing, gate MLPs 32 wide
+S, WIDTH, N_VISUAL, PROMPT = 67, 64, 64, range(64, 66)
+
+
+def a1_gate(n_out, rng, magnitude, tie=False):
+    gate = GatingNetwork(WIDTH, WIDTH // 2, n_out, rng)
+    for t in (gate.w1, gate.b1, gate.w2, gate.b2):
+        t.data = rng.uniform(-magnitude, magnitude, size=t.data.shape)
+    if tie:
+        # experts 1 and 2 get equal logits in every row, so a top-2 cut can
+        # fall between them and the stable sort must keep the lower index
+        gate.w2.data[:, 2] = gate.w2.data[:, 1]
+        gate.b2.data[2] = gate.b2.data[1]
+    return gate
+
+
+class TestGateNodes:
+    """Each router's gate is one tape node, bit for bit the chain of generic
+    ops it replaced (kept in references.py), in values and gradients."""
+
+    def run(self, build, x, gate, g):
+        for t in (x, gate.w1, gate.b1, gate.w2, gate.b2):
+            t.zero_grad()
+        out, decision = build()
+        backward_with(out, g)
+        return [out.data, decision.weights, decision.kept] + \
+            [t.grad for t in (x, gate.w1, gate.b1, gate.w2, gate.b2)]
+
+    # A1's two prompt rows, and five, whose 1/5 would show a moved pool scale
+    @pytest.mark.parametrize("prompt", [PROMPT, range(61, 66)])
+    @pytest.mark.parametrize("magnitude", MAGNITUDES)
+    def test_query_gate_matches_chain(self, rng, magnitude, prompt):
+        (x,) = leaves(rng, [(S, WIDTH)], magnitude)
+        bank = make_bank(4, rng, d=WIDTH, rank=4)
+        gate = a1_gate(4, rng, magnitude)
+        g = rng.normal(size=4)
+        node = self.run(lambda: qmoe_weights(x, prompt, bank, gate), x, gate, g)
+        chain = self.run(lambda: qmoe_weights_chain(x, prompt, bank, gate),
+                         x, gate, g)
+        for actual, expected in zip(node, chain):
+            assert_bits(actual, expected)
+        assert not node[3][:prompt.start].any() and not node[3][prompt.stop:].any()
+
+    @pytest.mark.parametrize("tie", [False, True])
+    @pytest.mark.parametrize("magnitude", MAGNITUDES)
+    def test_key_gate_matches_chain(self, rng, magnitude, tie):
+        (x,) = leaves(rng, [(S, WIDTH)], magnitude)
+        bank = make_bank(8, rng, d=WIDTH, rank=4)
+        gate = a1_gate(8, rng, magnitude, tie)
+        g = rng.normal(size=(N_VISUAL, 8))
+        node = self.run(lambda: kmoe_gate_weights(x, N_VISUAL, bank, gate, 2),
+                        x, gate, g)
+        chain = self.run(lambda: kmoe_gate_weights_chain(x, N_VISUAL, bank, gate, 2),
+                         x, gate, g)
+        for actual, expected in zip(node, chain):
+            assert_bits(actual, expected)
+        if tie:
+            beta, kept = node[1], node[2]
+            assert np.array_equal(beta[:, 1], beta[:, 2])
+            split = kept[:, 1] != kept[:, 2]
+            assert split.any() and kept[split, 1].all()
+
+    def test_gradients_vs_finite_differences(self, rng):
+        x = Tensor(rng.normal(size=(5, D)), requires_grad=True)
+        gate = make_gate(3, rng)
+        bank = make_bank(3, rng)
+        g_q, g_k = Tensor(rng.normal(size=3)), Tensor(rng.normal(size=(4, 3)))
+
+        def f():
+            alpha, _ = qmoe_weights(x, range(2, 5), bank, gate)
+            weights, _ = kmoe_gate_weights(x, 4, bank, gate, 2)
+            return ad.add(sum_all(ad.mul(alpha, g_q)), sum_all(ad.mul(weights, g_k)))
+
+        params = [x, gate.w1, gate.b1, gate.w2, gate.b2]
+        assert finite_diff_check_params(f, params, 1e-6) < 1e-6
+
+    def test_rows_outside_the_input_rejected(self, rng):
+        # the chain's slice_rows refused these; a plain slice would not
+        x = Tensor(rng.normal(size=(5, D)))
+        gate, bank = make_gate(3, rng), make_bank(3, rng)
+        for rows in (range(3, 3), range(4, 7), range(-1, 2)):
+            with pytest.raises(ShapeError, match="router rows"):
+                qmoe_weights(x, rows, bank, gate)
+        for n_tokens in (0, 6):
+            with pytest.raises(ShapeError, match="router rows"):
+                kmoe_gate_weights(x, n_tokens, bank, gate, 2)
+
+    def test_one_node_with_parents_in_chain_order(self, rng):
+        # the chain's MLP took (input, w1, b1, w2, b2); the tape sums the
+        # gradients into x in an order that follows these parents
+        x = Tensor(rng.normal(size=(5, D)), requires_grad=True)
+        gate, bank = make_gate(3, rng), make_bank(3, rng)
+        alpha, _ = qmoe_weights(x, range(2, 5), bank, gate)
+        weights, _ = kmoe_gate_weights(x, 4, bank, gate, 2)
+        for node in (alpha, weights):
+            assert node._parents == (x, gate.w1, gate.b1, gate.w2, gate.b2)
+        with ad.no_grad():
+            assert not qmoe_weights(x, range(2, 5), bank, gate)[0].requires_grad
+
+
+class TestMixtureWeightForms:
+    """lowrank_rows_apply takes one [O] vector for every row, or [m x O]
+    weights for the first m rows; both are bit for bit the forms they
+    replaced, a gathered [S x O] matrix and a slice-and-splice."""
+
+    def grads(self, out_fn, leaves_, g):
+        for t in leaves_:
+            t.zero_grad()
+        out = out_fn()
+        backward_with(out, g)
+        return [out.data] + [t.grad for t in leaves_]
+
+    @pytest.mark.parametrize("magnitude", MAGNITUDES)
+    @pytest.mark.parametrize("shape", [(S, WIDTH, 4), (5, D, 3)])
+    def test_shared_vector_matches_gathered_rows(self, rng, shape, magnitude):
+        s, d, n = shape
+        x, alpha = leaves(rng, [(s, d), (n,)], magnitude)
+        bank = make_bank(n, rng, d=d, rank=4)
+        for t in (bank.A, bank.B):
+            t.data = rng.uniform(-magnitude, magnitude, size=t.data.shape)
+        g = rng.normal(size=(s, d))
+        group = [x, alpha, bank.A, bank.B]
+        fused = self.grads(lambda: qmoe_apply(x, alpha, bank), group, g)
+        chain = self.grads(lambda: qmoe_apply_chain(x, alpha, bank), group, g)
+        for actual, expected in zip(fused, chain):
+            assert_bits(actual, expected)
+
+    @pytest.mark.parametrize("magnitude", MAGNITUDES)
+    @pytest.mark.parametrize("shape", [(S, WIDTH, N_VISUAL, 8), (5, D, 3, 3),
+                                       (5, D, 5, 3)])
+    def test_leading_rows_match_splice(self, rng, shape, magnitude):
+        s, d, m, n = shape
+        h, k, w = leaves(rng, [(s, d), (s, d), (m, n)], magnitude)
+        bank = make_bank(n, rng, d=d, rank=4)
+        for t in (bank.A, bank.B):
+            t.data = rng.uniform(-magnitude, magnitude, size=t.data.shape)
+        g = rng.normal(size=(s, d))
+        group = [h, k, w, bank.A, bank.B]
+        fused = self.grads(lambda: ad.add(kmoe_apply(h, w, bank), k), group, g)
+        chain = self.grads(lambda: kmoe_splice_chain(k, h, w, bank), group, g)
+        for actual, expected in zip(fused, chain):
+            assert_bits(actual, expected)
+        assert_bits(fused[0][m:], k.data[m:])
+
+    @pytest.mark.parametrize("weight_shape", [(3,), (4, 3)])
+    def test_gradients_vs_finite_differences(self, rng, weight_shape):
+        x, w, a, b = (Tensor(rng.normal(size=s), requires_grad=True)
+                      for s in ((6, D), weight_shape, (6, D), (5, 6)))
+        g = Tensor(rng.normal(size=(6, 5)))
+
+        def f():
+            return sum_all(ad.mul(ad.lowrank_rows_apply(x, w, a, b, 2), g))
+
+        assert finite_diff_check_params(f, [x, w, a, b], 1e-6) < 1e-6
+
+    @pytest.mark.parametrize("weight_shape", [(), (7, 3), (4,), (2, 3, 1)])
+    def test_weights_that_do_not_fit_rejected(self, rng, weight_shape):
+        x, a, b = Tensor(np.zeros((6, D))), Tensor(np.zeros((6, D))), \
+            Tensor(np.zeros((5, 6)))
+        with pytest.raises(ShapeError, match="lowrank_rows_apply"):
+            ad.lowrank_rows_apply(x, Tensor(np.zeros(weight_shape)), a, b, 2)
+
+
+class TestRouterNodesInTheLayer:
+    def test_layer_adds_each_delta_in_chain_order(self, rng):
+        # q = add(base, delta) and k = add(delta, base): k's operand order
+        # makes the tape sum the gradients into h in the order of the old
+        # slice-and-splice chain
+        model, adapters = make_model_and_adapters(ONE_LAYER, randomize=True)
+        out = model.forward(make_visual(ONE_LAYER, rng), (1, 2), (3,), adapters)
+        q, k = out.attention.planes[0]._parents
+        la = adapters.layers[0]
+        q_base, q_delta = q._parents
+        k_delta, k_base = k._parents
+        h = q_base._parents[0]
+        assert q_delta._parents[0] is h and k_delta._parents[0] is h
+        assert k_base._parents[0] is h
+        assert q_delta._parents[2:] == (la.q_bank.A, la.q_bank.B)
+        assert k_delta._parents[2:] == (la.k_bank.A, la.k_bank.B)
+        alpha, weights = q_delta._parents[1], k_delta._parents[1]
+        assert alpha.shape == (la.q_bank.A.shape[0] // la.q_bank.rank,)
+        assert weights.shape[0] == ONE_LAYER.n_visual
+        assert alpha._parents[1:] == (la.q_gate.w1, la.q_gate.b1, la.q_gate.w2,
+                                      la.q_gate.b2)
+        assert weights._parents[1:] == (la.k_gate.w1, la.k_gate.b1, la.k_gate.w2,
+                                        la.k_gate.b2)
 
 
 class TestExpertBank:

@@ -1,12 +1,14 @@
 """Package-wide properties: the BLAS thread pin at import time, no config
 field that the package never reads, no autodiff op that only tests call,
-and no CLI option that its verb ignores."""
+no CLI option that its verb ignores, and a package that the benchmark's
+span tracer still fits."""
 
 import argparse
 import ast
 import ctypes
 import dataclasses
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -94,13 +96,12 @@ def autodiff_names_used_in_package() -> set[str]:
 
 
 def test_every_autodiff_function_has_a_package_caller():
-    # ops that only tests call belong in tests/references.py; the finite-
-    # difference checker is the one public tool kept for the tests
-    checker = {"finite_diff_check", "finite_diff_check_params"}
+    # ops that only tests call belong in tests/references.py, and the
+    # finite-difference checker in tests/oracles.py
     public = {name for name, fn in vars(autodiff).items()
               if inspect.isfunction(fn) and fn.__module__ == autodiff.__name__
               and not name.startswith("_")}
-    assert sorted(public - checker - autodiff_names_used_in_package()) == []
+    assert sorted(public - autodiff_names_used_in_package()) == []
 
 
 def cli_options_read() -> dict[str, set[str]]:
@@ -150,3 +151,49 @@ def test_every_cli_option_is_read_by_its_verb():
               if action.dest != "help"
               and action.dest not in read[parser.get_default("fn").__name__]]
     assert unread == []
+
+
+TRACER = Path(attnalign.__file__).resolve().parents[2] / "perfbench" / "tracing.py"
+
+# one tiny aligned forward and backward under the benchmark's tracer; the
+# tracer patches the package by name, so it runs in a process of its own
+TRACED_STEP = """
+import importlib.util, json, sys
+import numpy as np
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracing.install(tracer)
+from attnalign import autodiff as ad
+from attnalign.adapters import AdapterConfig, AdapterSet
+from attnalign.model import ModelConfig, VisualDecoder, VisualInput
+cfg = ModelConfig(n_layers=2, n_heads=2, d_visual=4, d_model=8, vocab_size=12,
+                  grid=2, max_text_len=6)
+adapters = AdapterSet(2, 8, 32, AdapterConfig(dense_rank=2, expert_rank=2,
+                      n_q_experts=2, n_k_experts=3, top_b=2), seed=1)
+rng = np.random.default_rng(0)
+out = VisualDecoder(cfg).forward(VisualInput(rng.normal(size=(4, 4)), 2),
+                                 (1, 2), (3,), adapters)
+ad.cross_entropy(out.logits, [5, 6, 7, 8, 9, 10, 11]).backward()
+print(json.dumps({"spans": sorted({s[0] for s in tracer.spans}),
+                  "counters": tracer.counters, "failed": tracer.failed}))
+"""
+
+
+@pytest.mark.skipif(not TRACER.exists(), reason="no perfbench/ next to src/")
+def test_benchmark_tracer_fits_the_package():
+    # perfbench/tracing.py wraps the four router routines by name and counts
+    # the kept key-side pairs from kmoe_apply's arguments; a rename or a new
+    # signature would otherwise surface only in a manual traced benchmark run
+    env = {**os.environ, "PYTHONPATH": str(Path(attnalign.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", TRACED_STEP, str(TRACER)],
+                          env=env, check=True, capture_output=True, text=True)
+    result = json.loads(done.stdout)
+    routers = {f"adapters.{name}" for name in ("qmoe_weights", "qmoe_apply",
+                                               "kmoe_gate_weights", "kmoe_apply")}
+    assert routers <= set(result["spans"])
+    assert "autodiff.backward" in result["spans"]
+    assert result["counters"]["kmoe_pairs"] > 0
+    assert result["counters"]["kmoe_kept"] > 0
+    assert result["failed"] == {}

@@ -267,12 +267,38 @@ class TestCli:
          "error: section 'adapter_tensors' of the checkpoint is not a JSON object\n"),
         (lambda doc: doc.update(adapter_config=[]),
          "error: section 'adapter_config' of the checkpoint is not a JSON object\n"),
+        (lambda doc: doc["tensors"].update(w_out=None),
+         "error: checkpoint tensor 'w_out' is not an object of exactly 'shape' "
+         "and 'data'\n"),
+        (lambda doc: doc["tensors"].update(w_out="x"),
+         "error: checkpoint tensor 'w_out' is not an object of exactly 'shape' "
+         "and 'data'\n"),
+        (lambda doc: doc["tensors"]["w_out"].pop("data"),
+         "error: checkpoint tensor 'w_out' is not an object of exactly 'shape' "
+         "and 'data'\n"),
+        (lambda doc: doc["tensors"]["w_out"].update(
+            data=doc["tensors"]["w_out"]["data"][:-8]),
+         "error: checkpoint tensor 'w_out' holds 762 bytes, its shape (12, 8) "
+         "needs 768\n"),
+        (lambda doc: doc["tensors"]["w_out"].update(shape=[12, -8]),
+         "error: checkpoint tensor 'w_out' has shape [12, -8], not a list of "
+         "non-negative ints\n"),
+        (lambda doc: doc["tensors"]["w_out"].update(data="@@@@"),
+         "error: checkpoint tensor 'w_out' has data that is not base64\n"),
+        (lambda doc: next(iter(doc["adapter_tensors"].values())).update(data=1),
+         "error: checkpoint tensor 'adapter.layer0.kgate.b1' has data that is not "
+         "base64\n"),
     ], ids=["extra-field", "missing-field", "missing-section", "old-schema",
-            "not-an-object", "null-config", "list-section", "list-config"])
+            "not-an-object", "null-config", "list-section", "list-config",
+            "null-tensor", "string-tensor", "tensor-without-data",
+            "truncated-data", "negative-dimension", "data-not-base64",
+            "adapter-data-not-a-string"])
     def test_checkpoint_must_match_field_for_field(self, tmp_path, data_dir,
                                                    capsys, edit, fragment):
         # a top level or a section that is not an object used to end in an
-        # AttributeError or TypeError traceback
+        # AttributeError or TypeError traceback; a tensor entry that is not
+        # {shape, data} in a TypeError traceback or an error line that named
+        # neither the checkpoint nor the tensor
         model = VisualDecoder(SMALL_MODEL, seed=0)
         adapters = AdapterSet(SMALL_MODEL.n_layers, SMALL_MODEL.d_model,
                               SMALL_MODEL.d_ff, SMALL_ADAPTER)
@@ -290,6 +316,7 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert fragment in err and "checkpoint" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "report.json").exists()
 
     def test_checkpoint_without_adapters_stores_null_config(self, tmp_path,

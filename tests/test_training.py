@@ -18,6 +18,7 @@ from attnalign.training import TASK_PROFILES, AdamW, TrainConfig, \
 from attnalign.weaklabels import Segment, WeakLabelSet
 
 from conftest import assert_no_children, make_visual
+from oracles import finite_diff_check, finite_diff_check_params
 from references import alignment_loss_composed, refined_map_all_heads
 
 
@@ -78,7 +79,7 @@ class TestAlignmentLoss:
 
     def test_differentiable(self, rng):
         m = Tensor(rng.random(5) + 0.1, requires_grad=True)
-        err = ad.finite_diff_check(
+        err = finite_diff_check(
             lambda t: alignment_loss(t, labels_of((0, 2), (4,)))[0], m, 1e-6)
         assert err < 1e-6
 
@@ -128,7 +129,7 @@ class TestLmLoss:
             def answer_logit_rows(self):
                 return (0, 1, 2)
 
-        err = ad.finite_diff_check(lambda t: ad.cross_entropy(t, [1, 2, 3]),
+        err = finite_diff_check(lambda t: ad.cross_entropy(t, [1, 2, 3]),
                                    logits, 1e-5)
         assert err < 1e-4
 
@@ -177,7 +178,7 @@ class TestTotalLoss:
             return total_loss(model, adapters, sample, labels[sample.id], cfg)[0]
 
         params = [t for _, t in adapters.params()]
-        err = ad.finite_diff_check_params(f, params, 1e-4)
+        err = finite_diff_check_params(f, params, 1e-4)
         assert err < 1e-3
 
 
