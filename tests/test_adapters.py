@@ -14,6 +14,7 @@ from oracles import expert_delta, finite_diff_check_params, topk_select_loop
 from references import adapted_projection, kmoe_delta_per_token, \
     kmoe_gate_weights_chain, kmoe_splice_chain, qmoe_apply_chain, qmoe_delta, \
     qmoe_weights_chain, sum_all, transpose
+from test_autodiff import MAGNITUDES, assert_bits, backward_with, leaves
 
 D = 6
 RANK = 2
@@ -205,22 +206,6 @@ class TestKMoE:
         assert finite_diff_check_params(f, params, 1e-4) < 1e-3
 
 
-def leaves(rng, shapes, magnitude):
-    return [Tensor(rng.uniform(-magnitude, magnitude, size=s), requires_grad=True)
-            for s in shapes]
-
-
-def backward_with(out, g):
-    """Backpropagate the output gradient g exactly: d sum(out * g) / d out = g."""
-    sum_all(ad.mul(out, Tensor(g))).backward()
-
-
-def assert_bits(actual, expected):
-    assert actual.shape == expected.shape
-    assert np.array_equal(actual, expected)
-
-
-MAGNITUDES = [1.0, 30.0]
 # A1's decoder: 64 visual rows and 3 text rows of width 64, 4 query experts
 # and 8 key experts of rank 4, top-2 key routing, gate MLPs 32 wide
 S, WIDTH, N_VISUAL, PROMPT = 67, 64, 64, range(64, 66)
