@@ -1,11 +1,14 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Tensors are 0-d scalars, 1-d vectors or 2-d matrices over float64, plus
-the [H x S x S] planes of multi-head attention; there is no broadcasting
-beyond the handful of patterns the models here need. Only the two
-attention ops know that head h owns columns h dh:(h+1) dh of q, k and v.
-The two router gates are single nodes too; ``adapters.py`` builds them
-from this module's private row kernels (the gelu and softmax halves).
+the [H x S x S] planes of multi-head attention. ``add`` and ``mul`` take
+two operands of one shape and nothing broadcasts. Only the adapters
+train: the frozen decoder weights enter ``linear_with_lora`` and
+``layer_norm_rows`` as plain arrays, so no op carries gradient code for
+them. Only the two attention ops know that head h owns columns
+h dh:(h+1) dh of q, k and v. The two router gates are single nodes too;
+``adapters.py`` builds them from this module's private row kernels (the
+gelu and softmax halves).
 
 Each differentiable op records its parents and a backward closure on
 the output tensor, so the op graph doubles as the tape and is rebuilt
@@ -176,119 +179,31 @@ def _wrap(data: np.ndarray, parents: Sequence[Tensor], backward: Callable) -> Te
 
 
 def add(a, b) -> Tensor:
-    """Elementwise sum; also matrix + row-vector and anything + scalar."""
+    """Elementwise sum of two tensors of one shape."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape == b.shape:
-        def back(g, sink):
-            if a.requires_grad and b.requires_grad:
-                sink(a, g)
-                sink(b, g.copy())
-            elif a.requires_grad:
-                sink(a, g)
-            elif b.requires_grad:
-                sink(b, g)
-    elif b.shape == () or a.shape == ():
-        if a.shape == ():  # keep the array operand first
-            a, b = b, a
-        def back(g, sink):
-            if b.requires_grad:
-                sink(b, np.asarray(np.sum(g)))
-            if a.requires_grad:
-                sink(a, g)
-    elif len(a.shape) == 2 and b.shape == (a.shape[1],):
-        def back(g, sink):
-            if b.requires_grad:
-                sink(b, g.sum(axis=0))
-            if a.requires_grad:
-                sink(a, g)
-    else:
+    if a.shape != b.shape:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+
+    def back(g, sink):
+        sink(a, g)      # sink ignores a parent that needs no gradient
+        sink(b, g.copy() if a.requires_grad else g)
+
     return _wrap(a.data + b.data, (a, b), back)
 
 
 def mul(a, b) -> Tensor:
-    """Elementwise product; either operand may be a scalar."""
+    """Elementwise product of two tensors of one shape."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape == b.shape:
-        def back(g, sink):
-            if a.requires_grad:
-                sink(a, g * b.data)
-            if b.requires_grad:
-                sink(b, g * a.data)
-    elif b.shape == () or a.shape == ():
-        if a.shape == ():
-            a, b = b, a
-        def back(g, sink):
-            if a.requires_grad:
-                sink(a, g * b.data)
-            if b.requires_grad:
-                sink(b, np.asarray(np.sum(g * a.data)))
-    else:
+    if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    return _wrap(a.data * b.data, (a, b), back)
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product of 2-d tensors; grad_a = g b^T, grad_b = a^T g."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if len(a.shape) != 2 or len(b.shape) != 2:
-        raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} vs {b.shape}")
 
     def back(g, sink):
         if a.requires_grad:
-            sink(a, g @ b.data.T)
+            sink(a, g * b.data)
         if b.requires_grad:
-            sink(b, a.data.T @ g)
+            sink(b, g * a.data)
 
-    return _wrap(a.data @ b.data, (a, b), back)
-
-
-# ---------------------------------------------------------------------------
-# structure: concatenation, gathering
-
-
-def concat_rows(parts: Sequence) -> Tensor:
-    """Stack 2-d tensors with equal column counts along axis 0."""
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ShapeError("concat_rows of an empty sequence")
-    cols = parts[0].shape[1]
-    offsets = [0]
-    for p in parts:
-        if len(p.shape) != 2 or p.shape[1] != cols:
-            raise ShapeError(
-                f"concat_rows: column mismatch {p.shape} vs ({parts[0].shape})"
-            )
-        offsets.append(offsets[-1] + p.shape[0])
-
-    def back(g, sink):
-        # disjoint row views of g, safe to hand to distinct parents
-        for p, s, e in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                sink(p, g[s:e])
-
-    return _wrap(np.concatenate([p.data for p in parts], axis=0), parts, back)
-
-
-def take(a, indices) -> Tensor:
-    """Gather rows of a matrix or elements of a vector by index."""
-    a = _as_tensor(a)
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError(f"take expects a 1-d index list, got shape {idx.shape}")
-    if a.data.ndim not in (1, 2):
-        raise ShapeError(f"take expects a 1-d or 2-d tensor, got {a.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise IndexError(f"take: index out of range for first axis of {a.shape}")
-
-    def back(g, sink):
-        z = np.zeros_like(a.data)
-        np.add.at(z, idx, g)
-        sink(a, z)
-
-    return _wrap(a.data[idx], (a,), back)
+    return _wrap(a.data * b.data, (a, b), back)
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +286,9 @@ def gelu(a) -> Tensor:
     return _wrap(y, (a,), back)
 
 
-def layer_norm_rows(a, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Per-row standardization with learnable gain and bias."""
-    a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
+def layer_norm_rows(a, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> Tensor:
+    """Per-row standardization with the frozen [d] arrays gain and bias."""
+    a = _as_tensor(a)
     if len(a.shape) != 2 or gain.shape != (a.shape[1],) or bias.shape != (a.shape[1],):
         raise ShapeError(
             f"layer_norm_rows: shapes {a.shape}, {gain.shape}, {bias.shape} disagree"
@@ -390,42 +305,45 @@ def layer_norm_rows(a, gain, bias, eps: float = 1e-5) -> Tensor:
     inv = np.sqrt(var, out=var)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
-    np.multiply(xhat, gain.data, out=y)
-    y += bias.data
+    np.multiply(xhat, gain, out=y)
+    y += bias
 
     def back(g, sink):
-        if gain.requires_grad:
-            sink(gain, (g * xhat).sum(axis=0))
-        if bias.requires_grad:
-            sink(bias, g.sum(axis=0))
-        if a.requires_grad:
-            # inv / n (n gx_hat - sum(gx_hat) - xhat sum(gx_hat xhat)),
-            # gx_hat = g gain
-            g *= gain.data
-            r = g * xhat
-            dot = r.sum(axis=1, keepdims=True)
-            total = g.sum(axis=1, keepdims=True)
-            g *= n
-            g -= total
-            g -= np.multiply(xhat, dot, out=r)
-            g *= inv / n
-            sink(a, g)
+        # inv / n (n gx_hat - sum(gx_hat) - xhat sum(gx_hat xhat)),
+        # gx_hat = g gain
+        g *= gain
+        r = g * xhat
+        dot = r.sum(axis=1, keepdims=True)
+        total = g.sum(axis=1, keepdims=True)
+        g *= n
+        g -= total
+        g -= np.multiply(xhat, dot, out=r)
+        g *= inv / n
+        sink(a, g)
 
-    return _wrap(y, (a, gain, bias), back)
+    return _wrap(y, (a,), back)
 
 
-def cross_entropy(logits, targets) -> Tensor:
-    """Mean negative log-likelihood of integer targets under row softmax."""
+def cross_entropy(logits, rows, targets) -> Tensor:
+    """Mean negative log-likelihood of integer targets under the softmax of
+    the given rows of logits; target i belongs to row ``rows[i]``, and a
+    row may appear more than once."""
     logits = _as_tensor(logits)
+    idx = np.asarray(rows, dtype=np.intp)
     tgt = np.asarray(targets, dtype=np.intp)
-    if len(logits.shape) != 2 or tgt.ndim != 1 or tgt.shape[0] != logits.shape[0]:
+    if len(logits.shape) != 2 or idx.ndim != 1 or tgt.shape != idx.shape:
         raise ShapeError(
-            f"cross_entropy: logits {logits.shape} vs targets {tgt.shape}"
+            f"cross_entropy: logits {logits.shape}, rows {idx.shape} and "
+            f"targets {tgt.shape} disagree"
         )
-    t, v = logits.shape
+    s, v = logits.shape
+    if idx.size and (idx.min() < 0 or idx.max() >= s):
+        raise ShapeError(f"cross_entropy: row outside [0, {s})")
     if tgt.size and (tgt.min() < 0 or tgt.max() >= v):
-        raise IndexError(f"cross_entropy: target outside [0, {v})")
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
+        raise ShapeError(f"cross_entropy: target outside [0, {v})")
+    t = idx.size
+    picked = logits.data[idx]
+    z = picked - picked.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - lse
     loss = -logp[np.arange(t), tgt].mean()
@@ -433,7 +351,9 @@ def cross_entropy(logits, targets) -> Tensor:
     def back(g, sink):
         p = np.exp(logp)
         p[np.arange(t), tgt] -= 1.0
-        sink(logits, g * p / t)
+        grad = np.zeros_like(logits.data)
+        np.add.at(grad, idx, g * p / t)    # repeated rows accumulate
+        sink(logits, grad)
 
     return _wrap(np.asarray(loss), (logits,), back)
 
@@ -510,18 +430,13 @@ def attend(planes, v) -> Tensor:
 # fused adapter ops (single tape nodes; backward rules spelled out by hand)
 
 
-def linear_with_lora(x, w, lora_a=None, lora_b=None) -> Tensor:
-    """x @ w^T plus the low-rank correction (x A^T) B^T."""
-    x, w = _as_tensor(x), _as_tensor(w)
+def linear_with_lora(x, w: np.ndarray, lora_a=None, lora_b=None) -> Tensor:
+    """x @ w^T for the frozen array w, plus the low-rank correction (x A^T) B^T."""
+    x = _as_tensor(x)
     if len(x.shape) != 2 or len(w.shape) != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear: input {x.shape} vs weight {w.shape}")
     if lora_a is None:
-        def back0(g, sink):
-            if x.requires_grad:
-                sink(x, g @ w.data)
-            if w.requires_grad:
-                sink(w, g.T @ x.data)
-        return _wrap(x.data @ w.data.T, (x, w), back0)
+        return _wrap(x.data @ w.T, (x,), lambda g, sink: sink(x, g @ w))
 
     a, b = _as_tensor(lora_a), _as_tensor(lora_b)
     if a.shape[1] != x.shape[1] or b.shape != (w.shape[0], a.shape[0]):
@@ -529,23 +444,21 @@ def linear_with_lora(x, w, lora_a=None, lora_b=None) -> Tensor:
             f"lora shapes A {a.shape} / B {b.shape} do not fit weight {w.shape}"
         )
     u = x.data @ a.data.T
-    out = x.data @ w.data.T
+    out = x.data @ w.T
     out += u @ b.data.T
 
     def back(g, sink):
         gb_in = g @ b.data          # [S x r]
         if x.requires_grad:
-            gx = g @ w.data
+            gx = g @ w
             gx += gb_in @ a.data
             sink(x, gx)
-        if w.requires_grad:
-            sink(w, g.T @ x.data)
         if a.requires_grad:
             sink(a, gb_in.T @ x.data)
         if b.requires_grad:
             sink(b, g.T @ u)
 
-    return _wrap(out, (x, w, a, b), back)
+    return _wrap(out, (x, a, b), back)
 
 
 def lowrank_rows_apply(x, weights, a, b, rank: int) -> Tensor:

@@ -18,7 +18,7 @@ from . import metrics as metricsmod
 from .adapters import AdapterConfig
 from .data import DataSpec, generate_dataset, read_meta, read_samples, \
     write_meta, write_samples
-from .errors import AttnAlignError
+from .errors import AttnAlignError, ConfigurationError
 from .model import ModelConfig, VisualDecoder, VisualInput, load_checkpoint
 from .sweeps import sweep
 from .training import TASK_PROFILES, TrainConfig, compute_weak_labels, \
@@ -27,18 +27,30 @@ from .weaklabels import cache_key, load_weak_label_cache, record_to_weak_labels,
     save_weak_label_cache, weak_labels_to_record
 
 
-def _load_config(path: str | None) -> dict:
+# the top-level keys that a --config file of train and sweep may hold
+TRAIN_CONFIG_KEYS = ("model", "adapter", "train", "model_seed")
+
+
+def _known_only(doc: dict, names, kind: str) -> dict:
+    unknown = set(doc) - set(names)
+    if unknown:
+        raise ConfigurationError(f"unknown {kind}: {sorted(unknown)}")
+    return doc
+
+
+def _load_config(path: str | None, names) -> dict:
+    """The JSON object of a --config file, whose keys must be among ``names``."""
     if not path:
         return {}
-    return json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"config file {path} is not a JSON object")
+    return _known_only(doc, names, f"keys in config file {path}")
 
 
 def _dataclass_from(cls, doc: dict):
-    names = {f.name for f in fields(cls)}
-    unknown = set(doc) - names
-    if unknown:
-        raise AttnAlignError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
-    return cls(**doc)
+    return cls(**_known_only(doc, {f.name for f in fields(cls)},
+                             f"{cls.__name__} fields"))
 
 
 def _build_train_config(doc: dict, args) -> tuple[ModelConfig, TrainConfig, int]:
@@ -74,10 +86,10 @@ def _build_train_config(doc: dict, args) -> tuple[ModelConfig, TrainConfig, int]
 
 
 def cmd_gen_data(args) -> int:
-    doc = _load_config(args.config)
+    doc = _load_config(args.config, [f.name for f in fields(DataSpec)])
     if args.seed is not None:
         doc["seed"] = args.seed
-    spec = _dataclass_from(DataSpec, doc)
+    spec = DataSpec(**doc)
     train_samples, test_samples, _ = generate_dataset(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -90,7 +102,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_weaklabels(args) -> int:
-    doc = _load_config(args.config)
+    doc = _load_config(args.config, ("topk", "noise", "seed"))
     samples = read_samples(args.data)
     spec = read_meta(args.meta)
     k = args.topk if args.topk is not None else doc.get("topk", 4)
@@ -119,7 +131,7 @@ def _read_data_dir(path: str, model: VisualDecoder):
 
 
 def cmd_train(args) -> int:
-    doc = _load_config(args.config)
+    doc = _load_config(args.config, TRAIN_CONFIG_KEYS)
     model_cfg, cfg, model_seed = _build_train_config(doc, args)
     model = VisualDecoder(model_cfg, seed=model_seed)
     train_samples, test_samples, spec = _read_data_dir(args.data, model)
@@ -166,7 +178,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    doc = _load_config(args.config)
+    doc = _load_config(args.config, TRAIN_CONFIG_KEYS)
     model_cfg, cfg, model_seed = _build_train_config(doc, args)
     train_samples, test_samples, spec = _read_data_dir(
         args.data, VisualDecoder(model_cfg, seed=model_seed))

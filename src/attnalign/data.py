@@ -10,7 +10,6 @@ the queried segment's patches.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 from dataclasses import asdict, dataclass
@@ -19,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GenerationError, read_document, require_names, stored_config
+from .errors import GenerationError, decode_floats, encode_floats, read_document, \
+    require_names, stored_config
 from .weaklabels import Segment
 
 DATASET_SCHEMA = "attnalign-dataset-2"
@@ -228,16 +228,15 @@ def _sample_to_dict(sample: SyntheticSample) -> dict:
         "roi": list(sample.roi),
         "segments": [{"tokens": list(s.token_indices), "concept": s.concept,
                       "label": s.label} for s in sample.segments],
-        "features_b64": base64.b64encode(
-            np.ascontiguousarray(sample.features, dtype=np.float64).tobytes()
-        ).decode("ascii"),
+        "features_b64": encode_floats(sample.features),
     }
 
 
-def _sample_from_dict(doc: dict) -> SyntheticSample:
-    n = doc["grid"] * doc["grid"]
-    features = np.frombuffer(base64.b64decode(doc["features_b64"]),
-                             dtype=np.float64).reshape(n, doc["d_visual"]).copy()
+def _sample_from_dict(doc: dict, where: str) -> SyntheticSample:
+    """The sample of one JSON line; ``where`` names the file and the line."""
+    features = decode_floats(doc["features_b64"],
+                             (doc["grid"] * doc["grid"], doc["d_visual"]),
+                             f"{where} field 'features_b64'")
     segments = tuple(PlantedSegment(token_indices=tuple(s["tokens"]),
                                     concept=s["concept"], label=s["label"])
                      for s in doc["segments"])
@@ -256,7 +255,8 @@ def write_samples(path: str | Path, samples: Sequence[SyntheticSample]) -> None:
 
 def read_samples(path: str | Path) -> list[SyntheticSample]:
     with open(path) as fh:
-        return [_sample_from_dict(json.loads(line)) for line in fh]
+        return [_sample_from_dict(json.loads(line), f"{path} line {n}")
+                for n, line in enumerate(fh, start=1)]
 
 
 def write_meta(path: str | Path, spec: DataSpec) -> None:

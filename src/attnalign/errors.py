@@ -2,12 +2,17 @@
 
 Every failure mode named in a module contract maps to one of these, so
 callers can catch precisely and tests can assert on type. The rules for
-a file read back (checkpoint, dataset meta) live here too.
+a file read back (checkpoint, dataset meta, samples) live here too,
+among them the one base64 codec of the float64 arrays those files hold.
 """
 
+import base64
 import json
+import math
 from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
 
 
 class AttnAlignError(Exception):
@@ -103,3 +108,23 @@ def read_document(path: str | Path, schema: str, kind: str, source: str,
         if not isinstance(value, dict) and not (value is None and name in nullable):
             raise CompatibilityError(f"section {name!r} of {source} is not a JSON object")
     return doc
+
+
+def encode_floats(a) -> str:
+    """Base64 of the float64 bytes of ``a`` in C order."""
+    arr = np.ascontiguousarray(a, dtype=np.float64)
+    return base64.b64encode(arr.tobytes()).decode("ascii")
+
+
+def decode_floats(text, shape, where: str) -> np.ndarray:
+    """The float64 array of ``shape`` that ``text`` encodes: strict base64 of
+    exactly prod(shape) values, or a CompatibilityError naming ``where``."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError):
+        raise CompatibilityError(f"{where} has data that is not base64") from None
+    size = 8 * math.prod(shape)
+    if len(raw) != size:
+        raise CompatibilityError(
+            f"{where} holds {len(raw)} bytes, its shape {tuple(shape)} needs {size}")
+    return np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()

@@ -3,16 +3,17 @@
 Patch features are linearly projected into the token space and prefixed
 to the embedded text; text positions use learned absolute encodings and
 causal masking while every position may attend to all visual tokens.
-The base model is frozen after random init; all learning happens in the
-adapters. Every forward pass returns logits for all positions plus the
-complete per-layer, per-head attention stack.
+The base model is frozen after random init and held as plain numpy
+arrays: the embedding front is numpy, wrapped once in a constant tensor,
+and the decoder's ops read the base weights as data, so all learning,
+and every gradient, belongs to the adapters. Every forward pass returns
+logits for all positions plus the complete per-layer, per-head attention
+stack.
 """
 
 from __future__ import annotations
 
-import base64
 import json
-import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -23,8 +24,8 @@ from .adapters import AdapterConfig, AdapterSet, kmoe_apply, kmoe_gate_weights, 
     qmoe_apply, qmoe_weights
 from .attention import AttentionStack, Spans
 from .autodiff import Tensor
-from .errors import CapacityError, CompatibilityError, ShapeError, read_document, \
-    require_names, stored_config
+from .errors import CapacityError, CompatibilityError, ShapeError, decode_floats, \
+    encode_floats, read_document, require_names, stored_config
 
 CHECKPOINT_SCHEMA = "attnalign-checkpoint-3"
 
@@ -117,7 +118,7 @@ class VisualDecoder:
         # the base stays frozen, standing in for a pretrained backbone, so
         # weights get inference-scale (1/sqrt fan-in) rather than training init
         def w(d_out, d_in):
-            return Tensor(rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_out, d_in)))
+            return rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_out, d_in))
 
         # smooth init for the frozen positional table, like a trained LM's;
         # uncorrelated random positions would decouple adjacent text rows
@@ -127,32 +128,32 @@ class VisualDecoder:
         pos[:, 0::2] = np.sin(t * freq)
         pos[:, 1::2] = np.cos(t * freq)
 
-        self.params: dict[str, Tensor] = {
-            "w_align": Tensor(rng.normal(0.0, 1.0 / np.sqrt(c.d_visual),
-                                         size=(c.d_visual, c.d_model))),
-            "b_align": Tensor(np.zeros(c.d_model)),
-            "tok_emb": Tensor(rng.normal(0.0, 1.0, size=(c.vocab_size, c.d_model))),
-            "pos_emb": Tensor(pos),
-            "ln_f.g": Tensor(np.ones(c.d_model)),
-            "ln_f.b": Tensor(np.zeros(c.d_model)),
+        self.params: dict[str, np.ndarray] = {
+            "w_align": rng.normal(0.0, 1.0 / np.sqrt(c.d_visual),
+                                  size=(c.d_visual, c.d_model)),
+            "b_align": np.zeros(c.d_model),
+            "tok_emb": rng.normal(0.0, 1.0, size=(c.vocab_size, c.d_model)),
+            "pos_emb": pos,
+            "ln_f.g": np.ones(c.d_model),
+            "ln_f.b": np.zeros(c.d_model),
             "w_out": w(c.vocab_size, c.d_model),
         }
         for l in range(c.n_layers):
             p = f"layer{l}."
-            self.params[p + "ln1.g"] = Tensor(np.ones(c.d_model))
-            self.params[p + "ln1.b"] = Tensor(np.zeros(c.d_model))
+            self.params[p + "ln1.g"] = np.ones(c.d_model)
+            self.params[p + "ln1.b"] = np.zeros(c.d_model)
             self.params[p + "wq"] = w(c.d_model, c.d_model)
             self.params[p + "wk"] = w(c.d_model, c.d_model)
             self.params[p + "wv"] = w(c.d_model, c.d_model)
             self.params[p + "wo"] = w(c.d_model, c.d_model)
-            self.params[p + "ln2.g"] = Tensor(np.ones(c.d_model))
-            self.params[p + "ln2.b"] = Tensor(np.zeros(c.d_model))
+            self.params[p + "ln2.g"] = np.ones(c.d_model)
+            self.params[p + "ln2.b"] = np.zeros(c.d_model)
             self.params[p + "ff1"] = w(c.d_ff, c.d_model)
             self.params[p + "ff2"] = w(c.d_model, c.d_ff)
 
     # -- pieces ------------------------------------------------------------
 
-    def encode_and_project(self, visual: VisualInput) -> Tensor:
+    def encode_and_project(self, visual: VisualInput) -> np.ndarray:
         """Patch features into token space: X w_align + b_align."""
         c = self.config
         if visual.features.shape != (c.n_visual, c.d_visual):
@@ -160,21 +161,21 @@ class VisualDecoder:
                 f"visual features {visual.features.shape} != "
                 f"({c.n_visual}, {c.d_visual})"
             )
-        x = Tensor(visual.features)
-        return ad.add(ad.matmul(x, self.params["w_align"]), self.params["b_align"])
+        return visual.features @ self.params["w_align"] + self.params["b_align"]
 
-    def _embed_text(self, token_ids: tuple[int, ...]) -> Tensor:
+    def _embed_text(self, token_ids: tuple[int, ...]) -> np.ndarray:
+        """Token plus position embeddings of the text rows."""
         c = self.config
         ids = np.asarray(token_ids, dtype=np.intp)
-        if ids.size and (ids.min() < 0 or ids.max() >= c.vocab_size):
-            raise IndexError(f"token id outside [0, {c.vocab_size})")
+        bad = ids[(ids < 0) | (ids >= c.vocab_size)]
+        if bad.size:
+            raise CompatibilityError(
+                f"token {bad[0]} outside model vocabulary {c.vocab_size}")
         if ids.size > c.max_text_len:
             raise CapacityError(
                 f"{ids.size} text tokens exceed max_text_len={c.max_text_len}"
             )
-        tok = ad.take(self.params["tok_emb"], ids)
-        pos = ad.take(self.params["pos_emb"], np.arange(ids.size))
-        return ad.add(tok, pos)
+        return self.params["tok_emb"][ids] + self.params["pos_emb"][:ids.size]
 
     # -- forward -----------------------------------------------------------
 
@@ -188,9 +189,9 @@ class VisualDecoder:
             raise ShapeError("prompt must contain at least one token")
         spans = Spans(c.n_visual, len(prompt), len(answer))
 
-        x_visual = self.encode_and_project(visual)
-        x_text = self._embed_text(prompt + answer)
-        x = ad.concat_rows([x_visual, x_text])
+        # the frozen embedding front records nothing: one constant tensor
+        x = Tensor(np.concatenate([self.encode_and_project(visual),
+                                   self._embed_text(prompt + answer)]))
         mask = sequence_mask(spans.total, c.n_visual)
 
         planes: list[Tensor] = []
@@ -272,9 +273,7 @@ class VisualDecoder:
 
 
 def _encode_array(a: np.ndarray) -> dict:
-    arr = np.ascontiguousarray(a, dtype=np.float64)
-    return {"shape": list(arr.shape),
-            "data": base64.b64encode(arr.tobytes()).decode("ascii")}
+    return {"shape": list(np.shape(a)), "data": encode_floats(a)}
 
 
 def _decode_entry(name: str, entry) -> np.ndarray:
@@ -290,15 +289,7 @@ def _decode_entry(name: str, entry) -> np.ndarray:
             or not all(type(n) is int and n >= 0 for n in shape):
         raise CompatibilityError(
             f"{where} has shape {shape!r}, not a list of non-negative ints")
-    try:
-        raw = base64.b64decode(entry["data"], validate=True)
-    except (TypeError, ValueError):
-        raise CompatibilityError(f"{where} has data that is not base64") from None
-    size = 8 * math.prod(shape)
-    if len(raw) != size:
-        raise CompatibilityError(
-            f"{where} holds {len(raw)} bytes, its shape {tuple(shape)} needs {size}")
-    return np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
+    return decode_floats(entry["data"], shape, where)
 
 
 def save_checkpoint(path: str | Path, model: VisualDecoder,
@@ -309,8 +300,7 @@ def save_checkpoint(path: str | Path, model: VisualDecoder,
         "model_config": asdict(model.config),
         "adapter_config": asdict(adapters.cfg) if adapters is not None else None,
         "extra": extra or {},
-        "tensors": {name: _encode_array(t.data)
-                    for name, t in sorted(model.params.items())},
+        "tensors": {name: _encode_array(a) for name, a in sorted(model.params.items())},
         "adapter_tensors": ({name: _encode_array(t.data)
                              for name, t in adapters.params()}
                             if adapters is not None else {}),
@@ -327,23 +317,28 @@ def load_checkpoint(path: str | Path) -> tuple[VisualDecoder, AdapterSet | None,
             raise CompatibilityError(f"checkpoint has no {section!r} section")
     config = stored_config(ModelConfig, doc["model_config"], "the checkpoint")
     model = VisualDecoder(config)
-    _restore(model.params, doc["tensors"])
+    model.params = _restore(model.params, doc["tensors"])
     adapters = None
     if doc["adapter_config"] is not None:
         adapters = AdapterSet(config.n_layers, config.d_model, config.d_ff,
                               stored_config(AdapterConfig, doc["adapter_config"],
                                             "the checkpoint"))
-    _restore(dict(adapters.params()) if adapters is not None else {},
-             doc["adapter_tensors"])
+    tensors = dict(adapters.params()) if adapters is not None else {}
+    for name, data in _restore(tensors, doc["adapter_tensors"]).items():
+        tensors[name].data = data
     return model, adapters, doc.get("extra", {})
 
 
-def _restore(tensors: dict[str, Tensor], entries: dict) -> None:
-    """Overwrite every tensor from its entry; names and shapes must match exactly."""
-    require_names(tensors, entries, "tensor", "the checkpoint")
-    for name, t in tensors.items():
+def _restore(expected: dict, entries: dict) -> dict[str, np.ndarray]:
+    """The decoded entry of each name in ``expected``, in its order; the
+    entries must hold exactly those names, each with the shape of its array
+    or tensor in ``expected``."""
+    require_names(expected, entries, "tensor", "the checkpoint")
+    out = {}
+    for name, t in expected.items():
         data = _decode_entry(name, entries[name])
         if data.shape != t.shape:
             raise CompatibilityError(f"checkpoint tensor {name!r} has shape "
                                      f"{data.shape}, model needs {t.shape}")
-        t.data = data
+        out[name] = data
+    return out

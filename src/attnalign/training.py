@@ -23,8 +23,8 @@ from . import cores
 from .adapters import AdapterConfig, AdapterSet
 from .autodiff import Tensor
 from .data import DataSpec, SyntheticSample, propose_segments
-from .errors import ConfigurationError, DegenerateAttentionError, DivergenceError, \
-    ParameterError
+from .errors import CompatibilityError, ConfigurationError, \
+    DegenerateAttentionError, DivergenceError, ParameterError
 from .model import ForwardOutput, VisualDecoder, VisualInput, save_checkpoint
 from .weaklabels import SyntheticOracleBackend, WeakLabelSet, select_weak_labels
 
@@ -167,7 +167,8 @@ def alignment_loss(refined: Tensor,
     for ts in token_sets:
         for t in (min(ts), max(ts)):
             if not 0 <= t < n:
-                raise IndexError(f"segment token {t} outside map of size {n}")
+                raise CompatibilityError(
+                    f"weak-label token {t} outside the map of {n} visual tokens")
 
     idx = [np.asarray(ts, dtype=np.intp) for ts in token_sets]
     masses = [data[i].sum() for i in idx]
@@ -199,8 +200,7 @@ def alignment_loss(refined: Tensor,
 
 def lm_loss(output: ForwardOutput, answer: Sequence[int]) -> Tensor:
     """Mean answer-token cross entropy from the predicting rows."""
-    rows = output.answer_logit_rows()
-    return ad.cross_entropy(ad.take(output.logits, list(rows)), list(answer))
+    return ad.cross_entropy(output.logits, output.answer_logit_rows(), list(answer))
 
 
 def total_loss(model: VisualDecoder, adapters: AdapterSet | None,

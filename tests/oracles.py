@@ -173,7 +173,7 @@ def softmax_ref(x, mask, g):
 
 
 def layer_norm_ref(x, gain, bias, g, eps=1e-5):
-    """Row standardization with gain and bias; gradients of (x, gain, bias)."""
+    """Row standardization with gain and bias, and the gradient of x."""
     n = x.shape[1]
     mu = x.mean(axis=1, keepdims=True)
     var = x.var(axis=1, keepdims=True)
@@ -184,15 +184,15 @@ def layer_norm_ref(x, gain, bias, g, eps=1e-5):
     gx = inv / n * (n * gx_hat
                     - gx_hat.sum(axis=1, keepdims=True)
                     - xhat * (gx_hat * xhat).sum(axis=1, keepdims=True))
-    return y, (gx, (g * xhat).sum(axis=0), g.sum(axis=0))
+    return y, gx
 
 
 def linear_with_lora_ref(x, w, a, b, g):
-    """x w^T + (x A^T) B^T and the gradients of (x, w, A, B)."""
+    """x w^T + (x A^T) B^T and the gradients of (x, A, B)."""
     u = x @ a.T
     out = x @ w.T + u @ b.T
     gb_in = g @ b
-    return out, (g @ w + gb_in @ a, g.T @ x, gb_in.T @ x, g.T @ u)
+    return out, (g @ w + gb_in @ a, gb_in.T @ x, g.T @ u)
 
 
 def adamw_ref(p, m, v, grads, lr, grad_scale, b1=0.9, b2=0.999, eps=1e-8):
@@ -254,7 +254,7 @@ def _topb_indices(beta, b):
 def straight_line_forward(model, visual, prompt, answer, adapters=None):
     """Reimplements forward with indexed loops; returns (logits, maps[l][h])."""
     cfg = model.config
-    p = {k: t.data for k, t in model.params.items()}
+    p = model.params
     n = cfg.n_visual
     text_ids = np.array(list(prompt) + list(answer), dtype=int)
     x_vis = np.asarray(visual.features) @ p["w_align"] + p["b_align"]

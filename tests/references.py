@@ -2,10 +2,14 @@
 
 Unlike ``oracles.py``, these share ops with the package: they are the
 materialized or unfused forms of what the hot path computes in factored
-or pruned form, kept so tests can compare the two.
+or pruned form, kept so tests can compare the two. The generic ops that
+left the package (the broadcasting ``add`` and ``mul``, ``matmul``,
+``concat_rows``, ``take`` and the two-argument ``cross_entropy``, among
+others) live here too, because these compositions are their only callers.
 """
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -16,6 +20,164 @@ from attnalign.attention import AttentionStack, HeadSelection
 from attnalign.autodiff import Tensor
 from attnalign.errors import ConfigurationError, DegenerateAttentionError, \
     ParameterError, SelectionError, ShapeError
+
+
+# the package's ops before its frozen base became plain arrays: add and mul
+# with their broadcasting forms, matmul, concat_rows and take, which built
+# the embedding front and the gather in front of the cross entropy
+
+
+def add(a, b) -> Tensor:
+    """Elementwise sum; also matrix + row-vector and anything + scalar."""
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    if a.shape == b.shape:
+        def back(g, sink):
+            if a.requires_grad and b.requires_grad:
+                sink(a, g)
+                sink(b, g.copy())
+            elif a.requires_grad:
+                sink(a, g)
+            elif b.requires_grad:
+                sink(b, g)
+    elif b.shape == () or a.shape == ():
+        if a.shape == ():  # keep the array operand first
+            a, b = b, a
+        def back(g, sink):
+            if b.requires_grad:
+                sink(b, np.asarray(np.sum(g)))
+            if a.requires_grad:
+                sink(a, g)
+    elif len(a.shape) == 2 and b.shape == (a.shape[1],):
+        def back(g, sink):
+            if b.requires_grad:
+                sink(b, g.sum(axis=0))
+            if a.requires_grad:
+                sink(a, g)
+    else:
+        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    return ad._wrap(a.data + b.data, (a, b), back)
+
+
+def mul(a, b) -> Tensor:
+    """Elementwise product; either operand may be a scalar."""
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    if a.shape == b.shape:
+        def back(g, sink):
+            if a.requires_grad:
+                sink(a, g * b.data)
+            if b.requires_grad:
+                sink(b, g * a.data)
+    elif b.shape == () or a.shape == ():
+        if a.shape == ():
+            a, b = b, a
+        def back(g, sink):
+            if a.requires_grad:
+                sink(a, g * b.data)
+            if b.requires_grad:
+                sink(b, np.asarray(np.sum(g * a.data)))
+    else:
+        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
+    return ad._wrap(a.data * b.data, (a, b), back)
+
+
+def matmul(a, b) -> Tensor:
+    """Matrix product of 2-d tensors; grad_a = g b^T, grad_b = a^T g."""
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    if len(a.shape) != 2 or len(b.shape) != 2:
+        raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} vs {b.shape}")
+
+    def back(g, sink):
+        if a.requires_grad:
+            sink(a, g @ b.data.T)
+        if b.requires_grad:
+            sink(b, a.data.T @ g)
+
+    return ad._wrap(a.data @ b.data, (a, b), back)
+
+
+def concat_rows(parts: Sequence) -> Tensor:
+    """Stack 2-d tensors with equal column counts along axis 0."""
+    parts = [ad._as_tensor(p) for p in parts]
+    if not parts:
+        raise ShapeError("concat_rows of an empty sequence")
+    cols = parts[0].shape[1]
+    offsets = [0]
+    for p in parts:
+        if len(p.shape) != 2 or p.shape[1] != cols:
+            raise ShapeError(
+                f"concat_rows: column mismatch {p.shape} vs ({parts[0].shape})"
+            )
+        offsets.append(offsets[-1] + p.shape[0])
+
+    def back(g, sink):
+        # disjoint row views of g, safe to hand to distinct parents
+        for p, s, e in zip(parts, offsets[:-1], offsets[1:]):
+            if p.requires_grad:
+                sink(p, g[s:e])
+
+    return ad._wrap(np.concatenate([p.data for p in parts], axis=0), parts, back)
+
+
+def take(a, indices) -> Tensor:
+    """Gather rows of a matrix or elements of a vector by index."""
+    a = ad._as_tensor(a)
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim != 1:
+        raise ShapeError(f"take expects a 1-d index list, got shape {idx.shape}")
+    if a.data.ndim not in (1, 2):
+        raise ShapeError(f"take expects a 1-d or 2-d tensor, got {a.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+        raise IndexError(f"take: index out of range for first axis of {a.shape}")
+
+    def back(g, sink):
+        z = np.zeros_like(a.data)
+        np.add.at(z, idx, g)
+        sink(a, z)
+
+    return ad._wrap(a.data[idx], (a,), back)
+
+
+def cross_entropy(logits, targets) -> Tensor:
+    """Mean negative log-likelihood of integer targets under row softmax."""
+    logits = ad._as_tensor(logits)
+    tgt = np.asarray(targets, dtype=np.intp)
+    if len(logits.shape) != 2 or tgt.ndim != 1 or tgt.shape[0] != logits.shape[0]:
+        raise ShapeError(
+            f"cross_entropy: logits {logits.shape} vs targets {tgt.shape}"
+        )
+    t, v = logits.shape
+    if tgt.size and (tgt.min() < 0 or tgt.max() >= v):
+        raise IndexError(f"cross_entropy: target outside [0, {v})")
+    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    logp = z - lse
+    loss = -logp[np.arange(t), tgt].mean()
+
+    def back(g, sink):
+        p = np.exp(logp)
+        p[np.arange(t), tgt] -= 1.0
+        sink(logits, g * p / t)
+
+    return ad._wrap(np.asarray(loss), (logits,), back)
+
+
+def lm_loss_chain(logits, rows, targets) -> Tensor:
+    """``ad.cross_entropy(logits, rows, targets)`` as the two nodes that
+    ``lm_loss`` built before: the row gather, then the cross entropy."""
+    return cross_entropy(take(logits, list(rows)), list(targets))
+
+
+def embedding_front_chain(model, visual, token_ids) -> Tensor:
+    """The decoder's input rows as the generic ops built them while the base
+    weights were tensors: X w_align + b_align over the patches, then the
+    gathered token and position embeddings, stacked."""
+    p = {name: Tensor(a) for name, a in model.params.items()}
+    ids = np.asarray(token_ids, dtype=np.intp)
+    x_visual = add(matmul(Tensor(visual.features), p["w_align"]), p["b_align"])
+    x_text = add(take(p["tok_emb"], ids), take(p["pos_emb"], np.arange(ids.size)))
+    return concat_rows([x_visual, x_text])
 
 
 def sum_all(a) -> Tensor:
@@ -57,11 +219,11 @@ def quotient(a: Tensor, b: Tensor) -> Tensor:
 
 
 def one_minus(a: Tensor) -> Tensor:
-    """1 - a as two nodes: a negation, then ``ad.add(1.0, .)``."""
+    """1 - a as two nodes: a negation, then ``add(1.0, .)``."""
     def back(g, sink):
         sink(a, -g)
 
-    return ad.add(1.0, ad._wrap(-a.data, (a,), back))
+    return add(1.0, ad._wrap(-a.data, (a,), back))
 
 
 def transpose(a) -> Tensor:
@@ -170,7 +332,7 @@ def attention_chain(q, k, v, n_heads: int, mask=None) -> tuple[Tensor, Tensor]:
     k3 = split_heads(k, n_heads)
     v3 = split_heads(v, n_heads)
     dh = q.shape[1] // n_heads
-    att = softmax_heads(ad.mul(bmm(q3, transpose_last2(k3)), 1.0 / np.sqrt(dh)), mask)
+    att = softmax_heads(mul(bmm(q3, transpose_last2(k3)), 1.0 / np.sqrt(dh)), mask)
     return att, merge_heads(bmm(att, v3))
 
 
@@ -284,7 +446,7 @@ def qmoe_weights_chain(x: Tensor, rows: range, bank: ExpertBank,
 
 def qmoe_apply_chain(x: Tensor, alpha: Tensor, bank: ExpertBank) -> Tensor:
     """``qmoe_apply`` with alpha gathered into one [S x O] row per token."""
-    rows = ad.take(reshape(alpha, (1, len(bank))),
+    rows = take(reshape(alpha, (1, len(bank))),
                    np.zeros(x.shape[0], dtype=np.intp))
     return ad.lowrank_rows_apply(x, rows, bank.A, bank.B, bank.rank)
 
@@ -297,7 +459,7 @@ def kmoe_gate_weights_chain(x: Tensor, n_tokens: int, bank: ExpertBank,
         raise ParameterError(f"top_b={b} outside [1, {len(bank)}]")
     beta = softmax_rows(gate_logits(gate, slice_rows(x, 0, n_tokens)))
     keep = topb_mask_rows(beta.data, b)
-    masked = ad.mul(beta, Tensor(keep.astype(np.float64)))
+    masked = mul(beta, Tensor(keep.astype(np.float64)))
     return masked, RouterDecision(weights=beta.data, kept=keep)
 
 
@@ -306,21 +468,21 @@ def kmoe_splice_chain(k: Tensor, h: Tensor, weights: Tensor,
     """k with the key-side delta added to its first N rows, as the decoder
     layer spliced it before ``add(kmoe_apply(h, weights, bank), k)``."""
     n = weights.shape[0]
-    k_vis = ad.add(slice_rows(k, 0, n),
+    k_vis = add(slice_rows(k, 0, n),
                    ad.lowrank_rows_apply(slice_rows(h, 0, n), weights, bank.A,
                                          bank.B, bank.rank))
-    return ad.concat_rows([k_vis, slice_rows(k, n, k.shape[0])])
+    return concat_rows([k_vis, slice_rows(k, n, k.shape[0])])
 
 
 def lora_apply(lora: LoRAAdapter, x: Tensor) -> Tensor:
     """x @ delta^T without materializing the full matrix."""
-    return ad.matmul(ad.matmul(x, transpose(lora.A)), transpose(lora.B))
+    return matmul(matmul(x, transpose(lora.A)), transpose(lora.B))
 
 
 def _mixture_delta(bank: ExpertBank, w: Tensor) -> Tensor:
     """sum_o w_o B_o A_o for a length-O weight vector, as one [d_out x d_in]."""
-    per_row = ad.take(w, np.repeat(np.arange(len(bank)), bank.rank))
-    return ad.matmul(bank.B, scale_rows(bank.A, per_row))
+    per_row = take(w, np.repeat(np.arange(len(bank)), bank.rank))
+    return matmul(bank.B, scale_rows(bank.A, per_row))
 
 
 def qmoe_delta(h_prompt: Tensor, bank: ExpertBank,
@@ -339,7 +501,7 @@ def kmoe_delta_per_token(h_tokens: Tensor, bank: ExpertBank, gate: GatingNetwork
                          b: int) -> tuple[list[Tensor], RouterDecision]:
     """Materialized per-token deltas of the key-side mixture."""
     weights, decision = kmoe_gate_weights(h_tokens, h_tokens.shape[0], bank, gate, b)
-    deltas = [_mixture_delta(bank, reshape(ad.take(weights, [c]), (len(bank),)))
+    deltas = [_mixture_delta(bank, reshape(take(weights, [c]), (len(bank),)))
               for c in range(h_tokens.shape[0])]
     return deltas, decision
 
@@ -356,11 +518,11 @@ def adapted_projection(x: Tensor, base_w: Tensor,
     """
     if len(x.shape) != 2 or base_w.shape[1] != x.shape[1]:
         raise ShapeError(f"projection: input {x.shape} vs weight {base_w.shape}")
-    out = ad.matmul(x, transpose(base_w))
+    out = matmul(x, transpose(base_w))
     if dense_lora is not None:
-        out = ad.add(out, lora_apply(dense_lora, x))
+        out = add(out, lora_apply(dense_lora, x))
     if moe_delta is not None:
-        out = ad.add(out, ad.matmul(x, transpose(moe_delta)))
+        out = add(out, matmul(x, transpose(moe_delta)))
     if per_token_deltas is not None:
         if len(per_token_deltas) > x.shape[0]:
             raise ShapeError("more per-token deltas than rows")
@@ -370,11 +532,11 @@ def adapted_projection(x: Tensor, base_w: Tensor,
             if delta is None:
                 rows.append(Tensor(np.zeros((1, out.shape[1]))))
             else:
-                rows.append(ad.matmul(row, transpose(delta)))
+                rows.append(matmul(row, transpose(delta)))
         if len(per_token_deltas) < x.shape[0]:
             pad = Tensor(np.zeros((x.shape[0] - len(per_token_deltas), out.shape[1])))
             rows.append(pad)
-        out = ad.add(out, ad.concat_rows(rows))
+        out = add(out, concat_rows(rows))
     return out
 
 
@@ -402,14 +564,14 @@ def refined_map_all_heads(stack: AttentionStack, query_rows,
             if not selection.selected[l, h]:
                 continue
             v = mean_pool_rows(per_head[l][h])
-            acc = v if acc is None else ad.add(acc, v)
-    return ad.mul(acc, 1.0 / selection.top_r)
+            acc = v if acc is None else add(acc, v)
+    return mul(acc, 1.0 / selection.top_r)
 
 
 def alignment_loss_composed(refined: Tensor, token_sets):
     """The alignment energy built from generic ops: the total mass, then per
     segment a gather, its sum, the quotient by the total, (1 - f) built
-    twice, their product and the running ``ad.add``."""
+    twice, their product and the running ``add``."""
     token_sets = [tuple(s) for s in token_sets]
     if not token_sets:
         raise ConfigurationError("alignment loss needs at least one segment")
@@ -426,8 +588,8 @@ def alignment_loss_composed(refined: Tensor, token_sets):
     loss: Tensor | None = None
     fractions = []
     for ts in token_sets:
-        frac = quotient(sum_all(ad.take(refined, list(ts))), total)
+        frac = quotient(sum_all(take(refined, list(ts))), total)
         fractions.append(float(frac.data))
-        term = ad.mul(one_minus(frac), one_minus(frac))
-        loss = term if loss is None else ad.add(loss, term)
+        term = mul(one_minus(frac), one_minus(frac))
+        loss = term if loss is None else add(loss, term)
     return loss, tuple(fractions)

@@ -12,8 +12,8 @@ from attnalign.errors import ParameterError, ShapeError
 from conftest import ONE_LAYER, make_model_and_adapters, make_visual
 from oracles import expert_delta, finite_diff_check_params, topk_select_loop
 from references import adapted_projection, kmoe_delta_per_token, \
-    kmoe_gate_weights_chain, kmoe_splice_chain, qmoe_apply_chain, qmoe_delta, \
-    qmoe_weights_chain, sum_all, transpose
+    kmoe_gate_weights_chain, kmoe_splice_chain, matmul, qmoe_apply_chain, \
+    qmoe_delta, qmoe_weights_chain, sum_all, transpose
 from test_autodiff import MAGNITUDES, assert_bits, backward_with, leaves
 
 D = 6
@@ -73,7 +73,7 @@ class TestQMoE:
 
         def f():
             delta, _ = qmoe_delta(h, bank, gate)
-            out = ad.matmul(x, transpose(delta))
+            out = matmul(x, transpose(delta))
             return sum_all(ad.mul(out, out))
 
         params = [gate.w1, gate.b1, gate.w2, gate.b2]

@@ -10,8 +10,9 @@ from attnalign.training import AdamW
 from oracles import adamw_ref, finite_diff_check, finite_diff_check_params, \
     gelu_value_slope, layer_norm_ref, linear_with_lora_ref, mlp_two_layer_ref, \
     softmax_ref, softmax_row_decimal
-from references import attention_chain, bmm, mean_pool_rows, merge_heads, \
-    mlp_two_layer, slice_rows, softmax_heads, softmax_rows, split_heads, sum_all
+from references import attention_chain, bmm, concat_rows, lm_loss_chain, matmul, \
+    mean_pool_rows, merge_heads, mlp_two_layer, mul, slice_rows, softmax_heads, \
+    softmax_rows, split_heads, sum_all, take
 
 
 def scalar_of(t):
@@ -21,24 +22,24 @@ def scalar_of(t):
 class TestMatmul:
     def test_identity(self):
         m = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = ad.matmul(ad.Tensor(np.eye(2)), m)
+        out = matmul(ad.Tensor(np.eye(2)), m)
         assert np.array_equal(out.data, m.data)
 
     def test_direct_arithmetic(self):
-        out = ad.matmul(ad.Tensor([[1.0, 2.0], [3.0, 4.0]]),
-                        ad.Tensor([[1.0], [1.0]]))
+        out = matmul(ad.Tensor([[1.0, 2.0], [3.0, 4.0]]),
+                     ad.Tensor([[1.0], [1.0]]))
         assert np.array_equal(out.data, [[3.0], [7.0]])
 
     def test_backward_vs_finite_differences(self, rng):
         a = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = ad.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        err_a = finite_diff_check(lambda t: scalar_of(ad.matmul(t, b)), a, 1e-5)
-        err_b = finite_diff_check(lambda t: scalar_of(ad.matmul(a, t)), b, 1e-5)
+        err_a = finite_diff_check(lambda t: scalar_of(matmul(t, b)), a, 1e-5)
+        err_b = finite_diff_check(lambda t: scalar_of(matmul(a, t)), b, 1e-5)
         assert max(err_a, err_b) < 1e-5
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 3))))
+            matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 3))))
 
 
 class TestSoftmaxRows:
@@ -116,25 +117,58 @@ class TestMeanPoolRows:
 class TestCrossEntropy:
     def test_uniform_logits_ln_v(self):
         v = 7
-        loss = ad.cross_entropy(ad.Tensor(np.zeros((3, v))), [0, 3, 6])
+        loss = ad.cross_entropy(ad.Tensor(np.zeros((3, v))), [0, 1, 2], [0, 3, 6])
         assert abs(float(loss.data) - np.log(v)) < 1e-12
 
     def test_one_hot_limit(self):
         logits = np.zeros((1, 5))
         logits[0, 2] = 1e6
-        loss = ad.cross_entropy(ad.Tensor(logits), [2])
+        loss = ad.cross_entropy(ad.Tensor(logits), [0], [2])
         assert float(loss.data) < 1e-9
 
     def test_gradient_vs_finite_differences(self, rng):
         logits = ad.Tensor(rng.normal(size=(4, 7)), requires_grad=True)
         targets = [1, 0, 6, 3]
-        err = finite_diff_check(lambda t: ad.cross_entropy(t, targets),
-                                   logits, 1e-5)
+        err = finite_diff_check(lambda t: ad.cross_entropy(t, [0, 1, 2, 3], targets),
+                                logits, 1e-5)
         assert err < 1e-4
 
     def test_out_of_range_target(self):
-        with pytest.raises(IndexError):
-            ad.cross_entropy(ad.Tensor(np.zeros((2, 4))), [0, 4])
+        with pytest.raises(ShapeError, match=r"target outside \[0, 4\)"):
+            ad.cross_entropy(ad.Tensor(np.zeros((2, 4))), [0, 1], [0, 4])
+
+    @pytest.mark.parametrize("rows", [[0, 2], [-1, 0]])
+    def test_out_of_range_row(self, rows):
+        # an IndexError once, from the row gather in front of the loss
+        with pytest.raises(ShapeError, match=r"row outside \[0, 2\)"):
+            ad.cross_entropy(ad.Tensor(np.zeros((2, 4))), rows, [0, 1])
+
+    def test_rows_and_targets_must_pair(self):
+        with pytest.raises(ShapeError, match="disagree"):
+            ad.cross_entropy(ad.Tensor(np.zeros((2, 4))), [0, 1], [0])
+
+    @pytest.mark.parametrize("magnitude", [1.0, 30.0])
+    def test_bit_exact_against_gather_then_loss(self, rng, magnitude):
+        # A1 shape: 67 rows of 64 logits; row 66 appears twice, so its
+        # gradient is the sum of two scattered contributions
+        rows, targets = [65, 66, 3, 66], [7, 0, 63, 7]
+        data = rng.uniform(-magnitude, magnitude, size=(67, 64))
+        results = []
+        for build in (ad.cross_entropy, lm_loss_chain):
+            logits = ad.Tensor(data.copy(), requires_grad=True)
+            loss = build(logits, rows, targets)
+            ad.mul(loss, 0.37).backward()
+            results.append((loss.data, logits.grad))
+        (loss, grad), (chain_loss, chain_grad) = results
+        assert_bits(loss, chain_loss)
+        assert_bits(grad, chain_grad)
+        assert not grad[:3].any() and grad[66].any()
+
+    def test_repeated_row_gradient_vs_finite_differences(self, rng):
+        logits = ad.Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+        err = finite_diff_check(lambda t: ad.cross_entropy(t, [4, 1, 4], [2, 0, 5]),
+                                logits, 1e-5)
+        assert err < 1e-6
 
 
 class TestFiniteDiffCheck:
@@ -149,7 +183,7 @@ class TestFiniteDiffCheck:
         w = ad.Tensor(rng.normal(size=(5, 5)))
 
         def f(t):
-            return ad.cross_entropy(ad.matmul(t, w), [0, 2, 4])
+            return ad.cross_entropy(matmul(t, w), [0, 1, 2], [0, 2, 4])
 
         assert finite_diff_check(f, x, 1e-5) < 1e-4
 
@@ -157,7 +191,7 @@ class TestFiniteDiffCheck:
         x = ad.Tensor([1.0], requires_grad=True)
 
         def f(t):
-            return sum_all(ad.mul(t, np.inf))
+            return sum_all(mul(t, np.inf))
 
         with pytest.raises(NumericError):
             finite_diff_check(f, x, 1e-6)
@@ -167,7 +201,7 @@ class TestDeterminism:
     def test_backward_twice_bit_identical(self, rng):
         x = ad.Tensor(rng.normal(size=(4, 4)), requires_grad=True)
         y = ad.Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-        loss = sum_all(ad.mul(ad.matmul(x, y), ad.matmul(x, y)))
+        loss = sum_all(ad.mul(matmul(x, y), matmul(x, y)))
         loss.backward()
         gx, gy = x.grad.copy(), y.grad.copy()
         x.zero_grad()
@@ -188,28 +222,27 @@ class TestStructuralOps:
     def test_take_and_scatter(self, rng):
         x = ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
         err = finite_diff_check(
-            lambda t: scalar_of(ad.take(t, [5, 0, 0, 2])), x, 1e-6)
+            lambda t: scalar_of(take(t, [5, 0, 0, 2])), x, 1e-6)
         assert err < 1e-6
 
     def test_concat_slice_roundtrip(self, rng):
         a = ad.Tensor(rng.normal(size=(2, 4)), requires_grad=True)
         b = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        cat = ad.concat_rows([a, b])
+        cat = concat_rows([a, b])
         assert np.array_equal(slice_rows(cat, 0, 2).data, a.data)
         assert np.array_equal(slice_rows(cat, 2, 5).data, b.data)
         err = finite_diff_check(
-            lambda t: scalar_of(ad.concat_rows([t, b])), a, 1e-6)
+            lambda t: scalar_of(concat_rows([t, b])), a, 1e-6)
         assert err < 1e-6
 
     def test_layer_norm_backward_all_parents(self, rng):
+        # gain and bias are frozen arrays, so x is the only parent
         x = ad.Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-        g = ad.Tensor(rng.normal(size=6), requires_grad=True)
-        b = ad.Tensor(rng.normal(size=6), requires_grad=True)
-
-        def f():
-            return scalar_of(ad.layer_norm_rows(x, g, b))
-
-        assert finite_diff_check_params(f, [x, g, b], 1e-6) < 1e-6
+        g, b = rng.normal(size=6), rng.normal(size=6)
+        out = ad.layer_norm_rows(x, g, b)
+        assert out._parents == (x,)
+        assert finite_diff_check(lambda t: scalar_of(ad.layer_norm_rows(t, g, b)),
+                                 x, 1e-6) < 1e-6
 
     def test_gelu_smooth_and_correct(self, rng):
         x = ad.Tensor(rng.normal(0, 2, size=(3, 4)), requires_grad=True)
@@ -221,23 +254,26 @@ class TestFusedOps:
     # they build the chain that attention_planes and attend are pinned to
     def test_linear_with_lora_matches_composition(self, rng):
         x = ad.Tensor(rng.normal(size=(5, 6)))
-        w = ad.Tensor(rng.normal(size=(4, 6)))
+        w = rng.normal(size=(4, 6))
         a = ad.Tensor(rng.normal(size=(2, 6)))
         b = ad.Tensor(rng.normal(size=(4, 2)))
         fused = ad.linear_with_lora(x, w, a, b)
-        manual = x.data @ w.data.T + (x.data @ a.data.T) @ b.data.T
+        manual = x.data @ w.T + (x.data @ a.data.T) @ b.data.T
         assert np.max(np.abs(fused.data - manual)) < 1e-12
 
     def test_fused_gradients(self, rng):
+        # the base weight w is a frozen array; x, A and B are the parents
         x = ad.Tensor(rng.normal(size=(5, 6)), requires_grad=True)
-        w = ad.Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        w = rng.normal(size=(4, 6))
         a = ad.Tensor(rng.normal(size=(2, 6)), requires_grad=True)
         b = ad.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
 
         def f():
             return scalar_of(ad.linear_with_lora(x, w, a, b))
 
-        assert finite_diff_check_params(f, [x, w, a, b], 1e-6) < 1e-6
+        assert ad.linear_with_lora(x, w, a, b)._parents == (x, a, b)
+        assert ad.linear_with_lora(x, w)._parents == (x,)
+        assert finite_diff_check_params(f, [x, a, b], 1e-6) < 1e-6
 
     def test_head_ops_roundtrip(self, rng):
         x = rng.normal(size=(6, 8))
@@ -365,25 +401,27 @@ class TestKernelsBitExact:
     @pytest.mark.parametrize("magnitude", MAGNITUDES)
     @pytest.mark.parametrize("shape", [(67, 64), (3, 5)])
     def test_layer_norm_rows(self, rng, shape, magnitude):
-        params = leaves(rng, [shape, shape[1:], shape[1:]], magnitude)
-        params[0].data += rng.uniform(-magnitude, magnitude, size=(shape[0], 1))
+        (x,) = leaves(rng, [shape], magnitude)
+        x.data += rng.uniform(-magnitude, magnitude, size=(shape[0], 1))
+        gain, bias = (rng.uniform(-magnitude, magnitude, size=shape[1:])
+                      for _ in range(2))
         g = rng.normal(size=shape)
-        out = ad.layer_norm_rows(*params)
+        out = ad.layer_norm_rows(x, gain, bias)
         backward_with(out, g)
-        value, grads = layer_norm_ref(*(p.data for p in params), g)
+        value, grad = layer_norm_ref(x.data, gain, bias, g)
         assert_bits(out.data, value)
-        for p, expected in zip(params, grads):
-            assert_bits(p.grad, expected)
+        assert_bits(x.grad, grad)
 
     @pytest.mark.parametrize("magnitude", MAGNITUDES)
     def test_linear_with_lora(self, rng, magnitude):
-        params = leaves(rng, [(67, 64), (256, 64), (8, 64), (256, 8)], magnitude)
+        x, a, b = leaves(rng, [(67, 64), (8, 64), (256, 8)], magnitude)
+        w = rng.uniform(-magnitude, magnitude, size=(256, 64))
         g = rng.normal(size=(67, 256))
-        out = ad.linear_with_lora(*params)
+        out = ad.linear_with_lora(x, w, a, b)
         backward_with(out, g)
-        value, grads = linear_with_lora_ref(*(p.data for p in params), g)
+        value, grads = linear_with_lora_ref(x.data, w, a.data, b.data, g)
         assert_bits(out.data, value)
-        for p, expected in zip(params, grads):
+        for p, expected in zip((x, a, b), grads):
             assert_bits(p.grad, expected)
 
     @pytest.mark.parametrize("magnitude", MAGNITUDES)

@@ -122,8 +122,8 @@ class TestEvaluate:
 
     def test_uniform_attention_hand_computation(self):
         model, test_s, _ = eval_setup()
-        model.params["layer0.wq"].data = np.zeros((8, 8))
-        model.params["layer0.wk"].data = np.zeros((8, 8))
+        model.params["layer0.wq"] = np.zeros((8, 8))
+        model.params["layer0.wk"] = np.zeros((8, 8))
         report = evaluate(model, None, test_s[:1])
         s = test_s[0]
         n = s.grid * s.grid

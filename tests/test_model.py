@@ -12,6 +12,7 @@ from attnalign.training import total_loss, TrainConfig
 
 from conftest import TINY_ADAPTER, TINY_MODEL, make_model_and_adapters, make_visual
 from oracles import straight_line_forward
+from references import embedding_front_chain
 
 
 class TestEncodeAndProject:
@@ -19,28 +20,27 @@ class TestEncodeAndProject:
         cfg = ModelConfig(n_layers=1, n_heads=1, d_visual=8, d_model=8,
                           vocab_size=8, grid=2, max_text_len=4)
         model = VisualDecoder(cfg, seed=0)
-        model.params["w_align"].data = np.eye(8)
-        model.params["b_align"].data = np.zeros(8)
+        model.params["w_align"] = np.eye(8)
+        model.params["b_align"] = np.zeros(8)
         v = make_visual(cfg, rng)
         out = model.encode_and_project(v)
-        assert np.array_equal(out.data, v.features)
+        assert np.array_equal(out, v.features)
 
     def test_zero_features_give_bias_rows(self, rng):
         model = VisualDecoder(TINY_MODEL, seed=0)
-        model.params["b_align"].data = rng.normal(size=TINY_MODEL.d_model)
+        model.params["b_align"] = rng.normal(size=TINY_MODEL.d_model)
         v = VisualInput(np.zeros((TINY_MODEL.n_visual, TINY_MODEL.d_visual)),
                         TINY_MODEL.grid)
         out = model.encode_and_project(v)
-        for row in out.data:
-            assert np.array_equal(row, model.params["b_align"].data)
+        for row in out:
+            assert np.array_equal(row, model.params["b_align"])
 
     def test_matches_matmul_oracle(self, rng):
         model = VisualDecoder(TINY_MODEL, seed=3)
         v = make_visual(TINY_MODEL, rng)
         out = model.encode_and_project(v)
-        expected = v.features @ model.params["w_align"].data \
-            + model.params["b_align"].data
-        assert np.max(np.abs(out.data - expected)) < 1e-12
+        expected = v.features @ model.params["w_align"] + model.params["b_align"]
+        assert np.max(np.abs(out - expected)) < 1e-12
 
     def test_width_mismatch(self, rng):
         model = VisualDecoder(TINY_MODEL, seed=0)
@@ -56,8 +56,8 @@ class TestForward:
         cfg = ModelConfig(n_layers=1, n_heads=1, d_visual=4, d_model=8,
                           vocab_size=8, grid=2, max_text_len=6)
         model = VisualDecoder(cfg, seed=0)
-        model.params["layer0.wq"].data = np.zeros((8, 8))
-        model.params["layer0.wk"].data = np.zeros((8, 8))
+        model.params["layer0.wq"] = np.zeros((8, 8))
+        model.params["layer0.wk"] = np.zeros((8, 8))
         out = model.forward(make_visual(cfg, rng), (1, 2), (3,))
         att = out.attention.planes[0].data[0]
         n = cfg.n_visual
@@ -120,6 +120,46 @@ class TestForward:
         v = make_visual(TINY_MODEL, rng)
         with pytest.raises(CapacityError):
             model.forward(v, tuple(range(1, 8)), (1, 2, 3))
+
+    @pytest.mark.parametrize("prompt,answer,bad", [((1, 11), (), 11),
+                                                   ((1,), (-1,), -1)])
+    def test_token_outside_the_vocabulary(self, rng, prompt, answer, bad):
+        # an IndexError once, worded unlike the dataset check
+        model = VisualDecoder(TINY_MODEL, seed=0)
+        with pytest.raises(CompatibilityError,
+                           match=f"token {bad} outside model vocabulary 11"):
+            model.forward(make_visual(TINY_MODEL, rng), prompt, answer)
+
+
+class TestEmbeddingFront:
+    """The numpy front equals the matmul/add/take/concat_rows chain that
+    built it while the base weights were tensors, bit for bit."""
+
+    def first_layer_input(self, model, visual, prompt, answer):
+        seen = []
+        layer = model._layer
+
+        def spy(l, x, *rest):
+            seen.append(x)
+            return layer(l, x, *rest)
+
+        model._layer = spy
+        model.forward(visual, prompt, answer)
+        return seen[0]
+
+    @pytest.mark.parametrize("magnitude", [1.0, 30.0])
+    @pytest.mark.parametrize("cfg", [ModelConfig(), TINY_MODEL], ids=["A1", "tiny"])
+    def test_bit_exact_against_the_chain(self, rng, cfg, magnitude):
+        model = VisualDecoder(cfg, seed=4)
+        model.params["b_align"] = rng.uniform(-magnitude, magnitude, cfg.d_model)
+        visual = make_visual(cfg, rng, magnitude)
+        prompt, answer = (cfg.vocab_size - 1, 0), (3,)
+        x = self.first_layer_input(model, visual, prompt, answer)
+        chain = embedding_front_chain(model, visual, prompt + answer)
+        assert x.data.shape == (cfg.n_visual + 3, cfg.d_model)
+        assert np.array_equal(x.data, chain.data)
+        # one constant tensor: no parents, no gradient, nothing recorded
+        assert not x.requires_grad and x._parents == () and x._backward is None
 
 
 class TestMaskInvariants:
@@ -195,10 +235,10 @@ class TestGenerateGreedy:
         # responds to c for token 7 makes every step emit 7
         model = VisualDecoder(TINY_MODEL, seed=0)
         c = rng.normal(size=TINY_MODEL.d_model)
-        model.params["ln_f.g"].data = np.zeros(TINY_MODEL.d_model)
-        model.params["ln_f.b"].data = c
-        model.params["w_out"].data = np.zeros_like(model.params["w_out"].data)
-        model.params["w_out"].data[7] = c
+        model.params["ln_f.g"] = np.zeros(TINY_MODEL.d_model)
+        model.params["ln_f.b"] = c
+        model.params["w_out"] = np.zeros_like(model.params["w_out"])
+        model.params["w_out"][7] = c
         gen = model.generate_greedy(make_visual(TINY_MODEL, rng), (1,), 4)
         assert gen.tokens == (7, 7, 7, 7)
 
@@ -229,8 +269,8 @@ class TestCheckpoint:
         save_checkpoint(path, model, adapters, extra={"note": 1})
         loaded_model, loaded_adapters, extra = load_checkpoint(path)
         assert extra == {"note": 1}
-        for name, t in model.params.items():
-            assert np.array_equal(t.data, loaded_model.params[name].data)
+        for name, a in model.params.items():
+            assert np.array_equal(a, loaded_model.params[name])
         orig = dict(adapters.params())
         for name, t in loaded_adapters.params():
             assert np.array_equal(t.data, orig[name].data)

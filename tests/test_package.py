@@ -1,6 +1,7 @@
 """Package-wide properties: the BLAS thread pin at import time, no config
 field that the package never reads, no autodiff op that only tests call,
-no CLI option that its verb ignores, and a package that the benchmark's
+a frozen base of plain arrays whose tape reaches only the adapters, no
+CLI option that its verb ignores, and a package that the benchmark's
 span tracer still fits."""
 
 import argparse
@@ -14,14 +15,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import attnalign
 from attnalign import autodiff, cli
-from attnalign.adapters import AdapterConfig
-from attnalign.data import DataSpec
-from attnalign.model import ModelConfig
-from attnalign.training import TrainConfig
+from attnalign.adapters import AdapterConfig, AdapterSet
+from attnalign.data import DataSpec, generate_dataset
+from attnalign.model import ModelConfig, VisualDecoder, load_checkpoint, \
+    save_checkpoint
+from attnalign.training import TrainConfig, compute_weak_labels, total_loss
 
 PROBE = ("import ctypes, numpy, attnalign; "
          "fn = attnalign._blas_function('get_num_threads'); "
@@ -153,6 +156,67 @@ def test_every_cli_option_is_read_by_its_verb():
     assert unread == []
 
 
+def test_the_frozen_base_is_plain_arrays(tmp_path):
+    # only the adapters train, so the base weights are data, not tensors,
+    # and no op carries gradient code for them
+    model = VisualDecoder(ModelConfig())
+    save_checkpoint(tmp_path / "c.json", model)
+    reloaded, _, _ = load_checkpoint(tmp_path / "c.json")
+    for params in (model.params, reloaded.params):
+        assert {type(a) for a in params.values()} == {np.ndarray}
+    assert list(reloaded.params) == list(model.params)
+
+
+# one A1-shaped sample and its K = 1 weak label
+A1_SAMPLE = DataSpec(n_train=1, n_test=1, grid=8, d_visual=16, n_concepts=4,
+                     n_segments=3, n_labels=4, seg_side_min=1, seg_side_max=1,
+                     feature_noise=0.2, seed=11)
+ARMS = {"aligned": (AdapterConfig(), 0.1),
+        "dense": (AdapterConfig(use_qmoe=False, use_kmoe=False), 0.0)}
+
+
+def a1_total_loss(arm):
+    (sample,), _, spec = generate_dataset(A1_SAMPLE)
+    acfg, lam = ARMS[arm]
+    cfg = TrainConfig(lambda_align=lam, weak_k=1, heads_r=2, adapter=acfg)
+    adapters = AdapterSet(4, 64, 256, acfg)
+    labels = compute_weak_labels([sample], spec, 1)[sample.id]
+    loss, _ = total_loss(VisualDecoder(ModelConfig()), adapters, sample, labels, cfg)
+    return loss, adapters
+
+
+def test_gradients_reach_only_the_adapters():
+    loss, adapters = a1_total_loss("aligned")
+    leaves, seen, stack = set(), set(), [loss]
+    while stack:                 # the nodes backward() visits
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is None:
+            leaves.add(id(node))
+        stack.extend(p for p in node._parents if p.requires_grad)
+    assert leaves == {id(t) for _, t in adapters.params()}
+    loss.backward()
+    assert all(t.grad is not None for _, t in adapters.params())
+
+
+@pytest.mark.parametrize("arm,calls_expected", [("aligned", 83), ("dense", 55)])
+def test_wrap_calls_per_a1_total_loss(monkeypatch, arm, calls_expected):
+    # 90 and 62 while the embedding front and the row gather in front of
+    # the cross entropy were tape ops; a change here is a change of design
+    calls = []
+    wrap = autodiff._wrap
+
+    def counting(*args):
+        calls.append(1)
+        return wrap(*args)
+
+    monkeypatch.setattr(autodiff, "_wrap", counting)
+    a1_total_loss(arm)
+    assert len(calls) == calls_expected
+
+
 TRACER = Path(attnalign.__file__).resolve().parents[2] / "perfbench" / "tracing.py"
 
 # one tiny aligned forward and backward under the benchmark's tracer; the
@@ -175,7 +239,7 @@ adapters = AdapterSet(2, 8, 32, AdapterConfig(dense_rank=2, expert_rank=2,
 rng = np.random.default_rng(0)
 out = VisualDecoder(cfg).forward(VisualInput(rng.normal(size=(4, 4)), 2),
                                  (1, 2), (3,), adapters)
-ad.cross_entropy(out.logits, [5, 6, 7, 8, 9, 10, 11]).backward()
+ad.cross_entropy(out.logits, range(7), [5, 6, 7, 8, 9, 10, 11]).backward()
 print(json.dumps({"spans": sorted({s[0] for s in tracer.spans}),
                   "counters": tracer.counters, "failed": tracer.failed}))
 """

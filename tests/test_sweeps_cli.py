@@ -372,6 +372,84 @@ class TestCli:
         assert not out.exists()
         assert not list(tmp_path.rglob("metrics.jsonl"))
 
+    @pytest.mark.parametrize("cut,fragment", [
+        (lambda b64: b64[:-8], "holds 570 bytes, its shape (9, 8) needs 576"),
+        (lambda b64: "@@@@" + b64[4:], "has data that is not base64"),
+    ], ids=["truncated", "not-base64"])
+    def test_sample_features_must_decode_exactly(self, tmp_path, data_dir, capsys,
+                                                 cut, fragment):
+        # a truncated features_b64 used to end in "error: buffer size must be
+        # a multiple of element size", which named neither file nor field
+        ckpt = tmp_path / "checkpoint.json"
+        save_checkpoint(ckpt, VisualDecoder(SMALL_MODEL, seed=0))
+        path = data_dir / "test.jsonl"
+        lines = path.read_text().splitlines()
+        doc = json.loads(lines[2])
+        doc["features_b64"] = cut(doc["features_b64"])
+        lines[2] = json.dumps(doc, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["evaluate", "--checkpoint", str(ckpt), "--data", str(path),
+                       "--out", str(tmp_path / "report.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path} line 3 field 'features_b64' {fragment}\n"
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("verb", [
+        ["train"],
+        ["sweep", "--param", "lambda", "--values", "0,0.1"],
+    ])
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: [], "is not a JSON object"),
+        (lambda doc: {**doc, "trian": {"epochs": 1}},
+         "unknown keys in config file {path}: ['trian']"),
+    ], ids=["list", "misspelt-section"])
+    def test_train_config_must_be_an_object_of_known_sections(
+            self, tmp_path, data_dir, train_config_file, capsys, verb, edit,
+            message):
+        # a list ended in an AttributeError traceback, and a misspelt section
+        # trained on the defaults and exited 0
+        doc = edit(json.loads(train_config_file.read_text()))
+        train_config_file.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = cli.main(verb + ["--data", str(data_dir), "--out", str(out),
+                              "--config", str(train_config_file)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(train_config_file) in err
+        assert message.format(path=train_config_file) in err
+        assert not out.exists()
+        assert not list(tmp_path.rglob("metrics.jsonl"))
+
+    @pytest.mark.parametrize("doc,message", [
+        ([], "is not a JSON object"),
+        ({"topk": 1, "tpok": 2}, "['tpok']"),
+    ], ids=["list", "unknown-key"])
+    def test_weaklabels_config_must_be_an_object_of_known_keys(
+            self, tmp_path, data_dir, capsys, doc, message):
+        cfg = tmp_path / "wl.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "cache.jsonl"
+        rc = cli.main(["weaklabels", "--data", str(data_dir / "train.jsonl"),
+                       "--meta", str(data_dir / "meta.json"), "--out", str(out),
+                       "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(cfg) in err and message in err
+        assert not out.exists()
+
+    def test_gen_data_config_must_be_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "data.json"
+        cfg.write_text("[]")
+        rc = cli.main(["gen-data", "--out", str(tmp_path / "d"), "--config",
+                       str(cfg), "--seed", "5"])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: config file {cfg} is not a JSON object\n"
+        assert not (tmp_path / "d").exists()
+
     def test_ablation_flags(self, tmp_path, data_dir, train_config_file):
         for flag in ("--no-qmoe", "--no-kmoe", "--no-a3moe"):
             rc = cli.main(["train", "--data", str(data_dir), "--out",

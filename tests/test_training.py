@@ -9,8 +9,8 @@ from attnalign import training
 from attnalign.adapters import AdapterConfig, AdapterSet
 from attnalign.autodiff import Tensor
 from attnalign.data import DataSpec, generate_dataset
-from attnalign.errors import ConfigurationError, DegenerateAttentionError, \
-    DivergenceError
+from attnalign.errors import CompatibilityError, ConfigurationError, \
+    DegenerateAttentionError, DivergenceError
 from attnalign.metrics import evaluate
 from attnalign.model import ModelConfig, VisualDecoder
 from attnalign.training import TASK_PROFILES, AdamW, TrainConfig, \
@@ -77,6 +77,15 @@ class TestAlignmentLoss:
         with pytest.raises(DegenerateAttentionError):
             alignment_loss(Tensor(np.zeros(4)), labels_of((0,)))
 
+    @pytest.mark.parametrize("labels,bad", [(labels_of((0,), (2, 4)), 4),
+                                            ([(0,), (-1,)], -1)])
+    def test_segment_outside_the_map_rejected(self, labels, bad):
+        # an IndexError once; a weak label that does not fit the model's
+        # visual tokens is a mismatch between the labels and the model
+        with pytest.raises(CompatibilityError,
+                           match=f"weak-label token {bad} outside the map of 4 "):
+            alignment_loss(Tensor(np.full(4, 0.25)), labels)
+
     def test_differentiable(self, rng):
         m = Tensor(rng.random(5) + 0.1, requires_grad=True)
         err = finite_diff_check(
@@ -112,8 +121,8 @@ class TestLmLoss:
     def test_uniform_logits(self):
         model = small_model()
         # force uniform logits: zero gain makes hidden constant, head zero
-        model.params["ln_f.g"].data = np.zeros(8)
-        model.params["w_out"].data = np.zeros_like(model.params["w_out"].data)
+        model.params["ln_f.g"] = np.zeros(8)
+        model.params["w_out"] = np.zeros_like(model.params["w_out"])
         rng = np.random.default_rng(0)
         out = model.forward(make_visual(model.config, rng), (1, 2), (3,))
         loss = lm_loss(out, (3,))
@@ -129,8 +138,7 @@ class TestLmLoss:
             def answer_logit_rows(self):
                 return (0, 1, 2)
 
-        err = finite_diff_check(lambda t: ad.cross_entropy(t, [1, 2, 3]),
-                                   logits, 1e-5)
+        err = finite_diff_check(lambda t: lm_loss(Out(), [1, 2, 3]), logits, 1e-5)
         assert err < 1e-4
 
 
@@ -321,7 +329,7 @@ class TestTrainLoop:
     def test_divergence_abort_names_step(self):
         train_s, _, meta = small_task(seed=3)
         model = small_model()
-        model.params["w_out"].data[0, 0] = np.nan
+        model.params["w_out"][0, 0] = np.nan
         cfg = TrainConfig(lambda_align=0.0, epochs=1, lr=1e-3, batch_size=3,
                           adapter=SMALL_ADAPTER, seed=0)
         with pytest.raises(DivergenceError, match="step 0"):
