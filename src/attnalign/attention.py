@@ -1,10 +1,12 @@
 """Head statistics, refined and generated visual maps, heatmap export.
 
 One forward pass yields an AttentionStack of L*H row-stochastic maps
-over the full sequence. We rank heads by the share of attention their
-text queries put on visual keys, then carve the text-query x visual-key
+over the full sequence; the last layer's maps hold only the query rows
+that the pass kept. We rank heads by the share of attention their text
+queries put on visual keys, then carve the text-query x visual-key
 submatrices of the top-R heads only and fold them into the refined map
-that the alignment loss consumes.
+that the alignment loss consumes. Every reader names sequence rows, and
+``AttentionStack.plane_rows`` translates them into rows of a plane.
 """
 
 from __future__ import annotations
@@ -46,12 +48,32 @@ class Spans:
         return range(self.n_visual, self.total)
 
 
+def kept_positions(kept: Sequence[int], rows: Sequence[int], what: str) -> np.ndarray:
+    """The positions in ``kept`` of the sequence rows ``rows``; a row that
+    was not kept raises SelectionError."""
+    pos = {r: i for i, r in enumerate(kept)}
+    try:
+        return np.array([pos[r] for r in rows], dtype=np.intp)
+    except KeyError as exc:
+        raise SelectionError(f"sequence row {exc.args[0]} is not among the rows "
+                             f"{tuple(kept)} kept in {what}") from None
+
+
 @dataclass
 class AttentionStack:
-    """Per-layer [H x S x S] attention planes from one forward pass."""
+    """Per-layer attention planes from one forward pass: [H x S x S] for every
+    layer but the last, whose [H x m x S] plane holds the m query rows the
+    pass kept, row i being sequence row ``last_rows[i]`` (None: all S)."""
 
     planes: list[Tensor]
     spans: Spans
+    last_rows: tuple[int, ...] | None = None
+
+    def plane_rows(self, layer: int, rows: Sequence[int]) -> np.ndarray:
+        """The rows of plane ``layer`` that hold the sequence rows ``rows``."""
+        if layer < self.n_layers - 1 or self.last_rows is None:
+            return np.asarray(rows, dtype=np.intp)
+        return kept_positions(self.last_rows, rows, "the last layer's attention")
 
     @property
     def n_layers(self) -> int:
@@ -73,6 +95,12 @@ class HeadSelection:
         return [tuple(p) for p in np.argwhere(self.selected)]
 
 
+def answer_logit_rows(spans: Spans) -> tuple[int, ...]:
+    """Rows whose logits predict the answer tokens, in order."""
+    first = spans.n_visual + spans.n_prompt - 1
+    return tuple(range(first, first + spans.n_answer))
+
+
 def answer_query_rows(spans: Spans) -> tuple[int, ...]:
     """Query rows used during teacher-forced training: the answer positions."""
     return tuple(spans.answer_range)
@@ -87,7 +115,7 @@ def all_visual_ratios(stack: AttentionStack,
     spans = stack.spans
     out = np.empty((stack.n_layers, stack.n_heads))
     for l, plane in enumerate(stack.planes):
-        view = plane.data[:, rows, :]
+        view = plane.data[:, stack.plane_rows(l, rows), :]
         vis = view[:, :, : spans.n_visual].sum(axis=(1, 2))
         prm = view[:, :, spans.n_visual: spans.n_visual + spans.n_prompt].sum(axis=(1, 2))
         denom = vis + prm
@@ -134,13 +162,14 @@ def refined_map(stack: AttentionStack, query_rows: Sequence[int],
     if selection.top_r < 1:
         raise ParameterError("refined_map needs at least one selected head")
     n = stack.spans.n_visual
-    idx = np.asarray(rows, dtype=np.intp)
     pairs = selection.pairs()
+    layers = sorted({l for l, _ in pairs})
+    # every layer's rows, so a row the last layer did not keep always raises
+    idx = [stack.plane_rows(l, rows) for l in range(stack.n_layers)]
     acc = None
     for l, h in pairs:
-        v = stack.planes[l].data[h][idx, :n].mean(axis=0)
+        v = stack.planes[l].data[h][idx[l], :n].mean(axis=0)
         acc = v if acc is None else acc + v
-    layers = sorted({l for l, _ in pairs})
 
     def back(g, sink):
         # (g / R) / |Q| into each selected block, one zeroed plane per layer;
@@ -154,7 +183,7 @@ def refined_map(stack: AttentionStack, query_rows: Sequence[int],
             z = np.zeros_like(plane.data)
             for pl, h in pairs:
                 if pl == l:
-                    np.add.at(z[h, :, :n], idx, block)
+                    np.add.at(z[h, :, :n], idx[l], block)
             sink(plane, z)
 
     return ad._wrap(acc * (1.0 / selection.top_r), [stack.planes[l] for l in layers],
@@ -170,8 +199,9 @@ def generated_query_mean_map(stacks: Sequence[AttentionStack],
     acc = np.zeros(n)
     count = 0
     for stack, row in zip(stacks, step_rows):
-        for plane in stack.planes:
-            acc += plane.data[:, row, :n].sum(axis=0)
+        for l, plane in enumerate(stack.planes):
+            (r,) = stack.plane_rows(l, (row,))
+            acc += plane.data[:, r, :n].sum(axis=0)
             count += plane.shape[0]
     return acc / count
 
@@ -188,9 +218,10 @@ def generated_head_maps(stacks: Sequence[AttentionStack],
     prm = np.zeros((n_l, n_h))
     for stack, row in zip(stacks, step_rows):
         for l in range(n_l):
+            (r,) = stack.plane_rows(l, (row,))
             m = stack.planes[l].data
-            vis[l] += m[:, row, :n]
-            prm[l] += m[:, row, n: n + spans.n_prompt].sum(axis=1)
+            vis[l] += m[:, r, :n]
+            prm[l] += m[:, r, n: n + spans.n_prompt].sum(axis=1)
     vis /= len(stacks)
     prm /= len(stacks)
     denom = vis.sum(axis=2) + prm

@@ -1,14 +1,14 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Tensors are 0-d scalars, 1-d vectors or 2-d matrices over float64, plus
-the [H x S x S] planes of multi-head attention. ``add`` and ``mul`` take
-two operands of one shape and nothing broadcasts. Only the adapters
-train: the frozen decoder weights enter ``linear_with_lora`` and
-``layer_norm_rows`` as plain arrays, so no op carries gradient code for
-them. Only the two attention ops know that head h owns columns
-h dh:(h+1) dh of q, k and v. The two router gates are single nodes too;
-``adapters.py`` builds them from this module's private row kernels (the
-gelu and softmax halves).
+the [H x m x S] planes of multi-head attention (m query rows against S
+keys). ``add`` and ``mul`` take two operands of one shape and nothing
+broadcasts. Only the adapters train: the frozen decoder weights enter
+``linear_with_lora`` and ``layer_norm_rows`` as plain arrays, so no op
+carries gradient code for them. Only the two attention ops know that
+head h owns columns h dh:(h+1) dh of q, k and v. The two router gates
+are single nodes too; ``adapters.py`` builds them from this module's
+private row kernels (the gelu and softmax halves).
 
 Each differentiable op records its parents and a backward closure on
 the output tensor, so the op graph doubles as the tape and is rebuilt
@@ -206,6 +206,23 @@ def mul(a, b) -> Tensor:
     return _wrap(a.data * b.data, (a, b), back)
 
 
+def gather_rows(a, rows) -> Tensor:
+    """The given rows of a 2-d tensor, in order; the backward scatters g
+    into zeros of a's shape, a repeated row accumulating."""
+    a = _as_tensor(a)
+    idx = np.asarray(rows, dtype=np.intp)
+    if len(a.shape) != 2 or idx.ndim != 1 \
+            or (idx.size and (idx.min() < 0 or idx.max() >= a.shape[0])):
+        raise ShapeError(f"gather_rows: rows {idx.tolist()} do not index {a.shape}")
+
+    def back(g, sink):
+        z = np.zeros_like(a.data)
+        np.add.at(z, idx, g)
+        sink(a, z)
+
+    return _wrap(a.data[idx], (a,), back)
+
+
 # ---------------------------------------------------------------------------
 # row kernels shared by the fused nodes, here and in adapters.py
 
@@ -359,7 +376,8 @@ def cross_entropy(logits, rows, targets) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# multi-head attention: [S x H*dh] columns, head-major, against [H x S x S] planes
+# multi-head attention: [m x H*dh] query and [S x H*dh] key/value columns,
+# head-major, against [H x m x S] planes
 
 
 def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -375,19 +393,21 @@ def _columns(x: np.ndarray) -> np.ndarray:
 
 
 def attention_planes(q, k, n_heads: int, mask: np.ndarray | None = None) -> Tensor:
-    """softmax(q_h k_h^T / sqrt(dh)) of every head under one [S x S] mask that
-    all heads share: True marks a visible key, a masked entry comes out
-    exactly 0, and a row with no visible key raises DegenerateRowError."""
+    """softmax(q_h k_h^T / sqrt(dh)) of every head: the [H x m x S] planes of
+    m query rows against S keys, under one [m x S] mask that all heads
+    share. True marks a visible key, a masked entry comes out exactly 0,
+    and a row with no visible key raises DegenerateRowError."""
     q, k = _as_tensor(q), _as_tensor(k)
-    if len(q.shape) != 2 or q.shape != k.shape:
+    if len(q.shape) != 2 or len(k.shape) != 2 or q.shape[1] != k.shape[1]:
         raise ShapeError(f"attention_planes: q {q.shape} and k {k.shape} disagree")
-    s, d = q.shape
+    m, d = q.shape
+    s = k.shape[0]
     if d % n_heads:
         raise ShapeError(f"width {d} not divisible into {n_heads} heads")
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (s, s):
-            raise ShapeError(f"mask {mask.shape} does not cover planes {(s, s)}")
+        if mask.shape != (m, s):
+            raise ShapeError(f"mask {mask.shape} does not cover planes {(m, s)}")
         _check_rows_visible(mask)
     scale = 1.0 / np.sqrt(d // n_heads)
     q3, k3 = _heads(q.data, n_heads), _heads(k.data, n_heads)
@@ -407,11 +427,11 @@ def attention_planes(q, k, n_heads: int, mask: np.ndarray | None = None) -> Tens
 
 
 def attend(planes, v) -> Tensor:
-    """planes_h @ v_h of every head, merged into [S x H*dh] columns."""
+    """planes_h @ v_h of every head, [H x m x S] planes against [S x H*dh]
+    values, merged into [m x H*dh] columns."""
     planes, v = _as_tensor(planes), _as_tensor(v)
     if len(planes.shape) != 3 or len(v.shape) != 2 \
-            or planes.shape[1:] != (v.shape[0], v.shape[0]) \
-            or v.shape[1] % planes.shape[0]:
+            or planes.shape[2] != v.shape[0] or v.shape[1] % planes.shape[0]:
         raise ShapeError(f"attend: planes {planes.shape} do not fit values {v.shape}")
     h = planes.shape[0]
     v3 = _heads(v.data, h)

@@ -53,12 +53,26 @@ def _dataclass_from(cls, doc: dict):
                              f"{cls.__name__} fields"))
 
 
+def _section(doc: dict, name: str, path: str | None) -> dict:
+    """Section ``name`` of a --config file, which must be a JSON object."""
+    value = doc.get(name, {})
+    if not isinstance(value, dict):
+        raise ConfigurationError(
+            f"section {name!r} of config file {path} is not a JSON object")
+    return value
+
+
 def _build_train_config(doc: dict, args) -> tuple[ModelConfig, TrainConfig, int]:
-    model_cfg = _dataclass_from(ModelConfig, doc.get("model", {}))
-    adapter_cfg = _dataclass_from(AdapterConfig, doc.get("adapter", {}))
-    train_doc = dict(doc.get("train", {}))
+    model_cfg = _dataclass_from(ModelConfig, _section(doc, "model", args.config))
+    adapter_cfg = _dataclass_from(AdapterConfig,
+                                  _section(doc, "adapter", args.config))
+    train_doc = dict(_section(doc, "train", args.config))
     profile = train_doc.pop("profile", None) or getattr(args, "profile", None)
     if profile:
+        if not isinstance(profile, str) or profile not in TASK_PROFILES:
+            raise ConfigurationError(
+                f"field 'profile' of section 'train' of config file "
+                f"{args.config} is {profile!r}, not one of {sorted(TASK_PROFILES)}")
         prof = TASK_PROFILES[profile]
         train_doc.setdefault("epochs", prof.epochs)
         train_doc.setdefault("lambda_align", prof.lambda_align)

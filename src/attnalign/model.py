@@ -6,9 +6,14 @@ causal masking while every position may attend to all visual tokens.
 The base model is frozen after random init and held as plain numpy
 arrays: the embedding front is numpy, wrapped once in a constant tensor,
 and the decoder's ops read the base weights as data, so all learning,
-and every gradient, belongs to the adapters. Every forward pass returns
-logits for all positions plus the complete per-layer, per-head attention
-stack.
+and every gradient, belongs to the adapters.
+
+A forward pass returns the logits of the sequence rows its caller keeps
+(all by default, like ``logits_to_keep`` in causal-LM inference code)
+plus the per-layer, per-head attention stack. Every layer but the last
+computes all rows, which become the next layer's keys and values; the
+last computes its keys and values on every row and the rest, from the
+queries to the LM head, on the kept rows only.
 """
 
 from __future__ import annotations
@@ -16,13 +21,14 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .adapters import AdapterConfig, AdapterSet, kmoe_apply, kmoe_gate_weights, \
     qmoe_apply, qmoe_weights
-from .attention import AttentionStack, Spans
+from .attention import AttentionStack, Spans, answer_logit_rows, kept_positions
 from .autodiff import Tensor
 from .errors import CapacityError, CompatibilityError, ShapeError, decode_floats, \
     encode_floats, read_document, require_names, stored_config
@@ -75,15 +81,18 @@ class VisualInput:
 
 @dataclass
 class ForwardOutput:
-    logits: Tensor                     # [S x V], one row per sequence position
+    logits: Tensor                     # [m x V], one row per kept sequence row
     attention: AttentionStack
     spans: Spans
+    rows: tuple[int, ...]              # the sequence row of each logits row
 
     def answer_logit_rows(self) -> tuple[int, ...]:
-        """Rows whose logits predict the answer tokens, in order."""
-        s = self.spans
-        first = s.n_visual + s.n_prompt - 1
-        return tuple(range(first, first + s.n_answer))
+        """Sequence rows whose logits predict the answer tokens, in order."""
+        return answer_logit_rows(self.spans)
+
+    def logit_rows(self, rows: Sequence[int]) -> np.ndarray:
+        """The rows of ``logits`` that hold the given sequence rows."""
+        return kept_positions(self.rows, rows, "the logits")
 
 
 @dataclass
@@ -181,13 +190,24 @@ class VisualDecoder:
 
     def forward(self, visual: VisualInput, prompt: tuple[int, ...],
                 answer: tuple[int, ...] = (),
-                adapters: AdapterSet | None = None) -> ForwardOutput:
+                adapters: AdapterSet | None = None,
+                keep_rows: Sequence[int] | None = None) -> ForwardOutput:
+        """Logits and attention of the sequence rows ``keep_rows`` (sorted,
+        once each), or of every row when it is None."""
         c = self.config
         prompt = tuple(int(t) for t in prompt)
         answer = tuple(int(t) for t in answer)
         if not prompt:
             raise ShapeError("prompt must contain at least one token")
         spans = Spans(c.n_visual, len(prompt), len(answer))
+        keep = None
+        rows = tuple(range(spans.total))
+        if keep_rows is not None:
+            rows = tuple(sorted({int(r) for r in keep_rows}))
+            if not rows or rows[0] < 0 or rows[-1] >= spans.total:
+                raise ShapeError(f"rows to keep {rows} outside the "
+                                 f"{spans.total}-row sequence")
+            keep = np.asarray(rows, dtype=np.intp)
 
         # the frozen embedding front records nothing: one constant tensor
         x = Tensor(np.concatenate([self.encode_and_project(visual),
@@ -196,16 +216,19 @@ class VisualDecoder:
 
         planes: list[Tensor] = []
         for l in range(c.n_layers):
-            x, att = self._layer(l, x, spans, mask, adapters)
+            last = l == c.n_layers - 1
+            x, att = self._layer(l, x, spans, mask, adapters,
+                                 keep if last else None)
             planes.append(att)
         x = ad.layer_norm_rows(x, self.params["ln_f.g"], self.params["ln_f.b"])
         logits = ad.linear_with_lora(x, self.params["w_out"])
-        return ForwardOutput(logits=logits,
-                             attention=AttentionStack(planes=planes, spans=spans),
-                             spans=spans)
+        stack = AttentionStack(planes=planes, spans=spans, last_rows=rows)
+        return ForwardOutput(logits=logits, attention=stack, spans=spans, rows=rows)
 
     def _layer(self, l: int, x: Tensor, spans: Spans, mask: np.ndarray,
-               adapters: AdapterSet | None):
+               adapters: AdapterSet | None, keep: np.ndarray | None):
+        """One decoder layer; with ``keep``, the rows it returns and the
+        query rows of its plane are those rows only."""
         c = self.config
         p = self.params
         pre = f"layer{l}."
@@ -219,12 +242,14 @@ class VisualDecoder:
             return ad.linear_with_lora(inp, w, lora.A, lora.B)
 
         h = ad.layer_norm_rows(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
+        # keys and values need every row; queries and the rest only the kept
+        hq = h if keep is None else ad.gather_rows(h, keep)
 
-        q = lwl(h, p[pre + "wq"], "lora_q")
+        q = lwl(hq, p[pre + "wq"], "lora_q")
         if la is not None and acfg.use_qmoe:
             alpha, q_dec = qmoe_weights(x, spans.prompt_range, la.q_bank, la.q_gate)
             adapters.last_decisions[f"layer{l}.q"] = q_dec
-            q = ad.add(q, qmoe_apply(h, alpha, la.q_bank))
+            q = ad.add(q, qmoe_apply(hq, alpha, la.q_bank))
 
         k = lwl(h, p[pre + "wk"], "lora_k")
         if la is not None and acfg.use_kmoe:
@@ -235,6 +260,9 @@ class VisualDecoder:
             # the order the earlier slice-and-splice chain did
             k = ad.add(kmoe_apply(h, weights, la.k_bank), k)
 
+        if keep is not None:
+            mask = mask[keep]
+            x = ad.gather_rows(x, keep)
         att = ad.attention_planes(q, k, c.n_heads, mask)
         merged = ad.attend(att, lwl(h, p[pre + "wv"], "lora_v"))
         out = lwl(merged, p[pre + "wo"], "lora_o")
@@ -258,9 +286,11 @@ class VisualDecoder:
         step_rows = []
         with ad.no_grad():
             for _ in range(max_len):
-                out = self.forward(visual, prompt, tuple(generated), adapters)
-                row = out.spans.total - 1
-                nxt = int(np.argmax(out.logits.data[row]))
+                # only the last row emits, so only it is computed in full
+                row = self.config.n_visual + len(prompt) + len(generated) - 1
+                out = self.forward(visual, prompt, tuple(generated), adapters,
+                                   keep_rows=(row,))
+                nxt = int(np.argmax(out.logits.data[0]))
                 stacks.append(out.attention)
                 step_rows.append(row)
                 generated.append(nxt)

@@ -200,7 +200,9 @@ def alignment_loss(refined: Tensor,
 
 def lm_loss(output: ForwardOutput, answer: Sequence[int]) -> Tensor:
     """Mean answer-token cross entropy from the predicting rows."""
-    return ad.cross_entropy(output.logits, output.answer_logit_rows(), list(answer))
+    return ad.cross_entropy(output.logits,
+                            output.logit_rows(output.answer_logit_rows()),
+                            list(answer))
 
 
 def total_loss(model: VisualDecoder, adapters: AdapterSet | None,
@@ -208,12 +210,17 @@ def total_loss(model: VisualDecoder, adapters: AdapterSet | None,
                cfg: TrainConfig) -> tuple[Tensor, LossBreakdown]:
     """One shared forward pass feeding both loss terms.
 
-    The top-R heads are ranked again on every pass.
+    The top-R heads are ranked again on every pass. The pass keeps only
+    the rows the two terms read: the answer-predicting logit rows and the
+    answer query rows.
     """
     if cfg.lambda_align > 0 and cfg.heads_r == 0:
         raise ConfigurationError("alignment requested (lambda > 0) but heads_r == 0")
+    spans = attn.Spans(model.config.n_visual, len(sample.prompt), len(sample.answer))
     out = model.forward(VisualInput(sample.features, sample.grid),
-                        sample.prompt, sample.answer, adapters)
+                        sample.prompt, sample.answer, adapters,
+                        keep_rows=attn.answer_logit_rows(spans)
+                        + attn.answer_query_rows(spans))
     llm = lm_loss(out, sample.answer)
 
     if cfg.lambda_align == 0 or cfg.heads_r == 0:

@@ -553,7 +553,7 @@ def refined_map_all_heads(stack: AttentionStack, query_rows,
         if r not in text:
             raise SelectionError(f"query row {r} outside text spans {text}")
     n = stack.spans.n_visual
-    per_head = [[plane_submatrix(stack.planes[l], h, rows, 0, n)
+    per_head = [[plane_submatrix(stack.planes[l], h, stack.plane_rows(l, rows), 0, n)
                  for h in range(stack.n_heads)]
                 for l in range(stack.n_layers)]
     if selection.top_r < 1:

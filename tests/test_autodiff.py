@@ -338,6 +338,29 @@ def assert_bits(actual, expected):
 MAGNITUDES = [1.0, 30.0]
 
 
+class TestGatherRows:
+    @pytest.mark.parametrize("rows", [[65, 66], [66], [3, 0, 3]])
+    def test_bit_exact_against_take(self, rng, rows):
+        (x,) = leaves(rng, [(67, 8)], 1.0)
+        g = rng.normal(size=(len(rows), 8))
+        results = []
+        for gather in (ad.gather_rows, take):
+            x.zero_grad()
+            out = gather(x, rows)
+            backward_with(out, g)
+            results.append((out.data, x.grad))
+        for actual, expected in zip(*results):
+            assert_bits(actual, expected)
+
+    @pytest.mark.parametrize("x,rows", [
+        (np.zeros((4, 2)), [4]), (np.zeros((4, 2)), [-1]),
+        (np.zeros(4), [0]), (np.zeros((4, 2)), [[0]]),
+    ], ids=["past-end", "negative", "vector", "2-d-rows"])
+    def test_shape_errors(self, x, rows):
+        with pytest.raises(ShapeError, match="gather_rows"):
+            ad.gather_rows(ad.Tensor(x), rows)
+
+
 class TestKernelsBitExact:
     """The in-place kernels reproduce the plain expressions in oracles.py bit for bit."""
 
@@ -510,6 +533,26 @@ class TestAttentionOps:
     @pytest.mark.parametrize("width", WIDTHS)
     @pytest.mark.parametrize("magnitude", MAGNITUDES)
     @pytest.mark.parametrize("masked", [False, True])
+    def test_kept_query_rows_bit_exact_against_chain(self, rng, masked, magnitude,
+                                                     width):
+        # the last decoder layer: the answer-logit and answer query rows of
+        # q against every row of k and v, under those rows of the mask
+        rows = [65, 66]
+        q, k, v = leaves(rng, [(2, width), (67, width), (67, width)], magnitude)
+        g = (rng.normal(size=(2, width)), rng.normal(size=(N_HEADS, 2, 67)))
+        mask = attention_mask(masked)
+        mask = None if mask is None else mask[rows]
+        fused = self.run(fused_attention, q, k, v, mask, *g)
+        chain = self.run(lambda *a: attention_chain(*a[:3], N_HEADS, a[3]),
+                         q, k, v, mask, *g)
+        assert fused[0].shape == (N_HEADS, 2, 67)
+        assert fused[1].shape == (2, width)
+        for actual, expected in zip(fused, chain):
+            assert_bits(actual, expected)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("magnitude", MAGNITUDES)
+    @pytest.mark.parametrize("masked", [False, True])
     def test_attend_plane_gradient_against_chain(self, rng, masked, magnitude,
                                                  width):
         q, k, v = leaves(rng, [(67, width)] * 3, magnitude)
@@ -574,6 +617,20 @@ class TestAttentionOps:
                                   (ad.Tensor(np.zeros((5, 5))), x)]:
             with pytest.raises(ShapeError, match="attend"):
                 ad.attend(bad_planes, bad_v)
+
+    def test_kept_query_rows_shape_errors(self):
+        q, kv = ad.Tensor(np.zeros((2, 8))), ad.Tensor(np.zeros((5, 8)))
+        assert ad.attention_planes(q, kv, 2, np.ones((2, 5), dtype=bool)).shape \
+            == (2, 2, 5)
+        with pytest.raises(ShapeError, match=r"mask \(5, 5\) does not cover "
+                                             r"planes \(2, 5\)"):
+            ad.attention_planes(q, kv, 2, np.ones((5, 5), dtype=bool))
+        with pytest.raises(ShapeError, match="disagree"):
+            ad.attention_planes(q, ad.Tensor(np.zeros((5, 6))), 2)
+        planes = ad.attention_planes(q, kv, 2)
+        assert ad.attend(planes, kv).shape == (2, 8)
+        with pytest.raises(ShapeError, match="attend"):
+            ad.attend(planes, ad.Tensor(np.zeros((2, 8))))
 
     def test_two_nodes_with_parents_in_chain_order(self, rng):
         # the tape adds the contributions into q, k and v's common input in

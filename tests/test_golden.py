@@ -31,17 +31,17 @@ GOLDEN = {
               "SkylakeX MAX_THREADS=64"): {
         "aligned": {
             "metrics.jsonl":
-                "ed333420f7c915a31d3b82908a87c8f3cba8ccd7b9a171684cd0fc0f7b2fb8c8",
+                "7b400e90a30d4f9d1f0117a3c69660b48cd2f1859909f92371cf4c6fe2d690fe",
             "checkpoint.json":
-                "5e44100657c93895749ede77bb311e62e3c1158f6f8d53152c8125ad7c6765c1",
+                "231fc53331d8ab1b55444e2afaf5fce26a83c944ef9ac544425e00edf8c4e4d2",
             "report.json":
-                "736f8995b5af687616d1198a14ff53b496046c2daee4b5ecdff71678257ed744",
+                "5057a4c8703a4463dcbdc26e82044c4ad2fec739e8585d1cea9d1ddaa20668bd",
         },
         "dense": {
             "metrics.jsonl":
-                "4f44748585aeec0162725c0ea1c3af1f15a0b84280950e4e9048a58ecb10d95f",
+                "735f47039628cf87461c32ec123725793254a688de908bd6612efc1a70ece661",
             "checkpoint.json":
-                "5b56a7afa3fc295b127468f4624d17571161df43c4de5726b48c9e4e9f982840",
+                "bc0337579c7c9451018a0d066def6615388eebea284d1a3e08705b085319e412",
             "report.json":
                 "014a4f915f99760cfcc2af33881ec12d8dbcba8b4124d6c8602378dbd26fde96",
         },

@@ -1,11 +1,16 @@
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
 
+from attnalign import autodiff as ad
 from attnalign.adapters import AdapterConfig
-from attnalign.errors import CapacityError, CompatibilityError, ShapeError
+from attnalign.attention import all_visual_ratios, generated_head_maps, \
+    generated_query_mean_map, refined_map, select_heads
+from attnalign.errors import CapacityError, CompatibilityError, SelectionError, \
+    ShapeError
 from attnalign.model import ModelConfig, VisualDecoder, VisualInput, \
     load_checkpoint, save_checkpoint
 from attnalign.training import total_loss, TrainConfig
@@ -260,6 +265,84 @@ class TestGenerateGreedy:
         model = VisualDecoder(TINY_MODEL, seed=0)
         with pytest.raises(CapacityError):
             model.generate_greedy(make_visual(TINY_MODEL, rng), (1,), 0)
+
+
+A1_MODEL = ModelConfig()      # 4 layers x 4 heads, S = 67 at one answer token
+ARMS = {"aligned": TINY_ADAPTER,
+        "dense": dataclasses.replace(TINY_ADAPTER, use_qmoe=False, use_kmoe=False)}
+
+
+class TestKeptRows:
+    """The last layer computes only the kept rows; everything read of them
+    matches the all-rows pass, which is the default."""
+
+    @pytest.mark.parametrize("cfg", [TINY_MODEL, A1_MODEL], ids=["tiny", "a1"])
+    @pytest.mark.parametrize("arm", sorted(ARMS))
+    def test_kept_rows_match_the_full_forward(self, rng, cfg, arm):
+        model, adapters = make_model_and_adapters(cfg, ARMS[arm], randomize=True)
+        v = make_visual(cfg, rng)
+        prompt, answer = (1, 2, 3), (4, 5)
+        full = model.forward(v, prompt, answer, adapters)
+        total = full.spans.total
+        assert full.rows == tuple(range(total))
+        for keep in [(total - 1,), (total - 4, total - 3), (total - 2, 0, total - 2),
+                     (cfg.n_visual, cfg.n_visual + 2)]:
+            rows = sorted(set(keep))
+            out = model.forward(v, prompt, answer, adapters, keep_rows=keep)
+            assert out.rows == tuple(rows)
+            assert out.logits.shape == (len(rows), cfg.vocab_size)
+            assert np.max(np.abs(out.logits.data - full.logits.data[rows])) < 1e-14
+            *early, last = out.attention.planes
+            assert last.shape == (cfg.n_heads, len(rows), total)
+            assert np.max(np.abs(last.data - full.attention.planes[-1].data[:, rows])) \
+                < 1e-14
+            for a, b in zip(early, full.attention.planes):
+                assert np.array_equal(a.data, b.data)
+
+    def test_rows_outside_the_sequence_rejected(self, rng):
+        model = VisualDecoder(TINY_MODEL, seed=0)
+        v = make_visual(TINY_MODEL, rng)
+        total = TINY_MODEL.n_visual + 3
+        for keep in [(), (total,), (-1, 2)]:
+            with pytest.raises(ShapeError, match="rows to keep"):
+                model.forward(v, (1, 2), (3,), keep_rows=keep)
+
+    def test_rows_not_kept_are_never_read(self, rng):
+        model, adapters = make_model_and_adapters(randomize=True)
+        v = make_visual(TINY_MODEL, rng)
+        out = model.forward(v, (1, 2), (3,), adapters, keep_rows=(5, 6))
+        stack = out.attention
+        sel = select_heads(all_visual_ratios(stack, (6,)), 2)
+        assert refined_map(stack, (6,), sel).shape == (TINY_MODEL.n_visual,)
+        with pytest.raises(SelectionError, match="row 4 is not among"):
+            all_visual_ratios(stack, (4, 6))
+        with pytest.raises(SelectionError, match="row 4 is not among"):
+            refined_map(stack, (4,), sel)
+        with pytest.raises(SelectionError, match="row 4 is not among"):
+            generated_query_mean_map([stack], (4,))
+        with pytest.raises(SelectionError, match="row 4 is not among"):
+            generated_head_maps([stack], (4,))
+        with pytest.raises(SelectionError, match="row 4 is not among"):
+            out.logit_rows((4,))
+
+    def test_greedy_tokens_equal_the_full_rows_tokens(self):
+        cfg = ModelConfig(n_layers=3, n_heads=2, d_visual=6, d_model=16,
+                          vocab_size=13, grid=3, max_text_len=6)
+        model, adapters = make_model_and_adapters(cfg, randomize=True)
+        r = np.random.default_rng(5)
+        for _ in range(32):
+            v = make_visual(cfg, r)
+            prompt = tuple(int(t) for t in r.integers(0, cfg.vocab_size, 2))
+            gen = model.generate_greedy(v, prompt, 3, adapters)
+            tokens = []
+            with ad.no_grad():
+                for _ in range(3):
+                    out = model.forward(v, prompt, tuple(tokens), adapters)
+                    tokens.append(int(np.argmax(out.logits.data[-1])))
+            assert gen.tokens == tuple(tokens)
+            for stack, row in zip(gen.stacks, gen.step_rows):
+                assert stack.planes[-1].shape == (cfg.n_heads, 1, row + 1)
+                assert stack.last_rows == (row,)
 
 
 class TestCheckpoint:

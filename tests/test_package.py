@@ -201,10 +201,12 @@ def test_gradients_reach_only_the_adapters():
     assert all(t.grad is not None for _, t in adapters.params())
 
 
-@pytest.mark.parametrize("arm,calls_expected", [("aligned", 83), ("dense", 55)])
+@pytest.mark.parametrize("arm,calls_expected", [("aligned", 85), ("dense", 57)])
 def test_wrap_calls_per_a1_total_loss(monkeypatch, arm, calls_expected):
     # 90 and 62 while the embedding front and the row gather in front of
-    # the cross entropy were tape ops; a change here is a change of design
+    # the cross entropy were tape ops, 83 and 55 before the last layer kept
+    # only the rows read (two gather_rows nodes); a change here is a change
+    # of design
     calls = []
     wrap = autodiff._wrap
 

@@ -14,7 +14,7 @@ from attnalign.errors import ParameterError
 from attnalign.metrics import evaluate
 from attnalign.model import ModelConfig, VisualDecoder, save_checkpoint
 from attnalign.sweeps import SWEEP_HEADER, apply_sweep_value, run_single, sweep
-from attnalign.training import TrainConfig
+from attnalign.training import TASK_PROFILES, TrainConfig
 from attnalign import cli
 
 
@@ -421,6 +421,72 @@ class TestCli:
         assert message.format(path=train_config_file) in err
         assert not out.exists()
         assert not list(tmp_path.rglob("metrics.jsonl"))
+
+    @pytest.mark.parametrize("section", ["train", "model", "adapter"])
+    def test_train_config_sections_must_be_objects(
+            self, tmp_path, data_dir, train_config_file, capsys, section):
+        # a list "train" section trained 6 default epochs and exited 0, since
+        # dict([]) is {}; a list "model" or "adapter" ended in a TypeError
+        # traceback from cls(**[])
+        doc = json.loads(train_config_file.read_text())
+        doc[section] = []
+        train_config_file.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = cli.main(["train", "--data", str(data_dir), "--out", str(out),
+                       "--config", str(train_config_file)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: section {section!r} of config file {train_config_file} "
+            "is not a JSON object\n")
+        assert not out.exists()
+
+    def test_unknown_config_profile_names_file_field_and_choices(
+            self, tmp_path, data_dir, train_config_file, capsys):
+        # used to print "error: 'nope'", a bare KeyError from TASK_PROFILES
+        doc = json.loads(train_config_file.read_text())
+        doc["train"]["profile"] = "nope"
+        train_config_file.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = cli.main(["train", "--data", str(data_dir), "--out", str(out),
+                       "--config", str(train_config_file)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: field 'profile' of section 'train' of config file "
+            f"{train_config_file} is 'nope', not one of "
+            f"{sorted(TASK_PROFILES)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.pop("features_b64"),
+         "key 'features_b64' missing from {where}"),
+        (lambda doc: doc.update(extra=1), "key 'extra' unexpected in {where}"),
+        (lambda doc: doc["segments"][1].pop("label"),
+         "key 'label' missing from {where} segment 1"),
+        ('{"id": "te000001",', "{where} is not valid JSON: "),
+        ("[]", "{where} is not a JSON object"),
+    ], ids=["missing-key", "extra-key", "segment-key", "bad-json", "not-object"])
+    def test_sample_lines_are_checked_before_use(self, tmp_path, data_dir, capsys,
+                                                 edit, message):
+        # a missing key used to print "error: 'features_b64'", naming
+        # neither the file nor the line, and bad JSON a bare decoder message
+        ckpt = tmp_path / "checkpoint.json"
+        save_checkpoint(ckpt, VisualDecoder(SMALL_MODEL, seed=0))
+        path = data_dir / "test.jsonl"
+        lines = path.read_text().splitlines()
+        if callable(edit):
+            doc = json.loads(lines[1])
+            edit(doc)
+            lines[1] = json.dumps(doc, sort_keys=True)
+        else:
+            lines[1] = edit   # the whole line replaced
+        path.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["evaluate", "--checkpoint", str(ckpt), "--data", str(path),
+                       "--out", str(tmp_path / "report.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message.format(where=f"{path} line 2"))
+        assert err.count("\n") == 1
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("doc,message", [
         ([], "is not a JSON object"),

@@ -138,6 +138,9 @@ class TestLmLoss:
             def answer_logit_rows(self):
                 return (0, 1, 2)
 
+            def logit_rows(self, rows):     # every row was kept
+                return rows
+
         err = finite_diff_check(lambda t: lm_loss(Out(), [1, 2, 3]), logits, 1e-5)
         assert err < 1e-4
 
@@ -252,6 +255,70 @@ class TestFusedAlignmentPath:
                                                    weak_k=k, adapter=SMALL_ADAPTER))[0])
                  for lam in (0.0, 0.1)]
         assert sizes[1] - sizes[0] == 5
+
+
+class TestKeptRowsLoss:
+    """total_loss keeps only the answer-logit and answer query rows of the
+    last layer, and matches the all-rows pass."""
+
+    ARMS = {"aligned": (SMALL_ADAPTER, 0.1),
+            "dense": (replace(SMALL_ADAPTER, use_qmoe=False, use_kmoe=False), 0.0)}
+
+    def setup_case(self, arm, k):
+        acfg, lam = self.ARMS[arm]
+        train_s, _, meta = small_task()
+        model = VisualDecoder(ModelConfig(n_layers=2, n_heads=2, d_visual=8, d_model=8,
+                                          vocab_size=12, grid=3, max_text_len=6),
+                              seed=0)
+        adapters = AdapterSet(2, 8, model.config.d_ff, acfg, seed=1)
+        r = np.random.default_rng(7)
+        for _, t in adapters.params():
+            t.data = r.normal(0.0, 0.3, size=t.data.shape)
+        cfg = TrainConfig(lambda_align=lam, heads_r=2, weak_k=k, adapter=acfg)
+        return model, adapters, train_s, compute_weak_labels(train_s, meta, k=k), cfg
+
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("arm", sorted(ARMS))
+    def test_loss_and_gradients_match_all_rows(self, monkeypatch, arm, k):
+        model, adapters, train_s, labels, cfg = self.setup_case(arm, k)
+        kept = []
+        forward = VisualDecoder.forward
+
+        def spy(self, *args, keep_rows=None):
+            kept.append(tuple(keep_rows))
+            return forward(self, *args, keep_rows=keep_rows)
+
+        def run():
+            out = []
+            for s in train_s[:3]:
+                for _, t in adapters.params():
+                    t.zero_grad()
+                loss, breakdown = total_loss(model, adapters, s, labels[s.id], cfg)
+                loss.backward()
+                out.append((breakdown, [t.grad for _, t in adapters.params()]))
+            return out
+
+        monkeypatch.setattr(VisualDecoder, "forward", spy)
+        cut = run()
+        logit_row = model.config.n_visual + 1      # two prompt tokens, one answer
+        assert kept == [(logit_row, logit_row + 1)] * 3
+        monkeypatch.setattr(VisualDecoder, "forward",
+                            lambda self, *args, keep_rows=None: forward(self, *args))
+        for (b_cut, g_cut), (b_all, g_all) in zip(cut, run()):
+            assert abs(b_cut.total - b_all.total) < 1e-14
+            assert abs(b_cut.align - b_all.align) < 1e-14
+            for a, b in zip(g_cut, g_all):
+                assert np.max(np.abs(a - b)) < 1e-14
+
+    def test_gradients_pass_finite_differences(self):
+        model, adapters, train_s, labels, cfg = self.setup_case("aligned", 1)
+        sample = train_s[0]
+
+        def f():
+            return total_loss(model, adapters, sample, labels[sample.id], cfg)[0]
+
+        params = [t for _, t in adapters.params()]
+        assert finite_diff_check_params(f, params, 1e-4) < 1e-3
 
 
 class TestAdamW:
