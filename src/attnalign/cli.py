@@ -18,7 +18,7 @@ from . import metrics as metricsmod
 from .adapters import AdapterConfig
 from .data import DataSpec, generate_dataset, read_meta, read_samples, \
     write_meta, write_samples
-from .errors import AttnAlignError, ConfigurationError
+from .errors import AttnAlignError, ConfigurationError, stored_config
 from .model import ModelConfig, VisualDecoder, VisualInput, load_checkpoint
 from .sweeps import sweep
 from .training import TASK_PROFILES, TrainConfig, compute_weak_labels, \
@@ -48,35 +48,35 @@ def _load_config(path: str | None, names) -> dict:
     return _known_only(doc, names, f"keys in config file {path}")
 
 
-def _dataclass_from(cls, doc: dict):
-    return cls(**_known_only(doc, {f.name for f in fields(cls)},
-                             f"{cls.__name__} fields"))
-
-
-def _section(doc: dict, name: str, path: str | None) -> dict:
-    """Section ``name`` of a --config file, which must be a JSON object."""
+def _section(doc: dict, name: str, path: str | None) -> tuple[dict, str]:
+    """Section ``name`` of a --config file, which must be a JSON object, and
+    the words that name it in an error."""
+    source = f"section {name!r} of config file {path}"
     value = doc.get(name, {})
     if not isinstance(value, dict):
-        raise ConfigurationError(
-            f"section {name!r} of config file {path} is not a JSON object")
-    return value
+        raise ConfigurationError(f"{source} is not a JSON object")
+    return value, source
 
 
 def _build_train_config(doc: dict, args) -> tuple[ModelConfig, TrainConfig, int]:
-    model_cfg = _dataclass_from(ModelConfig, _section(doc, "model", args.config))
-    adapter_cfg = _dataclass_from(AdapterConfig,
-                                  _section(doc, "adapter", args.config))
-    train_doc = dict(_section(doc, "train", args.config))
+    model_cfg = stored_config(ModelConfig, *_section(doc, "model", args.config),
+                              partial=True)
+    adapter_cfg = stored_config(AdapterConfig,
+                                *_section(doc, "adapter", args.config),
+                                partial=True)
+    train_doc, train_source = _section(doc, "train", args.config)
+    train_doc = dict(train_doc)
     profile = train_doc.pop("profile", None) or getattr(args, "profile", None)
     if profile:
         if not isinstance(profile, str) or profile not in TASK_PROFILES:
             raise ConfigurationError(
-                f"field 'profile' of section 'train' of config file "
-                f"{args.config} is {profile!r}, not one of {sorted(TASK_PROFILES)}")
+                f"field 'profile' of {train_source} is {profile!r}, "
+                f"not one of {sorted(TASK_PROFILES)}")
         prof = TASK_PROFILES[profile]
         train_doc.setdefault("epochs", prof.epochs)
         train_doc.setdefault("lambda_align", prof.lambda_align)
-    cfg = _dataclass_from(TrainConfig, {**train_doc, "adapter": adapter_cfg})
+    cfg = stored_config(TrainConfig, {**train_doc, "adapter": adapter_cfg},
+                        train_source, partial=True)
 
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
@@ -103,7 +103,7 @@ def cmd_gen_data(args) -> int:
     doc = _load_config(args.config, [f.name for f in fields(DataSpec)])
     if args.seed is not None:
         doc["seed"] = args.seed
-    spec = DataSpec(**doc)
+    spec = stored_config(DataSpec, doc, f"config file {args.config}", partial=True)
     train_samples, test_samples, _ = generate_dataset(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -9,16 +9,22 @@ sees the same operands in the same order whatever the core count. With
 one core, or one item, nothing is forked and the same loop runs in the
 main process alone.
 
-Helpers are plain ``os.fork`` children. A message is a pickle whose
-array data travels out of band through a memory region the two processes
-share, so the pipe between them carries only a few hundred bytes; data
-that does not fit the region goes through the pipe instead. Helpers
-leave only through ``os._exit``, never returning into the caller's
-stack. An exception a helper's item raises is sent back and re-raised in
-the main process when that item comes up; a helper that dies raises
-``AttnAlignError`` naming its exit status. Leaving the ``with`` block
-reaps every helper, killing first any that still owe results (the main
-process raised mid-chunk).
+Helpers are plain ``os.fork`` children, so each holds a copy-on-write
+copy of the main process's objects as they were at the fork. The one
+exception is an array made by ``shared_zeros`` before the fork: its
+memory stays shared, so a helper reads what the main process wrote there
+in place, with no message. The main process writes to such an array only
+between two ``map`` calls, while every helper is idle.
+
+A message is a pickle whose array data travels out of band through a
+memory region the two processes share, so the pipe between them carries
+only a few hundred bytes; data that does not fit the region goes through
+the pipe instead. Helpers leave only through ``os._exit``, never
+returning into the caller's stack. An exception a helper's item raises
+is sent back and re-raised in the main process when that item comes up;
+a helper that dies raises ``AttnAlignError`` naming its exit status.
+Leaving the ``with`` block reaps every helper, killing first any that
+still owe results (the main process raised mid-chunk).
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ import pickle
 import signal
 import threading
 from typing import Any, Callable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import AttnAlignError
 
@@ -47,6 +55,12 @@ def process_count() -> int:
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
+
+
+def shared_zeros(n: int) -> np.ndarray:
+    """A zeroed float64 vector of length ``n`` in a ``MAP_SHARED`` mapping,
+    which helpers forked after it was made share with the main process."""
+    return np.frombuffer(mmap.mmap(-1, n * 8), dtype=np.float64)
 
 
 def _chunks(items: Sequence, n: int) -> list[Sequence]:
@@ -88,7 +102,7 @@ def _receive(pipe, shared: memoryview):
 class _Helper:
     def __init__(self, pid: int, commands, results, shared: memoryview):
         self.pid = pid
-        self.commands = commands    # main -> helper: (state, items)
+        self.commands = commands    # main -> helper: items
         self.results = results      # helper -> main: (results, error)
         self.shared = shared        # array data of either, one at a time
         self.owes = False           # sent a chunk whose results are unread
@@ -97,17 +111,14 @@ class _Helper:
 class Split:
     """The main process plus up to ``n_items - 1`` forked helpers.
 
-    ``work(item)`` computes one item's result. ``install(state)``, when
-    given, runs in a helper before each chunk to bring it up to the main
-    process's ``state``, which the main process itself already holds.
-    Helpers are forked on entering the ``with`` block, so they see the
-    objects ``work`` reads as they were then.
+    ``work(item)`` computes one item's result. Helpers are forked on
+    entering the ``with`` block, so they see the objects ``work`` reads as
+    they were then, except the contents of ``shared_zeros`` arrays, which
+    they see as they are when ``map`` is called.
     """
 
-    def __init__(self, work: Callable[[Any], Any], n_items: int,
-                 install: Callable[[Any], None] | None = None):
+    def __init__(self, work: Callable[[Any], Any], n_items: int):
         self.work = work
-        self.install = install
         # fork copies only the calling thread, so a helper, or a process
         # running other threads, keeps its splits to itself
         alone = _in_helper or threading.active_count() > 1
@@ -126,12 +137,12 @@ class Split:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def map(self, items: Sequence, state: Any = None) -> Iterator:
+    def map(self, items: Sequence) -> Iterator:
         """Yield ``work(item)`` for every item, in item order."""
         parts = _chunks(items, max(1, min(len(items), 1 + len(self.helpers))))
         for helper, part in zip(self.helpers, parts[1:]):
             try:
-                _send(helper.commands, helper.shared, (state, part))
+                _send(helper.commands, helper.shared, part)
             except BrokenPipeError:
                 raise self._died(helper) from None
             helper.owes = True
@@ -193,12 +204,10 @@ class Split:
         try:
             while True:
                 try:
-                    state, items = _receive(commands, shared)
+                    items = _receive(commands, shared)
                 except EOFError:
                     code = 0
                     break
-                if self.install is not None:
-                    self.install(state)
                 out, error = [], None
                 for item in items:
                     try:

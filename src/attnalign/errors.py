@@ -2,7 +2,7 @@
 
 Every failure mode named in a module contract maps to one of these, so
 callers can catch precisely and tests can assert on type. The rules for
-a file read back (checkpoint, dataset meta, samples) live here too,
+a file read back (checkpoint, dataset meta, samples, config) live here too,
 among them the one base64 codec of the float64 arrays those files hold.
 """
 
@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -87,10 +88,34 @@ def require_names(expected, stored, kind: str, source: str) -> None:
         raise CompatibilityError(f"{kind} {odd[0]!r} {state} {source}")
 
 
-def stored_config(cls, stored: dict, source: str):
-    """A config dataclass from its stored fields, whose names must match exactly."""
-    require_names({f.name for f in fields(cls)}, stored, f"{cls.__name__} field",
-                  source)
+_SCALAR_TYPES = {bool: "a bool", int: "an int", float: "a number"}
+
+
+def _has_type(value, hint) -> bool:
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def stored_config(cls, stored: dict, source: str, partial: bool = False):
+    """A config dataclass from its stored fields.
+
+    Their names must match the fields exactly, or with ``partial`` be
+    among them (a missing field keeps its default). A field typed int,
+    float or bool must hold one, where a bool is not an int and an int
+    counts as a float.
+    """
+    names = {f.name for f in fields(cls)}
+    require_names(names & stored.keys() if partial else names, stored,
+                  f"{cls.__name__} field", source)
+    hints = get_type_hints(cls)
+    for name, value in stored.items():
+        what = _SCALAR_TYPES.get(hints[name])
+        if what is not None and not _has_type(value, hints[name]):
+            raise CompatibilityError(f"{cls.__name__} field {name!r} of {source} "
+                                     f"is {value!r}, not {what}")
     return cls(**stored)
 
 

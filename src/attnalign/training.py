@@ -6,11 +6,20 @@ of the attention mass fraction it captures in the refined visual map.
 Both terms share one forward pass, so alignment gradients reach the
 query/key adapters through the attention softmax. The base model stays
 frozen; only adapter and gate tensors move.
+
+During ``train`` every adapter tensor's data is a view into one flat
+vector in a mapping shared with the helper processes that compute part
+of each batch (``cores.Split``), so helpers read the current adapters
+there rather than from a copy-on-write copy of their own. The main
+process updates that vector in place with one ``AdamW.step`` per batch,
+and only while every helper is idle; the tensors get private copies of
+their data back when ``train`` returns.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -73,47 +82,46 @@ class LossBreakdown:
 
 
 class AdamW:
-    """Adam with bias-corrected moments (0.9, 0.999), eps 1e-8 and no weight decay."""
+    """Adam with bias-corrected moments (0.9, 0.999), eps 1e-8 and no weight
+    decay, over one float64 parameter array that ``step`` updates in place.
+
+    Every operation is elementwise, so stepping the adapters' flat vector
+    gives each tensor the values a step of that tensor alone would.
+    """
 
     b1, b2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, named_params: Sequence[tuple[str, Tensor]], lr: float):
-        self.named_params = list(named_params)
+    def __init__(self, params: np.ndarray, lr: float):
+        self.params = params
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(t.data) for _, t in self.named_params]
-        self.v = [np.zeros_like(t.data) for _, t in self.named_params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
-    def step(self, grad_scale: float = 1.0) -> None:
+    def step(self, grad: np.ndarray, grad_scale: float = 1.0) -> None:
+        """One update from ``grad``, which it leaves unchanged."""
         self.t += 1
         bc1 = 1.0 - self.b1 ** self.t
         bc2 = 1.0 - self.b2 ** self.t
-        for (name, p), m, v in zip(self.named_params, self.m, self.v):
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            # in place, in the operation order of
-            # g = g * s; m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
-            # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
-            g = g * grad_scale
-            t = np.multiply(g, 1 - self.b1)
-            m *= self.b1
-            m += t
-            np.multiply(g, 1 - self.b2, out=t)
-            t *= g
-            v *= self.b2
-            v += t
-            update = np.divide(m, bc1, out=g)
-            np.divide(v, bc2, out=t)
-            np.sqrt(t, out=t)
-            t += self.eps
-            update /= t
-            update *= self.lr
-            p.data -= update
-
-    def zero_grads(self) -> None:
-        for _, p in self.named_params:
-            p.zero_grad()
+        m, v = self.m, self.v
+        # in place, in the operation order of
+        # g = g * s; m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
+        # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+        g = grad * grad_scale
+        t = np.multiply(g, 1 - self.b1)
+        m *= self.b1
+        m += t
+        np.multiply(g, 1 - self.b2, out=t)
+        t *= g
+        v *= self.b2
+        v += t
+        update = np.divide(m, bc1, out=g)
+        np.divide(v, bc2, out=t)
+        np.sqrt(t, out=t)
+        t += self.eps
+        update /= t
+        update *= self.lr
+        self.params -= update
 
 
 def oracle_backend(spec: DataSpec, noise: float = 0.0,
@@ -279,61 +287,70 @@ def train(model: VisualDecoder, train_samples: Sequence[SyntheticSample],
                               model.config.d_ff, cfg.adapter, seed=int(seeds[0]))
     shuffle_rng = np.random.default_rng(int(seeds[1]))
 
-    optimizer = AdamW(adapters.params(), lr=cfg.lr)
-    params = [p for _, p in optimizer.named_params]
+    params = [p for _, p in adapters.params()]
+    flat, grad = _pack(params)
+    optimizer = AdamW(flat, lr=cfg.lr)
+    main_pid = os.getpid()
 
-    def sample_grads(idx: int) -> tuple[LossBreakdown, list | None]:
-        """One sample's loss terms and its own leaf gradients (None if diverged)."""
+    def sample_grads(idx: int) -> tuple[LossBreakdown, np.ndarray | None]:
+        """One sample's loss terms; in a helper also its flat gradient.
+
+        backward() adds into ``grad``, of which the adapters' ``.grad`` are
+        views: the main process lets its own samples add up there, a
+        helper starts each sample from zero and returns a copy.
+        """
         sample = train_samples[idx]
         labels = weak_labels.get(sample.id) if weak_labels else None
         loss, breakdown = total_loss(model, adapters, sample, labels, cfg)
         if not np.isfinite(breakdown.total):
             return breakdown, None
-        optimizer.zero_grads()
+        if os.getpid() == main_pid:
+            loss.backward()
+            return breakdown, None
+        grad[...] = 0.0
         loss.backward()
-        return breakdown, [p.grad for p in params]
-
-    def install(state: list[np.ndarray]) -> None:
-        for p, data in zip(params, state):
-            p.data[...] = data
+        return breakdown, grad.copy()
 
     epoch_logs: list[dict] = []
     step = 0
     order = np.arange(len(train_samples))
-    # each batch's samples are split across the cores; their gradients
-    # are summed here in batch order, exactly as backward() accumulates
-    with cores.Split(sample_grads, min(cfg.batch_size, len(order)), install) as split:
-        for epoch in range(cfg.epochs):
-            shuffle_rng.shuffle(order)
-            llm_sum = 0.0
-            align_sum = 0.0
-            for start in range(0, len(order), cfg.batch_size):
-                batch = [int(i) for i in order[start: start + cfg.batch_size]]
-                total: list[np.ndarray | None] = [None] * len(params)
-                for breakdown, grads in split.map(batch, [p.data for p in params]):
-                    if grads is None:
-                        raise DivergenceError(f"non-finite loss at step {step}")
-                    for i, g in enumerate(grads):
-                        if g is None:
-                            continue
-                        if total[i] is None:
-                            total[i] = g
-                        else:
-                            total[i] += g
-                    llm_sum += breakdown.llm
-                    align_sum += breakdown.align
-                    step += 1
-                for p, g in zip(params, total):
-                    p.grad = g
-                optimizer.step(grad_scale=1.0 / len(batch))
-            log = {
-                "epoch": epoch,
-                "train_llm": llm_sum / len(order),
-                "train_align": align_sum / len(order),
-            }
-            if eval_fn is not None:
-                log.update(eval_fn(model, adapters))
-            epoch_logs.append(log)
+    # each batch's samples are split across the cores; the main process
+    # computes the first ones and adds the helpers' gradients after its
+    # own, so the sum sees the samples in batch order, exactly as
+    # backward() accumulates them
+    try:
+        with cores.Split(sample_grads, min(cfg.batch_size, len(order))) as split:
+            for epoch in range(cfg.epochs):
+                shuffle_rng.shuffle(order)
+                llm_sum = 0.0
+                align_sum = 0.0
+                for start in range(0, len(order), cfg.batch_size):
+                    batch = [int(i) for i in order[start: start + cfg.batch_size]]
+                    grad[...] = 0.0
+                    for breakdown, g in split.map(batch):
+                        if not np.isfinite(breakdown.total):
+                            raise DivergenceError(f"non-finite loss at step {step}")
+                        if g is not None:
+                            grad += g
+                        llm_sum += breakdown.llm
+                        align_sum += breakdown.align
+                        step += 1
+                    # every helper is idle until the next map
+                    optimizer.step(grad, grad_scale=1.0 / len(batch))
+                log = {
+                    "epoch": epoch,
+                    "train_llm": llm_sum / len(order),
+                    "train_align": align_sum / len(order),
+                }
+                if eval_fn is not None:
+                    log.update(eval_fn(model, adapters))
+                epoch_logs.append(log)
+    finally:
+        for p in params:
+            p.data = p.data.copy()   # out of the shared mapping
+    # the moments and the mapping are not read again; freeing them lowers
+    # the peak memory of writing the checkpoint
+    del optimizer, flat
 
     final_metrics = {k: v for k, v in epoch_logs[-1].items() if k != "epoch"}
     result = TrainResult(model=model, adapters=adapters, epoch_logs=epoch_logs,
@@ -342,6 +359,22 @@ def train(model: VisualDecoder, train_samples: Sequence[SyntheticSample],
         _write_run_dir(Path(out_dir), model, adapters, cfg, epoch_logs,
                        train_samples)
     return result
+
+
+def _pack(params: Sequence[Tensor]) -> tuple[np.ndarray, np.ndarray]:
+    """One flat vector of every tensor's data, in a mapping shared with
+    helpers forked later, and one private flat gradient vector; each
+    tensor's ``data`` and ``grad`` become views into them."""
+    flat = cores.shared_zeros(sum(p.data.size for p in params))
+    grad = np.zeros_like(flat)
+    at = 0
+    for p in params:
+        n, shape = p.data.size, p.data.shape
+        flat[at:at + n] = p.data.reshape(-1)
+        p.data = flat[at:at + n].reshape(shape)
+        p.grad = grad[at:at + n].reshape(shape)
+        at += n
+    return flat, grad
 
 
 def _write_run_dir(out_dir: Path, model: VisualDecoder, adapters: AdapterSet,

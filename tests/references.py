@@ -593,3 +593,46 @@ def alignment_loss_composed(refined: Tensor, token_sets):
         term = mul(one_minus(frac), one_minus(frac))
         loss = term if loss is None else add(loss, term)
     return loss, tuple(fractions)
+
+
+class PerTensorAdamW:
+    """The optimizer before the adapters shared one flat vector: one moment
+    pair per tensor, each tensor stepped from its own ``.grad`` (None
+    counting as zero). Its ``step`` is the package's former ``AdamW.step``
+    verbatim, so the flat step can be pinned to it bit for bit."""
+
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, named_params: Sequence[tuple[str, Tensor]], lr: float):
+        self.named_params = list(named_params)
+        self.lr = lr
+        self.t = 0
+        self.m = [np.zeros_like(t.data) for _, t in self.named_params]
+        self.v = [np.zeros_like(t.data) for _, t in self.named_params]
+
+    def step(self, grad_scale: float = 1.0) -> None:
+        self.t += 1
+        bc1 = 1.0 - self.b1 ** self.t
+        bc2 = 1.0 - self.b2 ** self.t
+        for (name, p), m, v in zip(self.named_params, self.m, self.v):
+            g = p.grad
+            if g is None:
+                g = np.zeros_like(p.data)
+            # in place, in the operation order of
+            # g = g * s; m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
+            # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+            g = g * grad_scale
+            t = np.multiply(g, 1 - self.b1)
+            m *= self.b1
+            m += t
+            np.multiply(g, 1 - self.b2, out=t)
+            t *= g
+            v *= self.b2
+            v += t
+            update = np.divide(m, bc1, out=g)
+            np.divide(v, bc2, out=t)
+            np.sqrt(t, out=t)
+            t += self.eps
+            update /= t
+            update *= self.lr
+            p.data -= update

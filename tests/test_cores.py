@@ -31,16 +31,14 @@ class TestSplit:
     def test_arrays_cross_intact(self, processes, monkeypatch, shared_bytes):
         processes(2)
         monkeypatch.setattr(cores, "_SHARED_BYTES", shared_bytes)
-        seen = {}
+        state = np.random.default_rng(0).normal(size=(50, 3))
 
         def work(i):
-            return seen["state"] * i, np.asfortranarray(seen["state"][:, :2])
+            return state * i, np.asfortranarray(state[:, :2])
 
-        state = np.random.default_rng(0).normal(size=(50, 3))
-        seen["state"] = state
-        with cores.Split(work, 4, install=lambda s: seen.update(state=s)) as split:
+        with cores.Split(work, 4) as split:
             for _ in range(2):
-                got = list(split.map(range(4), state))
+                got = list(split.map(range(4)))
                 for i, (scaled, part) in enumerate(got):
                     assert np.array_equal(scaled, state * i)
                     assert np.array_equal(part, state[:, :2])
@@ -56,18 +54,19 @@ class TestSplit:
             assert split.helpers == []
             assert list(split.map([3])) == [9]
 
-    def test_helpers_receive_the_state(self, processes):
+    def test_helpers_see_writes_to_a_shared_array(self, processes):
         processes(2)
-        seen = {}
+        shared = cores.shared_zeros(3)
+        private = np.zeros(3)
 
         def work(i):
-            return seen["state"] + i
+            return float(shared[i]), float(private[i])
 
-        with cores.Split(work, 2, install=seen.update) as split:
-            seen["state"] = 10   # the main process's own copy
-            assert list(split.map([0, 1], {"state": 10})) == [10, 11]
-            seen["state"] = 20
-            assert list(split.map([0, 1], {"state": 20})) == [20, 21]
+        with cores.Split(work, 2) as split:
+            shared[:] = private[:] = 10.0   # after the fork
+            assert list(split.map([0, 1])) == [(10.0, 10.0), (10.0, 0.0)]
+            shared[1] += 5.0
+            assert list(split.map([0, 1])) == [(10.0, 10.0), (15.0, 0.0)]
 
     def test_helper_error_reraised_at_its_item(self, processes):
         processes(3)

@@ -345,8 +345,11 @@ class TestCli:
         ([], "the dataset meta is not a JSON object"),
         (lambda doc: doc.update(spec=None),
          "section 'spec' of the dataset meta is not a JSON object"),
+        (lambda doc: doc["spec"].update(grid="8"),
+         "DataSpec field 'grid' of the dataset meta is '8', not an int"),
     ], ids=["unknown-field", "missing-field", "stored-layout", "schema-0",
-            "schema-1", "invalid-spec", "not-an-object", "null-spec"])
+            "schema-1", "invalid-spec", "not-an-object", "null-spec",
+            "string-int"])
     def test_meta_must_match_field_for_field(self, tmp_path, data_dir,
                                              train_config_file, capsys, verb,
                                              edit, message):
@@ -354,7 +357,8 @@ class TestCli:
         # unknown one to end in a TypeError traceback, a stored layout that
         # disagreed with the spec to fail later on a misleading prompt error,
         # and an unknown schema or an invalid spec to be read as if valid; a
-        # top level or a spec that is not an object ended in a traceback
+        # top level or a spec that is not an object, or a field of the wrong
+        # type, ended in a traceback
         doc = json.loads((data_dir / "meta.json").read_text())
         if callable(edit):
             edit(doc)
@@ -440,6 +444,37 @@ class TestCli:
             "is not a JSON object\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", [
+        ["train"],
+        ["sweep", "--param", "lambda", "--values", "0,0.1"],
+    ])
+    @pytest.mark.parametrize("section,field,value,kind", [
+        ("train", "epochs", "2", "an int"),
+        ("train", "lr", "0.1", "a number"),
+        ("train", "heads_r", True, "an int"),
+        ("model", "n_layers", 0.5, "an int"),
+        ("adapter", "use_kmoe", 1, "a bool"),
+    ], ids=["string-int", "string-float", "bool-int", "float-int", "int-bool"])
+    def test_train_config_values_must_have_their_field_types(
+            self, tmp_path, data_dir, train_config_file, capsys, verb, section,
+            field, value, kind):
+        # "epochs": "2" and "n_layers": 0.5 ended in a TypeError traceback,
+        # and a bool passed for an int (or an int for a bool) trained on it
+        doc = json.loads(train_config_file.read_text())
+        doc[section][field] = value
+        train_config_file.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = cli.main(verb + ["--data", str(data_dir), "--out", str(out),
+                              "--config", str(train_config_file)])
+        assert rc == 1
+        cls = {"train": "TrainConfig", "model": "ModelConfig",
+               "adapter": "AdapterConfig"}[section]
+        assert capsys.readouterr().err == (
+            f"error: {cls} field {field!r} of section {section!r} of config "
+            f"file {train_config_file} is {value!r}, not {kind}\n")
+        assert not out.exists()
+        assert not list(tmp_path.rglob("metrics.jsonl"))
+
     def test_unknown_config_profile_names_file_field_and_choices(
             self, tmp_path, data_dir, train_config_file, capsys):
         # used to print "error: 'nope'", a bare KeyError from TASK_PROFILES
@@ -514,6 +549,19 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err == \
             f"error: config file {cfg} is not a JSON object\n"
+        assert not (tmp_path / "d").exists()
+
+    def test_gen_data_config_values_must_have_their_field_types(self, tmp_path,
+                                                                capsys):
+        # used to end in a TypeError traceback from DataSpec.validate
+        cfg = tmp_path / "data.json"
+        cfg.write_text(json.dumps({"grid": "8"}))
+        rc = cli.main(["gen-data", "--out", str(tmp_path / "d"), "--config",
+                       str(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: DataSpec field 'grid' of config file {cfg} is '8', "
+            "not an int\n")
         assert not (tmp_path / "d").exists()
 
     def test_ablation_flags(self, tmp_path, data_dir, train_config_file):

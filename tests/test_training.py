@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,8 @@ from attnalign.weaklabels import Segment, WeakLabelSet
 
 from conftest import assert_no_children, make_visual
 from oracles import finite_diff_check, finite_diff_check_params
-from references import alignment_loss_composed, refined_map_all_heads
+from references import PerTensorAdamW, alignment_loss_composed, \
+    refined_map_all_heads
 
 
 def labels_of(*token_sets):
@@ -323,19 +325,44 @@ class TestKeptRowsLoss:
 
 class TestAdamW:
     def test_zero_lr_no_motion(self, rng):
-        params = [("p", Tensor(rng.normal(size=(3, 2)), requires_grad=True))]
-        before = params[0][1].data.copy()
+        params = rng.normal(size=(3, 2))
+        before = params.copy()
         opt = AdamW(params, lr=0.0)
-        params[0][1].grad = rng.normal(size=(3, 2))
-        opt.step()
-        assert np.array_equal(params[0][1].data, before)
+        opt.step(rng.normal(size=(3, 2)))
+        assert np.array_equal(params, before)
 
     def test_step_direction(self):
-        p = Tensor(np.array([[1.0]]), requires_grad=True)
-        opt = AdamW([("p", p)], lr=0.1)
-        p.grad = np.array([[1.0]])
-        opt.step()
-        assert p.data[0, 0] < 1.0
+        p = np.array([[1.0]])
+        opt = AdamW(p, lr=0.1)
+        opt.step(np.array([[1.0]]))
+        assert p[0, 0] < 1.0
+
+    def test_flat_step_matches_per_tensor_steps_bit_for_bit(self, rng):
+        shapes = [(3, 4), (5,), (2, 3, 2)]
+        start = [rng.normal(size=s) for s in shapes]
+        named = [(f"p{i}", Tensor(a.copy(), requires_grad=True))
+                 for i, a in enumerate(start)]
+        packed = [Tensor(a.copy(), requires_grad=True) for a in start]
+        reference = PerTensorAdamW(named, lr=3e-3)
+        flat, grad = training._pack(packed)
+        opt = AdamW(flat, lr=3e-3)
+        bounds = np.cumsum([math.prod(s) for s in shapes])[:-1]
+        for step in range(4):
+            grads = [rng.normal(size=s) for s in shapes]
+            grads[1] = np.zeros(shapes[1])   # no sample reached this tensor
+            for (_, p), t, g in zip(named, packed, grads):
+                p.grad = g.copy()
+                t.grad[...] = g
+            if step % 2:
+                named[1][1].grad = None   # counted as zero, as before
+            reference.step(grad_scale=1.0 / 8)
+            opt.step(grad, grad_scale=1.0 / 8)
+            for i, ((_, p), t) in enumerate(zip(named, packed)):
+                assert t.data.tobytes() == p.data.tobytes()
+                assert np.split(opt.m, bounds)[i].tobytes() == reference.m[i].tobytes()
+                assert np.split(opt.v, bounds)[i].tobytes() == reference.v[i].tobytes()
+            expected = np.concatenate([g.ravel() for g in grads])
+            assert grad.tobytes() == expected.tobytes()   # the step left it alone
 
 
 class TestComputeWeakLabels:
@@ -363,6 +390,12 @@ class TestTrainLoop:
         result, _ = self.run_small(lr=0.0, epochs=3)
         llms = [log["train_llm"] for log in result.epoch_logs]
         assert llms[0] == llms[1] == llms[2]
+
+    def test_adapters_own_their_data_after_training(self):
+        # during train() they are views into the shared flat vector
+        result, _ = self.run_small(epochs=1)
+        assert all(p.data.flags.owndata and p.data.flags.writeable
+                   for _, p in result.adapters.params())
 
     def test_zero_init_adapters_step0_losses_match_frozen_base(self):
         train_s, _, meta = small_task(seed=3)
