@@ -18,7 +18,8 @@ from . import metrics as metricsmod
 from .adapters import AdapterConfig
 from .data import DataSpec, generate_dataset, read_meta, read_samples, \
     write_meta, write_samples
-from .errors import AttnAlignError, ConfigurationError, stored_config
+from .errors import AttnAlignError, ConfigurationError, require_type, \
+    stored_config
 from .model import ModelConfig, VisualDecoder, VisualInput, load_checkpoint
 from .sweeps import sweep
 from .training import TASK_PROFILES, TrainConfig, compute_weak_labels, \
@@ -27,25 +28,25 @@ from .weaklabels import cache_key, load_weak_label_cache, record_to_weak_labels,
     save_weak_label_cache, weak_labels_to_record
 
 
-# the top-level keys that a --config file of train and sweep may hold
-TRAIN_CONFIG_KEYS = ("model", "adapter", "train", "model_seed")
+# the top-level keys of a train or sweep --config file, with their types
+TRAIN_CONFIG_KEYS = {"model": dict, "adapter": dict, "train": dict,
+                     "model_seed": int}
 
 
-def _known_only(doc: dict, names, kind: str) -> dict:
-    unknown = set(doc) - set(names)
-    if unknown:
-        raise ConfigurationError(f"unknown {kind}: {sorted(unknown)}")
-    return doc
-
-
-def _load_config(path: str | None, names) -> dict:
-    """The JSON object of a --config file, whose keys must be among ``names``."""
+def _load_config(path: str | None, hints: dict) -> dict:
+    """The JSON object of a --config file, whose keys must be among those of
+    ``hints``, each holding a value of its type there (see ``require_type``)."""
     if not path:
         return {}
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ConfigurationError(f"config file {path} is not a JSON object")
-    return _known_only(doc, names, f"keys in config file {path}")
+    extra = set(doc) - set(hints)
+    if extra:
+        raise ConfigurationError(f"unknown keys in config file {path}: {sorted(extra)}")
+    for name, value in doc.items():
+        require_type(value, hints[name], f"field {name!r} of config file {path}")
+    return doc
 
 
 def _section(doc: dict, name: str, path: str | None) -> tuple[dict, str]:
@@ -96,11 +97,11 @@ def _build_train_config(doc: dict, args) -> tuple[ModelConfig, TrainConfig, int]
     cfg = replace(cfg, adapter=acfg)
     if cfg.heads_r == 0:
         cfg = replace(cfg, lambda_align=0.0)
-    return model_cfg, cfg, int(doc.get("model_seed", 0))
+    return model_cfg, cfg, doc.get("model_seed", 0)
 
 
 def cmd_gen_data(args) -> int:
-    doc = _load_config(args.config, [f.name for f in fields(DataSpec)])
+    doc = _load_config(args.config, dict.fromkeys(f.name for f in fields(DataSpec)))
     if args.seed is not None:
         doc["seed"] = args.seed
     spec = stored_config(DataSpec, doc, f"config file {args.config}", partial=True)
@@ -116,7 +117,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_weaklabels(args) -> int:
-    doc = _load_config(args.config, ("topk", "noise", "seed"))
+    doc = _load_config(args.config, {"topk": int, "noise": float, "seed": int})
     samples = read_samples(args.data)
     spec = read_meta(args.meta)
     k = args.topk if args.topk is not None else doc.get("topk", 4)

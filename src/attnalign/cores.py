@@ -12,19 +12,18 @@ main process alone.
 Helpers are plain ``os.fork`` children, so each holds a copy-on-write
 copy of the main process's objects as they were at the fork. The one
 exception is an array made by ``shared_zeros`` before the fork: its
-memory stays shared, so a helper reads what the main process wrote there
-in place, with no message. The main process writes to such an array only
-between two ``map`` calls, while every helper is idle.
-
-A message is a pickle whose array data travels out of band through a
-memory region the two processes share, so the pipe between them carries
-only a few hundred bytes; data that does not fit the region goes through
-the pipe instead. Helpers leave only through ``os._exit``, never
-returning into the caller's stack. An exception a helper's item raises
-is sent back and re-raised in the main process when that item comes up;
-a helper that dies raises ``AttnAlignError`` naming its exit status.
-Leaving the ``with`` block reaps every helper, killing first any that
-still owe results (the main process raised mid-chunk).
+memory stays shared both ways, with no message. The main process writes
+to such an array only between two ``map`` calls, while every helper is
+idle; a helper writes only rows of its own, during its own chunk, and
+the main process reads them only after receiving that chunk's results
+(a training batch's gradients come back so). Every message, a chunk of
+items or its results, is one plain pickle on a pipe. Helpers leave only
+through ``os._exit``, never returning into the caller's stack. An
+exception a helper's item raises is sent back and re-raised in the main
+process when that item comes up; a helper that dies raises
+``AttnAlignError`` naming its exit status. Leaving the ``with`` block
+reaps every helper, killing first any that still owe results (the main
+process raised mid-chunk).
 """
 
 from __future__ import annotations
@@ -40,9 +39,6 @@ import numpy as np
 
 from .errors import AttnAlignError
 
-# per helper; pages cost memory only once touched, and a training
-# batch's per-sample gradients take a few MB
-_SHARED_BYTES = 32 << 20
 _in_helper = False
 _parent_fds: set[int] = set()   # the main process's pipe ends of live helpers
 
@@ -72,39 +68,11 @@ def _chunks(items: Sequence, n: int) -> list[Sequence]:
     return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _send(pipe, shared: memoryview, obj) -> None:
-    buffers: list[pickle.PickleBuffer] = []
-    head = pickle.dumps(obj, 5, buffer_callback=buffers.append)
-    raws = [b.raw() for b in buffers]
-    sizes = [r.nbytes for r in raws]
-    if sum(sizes) <= len(shared):
-        at = 0
-        for r in raws:
-            shared[at:at + r.nbytes] = r
-            at += r.nbytes
-    else:
-        head, sizes = pickle.dumps(obj, 5), None
-    pickle.dump((head, sizes), pipe, 5)
-    pipe.flush()
-
-
-def _receive(pipe, shared: memoryview):
-    head, sizes = pickle.load(pipe)
-    if sizes is None:
-        return pickle.loads(head)
-    buffers, at = [], 0
-    for n in sizes:
-        buffers.append(bytearray(shared[at:at + n]))   # the region is reused
-        at += n
-    return pickle.loads(head, buffers=buffers)
-
-
 class _Helper:
-    def __init__(self, pid: int, commands, results, shared: memoryview):
+    def __init__(self, pid: int, commands, results):
         self.pid = pid
         self.commands = commands    # main -> helper: items
         self.results = results      # helper -> main: (results, error)
-        self.shared = shared        # array data of either, one at a time
         self.owes = False           # sent a chunk whose results are unread
 
 
@@ -142,7 +110,8 @@ class Split:
         parts = _chunks(items, max(1, min(len(items), 1 + len(self.helpers))))
         for helper, part in zip(self.helpers, parts[1:]):
             try:
-                _send(helper.commands, helper.shared, part)
+                pickle.dump(part, helper.commands, 5)
+                helper.commands.flush()
             except BrokenPipeError:
                 raise self._died(helper) from None
             helper.owes = True
@@ -150,7 +119,7 @@ class Split:
             yield self.work(item)
         for helper, _ in zip(self.helpers, parts[1:]):
             try:
-                results, error = _receive(helper.results, helper.shared)
+                results, error = pickle.load(helper.results)
             except (EOFError, pickle.UnpicklingError):
                 raise self._died(helper) from None
             helper.owes = False
@@ -183,20 +152,19 @@ class Split:
         return AttnAlignError(f"helper process {helper.pid} died ({how})")
 
     def _fork(self) -> _Helper:
-        shared = memoryview(mmap.mmap(-1, _SHARED_BYTES))   # MAP_SHARED
         cmd_r, cmd_w = os.pipe()
         res_r, res_w = os.pipe()
         pid = os.fork()
         if pid == 0:
             for fd in (*_parent_fds, cmd_w, res_r):
                 os.close(fd)
-            self._serve(os.fdopen(cmd_r, "rb"), os.fdopen(res_w, "wb"), shared)
+            self._serve(os.fdopen(cmd_r, "rb"), os.fdopen(res_w, "wb"))
         os.close(cmd_r)
         os.close(res_w)
         _parent_fds.update((cmd_w, res_r))
-        return _Helper(pid, os.fdopen(cmd_w, "wb"), os.fdopen(res_r, "rb"), shared)
+        return _Helper(pid, os.fdopen(cmd_w, "wb"), os.fdopen(res_r, "rb"))
 
-    def _serve(self, commands, results, shared: memoryview) -> None:
+    def _serve(self, commands, results) -> None:
         """A helper's whole life: compute chunks until the commands end."""
         global _in_helper
         _in_helper = True
@@ -204,7 +172,7 @@ class Split:
         try:
             while True:
                 try:
-                    items = _receive(commands, shared)
+                    items = pickle.load(commands)
                 except EOFError:
                     code = 0
                     break
@@ -219,6 +187,7 @@ class Split:
                     pickle.dumps(error)
                 except Exception:   # an exception that does not pickle
                     error = AttnAlignError(f"{type(error).__name__}: {error}")
-                _send(results, shared, (out, error))
+                pickle.dump((out, error), results, 5)
+                results.flush()
         finally:
             os._exit(code)

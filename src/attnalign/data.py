@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CompatibilityError, GenerationError, decode_floats, \
-    encode_floats, read_document, require_names, stored_config
+from .errors import GenerationError, decode_floats, encode_floats, \
+    read_document, read_json_lines, require_fields, require_names, stored_config
 from .weaklabels import Segment
 
 DATASET_SCHEMA = "attnalign-dataset-2"
@@ -217,10 +217,11 @@ def propose_segments(sample: SyntheticSample, n_background: int) -> list[Segment
 # file round trips (JSON-lines samples, JSON meta)
 
 
-# the keys of a sample line and of each of its segments, as written below
-SAMPLE_KEYS = ("id", "grid", "d_visual", "queried_concept", "prompt", "answer",
-               "roi", "segments", "features_b64")
-SEGMENT_KEYS = ("tokens", "concept", "label")
+# the keys of a sample line and of each of its segments, with their types
+SAMPLE_KEYS = {"id": str, "grid": int, "d_visual": int, "queried_concept": int,
+               "prompt": list, "answer": list, "roi": list, "segments": list,
+               "features_b64": str}
+SEGMENT_KEYS = {"tokens": list, "concept": int, "label": int}
 
 
 def _sample_to_dict(sample: SyntheticSample) -> dict:
@@ -240,14 +241,11 @@ def _sample_to_dict(sample: SyntheticSample) -> dict:
 
 def _sample_from_dict(doc: dict, where: str) -> SyntheticSample:
     """The sample of one JSON line; ``where`` names the file and the line.
-    The line must hold exactly the keys that ``_sample_to_dict`` writes."""
-    if not isinstance(doc, dict):
-        raise CompatibilityError(f"{where} is not a JSON object")
-    require_names(SAMPLE_KEYS, doc, "key", where)
+    The line must hold exactly the keys that ``_sample_to_dict`` writes,
+    with values of their types."""
+    require_fields(doc, SAMPLE_KEYS, where)
     for i, seg in enumerate(doc["segments"]):
-        if not isinstance(seg, dict):
-            raise CompatibilityError(f"{where} segment {i} is not a JSON object")
-        require_names(SEGMENT_KEYS, seg, "key", f"{where} segment {i}")
+        require_fields(seg, SEGMENT_KEYS, f"{where} segment {i}")
     features = decode_floats(doc["features_b64"],
                              (doc["grid"] * doc["grid"], doc["d_visual"]),
                              f"{where} field 'features_b64'")
@@ -268,17 +266,7 @@ def write_samples(path: str | Path, samples: Sequence[SyntheticSample]) -> None:
 
 
 def read_samples(path: str | Path) -> list[SyntheticSample]:
-    samples = []
-    with open(path) as fh:
-        for n, line in enumerate(fh, start=1):
-            where = f"{path} line {n}"
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CompatibilityError(f"{where} is not valid JSON: {exc.msg}") \
-                    from None
-            samples.append(_sample_from_dict(doc, where))
-    return samples
+    return [_sample_from_dict(doc, where) for doc, where in read_json_lines(path)]
 
 
 def write_meta(path: str | Path, spec: DataSpec) -> None:

@@ -88,15 +88,28 @@ def require_names(expected, stored, kind: str, source: str) -> None:
         raise CompatibilityError(f"{kind} {odd[0]!r} {state} {source}")
 
 
-_SCALAR_TYPES = {bool: "a bool", int: "an int", float: "a number"}
+_JSON_TYPES = {bool: "a bool", int: "an int", float: "a number", str: "a string",
+               list: "a list"}
 
 
-def _has_type(value, hint) -> bool:
-    if isinstance(value, bool):
-        return hint is bool
-    if hint is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, hint)
+def require_type(value, hint, what: str) -> None:
+    """``value``, which ``what`` names, must be of type ``hint`` when that is
+    a JSON type, where a bool is not an int and an int counts as a float."""
+    kind = _JSON_TYPES.get(hint)
+    if kind is None:
+        return
+    if isinstance(value, bool) != (hint is bool) or \
+            not isinstance(value, (int, float) if hint is float else hint):
+        raise CompatibilityError(f"{what} is {value!r}, not {kind}")
+
+
+def require_fields(doc, hints: dict, where: str) -> None:
+    """``doc`` must be a JSON object of exactly ``hints``' keys and types."""
+    if not isinstance(doc, dict):
+        raise CompatibilityError(f"{where} is not a JSON object")
+    require_names(hints, doc, "key", where)
+    for name, hint in hints.items():
+        require_type(doc[name], hint, f"field {name!r} of {where}")
 
 
 def stored_config(cls, stored: dict, source: str, partial: bool = False):
@@ -104,19 +117,29 @@ def stored_config(cls, stored: dict, source: str, partial: bool = False):
 
     Their names must match the fields exactly, or with ``partial`` be
     among them (a missing field keeps its default). A field typed int,
-    float or bool must hold one, where a bool is not an int and an int
-    counts as a float.
+    float or bool must hold one (see ``require_type``).
     """
     names = {f.name for f in fields(cls)}
     require_names(names & stored.keys() if partial else names, stored,
                   f"{cls.__name__} field", source)
     hints = get_type_hints(cls)
     for name, value in stored.items():
-        what = _SCALAR_TYPES.get(hints[name])
-        if what is not None and not _has_type(value, hints[name]):
-            raise CompatibilityError(f"{cls.__name__} field {name!r} of {source} "
-                                     f"is {value!r}, not {what}")
+        require_type(value, hints[name],
+                     f"{cls.__name__} field {name!r} of {source}")
     return cls(**stored)
+
+
+def read_json_lines(path: str | Path):
+    """Each line of a JSON-lines file, parsed, and the words naming it."""
+    with open(path) as fh:
+        for n, line in enumerate(fh, start=1):
+            where = f"{path} line {n}"
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CompatibilityError(f"{where} is not valid JSON: {exc.msg}") \
+                    from None
+            yield doc, where
 
 
 def read_document(path: str | Path, schema: str, kind: str, source: str,

@@ -13,7 +13,10 @@ of each batch (``cores.Split``), so helpers read the current adapters
 there rather than from a copy-on-write copy of their own. The main
 process updates that vector in place with one ``AdamW.step`` per batch,
 and only while every helper is idle; the tensors get private copies of
-their data back when ``train`` returns.
+their data back when ``train`` returns. Gradients come back the same way:
+a helper writes each sample's flat gradient to the shared row of its batch
+position during its own chunk and sends only loss terms, and the main
+process reads that row only after receiving them.
 """
 
 from __future__ import annotations
@@ -290,26 +293,31 @@ def train(model: VisualDecoder, train_samples: Sequence[SyntheticSample],
     params = [p for _, p in adapters.params()]
     flat, grad = _pack(params)
     optimizer = AdamW(flat, lr=cfg.lr)
+    # one flat gradient per batch position, shared with the helpers
+    n_positions = min(cfg.batch_size, len(train_samples))
+    rows = cores.shared_zeros(n_positions * grad.size).reshape(n_positions, -1)
     main_pid = os.getpid()
 
-    def sample_grads(idx: int) -> tuple[LossBreakdown, np.ndarray | None]:
-        """One sample's loss terms; in a helper also its flat gradient.
+    def sample_grads(item: tuple[int, int]) -> tuple[LossBreakdown, bool]:
+        """One sample's loss terms, and whether its gradient is in ``rows[pos]``.
 
         backward() adds into ``grad``, of which the adapters' ``.grad`` are
         views: the main process lets its own samples add up there, a
-        helper starts each sample from zero and returns a copy.
+        helper starts each sample from zero and copies the result to its row.
         """
+        pos, idx = item
         sample = train_samples[idx]
         labels = weak_labels.get(sample.id) if weak_labels else None
         loss, breakdown = total_loss(model, adapters, sample, labels, cfg)
         if not np.isfinite(breakdown.total):
-            return breakdown, None
+            return breakdown, False
         if os.getpid() == main_pid:
             loss.backward()
-            return breakdown, None
+            return breakdown, False
         grad[...] = 0.0
         loss.backward()
-        return breakdown, grad.copy()
+        rows[pos] = grad
+        return breakdown, True
 
     epoch_logs: list[dict] = []
     step = 0
@@ -319,7 +327,7 @@ def train(model: VisualDecoder, train_samples: Sequence[SyntheticSample],
     # own, so the sum sees the samples in batch order, exactly as
     # backward() accumulates them
     try:
-        with cores.Split(sample_grads, min(cfg.batch_size, len(order))) as split:
+        with cores.Split(sample_grads, n_positions) as split:
             for epoch in range(cfg.epochs):
                 shuffle_rng.shuffle(order)
                 llm_sum = 0.0
@@ -327,11 +335,12 @@ def train(model: VisualDecoder, train_samples: Sequence[SyntheticSample],
                 for start in range(0, len(order), cfg.batch_size):
                     batch = [int(i) for i in order[start: start + cfg.batch_size]]
                     grad[...] = 0.0
-                    for breakdown, g in split.map(batch):
+                    results = split.map(list(enumerate(batch)))
+                    for pos, (breakdown, in_row) in enumerate(results):
                         if not np.isfinite(breakdown.total):
                             raise DivergenceError(f"non-finite loss at step {step}")
-                        if g is not None:
-                            grad += g
+                        if in_row:
+                            grad += rows[pos]
                         llm_sum += breakdown.llm
                         align_sum += breakdown.align
                         step += 1
@@ -348,9 +357,9 @@ def train(model: VisualDecoder, train_samples: Sequence[SyntheticSample],
     finally:
         for p in params:
             p.data = p.data.copy()   # out of the shared mapping
-    # the moments and the mapping are not read again; freeing them lowers
+    # the moments and the mappings are not read again; freeing them lowers
     # the peak memory of writing the checkpoint
-    del optimizer, flat
+    del optimizer, flat, rows
 
     final_metrics = {k: v for k, v in epoch_logs[-1].items() if k != "epoch"}
     result = TrainResult(model=model, adapters=adapters, epoch_logs=epoch_logs,

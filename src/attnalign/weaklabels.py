@@ -19,7 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BackendError, DegenerateEmbeddingError, ParameterError
+from .errors import BackendError, DegenerateEmbeddingError, ParameterError, \
+    read_json_lines, require_fields, require_type
 
 
 @dataclass(frozen=True)
@@ -170,12 +171,20 @@ def save_weak_label_cache(path: str | Path, records: Sequence[dict]) -> None:
 
 
 def load_weak_label_cache(path: str | Path) -> dict[tuple, dict]:
+    """The records of a cache file by key. Each line must hold exactly the
+    keys that ``weak_labels_to_record`` writes, with values of their types."""
     out = {}
-    with open(path) as fh:
-        for line in fh:
-            rec = json.loads(line)
-            out[cache_key(rec["image_id"], rec["prompt_id"], rec["K"],
-                          rec["backend"])] = rec
+    for rec, where in read_json_lines(path):
+        require_fields(rec, {"image_id": str, "prompt_id": str, "K": int,
+                             "backend": str, "segments": list, "tau_K": float},
+                       where)
+        for i, seg in enumerate(rec["segments"]):
+            require_fields(seg, {"id": str, "token_indices": list,
+                                 "similarity": float}, f"{where} segment {i}")
+            for t in seg["token_indices"]:
+                require_type(t, int, f"a token index of {where} segment {i}")
+        out[cache_key(rec["image_id"], rec["prompt_id"], rec["K"],
+                      rec["backend"])] = rec
     return out
 
 

@@ -26,12 +26,10 @@ class TestSplit:
             assert list(split.map([5])) == [25]
         assert_no_children()
 
-    @pytest.mark.parametrize("shared_bytes", [cores._SHARED_BYTES, 64],
-                             ids=["shared-region", "pipe"])
-    def test_arrays_cross_intact(self, processes, monkeypatch, shared_bytes):
+    def test_arrays_cross_intact(self, processes):
         processes(2)
-        monkeypatch.setattr(cores, "_SHARED_BYTES", shared_bytes)
-        state = np.random.default_rng(0).normal(size=(50, 3))
+        # the helper's results, 2 x 2 MB, are more than a pipe holds
+        state = np.random.default_rng(0).normal(size=(50_000, 3))
 
         def work(i):
             return state * i, np.asfortranarray(state[:, :2])

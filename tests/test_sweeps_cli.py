@@ -499,7 +499,9 @@ class TestCli:
          "key 'label' missing from {where} segment 1"),
         ('{"id": "te000001",', "{where} is not valid JSON: "),
         ("[]", "{where} is not a JSON object"),
-    ], ids=["missing-key", "extra-key", "segment-key", "bad-json", "not-object"])
+        (lambda doc: doc.update(grid="8"), "field 'grid' of {where} is '8', not an int"),
+    ], ids=["missing-key", "extra-key", "segment-key", "bad-json", "not-object",
+            "string-grid"])
     def test_sample_lines_are_checked_before_use(self, tmp_path, data_dir, capsys,
                                                  edit, message):
         # a missing key used to print "error: 'features_b64'", naming
@@ -526,7 +528,11 @@ class TestCli:
     @pytest.mark.parametrize("doc,message", [
         ([], "is not a JSON object"),
         ({"topk": 1, "tpok": 2}, "['tpok']"),
-    ], ids=["list", "unknown-key"])
+        # these three used to end in a TypeError traceback or run on
+        ({"topk": "2"}, "field 'topk' of config file {cfg} is '2', not an int"),
+        ({"noise": "0"}, "field 'noise' of config file {cfg} is '0', not a number"),
+        ({"seed": 1.5}, "field 'seed' of config file {cfg} is 1.5, not an int"),
+    ], ids=["list", "unknown-key", "string-topk", "string-noise", "float-seed"])
     def test_weaklabels_config_must_be_an_object_of_known_keys(
             self, tmp_path, data_dir, capsys, doc, message):
         cfg = tmp_path / "wl.json"
@@ -538,7 +544,63 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert str(cfg) in err and message in err
+        assert str(cfg) in err and message.format(cfg=cfg) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["x", 1.7, True],
+                             ids=["string", "float", "bool"])
+    def test_model_seed_must_be_an_int(self, tmp_path, data_dir,
+                                       train_config_file, capsys, value):
+        # "x" used to print int()'s own message, and 1.7 trained with seed 1
+        doc = json.loads(train_config_file.read_text())
+        doc["model_seed"] = value
+        train_config_file.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = cli.main(["train", "--data", str(data_dir), "--out", str(out),
+                       "--config", str(train_config_file)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: field 'model_seed' of config file {train_config_file} "
+            f"is {value!r}, not an int\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda rec: rec.pop("K"), "key 'K' missing from {where}"),
+        (lambda rec: rec["segments"][0].update(token_indices="x"),
+         "field 'token_indices' of {where} segment 0 is 'x', not a list"),
+        (lambda rec: rec["segments"][0].update(token_indices=[1, "2"]),
+         "a token index of {where} segment 0 is '2', not an int"),
+        (lambda rec: rec.update(K=True), "field 'K' of {where} is True, not an int"),
+        ('{"image_id": ', "{where} is not valid JSON: "),
+        ("[]", "{where} is not a JSON object"),
+    ], ids=["missing-key", "string-indices", "string-index", "bool-k",
+            "bad-json", "not-object"])
+    def test_weak_cache_lines_are_checked_before_use(
+            self, tmp_path, data_dir, train_config_file, capsys, edit, message):
+        # these used to print "error: 'K'", int()'s own message and a bare
+        # decoder message, none of them naming the file
+        cache = tmp_path / "cache.jsonl"
+        rc = cli.main(["weaklabels", "--data", str(data_dir / "train.jsonl"),
+                       "--meta", str(data_dir / "meta.json"), "--out",
+                       str(cache), "--topk", "1"])
+        assert rc == 0
+        lines = cache.read_text().splitlines()
+        if callable(edit):
+            rec = json.loads(lines[1])
+            edit(rec)
+            lines[1] = json.dumps(rec, sort_keys=True)
+        else:
+            lines[1] = edit   # the whole line replaced
+        cache.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--data", str(data_dir), "--out", str(out),
+                       "--config", str(train_config_file), "--weak-cache",
+                       str(cache)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message.format(where=f"{cache} line 2"))
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_gen_data_config_must_be_an_object(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -511,6 +512,26 @@ class TestSplitAcrossProcesses:
             total_loss(model, result.adapters, s, labels[s.id], cfg)[0].backward()
         for p, g in zip(params, summed):
             assert np.array_equal(g, p.grad)
+
+    def test_helper_results_carry_no_gradient(self, processes, monkeypatch):
+        processes(2)
+        train_s, _, cfg, labels = self.task()
+        cfg = replace(cfg, epochs=1, batch_size=len(train_s))
+        sizes = []
+        load = pickle.load
+
+        def measured(pipe):
+            obj = load(pipe)
+            sizes.append(len(pickle.dumps(obj, 5)))
+            return obj
+
+        monkeypatch.setattr(pickle, "load", measured)
+        result = train(small_model(), train_s, cfg, weak_labels=labels)
+        # one batch, so the main process receives one result message; the
+        # helper's 3 samples' gradients would take 3 x 8 bytes per parameter
+        n_params = sum(p.data.size for _, p in result.adapters.params())
+        assert 3 * 8 * n_params > 4096
+        assert len(sizes) == 1 and sizes[0] < 4096
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_helper_error_matches_one_process(self, processes, n):

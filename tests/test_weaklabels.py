@@ -219,3 +219,6 @@ class TestCacheRoundTrip:
         schema = json.loads(path.read_text().splitlines()[0])
         assert set(schema) == {"image_id", "prompt_id", "K", "backend",
                                "segments", "tau_K"}
+        again = tmp_path / "again.jsonl"
+        save_weak_label_cache(again, list(loaded.values()))
+        assert again.read_bytes() == path.read_bytes()
