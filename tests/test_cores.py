@@ -26,13 +26,20 @@ class TestSplit:
             assert list(split.map([5])) == [25]
         assert_no_children()
 
-    def test_arrays_cross_intact(self, processes):
+    @pytest.mark.parametrize("in_shared", [True, False], ids=["shared-region", "pipe"])
+    def test_arrays_cross_intact(self, processes, in_shared):
         processes(2)
         # the helper's results, 2 x 2 MB, are more than a pipe holds
         state = np.random.default_rng(0).normal(size=(50_000, 3))
+        if in_shared:
+            # a helper's results that are views of a shared mapping arrive as
+            # private copies; the main process's own chunk (items 0, 1) keeps views
+            shared = cores.shared_zeros(state.size).reshape(state.shape)
+            shared[:] = state
+            state = shared
 
         def work(i):
-            return state * i, np.asfortranarray(state[:, :2])
+            return state * i, state[:, :2] if in_shared else np.asfortranarray(state[:, :2])
 
         with cores.Split(work, 4) as split:
             for _ in range(2):
@@ -41,6 +48,7 @@ class TestSplit:
                     assert np.array_equal(scaled, state * i)
                     assert np.array_equal(part, state[:, :2])
                     assert scaled.flags.writeable and part.flags.writeable
+                    assert np.shares_memory(part, state) == (in_shared and i < 2)
 
     def test_chunks_are_contiguous_and_balanced(self):
         assert cores._chunks(range(7), 3) == [range(0, 3), range(3, 5), range(5, 7)]
