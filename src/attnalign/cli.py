@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import attention as attnmod
@@ -18,14 +19,14 @@ from . import metrics as metricsmod
 from .adapters import AdapterConfig
 from .data import DataSpec, generate_dataset, read_meta, read_samples, \
     write_meta, write_samples
-from .errors import AttnAlignError, ConfigurationError, require_type, \
-    stored_config
+from .errors import AttnAlignError, ConfigurationError, read_json, \
+    require_fields, stored_config
 from .model import ModelConfig, VisualDecoder, VisualInput, load_checkpoint
 from .sweeps import sweep
 from .training import TASK_PROFILES, TrainConfig, compute_weak_labels, \
     oracle_backend, train
-from .weaklabels import cache_key, load_weak_label_cache, record_to_weak_labels, \
-    save_weak_label_cache, weak_labels_to_record
+from .weaklabels import load_weak_label_cache, save_weak_label_cache, \
+    weak_labels_to_record
 
 
 # the top-level keys of a train or sweep --config file, with their types
@@ -35,76 +36,59 @@ TRAIN_CONFIG_KEYS = {"model": dict, "adapter": dict, "train": dict,
 
 def _load_config(path: str | None, hints: dict) -> dict:
     """The JSON object of a --config file, whose keys must be among those of
-    ``hints``, each holding a value of its type there (see ``require_type``)."""
+    ``hints``, each holding a value of its type there."""
     if not path:
         return {}
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"config file {path} is not a JSON object")
-    extra = set(doc) - set(hints)
-    if extra:
-        raise ConfigurationError(f"unknown keys in config file {path}: {sorted(extra)}")
-    for name, value in doc.items():
-        require_type(value, hints[name], f"field {name!r} of config file {path}")
+    where = f"config file {path}"
+    doc = read_json(path, where)
+    require_fields(doc, hints, where, partial=True)
     return doc
 
 
-def _section(doc: dict, name: str, path: str | None) -> tuple[dict, str]:
-    """Section ``name`` of a --config file, which must be a JSON object, and
-    the words that name it in an error."""
-    source = f"section {name!r} of config file {path}"
-    value = doc.get(name, {})
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"{source} is not a JSON object")
-    return value, source
-
-
 def _build_train_config(doc: dict, args) -> tuple[ModelConfig, TrainConfig, int]:
-    model_cfg = stored_config(ModelConfig, *_section(doc, "model", args.config),
-                              partial=True)
-    adapter_cfg = stored_config(AdapterConfig,
-                                *_section(doc, "adapter", args.config),
-                                partial=True)
-    train_doc, train_source = _section(doc, "train", args.config)
-    train_doc = dict(train_doc)
+    where = "section {!r} of config file " + str(args.config)
+    model_cfg = stored_config(ModelConfig, doc.get("model", {}),
+                              where.format("model"), partial=True)
+    adapter_cfg = stored_config(AdapterConfig, doc.get("adapter", {}),
+                                where.format("adapter"), partial=True)
+    train_doc = dict(doc.get("train", {}))
     profile = train_doc.pop("profile", None) or getattr(args, "profile", None)
     if profile:
         if not isinstance(profile, str) or profile not in TASK_PROFILES:
             raise ConfigurationError(
-                f"field 'profile' of {train_source} is {profile!r}, "
+                f"field 'profile' of {where.format('train')} is {profile!r}, "
                 f"not one of {sorted(TASK_PROFILES)}")
         prof = TASK_PROFILES[profile]
         train_doc.setdefault("epochs", prof.epochs)
         train_doc.setdefault("lambda_align", prof.lambda_align)
     cfg = stored_config(TrainConfig, {**train_doc, "adapter": adapter_cfg},
-                        train_source, partial=True)
+                        where.format("train"), partial=True)
 
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "lambda_align", None) is not None:
-        cfg = replace(cfg, lambda_align=args.lambda_align)
-    if getattr(args, "heads", None) is not None:
-        cfg = replace(cfg, heads_r=args.heads)
-    if getattr(args, "topk", None) is not None:
-        cfg = replace(cfg, weak_k=args.topk)
-    acfg = cfg.adapter
-    if getattr(args, "no_qmoe", False):
-        acfg = replace(acfg, use_qmoe=False)
-    if getattr(args, "no_kmoe", False):
-        acfg = replace(acfg, use_kmoe=False)
-    if getattr(args, "no_a3moe", False):
-        acfg = replace(acfg, use_qmoe=False, use_kmoe=False)
-    cfg = replace(cfg, adapter=acfg)
+    given = {"seed": args.seed, "lambda_align": getattr(args, "lambda_align", None),
+             "heads_r": getattr(args, "heads", None),
+             "weak_k": getattr(args, "topk", None)}
+    a3moe = not getattr(args, "no_a3moe", False)
+    qmoe = a3moe and not getattr(args, "no_qmoe", False)
+    kmoe = a3moe and not getattr(args, "no_kmoe", False)
+    acfg = replace(cfg.adapter, use_qmoe=cfg.adapter.use_qmoe and qmoe,
+                   use_kmoe=cfg.adapter.use_kmoe and kmoe)
+    cfg = replace(cfg, adapter=acfg,
+                  **{name: v for name, v in given.items() if v is not None})
     if cfg.heads_r == 0:
         cfg = replace(cfg, lambda_align=0.0)
-    return model_cfg, cfg, doc.get("model_seed", 0)
+    model_seed = doc.get("model_seed", 0)
+    if model_seed < 0:
+        raise ConfigurationError(f"key 'model_seed' of config file {args.config} "
+                                 f"is {model_seed}, not >= 0")
+    return model_cfg, cfg, model_seed
 
 
 def cmd_gen_data(args) -> int:
-    doc = _load_config(args.config, dict.fromkeys(f.name for f in fields(DataSpec)))
+    where = f"config file {args.config}"
+    spec = stored_config(DataSpec, read_json(args.config, where)
+                         if args.config else {}, where, partial=True)
     if args.seed is not None:
-        doc["seed"] = args.seed
-    spec = stored_config(DataSpec, doc, f"config file {args.config}", partial=True)
+        spec = replace(spec, seed=args.seed)
     train_samples, test_samples, _ = generate_dataset(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -136,13 +120,12 @@ def cmd_weaklabels(args) -> int:
 def _read_data_dir(path: str, model: VisualDecoder):
     """Both splits and the spec of a dataset directory, every sample checked
     against the model before any training starts."""
-    data_dir = Path(path)
-    train_samples = read_samples(data_dir / "train.jsonl")
-    test_samples = read_samples(data_dir / "test.jsonl")
-    spec = read_meta(data_dir / "meta.json")
-    metricsmod.check_compatibility(model, train_samples)
-    metricsmod.check_compatibility(model, test_samples)
-    return train_samples, test_samples, spec
+    splits = [Path(path) / name for name in ("train.jsonl", "test.jsonl")]
+    samples = [read_samples(split) for split in splits]
+    spec = read_meta(Path(path) / "meta.json")
+    for split, split_samples in zip(splits, samples):
+        metricsmod.check_compatibility(model, split_samples, split)
+    return *samples, spec
 
 
 def cmd_train(args) -> int:
@@ -160,13 +143,14 @@ def cmd_train(args) -> int:
             cache = load_weak_label_cache(args.weak_cache)
             weak_labels = {}
             for s in train_samples:
-                rec = cache.get(cache_key(s.image_id, s.prompt_id, cfg.weak_k,
-                                          backend_id))
-                if rec is None:
+                labels = cache.get((s.image_id, s.prompt_id, cfg.weak_k,
+                                    backend_id))
+                if labels is None:
                     raise AttnAlignError(
-                        f"weak-label cache has no K={cfg.weak_k} record from "
-                        f"backend {backend_id} for sample {s.id}")
-                weak_labels[s.id] = record_to_weak_labels(rec)
+                        f"weak-label cache {args.weak_cache} has no "
+                        f"K={cfg.weak_k} record from backend {backend_id} "
+                        f"for sample {s.id}")
+                weak_labels[s.id] = labels
         else:
             weak_labels = compute_weak_labels(train_samples, spec, cfg.weak_k,
                                               noise=args.weak_noise,
@@ -193,21 +177,34 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    values = [_sweep_value(args.param, v) for v in args.values.split(",") if v]
     doc = _load_config(args.config, TRAIN_CONFIG_KEYS)
     model_cfg, cfg, model_seed = _build_train_config(doc, args)
     train_samples, test_samples, spec = _read_data_dir(
         args.data, VisualDecoder(model_cfg, seed=model_seed))
-    values = [float(v) for v in args.values.split(",") if v != ""]
     rows = sweep(args.param, values, cfg, model_seed, train_samples,
                  test_samples, spec, model_config=model_cfg, out_csv=args.out)
     print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0
 
 
+def _sweep_value(param: str, text: str) -> float:
+    """One item of ``--values``: a finite number, whole and >= 0 for K, R, B."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isfinite(value) and (param == "lambda" or 0 <= value == int(value)):
+        return value
+    raise ConfigurationError(f"--values item {text!r} is not a number"
+                             f"{'' if param == 'lambda' else ', whole and >= 0'}"
+                             f", as --param {param} needs")
+
+
 def cmd_visualize(args) -> int:
     model, adapters, _ = load_checkpoint(args.checkpoint)
     samples = read_samples(args.data)
-    metricsmod.check_compatibility(model, samples)
+    metricsmod.check_compatibility(model, samples, args.data)
     if args.ids:
         wanted = set(args.ids.split(","))
         samples = [s for s in samples if s.id in wanted]
@@ -300,7 +297,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (AttnAlignError, OSError, KeyError, IndexError, ValueError) as exc:
+    except (AttnAlignError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GenerationError, decode_floats, encode_floats, \
-    read_document, read_json_lines, require_fields, require_names, stored_config
+    read_document, read_json_lines, require_fields, stored_config
 from .weaklabels import Segment
 
 DATASET_SCHEMA = "attnalign-dataset-2"
@@ -47,7 +47,11 @@ class DataSpec:
     n_background_segments: int = 3
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        if self.seed < 0 or self.feature_noise < 0 or self.n_segments < 1 \
+                or not 1 <= self.seg_side_min <= self.seg_side_max:
+            raise GenerationError("need seed, feature_noise >= 0, n_segments >= 1 "
+                                  "and 1 <= seg_side_min <= seg_side_max")
         if self.n_concepts < 2:
             raise GenerationError("need at least 2 concepts")
         if self.n_segments > self.n_concepts:
@@ -167,7 +171,6 @@ def _make_sample(idx: int, prefix: str, rng: np.random.Generator,
 def generate_dataset(spec: DataSpec) -> tuple[list[SyntheticSample],
                                               list[SyntheticSample], DataSpec]:
     """Deterministic train/test split, plus the spec that describes it."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     train = [_make_sample(i, "tr", rng, spec) for i in range(spec.n_train)]
     test = [_make_sample(i, "te", rng, spec) for i in range(spec.n_test)]
@@ -219,9 +222,9 @@ def propose_segments(sample: SyntheticSample, n_background: int) -> list[Segment
 
 # the keys of a sample line and of each of its segments, with their types
 SAMPLE_KEYS = {"id": str, "grid": int, "d_visual": int, "queried_concept": int,
-               "prompt": list, "answer": list, "roi": list, "segments": list,
-               "features_b64": str}
-SEGMENT_KEYS = {"tokens": list, "concept": int, "label": int}
+               "prompt": list[int], "answer": list[int], "roi": list[int],
+               "segments": list, "features_b64": str}
+SEGMENT_KEYS = {"tokens": list[int], "concept": int, "label": int}
 
 
 def _sample_to_dict(sample: SyntheticSample) -> dict:
@@ -246,17 +249,15 @@ def _sample_from_dict(doc: dict, where: str) -> SyntheticSample:
     require_fields(doc, SAMPLE_KEYS, where)
     for i, seg in enumerate(doc["segments"]):
         require_fields(seg, SEGMENT_KEYS, f"{where} segment {i}")
-    features = decode_floats(doc["features_b64"],
-                             (doc["grid"] * doc["grid"], doc["d_visual"]),
-                             f"{where} field 'features_b64'")
-    segments = tuple(PlantedSegment(token_indices=tuple(s["tokens"]),
-                                    concept=s["concept"], label=s["label"])
-                     for s in doc["segments"])
-    return SyntheticSample(id=doc["id"], grid=doc["grid"], features=features,
-                           segments=segments,
-                           queried_concept=doc["queried_concept"],
-                           prompt=tuple(doc["prompt"]),
-                           answer=tuple(doc["answer"]), roi=tuple(doc["roi"]))
+    g = doc["grid"]
+    return SyntheticSample(
+        id=doc["id"], grid=g, queried_concept=doc["queried_concept"],
+        features=decode_floats(doc["features_b64"], (g * g, doc["d_visual"]),
+                               f"key 'features_b64' of {where}"),
+        segments=tuple(PlantedSegment(tuple(s["tokens"]), s["concept"], s["label"])
+                       for s in doc["segments"]),
+        prompt=tuple(doc["prompt"]), answer=tuple(doc["answer"]),
+        roi=tuple(doc["roi"]))
 
 
 def write_samples(path: str | Path, samples: Sequence[SyntheticSample]) -> None:
@@ -277,9 +278,6 @@ def write_meta(path: str | Path, spec: DataSpec) -> None:
 def read_meta(path: str | Path) -> DataSpec:
     """The spec of a meta.json, held to the rules of a checkpoint: the
     current schema, exactly its sections and fields, and a valid spec."""
-    doc = read_document(path, DATASET_SCHEMA, "dataset", "the dataset meta",
-                        objects=("spec",))
-    require_names(("schema", "spec"), doc, "section", "the dataset meta")
-    spec = stored_config(DataSpec, doc["spec"], "the dataset meta")
-    spec.validate()
-    return spec
+    doc, where = read_document(path, DATASET_SCHEMA, "dataset meta",
+                               {"spec": dict})
+    return stored_config(DataSpec, doc["spec"], f"section 'spec' of {where}")

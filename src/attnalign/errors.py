@@ -1,17 +1,17 @@
 """Exception types shared across the package.
 
 Every failure mode named in a module contract maps to one of these, so
-callers can catch precisely and tests can assert on type. The rules for
-a file read back (checkpoint, dataset meta, samples, config) live here too,
-among them the one base64 codec of the float64 arrays those files hold.
+callers can catch precisely and tests can assert on type. Every JSON file
+read back is parsed and checked here alone, so that a bad one is an error
+that names it, and the float64 arrays those files hold share one codec.
 """
 
 import base64
 import json
 import math
-from dataclasses import fields
+import reprlib
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -80,82 +80,86 @@ class CompatibilityError(AttnAlignError):
     """A checkpoint or dataset does not match what the code builds or reads."""
 
 
-def require_names(expected, stored, kind: str, source: str) -> None:
-    """The stored names must be exactly the expected ones."""
-    odd = sorted(set(expected) ^ set(stored))
-    if odd:
-        state = "missing from" if odd[0] in expected else "unexpected in"
-        raise CompatibilityError(f"{kind} {odd[0]!r} {state} {source}")
-
-
 _JSON_TYPES = {bool: "a bool", int: "an int", float: "a number", str: "a string",
-               list: "a list"}
+               list: "a list", dict: "a JSON object"}
 
 
 def require_type(value, hint, what: str) -> None:
     """``value``, which ``what`` names, must be of type ``hint`` when that is
-    a JSON type, where a bool is not an int and an int counts as a float."""
-    kind = _JSON_TYPES.get(hint)
-    if kind is None:
+    a JSON type, where a bool is not an int and an int counts as a float.
+    ``X | None`` also takes null, and the items of a ``list[X]`` or a
+    ``tuple[X, ...]`` (a JSON list) are checked one by one."""
+    if type(None) in get_args(hint):
+        if value is None:
+            return
+        hint = get_args(hint)[0]
+    if get_origin(hint) in (list, tuple):
+        require_type(value, list, what)
+        for i, item in enumerate(value):
+            require_type(item, get_args(hint)[0], f"item {i} of {what}")
         return
-    if isinstance(value, bool) != (hint is bool) or \
-            not isinstance(value, (int, float) if hint is float else hint):
-        raise CompatibilityError(f"{what} is {value!r}, not {kind}")
+    kind = _JSON_TYPES.get(hint)
+    if kind and (isinstance(value, bool) != (hint is bool)
+                 or not isinstance(value, (int, float) if hint is float else hint)):
+        raise CompatibilityError(f"{what} is {reprlib.repr(value)}, not {kind}")
 
 
-def require_fields(doc, hints: dict, where: str) -> None:
-    """``doc`` must be a JSON object of exactly ``hints``' keys and types."""
-    if not isinstance(doc, dict):
-        raise CompatibilityError(f"{where} is not a JSON object")
-    require_names(hints, doc, "key", where)
-    for name, hint in hints.items():
-        require_type(doc[name], hint, f"field {name!r} of {where}")
+def require_fields(doc, hints: dict, where: str, partial: bool = False,
+                   kind: str = "key") -> None:
+    """``doc``, which ``where`` names, must be a JSON object of exactly the
+    keys of ``hints`` (with ``partial``, of some of them), each holding a
+    value of its hinted type (see ``require_type``)."""
+    require_type(doc, dict, where)
+    odd = sorted(doc.keys() - hints.keys() if partial else doc.keys() ^ hints.keys())
+    if odd:
+        state = "unexpected in" if odd[0] in doc else "missing from"
+        raise CompatibilityError(f"{kind} {odd[0]!r} {state} {where}")
+    for name, value in doc.items():
+        require_type(value, hints[name], f"{kind} {name!r} of {where}")
 
 
-def stored_config(cls, stored: dict, source: str, partial: bool = False):
-    """A config dataclass from its stored fields.
+def stored_config(cls, stored, where: str, partial: bool = False):
+    """The config dataclass ``cls`` from ``stored``, which ``where`` names: a
+    JSON object of exactly its fields (with ``partial``, some of them, the
+    rest keeping their defaults) of their types, that the dataclass takes."""
+    require_fields(stored, get_type_hints(cls), where, partial,
+                   f"{cls.__name__} field")
+    try:
+        return cls(**stored)
+    except AttnAlignError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
-    Their names must match the fields exactly, or with ``partial`` be
-    among them (a missing field keeps its default). A field typed int,
-    float or bool must hold one (see ``require_type``).
-    """
-    names = {f.name for f in fields(cls)}
-    require_names(names & stored.keys() if partial else names, stored,
-                  f"{cls.__name__} field", source)
-    hints = get_type_hints(cls)
-    for name, value in stored.items():
-        require_type(value, hints[name],
-                     f"{cls.__name__} field {name!r} of {source}")
-    return cls(**stored)
+
+def read_json(path: str | Path, where: str, raw: bytes | None = None):
+    """The JSON value of ``raw``, by default the bytes of the file at ``path``;
+    bytes that are not UTF-8 JSON are an error that names ``where``."""
+    try:
+        return json.loads(Path(path).read_bytes() if raw is None else raw)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CompatibilityError(f"{where} is not valid JSON: {exc}") from None
 
 
 def read_json_lines(path: str | Path):
-    """Each line of a JSON-lines file, parsed, and the words naming it."""
-    with open(path) as fh:
+    """Each line of a JSON-lines file, parsed by ``read_json``, and the words
+    naming it."""
+    with open(path, "rb") as fh:
         for n, line in enumerate(fh, start=1):
             where = f"{path} line {n}"
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CompatibilityError(f"{where} is not valid JSON: {exc.msg}") \
-                    from None
-            yield doc, where
+            yield read_json(path, where, line), where
 
 
-def read_document(path: str | Path, schema: str, kind: str, source: str,
-                  objects=(), nullable=()) -> dict:
-    """The JSON object at ``path``, of schema ``schema``, in which each section
-    named in ``objects`` or ``nullable`` (which may be null) is an object."""
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise CompatibilityError(f"{source} is not a JSON object")
+def read_document(path: str | Path, schema: str, kind: str,
+                  hints: dict) -> tuple[dict, str]:
+    """The JSON object at ``path``, a ``kind`` of schema ``schema`` and of
+    exactly the other sections of ``hints``, and the words naming the file."""
+    where = f"{kind} {path}"
+    doc = read_json(path, where)
+    require_type(doc, dict, where)
     if doc.get("schema") != schema:
-        raise CompatibilityError(f"unknown {kind} schema {doc.get('schema')!r}")
-    for name in (*objects, *nullable):
-        value = doc.get(name, {})
-        if not isinstance(value, dict) and not (value is None and name in nullable):
-            raise CompatibilityError(f"section {name!r} of {source} is not a JSON object")
-    return doc
+        raise CompatibilityError(
+            f"unknown {kind} schema {reprlib.repr(doc.get('schema'))} in {path}")
+    require_fields(doc, {"schema": str, **hints}, where, kind="section")
+    return doc, where
 
 
 def encode_floats(a) -> str:
@@ -169,7 +173,7 @@ def decode_floats(text, shape, where: str) -> np.ndarray:
     exactly prod(shape) values, or a CompatibilityError naming ``where``."""
     try:
         raw = base64.b64decode(text, validate=True)
-    except (TypeError, ValueError):
+    except ValueError:
         raise CompatibilityError(f"{where} has data that is not base64") from None
     size = 8 * math.prod(shape)
     if len(raw) != size:

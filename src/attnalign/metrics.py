@@ -26,29 +26,31 @@ REPORT_SCHEMA = "attnalign-report-1"
 DEFAULT_TAU = 0.15
 
 
-def coverage_score(values: np.ndarray, roi: Sequence[int],
-                   tau: float = DEFAULT_TAU) -> float:
-    """Fraction of RoI patches with attention >= tau."""
+def _at_roi(values: np.ndarray, roi: Sequence[int],
+            metric: str) -> tuple[np.ndarray, np.ndarray]:
+    """The flat map and its values at the RoI, nonempty patches of the map."""
     m = np.asarray(values, dtype=np.float64).reshape(-1)
     roi = [int(i) for i in roi]
     if not roi:
-        raise MetricError("coverage needs a nonempty RoI")
+        raise MetricError(f"{metric} needs a nonempty RoI")
+    bad = [i for i in roi if not 0 <= i < m.size]
+    if bad:
+        raise MetricError(f"RoI index {bad[0]} outside map of {m.size} patches")
+    return m, m[roi]
+
+
+def coverage_score(values: np.ndarray, roi: Sequence[int],
+                   tau: float = DEFAULT_TAU) -> float:
+    """Fraction of RoI patches with attention >= tau."""
+    m, at = _at_roi(values, roi, "coverage")
     if (m < 0).any():
         raise MetricError("coverage needs a nonnegative map")
-    if max(roi) >= m.size:
-        raise MetricError(f"RoI index {max(roi)} outside map of {m.size} patches")
-    return float((m[roi] >= tau).sum() / len(roi))
+    return float((at >= tau).sum() / at.size)
 
 
 def intensity_alignment(values: np.ndarray, roi: Sequence[int]) -> float:
     """Mean attention value over the RoI patches."""
-    m = np.asarray(values, dtype=np.float64).reshape(-1)
-    roi = [int(i) for i in roi]
-    if not roi:
-        raise MetricError("intensity needs a nonempty RoI")
-    if max(roi) >= m.size:
-        raise MetricError(f"RoI index {max(roi)} outside map of {m.size} patches")
-    return float(m[roi].mean())
+    return float(_at_roi(values, roi, "intensity")[1].mean())
 
 
 @dataclass
@@ -114,34 +116,45 @@ def evaluate(model: VisualDecoder, adapters: AdapterSet | None,
     )
 
 
-def check_compatibility(model: VisualDecoder,
-                        samples: Sequence[SyntheticSample]) -> None:
+def check_compatibility(model: VisualDecoder, samples: Sequence[SyntheticSample],
+                        source: str | Path = "the dataset") -> None:
+    """Sample n, line n of ``source``, must fit the model: grid, feature width,
+    prompt and answer, and nonempty RoI and segments of patches of the grid."""
     c = model.config
-    for s in samples:
-        if s.grid != c.grid:
-            raise CompatibilityError(f"dataset grid {s.grid} != model grid {c.grid}")
-        if s.features.shape[1] != c.d_visual:
-            raise CompatibilityError(
-                f"dataset feature width {s.features.shape[1]} != model "
-                f"d_visual {c.d_visual}")
-        if not s.prompt:
-            raise CompatibilityError(f"dataset sample {s.id} has an empty prompt")
+    for n, s in enumerate(samples, start=1):
         tokens = list(s.prompt) + list(s.answer)
-        if len(tokens) > c.max_text_len:
-            raise CompatibilityError(
-                f"dataset sample {s.id} has {len(tokens)} prompt+answer tokens, "
-                f"model max_text_len is {c.max_text_len}")
         bad = [t for t in tokens if not 0 <= t < c.vocab_size]
-        if bad:
-            raise CompatibilityError(
-                f"dataset token {bad[0]} outside model vocabulary {c.vocab_size}")
+        regions = {"key 'roi'": s.roi}
+        regions.update((f"key 'tokens' of segment {i}", g.token_indices)
+                       for i, g in enumerate(s.segments))
+        outside = [name for name, p in regions.items()
+                   if not p or min(p) < 0 or max(p) >= c.n_visual]
+        if s.grid != c.grid:
+            problem = f"dataset grid {s.grid} != model grid {c.grid}"
+        elif s.features.shape[1] != c.d_visual:
+            problem = (f"dataset feature width {s.features.shape[1]} != model "
+                       f"d_visual {c.d_visual}")
+        elif not (s.prompt and s.answer):
+            problem = (f"dataset sample {s.id} has an empty "
+                       f"{'answer' if s.prompt else 'prompt'}")
+        elif len(tokens) > c.max_text_len:
+            problem = (f"dataset sample {s.id} has {len(tokens)} prompt+answer "
+                       f"tokens, model max_text_len is {c.max_text_len}")
+        elif bad:
+            problem = f"dataset token {bad[0]} outside model vocabulary {c.vocab_size}"
+        elif outside:
+            problem = (f"{outside[0]} is {list(regions[outside[0]])}, not a nonempty "
+                       f"list of patches in [0, {c.n_visual})")
+        else:
+            continue
+        raise CompatibilityError(f"{source} line {n}: {problem}")
 
 
 def evaluate_checkpoint(checkpoint_path: str | Path, data_path: str | Path,
                         tau: float = DEFAULT_TAU) -> MetricsReport:
     model, adapters, _ = load_checkpoint(checkpoint_path)
     samples = read_samples(data_path)
-    check_compatibility(model, samples)
+    check_compatibility(model, samples, data_path)
     return evaluate(model, adapters, samples, tau)
 
 

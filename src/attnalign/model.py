@@ -31,7 +31,7 @@ from .adapters import AdapterConfig, AdapterSet, kmoe_apply, kmoe_gate_weights, 
 from .attention import AttentionStack, Spans, answer_logit_rows, kept_positions
 from .autodiff import Tensor
 from .errors import CapacityError, CompatibilityError, ShapeError, decode_floats, \
-    encode_floats, read_document, require_names, stored_config
+    encode_floats, read_document, require_fields, stored_config
 
 CHECKPOINT_SCHEMA = "attnalign-checkpoint-3"
 
@@ -47,14 +47,13 @@ class ModelConfig:
     max_text_len: int = 16
 
     def __post_init__(self):
+        for name, value in vars(self).items():   # every field is a size
+            if value <= 0:
+                raise ShapeError(f"{name} must be positive")
         if self.d_model % self.n_heads != 0:
             raise ShapeError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
             )
-        for name in ("n_layers", "n_heads", "d_visual", "d_model", "vocab_size",
-                     "grid", "max_text_len"):
-            if getattr(self, name) <= 0:
-                raise ShapeError(f"{name} must be positive")
 
     @property
     def n_visual(self) -> int:
@@ -306,20 +305,9 @@ def _encode_array(a: np.ndarray) -> dict:
     return {"shape": list(np.shape(a)), "data": encode_floats(a)}
 
 
-def _decode_entry(name: str, entry) -> np.ndarray:
-    """The array of checkpoint tensor ``name`` from its entry, which must be
-    exactly {shape, data}: non-negative int dimensions and base64 of exactly
-    their product of float64 values."""
-    where = f"checkpoint tensor {name!r}"
-    if not isinstance(entry, dict) or set(entry) != {"shape", "data"}:
-        raise CompatibilityError(f"{where} is not an object of exactly "
-                                 "'shape' and 'data'")
-    shape = entry["shape"]
-    if not isinstance(shape, list) \
-            or not all(type(n) is int and n >= 0 for n in shape):
-        raise CompatibilityError(
-            f"{where} has shape {shape!r}, not a list of non-negative ints")
-    return decode_floats(entry["data"], shape, where)
+# the sections of a checkpoint besides its schema, with their types
+CHECKPOINT_SECTIONS = {"model_config": dict, "adapter_config": dict | None,
+                       "extra": dict, "tensors": dict, "adapter_tensors": dict}
 
 
 def save_checkpoint(path: str | Path, model: VisualDecoder,
@@ -339,36 +327,37 @@ def save_checkpoint(path: str | Path, model: VisualDecoder,
 
 
 def load_checkpoint(path: str | Path) -> tuple[VisualDecoder, AdapterSet | None, dict]:
-    doc = read_document(path, CHECKPOINT_SCHEMA, "checkpoint", "the checkpoint",
-                        objects=("model_config", "tensors", "adapter_tensors"),
-                        nullable=("adapter_config",))
-    for section in ("model_config", "adapter_config", "tensors", "adapter_tensors"):
-        if section not in doc:
-            raise CompatibilityError(f"checkpoint has no {section!r} section")
-    config = stored_config(ModelConfig, doc["model_config"], "the checkpoint")
+    doc, where = read_document(path, CHECKPOINT_SCHEMA, "checkpoint",
+                               CHECKPOINT_SECTIONS)
+    section = "section {!r} of " + where
+    config = stored_config(ModelConfig, doc["model_config"],
+                           section.format("model_config"))
     model = VisualDecoder(config)
-    model.params = _restore(model.params, doc["tensors"])
+    model.params = _restore(model.params, doc["tensors"], section.format("tensors"))
     adapters = None
     if doc["adapter_config"] is not None:
         adapters = AdapterSet(config.n_layers, config.d_model, config.d_ff,
                               stored_config(AdapterConfig, doc["adapter_config"],
-                                            "the checkpoint"))
+                                            section.format("adapter_config")))
     tensors = dict(adapters.params()) if adapters is not None else {}
-    for name, data in _restore(tensors, doc["adapter_tensors"]).items():
+    for name, data in _restore(tensors, doc["adapter_tensors"],
+                               section.format("adapter_tensors")).items():
         tensors[name].data = data
-    return model, adapters, doc.get("extra", {})
+    return model, adapters, doc["extra"]
 
 
-def _restore(expected: dict, entries: dict) -> dict[str, np.ndarray]:
+def _restore(expected: dict, entries: dict, where: str) -> dict[str, np.ndarray]:
     """The decoded entry of each name in ``expected``, in its order; the
-    entries must hold exactly those names, each with the shape of its array
-    or tensor in ``expected``."""
-    require_names(expected, entries, "tensor", "the checkpoint")
+    entries, which ``where`` names, must hold exactly those names, each an
+    object of exactly {shape, data} with the shape of its array or tensor in
+    ``expected`` and base64 of exactly that many float64 values."""
+    require_fields(entries, dict.fromkeys(expected, dict), where, kind="tensor")
     out = {}
     for name, t in expected.items():
-        data = _decode_entry(name, entries[name])
-        if data.shape != t.shape:
-            raise CompatibilityError(f"checkpoint tensor {name!r} has shape "
-                                     f"{data.shape}, model needs {t.shape}")
-        out[name] = data
+        tensor = f"tensor {name!r} of {where}"
+        require_fields(entries[name], {"shape": list[int], "data": str}, tensor)
+        if tuple(entries[name]["shape"]) != t.shape:
+            raise CompatibilityError(f"{tensor} has shape {entries[name]['shape']}, "
+                                     f"model needs {list(t.shape)}")
+        out[name] = decode_floats(entries[name]["data"], t.shape, tensor)
     return out

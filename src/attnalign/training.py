@@ -74,6 +74,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.lambda_align < 0:
             raise ParameterError(f"lambda_align must be >= 0, got {self.lambda_align}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

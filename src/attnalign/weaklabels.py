@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BackendError, DegenerateEmbeddingError, ParameterError, \
-    read_json_lines, require_fields, require_type
+from .errors import BackendError, CompatibilityError, DegenerateEmbeddingError, \
+    ParameterError, read_json_lines, require_fields
 
 
 @dataclass(frozen=True)
@@ -159,32 +159,35 @@ class SyntheticOracleBackend(EmbedderBackend):
 # ---------------------------------------------------------------------------
 # cache file: one JSON record per (image, prompt, K, backend)
 
-
-def cache_key(image_id: str, prompt_id: str, k: int, backend_id: str) -> tuple:
-    return (image_id, prompt_id, k, backend_id)
-
-
 def save_weak_label_cache(path: str | Path, records: Sequence[dict]) -> None:
     with open(path, "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def load_weak_label_cache(path: str | Path) -> dict[tuple, dict]:
-    """The records of a cache file by key. Each line must hold exactly the
-    keys that ``weak_labels_to_record`` writes, with values of their types."""
+def load_weak_label_cache(path: str | Path) -> dict[tuple, WeakLabelSet]:
+    """The weak labels of a cache file by (image, prompt, K, backend). Each
+    line must hold exactly the keys that ``weak_labels_to_record`` writes,
+    with values of their types, and a nonempty weak-label set."""
     out = {}
     for rec, where in read_json_lines(path):
         require_fields(rec, {"image_id": str, "prompt_id": str, "K": int,
                              "backend": str, "segments": list, "tau_K": float},
                        where)
         for i, seg in enumerate(rec["segments"]):
-            require_fields(seg, {"id": str, "token_indices": list,
+            require_fields(seg, {"id": str, "token_indices": list[int],
                                  "similarity": float}, f"{where} segment {i}")
-            for t in seg["token_indices"]:
-                require_type(t, int, f"a token index of {where} segment {i}")
-        out[cache_key(rec["image_id"], rec["prompt_id"], rec["K"],
-                      rec["backend"])] = rec
+        if not rec["segments"]:
+            raise CompatibilityError(f"key 'segments' of {where} is [], not a "
+                                     "nonempty list")
+        try:
+            segments = tuple(Segment(e["id"], tuple(e["token_indices"]))
+                             for e in rec["segments"])
+        except ParameterError as exc:
+            raise CompatibilityError(f"{where}: {exc}") from None
+        sims = {e["id"]: float(e["similarity"]) for e in rec["segments"]}
+        key = (rec["image_id"], rec["prompt_id"], rec["K"], rec["backend"])
+        out[key] = WeakLabelSet(segments, sims, float(rec["tau_K"]), rec["K"])
     return out
 
 
@@ -203,10 +206,3 @@ def weak_labels_to_record(image_id: str, prompt_id: str, labels: WeakLabelSet,
         "tau_K": labels.tau,
     }
 
-
-def record_to_weak_labels(rec: dict) -> WeakLabelSet:
-    segments = tuple(Segment(id=e["id"], token_indices=tuple(e["token_indices"]))
-                     for e in rec["segments"])
-    sims = {e["id"]: float(e["similarity"]) for e in rec["segments"]}
-    return WeakLabelSet(segments=segments, similarities=sims,
-                        tau=float(rec["tau_K"]), k=int(rec["K"]))

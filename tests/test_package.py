@@ -1,8 +1,9 @@
 """Package-wide properties: the BLAS thread pin at import time, no config
 field that the package never reads, no autodiff op that only tests call,
 a frozen base of plain arrays whose tape reaches only the adapters, no
-CLI option that its verb ignores, and a package that the benchmark's
-span tracer still fits."""
+CLI option that its verb ignores, JSON parsed in errors.py alone, a CLI
+that turns only package and OS errors into an error line, and a package
+that the benchmark's span tracer still fits."""
 
 import argparse
 import ast
@@ -154,6 +155,31 @@ def test_every_cli_option_is_read_by_its_verb():
               if action.dest != "help"
               and action.dest not in read[parser.get_default("fn").__name__]]
     assert unread == []
+
+
+def test_only_errors_py_parses_json():
+    # one parser turns every decode error into an error line that names the
+    # file; a json.load(s) elsewhere would print a bare decoder message
+    calls = [f"{path.name}:{node.lineno}"
+             for path in Path(attnalign.__file__).parent.glob("*.py")
+             if path.name != "errors.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("load", "loads")
+             and isinstance(node.func.value, ast.Name)
+             and node.func.value.id == "json"]
+    assert calls == []
+
+
+def test_cli_main_catches_only_package_and_os_errors():
+    # a KeyError, IndexError or ValueError is a package bug, so it shows
+    # as a traceback rather than a one-line error
+    tree = ast.parse(Path(cli.__file__).read_text())
+    main = next(n for n in tree.body
+                if isinstance(n, ast.FunctionDef) and n.name == "main")
+    handlers = [n for n in ast.walk(main) if isinstance(n, ast.ExceptHandler)]
+    assert [sorted(ast.unparse(e) for e in getattr(h.type, "elts", [h.type]))
+            for h in handlers] == [["AttnAlignError", "OSError"]]
 
 
 def test_the_frozen_base_is_plain_arrays(tmp_path):

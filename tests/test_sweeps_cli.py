@@ -254,51 +254,57 @@ class TestCli:
         assert not out.exists()
         assert not list(tmp_path.rglob("metrics.jsonl"))
 
-    @pytest.mark.parametrize("edit,fragment", [
-        (lambda doc: doc["adapter_config"].update(bogus=1), "'bogus'"),
-        (lambda doc: doc["model_config"].pop("max_text_len"), "'max_text_len'"),
-        (lambda doc: doc.pop("tensors"), "'tensors'"),
+    # {c} is the checkpoint as error lines name it, {t} its tensor 'w_out'
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["adapter_config"].update(bogus=1),
+         "AdapterConfig field 'bogus' unexpected in section 'adapter_config' of {c}"),
+        (lambda doc: doc["model_config"].pop("max_text_len"),
+         "ModelConfig field 'max_text_len' missing from section 'model_config' "
+         "of {c}"),
+        (lambda doc: doc.pop("tensors"), "section 'tensors' missing from {c}"),
         (lambda doc: doc.update(schema="attnalign-checkpoint-2"),
-         "'attnalign-checkpoint-2'"),
-        ([], "error: the checkpoint is not a JSON object\n"),
+         "unknown checkpoint schema 'attnalign-checkpoint-2' in {path}"),
+        ([], "{c} is [], not a JSON object"),
         (lambda doc: doc.update(model_config=None),
-         "error: section 'model_config' of the checkpoint is not a JSON object\n"),
+         "section 'model_config' of {c} is None, not a JSON object"),
         (lambda doc: doc.update(adapter_tensors=[]),
-         "error: section 'adapter_tensors' of the checkpoint is not a JSON object\n"),
+         "section 'adapter_tensors' of {c} is [], not a JSON object"),
         (lambda doc: doc.update(adapter_config=[]),
-         "error: section 'adapter_config' of the checkpoint is not a JSON object\n"),
+         "section 'adapter_config' of {c} is [], not a JSON object"),
         (lambda doc: doc["tensors"].update(w_out=None),
-         "error: checkpoint tensor 'w_out' is not an object of exactly 'shape' "
-         "and 'data'\n"),
+         "{t} is None, not a JSON object"),
         (lambda doc: doc["tensors"].update(w_out="x"),
-         "error: checkpoint tensor 'w_out' is not an object of exactly 'shape' "
-         "and 'data'\n"),
+         "{t} is 'x', not a JSON object"),
         (lambda doc: doc["tensors"]["w_out"].pop("data"),
-         "error: checkpoint tensor 'w_out' is not an object of exactly 'shape' "
-         "and 'data'\n"),
+         "key 'data' missing from {t}"),
         (lambda doc: doc["tensors"]["w_out"].update(
             data=doc["tensors"]["w_out"]["data"][:-8]),
-         "error: checkpoint tensor 'w_out' holds 762 bytes, its shape (12, 8) "
-         "needs 768\n"),
+         "{t} holds 762 bytes, its shape (12, 8) needs 768"),
         (lambda doc: doc["tensors"]["w_out"].update(shape=[12, -8]),
-         "error: checkpoint tensor 'w_out' has shape [12, -8], not a list of "
-         "non-negative ints\n"),
+         "{t} has shape [12, -8], model needs [12, 8]"),
+        (lambda doc: doc["tensors"]["w_out"].update(shape=[12, "8"]),
+         "item 1 of key 'shape' of {t} is '8', not an int"),
         (lambda doc: doc["tensors"]["w_out"].update(data="@@@@"),
-         "error: checkpoint tensor 'w_out' has data that is not base64\n"),
+         "{t} has data that is not base64"),
         (lambda doc: next(iter(doc["adapter_tensors"].values())).update(data=1),
-         "error: checkpoint tensor 'adapter.layer0.kgate.b1' has data that is not "
-         "base64\n"),
+         "key 'data' of tensor 'adapter.layer0.kgate.b1' of section "
+         "'adapter_tensors' of {c} is 1, not a string"),
+        (lambda doc: doc["model_config"].update(n_heads=0),
+         "section 'model_config' of {c}: n_heads must be positive"),
+        (lambda doc: doc.pop("extra"), "section 'extra' missing from {c}"),
     ], ids=["extra-field", "missing-field", "missing-section", "old-schema",
             "not-an-object", "null-config", "list-section", "list-config",
             "null-tensor", "string-tensor", "tensor-without-data",
-            "truncated-data", "negative-dimension", "data-not-base64",
-            "adapter-data-not-a-string"])
+            "truncated-data", "negative-dimension", "string-dimension",
+            "data-not-base64", "adapter-data-not-a-string", "zero-heads",
+            "missing-extra"])
     def test_checkpoint_must_match_field_for_field(self, tmp_path, data_dir,
-                                                   capsys, edit, fragment):
+                                                   capsys, edit, message):
         # a top level or a section that is not an object used to end in an
         # AttributeError or TypeError traceback; a tensor entry that is not
         # {shape, data} in a TypeError traceback or an error line that named
-        # neither the checkpoint nor the tensor
+        # neither the checkpoint nor the tensor; "n_heads": 0 in a
+        # ZeroDivisionError traceback
         model = VisualDecoder(SMALL_MODEL, seed=0)
         adapters = AdapterSet(SMALL_MODEL.n_layers, SMALL_MODEL.d_model,
                               SMALL_MODEL.d_ff, SMALL_ADAPTER)
@@ -314,9 +320,10 @@ class TestCli:
                        str(data_dir / "test.jsonl"), "--out",
                        str(tmp_path / "report.json")])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert fragment in err and "checkpoint" in err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        c = f"checkpoint {ckpt}"
+        t = f"tensor 'w_out' of section 'tensors' of {c}"
+        assert capsys.readouterr().err == \
+            f"error: {message.format(c=c, t=t, path=ckpt)}\n"
         assert not (tmp_path / "report.json").exists()
 
     def test_checkpoint_without_adapters_stores_null_config(self, tmp_path,
@@ -328,25 +335,26 @@ class TestCli:
                          str(data_dir / "test.jsonl"), "--out",
                          str(tmp_path / "report.json")]) == 0
 
+    # {m} is the meta file as error lines name it, {s} its 'spec' section
     @pytest.mark.parametrize("verb", ["train", "weaklabels"])
     @pytest.mark.parametrize("edit,message", [
         (lambda doc: doc["spec"].update(bogus=1),
-         "DataSpec field 'bogus' unexpected in the dataset meta"),
+         "DataSpec field 'bogus' unexpected in {s}"),
         (lambda doc: doc["spec"].pop("n_background_segments"),
-         "DataSpec field 'n_background_segments' missing from the dataset meta"),
+         "DataSpec field 'n_background_segments' missing from {s}"),
         (lambda doc: doc.update(layout={"n_labels": 7, "n_concepts": 3}),
-         "section 'layout' unexpected in the dataset meta"),
+         "section 'layout' unexpected in {m}"),
         (lambda doc: doc.update(schema="attnalign-dataset-0"),
-         "unknown dataset schema 'attnalign-dataset-0'"),
+         "unknown dataset meta schema 'attnalign-dataset-0' in {path}"),
         (lambda doc: doc.update(schema_1_meta(doc["spec"])),
-         "unknown dataset schema 'attnalign-dataset-1'"),
+         "unknown dataset meta schema 'attnalign-dataset-1' in {path}"),
         (lambda doc: doc["spec"].update(d_visual=4),
-         "d_visual=4 too small for 3 concepts + 3 labels"),
-        ([], "the dataset meta is not a JSON object"),
+         "{s}: d_visual=4 too small for 3 concepts + 3 labels"),
+        ([], "{m} is [], not a JSON object"),
         (lambda doc: doc.update(spec=None),
-         "section 'spec' of the dataset meta is not a JSON object"),
+         "section 'spec' of {m} is None, not a JSON object"),
         (lambda doc: doc["spec"].update(grid="8"),
-         "DataSpec field 'grid' of the dataset meta is '8', not an int"),
+         "DataSpec field 'grid' of {s} is '8', not an int"),
     ], ids=["unknown-field", "missing-field", "stored-layout", "schema-0",
             "schema-1", "invalid-spec", "not-an-object", "null-spec",
             "string-int"])
@@ -359,20 +367,23 @@ class TestCli:
         # and an unknown schema or an invalid spec to be read as if valid; a
         # top level or a spec that is not an object, or a field of the wrong
         # type, ended in a traceback
-        doc = json.loads((data_dir / "meta.json").read_text())
+        path = data_dir / "meta.json"
+        doc = json.loads(path.read_text())
         if callable(edit):
             edit(doc)
         else:
             doc = edit   # the whole document replaced
-        (data_dir / "meta.json").write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc))
         out = tmp_path / "out"
         argv = {"train": ["train", "--data", str(data_dir), "--out", str(out),
                           "--config", str(train_config_file)],
                 "weaklabels": ["weaklabels", "--data", str(data_dir / "train.jsonl"),
-                               "--meta", str(data_dir / "meta.json"),
-                               "--out", str(out)]}[verb]
+                               "--meta", str(path), "--out", str(out)]}[verb]
         assert cli.main(argv) == 1
-        assert f"error: {message}\n" in capsys.readouterr().err
+        m = f"dataset meta {path}"
+        spec = f"section 'spec' of {m}"
+        assert capsys.readouterr().err == \
+            f"error: {message.format(m=m, s=spec, path=path)}\n"
         assert not out.exists()
         assert not list(tmp_path.rglob("metrics.jsonl"))
 
@@ -396,7 +407,7 @@ class TestCli:
                        "--out", str(tmp_path / "report.json")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err == f"error: {path} line 3 field 'features_b64' {fragment}\n"
+        assert err == f"error: key 'features_b64' of {path} line 3 {fragment}\n"
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("verb", [
@@ -404,9 +415,9 @@ class TestCli:
         ["sweep", "--param", "lambda", "--values", "0,0.1"],
     ])
     @pytest.mark.parametrize("edit,message", [
-        (lambda doc: [], "is not a JSON object"),
+        (lambda doc: [], "config file {path} is [], not a JSON object"),
         (lambda doc: {**doc, "trian": {"epochs": 1}},
-         "unknown keys in config file {path}: ['trian']"),
+         "key 'trian' unexpected in config file {path}"),
     ], ids=["list", "misspelt-section"])
     def test_train_config_must_be_an_object_of_known_sections(
             self, tmp_path, data_dir, train_config_file, capsys, verb, edit,
@@ -419,10 +430,8 @@ class TestCli:
         rc = cli.main(verb + ["--data", str(data_dir), "--out", str(out),
                               "--config", str(train_config_file)])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert str(train_config_file) in err
-        assert message.format(path=train_config_file) in err
+        assert capsys.readouterr().err == \
+            f"error: {message.format(path=train_config_file)}\n"
         assert not out.exists()
         assert not list(tmp_path.rglob("metrics.jsonl"))
 
@@ -440,8 +449,8 @@ class TestCli:
                        "--config", str(train_config_file)])
         assert rc == 1
         assert capsys.readouterr().err == (
-            f"error: section {section!r} of config file {train_config_file} "
-            "is not a JSON object\n")
+            f"error: key {section!r} of config file {train_config_file} "
+            "is [], not a JSON object\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("verb", [
@@ -454,12 +463,16 @@ class TestCli:
         ("train", "heads_r", True, "an int"),
         ("model", "n_layers", 0.5, "an int"),
         ("adapter", "use_kmoe", 1, "a bool"),
-    ], ids=["string-int", "string-float", "bool-int", "float-int", "int-bool"])
+        ("train", "heatmap_sample_ids", "tr000000", "a list"),
+    ], ids=["string-int", "string-float", "bool-int", "float-int", "int-bool",
+            "string-tuple"])
     def test_train_config_values_must_have_their_field_types(
             self, tmp_path, data_dir, train_config_file, capsys, verb, section,
             field, value, kind):
         # "epochs": "2" and "n_layers": 0.5 ended in a TypeError traceback,
-        # and a bool passed for an int (or an int for a bool) trained on it
+        # a bool passed for an int (or an int for a bool) trained on it, and
+        # a string of sample ids was stored in config.json and wrote no
+        # heatmaps
         doc = json.loads(train_config_file.read_text())
         doc[section][field] = value
         train_config_file.write_text(json.dumps(doc))
@@ -474,6 +487,26 @@ class TestCli:
             f"file {train_config_file} is {value!r}, not {kind}\n")
         assert not out.exists()
         assert not list(tmp_path.rglob("metrics.jsonl"))
+
+    @pytest.mark.parametrize("verb", [
+        ["train"],
+        ["sweep", "--param", "lambda", "--values", "0,0.1"],
+    ])
+    def test_zero_heads_in_a_config_file(self, tmp_path, data_dir,
+                                         train_config_file, capsys, verb):
+        # ended in a ZeroDivisionError traceback: divisibility by n_heads was
+        # checked before its sign
+        doc = json.loads(train_config_file.read_text())
+        doc["model"]["n_heads"] = 0
+        train_config_file.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = cli.main(verb + ["--data", str(data_dir), "--out", str(out),
+                              "--config", str(train_config_file)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: section 'model' of config file {train_config_file}: "
+            "n_heads must be positive\n")
+        assert not out.exists()
 
     def test_unknown_config_profile_names_file_field_and_choices(
             self, tmp_path, data_dir, train_config_file, capsys):
@@ -498,14 +531,29 @@ class TestCli:
         (lambda doc: doc["segments"][1].pop("label"),
          "key 'label' missing from {where} segment 1"),
         ('{"id": "te000001",', "{where} is not valid JSON: "),
-        ("[]", "{where} is not a JSON object"),
-        (lambda doc: doc.update(grid="8"), "field 'grid' of {where} is '8', not an int"),
+        ("[]", "{where} is [], not a JSON object"),
+        (lambda doc: doc.update(grid="8"), "key 'grid' of {where} is '8', not an int"),
+        (lambda doc: doc.update(prompt=["4", "1"]),
+         "item 0 of key 'prompt' of {where} is '4', not an int\n"),
+        (lambda doc: doc.update(roi=[1.5]),
+         "item 0 of key 'roi' of {where} is 1.5, not an int\n"),
+        (lambda doc: doc.update(roi=[-1]),
+         "{where}: key 'roi' is [-1], not a nonempty list of patches in [0, 9)\n"),
+        (lambda doc: doc["segments"][0].update(tokens=[9]),
+         "{where}: key 'tokens' of segment 0 is [9], not a nonempty list of "
+         "patches in [0, 9)\n"),
+        (lambda doc: doc.update(answer=[]),
+         "{where}: dataset sample te000001 has an empty answer\n"),
     ], ids=["missing-key", "extra-key", "segment-key", "bad-json", "not-object",
-            "string-grid"])
+            "string-grid", "string-prompt", "float-roi", "negative-roi",
+            "token-outside-grid", "empty-answer"])
     def test_sample_lines_are_checked_before_use(self, tmp_path, data_dir, capsys,
                                                  edit, message):
         # a missing key used to print "error: 'features_b64'", naming
-        # neither the file nor the line, and bad JSON a bare decoder message
+        # neither the file nor the line, and bad JSON a bare decoder message;
+        # string prompt tokens ended in a TypeError traceback, a float RoI
+        # patch was scored as its integer part and -1 as the last patch, and
+        # an empty answer ended in an error that named no file
         ckpt = tmp_path / "checkpoint.json"
         save_checkpoint(ckpt, VisualDecoder(SMALL_MODEL, seed=0))
         path = data_dir / "test.jsonl"
@@ -526,12 +574,12 @@ class TestCli:
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("doc,message", [
-        ([], "is not a JSON object"),
-        ({"topk": 1, "tpok": 2}, "['tpok']"),
+        ([], "config file {cfg} is [], not a JSON object"),
+        ({"topk": 1, "tpok": 2}, "key 'tpok' unexpected in config file {cfg}"),
         # these three used to end in a TypeError traceback or run on
-        ({"topk": "2"}, "field 'topk' of config file {cfg} is '2', not an int"),
-        ({"noise": "0"}, "field 'noise' of config file {cfg} is '0', not a number"),
-        ({"seed": 1.5}, "field 'seed' of config file {cfg} is 1.5, not an int"),
+        ({"topk": "2"}, "key 'topk' of config file {cfg} is '2', not an int"),
+        ({"noise": "0"}, "key 'noise' of config file {cfg} is '0', not a number"),
+        ({"seed": 1.5}, "key 'seed' of config file {cfg} is 1.5, not an int"),
     ], ids=["list", "unknown-key", "string-topk", "string-noise", "float-seed"])
     def test_weaklabels_config_must_be_an_object_of_known_keys(
             self, tmp_path, data_dir, capsys, doc, message):
@@ -542,16 +590,16 @@ class TestCli:
                        "--meta", str(data_dir / "meta.json"), "--out", str(out),
                        "--config", str(cfg)])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert str(cfg) in err and message.format(cfg=cfg) in err
+        assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["x", 1.7, True],
-                             ids=["string", "float", "bool"])
+    @pytest.mark.parametrize("value,kind", [("x", "an int"), (1.7, "an int"),
+                                            (True, "an int"), (-1, ">= 0")],
+                             ids=["string", "float", "bool", "negative"])
     def test_model_seed_must_be_an_int(self, tmp_path, data_dir,
-                                       train_config_file, capsys, value):
-        # "x" used to print int()'s own message, and 1.7 trained with seed 1
+                                       train_config_file, capsys, value, kind):
+        # "x" used to print int()'s own message, 1.7 trained with seed 1, and
+        # -1 printed numpy's own message
         doc = json.loads(train_config_file.read_text())
         doc["model_seed"] = value
         train_config_file.write_text(json.dumps(doc))
@@ -560,25 +608,31 @@ class TestCli:
                        "--config", str(train_config_file)])
         assert rc == 1
         assert capsys.readouterr().err == (
-            f"error: field 'model_seed' of config file {train_config_file} "
-            f"is {value!r}, not an int\n")
+            f"error: key 'model_seed' of config file {train_config_file} "
+            f"is {value!r}, not {kind}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("edit,message", [
         (lambda rec: rec.pop("K"), "key 'K' missing from {where}"),
         (lambda rec: rec["segments"][0].update(token_indices="x"),
-         "field 'token_indices' of {where} segment 0 is 'x', not a list"),
+         "key 'token_indices' of {where} segment 0 is 'x', not a list"),
         (lambda rec: rec["segments"][0].update(token_indices=[1, "2"]),
-         "a token index of {where} segment 0 is '2', not an int"),
-        (lambda rec: rec.update(K=True), "field 'K' of {where} is True, not an int"),
+         "item 1 of key 'token_indices' of {where} segment 0 is '2', not an int"),
+        (lambda rec: rec.update(K=True), "key 'K' of {where} is True, not an int"),
         ('{"image_id": ', "{where} is not valid JSON: "),
-        ("[]", "{where} is not a JSON object"),
+        ("[]", "{where} is [], not a JSON object"),
+        (lambda rec: rec.update(segments=[]),
+         "key 'segments' of {where} is [], not a nonempty list\n"),
+        (lambda rec: rec["segments"][0].update(id="s", token_indices=[]),
+         "{where}: segment 's' has no tokens\n"),
     ], ids=["missing-key", "string-indices", "string-index", "bool-k",
-            "bad-json", "not-object"])
+            "bad-json", "not-object", "no-segments", "no-tokens"])
     def test_weak_cache_lines_are_checked_before_use(
             self, tmp_path, data_dir, train_config_file, capsys, edit, message):
         # these used to print "error: 'K'", int()'s own message and a bare
-        # decoder message, none of them naming the file
+        # decoder message, none of them naming the file; a record without
+        # segments stopped training with an error that named no file, and
+        # a segment without tokens with one from the Segment class
         cache = tmp_path / "cache.jsonl"
         rc = cli.main(["weaklabels", "--data", str(data_dir / "train.jsonl"),
                        "--meta", str(data_dir / "meta.json"), "--out",
@@ -610,7 +664,7 @@ class TestCli:
                        str(cfg), "--seed", "5"])
         assert rc == 1
         assert capsys.readouterr().err == \
-            f"error: config file {cfg} is not a JSON object\n"
+            f"error: config file {cfg} is [], not a JSON object\n"
         assert not (tmp_path / "d").exists()
 
     def test_gen_data_config_values_must_have_their_field_types(self, tmp_path,
@@ -649,6 +703,31 @@ class TestCli:
                        "--config", str(train_config_file)])
         assert rc == 0
         assert out.read_text().splitlines()[0] == ",".join(SWEEP_HEADER)
+
+    @pytest.mark.parametrize("param,values,bad,kind", [
+        ("K", "1,1.5", "1.5", "a number, whole and >= 0"),
+        ("R", "1,x", "x", "a number, whole and >= 0"),
+        ("R", "-1", "-1", "a number, whole and >= 0"),
+        ("B", "2e0,inf", "inf", "a number, whole and >= 0"),
+        ("lambda", "0.1,x", "x", "a number"),
+        ("lambda", "nan", "nan", "a number"),
+    ], ids=["fractional-K", "string-R", "negative-R", "infinite-B",
+            "string-lambda", "nan-lambda"])
+    def test_sweep_values_must_fit_the_param(self, tmp_path, data_dir,
+                                             train_config_file, capsys, param,
+                                             values, bad, kind):
+        # K=1.5 trained with K=1 and wrote "K,1.5" to the CSV, "x" printed
+        # float()'s own message, which named no option, and R=-1 stopped on
+        # a misleading "lambda > 0 needs a weak-label set per sample"
+        out = tmp_path / "sweep.csv"
+        rc = cli.main(["sweep", "--param", param, "--values", values, "--data",
+                       str(data_dir), "--out", str(out), "--config",
+                       str(train_config_file)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: --values item {bad!r} is not {kind}, as --param {param} "
+            "needs\n")
+        assert not out.exists()
 
     def test_train_overrides(self, tmp_path, data_dir, train_config_file):
         run = tmp_path / "r"

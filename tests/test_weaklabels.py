@@ -9,8 +9,7 @@ from attnalign.errors import BackendError, DegenerateEmbeddingError, \
     ParameterError
 from attnalign.weaklabels import EmbedderBackend, Segment, \
     SyntheticOracleBackend, WeakLabelSet, cosine_sim, load_weak_label_cache, \
-    record_to_weak_labels, save_weak_label_cache, select_weak_labels, \
-    weak_labels_to_record
+    save_weak_label_cache, select_weak_labels, weak_labels_to_record
 
 from oracles import cosine_decimal
 
@@ -212,13 +211,14 @@ class TestCacheRoundTrip:
         path = tmp_path / "cache.jsonl"
         save_weak_label_cache(path, [rec])
         loaded = load_weak_label_cache(path)
-        assert ("img1", "p1", 2, "oracle") in loaded
-        back = record_to_weak_labels(loaded[("img1", "p1", 2, "oracle")])
+        assert list(loaded) == [("img1", "p1", 2, "oracle")]
+        back = loaded[("img1", "p1", 2, "oracle")]
         assert back.tau == 0.5 and back.k == 2
         assert [s.token_indices for s in back.segments] == [(1, 2), (3,)]
         schema = json.loads(path.read_text().splitlines()[0])
         assert set(schema) == {"image_id", "prompt_id", "K", "backend",
                                "segments", "tau_K"}
         again = tmp_path / "again.jsonl"
-        save_weak_label_cache(again, list(loaded.values()))
+        save_weak_label_cache(again, [weak_labels_to_record("img1", "p1", back,
+                                                            "oracle")])
         assert again.read_bytes() == path.read_bytes()
