@@ -33,7 +33,7 @@ from .autodiff import Tensor
 from .errors import ParameterError, ShapeError
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdapterConfig:
     """Adapter hyperparameters; defaults are the toy-scale settings."""
 
@@ -45,20 +45,17 @@ class AdapterConfig:
     use_qmoe: bool = True
     use_kmoe: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        for name in ("dense_rank", "expert_rank", "n_q_experts", "n_k_experts"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.use_kmoe and not (1 <= self.top_b <= self.n_k_experts):
-            raise ParameterError(
-                f"top_b={self.top_b} outside [1, {self.n_k_experts}]"
-            )
-        if self.n_q_experts < 1 or self.n_k_experts < 1:
-            raise ParameterError("expert counts must be >= 1")
+            raise ParameterError(f"top_b={self.top_b} outside [1, {self.n_k_experts}]")
 
 
 def _factor_pair(d_out: int, d_in: int, rank: int,
                  rng: np.random.Generator) -> tuple[Tensor, Tensor]:
     """Trainable A [rank x d_in] drawn uniform in +-1/sqrt(d_in), and B = 0."""
-    if rank < 1:
-        raise ParameterError(f"LoRA rank must be >= 1, got {rank}")
     bound = 1.0 / np.sqrt(d_in)
     return (Tensor(rng.uniform(-bound, bound, size=(rank, d_in)), requires_grad=True),
             Tensor(np.zeros((d_out, rank)), requires_grad=True))
@@ -86,10 +83,6 @@ class ExpertBank:
 
     def __init__(self, n: int, d_out: int, d_in: int, rank: int,
                  rng: np.random.Generator):
-        if n < 1:
-            raise ParameterError("expert bank needs at least one expert")
-        if rank < 1:
-            raise ParameterError(f"expert rank must be >= 1, got {rank}")
         self.A, self.B = _factor_pair(d_out, d_in, n * rank, rng)
         self.rank = rank
 
@@ -275,7 +268,6 @@ class AdapterSet:
 
     def __init__(self, n_layers: int, d_model: int, d_ff: int, cfg: AdapterConfig,
                  seed: int = 0):
-        cfg.validate()
         self.cfg = cfg
         rng = np.random.default_rng(seed)
         self.layers = [LayerAdapters(d_model, d_ff, cfg, rng)

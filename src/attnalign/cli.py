@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import attention as attnmod
@@ -23,8 +23,8 @@ from .errors import AttnAlignError, ConfigurationError, read_json, \
     require_fields, stored_config
 from .model import ModelConfig, VisualDecoder, VisualInput, load_checkpoint
 from .sweeps import sweep
-from .training import TASK_PROFILES, TrainConfig, compute_weak_labels, \
-    oracle_backend, train
+from .training import TASK_PROFILES, TrainConfig, check_heads, \
+    compute_weak_labels, oracle_backend, train
 from .weaklabels import load_weak_label_cache, save_weak_label_cache, \
     weak_labels_to_record
 
@@ -51,31 +51,35 @@ def _build_train_config(doc: dict, args) -> tuple[ModelConfig, TrainConfig, int]
                               where.format("model"), partial=True)
     adapter_cfg = stored_config(AdapterConfig, doc.get("adapter", {}),
                                 where.format("adapter"), partial=True)
-    train_doc = dict(doc.get("train", {}))
-    profile = train_doc.pop("profile", None) or getattr(args, "profile", None)
-    if profile:
-        if not isinstance(profile, str) or profile not in TASK_PROFILES:
-            raise ConfigurationError(
-                f"field 'profile' of {where.format('train')} is {profile!r}, "
-                f"not one of {sorted(TASK_PROFILES)}")
-        prof = TASK_PROFILES[profile]
-        train_doc.setdefault("epochs", prof.epochs)
-        train_doc.setdefault("lambda_align", prof.lambda_align)
-    cfg = stored_config(TrainConfig, {**train_doc, "adapter": adapter_cfg},
-                        where.format("train"), partial=True)
-
-    given = {"seed": args.seed, "lambda_align": getattr(args, "lambda_align", None),
-             "heads_r": getattr(args, "heads", None),
-             "weak_k": getattr(args, "topk", None)}
     a3moe = not getattr(args, "no_a3moe", False)
     qmoe = a3moe and not getattr(args, "no_qmoe", False)
     kmoe = a3moe and not getattr(args, "no_kmoe", False)
-    acfg = replace(cfg.adapter, use_qmoe=cfg.adapter.use_qmoe and qmoe,
-                   use_kmoe=cfg.adapter.use_kmoe and kmoe)
-    cfg = replace(cfg, adapter=acfg,
-                  **{name: v for name, v in given.items() if v is not None})
-    if cfg.heads_r == 0:
-        cfg = replace(cfg, lambda_align=0.0)
+    adapter_cfg = replace(adapter_cfg, use_qmoe=adapter_cfg.use_qmoe and qmoe,
+                          use_kmoe=adapter_cfg.use_kmoe and kmoe)
+    train_doc = dict(doc.get("train", {}))
+    profile = train_doc.pop("profile", None)
+    if profile is not None and (not isinstance(profile, str)
+                                or profile not in TASK_PROFILES):
+        raise ConfigurationError(
+            f"field 'profile' of {where.format('train')} is {profile!r}, "
+            f"not one of {sorted(TASK_PROFILES)}")
+    profile = getattr(args, "profile", None) or profile   # the option wins
+    if profile:   # under the file's own epochs and lambda_align
+        train_doc = {**asdict(TASK_PROFILES[profile]), **train_doc}
+    cfg = stored_config(TrainConfig, {**train_doc, "adapter": adapter_cfg},
+                        where.format("train"), partial=True)
+
+    heads = getattr(args, "heads", None)
+    for option, name, value in (
+            ("--seed", "seed", args.seed), ("--heads", "heads_r", heads),
+            ("--lambda", "lambda_align", getattr(args, "lambda_align", None)),
+            ("--topk", "weak_k", getattr(args, "topk", None))):
+        try:
+            cfg = cfg if value is None else replace(cfg, **{name: value})
+        except AttnAlignError as exc:
+            raise type(exc)(f"option {option}: {exc}") from None
+    check_heads(cfg, model_cfg, where.format("train") if heads is None
+                else "option --heads")
     model_seed = doc.get("model_seed", 0)
     if model_seed < 0:
         raise ConfigurationError(f"key 'model_seed' of config file {args.config} "
@@ -135,12 +139,12 @@ def cmd_train(args) -> int:
     train_samples, test_samples, spec = _read_data_dir(args.data, model)
 
     weak_labels = None
-    if cfg.lambda_align > 0 and cfg.heads_r > 0:
+    if cfg.aligned:
         if args.weak_cache:
             # only records of this run's K and backend may stand in for it
             backend_id = oracle_backend(spec, noise=args.weak_noise,
                                         seed=cfg.seed).backend_id
-            cache = load_weak_label_cache(args.weak_cache)
+            cache = load_weak_label_cache(args.weak_cache, model_cfg.n_visual)
             weak_labels = {}
             for s in train_samples:
                 labels = cache.get((s.image_id, s.prompt_id, cfg.weak_k,

@@ -65,7 +65,7 @@ class GenerationError(AttnAlignError):
 
 
 class ConfigurationError(AttnAlignError):
-    """Mutually inconsistent configuration (e.g. alignment on with R=0)."""
+    """Mutually inconsistent configuration (e.g. R above the model's heads)."""
 
 
 class DivergenceError(AttnAlignError):
@@ -87,13 +87,13 @@ _JSON_TYPES = {bool: "a bool", int: "an int", float: "a number", str: "a string"
 def require_type(value, hint, what: str) -> None:
     """``value``, which ``what`` names, must be of type ``hint`` when that is
     a JSON type, where a bool is not an int and an int counts as a float.
-    ``X | None`` also takes null, and the items of a ``list[X]`` or a
-    ``tuple[X, ...]`` (a JSON list) are checked one by one."""
+    ``X | None`` also takes null, and the items of a ``list[X]`` are
+    checked one by one."""
     if type(None) in get_args(hint):
         if value is None:
             return
         hint = get_args(hint)[0]
-    if get_origin(hint) in (list, tuple):
+    if get_origin(hint) is list:
         require_type(value, list, what)
         for i, item in enumerate(value):
             require_type(item, get_args(hint)[0], f"item {i} of {what}")

@@ -2,8 +2,9 @@
 
 One training run per value with a shared seed, results flattened into a
 CSV table (`param,value,coverage,intensity,accuracy,L_llm,L_align`).
-Setting R to 0 disables the alignment term outright, so that row trains
-exactly like a lambda=0 run.
+Every value's config is built and checked before the first run trains.
+R = 0 turns the alignment term off (``TrainConfig.aligned``), so that row
+trains exactly like a lambda=0 run.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from pathlib import Path
 from typing import Sequence
 
 from .data import DataSpec, SyntheticSample
-from .errors import ParameterError
+from .errors import AttnAlignError, ParameterError
 from .metrics import MetricsReport, evaluate
-from .model import VisualDecoder
-from .training import TrainConfig, TrainResult, compute_weak_labels, train
+from .model import ModelConfig, VisualDecoder
+from .training import TrainConfig, TrainResult, check_heads, compute_weak_labels, \
+    train
 
 SWEEP_HEADER = ["param", "value", "coverage", "intensity", "accuracy",
                 "L_llm", "L_align"]
@@ -30,7 +32,7 @@ def run_single(model: VisualDecoder, train_samples: Sequence[SyntheticSample],
                cfg: TrainConfig) -> tuple[TrainResult, MetricsReport]:
     """Train once under cfg and evaluate on the held-out split."""
     labels = None
-    if cfg.lambda_align > 0 and cfg.heads_r > 0:
+    if cfg.aligned:
         labels = compute_weak_labels(train_samples, spec, cfg.weak_k,
                                      seed=cfg.seed)
     result = train(model, train_samples, cfg, weak_labels=labels)
@@ -42,11 +44,7 @@ def apply_sweep_value(cfg: TrainConfig, param: str, value) -> TrainConfig:
     if param == "K":
         return replace(cfg, weak_k=int(value))
     if param == "R":
-        out = replace(cfg, heads_r=int(value))
-        if int(value) == 0:
-            # no heads to align means the alignment term is off entirely
-            out = replace(out, lambda_align=0.0)
-        return out
+        return replace(cfg, heads_r=int(value))
     if param == "lambda":
         return replace(cfg, lambda_align=float(value))
     if param == "B":
@@ -61,21 +59,24 @@ def sweep(param: str, values: Sequence, base_cfg: TrainConfig,
     """One run per value; rows keep the spec'd CSV column order."""
     if not values:
         raise ParameterError("sweep needs at least one value")
-    from .model import ModelConfig
-    rows = []
+    model_config = model_config or ModelConfig()
+    cfgs = []
     for value in values:
-        cfg = apply_sweep_value(base_cfg, param, value)
-        model = VisualDecoder(model_config or ModelConfig(), seed=model_seed)
+        where = f"sweep value {param}={value}"
+        try:
+            cfg = apply_sweep_value(base_cfg, param, value)
+        except AttnAlignError as exc:
+            raise type(exc)(f"{where}: {exc}") from None
+        check_heads(cfg, model_config, where)
+        cfgs.append(cfg)
+    rows = []
+    for value, cfg in zip(values, cfgs):
+        model = VisualDecoder(model_config, seed=model_seed)
         result, report = run_single(model, train_samples, test_samples, spec, cfg)
-        rows.append({
-            "param": param,
-            "value": value,
-            "coverage": report.coverage,
-            "intensity": report.intensity,
-            "accuracy": report.accuracy,
-            "L_llm": result.epoch_logs[-1]["train_llm"],
-            "L_align": result.epoch_logs[-1]["train_align"],
-        })
+        last = result.epoch_logs[-1]
+        rows.append({"param": param, "value": value, "coverage": report.coverage,
+                     "intensity": report.intensity, "accuracy": report.accuracy,
+                     "L_llm": last["train_llm"], "L_align": last["train_align"]})
     if out_csv is not None:
         write_sweep_csv(out_csv, rows)
     return rows

@@ -37,7 +37,8 @@ from .autodiff import Tensor
 from .data import DataSpec, SyntheticSample, propose_segments
 from .errors import CompatibilityError, ConfigurationError, \
     DegenerateAttentionError, DivergenceError, ParameterError
-from .model import ForwardOutput, VisualDecoder, VisualInput, save_checkpoint
+from .model import ForwardOutput, ModelConfig, VisualDecoder, VisualInput, \
+    save_checkpoint
 from .weaklabels import SyntheticOracleBackend, WeakLabelSet, select_weak_labels
 
 
@@ -59,7 +60,7 @@ TASK_PROFILES: dict[str, TaskProfile] = {
     "mimic-cxr": TaskProfile(epochs=12, lambda_align=0.05),
 }
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     lambda_align: float = 0.1
     epochs: int = 6
@@ -69,13 +70,26 @@ class TrainConfig:
     heads_r: int = 2              # ceil(0.125 * L * H) for the toy 4x4 model
     seed: int = 0
     adapter: AdapterConfig = field(default_factory=AdapterConfig)
-    heatmap_sample_ids: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.lambda_align < 0:
-            raise ParameterError(f"lambda_align must be >= 0, got {self.lambda_align}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        for name, low in dict(lambda_align=0, epochs=1, lr=0, batch_size=1, weak_k=1,
+                              heads_r=0, seed=0).items():
+            value = getattr(self, name)
+            if not value >= low:      # NaN fails too
+                raise ParameterError(f"{name} must be >= {low}, got {value}")
+
+    @property
+    def aligned(self) -> bool:
+        """Whether the alignment term is on: it needs lambda > 0 and R > 0."""
+        return self.lambda_align > 0 and self.heads_r > 0
+
+
+def check_heads(cfg: TrainConfig, config: ModelConfig, where: str) -> None:
+    """R, which ``where`` names, may not exceed the model's L x H heads."""
+    n = config.n_layers * config.n_heads
+    if cfg.heads_r > n:
+        raise ConfigurationError(f"{where}: heads_r={cfg.heads_r} is more than "
+                                 f"the {n} attention heads of the model")
 
 
 @dataclass
@@ -227,8 +241,6 @@ def total_loss(model: VisualDecoder, adapters: AdapterSet | None,
     the rows the two terms read: the answer-predicting logit rows and the
     answer query rows.
     """
-    if cfg.lambda_align > 0 and cfg.heads_r == 0:
-        raise ConfigurationError("alignment requested (lambda > 0) but heads_r == 0")
     spans = attn.Spans(model.config.n_visual, len(sample.prompt), len(sample.answer))
     out = model.forward(VisualInput(sample.features, sample.grid),
                         sample.prompt, sample.answer, adapters,
@@ -236,11 +248,9 @@ def total_loss(model: VisualDecoder, adapters: AdapterSet | None,
                         + attn.answer_query_rows(spans))
     llm = lm_loss(out, sample.answer)
 
-    if cfg.lambda_align == 0 or cfg.heads_r == 0:
-        total = llm
-        breakdown = LossBreakdown(llm=float(llm.data), align=0.0,
-                                  total=float(total.data))
-        return total, breakdown
+    if not cfg.aligned:
+        return llm, LossBreakdown(llm=float(llm.data), align=0.0,
+                                  total=float(llm.data))
 
     if labels is None or not labels.segments:
         raise ConfigurationError("alignment requested but no weak labels supplied")
@@ -283,8 +293,8 @@ def train(model: VisualDecoder, train_samples: Sequence[SyntheticSample],
     """
     if not train_samples:
         raise ConfigurationError("empty training set")
-    if cfg.lambda_align > 0 and weak_labels is None:
-        raise ConfigurationError("lambda > 0 needs a weak-label set per sample")
+    if cfg.aligned and weak_labels is None:
+        raise ConfigurationError("alignment needs a weak-label set per sample")
 
     seeds = np.random.SeedSequence(cfg.seed).generate_state(2)
     if adapters is None:
@@ -363,13 +373,11 @@ def train(model: VisualDecoder, train_samples: Sequence[SyntheticSample],
     # the peak memory of writing the checkpoint
     del optimizer, flat, rows
 
-    final_metrics = {k: v for k, v in epoch_logs[-1].items() if k != "epoch"}
-    result = TrainResult(model=model, adapters=adapters, epoch_logs=epoch_logs,
-                         final_metrics=final_metrics)
     if out_dir is not None:
-        _write_run_dir(Path(out_dir), model, adapters, cfg, epoch_logs,
-                       train_samples)
-    return result
+        _write_run_dir(Path(out_dir), model, adapters, cfg, epoch_logs)
+    final_metrics = {k: v for k, v in epoch_logs[-1].items() if k != "epoch"}
+    return TrainResult(model=model, adapters=adapters, epoch_logs=epoch_logs,
+                       final_metrics=final_metrics)
 
 
 def _pack(params: Sequence[Tensor]) -> tuple[np.ndarray, np.ndarray]:
@@ -389,11 +397,9 @@ def _pack(params: Sequence[Tensor]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _write_run_dir(out_dir: Path, model: VisualDecoder, adapters: AdapterSet,
-                   cfg: TrainConfig, epoch_logs: list[dict],
-                   samples: Sequence[SyntheticSample]) -> None:
+                   cfg: TrainConfig, epoch_logs: list[dict]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    snapshot = asdict(cfg)
-    snapshot["model"] = asdict(model.config)
+    snapshot = {**asdict(cfg), "model": asdict(model.config)}
     (out_dir / "config.json").write_text(
         json.dumps(snapshot, sort_keys=True, indent=1) + "\n")
     with open(out_dir / "metrics.jsonl", "w") as fh:
@@ -401,13 +407,3 @@ def _write_run_dir(out_dir: Path, model: VisualDecoder, adapters: AdapterSet,
             fh.write(json.dumps(log, sort_keys=True) + "\n")
     save_checkpoint(out_dir / "checkpoint.json", model, adapters,
                     extra={"train_config": asdict(cfg)})
-    wanted = set(cfg.heatmap_sample_ids)
-    if wanted:
-        by_id = {s.id: s for s in samples}
-        for sid in sorted(wanted & by_id.keys()):
-            s = by_id[sid]
-            gen = model.generate_greedy(VisualInput(s.features, s.grid),
-                                        s.prompt, max_len=len(s.answer),
-                                        adapters=adapters)
-            heat = attn.generated_query_mean_map(gen.stacks, gen.step_rows)
-            attn.export_heatmaps(out_dir / "heatmaps", sid, "mean", heat, s.grid)

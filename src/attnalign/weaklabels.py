@@ -165,10 +165,11 @@ def save_weak_label_cache(path: str | Path, records: Sequence[dict]) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def load_weak_label_cache(path: str | Path) -> dict[tuple, WeakLabelSet]:
+def load_weak_label_cache(path: str | Path, n_visual: int) -> dict[tuple, WeakLabelSet]:
     """The weak labels of a cache file by (image, prompt, K, backend). Each
     line must hold exactly the keys that ``weak_labels_to_record`` writes,
-    with values of their types, and a nonempty weak-label set."""
+    with values of their types, and a nonempty weak-label set whose tokens
+    lie in the model's map of ``n_visual`` visual tokens."""
     out = {}
     for rec, where in read_json_lines(path):
         require_fields(rec, {"image_id": str, "prompt_id": str, "K": int,
@@ -185,6 +186,11 @@ def load_weak_label_cache(path: str | Path) -> dict[tuple, WeakLabelSet]:
                              for e in rec["segments"])
         except ParameterError as exc:
             raise CompatibilityError(f"{where}: {exc}") from None
+        for s in segments:
+            if s.token_indices[-1] >= n_visual:
+                raise CompatibilityError(
+                    f"{where}: segment {s.id!r} has token {s.token_indices[-1]} "
+                    f"outside the map of {n_visual} visual tokens")
         sims = {e["id"]: float(e["similarity"]) for e in rec["segments"]}
         key = (rec["image_id"], rec["prompt_id"], rec["K"], rec["backend"])
         out[key] = WeakLabelSet(segments, sims, float(rec["tau_K"]), rec["K"])

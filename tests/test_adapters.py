@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -467,9 +469,18 @@ class TestAdaptedProjection:
 
 class TestConfig:
     def test_validate_bounds(self):
-        with pytest.raises(ParameterError):
-            AdapterConfig(n_k_experts=4, top_b=5).validate()
-        AdapterConfig(n_k_experts=4, top_b=4).validate()
+        # checked when the config is built, which cannot change it later
+        with pytest.raises(ParameterError, match=r"top_b=5 outside \[1, 4\]"):
+            AdapterConfig(n_k_experts=4, top_b=5)
+        with pytest.raises(ParameterError, match=r"top_b=0 outside \[1, 4\]"):
+            AdapterConfig(n_k_experts=4, top_b=0)
+        AdapterConfig(n_k_experts=4, top_b=4)
+        AdapterConfig(n_k_experts=4, top_b=0, use_kmoe=False)
+        for name in ("dense_rank", "expert_rank", "n_q_experts", "n_k_experts"):
+            with pytest.raises(ParameterError, match=f"{name} must be >= 1, got 0"):
+                AdapterConfig(**{name: 0, "use_kmoe": False})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            AdapterConfig().top_b = 9
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
     @settings(max_examples=25, deadline=None)

@@ -33,7 +33,7 @@ GOLDEN = {
             "metrics.jsonl":
                 "7b400e90a30d4f9d1f0117a3c69660b48cd2f1859909f92371cf4c6fe2d690fe",
             "checkpoint.json":
-                "231fc53331d8ab1b55444e2afaf5fce26a83c944ef9ac544425e00edf8c4e4d2",
+                "9abfd8b93cf1acaf89bd7ccc35d6dd077343801dc6d6e1ee70a79af3d1114a33",
             "report.json":
                 "5057a4c8703a4463dcbdc26e82044c4ad2fec739e8585d1cea9d1ddaa20668bd",
         },
@@ -41,7 +41,7 @@ GOLDEN = {
             "metrics.jsonl":
                 "735f47039628cf87461c32ec123725793254a688de908bd6612efc1a70ece661",
             "checkpoint.json":
-                "bc0337579c7c9451018a0d066def6615388eebea284d1a3e08705b085319e412",
+                "93a0d9a568e532f7d16c443ef7034fd197bad30aa7f5e8593e2e6ae05a70edc6",
             "report.json":
                 "014a4f915f99760cfcc2af33881ec12d8dbcba8b4124d6c8602378dbd26fde96",
         },

@@ -1,11 +1,15 @@
 """Every JSON file the CLI reads, changed in one way, either still works or
 stops its verb with exactly one ``error:`` line that names the file.
 
-The five kinds are a ``gen-data`` config file, ``meta.json``, a sample
-line, a checkpoint and a weak-label cache line. Each change drops or adds
-a key, replaces a value by null, a string, a float or a list, truncates
-base64, or writes bytes that are not JSON or not UTF-8. Any other
-exception, or an exit code other than 0 and 1, fails the test."""
+The six kinds are a ``gen-data`` config file, ``meta.json``, a sample
+line, a checkpoint, a weak-label cache line and a ``train`` config file.
+Each change drops or adds a key, replaces a value by null, a string, a
+float, a list, 0 or -1, truncates base64, or writes bytes that are not
+JSON or not UTF-8. Any other exception, or an exit code other than 0 and
+1, fails the test.
+
+The data have the grid and feature width of the default model, so a train
+config that loses a model key still describes a model that fits them."""
 
 import contextlib
 import io
@@ -22,15 +26,15 @@ from attnalign.adapters import AdapterConfig, AdapterSet
 from attnalign.data import DataSpec, generate_dataset, write_meta, write_samples
 from attnalign.model import ModelConfig, VisualDecoder, save_checkpoint
 
-DATA = {"n_train": 4, "n_test": 2, "grid": 3, "d_visual": 8, "n_concepts": 3,
+DATA = {"n_train": 4, "n_test": 2, "grid": 8, "d_visual": 16, "n_concepts": 3,
         "n_segments": 2, "n_labels": 3, "seg_side_min": 1, "seg_side_max": 1,
         "seed": 3}
-MODEL = ModelConfig(n_layers=1, n_heads=2, d_visual=8, d_model=8,
-                    vocab_size=12, grid=3, max_text_len=6)
+MODEL = ModelConfig(n_layers=1, n_heads=2, d_visual=16, d_model=8,
+                    vocab_size=12, grid=8, max_text_len=6)
 ADAPTER = AdapterConfig(dense_rank=2, expert_rank=2, n_q_experts=2,
                         n_k_experts=3, top_b=2)
-TRAIN = {"model": {"n_layers": 1, "n_heads": 2, "d_visual": 8, "d_model": 8,
-                   "vocab_size": 12, "grid": 3, "max_text_len": 6},
+TRAIN = {"model": {"n_layers": 1, "n_heads": 2, "d_visual": 16, "d_model": 8,
+                   "vocab_size": 12, "grid": 8, "max_text_len": 6},
          "adapter": {"dense_rank": 2, "expert_rank": 2, "n_q_experts": 2,
                      "n_k_experts": 3, "top_b": 2},
          "train": {"epochs": 1, "batch_size": 4, "weak_k": 1, "heads_r": 1}}
@@ -52,12 +56,15 @@ KINDS = {
     "cache": ("cache.jsonl", True,
               ["train", "--data", "{d}/data", "--config", "{d}/train.json",
                "--weak-cache", "{d}/cache.jsonl", "--out", "{d}/run"]),
+    "train-config": ("train.json", False,
+                     ["train", "--data", "{d}/data", "--config", "{d}/train.json",
+                      "--out", "{d}/run"]),
 }
 
 
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
-    """A directory of valid files of all five kinds."""
+    """A directory of valid files of all six kinds."""
     d = tmp_path_factory.mktemp("valid")
     (d / "data.json").write_text(json.dumps(DATA))
     train_s, test_s, spec = generate_dataset(DataSpec(**DATA))
@@ -129,7 +136,7 @@ def changed_bytes(draw, raw: bytes, lines: bool) -> bytes:
         elif how == "drop":
             del holder[path[-1]]
         elif how == "replace":
-            holder[path[-1]] = draw(st.sampled_from([None, "x", 1.5, []]))
+            holder[path[-1]] = draw(st.sampled_from([None, "x", 1.5, [], 0, -1]))
         else:
             holder[path[-1]] = holder[path[-1]][:-draw(st.integers(1, 8))]
         chunks[i] = json.dumps(doc, sort_keys=True).encode()

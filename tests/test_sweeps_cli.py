@@ -15,7 +15,7 @@ from attnalign.metrics import evaluate
 from attnalign.model import ModelConfig, VisualDecoder, save_checkpoint
 from attnalign.sweeps import SWEEP_HEADER, apply_sweep_value, run_single, sweep
 from attnalign.training import TASK_PROFILES, TrainConfig
-from attnalign import cli
+from attnalign import cli, sweeps
 
 
 SMALL_ADAPTER = AdapterConfig(dense_rank=2, expert_rank=2, n_q_experts=2,
@@ -91,7 +91,9 @@ class TestSweep:
         assert apply_sweep_value(cfg, "lambda", 0.5).lambda_align == 0.5
         assert apply_sweep_value(cfg, "B", 1).adapter.top_b == 1
         r0 = apply_sweep_value(cfg, "R", 0)
-        assert r0.heads_r == 0 and r0.lambda_align == 0.0
+        # lambda stays as given; TrainConfig.aligned turns the term off
+        assert r0.heads_r == 0 and r0.lambda_align == cfg.lambda_align
+        assert not r0.aligned
         with pytest.raises(ParameterError):
             apply_sweep_value(cfg, "Z", 1)
 
@@ -111,6 +113,15 @@ def data_dir(tmp_path):
     write_samples(d / "test.jsonl", test_s)
     write_meta(d / "meta.json", meta)
     return d
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    """Fails the test if the CLI starts training."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("training started")
+    monkeypatch.setattr(cli, "train", refuse)
+    monkeypatch.setattr(sweeps, "train", refuse)
 
 
 @pytest.fixture
@@ -292,19 +303,22 @@ class TestCli:
         (lambda doc: doc["model_config"].update(n_heads=0),
          "section 'model_config' of {c}: n_heads must be positive"),
         (lambda doc: doc.pop("extra"), "section 'extra' missing from {c}"),
+        (lambda doc: doc["adapter_config"].update(dense_rank=0),
+         "section 'adapter_config' of {c}: dense_rank must be >= 1, got 0"),
     ], ids=["extra-field", "missing-field", "missing-section", "old-schema",
             "not-an-object", "null-config", "list-section", "list-config",
             "null-tensor", "string-tensor", "tensor-without-data",
             "truncated-data", "negative-dimension", "string-dimension",
             "data-not-base64", "adapter-data-not-a-string", "zero-heads",
-            "missing-extra"])
+            "missing-extra", "zero-rank"])
     def test_checkpoint_must_match_field_for_field(self, tmp_path, data_dir,
                                                    capsys, edit, message):
         # a top level or a section that is not an object used to end in an
         # AttributeError or TypeError traceback; a tensor entry that is not
         # {shape, data} in a TypeError traceback or an error line that named
         # neither the checkpoint nor the tensor; "n_heads": 0 in a
-        # ZeroDivisionError traceback
+        # ZeroDivisionError traceback, and "dense_rank": 0 in an error line
+        # that named no file
         model = VisualDecoder(SMALL_MODEL, seed=0)
         adapters = AdapterSet(SMALL_MODEL.n_layers, SMALL_MODEL.d_model,
                               SMALL_MODEL.d_ff, SMALL_ADAPTER)
@@ -463,16 +477,12 @@ class TestCli:
         ("train", "heads_r", True, "an int"),
         ("model", "n_layers", 0.5, "an int"),
         ("adapter", "use_kmoe", 1, "a bool"),
-        ("train", "heatmap_sample_ids", "tr000000", "a list"),
-    ], ids=["string-int", "string-float", "bool-int", "float-int", "int-bool",
-            "string-tuple"])
+    ], ids=["string-int", "string-float", "bool-int", "float-int", "int-bool"])
     def test_train_config_values_must_have_their_field_types(
             self, tmp_path, data_dir, train_config_file, capsys, verb, section,
             field, value, kind):
         # "epochs": "2" and "n_layers": 0.5 ended in a TypeError traceback,
-        # a bool passed for an int (or an int for a bool) trained on it, and
-        # a string of sample ids was stored in config.json and wrote no
-        # heatmaps
+        # and a bool passed for an int (or an int for a bool) trained on it
         doc = json.loads(train_config_file.read_text())
         doc[section][field] = value
         train_config_file.write_text(json.dumps(doc))
@@ -521,6 +531,24 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: field 'profile' of section 'train' of config file "
             f"{train_config_file} is 'nope', not one of "
+            f"{sorted(TASK_PROFILES)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("profile", [False, "", 0])
+    def test_config_profile_must_name_a_profile(self, tmp_path, data_dir,
+                                                train_config_file, capsys,
+                                                profile):
+        # each was read as no profile, and trained
+        doc = json.loads(train_config_file.read_text())
+        doc["train"]["profile"] = profile
+        train_config_file.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = cli.main(["train", "--data", str(data_dir), "--out", str(out),
+                       "--config", str(train_config_file)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: field 'profile' of section 'train' of config file "
+            f"{train_config_file} is {profile!r}, not one of "
             f"{sorted(TASK_PROFILES)}\n")
         assert not out.exists()
 
@@ -625,14 +653,19 @@ class TestCli:
          "key 'segments' of {where} is [], not a nonempty list\n"),
         (lambda rec: rec["segments"][0].update(id="s", token_indices=[]),
          "{where}: segment 's' has no tokens\n"),
+        (lambda rec: rec["segments"][0].update(id="s", token_indices=[99]),
+         "{where}: segment 's' has token 99 outside the map of 9 visual "
+         "tokens\n"),
     ], ids=["missing-key", "string-indices", "string-index", "bool-k",
-            "bad-json", "not-object", "no-segments", "no-tokens"])
+            "bad-json", "not-object", "no-segments", "no-tokens",
+            "token-outside-map"])
     def test_weak_cache_lines_are_checked_before_use(
             self, tmp_path, data_dir, train_config_file, capsys, edit, message):
         # these used to print "error: 'K'", int()'s own message and a bare
         # decoder message, none of them naming the file; a record without
-        # segments stopped training with an error that named no file, and
-        # a segment without tokens with one from the Segment class
+        # segments, or with a token outside the model's map, stopped training
+        # with an error that named no file, and a segment without tokens with
+        # one from the Segment class
         cache = tmp_path / "cache.jsonl"
         rc = cli.main(["weaklabels", "--data", str(data_dir / "train.jsonl"),
                        "--meta", str(data_dir / "meta.json"), "--out",
@@ -756,6 +789,98 @@ class TestCli:
         cfg = json.loads((tmp_path / "rp" / "config.json").read_text())
         assert cfg["lambda_align"] == 0.02
         assert cfg["epochs"] == 1  # explicit value wins over the profile
+
+    def test_profile_option_wins_over_the_config_file(self, tmp_path, data_dir,
+                                                      train_config_file):
+        # the file's profile used to win, as no other option lets it: with
+        # "pathvqa" there and --profile mimic-cxr, 3 epochs trained, not 12
+        doc = json.loads(train_config_file.read_text())
+        doc["train"]["profile"] = "pathvqa"
+        del doc["train"]["lambda_align"]
+        train_config_file.write_text(json.dumps(doc))
+        run = tmp_path / "run"
+        assert cli.main(["train", "--data", str(data_dir), "--out", str(run),
+                         "--config", str(train_config_file), "--profile",
+                         "mimic-cxr"]) == 0
+        cfg = json.loads((run / "config.json").read_text())
+        assert cfg["lambda_align"] == TASK_PROFILES["mimic-cxr"].lambda_align
+        assert cfg["epochs"] == 1
+
+    @pytest.mark.parametrize("verb", [
+        ["train"],
+        ["sweep", "--param", "lambda", "--values", "0,0.1"],
+    ])
+    @pytest.mark.parametrize("section,field,value,message", [
+        ("train", "epochs", 0, "epochs must be >= 1, got 0"),
+        ("train", "batch_size", 0, "batch_size must be >= 1, got 0"),
+        ("train", "weak_k", 0, "weak_k must be >= 1, got 0"),
+        ("train", "lr", -1.0, "lr must be >= 0, got -1.0"),
+        ("train", "heads_r", -1, "heads_r must be >= 0, got -1"),
+        ("train", "heads_r", 3,
+         "heads_r=3 is more than the 2 attention heads of the model"),
+        ("adapter", "dense_rank", 0, "dense_rank must be >= 1, got 0"),
+        ("adapter", "n_k_experts", 0, "n_k_experts must be >= 1, got 0"),
+        ("adapter", "top_b", 4, "top_b=4 outside [1, 3]"),
+    ], ids=["zero-epochs", "zero-batch", "zero-k", "negative-lr", "negative-r",
+            "too-many-heads", "zero-rank", "no-key-experts", "top-b-over-experts"])
+    def test_config_values_out_of_range_refused_before_training(
+            self, tmp_path, data_dir, train_config_file, capsys, no_training,
+            verb, section, field, value, message):
+        # zero epochs ended in an IndexError traceback, a zero batch size in
+        # "error: [Errno 22] Invalid argument", a negative lr trained, R = 3
+        # stopped at the first batch and a zero rank named no file
+        doc = json.loads(train_config_file.read_text())
+        doc[section][field] = value
+        train_config_file.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = cli.main(verb + ["--data", str(data_dir), "--out", str(out),
+                              "--config", str(train_config_file)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: section {section!r} of config file {train_config_file}: "
+            f"{message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option,message", [
+        (["--topk", "0"], "option --topk: weak_k must be >= 1, got 0"),
+        (["--heads", "-1"], "option --heads: heads_r must be >= 0, got -1"),
+        (["--heads", "40"], "option --heads: heads_r=40 is more than the 2 "
+                            "attention heads of the model"),
+        (["--lambda", "-0.5"],
+         "option --lambda: lambda_align must be >= 0, got -0.5"),
+        (["--seed", "-1"], "option --seed: seed must be >= 0, got -1"),
+    ], ids=["zero-k", "negative-r", "too-many-heads", "negative-lambda",
+            "negative-seed"])
+    def test_options_out_of_range_refused_before_training(
+            self, tmp_path, data_dir, train_config_file, capsys, no_training,
+            option, message):
+        # --topk 0 printed "error: k must be >= 1, got 0", naming no option,
+        # --heads -1 the misleading "lambda > 0 needs a weak-label set per
+        # sample", and --heads 40 stopped only at the first batch
+        out = tmp_path / "out"
+        rc = cli.main(["train", "--data", str(data_dir), "--out", str(out),
+                       "--config", str(train_config_file), *option])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("param,values,message", [
+        ("B", "2,4", "sweep value B=4.0: top_b=4 outside [1, 3]"),
+        ("R", "1,3", "sweep value R=3.0: heads_r=3 is more than the 2 "
+                     "attention heads of the model"),
+        ("K", "1,0", "sweep value K=0.0: weak_k must be >= 1, got 0"),
+    ], ids=["B", "R", "K"])
+    def test_every_sweep_value_checked_before_the_first_run(
+            self, tmp_path, data_dir, train_config_file, capsys, no_training,
+            param, values, message):
+        # B = 2 used to train before B = 9 stopped the sweep, with no CSV
+        out = tmp_path / "sweep.csv"
+        rc = cli.main(["sweep", "--param", param, "--values", values, "--data",
+                       str(data_dir), "--out", str(out), "--config",
+                       str(train_config_file)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_error_exit_code(self, tmp_path):
         rc = cli.main(["evaluate", "--checkpoint", str(tmp_path / "nope.json"),

@@ -7,15 +7,15 @@ import pytest
 
 from attnalign import attention as attn
 from attnalign import autodiff as ad
-from attnalign import training
+from attnalign import cli, training
 from attnalign.adapters import AdapterConfig, AdapterSet
 from attnalign.autodiff import Tensor
-from attnalign.data import DataSpec, generate_dataset
+from attnalign.data import DataSpec, generate_dataset, write_samples
 from attnalign.errors import CompatibilityError, ConfigurationError, \
-    DegenerateAttentionError, DivergenceError
+    DegenerateAttentionError, DivergenceError, ParameterError
 from attnalign.metrics import evaluate
-from attnalign.model import ModelConfig, VisualDecoder
-from attnalign.training import TASK_PROFILES, AdamW, TrainConfig, \
+from attnalign.model import ModelConfig, VisualDecoder, VisualInput
+from attnalign.training import TASK_PROFILES, AdamW, TrainConfig, check_heads, \
     alignment_loss, compute_weak_labels, lm_loss, total_loss, train
 from attnalign.weaklabels import Segment, WeakLabelSet
 
@@ -148,6 +148,35 @@ class TestLmLoss:
         assert err < 1e-4
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("name,value", [
+        ("lambda_align", -0.1), ("lambda_align", math.nan), ("lr", -1e-3),
+        ("seed", -1), ("heads_r", -1), ("epochs", 0), ("batch_size", 0),
+        ("weak_k", 0)])
+    def test_bounds_checked_when_built(self, name, value):
+        with pytest.raises(ParameterError, match=f"{name} must be >= "):
+            TrainConfig(**{name: value})
+
+    def test_lowest_values_accepted(self):
+        cfg = TrainConfig(lambda_align=0.0, lr=0.0, seed=0, heads_r=0, epochs=1,
+                          batch_size=1, weak_k=1)
+        assert not cfg.aligned
+        with pytest.raises(AttributeError):
+            cfg.heads_r = 2    # frozen, so the checks hold for its lifetime
+
+    def test_aligned_needs_lambda_and_heads(self):
+        assert TrainConfig(lambda_align=0.1, heads_r=1).aligned
+        assert not TrainConfig(lambda_align=0.0, heads_r=1).aligned
+        assert not TrainConfig(lambda_align=0.1, heads_r=0).aligned
+
+    def test_check_heads(self):
+        model = ModelConfig(n_layers=2, n_heads=2, d_model=8)
+        check_heads(TrainConfig(heads_r=4), model, "here")
+        with pytest.raises(ConfigurationError, match="^here: heads_r=5 is more "
+                           "than the 4 attention heads of the model$"):
+            check_heads(TrainConfig(heads_r=5), model, "here")
+
+
 class TestTotalLoss:
     def setup_case(self, lam, seed=0):
         train, _, meta = small_task(seed=seed)
@@ -169,11 +198,17 @@ class TestTotalLoss:
                               cfg)
         assert abs(bd.total - (bd.llm + 0.1 * bd.align)) < 1e-12
 
-    def test_r_zero_with_lambda_positive_rejected(self):
+    def test_r_zero_gives_the_lambda_zero_loss(self):
+        # used to raise a ConfigurationError; the CLI and the sweep set
+        # lambda to 0 themselves, so R = 0 now means no alignment everywhere
         model, adapters, train_s, labels, cfg = self.setup_case(0.1)
-        bad = TrainConfig(lambda_align=0.1, heads_r=0, adapter=SMALL_ADAPTER)
-        with pytest.raises(ConfigurationError):
-            total_loss(model, adapters, train_s[0], labels[train_s[0].id], bad)
+        r_zero = replace(cfg, heads_r=0)
+        assert not r_zero.aligned and cfg.aligned
+        _, bd = total_loss(model, adapters, train_s[0], labels[train_s[0].id],
+                           r_zero)
+        _, bd0 = total_loss(model, adapters, train_s[0], None,
+                            replace(cfg, lambda_align=0.0))
+        assert bd == bd0
 
     def test_missing_labels_rejected(self):
         model, adapters, train_s, labels, cfg = self.setup_case(0.1)
@@ -440,16 +475,40 @@ class TestTrainLoop:
         train_s, test_s, meta = small_task(seed=3)
         model = small_model()
         cfg = TrainConfig(lambda_align=0.1, epochs=1, lr=1e-3, batch_size=3,
-                          weak_k=1, heads_r=1, adapter=SMALL_ADAPTER, seed=0,
-                          heatmap_sample_ids=(train_s[0].id,))
+                          weak_k=1, heads_r=1, adapter=SMALL_ADAPTER, seed=0)
         labels = compute_weak_labels(train_s, meta, k=1)
         train(model, train_s, cfg, weak_labels=labels, out_dir=tmp_path / "run")
         run = tmp_path / "run"
-        assert (run / "config.json").exists()
-        assert (run / "metrics.jsonl").exists()
-        assert (run / "checkpoint.json").exists()
-        assert (run / "heatmaps" / f"{train_s[0].id}.mean.csv").exists()
-        assert (run / "heatmaps" / f"{train_s[0].id}.mean.pgm").exists()
+        assert sorted(p.name for p in run.iterdir()) == \
+            ["checkpoint.json", "config.json", "metrics.jsonl"]
+
+    def test_visualize_writes_the_heatmaps_of_the_trained_adapters(self, tmp_path):
+        # what train() wrote to heatmaps/ for a config's heatmap_sample_ids:
+        # the greedy answer's mean map from the adapters in memory
+        train_s, test_s, meta = small_task(seed=3)
+        model = small_model()
+        cfg = TrainConfig(lambda_align=0.1, epochs=1, lr=1e-3, batch_size=3,
+                          weak_k=1, heads_r=1, adapter=SMALL_ADAPTER, seed=0)
+        labels = compute_weak_labels(train_s, meta, k=1)
+        run = tmp_path / "run"
+        result = train(model, train_s, cfg, weak_labels=labels, out_dir=run)
+        picked = [train_s[0], train_s[4]]
+        for s in picked:
+            gen = model.generate_greedy(VisualInput(s.features, s.grid), s.prompt,
+                                        max_len=len(s.answer),
+                                        adapters=result.adapters)
+            heat = attn.generated_query_mean_map(gen.stacks, gen.step_rows)
+            attn.export_heatmaps(tmp_path / "in-memory", s.id, "mean", heat, s.grid)
+        write_samples(tmp_path / "train.jsonl", train_s)
+        assert cli.main(["visualize", "--checkpoint", str(run / "checkpoint.json"),
+                         "--data", str(tmp_path / "train.jsonl"), "--ids",
+                         ",".join(s.id for s in picked), "--kind", "mean",
+                         "--out", str(tmp_path / "visualized")]) == 0
+        expected = {p.name: p.read_bytes()
+                    for p in (tmp_path / "in-memory").iterdir()}
+        assert len(expected) == 4
+        assert {p.name: p.read_bytes()
+                for p in (tmp_path / "visualized").iterdir()} == expected
 
 
 def shuffled_order(cfg: TrainConfig, n: int) -> np.ndarray:
@@ -470,8 +529,7 @@ class TestSplitAcrossProcesses:
     def task(self):
         train_s, test_s, meta = small_task(n_train=7, seed=3, n_test=3)
         cfg = TrainConfig(lambda_align=0.1, epochs=2, lr=1e-3, batch_size=3,
-                          weak_k=1, heads_r=1, adapter=SMALL_ADAPTER, seed=0,
-                          heatmap_sample_ids=(train_s[0].id,))
+                          weak_k=1, heads_r=1, adapter=SMALL_ADAPTER, seed=0)
         labels = compute_weak_labels(train_s, meta, k=1)
         return train_s, test_s, cfg, labels
 
@@ -492,7 +550,7 @@ class TestSplitAcrossProcesses:
             assert_no_children()
             runs.append({p.relative_to(out): p.read_bytes()
                          for p in sorted(out.rglob("*")) if p.is_file()})
-        assert len(runs[0]) == 5
+        assert len(runs[0]) == 3
         assert runs[1] == runs[0]
 
     @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,12 +1,13 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from attnalign.data import DataSpec, generate_dataset, propose_segments
-from attnalign.errors import BackendError, DegenerateEmbeddingError, \
-    ParameterError
+from attnalign.errors import BackendError, CompatibilityError, \
+    DegenerateEmbeddingError, ParameterError
 from attnalign.weaklabels import EmbedderBackend, Segment, \
     SyntheticOracleBackend, WeakLabelSet, cosine_sim, load_weak_label_cache, \
     save_weak_label_cache, select_weak_labels, weak_labels_to_record
@@ -210,7 +211,7 @@ class TestCacheRoundTrip:
         rec = weak_labels_to_record("img1", "p1", labels, "oracle")
         path = tmp_path / "cache.jsonl"
         save_weak_label_cache(path, [rec])
-        loaded = load_weak_label_cache(path)
+        loaded = load_weak_label_cache(path, 4)
         assert list(loaded) == [("img1", "p1", 2, "oracle")]
         back = loaded[("img1", "p1", 2, "oracle")]
         assert back.tau == 0.5 and back.k == 2
@@ -222,3 +223,16 @@ class TestCacheRoundTrip:
         save_weak_label_cache(again, [weak_labels_to_record("img1", "p1", back,
                                                             "oracle")])
         assert again.read_bytes() == path.read_bytes()
+
+    def test_token_outside_the_map_names_the_line(self, tmp_path):
+        # used to load, and then stop training at the first batch with an
+        # error that named neither the cache file nor the line
+        labels = WeakLabelSet(segments=(seg("a", (1, 2)), seg("b", (3,))),
+                              similarities={"a": 0.9, "b": 0.5}, tau=0.5, k=2)
+        path = tmp_path / "cache.jsonl"
+        save_weak_label_cache(path, [weak_labels_to_record("img1", "p1", labels,
+                                                           "oracle")])
+        with pytest.raises(CompatibilityError, match=re.escape(
+                f"{path} line 1: segment 'b' has token 3 outside the map of 3 "
+                "visual tokens")):
+            load_weak_label_cache(path, 3)
