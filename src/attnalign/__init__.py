@@ -60,7 +60,7 @@ def _pin_blas_threads() -> None:
 _pin_blas_threads()
 
 from .adapters import AdapterConfig, AdapterSet, ExpertBank, GatingNetwork, \
-    LoRAAdapter, RouterDecision
+    LoRAAdapter
 from .attention import AttentionStack, HeadSelection, Spans, refined_map, \
     select_heads
 from .autodiff import Tensor, no_grad

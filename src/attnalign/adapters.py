@@ -86,9 +86,6 @@ class ExpertBank:
         self.A, self.B = _factor_pair(d_out, d_in, n * rank, rng)
         self.rank = rank
 
-    def __len__(self) -> int:
-        return self.A.shape[0] // self.rank
-
     def params(self, prefix: str) -> list[tuple[str, Tensor]]:
         return [(prefix + ".A", self.A), (prefix + ".B", self.B)]
 
@@ -110,18 +107,6 @@ class GatingNetwork:
                 (prefix + ".w2", self.w2), (prefix + ".b2", self.b2)]
 
 
-@dataclass
-class RouterDecision:
-    """Routing outcome of one router call: full gate weights and the survivors.
-
-    The query router gives [O] vectors, the key router [N x O] arrays with
-    one row per visual token.
-    """
-
-    weights: np.ndarray
-    kept: np.ndarray
-
-
 def topb_mask_rows(weights: np.ndarray, b: int) -> np.ndarray:
     """Mask of each row's b largest entries; ties by ascending index (stable sort)."""
     m, n = weights.shape
@@ -129,16 +114,15 @@ def topb_mask_rows(weights: np.ndarray, b: int) -> np.ndarray:
         raise ParameterError(f"top_b={b} outside [1, {n}]")
     order = np.argsort(-weights, axis=1, kind="stable")
     mask = np.zeros((m, n), dtype=bool)
-    np.put_along_axis(mask, order[:, :b], True, axis=1)
+    mask[np.arange(m)[:, None], order[:, :b]] = True
     return mask
 
 
 def _gate(x: Tensor, start: int, stop: int, gate: GatingNetwork, pool: bool,
-          b: int = 0) -> tuple[Tensor, np.ndarray, np.ndarray | None]:
+          b: int | None = None) -> Tensor:
     """softmax(MLP(rows start:stop of x)) as one tape node, the rows
     mean-pooled into one first when ``pool``; with ``b`` only each row's
-    top-b weights survive. Returns the node, the unmasked weights and the
-    top-b mask (None without ``b``); a pooled node is an [O] vector.
+    top-b weights survive. A pooled node is an [O] vector.
 
     The forward and backward repeat, in order, the arithmetic of the chain
     slice, mean-pool, two-layer MLP, softmax and mask product.
@@ -147,19 +131,18 @@ def _gate(x: Tensor, start: int, stop: int, gate: GatingNetwork, pool: bool,
         raise ShapeError(f"router rows {start}:{stop} do not fit input {x.shape}")
     w1, b1, w2, b2 = gate.w1, gate.b1, gate.w2, gate.b2
     inp = x.data[start:stop]
-    if pool:
-        inp = inp.mean(axis=0).reshape(1, -1)
+    if pool:   # the arithmetic of mean(axis=0)
+        inp = np.add.reduce(inp, axis=0, keepdims=True) / (stop - start)
     u = inp @ w1.data
     u += b1.data
     hidden, t = ad._gelu_value(u)
     logits = hidden @ w2.data
     logits += b2.data
     y = ad._softmax_last_axis(logits, None)
-    keep = keepf = None
+    keepf = None
     out = y[0] if pool else y
-    if b:
-        keep = topb_mask_rows(y, b)
-        keepf = keep.astype(np.float64)
+    if b is not None:
+        keepf = topb_mask_rows(y, b).astype(np.float64)
         out = y * keepf
 
     def back(g, sink):
@@ -178,23 +161,17 @@ def _gate(x: Tensor, start: int, stop: int, gate: GatingNetwork, pool: bool,
             sink(w1, inp.T @ gu)
         if x.requires_grad:
             gx = gu @ w1.data.T
-            if pool:
-                gx = np.broadcast_to(gx.reshape(-1) / (stop - start),
-                                     (stop - start, gx.shape[1]))
             z = np.zeros_like(x.data)
-            z[start:stop] = gx
+            z[start:stop] = gx / (stop - start) if pool else gx
             sink(x, z)
 
-    return ad._wrap(out, (x, w1, b1, w2, b2), back), y, keep
+    return ad._wrap(out, (x, w1, b1, w2, b2), back)
 
 
 def qmoe_weights(x: Tensor, rows: range, bank: ExpertBank,
-                 gate: GatingNetwork) -> tuple[Tensor, RouterDecision]:
+                 gate: GatingNetwork) -> Tensor:
     """Prompt-level router weights softmax(MLP(mean(x[rows]))), length O."""
-    alpha, _, _ = _gate(x, rows.start, rows.stop, gate, pool=True)
-    decision = RouterDecision(weights=alpha.data.copy(),
-                              kept=np.ones(len(bank), dtype=bool))
-    return alpha, decision
+    return _gate(x, rows.start, rows.stop, gate, pool=True)
 
 
 def qmoe_apply(x: Tensor, alpha: Tensor, bank: ExpertBank) -> Tensor:
@@ -203,17 +180,14 @@ def qmoe_apply(x: Tensor, alpha: Tensor, bank: ExpertBank) -> Tensor:
 
 
 def kmoe_gate_weights(x: Tensor, n_tokens: int, bank: ExpertBank,
-                      gate: GatingNetwork, b: int) -> tuple[Tensor, RouterDecision]:
+                      gate: GatingNetwork, b: int) -> Tensor:
     """Per-token sparse gate weights [n_tokens x n_experts] of x's first
     n_tokens rows.
 
     Row c holds softmax(MLP(x_c)) with everything outside its top-b
     entries zeroed; surviving weights are not renormalized.
     """
-    if not (1 <= b <= len(bank)):
-        raise ParameterError(f"top_b={b} outside [1, {len(bank)}]")
-    weights, beta, keep = _gate(x, 0, n_tokens, gate, pool=False, b=b)
-    return weights, RouterDecision(weights=beta, kept=keep)
+    return _gate(x, 0, n_tokens, gate, pool=False, b=b)
 
 
 def kmoe_apply(x: Tensor, weights: Tensor, bank: ExpertBank) -> Tensor:
@@ -272,7 +246,6 @@ class AdapterSet:
         rng = np.random.default_rng(seed)
         self.layers = [LayerAdapters(d_model, d_ff, cfg, rng)
                        for _ in range(n_layers)]
-        self.last_decisions: dict[str, object] = {}
 
     def params(self) -> list[tuple[str, Tensor]]:
         out = []

@@ -88,9 +88,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
             # adopt when possible; g is exclusively ours at this point
@@ -509,7 +506,11 @@ def lowrank_rows_apply(x, weights, a, b, rank: int) -> Tensor:
     z = u * wr
 
     def pad(y):                     # zero rows for x's rows from m on
-        return y if m == s else np.concatenate([y, np.zeros((s - m, y.shape[1]))])
+        if m == s:
+            return y
+        out = np.zeros((s, y.shape[1]))
+        out[:m] = y
+        return out
 
     def back(g, sink):
         g = g[:m]

@@ -19,8 +19,8 @@ from . import metrics as metricsmod
 from .adapters import AdapterConfig
 from .data import DataSpec, generate_dataset, read_meta, read_samples, \
     write_meta, write_samples
-from .errors import AttnAlignError, ConfigurationError, read_json, \
-    require_fields, stored_config
+from .errors import AttnAlignError, ConfigurationError, ParameterError, named, \
+    read_json, require_fields, stored_config
 from .model import ModelConfig, VisualDecoder, VisualInput, load_checkpoint
 from .sweeps import sweep
 from .training import TASK_PROFILES, TrainConfig, check_heads, \
@@ -74,10 +74,9 @@ def _build_train_config(doc: dict, args) -> tuple[ModelConfig, TrainConfig, int]
             ("--seed", "seed", args.seed), ("--heads", "heads_r", heads),
             ("--lambda", "lambda_align", getattr(args, "lambda_align", None)),
             ("--topk", "weak_k", getattr(args, "topk", None))):
-        try:
-            cfg = cfg if value is None else replace(cfg, **{name: value})
-        except AttnAlignError as exc:
-            raise type(exc)(f"option {option}: {exc}") from None
+        if value is not None:
+            with named(f"option {option}"):
+                cfg = replace(cfg, **{name: value})
     check_heads(cfg, model_cfg, where.format("train") if heads is None
                 else "option --heads")
     model_seed = doc.get("model_seed", 0)
@@ -92,7 +91,8 @@ def cmd_gen_data(args) -> int:
     spec = stored_config(DataSpec, read_json(args.config, where)
                          if args.config else {}, where, partial=True)
     if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
+        with named("option --seed"):
+            spec = replace(spec, seed=args.seed)
     train_samples, test_samples, _ = generate_dataset(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -106,13 +106,19 @@ def cmd_gen_data(args) -> int:
 
 def cmd_weaklabels(args) -> int:
     doc = _load_config(args.config, {"topk": int, "noise": float, "seed": int})
+    where = "key {!r} of config file " + str(args.config)   # an option wins
+    k, k_where = (args.topk, "option --topk") if args.topk is not None \
+        else (doc.get("topk", 4), where.format("topk"))
+    noise, noise_where = (args.noise, "option --noise") if args.noise is not None \
+        else (doc.get("noise", 0.0), where.format("noise"))
+    seed = args.seed if args.seed is not None else doc.get("seed", 0)
+    if k < 1:
+        raise ParameterError(f"{k_where}: k must be >= 1, got {k}")
     samples = read_samples(args.data)
     spec = read_meta(args.meta)
-    k = args.topk if args.topk is not None else doc.get("topk", 4)
-    noise = args.noise if args.noise is not None else doc.get("noise", 0.0)
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
+    with named(noise_where):
+        backend_id = oracle_backend(spec, noise=noise, seed=seed).backend_id
     labels = compute_weak_labels(samples, spec, k, noise=noise, seed=seed)
-    backend_id = oracle_backend(spec, noise=noise, seed=seed).backend_id
     records = [weak_labels_to_record(s.image_id, s.prompt_id, labels[s.id],
                                      backend_id)
                for s in samples]
@@ -172,6 +178,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    with named("option --tau"):
+        metricsmod.check_tau(args.tau)
     report = metricsmod.evaluate_checkpoint(args.checkpoint, args.data,
                                             tau=args.tau)
     metricsmod.save_report(args.out, report)
@@ -207,6 +215,10 @@ def _sweep_value(param: str, text: str) -> float:
 
 def cmd_visualize(args) -> int:
     model, adapters, _ = load_checkpoint(args.checkpoint)
+    n_heads = model.config.n_layers * model.config.n_heads
+    if args.kind == "refined" and not 1 <= args.heads <= n_heads:
+        raise ParameterError(f"option --heads: top_r={args.heads} outside "
+                             f"[1, {n_heads}], the L x H heads of the model")
     samples = read_samples(args.data)
     metricsmod.check_compatibility(model, samples, args.data)
     if args.ids:

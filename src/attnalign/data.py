@@ -48,10 +48,12 @@ class DataSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.seed < 0 or self.feature_noise < 0 or self.n_segments < 1 \
-                or not 1 <= self.seg_side_min <= self.seg_side_max:
-            raise GenerationError("need seed, feature_noise >= 0, n_segments >= 1 "
-                                  "and 1 <= seg_side_min <= seg_side_max")
+        for name in ("seed", "feature_noise"):
+            if not getattr(self, name) >= 0:
+                raise GenerationError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.n_segments < 1 or not 1 <= self.seg_side_min <= self.seg_side_max:
+            raise GenerationError("need n_segments >= 1 and "
+                                  "1 <= seg_side_min <= seg_side_max")
         if self.n_concepts < 2:
             raise GenerationError("need at least 2 concepts")
         if self.n_segments > self.n_concepts:

@@ -7,6 +7,7 @@ that names it, and the float64 arrays those files hold share one codec.
 """
 
 import base64
+import contextlib
 import json
 import math
 import reprlib
@@ -26,10 +27,6 @@ class ShapeError(AttnAlignError):
 
 class DegenerateRowError(AttnAlignError):
     """A softmax row has no unmasked entries."""
-
-
-class NumericError(AttnAlignError):
-    """A computation produced a non-finite value where finiteness is required."""
 
 
 class CapacityError(AttnAlignError):
@@ -80,6 +77,15 @@ class CompatibilityError(AttnAlignError):
     """A checkpoint or dataset does not match what the code builds or reads."""
 
 
+@contextlib.contextmanager
+def named(where: str):
+    """A package error raised in the block gets ``where`` in front of it."""
+    try:
+        yield
+    except AttnAlignError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+
+
 _JSON_TYPES = {bool: "a bool", int: "an int", float: "a number", str: "a string",
                list: "a list", dict: "a JSON object"}
 
@@ -124,10 +130,8 @@ def stored_config(cls, stored, where: str, partial: bool = False):
     rest keeping their defaults) of their types, that the dataclass takes."""
     require_fields(stored, get_type_hints(cls), where, partial,
                    f"{cls.__name__} field")
-    try:
+    with named(where):
         return cls(**stored)
-    except AttnAlignError as exc:
-        raise type(exc)(f"{where}: {exc}") from None
 
 
 def read_json(path: str | Path, where: str, raw: bytes | None = None):

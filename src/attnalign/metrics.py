@@ -39,9 +39,16 @@ def _at_roi(values: np.ndarray, roi: Sequence[int],
     return m, m[roi]
 
 
+def check_tau(tau: float) -> None:
+    """A coverage threshold is a number in [0, 1]."""
+    if not 0.0 <= tau <= 1.0:
+        raise MetricError(f"tau={tau} is not a threshold in [0, 1]")
+
+
 def coverage_score(values: np.ndarray, roi: Sequence[int],
                    tau: float = DEFAULT_TAU) -> float:
     """Fraction of RoI patches with attention >= tau."""
+    check_tau(tau)
     m, at = _at_roi(values, roi, "coverage")
     if (m < 0).any():
         raise MetricError("coverage needs a nonnegative map")
@@ -85,6 +92,7 @@ def evaluate(model: VisualDecoder, adapters: AdapterSet | None,
              samples: Sequence[SyntheticSample],
              tau: float = DEFAULT_TAU) -> MetricsReport:
     """Greedy-decode every sample and score attention against its RoI."""
+    check_tau(tau)
     if not samples:
         raise MetricError("evaluation needs at least one sample")
 

@@ -246,15 +246,13 @@ class VisualDecoder:
 
         q = lwl(hq, p[pre + "wq"], "lora_q")
         if la is not None and acfg.use_qmoe:
-            alpha, q_dec = qmoe_weights(x, spans.prompt_range, la.q_bank, la.q_gate)
-            adapters.last_decisions[f"layer{l}.q"] = q_dec
+            alpha = qmoe_weights(x, spans.prompt_range, la.q_bank, la.q_gate)
             q = ad.add(q, qmoe_apply(hq, alpha, la.q_bank))
 
         k = lwl(h, p[pre + "wk"], "lora_k")
         if la is not None and acfg.use_kmoe:
-            weights, k_dec = kmoe_gate_weights(x, c.n_visual, la.k_bank, la.k_gate,
-                                               acfg.top_b)
-            adapters.last_decisions[f"layer{l}.k"] = k_dec
+            weights = kmoe_gate_weights(x, c.n_visual, la.k_bank, la.k_gate,
+                                        acfg.top_b)
             # the delta first: the tape then sums the gradients into h in
             # the order the earlier slice-and-splice chain did
             k = ad.add(kmoe_apply(h, weights, la.k_bank), k)

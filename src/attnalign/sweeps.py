@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .data import DataSpec, SyntheticSample
-from .errors import AttnAlignError, ParameterError
+from .errors import ParameterError, named
 from .metrics import MetricsReport, evaluate
 from .model import ModelConfig, VisualDecoder
 from .training import TrainConfig, TrainResult, check_heads, compute_weak_labels, \
@@ -63,10 +63,8 @@ def sweep(param: str, values: Sequence, base_cfg: TrainConfig,
     cfgs = []
     for value in values:
         where = f"sweep value {param}={value}"
-        try:
+        with named(where):
             cfg = apply_sweep_value(base_cfg, param, value)
-        except AttnAlignError as exc:
-            raise type(exc)(f"{where}: {exc}") from None
         check_heads(cfg, model_config, where)
         cfgs.append(cfg)
     rows = []

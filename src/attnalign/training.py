@@ -97,7 +97,6 @@ class LossBreakdown:
     llm: float
     align: float
     total: float
-    segment_fractions: tuple[float, ...] = ()
 
 
 class AdamW:
@@ -258,12 +257,10 @@ def total_loss(model: VisualDecoder, adapters: AdapterSet | None,
     ratios = attn.all_visual_ratios(out.attention, rows)
     selection = attn.select_heads(ratios, cfg.heads_r)
     refined = attn.refined_map(out.attention, rows, selection)
-    align, fractions = alignment_loss(refined, labels)
+    align, _ = alignment_loss(refined, labels)
     total = ad.add(llm, ad.mul(align, cfg.lambda_align))
-    breakdown = LossBreakdown(llm=float(llm.data), align=float(align.data),
-                              total=float(total.data),
-                              segment_fractions=fractions)
-    return total, breakdown
+    return total, LossBreakdown(llm=float(llm.data), align=float(align.data),
+                                total=float(total.data))
 
 
 # ---------------------------------------------------------------------------

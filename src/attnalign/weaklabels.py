@@ -120,7 +120,7 @@ class SyntheticOracleBackend(EmbedderBackend):
 
     def __init__(self, concept_vectors: np.ndarray, concept_token_base: int,
                  noise: float = 0.0, seed: int = 0):
-        if noise < 0:
+        if not noise >= 0:
             raise ParameterError(f"noise must be >= 0, got {noise}")
         self.concept_vectors = np.asarray(concept_vectors, dtype=np.float64)
         self.concept_token_base = int(concept_token_base)

@@ -11,7 +11,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 
 from attnalign.autodiff import Tensor
-from attnalign.errors import NumericError, ShapeError
+from attnalign.errors import AttnAlignError, ShapeError
 
 
 def softmax_row_decimal(row, prec: int = 50):
@@ -328,6 +328,10 @@ def straight_line_forward(model, visual, prompt, answer, adapters=None):
 # gradient verification
 
 
+class NumericError(AttnAlignError):
+    """The objective under a finite-difference check is not finite."""
+
+
 def _scalar_value(y) -> float:
     if not isinstance(y, Tensor) or y.shape != ():
         raise ShapeError("finite_diff_check needs a scalar Tensor result")
@@ -352,7 +356,7 @@ def finite_diff_check_params(f, params, step: float = 1e-4) -> float:
     """Worst gradient error of a no-argument objective over many leaves."""
     params = list(params)
     for p in params:
-        p.zero_grad()
+        p.grad = None
     y = f()
     _scalar_value(y)
     y.backward()

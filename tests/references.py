@@ -15,7 +15,7 @@ import numpy as np
 
 from attnalign import autodiff as ad
 from attnalign.adapters import ExpertBank, GatingNetwork, LoRAAdapter, \
-    RouterDecision, kmoe_gate_weights, qmoe_weights, topb_mask_rows
+    kmoe_gate_weights, qmoe_weights, topb_mask_rows
 from attnalign.attention import AttentionStack, HeadSelection
 from attnalign.autodiff import Tensor
 from attnalign.errors import ConfigurationError, DegenerateAttentionError, \
@@ -432,35 +432,38 @@ def gate_logits(gate: GatingNetwork, h: Tensor) -> Tensor:
     return mlp_two_layer(h, gate.w1, gate.b1, gate.w2, gate.b2)
 
 
+def n_experts(bank: ExpertBank) -> int:
+    """The number O of experts that a bank stacks."""
+    return bank.A.shape[0] // bank.rank
+
+
 def qmoe_weights_chain(x: Tensor, rows: range, bank: ExpertBank,
-                       gate: GatingNetwork) -> tuple[Tensor, RouterDecision]:
+                       gate: GatingNetwork) -> Tensor:
     """``qmoe_weights`` as six nodes: slice, mean-pool, reshape, MLP,
     softmax, reshape."""
     h_prompt = slice_rows(x, rows.start, rows.stop)
     pooled = reshape(mean_pool_rows(h_prompt), (1, h_prompt.shape[1]))
-    alpha = reshape(softmax_rows(gate_logits(gate, pooled)), (len(bank),))
-    decision = RouterDecision(weights=alpha.data.copy(),
-                              kept=np.ones(len(bank), dtype=bool))
-    return alpha, decision
+    return reshape(softmax_rows(gate_logits(gate, pooled)), (n_experts(bank),))
 
 
 def qmoe_apply_chain(x: Tensor, alpha: Tensor, bank: ExpertBank) -> Tensor:
     """``qmoe_apply`` with alpha gathered into one [S x O] row per token."""
-    rows = take(reshape(alpha, (1, len(bank))),
+    rows = take(reshape(alpha, (1, n_experts(bank))),
                    np.zeros(x.shape[0], dtype=np.intp))
     return ad.lowrank_rows_apply(x, rows, bank.A, bank.B, bank.rank)
 
 
+def kmoe_gate_softmax(x: Tensor, n_tokens: int, gate: GatingNetwork) -> Tensor:
+    """The key router's unmasked gate weights [n_tokens x O]: slice, MLP,
+    softmax."""
+    return softmax_rows(gate_logits(gate, slice_rows(x, 0, n_tokens)))
+
+
 def kmoe_gate_weights_chain(x: Tensor, n_tokens: int, bank: ExpertBank,
-                            gate: GatingNetwork,
-                            b: int) -> tuple[Tensor, RouterDecision]:
+                            gate: GatingNetwork, b: int) -> Tensor:
     """``kmoe_gate_weights`` as slice, MLP, softmax and the mask product."""
-    if not (1 <= b <= len(bank)):
-        raise ParameterError(f"top_b={b} outside [1, {len(bank)}]")
-    beta = softmax_rows(gate_logits(gate, slice_rows(x, 0, n_tokens)))
-    keep = topb_mask_rows(beta.data, b)
-    masked = mul(beta, Tensor(keep.astype(np.float64)))
-    return masked, RouterDecision(weights=beta.data, kept=keep)
+    beta = kmoe_gate_softmax(x, n_tokens, gate)
+    return mul(beta, Tensor(topb_mask_rows(beta.data, b).astype(np.float64)))
 
 
 def kmoe_splice_chain(k: Tensor, h: Tensor, weights: Tensor,
@@ -481,29 +484,32 @@ def lora_apply(lora: LoRAAdapter, x: Tensor) -> Tensor:
 
 def _mixture_delta(bank: ExpertBank, w: Tensor) -> Tensor:
     """sum_o w_o B_o A_o for a length-O weight vector, as one [d_out x d_in]."""
-    per_row = take(w, np.repeat(np.arange(len(bank)), bank.rank))
+    per_row = take(w, np.repeat(np.arange(n_experts(bank)), bank.rank))
     return matmul(bank.B, scale_rows(bank.A, per_row))
 
 
 def qmoe_delta(h_prompt: Tensor, bank: ExpertBank,
-               gate: GatingNetwork) -> tuple[Tensor, RouterDecision]:
-    """Prompt-routed dense mixture, materialized as one [d x d] delta.
+               gate: GatingNetwork) -> tuple[Tensor, Tensor]:
+    """Prompt-routed dense mixture, materialized as one [d x d] delta, and
+    the router weights alpha.
 
     The delta is shared by every token's query projection this pass. The
     model's hot path applies the same mixture in factored form
     (`qmoe_apply`); both agree to 1e-12.
     """
-    alpha, decision = qmoe_weights(h_prompt, range(h_prompt.shape[0]), bank, gate)
-    return _mixture_delta(bank, alpha), decision
+    alpha = qmoe_weights(h_prompt, range(h_prompt.shape[0]), bank, gate)
+    return _mixture_delta(bank, alpha), alpha
 
 
 def kmoe_delta_per_token(h_tokens: Tensor, bank: ExpertBank, gate: GatingNetwork,
-                         b: int) -> tuple[list[Tensor], RouterDecision]:
-    """Materialized per-token deltas of the key-side mixture."""
-    weights, decision = kmoe_gate_weights(h_tokens, h_tokens.shape[0], bank, gate, b)
-    deltas = [_mixture_delta(bank, reshape(take(weights, [c]), (len(bank),)))
+                         b: int) -> tuple[list[Tensor], Tensor]:
+    """Materialized per-token deltas of the key-side mixture, and the
+    masked gate weights that built them."""
+    weights = kmoe_gate_weights(h_tokens, h_tokens.shape[0], bank, gate, b)
+    o = n_experts(bank)
+    deltas = [_mixture_delta(bank, reshape(take(weights, [c]), (o,)))
               for c in range(h_tokens.shape[0])]
-    return deltas, decision
+    return deltas, weights
 
 
 def adapted_projection(x: Tensor, base_w: Tensor,

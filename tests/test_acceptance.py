@@ -28,7 +28,8 @@ from attnalign.weaklabels import Segment, select_weak_labels
 from conftest import make_visual
 from oracles import coverage_loop, expert_delta, finite_diff_check_params, \
     intensity_loop, mean_map_loop, topk_select_loop
-from references import kmoe_delta_per_token
+from references import embedding_front_chain, kmoe_delta_per_token, \
+    kmoe_gate_softmax
 from test_weaklabels import MappedBackend
 
 
@@ -94,9 +95,9 @@ def test_a2_gradient_integrity():
     # top-B routing margins must dominate the probe step or the finite
     # difference crosses a selection boundary
     from attnalign.model import VisualInput
-    model.forward(VisualInput(sample.features, 2), sample.prompt,
-                  sample.answer, adapters)
-    betas = adapters.last_decisions["layer0.k"].weights
+    x = embedding_front_chain(model, VisualInput(sample.features, 2),
+                              sample.prompt + sample.answer)
+    betas = kmoe_gate_softmax(x, mcfg.n_visual, adapters.layers[0].k_gate).data
     margins = [abs(np.sort(w)[-acfg.top_b] - np.sort(w)[-acfg.top_b - 1])
                for w in betas]
     assert min(margins) > 1e-2
@@ -154,10 +155,10 @@ def test_a4_reduction_identities(rng):
     gate.w1.data = np.zeros_like(gate.w1.data)
     gate.w2.data = np.zeros_like(gate.w2.data)
     h = Tensor(rng.normal(size=(4, d)))
-    deltas, decision = kmoe_delta_per_token(h, bank, gate, b=3)
+    deltas, weights = kmoe_delta_per_token(h, bank, gate, b=3)
     dense = sum(expert_delta(bank, o) for o in range(3)) / 3.0
     for c in range(4):
-        assert decision.kept[c].all()
+        assert weights.data[c].all()
         assert np.max(np.abs(deltas[c].data - dense)) <= 1e-12
 
     mcfg = ModelConfig(n_layers=2, n_heads=2, d_visual=5, d_model=8,

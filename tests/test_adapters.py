@@ -14,8 +14,9 @@ from attnalign.errors import ParameterError, ShapeError
 from conftest import ONE_LAYER, make_model_and_adapters, make_visual
 from oracles import expert_delta, finite_diff_check_params, topk_select_loop
 from references import adapted_projection, kmoe_delta_per_token, \
-    kmoe_gate_weights_chain, kmoe_splice_chain, matmul, qmoe_apply_chain, \
-    qmoe_delta, qmoe_weights_chain, sum_all, transpose
+    kmoe_gate_softmax, kmoe_gate_weights_chain, kmoe_splice_chain, matmul, \
+    n_experts, qmoe_apply_chain, qmoe_delta, qmoe_weights_chain, sum_all, \
+    transpose
 from test_autodiff import MAGNITUDES, assert_bits, backward_with, leaves
 
 D = 6
@@ -42,8 +43,8 @@ class TestQMoE:
         bank = make_bank(1, rng)
         gate = make_gate(1, rng)
         h = Tensor(rng.normal(size=(3, D)))
-        delta, decision = qmoe_delta(h, bank, gate)
-        assert np.allclose(decision.weights, [1.0])
+        delta, alpha = qmoe_delta(h, bank, gate)
+        assert np.allclose(alpha.data, [1.0])
         expected = expert_delta(bank, 0)
         assert np.max(np.abs(delta.data - expected)) < 1e-12
 
@@ -51,8 +52,8 @@ class TestQMoE:
         bank = make_bank(2, rng)
         gate = make_gate(2, rng, zero=True)
         h = Tensor(rng.normal(size=(2, D)))
-        delta, decision = qmoe_delta(h, bank, gate)
-        assert np.allclose(decision.weights, [0.5, 0.5])
+        delta, alpha = qmoe_delta(h, bank, gate)
+        assert np.allclose(alpha.data, [0.5, 0.5])
         e1 = expert_delta(bank, 0)
         e2 = expert_delta(bank, 1)
         assert np.max(np.abs(delta.data - 0.5 * e1 - 0.5 * e2)) < 1e-12
@@ -61,10 +62,10 @@ class TestQMoE:
         bank = make_bank(4, rng)
         gate = make_gate(4, rng)
         h = Tensor(rng.normal(size=(3, D)))
-        delta, decision = qmoe_delta(h, bank, gate)
+        delta, alpha = qmoe_delta(h, bank, gate)
         expected = np.zeros((D, D))
-        for o in range(len(bank)):
-            expected += decision.weights[o] * expert_delta(bank, o)
+        for o in range(n_experts(bank)):
+            expected += alpha.data[o] * expert_delta(bank, o)
         assert np.max(np.abs(delta.data - expected)) < 1e-12
 
     def test_gate_gradient_finite_difference(self, rng):
@@ -84,10 +85,9 @@ class TestQMoE:
     def test_alpha_probability_vector(self, rng):
         bank = make_bank(5, rng)
         gate = make_gate(5, rng)
-        alpha, decision = qmoe_weights(Tensor(rng.normal(size=(3, D))), range(3),
-                                       bank, gate)
-        assert np.all(decision.weights >= 0)
-        assert abs(decision.weights.sum() - 1.0) < 1e-9
+        alpha = qmoe_weights(Tensor(rng.normal(size=(3, D))), range(3), bank, gate)
+        assert np.all(alpha.data >= 0)
+        assert abs(alpha.data.sum() - 1.0) < 1e-9
 
     def test_equal_experts_give_that_expert(self, rng):
         bank = make_bank(3, rng)
@@ -105,7 +105,7 @@ class TestQMoE:
         h = Tensor(rng.normal(size=(2, D)))
         x = Tensor(rng.normal(size=(5, D)))
         delta, _ = qmoe_delta(h, bank, gate)
-        alpha, _ = qmoe_weights(h, range(2), bank, gate)
+        alpha = qmoe_weights(h, range(2), bank, gate)
         fused = qmoe_apply(x, alpha, bank)
         direct = x.data @ delta.data.T
         assert np.max(np.abs(fused.data - direct)) < 1e-12
@@ -116,18 +116,19 @@ class TestKMoE:
         bank = make_bank(3, rng)
         gate = make_gate(3, rng)
         h = Tensor(rng.normal(size=(4, D)))
-        weights, decision = kmoe_gate_weights(h, 4, bank, gate, b=3)
+        weights = kmoe_gate_weights(h, 4, bank, gate, b=3)
+        beta = kmoe_gate_softmax(h, 4, gate).data
         for c in range(4):
-            assert decision.kept[c].all()
-            assert np.max(np.abs(weights.data[c] - decision.weights[c])) < 1e-12
+            assert weights.data[c].all()
+            assert np.max(np.abs(weights.data[c] - beta[c])) < 1e-12
 
     def test_equal_logits_tie_break_literal_sum(self, rng):
         bank = make_bank(3, rng)
         gate = make_gate(3, rng, zero=True)
         h = Tensor(rng.normal(size=(2, D)))
-        deltas, decision = kmoe_delta_per_token(h, bank, gate, b=2)
+        deltas, weights = kmoe_delta_per_token(h, bank, gate, b=2)
         for c in range(2):
-            assert list(np.flatnonzero(decision.kept[c])) == [0, 1]
+            assert list(np.flatnonzero(weights.data[c])) == [0, 1]
             e1 = expert_delta(bank, 0)
             e2 = expert_delta(bank, 1)
             expected = (e1 + e2) / 3.0  # two thirds total, unrenormalized
@@ -137,12 +138,12 @@ class TestKMoE:
         bank = make_bank(4, rng)
         gate = make_gate(4, rng)
         h = Tensor(rng.normal(size=(5, D)))
-        deltas, decision = kmoe_delta_per_token(h, bank, gate, b=2)
+        deltas, weights = kmoe_delta_per_token(h, bank, gate, b=2)
         for c in range(5):
             expected = np.zeros((D, D))
-            for o in range(len(bank)):
-                if decision.kept[c, o]:
-                    expected += decision.weights[c, o] * expert_delta(bank, o)
+            for o in range(n_experts(bank)):
+                if weights.data[c, o]:
+                    expected += weights.data[c, o] * expert_delta(bank, o)
             assert np.max(np.abs(deltas[c].data - expected)) < 1e-12
 
     def test_perturbing_one_token_changes_only_its_delta(self, rng):
@@ -160,10 +161,10 @@ class TestKMoE:
     def test_kept_weight_sum_at_most_one(self, rng):
         bank = make_bank(5, rng)
         gate = make_gate(5, rng)
-        weights, decision = kmoe_gate_weights(
-            Tensor(rng.normal(size=(6, D))), 6, bank, gate, b=2)
+        weights = kmoe_gate_weights(Tensor(rng.normal(size=(6, D))), 6, bank, gate,
+                                    b=2)
         for c in range(6):
-            assert decision.kept[c].sum() == 2
+            assert np.count_nonzero(weights.data[c]) == 2
             assert weights.data[c].sum() <= 1.0 + 1e-12
 
     def test_b_out_of_range(self, rng):
@@ -178,7 +179,7 @@ class TestKMoE:
         bank = make_bank(4, rng)
         gate = make_gate(4, rng)
         h = Tensor(rng.normal(size=(5, D)))
-        weights, _ = kmoe_gate_weights(h, 5, bank, gate, b=2)
+        weights = kmoe_gate_weights(h, 5, bank, gate, b=2)
         fused = kmoe_apply(h, weights, bank)
         deltas, _ = kmoe_delta_per_token(h, bank, gate, b=2)
         for c in range(5):
@@ -200,7 +201,7 @@ class TestKMoE:
         h = Tensor(rng.normal(size=(4, D)), requires_grad=False)
 
         def f():
-            weights, _ = kmoe_gate_weights(h, 4, bank, gate, b=2)
+            weights = kmoe_gate_weights(h, 4, bank, gate, b=2)
             out = kmoe_apply(h, weights, bank)
             return sum_all(ad.mul(out, out))
 
@@ -231,11 +232,10 @@ class TestGateNodes:
 
     def run(self, build, x, gate, g):
         for t in (x, gate.w1, gate.b1, gate.w2, gate.b2):
-            t.zero_grad()
-        out, decision = build()
+            t.grad = None
+        out = build()
         backward_with(out, g)
-        return [out.data, decision.weights, decision.kept] + \
-            [t.grad for t in (x, gate.w1, gate.b1, gate.w2, gate.b2)]
+        return [out.data] + [t.grad for t in (x, gate.w1, gate.b1, gate.w2, gate.b2)]
 
     # A1's two prompt rows, and five, whose 1/5 would show a moved pool scale
     @pytest.mark.parametrize("prompt", [PROMPT, range(61, 66)])
@@ -250,7 +250,7 @@ class TestGateNodes:
                          x, gate, g)
         for actual, expected in zip(node, chain):
             assert_bits(actual, expected)
-        assert not node[3][:prompt.start].any() and not node[3][prompt.stop:].any()
+        assert not node[1][:prompt.start].any() and not node[1][prompt.stop:].any()
 
     @pytest.mark.parametrize("tie", [False, True])
     @pytest.mark.parametrize("magnitude", MAGNITUDES)
@@ -266,7 +266,11 @@ class TestGateNodes:
         for actual, expected in zip(node, chain):
             assert_bits(actual, expected)
         if tie:
-            beta, kept = node[1], node[2]
+            # at magnitude 30 every row whose cut falls between the tied
+            # weights has them underflow to 0, so the node's nonzero entries
+            # cannot show the cut; the mask of the chain's softmax can
+            beta = kmoe_gate_softmax(x, N_VISUAL, gate).data
+            kept = topb_mask_rows(beta, 2)
             assert np.array_equal(beta[:, 1], beta[:, 2])
             split = kept[:, 1] != kept[:, 2]
             assert split.any() and kept[split, 1].all()
@@ -278,8 +282,8 @@ class TestGateNodes:
         g_q, g_k = Tensor(rng.normal(size=3)), Tensor(rng.normal(size=(4, 3)))
 
         def f():
-            alpha, _ = qmoe_weights(x, range(2, 5), bank, gate)
-            weights, _ = kmoe_gate_weights(x, 4, bank, gate, 2)
+            alpha = qmoe_weights(x, range(2, 5), bank, gate)
+            weights = kmoe_gate_weights(x, 4, bank, gate, 2)
             return ad.add(sum_all(ad.mul(alpha, g_q)), sum_all(ad.mul(weights, g_k)))
 
         params = [x, gate.w1, gate.b1, gate.w2, gate.b2]
@@ -301,12 +305,12 @@ class TestGateNodes:
         # gradients into x in an order that follows these parents
         x = Tensor(rng.normal(size=(5, D)), requires_grad=True)
         gate, bank = make_gate(3, rng), make_bank(3, rng)
-        alpha, _ = qmoe_weights(x, range(2, 5), bank, gate)
-        weights, _ = kmoe_gate_weights(x, 4, bank, gate, 2)
+        alpha = qmoe_weights(x, range(2, 5), bank, gate)
+        weights = kmoe_gate_weights(x, 4, bank, gate, 2)
         for node in (alpha, weights):
             assert node._parents == (x, gate.w1, gate.b1, gate.w2, gate.b2)
         with ad.no_grad():
-            assert not qmoe_weights(x, range(2, 5), bank, gate)[0].requires_grad
+            assert not qmoe_weights(x, range(2, 5), bank, gate).requires_grad
 
 
 class TestMixtureWeightForms:
@@ -316,7 +320,7 @@ class TestMixtureWeightForms:
 
     def grads(self, out_fn, leaves_, g):
         for t in leaves_:
-            t.zero_grad()
+            t.grad = None
         out = out_fn()
         backward_with(out, g)
         return [out.data] + [t.grad for t in leaves_]
@@ -405,7 +409,7 @@ class TestExpertBank:
         draws = [r.uniform(-bound, bound, size=(RANK, D)) for _ in range(4)]
         assert np.array_equal(bank.A.data, np.concatenate(draws))
         assert bank.B.shape == (5, 4 * RANK) and not bank.B.data.any()
-        assert len(bank) == 4
+        assert bank.A.shape == (4 * RANK, D)
 
     def test_two_tensors_per_bank(self):
         adapters = AdapterSet(2, D, 4 * D, AdapterConfig())

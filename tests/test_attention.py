@@ -56,7 +56,7 @@ def gradient_support(out, stack):
     """The (l, h, q, c) plane entries that get gradient from ``out`` when
     every map entry has a positive upstream gradient."""
     for plane in stack.planes:
-        plane.zero_grad()
+        plane.grad = None
     weights = Tensor(np.linspace(1.0, 2.0, out.shape[0]))
     sum_all(ad.mul(out, weights)).backward()
     return {(l, *map(int, e)) for l, plane in enumerate(stack.planes)
@@ -259,7 +259,7 @@ class TestRefinedMap:
         results = []
         for build in (attn.refined_map, refined_map_all_heads):
             for plane in stack.planes:
-                plane.zero_grad()
+                plane.grad = None
             out = build(stack, rows, sel)
             sum_all(ad.mul(out, weights)).backward()
             results.append((out.data, [None if p.grad is None else p.grad.copy()

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attnalign import autodiff as ad
-from attnalign.errors import DegenerateRowError, NumericError, ShapeError
+from attnalign.errors import DegenerateRowError, ShapeError
 
 from attnalign.training import AdamW
 
-from oracles import adamw_ref, finite_diff_check, finite_diff_check_params, \
-    gelu_value_slope, layer_norm_ref, linear_with_lora_ref, mlp_two_layer_ref, \
-    softmax_ref, softmax_row_decimal
+from oracles import NumericError, adamw_ref, finite_diff_check, \
+    finite_diff_check_params, gelu_value_slope, layer_norm_ref, \
+    linear_with_lora_ref, mlp_two_layer_ref, softmax_ref, softmax_row_decimal
 from references import attention_chain, bmm, concat_rows, lm_loss_chain, matmul, \
     mean_pool_rows, merge_heads, mlp_two_layer, mul, slice_rows, softmax_heads, \
     softmax_rows, split_heads, sum_all, take
@@ -204,8 +204,8 @@ class TestDeterminism:
         loss = sum_all(ad.mul(matmul(x, y), matmul(x, y)))
         loss.backward()
         gx, gy = x.grad.copy(), y.grad.copy()
-        x.zero_grad()
-        y.zero_grad()
+        x.grad = None
+        y.grad = None
         loss.backward()
         assert np.array_equal(gx, x.grad) and np.array_equal(gy, y.grad)
 
@@ -345,7 +345,7 @@ class TestGatherRows:
         g = rng.normal(size=(len(rows), 8))
         results = []
         for gather in (ad.gather_rows, take):
-            x.zero_grad()
+            x.grad = None
             out = gather(x, rows)
             backward_with(out, g)
             results.append((out.data, x.grad))
@@ -511,7 +511,7 @@ class TestAttentionOps:
         """Values and q/k/v gradients of sum(out g_out) + sum(planes g_planes);
         the second term stands for the refined map reading the planes."""
         for t in (q, k, v):
-            t.zero_grad()
+            t.grad = None
         planes, out = build(q, k, v, mask)
         ad.add(sum_all(ad.mul(out, ad.Tensor(g_out))),
                sum_all(ad.mul(planes, ad.Tensor(g_planes)))).backward()
@@ -562,7 +562,7 @@ class TestAttentionOps:
         for build in (ad.attend,
                       lambda p, v: merge_heads(bmm(p, split_heads(v, N_HEADS)))):
             planes = ad.Tensor(data.copy(), requires_grad=True)
-            v.zero_grad()
+            v.grad = None
             out = build(planes, v)
             backward_with(out, g)
             results.append((out.data, planes.grad, v.grad))

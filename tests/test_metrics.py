@@ -54,6 +54,15 @@ class TestCoverage:
         with pytest.raises(MetricError):
             coverage_score(np.array([-0.1, 0.5]), [0], 0.15)
 
+    @pytest.mark.parametrize("tau", [-1.0, 2.0, float("nan"), float("inf")])
+    def test_tau_outside_the_unit_interval_rejected(self, tau):
+        # a tau of -1 scored every patch covered, nan and 2 none
+        with pytest.raises(MetricError, match="not a threshold in"):
+            coverage_score(np.full(4, 0.25), [0, 1], tau)
+        model, test_s, _ = eval_setup()
+        with pytest.raises(MetricError, match="not a threshold in"):
+            evaluate(model, None, test_s[:1], tau)
+
 
 class TestIntensity:
     def test_hand_arithmetic(self):

@@ -1,5 +1,6 @@
 """Package-wide properties: the BLAS thread pin at import time, no config
-field that the package never reads, no autodiff op that only tests call,
+field that the package never reads, no public function or class that only
+tests call,
 a frozen base of plain arrays whose tape reaches only the adapters, no
 CLI option that its verb ignores, JSON parsed in errors.py alone, a CLI
 that turns only package and OS errors into an error line, and a package
@@ -9,7 +10,6 @@ import argparse
 import ast
 import ctypes
 import dataclasses
-import inspect
 import json
 import os
 import subprocess
@@ -74,38 +74,62 @@ def test_every_config_field_is_read(cls):
     assert [f.name for f in dataclasses.fields(cls) if f.name not in read] == []
 
 
-def autodiff_names_used_in_package() -> set[str]:
-    """Every autodiff name that a package module outside autodiff.py loads,
-    as ``alias.name`` on a module alias or as a name imported from it."""
-    names = set()
-    for path in Path(attnalign.__file__).parent.glob("*.py"):
-        if path.name == "autodiff.py":
+PACKAGE = Path(attnalign.__file__).parent
+
+
+def public_names(module: str) -> set[str]:
+    """The public functions and classes that package module ``module``
+    defines at its top level."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def package_loads() -> set[tuple[str, str, str]]:
+    """(loading module, defining module, name) for every load of a public
+    package name in a module other than ``__init__.py``: as ``alias.name``
+    on a module alias, as a name imported from its module, or as a bare
+    name in its own module outside its own definition."""
+    loads = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
             continue
+        here = path.stem
         tree = ast.parse(path.read_text())
-        aliases, imported = set(), set()
+        origin = {name: (here, name) for name in public_names(here)}
+        aliases = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
-                if node.module == "autodiff":
-                    imported.update(a.asname or a.name for a in node.names)
-                elif node.module is None:
-                    aliases.update(a.asname or a.name for a in node.names
-                                   if a.name == "autodiff")
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-                    and node.value.id in aliases:
-                names.add(node.attr)
-            elif isinstance(node, ast.Name) and node.id in imported:
-                names.add(node.id)
-    return names
+                for a in node.names:
+                    if node.module is None:
+                        aliases[a.asname or a.name] = a.name
+                    else:
+                        origin[a.asname or a.name] = (node.module, a.name)
+        for top in tree.body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
+                        and isinstance(node.value, ast.Name) \
+                        and node.value.id in aliases:
+                    loads.add((here, aliases[node.value.id], node.attr))
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+                        and node.id in origin and node.id != own:
+                    loads.add((here, *origin[node.id]))
+    return loads
 
 
-def test_every_autodiff_function_has_a_package_caller():
-    # ops that only tests call belong in tests/references.py, and the
-    # finite-difference checker in tests/oracles.py
-    public = {name for name, fn in vars(autodiff).items()
-              if inspect.isfunction(fn) and fn.__module__ == autodiff.__name__
-              and not name.startswith("_")}
-    assert sorted(public - autodiff_names_used_in_package()) == []
+def test_every_public_name_has_a_package_caller():
+    # code that only tests call belongs in tests/: the generic autodiff ops
+    # in tests/references.py, the finite-difference checker and its error in
+    # tests/oracles.py. An autodiff op needs a caller outside autodiff.py,
+    # and a re-export in __init__.py calls nothing
+    called = {(module, name) for user, module, name in package_loads()
+              if user != module or module != "autodiff"}
+    uncalled = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+                for name in sorted(public_names(path.stem))
+                if (path.stem, name) not in called]
+    assert uncalled == []
 
 
 def cli_options_read() -> dict[str, set[str]]:

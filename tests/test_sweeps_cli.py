@@ -882,6 +882,50 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["gen-data", "--seed", "-1"], "option --seed: seed must be >= 0, got -1"),
+        (["weaklabels", "--topk", "0"], "option --topk: k must be >= 1, got 0"),
+        (["weaklabels", "--config", "{config}"],
+         "key 'topk' of config file {config}: k must be >= 1, got 0"),
+        (["weaklabels", "--noise", "-1"],
+         "option --noise: noise must be >= 0, got -1.0"),
+        (["visualize", "--kind", "refined", "--heads", "40"],
+         "option --heads: top_r=40 outside [1, 2], the L x H heads of the model"),
+        (["visualize", "--kind", "refined", "--heads", "0"],
+         "option --heads: top_r=0 outside [1, 2], the L x H heads of the model"),
+        (["evaluate", "--tau", "-1"],
+         "option --tau: tau=-1.0 is not a threshold in [0, 1]"),
+        (["evaluate", "--tau", "nan"],
+         "option --tau: tau=nan is not a threshold in [0, 1]"),
+        (["evaluate", "--tau", "2"],
+         "option --tau: tau=2.0 is not a threshold in [0, 1]"),
+    ], ids=["gen-data-seed", "weaklabels-topk", "weaklabels-config-topk",
+            "weaklabels-noise", "visualize-heads-40", "visualize-heads-0",
+            "evaluate-tau-negative", "evaluate-tau-nan", "evaluate-tau-2"])
+    def test_options_outside_train_config_named_when_refused(
+            self, tmp_path, data_dir, capsys, argv, message):
+        # each printed an error naming no option, and evaluate's --tau -1,
+        # nan and 2 exited 0 with a coverage of 1 or 0
+        config = tmp_path / "weaklabels.json"
+        config.write_text(json.dumps({"topk": 0}))
+        checkpoint = tmp_path / "checkpoint.json"
+        save_checkpoint(checkpoint, VisualDecoder(SMALL_MODEL),
+                        AdapterSet(1, 8, 32, SMALL_ADAPTER))
+        inputs = {"gen-data": [],
+                  "weaklabels": ["--data", str(data_dir / "train.jsonl"),
+                                 "--meta", str(data_dir / "meta.json")],
+                  "visualize": ["--checkpoint", str(checkpoint),
+                                "--data", str(data_dir / "test.jsonl")],
+                  "evaluate": ["--checkpoint", str(checkpoint),
+                               "--data", str(data_dir / "test.jsonl")]}
+        out = tmp_path / "out"
+        argv = [a.format(config=config) for a in argv]
+        rc = cli.main(argv + inputs[argv[0]] + ["--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: {message.format(config=config)}\n"
+        assert not out.exists()
+
     def test_error_exit_code(self, tmp_path):
         rc = cli.main(["evaluate", "--checkpoint", str(tmp_path / "nope.json"),
                        "--data", str(tmp_path / "nope.jsonl"), "--out",

@@ -270,7 +270,7 @@ class TestFusedAlignmentPath:
             out = []
             for s in train_s[:3]:
                 for _, t in adapters.params():
-                    t.zero_grad()
+                    t.grad = None
                 loss, breakdown = total_loss(model, adapters, s, labels[s.id], cfg)
                 loss.backward()
                 out.append((breakdown, [None if t.grad is None else t.grad.tobytes()
@@ -330,7 +330,7 @@ class TestKeptRowsLoss:
             out = []
             for s in train_s[:3]:
                 for _, t in adapters.params():
-                    t.zero_grad()
+                    t.grad = None
                 loss, breakdown = total_loss(model, adapters, s, labels[s.id], cfg)
                 loss.backward()
                 out.append((breakdown, [t.grad for _, t in adapters.params()]))
@@ -564,7 +564,7 @@ class TestSplitAcrossProcesses:
         summed = [p.grad for p in params]
         # one batch at lr 0: the adapters are still the initial ones
         for p in params:
-            p.zero_grad()
+            p.grad = None
         for idx in shuffled_order(cfg, len(train_s)):
             s = train_s[idx]
             total_loss(model, result.adapters, s, labels[s.id], cfg)[0].backward()
