@@ -59,15 +59,13 @@ def _pin_blas_threads() -> None:
 
 _pin_blas_threads()
 
-from .adapters import AdapterConfig, AdapterSet, ExpertBank, GatingNetwork, \
-    LoRAAdapter
+from .adapters import AdapterConfig, AdapterSet, ExpertBank, GatingNetwork
 from .attention import AttentionStack, HeadSelection, Spans, refined_map, \
     select_heads
 from .autodiff import Tensor, no_grad
 from .data import DataSpec, SyntheticSample, generate_dataset
 from .metrics import MetricsReport, coverage_score, evaluate, intensity_alignment
-from .model import ModelConfig, VisualDecoder, VisualInput, load_checkpoint, \
-    save_checkpoint
+from .model import ModelConfig, VisualDecoder, load_checkpoint, save_checkpoint
 from .training import TASK_PROFILES, AdamW, LossBreakdown, TrainConfig, \
     alignment_loss, compute_weak_labels, total_loss, train
 from .weaklabels import EmbedderBackend, Segment, SyntheticOracleBackend, \

@@ -53,52 +53,42 @@ class AdapterConfig:
             raise ParameterError(f"top_b={self.top_b} outside [1, {self.n_k_experts}]")
 
 
-def _factor_pair(d_out: int, d_in: int, rank: int,
-                 rng: np.random.Generator) -> tuple[Tensor, Tensor]:
-    """Trainable A [rank x d_in] drawn uniform in +-1/sqrt(d_in), and B = 0."""
-    bound = 1.0 / np.sqrt(d_in)
-    return (Tensor(rng.uniform(-bound, bound, size=(rank, d_in)), requires_grad=True),
-            Tensor(np.zeros((d_out, rank)), requires_grad=True))
-
-
-class LoRAAdapter:
-    """delta = B @ A with A [r x d_in], B [d_out x r], B zero-initialized."""
-
-    def __init__(self, d_out: int, d_in: int, rank: int, rng: np.random.Generator):
-        self.A, self.B = _factor_pair(d_out, d_in, rank, rng)
-
-    def params(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [(prefix + ".A", self.A), (prefix + ".B", self.B)]
-
-
 class ExpertBank:
     """O equally shaped rank-r experts, stacked into two trainable tensors.
 
     ``A`` [O r x d_in] holds expert o's down-projection in rows o r to
     (o+1) r, and ``B`` [d_out x O r] its up-projection in the same
-    columns, so expert o's delta is B[:, o r:(o+1) r] @ A[o r:(o+1) r].
-    B starts at zero. A is drawn in one call, which consumes the generator
-    exactly as O successive (r x d_in) draws would.
+    columns, so expert o's delta is B[:, o r:(o+1) r] @ A[o r:(o+1) r];
+    a dense LoRA is a bank of one. B starts at zero. A is drawn uniform in
+    +-1/sqrt(d_in) in one call, which consumes the generator exactly as O
+    successive (r x d_in) draws would.
     """
 
     def __init__(self, n: int, d_out: int, d_in: int, rank: int,
                  rng: np.random.Generator):
-        self.A, self.B = _factor_pair(d_out, d_in, n * rank, rng)
+        bound = 1.0 / np.sqrt(d_in)
+        self.A = Tensor(rng.uniform(-bound, bound, size=(n * rank, d_in)),
+                        requires_grad=True)
+        self.B = Tensor(np.zeros((d_out, n * rank)), requires_grad=True)
         self.rank = rank
 
     def params(self, prefix: str) -> list[tuple[str, Tensor]]:
         return [(prefix + ".A", self.A), (prefix + ".B", self.B)]
 
 
+# std of the normal draws that initialize a gate MLP's weights
+GATE_WEIGHT_STD = 0.2
+
+
 class GatingNetwork:
     """Two-layer MLP producing one routing logit per expert."""
 
     def __init__(self, d_in: int, d_hidden: int, n_out: int,
-                 rng: np.random.Generator, init_std: float = 0.2):
-        self.w1 = Tensor(rng.normal(0.0, init_std, size=(d_in, d_hidden)),
+                 rng: np.random.Generator):
+        self.w1 = Tensor(rng.normal(0.0, GATE_WEIGHT_STD, size=(d_in, d_hidden)),
                          requires_grad=True)
         self.b1 = Tensor(np.zeros(d_hidden), requires_grad=True)
-        self.w2 = Tensor(rng.normal(0.0, init_std, size=(d_hidden, n_out)),
+        self.w2 = Tensor(rng.normal(0.0, GATE_WEIGHT_STD, size=(d_hidden, n_out)),
                          requires_grad=True)
         self.b2 = Tensor(np.zeros(n_out), requires_grad=True)
 
@@ -206,12 +196,12 @@ class LayerAdapters:
     def __init__(self, d_model: int, d_ff: int, cfg: AdapterConfig,
                  rng: np.random.Generator):
         r = cfg.dense_rank
-        self.lora_q = LoRAAdapter(d_model, d_model, r, rng)
-        self.lora_k = LoRAAdapter(d_model, d_model, r, rng)
-        self.lora_v = LoRAAdapter(d_model, d_model, r, rng)
-        self.lora_o = LoRAAdapter(d_model, d_model, r, rng)
-        self.lora_ff1 = LoRAAdapter(d_ff, d_model, r, rng)
-        self.lora_ff2 = LoRAAdapter(d_model, d_ff, r, rng)
+        self.lora_q = ExpertBank(1, d_model, d_model, r, rng)
+        self.lora_k = ExpertBank(1, d_model, d_model, r, rng)
+        self.lora_v = ExpertBank(1, d_model, d_model, r, rng)
+        self.lora_o = ExpertBank(1, d_model, d_model, r, rng)
+        self.lora_ff1 = ExpertBank(1, d_ff, d_model, r, rng)
+        self.lora_ff2 = ExpertBank(1, d_model, d_ff, r, rng)
         d_gate = d_model // 2
         self.q_bank = self.q_gate = None
         self.k_bank = self.k_gate = None

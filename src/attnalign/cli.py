@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import attention as attnmod
@@ -21,8 +21,8 @@ from .data import DataSpec, generate_dataset, read_meta, read_samples, \
     write_meta, write_samples
 from .errors import AttnAlignError, ConfigurationError, ParameterError, named, \
     read_json, require_fields, stored_config
-from .model import ModelConfig, VisualDecoder, VisualInput, load_checkpoint
-from .sweeps import sweep
+from .model import ModelConfig, VisualDecoder, load_checkpoint
+from .sweeps import SWEEPABLE, sweep
 from .training import TASK_PROFILES, TrainConfig, check_heads, \
     compute_weak_labels, oracle_backend, train
 from .weaklabels import load_weak_label_cache, save_weak_label_cache, \
@@ -65,7 +65,7 @@ def _build_train_config(doc: dict, args) -> tuple[ModelConfig, TrainConfig, int]
             f"not one of {sorted(TASK_PROFILES)}")
     profile = getattr(args, "profile", None) or profile   # the option wins
     if profile:   # under the file's own epochs and lambda_align
-        train_doc = {**asdict(TASK_PROFILES[profile]), **train_doc}
+        train_doc = {**TASK_PROFILES[profile], **train_doc}
     cfg = stored_config(TrainConfig, {**train_doc, "adapter": adapter_cfg},
                         where.format("train"), partial=True)
 
@@ -144,12 +144,13 @@ def cmd_train(args) -> int:
     model = VisualDecoder(model_cfg, seed=model_seed)
     train_samples, test_samples, spec = _read_data_dir(args.data, model)
 
+    with named("option --weak-noise"):   # the backend checks the noise
+        backend_id = oracle_backend(spec, noise=args.weak_noise,
+                                    seed=cfg.seed).backend_id
     weak_labels = None
     if cfg.aligned:
         if args.weak_cache:
             # only records of this run's K and backend may stand in for it
-            backend_id = oracle_backend(spec, noise=args.weak_noise,
-                                        seed=cfg.seed).backend_id
             cache = load_weak_label_cache(args.weak_cache, model_cfg.n_visual)
             weak_labels = {}
             for s in train_samples:
@@ -214,6 +215,9 @@ def _sweep_value(param: str, text: str) -> float:
 
 
 def cmd_visualize(args) -> int:
+    if args.first < 1:
+        raise ParameterError(f"option --first: {args.first} is not a sample "
+                             f"count >= 1")
     model, adapters, _ = load_checkpoint(args.checkpoint)
     n_heads = model.config.n_layers * model.config.n_heads
     if args.kind == "refined" and not 1 <= args.heads <= n_heads:
@@ -229,8 +233,8 @@ def cmd_visualize(args) -> int:
     if not samples:
         raise AttnAlignError("no samples selected for visualization")
     for s in samples:
-        gen = model.generate_greedy(VisualInput(s.features, s.grid), s.prompt,
-                                    max_len=len(s.answer), adapters=adapters)
+        gen = model.generate_greedy(s.features, s.prompt, max_len=len(s.answer),
+                                    adapters=adapters)
         if args.kind == "mean":
             heat = attnmod.generated_query_mean_map(gen.stacks, gen.step_rows)
         else:
@@ -290,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verbs.add_parser("sweep", help="one training run per hyperparameter value")
     common(p)
-    p.add_argument("--param", choices=["K", "R", "lambda", "B"], required=True)
+    p.add_argument("--param", choices=SWEEPABLE, required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)

@@ -20,7 +20,7 @@ from . import cores
 from .adapters import AdapterSet
 from .data import SyntheticSample, read_samples
 from .errors import CompatibilityError, MetricError
-from .model import VisualDecoder, VisualInput, load_checkpoint
+from .model import VisualDecoder, load_checkpoint
 
 REPORT_SCHEMA = "attnalign-report-1"
 DEFAULT_TAU = 0.15
@@ -98,8 +98,8 @@ def evaluate(model: VisualDecoder, adapters: AdapterSet | None,
 
     def record(i: int) -> SampleRecord:
         s = samples[i]
-        gen = model.generate_greedy(VisualInput(s.features, s.grid), s.prompt,
-                                    max_len=len(s.answer), adapters=adapters)
+        gen = model.generate_greedy(s.features, s.prompt, max_len=len(s.answer),
+                                    adapters=adapters)
         heat = attn.generated_query_mean_map(gen.stacks, gen.step_rows)
         return SampleRecord(
             id=s.id,

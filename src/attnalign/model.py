@@ -28,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from .adapters import AdapterConfig, AdapterSet, kmoe_apply, kmoe_gate_weights, \
     qmoe_apply, qmoe_weights
-from .attention import AttentionStack, Spans, answer_logit_rows, kept_positions
+from .attention import AttentionStack, Spans, kept_positions
 from .autodiff import Tensor
 from .errors import CapacityError, CompatibilityError, ShapeError, decode_floats, \
     encode_floats, read_document, require_fields, stored_config
@@ -65,29 +65,10 @@ class ModelConfig:
 
 
 @dataclass
-class VisualInput:
-    """Patch features on a square grid, row-major token order."""
-
-    features: np.ndarray
-    grid: int
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        n, _ = self.features.shape
-        if n != self.grid * self.grid:
-            raise ShapeError(f"{n} patches do not fill a {self.grid}x{self.grid} grid")
-
-
-@dataclass
 class ForwardOutput:
     logits: Tensor                     # [m x V], one row per kept sequence row
     attention: AttentionStack
-    spans: Spans
     rows: tuple[int, ...]              # the sequence row of each logits row
-
-    def answer_logit_rows(self) -> tuple[int, ...]:
-        """Sequence rows whose logits predict the answer tokens, in order."""
-        return answer_logit_rows(self.spans)
 
     def logit_rows(self, rows: Sequence[int]) -> np.ndarray:
         """The rows of ``logits`` that hold the given sequence rows."""
@@ -161,15 +142,14 @@ class VisualDecoder:
 
     # -- pieces ------------------------------------------------------------
 
-    def encode_and_project(self, visual: VisualInput) -> np.ndarray:
-        """Patch features into token space: X w_align + b_align."""
+    def encode_and_project(self, features: np.ndarray) -> np.ndarray:
+        """Patch features [N x d_visual], in row-major grid order, into
+        token space: X w_align + b_align."""
         c = self.config
-        if visual.features.shape != (c.n_visual, c.d_visual):
+        if features.shape != (c.n_visual, c.d_visual):
             raise ShapeError(
-                f"visual features {visual.features.shape} != "
-                f"({c.n_visual}, {c.d_visual})"
-            )
-        return visual.features @ self.params["w_align"] + self.params["b_align"]
+                f"visual features {features.shape} != ({c.n_visual}, {c.d_visual})")
+        return features @ self.params["w_align"] + self.params["b_align"]
 
     def _embed_text(self, token_ids: tuple[int, ...]) -> np.ndarray:
         """Token plus position embeddings of the text rows."""
@@ -187,7 +167,7 @@ class VisualDecoder:
 
     # -- forward -----------------------------------------------------------
 
-    def forward(self, visual: VisualInput, prompt: tuple[int, ...],
+    def forward(self, features: np.ndarray, prompt: tuple[int, ...],
                 answer: tuple[int, ...] = (),
                 adapters: AdapterSet | None = None,
                 keep_rows: Sequence[int] | None = None) -> ForwardOutput:
@@ -209,7 +189,7 @@ class VisualDecoder:
             keep = np.asarray(rows, dtype=np.intp)
 
         # the frozen embedding front records nothing: one constant tensor
-        x = Tensor(np.concatenate([self.encode_and_project(visual),
+        x = Tensor(np.concatenate([self.encode_and_project(features),
                                    self._embed_text(prompt + answer)]))
         mask = sequence_mask(spans.total, c.n_visual)
 
@@ -222,7 +202,7 @@ class VisualDecoder:
         x = ad.layer_norm_rows(x, self.params["ln_f.g"], self.params["ln_f.b"])
         logits = ad.linear_with_lora(x, self.params["w_out"])
         stack = AttentionStack(planes=planes, spans=spans, last_rows=rows)
-        return ForwardOutput(logits=logits, attention=stack, spans=spans, rows=rows)
+        return ForwardOutput(logits=logits, attention=stack, rows=rows)
 
     def _layer(self, l: int, x: Tensor, spans: Spans, mask: np.ndarray,
                adapters: AdapterSet | None, keep: np.ndarray | None):
@@ -273,7 +253,7 @@ class VisualDecoder:
 
     # -- inference ---------------------------------------------------------
 
-    def generate_greedy(self, visual: VisualInput, prompt: tuple[int, ...],
+    def generate_greedy(self, features: np.ndarray, prompt: tuple[int, ...],
                         max_len: int,
                         adapters: AdapterSet | None = None) -> GenerationResult:
         if max_len < 1:
@@ -285,7 +265,7 @@ class VisualDecoder:
             for _ in range(max_len):
                 # only the last row emits, so only it is computed in full
                 row = self.config.n_visual + len(prompt) + len(generated) - 1
-                out = self.forward(visual, prompt, tuple(generated), adapters,
+                out = self.forward(features, prompt, tuple(generated), adapters,
                                    keep_rows=(row,))
                 nxt = int(np.argmax(out.logits.data[0]))
                 stacks.append(out.attention)

@@ -37,27 +37,19 @@ from .autodiff import Tensor
 from .data import DataSpec, SyntheticSample, propose_segments
 from .errors import CompatibilityError, ConfigurationError, \
     DegenerateAttentionError, DivergenceError, ParameterError
-from .model import ForwardOutput, ModelConfig, VisualDecoder, VisualInput, \
-    save_checkpoint
+from .model import ForwardOutput, ModelConfig, VisualDecoder, save_checkpoint
 from .weaklabels import SyntheticOracleBackend, WeakLabelSet, select_weak_labels
 
 
-@dataclass(frozen=True)
-class TaskProfile:
-    """Published per-dataset fine-tuning settings (full-scale reference)."""
-
-    epochs: int
-    lambda_align: float
-
-
-TASK_PROFILES: dict[str, TaskProfile] = {
-    "slake": TaskProfile(epochs=6, lambda_align=0.1),
-    "vqa-rad": TaskProfile(epochs=9, lambda_align=0.06),
-    "pathvqa": TaskProfile(epochs=3, lambda_align=0.02),
-    "iu-xray": TaskProfile(epochs=6, lambda_align=0.12),
-    "omnimedvqa": TaskProfile(epochs=3, lambda_align=0.03),
-    "iu-xray-report": TaskProfile(epochs=12, lambda_align=0.08),
-    "mimic-cxr": TaskProfile(epochs=12, lambda_align=0.05),
+# published per-dataset fine-tuning settings (full-scale reference)
+TASK_PROFILES: dict[str, dict] = {
+    "slake": dict(epochs=6, lambda_align=0.1),
+    "vqa-rad": dict(epochs=9, lambda_align=0.06),
+    "pathvqa": dict(epochs=3, lambda_align=0.02),
+    "iu-xray": dict(epochs=6, lambda_align=0.12),
+    "omnimedvqa": dict(epochs=3, lambda_align=0.03),
+    "iu-xray-report": dict(epochs=12, lambda_align=0.08),
+    "mimic-cxr": dict(epochs=12, lambda_align=0.05),
 }
 
 @dataclass(frozen=True)
@@ -226,9 +218,8 @@ def alignment_loss(refined: Tensor,
 
 def lm_loss(output: ForwardOutput, answer: Sequence[int]) -> Tensor:
     """Mean answer-token cross entropy from the predicting rows."""
-    return ad.cross_entropy(output.logits,
-                            output.logit_rows(output.answer_logit_rows()),
-                            list(answer))
+    rows = attn.answer_logit_rows(output.attention.spans)
+    return ad.cross_entropy(output.logits, output.logit_rows(rows), list(answer))
 
 
 def total_loss(model: VisualDecoder, adapters: AdapterSet | None,
@@ -241,10 +232,9 @@ def total_loss(model: VisualDecoder, adapters: AdapterSet | None,
     answer query rows.
     """
     spans = attn.Spans(model.config.n_visual, len(sample.prompt), len(sample.answer))
-    out = model.forward(VisualInput(sample.features, sample.grid),
-                        sample.prompt, sample.answer, adapters,
-                        keep_rows=attn.answer_logit_rows(spans)
-                        + attn.answer_query_rows(spans))
+    rows = attn.answer_query_rows(spans)
+    out = model.forward(sample.features, sample.prompt, sample.answer, adapters,
+                        keep_rows=attn.answer_logit_rows(spans) + rows)
     llm = lm_loss(out, sample.answer)
 
     if not cfg.aligned:
@@ -253,7 +243,6 @@ def total_loss(model: VisualDecoder, adapters: AdapterSet | None,
 
     if labels is None or not labels.segments:
         raise ConfigurationError("alignment requested but no weak labels supplied")
-    rows = attn.answer_query_rows(out.spans)
     ratios = attn.all_visual_ratios(out.attention, rows)
     selection = attn.select_heads(ratios, cfg.heads_r)
     refined = attn.refined_map(out.attention, rows, selection)
@@ -269,7 +258,6 @@ def total_loss(model: VisualDecoder, adapters: AdapterSet | None,
 
 @dataclass
 class TrainResult:
-    model: VisualDecoder
     adapters: AdapterSet
     epoch_logs: list[dict]
     final_metrics: dict
@@ -279,8 +267,7 @@ def train(model: VisualDecoder, train_samples: Sequence[SyntheticSample],
           cfg: TrainConfig,
           weak_labels: dict[str, WeakLabelSet] | None = None,
           eval_fn: Callable[[VisualDecoder, AdapterSet], dict] | None = None,
-          out_dir: str | Path | None = None,
-          adapters: AdapterSet | None = None) -> TrainResult:
+          out_dir: str | Path | None = None) -> TrainResult:
     """Train adapters; deterministic for a fixed seed.
 
     ``eval_fn`` runs after every epoch on the current adapters and its
@@ -294,9 +281,8 @@ def train(model: VisualDecoder, train_samples: Sequence[SyntheticSample],
         raise ConfigurationError("alignment needs a weak-label set per sample")
 
     seeds = np.random.SeedSequence(cfg.seed).generate_state(2)
-    if adapters is None:
-        adapters = AdapterSet(model.config.n_layers, model.config.d_model,
-                              model.config.d_ff, cfg.adapter, seed=int(seeds[0]))
+    adapters = AdapterSet(model.config.n_layers, model.config.d_model,
+                          model.config.d_ff, cfg.adapter, seed=int(seeds[0]))
     shuffle_rng = np.random.default_rng(int(seeds[1]))
 
     params = [p for _, p in adapters.params()]
@@ -373,7 +359,7 @@ def train(model: VisualDecoder, train_samples: Sequence[SyntheticSample],
     if out_dir is not None:
         _write_run_dir(Path(out_dir), model, adapters, cfg, epoch_logs)
     final_metrics = {k: v for k, v in epoch_logs[-1].items() if k != "epoch"}
-    return TrainResult(model=model, adapters=adapters, epoch_logs=epoch_logs,
+    return TrainResult(adapters=adapters, epoch_logs=epoch_logs,
                        final_metrics=final_metrics)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from attnalign import cores
 from attnalign.adapters import AdapterConfig, AdapterSet
-from attnalign.model import ModelConfig, VisualDecoder, VisualInput
+from attnalign.model import ModelConfig, VisualDecoder
 
 
 TINY_MODEL = ModelConfig(n_layers=2, n_heads=2, d_visual=5, d_model=8,
@@ -40,9 +40,8 @@ def assert_no_children() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
-def make_visual(cfg: ModelConfig, rng, scale: float = 1.0) -> VisualInput:
-    return VisualInput(rng.normal(0.0, scale, size=(cfg.n_visual, cfg.d_visual)),
-                       cfg.grid)
+def make_visual(cfg: ModelConfig, rng, scale: float = 1.0) -> np.ndarray:
+    return rng.normal(0.0, scale, size=(cfg.n_visual, cfg.d_visual))
 
 
 def make_model_and_adapters(cfg: ModelConfig = TINY_MODEL,

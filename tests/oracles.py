@@ -257,7 +257,7 @@ def straight_line_forward(model, visual, prompt, answer, adapters=None):
     p = model.params
     n = cfg.n_visual
     text_ids = np.array(list(prompt) + list(answer), dtype=int)
-    x_vis = np.asarray(visual.features) @ p["w_align"] + p["b_align"]
+    x_vis = np.asarray(visual) @ p["w_align"] + p["b_align"]
     x_text = p["tok_emb"][text_ids] + p["pos_emb"][: len(text_ids)]
     x = np.concatenate([x_vis, x_text], axis=0)
     total = x.shape[0]

@@ -14,8 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from attnalign import autodiff as ad
-from attnalign.adapters import ExpertBank, GatingNetwork, LoRAAdapter, \
-    kmoe_gate_weights, qmoe_weights, topb_mask_rows
+from attnalign.adapters import ExpertBank, GatingNetwork, kmoe_gate_weights, \
+    qmoe_weights, topb_mask_rows
 from attnalign.attention import AttentionStack, HeadSelection
 from attnalign.autodiff import Tensor
 from attnalign.errors import ConfigurationError, DegenerateAttentionError, \
@@ -175,7 +175,7 @@ def embedding_front_chain(model, visual, token_ids) -> Tensor:
     gathered token and position embeddings, stacked."""
     p = {name: Tensor(a) for name, a in model.params.items()}
     ids = np.asarray(token_ids, dtype=np.intp)
-    x_visual = add(matmul(Tensor(visual.features), p["w_align"]), p["b_align"])
+    x_visual = add(matmul(Tensor(visual), p["w_align"]), p["b_align"])
     x_text = add(take(p["tok_emb"], ids), take(p["pos_emb"], np.arange(ids.size)))
     return concat_rows([x_visual, x_text])
 
@@ -477,7 +477,7 @@ def kmoe_splice_chain(k: Tensor, h: Tensor, weights: Tensor,
     return concat_rows([k_vis, slice_rows(k, n, k.shape[0])])
 
 
-def lora_apply(lora: LoRAAdapter, x: Tensor) -> Tensor:
+def lora_apply(lora: ExpertBank, x: Tensor) -> Tensor:
     """x @ delta^T without materializing the full matrix."""
     return matmul(matmul(x, transpose(lora.A)), transpose(lora.B))
 
@@ -513,7 +513,7 @@ def kmoe_delta_per_token(h_tokens: Tensor, bank: ExpertBank, gate: GatingNetwork
 
 
 def adapted_projection(x: Tensor, base_w: Tensor,
-                       dense_lora: LoRAAdapter | None = None,
+                       dense_lora: ExpertBank | None = None,
                        moe_delta: Tensor | None = None,
                        per_token_deltas: list[Tensor] | None = None) -> Tensor:
     """output_row_i = x_i @ (base_w + dense_delta + moe_delta_i)^T.

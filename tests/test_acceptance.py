@@ -94,8 +94,7 @@ def test_a2_gradient_integrity():
 
     # top-B routing margins must dominate the probe step or the finite
     # difference crosses a selection boundary
-    from attnalign.model import VisualInput
-    x = embedding_front_chain(model, VisualInput(sample.features, 2),
+    x = embedding_front_chain(model, sample.features,
                               sample.prompt + sample.answer)
     betas = kmoe_gate_softmax(x, mcfg.n_visual, adapters.layers[0].k_gate).data
     margins = [abs(np.sort(w)[-acfg.top_b] - np.sort(w)[-acfg.top_b - 1])

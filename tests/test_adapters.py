@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from attnalign import autodiff as ad
 from attnalign.adapters import AdapterConfig, AdapterSet, ExpertBank, \
-    GatingNetwork, LoRAAdapter, kmoe_apply, kmoe_gate_weights, qmoe_apply, \
-    qmoe_weights, topb_mask_rows
+    GatingNetwork, kmoe_apply, kmoe_gate_weights, qmoe_apply, qmoe_weights, \
+    topb_mask_rows
 from attnalign.autodiff import Tensor
 from attnalign.errors import ParameterError, ShapeError
 
@@ -438,7 +438,7 @@ class TestAdaptedProjection:
     def test_zero_adapters_additive_identity(self, rng):
         x = Tensor(rng.normal(size=(4, D)))
         w = Tensor(rng.normal(size=(D, D)))
-        lora = LoRAAdapter(D, D, RANK, rng)  # B zero-initialized
+        lora = ExpertBank(1, D, D, RANK, rng)  # B zero-initialized
         out = adapted_projection(x, w, dense_lora=lora)
         base = x.data @ w.data.T
         assert np.array_equal(out.data, base)
@@ -446,7 +446,7 @@ class TestAdaptedProjection:
     def test_dense_lora_linearity(self, rng):
         x = Tensor(rng.normal(size=(4, D)))
         w = Tensor(rng.normal(size=(D, D)))
-        lora = LoRAAdapter(D, D, RANK, rng)
+        lora = ExpertBank(1, D, D, RANK, rng)
         lora.B.data = rng.normal(size=lora.B.data.shape)
         out = adapted_projection(x, w, dense_lora=lora)
         delta = lora.B.data @ lora.A.data
@@ -456,7 +456,7 @@ class TestAdaptedProjection:
     def test_per_row_explicit_construction(self, rng):
         x = Tensor(rng.normal(size=(5, D)))
         w = Tensor(rng.normal(size=(D, D)))
-        lora = LoRAAdapter(D, D, RANK, rng)
+        lora = ExpertBank(1, D, D, RANK, rng)
         lora.B.data = rng.normal(size=lora.B.data.shape)
         per_token = [Tensor(rng.normal(size=(D, D))) for _ in range(3)]
         per_token_arg = [per_token[0], None, per_token[1], per_token[2]]

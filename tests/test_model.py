@@ -7,12 +7,12 @@ import pytest
 
 from attnalign import autodiff as ad
 from attnalign.adapters import AdapterConfig
-from attnalign.attention import all_visual_ratios, generated_head_maps, \
-    generated_query_mean_map, refined_map, select_heads
+from attnalign.attention import all_visual_ratios, answer_logit_rows, \
+    generated_head_maps, generated_query_mean_map, refined_map, select_heads
 from attnalign.errors import CapacityError, CompatibilityError, SelectionError, \
     ShapeError
-from attnalign.model import ModelConfig, VisualDecoder, VisualInput, \
-    load_checkpoint, save_checkpoint
+from attnalign.model import ModelConfig, VisualDecoder, load_checkpoint, \
+    save_checkpoint
 from attnalign.training import total_loss, TrainConfig
 
 from conftest import TINY_ADAPTER, TINY_MODEL, make_model_and_adapters, make_visual
@@ -29,13 +29,12 @@ class TestEncodeAndProject:
         model.params["b_align"] = np.zeros(8)
         v = make_visual(cfg, rng)
         out = model.encode_and_project(v)
-        assert np.array_equal(out, v.features)
+        assert np.array_equal(out, v)
 
     def test_zero_features_give_bias_rows(self, rng):
         model = VisualDecoder(TINY_MODEL, seed=0)
         model.params["b_align"] = rng.normal(size=TINY_MODEL.d_model)
-        v = VisualInput(np.zeros((TINY_MODEL.n_visual, TINY_MODEL.d_visual)),
-                        TINY_MODEL.grid)
+        v = np.zeros((TINY_MODEL.n_visual, TINY_MODEL.d_visual))
         out = model.encode_and_project(v)
         for row in out:
             assert np.array_equal(row, model.params["b_align"])
@@ -44,16 +43,17 @@ class TestEncodeAndProject:
         model = VisualDecoder(TINY_MODEL, seed=3)
         v = make_visual(TINY_MODEL, rng)
         out = model.encode_and_project(v)
-        expected = v.features @ model.params["w_align"] + model.params["b_align"]
+        expected = v @ model.params["w_align"] + model.params["b_align"]
         assert np.max(np.abs(out - expected)) < 1e-12
 
-    def test_width_mismatch(self, rng):
+    @pytest.mark.parametrize("shape", [
+        (TINY_MODEL.n_visual, TINY_MODEL.d_visual + 1),   # feature width
+        (TINY_MODEL.n_visual + 1, TINY_MODEL.d_visual),   # patch count
+    ], ids=["width", "patches"])
+    def test_width_mismatch(self, rng, shape):
         model = VisualDecoder(TINY_MODEL, seed=0)
         with pytest.raises(ShapeError):
-            model.encode_and_project(
-                VisualInput(rng.normal(size=(TINY_MODEL.n_visual,
-                                             TINY_MODEL.d_visual + 1)),
-                            TINY_MODEL.grid))
+            model.encode_and_project(rng.normal(size=shape))
 
 
 class TestForward:
@@ -66,9 +66,9 @@ class TestForward:
         out = model.forward(make_visual(cfg, rng), (1, 2), (3,))
         att = out.attention.planes[0].data[0]
         n = cfg.n_visual
-        for q in range(out.spans.total):
+        for q in range(out.attention.spans.total):
             visible = n + max(0, q - n + 1) if q >= n else n
-            expected = np.zeros(out.spans.total)
+            expected = np.zeros(out.attention.spans.total)
             expected[:n] = 1.0 / visible
             if q >= n:
                 expected[n:q + 1] = 1.0 / visible
@@ -172,13 +172,13 @@ class TestMaskInvariants:
         model, adapters = make_model_and_adapters(randomize=True)
         v = make_visual(TINY_MODEL, rng)
         out = model.forward(v, (1, 2), (3, 4), adapters)
-        n = out.spans.n_visual
+        n = out.attention.spans.n_visual
         for l in range(TINY_MODEL.n_layers):
             for h in range(TINY_MODEL.n_heads):
                 att = out.attention.planes[l].data[h]
-                for q in range(out.spans.total):
+                for q in range(out.attention.spans.total):
                     assert np.array_equal(att[q, max(q + 1, n):],
-                                          np.zeros(out.spans.total
+                                          np.zeros(out.attention.spans.total
                                                    - max(q + 1, n)))
                     assert np.all(att[q, :n] > 0)
 
@@ -197,7 +197,7 @@ class TestVisualEquivariance:
         cfg = TINY_MODEL
         v = make_visual(cfg, rng)
         perm = rng.permutation(cfg.n_visual)
-        v_perm = VisualInput(v.features[perm], cfg.grid)
+        v_perm = v[perm]
         roi = (0, 3)
         roi_perm = tuple(sorted(int(np.flatnonzero(perm == t)[0]) for t in roi))
 
@@ -211,8 +211,7 @@ class TestVisualEquivariance:
 
         class FakeSample:
             def __init__(self, vis, roi):
-                self.features = vis.features
-                self.grid = vis.grid
+                self.features = vis
                 self.prompt = (1, 2)
                 self.answer = (3,)
                 self.roi = roi
@@ -229,7 +228,7 @@ class TestVisualEquivariance:
         out1 = model.forward(v_perm, (1, 2), (3,), adapters)
         att0 = out0.attention.planes[0].data[0]
         att1 = out1.attention.planes[0].data[0]
-        q = out0.spans.total - 1
+        q = out0.attention.spans.total - 1
         assert np.max(np.abs(att0[q, :cfg.n_visual][perm]
                              - att1[q, :cfg.n_visual])) < 1e-10
 
@@ -257,7 +256,7 @@ class TestGenerateGreedy:
         v = make_visual(TINY_MODEL, rng)
         gen = model.generate_greedy(v, (1, 2), 3, adapters)
         out = model.forward(v, (1, 2), gen.tokens, adapters)
-        rows = out.answer_logit_rows()
+        rows = answer_logit_rows(out.attention.spans)
         replay = tuple(int(np.argmax(out.logits.data[r])) for r in rows)
         assert replay == gen.tokens
 
@@ -283,7 +282,7 @@ class TestKeptRows:
         v = make_visual(cfg, rng)
         prompt, answer = (1, 2, 3), (4, 5)
         full = model.forward(v, prompt, answer, adapters)
-        total = full.spans.total
+        total = full.attention.spans.total
         assert full.rows == tuple(range(total))
         for keep in [(total - 1,), (total - 4, total - 3), (total - 2, 0, total - 2),
                      (cfg.n_visual, cfg.n_visual + 2)]:

@@ -803,7 +803,7 @@ class TestCli:
                          "--config", str(train_config_file), "--profile",
                          "mimic-cxr"]) == 0
         cfg = json.loads((run / "config.json").read_text())
-        assert cfg["lambda_align"] == TASK_PROFILES["mimic-cxr"].lambda_align
+        assert cfg["lambda_align"] == TASK_PROFILES["mimic-cxr"]["lambda_align"]
         assert cfg["epochs"] == 1
 
     @pytest.mark.parametrize("verb", [
@@ -899,13 +899,22 @@ class TestCli:
          "option --tau: tau=nan is not a threshold in [0, 1]"),
         (["evaluate", "--tau", "2"],
          "option --tau: tau=2.0 is not a threshold in [0, 1]"),
+        (["visualize", "--first", "-1"],
+         "option --first: -1 is not a sample count >= 1"),
+        (["visualize", "--first", "0"],
+         "option --first: 0 is not a sample count >= 1"),
+        (["train", "--config", "{train_config}", "--weak-noise", "-1"],
+         "option --weak-noise: noise must be >= 0, got -1.0"),
     ], ids=["gen-data-seed", "weaklabels-topk", "weaklabels-config-topk",
             "weaklabels-noise", "visualize-heads-40", "visualize-heads-0",
-            "evaluate-tau-negative", "evaluate-tau-nan", "evaluate-tau-2"])
+            "evaluate-tau-negative", "evaluate-tau-nan", "evaluate-tau-2",
+            "visualize-first-negative", "visualize-first-0", "train-weak-noise"])
     def test_options_outside_train_config_named_when_refused(
-            self, tmp_path, data_dir, capsys, argv, message):
+            self, tmp_path, data_dir, train_config_file, capsys, no_training,
+            argv, message):
         # each printed an error naming no option, and evaluate's --tau -1,
-        # nan and 2 exited 0 with a coverage of 1 or 0
+        # nan and 2 exited 0 with a coverage of 1 or 0, as visualize's
+        # --first -1 did with heatmaps of all samples but the last
         config = tmp_path / "weaklabels.json"
         config.write_text(json.dumps({"topk": 0}))
         checkpoint = tmp_path / "checkpoint.json"
@@ -917,9 +926,11 @@ class TestCli:
                   "visualize": ["--checkpoint", str(checkpoint),
                                 "--data", str(data_dir / "test.jsonl")],
                   "evaluate": ["--checkpoint", str(checkpoint),
-                               "--data", str(data_dir / "test.jsonl")]}
+                               "--data", str(data_dir / "test.jsonl")],
+                  "train": ["--data", str(data_dir)]}
         out = tmp_path / "out"
-        argv = [a.format(config=config) for a in argv]
+        argv = [a.format(config=config, train_config=train_config_file)
+                for a in argv]
         rc = cli.main(argv + inputs[argv[0]] + ["--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == \

@@ -14,7 +14,7 @@ from attnalign.data import DataSpec, generate_dataset, write_samples
 from attnalign.errors import CompatibilityError, ConfigurationError, \
     DegenerateAttentionError, DivergenceError, ParameterError
 from attnalign.metrics import evaluate
-from attnalign.model import ModelConfig, VisualDecoder, VisualInput
+from attnalign.model import ModelConfig, VisualDecoder
 from attnalign.training import TASK_PROFILES, AdamW, TrainConfig, check_heads, \
     alignment_loss, compute_weak_labels, lm_loss, total_loss, train
 from attnalign.weaklabels import Segment, WeakLabelSet
@@ -137,9 +137,8 @@ class TestLmLoss:
         class Out:
             def __init__(self):
                 self.logits = logits
-
-            def answer_logit_rows(self):
-                return (0, 1, 2)
+                # no visual rows and one prompt row: answer logit rows 0, 1, 2
+                self.attention = attn.AttentionStack([], attn.Spans(0, 1, 3))
 
             def logit_rows(self, rows):     # every row was kept
                 return rows
@@ -447,10 +446,10 @@ class TestTrainLoop:
             < 1e-12
 
     def test_profiles_table(self):
-        assert TASK_PROFILES["slake"].epochs == 6
-        assert TASK_PROFILES["slake"].lambda_align == 0.1
-        assert TASK_PROFILES["vqa-rad"].lambda_align == 0.06
-        assert TASK_PROFILES["mimic-cxr"].epochs == 12
+        assert TASK_PROFILES["slake"]["epochs"] == 6
+        assert TASK_PROFILES["slake"]["lambda_align"] == 0.1
+        assert TASK_PROFILES["vqa-rad"]["lambda_align"] == 0.06
+        assert TASK_PROFILES["mimic-cxr"]["epochs"] == 12
 
     def test_deterministic_training(self, tmp_path):
         from attnalign.model import save_checkpoint
@@ -494,8 +493,7 @@ class TestTrainLoop:
         result = train(model, train_s, cfg, weak_labels=labels, out_dir=run)
         picked = [train_s[0], train_s[4]]
         for s in picked:
-            gen = model.generate_greedy(VisualInput(s.features, s.grid), s.prompt,
-                                        max_len=len(s.answer),
+            gen = model.generate_greedy(s.features, s.prompt, max_len=len(s.answer),
                                         adapters=result.adapters)
             heat = attn.generated_query_mean_map(gen.stacks, gen.step_rows)
             attn.export_heatmaps(tmp_path / "in-memory", s.id, "mean", heat, s.grid)
