@@ -206,39 +206,17 @@ def generated_query_mean_map(stacks: Sequence[AttentionStack],
     return acc / count
 
 
-def generated_head_maps(stacks: Sequence[AttentionStack],
-                        step_rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-head step-averaged visual vectors [L,H,N] and their ratios [L,H]."""
-    if not stacks:
-        raise SelectionError("no generation steps to average")
-    spans = stacks[0].spans
-    n = spans.n_visual
-    n_l, n_h = stacks[0].n_layers, stacks[0].n_heads
-    vis = np.zeros((n_l, n_h, n))
-    prm = np.zeros((n_l, n_h))
-    for stack, row in zip(stacks, step_rows):
-        for l in range(n_l):
-            (r,) = stack.plane_rows(l, (row,))
-            m = stack.planes[l].data
-            vis[l] += m[:, r, :n]
-            prm[l] += m[:, r, n: n + spans.n_prompt].sum(axis=1)
-    vis /= len(stacks)
-    prm /= len(stacks)
-    denom = vis.sum(axis=2) + prm
-    if (denom == 0.0).any():
-        raise DegenerateRatioError("a head carries no visual or prompt mass")
-    return vis, vis.sum(axis=2) / denom
-
-
 def generated_query_refined_map(stacks: Sequence[AttentionStack],
                                 step_rows: Sequence[int], top_r: int) -> np.ndarray:
-    """Top-R refined map over generated positions (visualization use)."""
-    vis, ratios = generated_head_maps(stacks, step_rows)
-    selection = select_heads(ratios, top_r)
-    if selection.top_r < 1:
-        raise ParameterError("refined map needs top_r >= 1")
-    picked = [vis[l, h] for l, h in selection.pairs()]
-    return np.mean(picked, axis=0)
+    """Top-R refined map over generated positions (visualization use): each
+    greedy step ranks the heads and refines the map at its emitting row, as
+    ``total_loss`` does on every pass, and the steps' maps are averaged."""
+    if not stacks:
+        raise SelectionError("no generation steps to average")
+    maps = [refined_map(stack, (row,),
+                        select_heads(all_visual_ratios(stack, (row,)), top_r)).data
+            for stack, row in zip(stacks, step_rows)]
+    return np.mean(maps, axis=0)
 
 
 # ---------------------------------------------------------------------------

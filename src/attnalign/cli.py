@@ -106,17 +106,21 @@ def cmd_gen_data(args) -> int:
 
 def cmd_weaklabels(args) -> int:
     doc = _load_config(args.config, {"topk": int, "noise": float, "seed": int})
-    where = "key {!r} of config file " + str(args.config)   # an option wins
-    k, k_where = (args.topk, "option --topk") if args.topk is not None \
-        else (doc.get("topk", 4), where.format("topk"))
-    noise, noise_where = (args.noise, "option --noise") if args.noise is not None \
-        else (doc.get("noise", 0.0), where.format("noise"))
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
+
+    def setting(option, key, default):   # an option wins over the config file
+        if option is not None:
+            return option, f"option --{key}"
+        return doc.get(key, default), f"key {key!r} of config file {args.config}"
+    (k, k_where), (noise, noise_where), (seed, seed_where) = (
+        setting(args.topk, "topk", 4), setting(args.noise, "noise", 0.0),
+        setting(args.seed, "seed", 0))
     if k < 1:
         raise ParameterError(f"{k_where}: k must be >= 1, got {k}")
     samples = read_samples(args.data)
     spec = read_meta(args.meta)
-    with named(noise_where):
+    with named(noise_where):   # the backend checks the noise, then the seed
+        oracle_backend(spec, noise=noise)
+    with named(seed_where):
         backend_id = oracle_backend(spec, noise=noise, seed=seed).backend_id
     labels = compute_weak_labels(samples, spec, k, noise=noise, seed=seed)
     records = [weak_labels_to_record(s.image_id, s.prompt_id, labels[s.id],
@@ -226,7 +230,10 @@ def cmd_visualize(args) -> int:
     samples = read_samples(args.data)
     metricsmod.check_compatibility(model, samples, args.data)
     if args.ids:
-        wanted = set(args.ids.split(","))
+        wanted = [i for i in args.ids.split(",") if i]
+        known = {s.id for s in samples}
+        if unknown := [i for i in wanted if i not in known]:
+            raise ParameterError(f"option --ids: no sample has the id {unknown[0]!r}")
         samples = [s for s in samples if s.id in wanted]
     else:
         samples = samples[: args.first]

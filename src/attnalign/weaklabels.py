@@ -1,16 +1,15 @@
 """Prompt-aware weak-label selection over candidate segments.
 
 Candidate segments (the planted segments plus background distractors,
-see ``data.propose_segments``) get embedded next to the prompt by
-a pluggable backend, and the K most prompt-similar ones survive an
-adaptive threshold (the K-th order statistic, ties broken by ascending
-segment id). A synthetic oracle backend stands in for real
-segment/text encoders so the whole pipeline is verifiable at desk scale.
+see ``data.propose_segments``) get embedded next to the prompt by a
+backend, and the K most prompt-similar ones survive an adaptive
+threshold (the K-th order statistic, ties broken by ascending segment
+id). A synthetic oracle backend stands in for real segment/text
+encoders so the whole pipeline is verifiable at desk scale.
 """
 
 from __future__ import annotations
 
-import abc
 import hashlib
 import json
 from dataclasses import dataclass
@@ -39,23 +38,6 @@ class Segment:
         object.__setattr__(self, "token_indices", idx)
 
 
-class EmbedderBackend(abc.ABC):
-    """Embeds segments and prompts into one shared similarity space."""
-
-    @property
-    @abc.abstractmethod
-    def backend_id(self) -> str:
-        ...
-
-    @abc.abstractmethod
-    def embed_segment(self, segment: Segment, image: np.ndarray) -> np.ndarray:
-        ...
-
-    @abc.abstractmethod
-    def embed_prompt(self, prompt_tokens: Sequence[int]) -> np.ndarray:
-        ...
-
-
 @dataclass
 class WeakLabelSet:
     """Selected segments with their similarities and the threshold used."""
@@ -79,9 +61,11 @@ def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def select_weak_labels(candidates: Sequence[Segment], prompt: Sequence[int],
-                       image: np.ndarray, backend: EmbedderBackend,
-                       k: int) -> WeakLabelSet:
+                       image: np.ndarray, backend, k: int) -> WeakLabelSet:
     """Keep the k most prompt-similar candidates.
+
+    ``backend`` embeds the prompt (``embed_prompt``) and each candidate
+    (``embed_segment``); a segment it fails on is named in a BackendError.
 
     The adaptive threshold is the k-th largest similarity; ties at the
     threshold are resolved by ascending segment id so exactly
@@ -109,19 +93,21 @@ def select_weak_labels(candidates: Sequence[Segment], prompt: Sequence[int],
     return WeakLabelSet(segments=tuple(chosen), similarities=sims, tau=tau, k=k)
 
 
-class SyntheticOracleBackend(EmbedderBackend):
+class SyntheticOracleBackend:
     """Noise-controlled stand-in for real segment/text encoders.
 
     Segments embed as the mean feature vector of their patches plus
     noise * N(0, 1); prompts embed as the channel signature of the
     queried concept. Noise is a deterministic function of the inputs and
-    the backend seed, as the interface requires.
+    the backend seed, which is >= 0 like a training seed.
     """
 
     def __init__(self, concept_vectors: np.ndarray, concept_token_base: int,
                  noise: float = 0.0, seed: int = 0):
         if not noise >= 0:
             raise ParameterError(f"noise must be >= 0, got {noise}")
+        if seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {seed}")
         self.concept_vectors = np.asarray(concept_vectors, dtype=np.float64)
         self.concept_token_base = int(concept_token_base)
         self.noise = float(noise)
@@ -131,20 +117,14 @@ class SyntheticOracleBackend(EmbedderBackend):
     def backend_id(self) -> str:
         return f"synthetic-oracle(noise={self.noise},seed={self.seed})"
 
-    def _rng(self, *chunks: bytes) -> np.random.Generator:
-        h = hashlib.sha256()
-        h.update(str(self.seed).encode())
-        for c in chunks:
-            h.update(c)
-        return np.random.default_rng(int.from_bytes(h.digest()[:8], "little"))
-
     def embed_segment(self, segment: Segment, image: np.ndarray) -> np.ndarray:
         image = np.asarray(image, dtype=np.float64)
         vec = image[list(segment.token_indices)].mean(axis=0)
-        if self.noise > 0:
-            rng = self._rng(segment.id.encode(),
-                            np.asarray(segment.token_indices).tobytes(),
-                            image.tobytes())
+        if self.noise > 0:   # drawn from a hash of the seed and the inputs
+            digest = hashlib.sha256(b"".join([
+                str(self.seed).encode(), segment.id.encode(),
+                np.asarray(segment.token_indices).tobytes(), image.tobytes()])).digest()
+            rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
             vec = vec + self.noise * rng.normal(size=vec.shape)
         return vec
 

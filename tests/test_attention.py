@@ -312,56 +312,75 @@ def step_ratios(stacks, rows):
             for l in range(stacks[0].n_layers) for h in range(stacks[0].n_heads)]
 
 
+def refined_per_step_loop(stacks, rows, top_r):
+    """Mean over the steps of the loop oracles' refined map of each step: the
+    top_r heads ranked at that step's emitting row, their rows averaged."""
+    maps = []
+    for stack, row in zip(stacks, rows):
+        picked = topk_select_loop(step_ratios([stack], [row]), top_r)
+        selected = [[stack.n_heads * l + h in picked for h in range(stack.n_heads)]
+                    for l in range(stack.n_layers)]
+        maps.append(refined_map_loop(step_views([stack], [row]), selected))
+    return np.mean(maps, axis=0)
+
+
+def favour_head(rng, stack, row, l, h):
+    """Give head (l, h) a visual ratio of 0.99 at ``row``: random visual
+    weights summing to 0.99, and 0.01 on the first prompt key."""
+    n = stack.spans.n_visual
+    w = rng.random(n)
+    plane = stack.planes[l].data[h]
+    plane[row] = 0.0
+    plane[row, :n] = 0.99 * w / w.sum()
+    plane[row, n] = 0.01
+
+
 class TestGeneratedMaps:
     def test_mean_map_matches_loop(self, rng):
         stacks, rows = greedy_steps(rng)
         out = attn.generated_query_mean_map(stacks, rows)
         assert np.max(np.abs(out - mean_map_loop(step_views(stacks, rows)))) < 1e-12
 
-    def test_head_maps_match_loops(self, rng):
+    def test_heads_ranked_per_step(self, rng):
+        # the top-1 head is (0, 0) at the first step and (1, 1) at the
+        # second; ranking the heads once over the pooled steps picks one
+        # head for both steps and fails this
         stacks, rows = greedy_steps(rng)
-        vis, ratios = attn.generated_head_maps(stacks, rows)
-        views = step_views(stacks, rows)
-        assert vis.shape == (2, 2, 4) and ratios.shape == (2, 2)
-        for l in range(2):
-            for h in range(2):
-                assert np.max(np.abs(vis[l, h] - views[l][h].mean(axis=0))) < 1e-12
-        assert np.max(np.abs(ratios.reshape(-1) - step_ratios(stacks, rows))) < 1e-12
+        for stack, row, (l, h) in zip(stacks, rows, [(0, 0), (1, 1)]):
+            favour_head(rng, stack, row, l, h)
+        assert [topk_select_loop(step_ratios([s], [r]), 1)
+                for s, r in zip(stacks, rows)] == [[0], [3]]
+        out = attn.generated_query_refined_map(stacks, rows, 1)
+        assert np.max(np.abs(out - refined_per_step_loop(stacks, rows, 1))) < 1e-12
 
     @pytest.mark.parametrize("top_r", [1, 2, 4])
     def test_refined_map_matches_loop(self, rng, top_r):
         stacks, rows = greedy_steps(rng)
         out = attn.generated_query_refined_map(stacks, rows, top_r)
-        picked = topk_select_loop(step_ratios(stacks, rows), top_r)
-        selected = [[2 * l + h in picked for h in range(2)] for l in range(2)]
-        oracle = refined_map_loop(step_views(stacks, rows), selected)
-        assert np.max(np.abs(out - oracle)) < 1e-12
+        assert np.max(np.abs(out - refined_per_step_loop(stacks, rows, top_r))) \
+            < 1e-12
 
     @pytest.mark.parametrize("maps", [
         attn.generated_query_mean_map,
-        attn.generated_head_maps,
         lambda stacks, rows: attn.generated_query_refined_map(stacks, rows, 1),
-    ], ids=["mean", "heads", "refined"])
+    ], ids=["mean", "refined"])
     def test_no_steps(self, maps):
         with pytest.raises(SelectionError, match="no generation steps"):
             maps([], [])
 
-    @pytest.mark.parametrize("maps", [
-        attn.generated_head_maps,
-        lambda stacks, rows: attn.generated_query_refined_map(stacks, rows, 1),
-    ], ids=["heads", "refined"])
-    def test_head_without_visual_or_prompt_mass(self, rng, maps):
+    def test_head_without_visual_or_prompt_mass(self, rng):
         stacks, rows = greedy_steps(rng, answers=(1, 2))
         for stack, row in zip(stacks, rows):
             plane = stack.planes[1].data[0]
             plane[row] = 0.0
             plane[row, row] = 1.0   # every step's emitting row reads only itself
         with pytest.raises(DegenerateRatioError):
-            maps(stacks, rows)
+            attn.generated_query_refined_map(stacks, rows, 1)
 
     def test_refined_map_needs_a_head(self, rng):
         stacks, rows = greedy_steps(rng)
-        with pytest.raises(ParameterError, match="top_r >= 1"):
+        with pytest.raises(ParameterError,
+                           match="refined_map needs at least one selected head"):
             attn.generated_query_refined_map(stacks, rows, 0)
 
 

@@ -8,7 +8,8 @@ import pytest
 from attnalign import autodiff as ad
 from attnalign.adapters import AdapterConfig
 from attnalign.attention import all_visual_ratios, answer_logit_rows, \
-    generated_head_maps, generated_query_mean_map, refined_map, select_heads
+    generated_query_mean_map, generated_query_refined_map, refined_map, \
+    select_heads
 from attnalign.errors import CapacityError, CompatibilityError, SelectionError, \
     ShapeError
 from attnalign.model import ModelConfig, VisualDecoder, load_checkpoint, \
@@ -320,7 +321,7 @@ class TestKeptRows:
         with pytest.raises(SelectionError, match="row 4 is not among"):
             generated_query_mean_map([stack], (4,))
         with pytest.raises(SelectionError, match="row 4 is not among"):
-            generated_head_maps([stack], (4,))
+            generated_query_refined_map([stack], (4,), 2)
         with pytest.raises(SelectionError, match="row 4 is not among"):
             out.logit_rows((4,))
 

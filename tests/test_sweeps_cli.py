@@ -905,18 +905,31 @@ class TestCli:
          "option --first: 0 is not a sample count >= 1"),
         (["train", "--config", "{train_config}", "--weak-noise", "-1"],
          "option --weak-noise: noise must be >= 0, got -1.0"),
+        (["visualize", "--ids", "te000000,,nope"],
+         "option --ids: no sample has the id 'nope'"),
+        (["visualize", "--ids", "nope"],
+         "option --ids: no sample has the id 'nope'"),
+        (["weaklabels", "--seed", "-1"], "option --seed: seed must be >= 0, got -1"),
+        (["weaklabels", "--config", "{seed_config}"],
+         "key 'seed' of config file {seed_config}: seed must be >= 0, got -1"),
     ], ids=["gen-data-seed", "weaklabels-topk", "weaklabels-config-topk",
             "weaklabels-noise", "visualize-heads-40", "visualize-heads-0",
             "evaluate-tau-negative", "evaluate-tau-nan", "evaluate-tau-2",
-            "visualize-first-negative", "visualize-first-0", "train-weak-noise"])
+            "visualize-first-negative", "visualize-first-0", "train-weak-noise",
+            "visualize-ids-one-unknown", "visualize-ids-all-unknown",
+            "weaklabels-seed", "weaklabels-config-seed"])
     def test_options_outside_train_config_named_when_refused(
             self, tmp_path, data_dir, train_config_file, capsys, no_training,
             argv, message):
         # each printed an error naming no option, and evaluate's --tau -1,
         # nan and 2 exited 0 with a coverage of 1 or 0, as visualize's
-        # --first -1 did with heatmaps of all samples but the last
+        # --first -1 did with heatmaps of all samples but the last, --ids
+        # with those of the ids that name a sample, and weaklabels' --seed -1
+        # with records no train run can use
         config = tmp_path / "weaklabels.json"
         config.write_text(json.dumps({"topk": 0}))
+        seed_config = tmp_path / "weaklabels-seed.json"
+        seed_config.write_text(json.dumps({"seed": -1}))
         checkpoint = tmp_path / "checkpoint.json"
         save_checkpoint(checkpoint, VisualDecoder(SMALL_MODEL),
                         AdapterSet(1, 8, 32, SMALL_ADAPTER))
@@ -929,12 +942,12 @@ class TestCli:
                                "--data", str(data_dir / "test.jsonl")],
                   "train": ["--data", str(data_dir)]}
         out = tmp_path / "out"
-        argv = [a.format(config=config, train_config=train_config_file)
-                for a in argv]
+        names = dict(config=config, seed_config=seed_config,
+                     train_config=train_config_file)
+        argv = [a.format(**names) for a in argv]
         rc = cli.main(argv + inputs[argv[0]] + ["--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err == \
-            f"error: {message.format(config=config)}\n"
+        assert capsys.readouterr().err == f"error: {message.format(**names)}\n"
         assert not out.exists()
 
     def test_error_exit_code(self, tmp_path):

@@ -8,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 from attnalign.data import DataSpec, generate_dataset, propose_segments
 from attnalign.errors import BackendError, CompatibilityError, \
     DegenerateEmbeddingError, ParameterError
-from attnalign.weaklabels import EmbedderBackend, Segment, \
-    SyntheticOracleBackend, WeakLabelSet, cosine_sim, load_weak_label_cache, \
-    save_weak_label_cache, select_weak_labels, weak_labels_to_record
+from attnalign.weaklabels import Segment, SyntheticOracleBackend, \
+    WeakLabelSet, cosine_sim, load_weak_label_cache, save_weak_label_cache, \
+    select_weak_labels, weak_labels_to_record
 
 from oracles import cosine_decimal
 
 
-class MappedBackend(EmbedderBackend):
+class MappedBackend:
     """Fixed similarity-by-id backend for selection tests."""
 
     def __init__(self, table):
