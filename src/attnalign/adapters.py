@@ -98,31 +98,32 @@ class GatingNetwork:
 
 
 def topb_mask_rows(weights: np.ndarray, b: int) -> np.ndarray:
-    """Mask of each row's b largest entries; ties by ascending index (stable sort)."""
-    m, n = weights.shape
+    """Mask of each row's b largest entries (along the last axis); ties by
+    ascending index (stable sort)."""
+    n = weights.shape[-1]
     if not (1 <= b <= n):
         raise ParameterError(f"top_b={b} outside [1, {n}]")
-    order = np.argsort(-weights, axis=1, kind="stable")
-    mask = np.zeros((m, n), dtype=bool)
-    mask[np.arange(m)[:, None], order[:, :b]] = True
+    order = np.argsort(-weights, axis=-1, kind="stable")
+    mask = np.zeros(weights.shape, dtype=bool)
+    np.put_along_axis(mask, order[..., :b], True, axis=-1)
     return mask
 
 
 def _gate(x: Tensor, start: int, stop: int, gate: GatingNetwork, pool: bool,
           b: int | None = None) -> Tensor:
-    """softmax(MLP(rows start:stop of x)) as one tape node, the rows
-    mean-pooled into one first when ``pool``; with ``b`` only each row's
-    top-b weights survive. A pooled node is an [O] vector.
+    """softmax(MLP(rows start:stop of x)) as one tape node, the rows (axis
+    -2) mean-pooled into one first when ``pool``; with ``b`` only each row's
+    top-b weights survive. A pooled node is an [O] vector (per sample).
 
     The forward and backward repeat, in order, the arithmetic of the chain
     slice, mean-pool, two-layer MLP, softmax and mask product.
     """
-    if len(x.shape) != 2 or not (0 <= start < stop <= x.shape[0]):
+    if len(x.shape) < 2 or not (0 <= start < stop <= x.shape[-2]):
         raise ShapeError(f"router rows {start}:{stop} do not fit input {x.shape}")
     w1, b1, w2, b2 = gate.w1, gate.b1, gate.w2, gate.b2
-    inp = x.data[start:stop]
-    if pool:   # the arithmetic of mean(axis=0)
-        inp = np.add.reduce(inp, axis=0, keepdims=True) / (stop - start)
+    inp = x.data[..., start:stop, :]
+    if pool:   # the arithmetic of mean(axis=-2)
+        inp = np.add.reduce(inp, axis=-2, keepdims=True) / (stop - start)
     u = inp @ w1.data
     u += b1.data
     hidden, t = ad._gelu_value(u)
@@ -130,7 +131,7 @@ def _gate(x: Tensor, start: int, stop: int, gate: GatingNetwork, pool: bool,
     logits += b2.data
     y = ad._softmax_last_axis(logits, None)
     keepf = None
-    out = y[0] if pool else y
+    out = y[..., 0, :] if pool else y
     if b is not None:
         keepf = topb_mask_rows(y, b).astype(np.float64)
         out = y * keepf

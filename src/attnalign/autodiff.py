@@ -3,7 +3,11 @@
 Tensors are 0-d scalars, 1-d vectors or 2-d matrices over float64, plus
 the [H x m x S] planes of multi-head attention (m query rows against S
 keys). ``add`` and ``mul`` take two operands of one shape and nothing
-broadcasts. Only the adapters train: the frozen decoder weights enter
+broadcasts. The decoder's forward ops also take a leading batch axis, a
+group of same-shape samples that a ``no_grad`` pass runs at once; they
+index from the end (``...``), so a 2-d input runs the very expressions
+it always did, and their backward closures only ever see one sample.
+Only the adapters train: the frozen decoder weights enter
 ``linear_with_lora`` and ``layer_norm_rows`` as plain arrays, so no op
 carries gradient code for them. Only the two attention ops know that
 head h owns columns h dh:(h+1) dh of q, k and v. The two router gates
@@ -204,12 +208,12 @@ def mul(a, b) -> Tensor:
 
 
 def gather_rows(a, rows) -> Tensor:
-    """The given rows of a 2-d tensor, in order; the backward scatters g
-    into zeros of a's shape, a repeated row accumulating."""
+    """The given rows (axis -2) of a matrix, in order; the backward scatters
+    g into zeros of a's shape, a repeated row accumulating."""
     a = _as_tensor(a)
     idx = np.asarray(rows, dtype=np.intp)
-    if len(a.shape) != 2 or idx.ndim != 1 \
-            or (idx.size and (idx.min() < 0 or idx.max() >= a.shape[0])):
+    if len(a.shape) < 2 or idx.ndim != 1 \
+            or (idx.size and (idx.min() < 0 or idx.max() >= a.shape[-2])):
         raise ShapeError(f"gather_rows: rows {idx.tolist()} do not index {a.shape}")
 
     def back(g, sink):
@@ -217,7 +221,7 @@ def gather_rows(a, rows) -> Tensor:
         np.add.at(z, idx, g)
         sink(a, z)
 
-    return _wrap(a.data[idx], (a,), back)
+    return _wrap(a.data[..., idx, :], (a,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -303,17 +307,17 @@ def gelu(a) -> Tensor:
 def layer_norm_rows(a, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> Tensor:
     """Per-row standardization with the frozen [d] arrays gain and bias."""
     a = _as_tensor(a)
-    if len(a.shape) != 2 or gain.shape != (a.shape[1],) or bias.shape != (a.shape[1],):
+    if len(a.shape) < 2 or gain.shape != (a.shape[-1],) or bias.shape != (a.shape[-1],):
         raise ShapeError(
             f"layer_norm_rows: shapes {a.shape}, {gain.shape}, {bias.shape} disagree"
         )
     x = a.data
-    n = x.shape[1]
-    mu = x.sum(axis=1, keepdims=True)
+    n = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True)
     mu /= n
     xhat = x - mu
     y = xhat * xhat
-    var = y.sum(axis=1, keepdims=True)
+    var = y.sum(axis=-1, keepdims=True)
     var /= n
     var += eps
     inv = np.sqrt(var, out=var)
@@ -374,31 +378,33 @@ def cross_entropy(logits, rows, targets) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # multi-head attention: [m x H*dh] query and [S x H*dh] key/value columns,
-# head-major, against [H x m x S] planes
+# head-major, against [H x m x S] planes (each with any leading batch axes)
 
 
 def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    """[S x H*dh] columns as an [H x S x dh] view; head h owns columns h dh:(h+1) dh."""
-    s, d = x.shape
-    return x.reshape(s, n_heads, d // n_heads).transpose(1, 0, 2)
+    """[... x S x H*dh] columns as an [... x H x S x dh] view; head h owns
+    columns h dh:(h+1) dh."""
+    *lead, s, d = x.shape
+    return x.reshape(*lead, s, n_heads, d // n_heads).swapaxes(-3, -2)
 
 
 def _columns(x: np.ndarray) -> np.ndarray:
-    """[H x S x dh] planes back into [S x H*dh] columns."""
-    h, s, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(s, h * dh)
+    """[... x H x S x dh] planes back into [... x S x H*dh] columns."""
+    *lead, h, s, dh = x.shape
+    return x.swapaxes(-3, -2).reshape(*lead, s, h * dh)
 
 
 def attention_planes(q, k, n_heads: int, mask: np.ndarray | None = None) -> Tensor:
     """softmax(q_h k_h^T / sqrt(dh)) of every head: the [H x m x S] planes of
-    m query rows against S keys, under one [m x S] mask that all heads
-    share. True marks a visible key, a masked entry comes out exactly 0,
-    and a row with no visible key raises DegenerateRowError."""
+    m query rows against S keys, under one [m x S] mask that all heads (and
+    samples) share. True marks a visible key, a masked entry comes out
+    exactly 0, and a row with no visible key raises DegenerateRowError."""
     q, k = _as_tensor(q), _as_tensor(k)
-    if len(q.shape) != 2 or len(k.shape) != 2 or q.shape[1] != k.shape[1]:
+    if len(q.shape) < 2 or len(k.shape) != len(q.shape) or q.shape[:-2] != k.shape[:-2] \
+            or q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"attention_planes: q {q.shape} and k {k.shape} disagree")
-    m, d = q.shape
-    s = k.shape[0]
+    m, d = q.shape[-2:]
+    s = k.shape[-2]
     if d % n_heads:
         raise ShapeError(f"width {d} not divisible into {n_heads} heads")
     if mask is not None:
@@ -408,7 +414,7 @@ def attention_planes(q, k, n_heads: int, mask: np.ndarray | None = None) -> Tens
         _check_rows_visible(mask)
     scale = 1.0 / np.sqrt(d // n_heads)
     q3, k3 = _heads(q.data, n_heads), _heads(k.data, n_heads)
-    scores = q3 @ k3.swapaxes(1, 2)
+    scores = q3 @ k3.swapaxes(-1, -2)
     scores *= scale
     y = _softmax_last_axis(scores, mask)
 
@@ -427,10 +433,11 @@ def attend(planes, v) -> Tensor:
     """planes_h @ v_h of every head, [H x m x S] planes against [S x H*dh]
     values, merged into [m x H*dh] columns."""
     planes, v = _as_tensor(planes), _as_tensor(v)
-    if len(planes.shape) != 3 or len(v.shape) != 2 \
-            or planes.shape[2] != v.shape[0] or v.shape[1] % planes.shape[0]:
+    if len(v.shape) < 2 or planes.shape[:-3] != v.shape[:-2] \
+            or len(planes.shape) != len(v.shape) + 1 \
+            or planes.shape[-1] != v.shape[-2] or v.shape[-1] % planes.shape[-3]:
         raise ShapeError(f"attend: planes {planes.shape} do not fit values {v.shape}")
-    h = planes.shape[0]
+    h = planes.shape[-3]
     v3 = _heads(v.data, h)
 
     def back(g, sink):
@@ -450,13 +457,13 @@ def attend(planes, v) -> Tensor:
 def linear_with_lora(x, w: np.ndarray, lora_a=None, lora_b=None) -> Tensor:
     """x @ w^T for the frozen array w, plus the low-rank correction (x A^T) B^T."""
     x = _as_tensor(x)
-    if len(x.shape) != 2 or len(w.shape) != 2 or x.shape[1] != w.shape[1]:
+    if len(x.shape) < 2 or len(w.shape) != 2 or x.shape[-1] != w.shape[1]:
         raise ShapeError(f"linear: input {x.shape} vs weight {w.shape}")
     if lora_a is None:
         return _wrap(x.data @ w.T, (x,), lambda g, sink: sink(x, g @ w))
 
     a, b = _as_tensor(lora_a), _as_tensor(lora_b)
-    if a.shape[1] != x.shape[1] or b.shape != (w.shape[0], a.shape[0]):
+    if a.shape[1] != x.shape[-1] or b.shape != (w.shape[0], a.shape[0]):
         raise ShapeError(
             f"lora shapes A {a.shape} / B {b.shape} do not fit weight {w.shape}"
         )
@@ -482,34 +489,38 @@ def lowrank_rows_apply(x, weights, a, b, rank: int) -> Tensor:
     """Row-wise mixture of stacked low-rank experts in two GEMMs.
 
     Expert o is the row block A[o r:(o+1) r] of ``a`` [O r x d_in] and the
-    column block B[:, o r:(o+1) r] of ``b`` [d_out x O r]. ``weights`` is
-    either one [O] vector that every row of x uses, or [m x O] weights for
-    the first m rows, the rows from m on getting a zero delta. Row c < m of
-    the result is x_c @ (sum_o w_c[o] B_o A_o)^T, computed as
+    column block B[:, o r:(o+1) r] of ``b`` [d_out x O r]. ``weights`` with
+    one axis fewer than x (an [O] vector for an [S x d_in] x) are shared by
+    every row; otherwise they are [m x O] weights for the first m rows of
+    axis -2, the rows from m on getting a zero delta. Row c < m of the
+    result is x_c @ (sum_o w_c[o] B_o A_o)^T, computed as
     ((x[:m] A^T) * repeat(w, r)) B^T; the GEMMs see only those m rows.
     """
     x, weights, a, b = (_as_tensor(t) for t in (x, weights, a, b))
-    shared = len(weights.shape) == 1
-    s = x.shape[0] if len(x.shape) == 2 else -1
-    m = weights.shape[0] if len(weights.shape) == 2 else s
+    shared = len(weights.shape) == len(x.shape) - 1
+    s = x.shape[-2] if len(x.shape) >= 2 else -1
+    m = s if shared or len(weights.shape) < 2 else weights.shape[-2]
     n_exp = weights.shape[-1] if weights.shape else -1
-    if len(x.shape) != 2 or len(weights.shape) not in (1, 2) \
+    if len(x.shape) < 2 or len(weights.shape) not in (len(x.shape) - 1, len(x.shape)) \
+            or weights.shape[:len(x.shape) - 2] != x.shape[:-2] \
             or len(b.shape) != 2 or m > s \
-            or a.shape != (n_exp * rank, x.shape[1]) or b.shape[1] != a.shape[0]:
+            or a.shape != (n_exp * rank, x.shape[-1]) or b.shape[1] != a.shape[0]:
         raise ShapeError(
             f"lowrank_rows_apply: x {x.shape}, weights {weights.shape}, "
             f"A {a.shape}, B {b.shape} do not fit rank {rank}"
         )
-    rows = x.data[:m]
+    rows = x.data[..., :m, :]
     u = rows @ a.data.T                                     # [m x O r]
     wr = np.repeat(weights.data, rank, axis=-1)             # [(m x) O r]
+    if shared:
+        wr = wr[..., None, :]       # one row of weights for all rows
     z = u * wr
 
     def pad(y):                     # zero rows for x's rows from m on
         if m == s:
             return y
-        out = np.zeros((s, y.shape[1]))
-        out[:m] = y
+        out = np.zeros(y.shape[:-2] + (s, y.shape[-1]))
+        out[..., :m, :] = y
         return out
 
     def back(g, sink):

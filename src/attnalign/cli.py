@@ -229,8 +229,10 @@ def cmd_visualize(args) -> int:
                              f"[1, {n_heads}], the L x H heads of the model")
     samples = read_samples(args.data)
     metricsmod.check_compatibility(model, samples, args.data)
-    if args.ids:
+    if args.ids is not None:
         wanted = [i for i in args.ids.split(",") if i]
+        if not wanted:
+            raise ParameterError(f"option --ids: {args.ids!r} names no sample id")
         known = {s.id for s in samples}
         if unknown := [i for i in wanted if i not in known]:
             raise ParameterError(f"option --ids: no sample has the id {unknown[0]!r}")
@@ -240,8 +242,8 @@ def cmd_visualize(args) -> int:
     if not samples:
         raise AttnAlignError("no samples selected for visualization")
     for s in samples:
-        gen = model.generate_greedy(s.features, s.prompt, max_len=len(s.answer),
-                                    adapters=adapters)
+        (gen,) = model.generate_greedy(s.features[None], [s.prompt],
+                                       max_len=len(s.answer), adapters=adapters)
         if args.kind == "mean":
             heat = attnmod.generated_query_mean_map(gen.stacks, gen.step_rows)
         else:

@@ -13,7 +13,10 @@ A forward pass returns the logits of the sequence rows its caller keeps
 plus the per-layer, per-head attention stack. Every layer but the last
 computes all rows, which become the next layer's keys and values; the
 last computes its keys and values on every row and the rest, from the
-queries to the LM head, on the kept rows only.
+queries to the LM head, on the kept rows only. A ``no_grad`` pass may
+run a group of same-shape samples at once, every array gaining a leading
+group axis; greedy decoding does so and hands each sample views of the
+group's planes.
 """
 
 from __future__ import annotations
@@ -143,27 +146,25 @@ class VisualDecoder:
     # -- pieces ------------------------------------------------------------
 
     def encode_and_project(self, features: np.ndarray) -> np.ndarray:
-        """Patch features [N x d_visual], in row-major grid order, into
+        """Patch features [(B x) N x d_visual], in row-major grid order, into
         token space: X w_align + b_align."""
         c = self.config
-        if features.shape != (c.n_visual, c.d_visual):
+        if features.shape[-2:] != (c.n_visual, c.d_visual):
             raise ShapeError(
                 f"visual features {features.shape} != ({c.n_visual}, {c.d_visual})")
         return features @ self.params["w_align"] + self.params["b_align"]
 
-    def _embed_text(self, token_ids: tuple[int, ...]) -> np.ndarray:
-        """Token plus position embeddings of the text rows."""
+    def _embed_text(self, ids: np.ndarray) -> np.ndarray:
+        """Token plus position embeddings of the text rows [(B x) T]."""
         c = self.config
-        ids = np.asarray(token_ids, dtype=np.intp)
         bad = ids[(ids < 0) | (ids >= c.vocab_size)]
         if bad.size:
             raise CompatibilityError(
                 f"token {bad[0]} outside model vocabulary {c.vocab_size}")
-        if ids.size > c.max_text_len:
-            raise CapacityError(
-                f"{ids.size} text tokens exceed max_text_len={c.max_text_len}"
-            )
-        return self.params["tok_emb"][ids] + self.params["pos_emb"][:ids.size]
+        n = ids.shape[-1]
+        if n > c.max_text_len:
+            raise CapacityError(f"{n} text tokens exceed max_text_len={c.max_text_len}")
+        return self.params["tok_emb"][ids] + self.params["pos_emb"][:n]
 
     # -- forward -----------------------------------------------------------
 
@@ -172,13 +173,25 @@ class VisualDecoder:
                 adapters: AdapterSet | None = None,
                 keep_rows: Sequence[int] | None = None) -> ForwardOutput:
         """Logits and attention of the sequence rows ``keep_rows`` (sorted,
-        once each), or of every row when it is None."""
+        once each), or of every row when it is None.
+
+        One sample's [N x d_visual] features come with its prompt and answer
+        tokens. Under ``no_grad``, a group's [B x N x d_visual] features may
+        come with B prompts and B answers, each of one length; the logits
+        and planes then carry the group axis first."""
         c = self.config
-        prompt = tuple(int(t) for t in prompt)
-        answer = tuple(int(t) for t in answer)
-        if not prompt:
+        if features.ndim > 2 and ad._grad_enabled:
+            raise ShapeError(f"features {features.shape} hold a group of samples, "
+                             f"which only a no_grad pass may run")
+        prompt = np.asarray(prompt, dtype=np.intp)
+        answer = np.asarray(answer, dtype=np.intp)
+        if prompt.shape[:-1] != features.shape[:-2] \
+                or answer.shape[:-1] != features.shape[:-2]:
+            raise ShapeError(f"prompts {prompt.shape} and answers {answer.shape} "
+                             f"do not fit features {features.shape}")
+        if not prompt.shape[-1]:
             raise ShapeError("prompt must contain at least one token")
-        spans = Spans(c.n_visual, len(prompt), len(answer))
+        spans = Spans(c.n_visual, prompt.shape[-1], answer.shape[-1])
         keep = None
         rows = tuple(range(spans.total))
         if keep_rows is not None:
@@ -189,8 +202,9 @@ class VisualDecoder:
             keep = np.asarray(rows, dtype=np.intp)
 
         # the frozen embedding front records nothing: one constant tensor
+        text = np.concatenate([prompt, answer], axis=-1)
         x = Tensor(np.concatenate([self.encode_and_project(features),
-                                   self._embed_text(prompt + answer)]))
+                                   self._embed_text(text)], axis=-2))
         mask = sequence_mask(spans.total, c.n_visual)
 
         planes: list[Tensor] = []
@@ -253,26 +267,37 @@ class VisualDecoder:
 
     # -- inference ---------------------------------------------------------
 
-    def generate_greedy(self, features: np.ndarray, prompt: tuple[int, ...],
+    def generate_greedy(self, features: np.ndarray, prompts: Sequence[Sequence[int]],
                         max_len: int,
-                        adapters: AdapterSet | None = None) -> GenerationResult:
+                        adapters: AdapterSet | None = None) -> list[GenerationResult]:
+        """``max_len`` greedy tokens for each of a group of samples, all in
+        one forward per step: [B x N x d_visual] features and B prompts of
+        one length. Sample i's stacks hold views of the group's planes."""
         if max_len < 1:
             raise CapacityError(f"max_len must be >= 1, got {max_len}")
-        generated: list[int] = []
-        stacks = []
+        if len({len(p) for p in prompts}) != 1:
+            raise ShapeError(f"prompts of lengths {[len(p) for p in prompts]} "
+                             f"cannot share a forward pass")
+        prompts = np.asarray(prompts, dtype=np.intp)
+        generated = np.zeros((len(prompts), 0), dtype=np.intp)
+        stacks: list[list[AttentionStack]] = [[] for _ in prompts]
         step_rows = []
         with ad.no_grad():
             for _ in range(max_len):
                 # only the last row emits, so only it is computed in full
-                row = self.config.n_visual + len(prompt) + len(generated) - 1
-                out = self.forward(features, prompt, tuple(generated), adapters,
+                row = self.config.n_visual + prompts.shape[1] + generated.shape[1] - 1
+                out = self.forward(features, prompts, generated, adapters,
                                    keep_rows=(row,))
-                nxt = int(np.argmax(out.logits.data[0]))
-                stacks.append(out.attention)
+                nxt = np.argmax(out.logits.data[:, 0], axis=-1)
+                for i, steps in enumerate(stacks):
+                    steps.append(AttentionStack(
+                        [Tensor(p.data[i]) for p in out.attention.planes],
+                        out.attention.spans, out.attention.last_rows))
                 step_rows.append(row)
-                generated.append(nxt)
-        return GenerationResult(tokens=tuple(generated), stacks=stacks,
-                                step_rows=tuple(step_rows))
+                generated = np.concatenate([generated, nxt[:, None]], axis=1)
+        return [GenerationResult(tokens=tuple(int(t) for t in tokens), stacks=steps,
+                                 step_rows=tuple(step_rows))
+                for tokens, steps in zip(generated, stacks)]
 
 
 # ---------------------------------------------------------------------------

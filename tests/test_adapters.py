@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -313,6 +314,18 @@ class TestGateNodes:
             assert not qmoe_weights(x, range(2, 5), bank, gate).requires_grad
 
 
+    def test_group_gates_match_each_sample(self, rng):
+        x = rng.normal(size=(3, 7, D))
+        gate, bank = make_gate(4, rng), make_bank(4, rng)
+        with ad.no_grad():
+            alpha = qmoe_weights(Tensor(x), range(2, 5), bank, gate).data
+            beta = kmoe_gate_weights(Tensor(x), 4, bank, gate, 2).data
+            for i in range(3):
+                assert_bits(alpha[i],
+                            qmoe_weights(Tensor(x[i]), range(2, 5), bank, gate).data)
+                assert_bits(beta[i], kmoe_gate_weights(Tensor(x[i]), 4, bank, gate, 2).data)
+
+
 class TestMixtureWeightForms:
     """lowrank_rows_apply takes one [O] vector for every row, or [m x O]
     weights for the first m rows; both are bit for bit the forms they
@@ -374,6 +387,30 @@ class TestMixtureWeightForms:
             Tensor(np.zeros((5, 6)))
         with pytest.raises(ShapeError, match="lowrank_rows_apply"):
             ad.lowrank_rows_apply(x, Tensor(np.zeros(weight_shape)), a, b, 2)
+
+
+    @pytest.mark.parametrize("rows", [None, 3, S], ids=["shared", "first-3", "all"])
+    def test_group_weights_match_each_sample(self, rng, rows):
+        # [B x O] weights are shared by every row of their sample, [B x m x O]
+        # weights mix its first m rows; either way each sample reads as alone
+        n = 4
+        x = rng.normal(size=(3, S, WIDTH))
+        w = rng.uniform(size=(3, n) if rows is None else (3, rows, n))
+        bank = make_bank(n, rng, d=WIDTH, rank=4)
+        with ad.no_grad():
+            group = ad.lowrank_rows_apply(x, w, bank.A, bank.B, 4).data
+            for i in range(3):
+                alone = ad.lowrank_rows_apply(x[i], w[i], bank.A, bank.B, 4).data
+                assert_bits(group[i], alone)
+
+    @pytest.mark.parametrize("weight_shape", [(3, 4), (2, S + 1, 4), (4,),
+                                              (2, 2, 3, 4), (2, 5)])
+    def test_group_weights_that_do_not_fit_rejected(self, rng, weight_shape):
+        x, w = Tensor(np.zeros((2, S, WIDTH))), Tensor(np.zeros(weight_shape))
+        bank = make_bank(4, rng, d=WIDTH, rank=4)
+        with pytest.raises(ShapeError, match=re.escape(
+                f"x {x.shape}, weights {w.shape}")):
+            ad.lowrank_rows_apply(x, w, bank.A, bank.B, 4)
 
 
 class TestRouterNodesInTheLayer:

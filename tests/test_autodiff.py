@@ -642,3 +642,63 @@ class TestAttentionOps:
         assert out._parents == (planes, v)
         with ad.no_grad():
             assert not any(t.requires_grad for t in fused_attention(q, k, v, None))
+
+
+class TestGroupAxis:
+    """A leading group axis runs each sample through the very expressions it
+    gets alone, bit for bit; shapes that do not fit are refused by name."""
+
+    B, S, D = 3, 7, 8
+
+    def each(self, op, *groups):
+        with ad.no_grad():
+            whole = op(*groups).data
+            assert whole.shape[0] == self.B
+            for i in range(self.B):
+                assert_bits(whole[i], op(*(g[i] for g in groups)).data)
+
+    def test_row_ops(self, rng):
+        x, y = rng.normal(size=(2, self.B, self.S, self.D))
+        gain, bias = rng.normal(size=(2, self.D))
+        w, a, b = rng.normal(size=(5, self.D)), rng.normal(size=(2, self.D)), \
+            rng.normal(size=(5, 2))
+        self.each(lambda t: ad.layer_norm_rows(t, gain, bias), x)
+        self.each(lambda t: ad.linear_with_lora(t, w, a, b), x)
+        self.each(lambda t: ad.linear_with_lora(t, w), x[:, 6:])
+        self.each(lambda t: ad.gather_rows(t, [6, 0, 6]), x)
+        self.each(ad.gelu, x)
+        self.each(ad.add, x, y)
+
+    @pytest.mark.parametrize("rows", [None, [6], [2, 6]], ids=["all", "last", "two"])
+    def test_attention_ops(self, rng, rows):
+        q, k, v = rng.normal(size=(3, self.B, self.S, self.D))
+        mask = np.tril(np.ones((self.S, self.S), dtype=bool))
+        if rows is not None:
+            q, mask = q[:, rows], mask[rows]
+        self.each(lambda a, b: ad.attention_planes(a, b, 2, mask), q, k)
+        with ad.no_grad():
+            planes = ad.attention_planes(q, k, 2, mask).data
+        assert planes.shape == (self.B, 2, len(rows or range(self.S)), self.S)
+        self.each(ad.attend, planes, v)
+
+    def test_shapes_that_do_not_fit_named(self):
+        def z(*shape):
+            return ad.Tensor(np.zeros(shape))
+
+        for call, shapes in [
+                (lambda: ad.attention_planes(z(2, 5, 8), z(3, 5, 8), 2),
+                 ["(2, 5, 8)", "(3, 5, 8)"]),
+                (lambda: ad.attention_planes(z(2, 5, 8), z(5, 8), 2),
+                 ["(2, 5, 8)", "(5, 8)"]),
+                (lambda: ad.attend(z(2, 2, 5, 5), z(3, 5, 8)),
+                 ["(2, 2, 5, 5)", "(3, 5, 8)"]),
+                (lambda: ad.attend(z(2, 2, 5, 5), z(5, 8)), ["(2, 2, 5, 5)", "(5, 8)"]),
+                (lambda: ad.linear_with_lora(z(2, 5, 7), np.zeros((4, 8))),
+                 ["(2, 5, 7)", "(4, 8)"]),
+                (lambda: ad.layer_norm_rows(z(2, 5, 7), np.ones(8), np.zeros(8)),
+                 ["(2, 5, 7)", "(8,)"]),
+                (lambda: ad.gather_rows(z(2, 5, 7), [5]), ["[5]", "(2, 5, 7)"])]:
+            with pytest.raises(ShapeError) as info:
+                call()
+            assert all(shape in str(info.value) for shape in shapes), info.value
+

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attnalign.data import DataSpec, generate_dataset
+from attnalign import metrics
 from attnalign.errors import CompatibilityError, MetricError
 from attnalign.metrics import coverage_score, evaluate, \
     intensity_alignment, save_report
 from attnalign.model import ModelConfig, VisualDecoder
 
-from conftest import assert_no_children
+from conftest import assert_no_children, make_model_and_adapters
 from oracles import coverage_loop, intensity_loop
 
 
@@ -195,6 +196,32 @@ class TestEvaluate:
             assert_no_children()
             messages.append(str(info.value))
         assert messages[1] == messages[0]
+
+    def test_groups_report_as_samples_alone(self, monkeypatch, processes):
+        # prompt and answer lengths change mid-group, so groups of 2, 1, 1, 2
+        # form at the default, and one forward per sample at GROUP = 1
+        model, test_s, _ = eval_setup()
+        _, adapters = make_model_and_adapters(model.config, randomize=True)
+        samples = [replace(s, prompt=s.prompt + (5,) * (n_prompt - len(s.prompt)),
+                           answer=(s.answer * 2)[:n_answer])
+                   for s, (n_prompt, n_answer) in zip(test_s, [(2, 1), (2, 1), (2, 1),
+                                                             (3, 1), (3, 2), (3, 2)])]
+        sizes = []
+        generate = model.generate_greedy
+
+        def spy(features, prompts, max_len, adapters):
+            sizes.append(len(prompts))
+            return generate(features, prompts, max_len, adapters)
+
+        processes(1)
+        monkeypatch.setattr(model, "generate_greedy", spy)
+        grouped = evaluate(model, adapters, samples).to_dict()
+        assert sizes == [2, 1, 1, 2]
+        monkeypatch.setattr(metrics, "GROUP", 1)
+        assert evaluate(model, adapters, samples).to_dict() == grouped
+        assert sizes[4:] == [1] * 6
+        assert [r["answer"] for r in grouped["per_sample"]] \
+            == [list(s.answer) for s in samples]
 
     def test_empty_evaluation_rejected(self):
         model, _, _ = eval_setup()

@@ -244,18 +244,18 @@ class TestGenerateGreedy:
         model.params["ln_f.b"] = c
         model.params["w_out"] = np.zeros_like(model.params["w_out"])
         model.params["w_out"][7] = c
-        gen = model.generate_greedy(make_visual(TINY_MODEL, rng), (1,), 4)
+        (gen,) = model.generate_greedy(make_visual(TINY_MODEL, rng)[None], [(1,)], 4)
         assert gen.tokens == (7, 7, 7, 7)
 
     def test_max_len_one(self, rng):
         model = VisualDecoder(TINY_MODEL, seed=0)
-        gen = model.generate_greedy(make_visual(TINY_MODEL, rng), (1, 2), 1)
+        (gen,) = model.generate_greedy(make_visual(TINY_MODEL, rng)[None], [(1, 2)], 1)
         assert len(gen.tokens) == 1 and len(gen.stacks) == 1
 
     def test_self_consistency_with_teacher_forcing(self, rng):
         model, adapters = make_model_and_adapters(randomize=True)
         v = make_visual(TINY_MODEL, rng)
-        gen = model.generate_greedy(v, (1, 2), 3, adapters)
+        (gen,) = model.generate_greedy(v[None], [(1, 2)], 3, adapters)
         out = model.forward(v, (1, 2), gen.tokens, adapters)
         rows = answer_logit_rows(out.attention.spans)
         replay = tuple(int(np.argmax(out.logits.data[r])) for r in rows)
@@ -264,7 +264,7 @@ class TestGenerateGreedy:
     def test_max_len_zero_rejected(self, rng):
         model = VisualDecoder(TINY_MODEL, seed=0)
         with pytest.raises(CapacityError):
-            model.generate_greedy(make_visual(TINY_MODEL, rng), (1,), 0)
+            model.generate_greedy(make_visual(TINY_MODEL, rng)[None], [(1,)], 0)
 
 
 A1_MODEL = ModelConfig()      # 4 layers x 4 heads, S = 67 at one answer token
@@ -333,7 +333,7 @@ class TestKeptRows:
         for _ in range(32):
             v = make_visual(cfg, r)
             prompt = tuple(int(t) for t in r.integers(0, cfg.vocab_size, 2))
-            gen = model.generate_greedy(v, prompt, 3, adapters)
+            (gen,) = model.generate_greedy(v[None], [prompt], 3, adapters)
             tokens = []
             with ad.no_grad():
                 for _ in range(3):
@@ -343,6 +343,67 @@ class TestKeptRows:
             for stack, row in zip(gen.stacks, gen.step_rows):
                 assert stack.planes[-1].shape == (cfg.n_heads, 1, row + 1)
                 assert stack.last_rows == (row,)
+
+
+class TestGroupedGeneration:
+    """A group of same-shape samples decodes in one no-grad forward per step;
+    each sample gets the tokens, step rows and planes it gets alone."""
+
+    @staticmethod
+    def items(cfg, rng):
+        # prompts of 2 and 3 tokens, answers of 1 token and of 2, the latter
+        # two greedy steps; three samples of each shape
+        return [(make_visual(cfg, rng),
+                 tuple(int(t) for t in rng.integers(0, cfg.vocab_size, n_prompt)),
+                 n_answer)
+                for n_prompt in (2, 3) for n_answer in (1, 2) for _ in range(3)]
+
+    @pytest.mark.parametrize("cfg", [TINY_MODEL, A1_MODEL], ids=["tiny", "a1"])
+    @pytest.mark.parametrize("arm", sorted(ARMS))
+    def test_group_equals_alone(self, rng, cfg, arm):
+        model, adapters = make_model_and_adapters(cfg, ARMS[arm], randomize=True)
+        items = self.items(cfg, rng)
+        for start in range(0, len(items), 3):
+            group = items[start:start + 3]
+            n = group[0][2]
+            gens = model.generate_greedy(np.stack([v for v, _, _ in group]),
+                                         [p for _, p, _ in group], n, adapters)
+            assert len(gens) == 3
+            for (v, p, _), gen in zip(group, gens):
+                (alone,) = model.generate_greedy(v[None], [p], n, adapters)
+                assert gen.tokens == alone.tokens
+                assert gen.step_rows == alone.step_rows
+                assert len(gen.stacks) == len(alone.stacks) == n
+                for step, (stack, solo) in enumerate(zip(gen.stacks, alone.stacks)):
+                    assert (stack.spans, stack.last_rows) == (solo.spans, solo.last_rows)
+                    with ad.no_grad():   # the one-sample arrays training runs
+                        out = model.forward(v, p, gen.tokens[:step], adapters,
+                                            keep_rows=(gen.step_rows[step],))
+                    assert gen.tokens[step] == int(np.argmax(out.logits.data[0]))
+                    for a, b, c in zip(stack.planes, solo.planes, out.attention.planes):
+                        assert np.array_equal(a.data, b.data)
+                        assert np.array_equal(a.data, c.data)
+                        assert a.shape == c.shape
+
+    def test_a_recorded_graph_refuses_a_group(self, rng):
+        model, adapters = make_model_and_adapters(randomize=True)
+        v = np.stack([make_visual(TINY_MODEL, rng)] * 2)
+        with pytest.raises(ShapeError, match=r"features \(2, 4, 5\) hold a group "
+                                             r"of samples, which only a no_grad"):
+            model.forward(v, [(1, 2)] * 2, [(3,)] * 2, adapters)
+        with ad.no_grad():
+            out = model.forward(v, [(1, 2)] * 2, [(3,)] * 2, adapters)
+        assert out.logits.shape == (2, 7, TINY_MODEL.vocab_size)
+        assert out.attention.planes[0].shape == (2, TINY_MODEL.n_heads, 7, 7)
+
+    def test_prompts_that_do_not_fit_refused(self, rng):
+        model = VisualDecoder(TINY_MODEL, seed=0)
+        v = np.stack([make_visual(TINY_MODEL, rng)] * 2)
+        with pytest.raises(ShapeError, match=r"lengths \[2, 3\] cannot share"):
+            model.generate_greedy(v, [(1, 2), (1, 2, 3)], 1)
+        with pytest.raises(ShapeError, match=re.escape(
+                "prompts (3, 2) and answers (3, 0) do not fit features (2, 4, 5)")):
+            model.generate_greedy(v, [(1, 2)] * 3, 1)
 
 
 class TestCheckpoint:

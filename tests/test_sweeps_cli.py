@@ -909,6 +909,8 @@ class TestCli:
          "option --ids: no sample has the id 'nope'"),
         (["visualize", "--ids", "nope"],
          "option --ids: no sample has the id 'nope'"),
+        (["visualize", "--ids", ","], "option --ids: ',' names no sample id"),
+        (["visualize", "--ids", ""], "option --ids: '' names no sample id"),
         (["weaklabels", "--seed", "-1"], "option --seed: seed must be >= 0, got -1"),
         (["weaklabels", "--config", "{seed_config}"],
          "key 'seed' of config file {seed_config}: seed must be >= 0, got -1"),
@@ -917,6 +919,7 @@ class TestCli:
             "evaluate-tau-negative", "evaluate-tau-nan", "evaluate-tau-2",
             "visualize-first-negative", "visualize-first-0", "train-weak-noise",
             "visualize-ids-one-unknown", "visualize-ids-all-unknown",
+            "visualize-ids-comma", "visualize-ids-empty",
             "weaklabels-seed", "weaklabels-config-seed"])
     def test_options_outside_train_config_named_when_refused(
             self, tmp_path, data_dir, train_config_file, capsys, no_training,
@@ -924,8 +927,8 @@ class TestCli:
         # each printed an error naming no option, and evaluate's --tau -1,
         # nan and 2 exited 0 with a coverage of 1 or 0, as visualize's
         # --first -1 did with heatmaps of all samples but the last, --ids
-        # with those of the ids that name a sample, and weaklabels' --seed -1
-        # with records no train run can use
+        # with those of the ids that name a sample (--ids , and --ids '' named
+        # no option), and weaklabels' --seed -1 with records no train run can use
         config = tmp_path / "weaklabels.json"
         config.write_text(json.dumps({"topk": 0}))
         seed_config = tmp_path / "weaklabels-seed.json"

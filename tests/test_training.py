@@ -493,8 +493,9 @@ class TestTrainLoop:
         result = train(model, train_s, cfg, weak_labels=labels, out_dir=run)
         picked = [train_s[0], train_s[4]]
         for s in picked:
-            gen = model.generate_greedy(s.features, s.prompt, max_len=len(s.answer),
-                                        adapters=result.adapters)
+            (gen,) = model.generate_greedy(s.features[None], [s.prompt],
+                                           max_len=len(s.answer),
+                                           adapters=result.adapters)
             heat = attn.generated_query_mean_map(gen.stacks, gen.step_rows)
             attn.export_heatmaps(tmp_path / "in-memory", s.id, "mean", heat, s.grid)
         write_samples(tmp_path / "train.jsonl", train_s)
