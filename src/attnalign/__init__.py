@@ -60,8 +60,7 @@ def _pin_blas_threads() -> None:
 _pin_blas_threads()
 
 from .adapters import AdapterConfig, AdapterSet, ExpertBank, GatingNetwork
-from .attention import AttentionStack, HeadSelection, Spans, refined_map, \
-    select_heads
+from .attention import AttentionStack, Spans, refined_map, select_heads
 from .autodiff import Tensor, no_grad
 from .data import DataSpec, SyntheticSample, generate_dataset
 from .metrics import MetricsReport, coverage_score, evaluate, intensity_alignment

@@ -159,8 +159,7 @@ def _gate(x: Tensor, start: int, stop: int, gate: GatingNetwork, pool: bool,
     return ad._wrap(out, (x, w1, b1, w2, b2), back)
 
 
-def qmoe_weights(x: Tensor, rows: range, bank: ExpertBank,
-                 gate: GatingNetwork) -> Tensor:
+def qmoe_weights(x: Tensor, rows: range, gate: GatingNetwork) -> Tensor:
     """Prompt-level router weights softmax(MLP(mean(x[rows]))), length O."""
     return _gate(x, rows.start, rows.stop, gate, pool=True)
 
@@ -170,8 +169,8 @@ def qmoe_apply(x: Tensor, alpha: Tensor, bank: ExpertBank) -> Tensor:
     return ad.lowrank_rows_apply(x, alpha, bank.A, bank.B, bank.rank)
 
 
-def kmoe_gate_weights(x: Tensor, n_tokens: int, bank: ExpertBank,
-                      gate: GatingNetwork, b: int) -> Tensor:
+def kmoe_gate_weights(x: Tensor, n_tokens: int, gate: GatingNetwork,
+                      b: int) -> Tensor:
     """Per-token sparse gate weights [n_tokens x n_experts] of x's first
     n_tokens rows.
 

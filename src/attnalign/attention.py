@@ -63,15 +63,15 @@ def kept_positions(kept: Sequence[int], rows: Sequence[int], what: str) -> np.nd
 class AttentionStack:
     """Per-layer attention planes from one forward pass: [H x S x S] for every
     layer but the last, whose [H x m x S] plane holds the m query rows the
-    pass kept, row i being sequence row ``last_rows[i]`` (None: all S)."""
+    pass kept, row i being sequence row ``last_rows[i]``."""
 
     planes: list[Tensor]
     spans: Spans
-    last_rows: tuple[int, ...] | None = None
+    last_rows: tuple[int, ...]
 
     def plane_rows(self, layer: int, rows: Sequence[int]) -> np.ndarray:
         """The rows of plane ``layer`` that hold the sequence rows ``rows``."""
-        if layer < self.n_layers - 1 or self.last_rows is None:
+        if layer < self.n_layers - 1:
             return np.asarray(rows, dtype=np.intp)
         return kept_positions(self.last_rows, rows, "the last layer's attention")
 
@@ -82,17 +82,6 @@ class AttentionStack:
     @property
     def n_heads(self) -> int:
         return self.planes[0].shape[0]
-
-
-@dataclass
-class HeadSelection:
-    """Top-R head indicator over the L x H grid."""
-
-    selected: np.ndarray
-    top_r: int
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [tuple(p) for p in np.argwhere(self.selected)]
 
 
 def answer_logit_rows(spans: Spans) -> tuple[int, ...]:
@@ -128,8 +117,9 @@ def all_visual_ratios(stack: AttentionStack,
     return out
 
 
-def select_heads(ratios: np.ndarray, top_r: int) -> HeadSelection:
-    """Indicator of the top_r largest ratios; ties by ascending (l, h)."""
+def select_heads(ratios: np.ndarray, top_r: int) -> np.ndarray:
+    """The [L x H] bool grid of the top_r largest ratios; ties by ascending
+    (l, h)."""
     ratios = np.asarray(ratios, dtype=np.float64)
     n_layers, n_heads = ratios.shape
     total = n_layers * n_heads
@@ -139,12 +129,13 @@ def select_heads(ratios: np.ndarray, top_r: int) -> HeadSelection:
     order = np.lexsort((np.arange(total), -flat))
     selected = np.zeros(total, dtype=bool)
     selected[order[:top_r]] = True
-    return HeadSelection(selected=selected.reshape(n_layers, n_heads), top_r=top_r)
+    return selected.reshape(n_layers, n_heads)
 
 
 def refined_map(stack: AttentionStack, query_rows: Sequence[int],
-                selection: HeadSelection) -> Tensor:
-    """Average the selected heads' query-mean visual vectors into a length-N map.
+                selected: np.ndarray) -> Tensor:
+    """Average the query-mean visual vectors of the heads ``selected`` marks
+    in its [L x H] bool grid into a length-N map.
 
     One tape node over the planes of the layers holding a selected head.
     Only the selected heads' [|Q| x N] submatrices (query rows x visual
@@ -159,10 +150,10 @@ def refined_map(stack: AttentionStack, query_rows: Sequence[int],
     for r in rows:
         if r not in text:
             raise SelectionError(f"query row {r} outside text spans {text}")
-    if selection.top_r < 1:
+    pairs = np.argwhere(selected)
+    if not len(pairs):
         raise ParameterError("refined_map needs at least one selected head")
     n = stack.spans.n_visual
-    pairs = selection.pairs()
     layers = sorted({l for l, _ in pairs})
     # every layer's rows, so a row the last layer did not keep always raises
     idx = [stack.plane_rows(l, rows) for l in range(stack.n_layers)]
@@ -174,7 +165,7 @@ def refined_map(stack: AttentionStack, query_rows: Sequence[int],
     def back(g, sink):
         # (g / R) / |Q| into each selected block, one zeroed plane per layer;
         # add.at keeps repeated query rows accumulating
-        block = np.broadcast_to(g * (1.0 / selection.top_r) / len(rows),
+        block = np.broadcast_to(g * (1.0 / len(pairs)) / len(rows),
                                 (len(rows), n))
         for l in layers:
             plane = stack.planes[l]
@@ -186,36 +177,36 @@ def refined_map(stack: AttentionStack, query_rows: Sequence[int],
                     np.add.at(z[h, :, :n], idx[l], block)
             sink(plane, z)
 
-    return ad._wrap(acc * (1.0 / selection.top_r), [stack.planes[l] for l in layers],
+    return ad._wrap(acc * (1.0 / len(pairs)), [stack.planes[l] for l in layers],
                     back)
 
 
-def generated_query_mean_map(stacks: Sequence[AttentionStack],
-                             step_rows: Sequence[int]) -> np.ndarray:
-    """Mean map over the emitting row of each greedy step (inference view)."""
+def generated_query_mean_map(stacks: Sequence[AttentionStack]) -> np.ndarray:
+    """Mean map over the emitting row of each greedy step (inference view):
+    a step's last sequence row emits the next token."""
     if not stacks:
         raise SelectionError("no generation steps to average")
     n = stacks[0].spans.n_visual
     acc = np.zeros(n)
     count = 0
-    for stack, row in zip(stacks, step_rows):
+    for stack in stacks:
         for l, plane in enumerate(stack.planes):
-            (r,) = stack.plane_rows(l, (row,))
+            (r,) = stack.plane_rows(l, (stack.spans.total - 1,))
             acc += plane.data[:, r, :n].sum(axis=0)
             count += plane.shape[0]
     return acc / count
 
 
 def generated_query_refined_map(stacks: Sequence[AttentionStack],
-                                step_rows: Sequence[int], top_r: int) -> np.ndarray:
+                                top_r: int) -> np.ndarray:
     """Top-R refined map over generated positions (visualization use): each
     greedy step ranks the heads and refines the map at its emitting row, as
     ``total_loss`` does on every pass, and the steps' maps are averaged."""
     if not stacks:
         raise SelectionError("no generation steps to average")
-    maps = [refined_map(stack, (row,),
-                        select_heads(all_visual_ratios(stack, (row,)), top_r)).data
-            for stack, row in zip(stacks, step_rows)]
+    rows = [(s.spans.total - 1,) for s in stacks]
+    maps = [refined_map(s, r, select_heads(all_visual_ratios(s, r), top_r)).data
+            for s, r in zip(stacks, rows)]
     return np.mean(maps, axis=0)
 
 

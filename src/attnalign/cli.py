@@ -123,7 +123,7 @@ def cmd_weaklabels(args) -> int:
     with named(seed_where):
         backend_id = oracle_backend(spec, noise=noise, seed=seed).backend_id
     labels = compute_weak_labels(samples, spec, k, noise=noise, seed=seed)
-    records = [weak_labels_to_record(s.image_id, s.prompt_id, labels[s.id],
+    records = [weak_labels_to_record(s.id, s.prompt_id, labels[s.id],
                                      backend_id)
                for s in samples]
     save_weak_label_cache(args.out, records)
@@ -158,7 +158,7 @@ def cmd_train(args) -> int:
             cache = load_weak_label_cache(args.weak_cache, model_cfg.n_visual)
             weak_labels = {}
             for s in train_samples:
-                labels = cache.get((s.image_id, s.prompt_id, cfg.weak_k,
+                labels = cache.get((s.id, s.prompt_id, cfg.weak_k,
                                     backend_id))
                 if labels is None:
                     raise AttnAlignError(
@@ -178,7 +178,8 @@ def cmd_train(args) -> int:
 
     result = train(model, train_samples, cfg, weak_labels=weak_labels,
                    eval_fn=eval_fn, out_dir=args.out)
-    print(f"final metrics: {json.dumps(result.final_metrics, sort_keys=True)}")
+    final = {k: v for k, v in result.epoch_logs[-1].items() if k != "epoch"}
+    print(f"final metrics: {json.dumps(final, sort_keys=True)}")
     return 0
 
 
@@ -189,7 +190,7 @@ def cmd_evaluate(args) -> int:
                                             tau=args.tau)
     metricsmod.save_report(args.out, report)
     print(f"coverage={report.coverage:.4f} intensity={report.intensity:.4f} "
-          f"accuracy={report.accuracy:.4f} n={report.n}")
+          f"accuracy={report.accuracy:.4f} n={len(report.per_sample)}")
     return 0
 
 
@@ -239,16 +240,13 @@ def cmd_visualize(args) -> int:
         samples = [s for s in samples if s.id in wanted]
     else:
         samples = samples[: args.first]
-    if not samples:
-        raise AttnAlignError("no samples selected for visualization")
     for s in samples:
         (gen,) = model.generate_greedy(s.features[None], [s.prompt],
                                        max_len=len(s.answer), adapters=adapters)
         if args.kind == "mean":
-            heat = attnmod.generated_query_mean_map(gen.stacks, gen.step_rows)
+            heat = attnmod.generated_query_mean_map(gen.stacks)
         else:
-            heat = attnmod.generated_query_refined_map(gen.stacks, gen.step_rows,
-                                                       args.heads)
+            heat = attnmod.generated_query_refined_map(gen.stacks, args.heads)
         attnmod.export_heatmaps(args.out, s.id, args.kind, heat, s.grid)
     print(f"wrote heatmaps for {len(samples)} samples to {args.out}")
     return 0

@@ -48,7 +48,7 @@ class DataSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("seed", "feature_noise"):
+        for name in ("seed", "feature_noise", "n_train", "n_test"):
             if not getattr(self, name) >= 0:
                 raise GenerationError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.n_segments < 1 or not 1 <= self.seg_side_min <= self.seg_side_max:
@@ -110,10 +110,6 @@ class SyntheticSample:
     prompt: tuple[int, ...]
     answer: tuple[int, ...]
     roi: tuple[int, ...]
-
-    @property
-    def image_id(self) -> str:
-        return self.id
 
     @property
     def prompt_id(self) -> str:

@@ -79,7 +79,6 @@ class MetricsReport:
     coverage: float
     intensity: float
     accuracy: float
-    n: int
     tau: float
     per_sample: list[SampleRecord]
 
@@ -87,7 +86,8 @@ class MetricsReport:
         return {
             "schema": REPORT_SCHEMA,
             "aggregates": {"coverage": self.coverage, "intensity": self.intensity,
-                           "accuracy": self.accuracy, "n": self.n, "tau": self.tau},
+                           "accuracy": self.accuracy, "n": len(self.per_sample),
+                           "tau": self.tau},
             "per_sample": [asdict(r) for r in self.per_sample],
         }
 
@@ -108,7 +108,7 @@ def evaluate(model: VisualDecoder, adapters: AdapterSet | None,
         out = []
         for i, gen in zip(group, gens):
             s = samples[i]
-            heat = attn.generated_query_mean_map(gen.stacks, gen.step_rows)
+            heat = attn.generated_query_mean_map(gen.stacks)
             out.append(SampleRecord(
                 id=s.id,
                 coverage=coverage_score(heat, s.roi, tau),
@@ -135,7 +135,6 @@ def evaluate(model: VisualDecoder, adapters: AdapterSet | None,
         coverage=sum(r.coverage for r in records) / n,
         intensity=sum(r.intensity for r in records) / n,
         accuracy=sum(1.0 for r in records if r.correct) / n,
-        n=n,
         tau=tau,
         per_sample=records,
     )
@@ -143,8 +142,11 @@ def evaluate(model: VisualDecoder, adapters: AdapterSet | None,
 
 def check_compatibility(model: VisualDecoder, samples: Sequence[SyntheticSample],
                         source: str | Path = "the dataset") -> None:
-    """Sample n, line n of ``source``, must fit the model: grid, feature width,
-    prompt and answer, and nonempty RoI and segments of patches of the grid."""
+    """``source`` holds samples, and sample n, its line n, must fit the model:
+    grid, feature width, prompt and answer, and nonempty RoI and segments of
+    patches of the grid."""
+    if not samples:
+        raise CompatibilityError(f"{source} holds no samples")
     c = model.config
     for n, s in enumerate(samples, start=1):
         tokens = list(s.prompt) + list(s.answer)

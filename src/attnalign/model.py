@@ -70,33 +70,23 @@ class ModelConfig:
 @dataclass
 class ForwardOutput:
     logits: Tensor                     # [m x V], one row per kept sequence row
-    attention: AttentionStack
-    rows: tuple[int, ...]              # the sequence row of each logits row
+    attention: AttentionStack          # its last_rows are the logits' rows
 
     def logit_rows(self, rows: Sequence[int]) -> np.ndarray:
         """The rows of ``logits`` that hold the given sequence rows."""
-        return kept_positions(self.rows, rows, "the logits")
+        return kept_positions(self.attention.last_rows, rows, "the logits")
 
 
 @dataclass
 class GenerationResult:
     tokens: tuple[int, ...]
-    stacks: list[AttentionStack]
-    step_rows: tuple[int, ...]   # emitting query row of each step
-
-
-_mask_cache: dict[tuple[int, int], np.ndarray] = {}
+    stacks: list[AttentionStack]   # per step; each keeps only its last, emitting row
 
 
 def sequence_mask(total: int, n_visual: int) -> np.ndarray:
     """True where key k is visible from query q: k visual, or k <= q."""
-    key = (total, n_visual)
-    cached = _mask_cache.get(key)
-    if cached is None:
-        k = np.arange(total)
-        cached = (k[None, :] < n_visual) | (k[None, :] <= k[:, None])
-        _mask_cache[key] = cached
-    return cached
+    k = np.arange(total)
+    return (k[None, :] < n_visual) | (k[None, :] <= k[:, None])
 
 
 class VisualDecoder:
@@ -215,8 +205,7 @@ class VisualDecoder:
             planes.append(att)
         x = ad.layer_norm_rows(x, self.params["ln_f.g"], self.params["ln_f.b"])
         logits = ad.linear_with_lora(x, self.params["w_out"])
-        stack = AttentionStack(planes=planes, spans=spans, last_rows=rows)
-        return ForwardOutput(logits=logits, attention=stack, rows=rows)
+        return ForwardOutput(logits, AttentionStack(planes, spans, rows))
 
     def _layer(self, l: int, x: Tensor, spans: Spans, mask: np.ndarray,
                adapters: AdapterSet | None, keep: np.ndarray | None):
@@ -240,13 +229,12 @@ class VisualDecoder:
 
         q = lwl(hq, p[pre + "wq"], "lora_q")
         if la is not None and acfg.use_qmoe:
-            alpha = qmoe_weights(x, spans.prompt_range, la.q_bank, la.q_gate)
+            alpha = qmoe_weights(x, spans.prompt_range, la.q_gate)
             q = ad.add(q, qmoe_apply(hq, alpha, la.q_bank))
 
         k = lwl(h, p[pre + "wk"], "lora_k")
         if la is not None and acfg.use_kmoe:
-            weights = kmoe_gate_weights(x, c.n_visual, la.k_bank, la.k_gate,
-                                        acfg.top_b)
+            weights = kmoe_gate_weights(x, c.n_visual, la.k_gate, acfg.top_b)
             # the delta first: the tape then sums the gradients into h in
             # the order the earlier slice-and-splice chain did
             k = ad.add(kmoe_apply(h, weights, la.k_bank), k)
@@ -281,7 +269,6 @@ class VisualDecoder:
         prompts = np.asarray(prompts, dtype=np.intp)
         generated = np.zeros((len(prompts), 0), dtype=np.intp)
         stacks: list[list[AttentionStack]] = [[] for _ in prompts]
-        step_rows = []
         with ad.no_grad():
             for _ in range(max_len):
                 # only the last row emits, so only it is computed in full
@@ -293,10 +280,8 @@ class VisualDecoder:
                     steps.append(AttentionStack(
                         [Tensor(p.data[i]) for p in out.attention.planes],
                         out.attention.spans, out.attention.last_rows))
-                step_rows.append(row)
                 generated = np.concatenate([generated, nxt[:, None]], axis=1)
-        return [GenerationResult(tokens=tuple(int(t) for t in tokens), stacks=steps,
-                                 step_rows=tuple(step_rows))
+        return [GenerationResult(tokens=tuple(int(t) for t in tokens), stacks=steps)
                 for tokens, steps in zip(generated, stacks)]
 
 

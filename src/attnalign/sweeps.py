@@ -4,7 +4,9 @@ One training run per value with a shared seed, results flattened into a
 CSV table (`param,value,coverage,intensity,accuracy,L_llm,L_align`).
 Every value's config is built and checked before the first run trains.
 R = 0 turns the alignment term off (``TrainConfig.aligned``), so that row
-trains exactly like a lambda=0 run.
+trains exactly like a lambda=0 run. A param the base config leaves unread
+is refused: B without K-MoE, K without alignment, R at lambda = 0 and
+lambda at R = 0 would train the same run once per value.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .data import DataSpec, SyntheticSample
-from .errors import ParameterError, named
+from .errors import ConfigurationError, ParameterError, named
 from .metrics import MetricsReport, evaluate
 from .model import ModelConfig, VisualDecoder
 from .training import TrainConfig, TrainResult, check_heads, compute_weak_labels, \
@@ -60,6 +62,16 @@ def sweep(param: str, values: Sequence, base_cfg: TrainConfig,
     if not values:
         raise ParameterError("sweep needs at least one value")
     model_config = model_config or ModelConfig()
+    ignored_when = {
+        "B": (not base_cfg.adapter.use_kmoe, "use_kmoe is false"),
+        "K": (not base_cfg.aligned, f"alignment is off at lambda_align="
+              f"{base_cfg.lambda_align} and heads_r={base_cfg.heads_r}"),
+        "R": (base_cfg.lambda_align == 0, "lambda_align is 0"),
+        "lambda": (base_cfg.heads_r == 0, "heads_r is 0")}
+    ignored, reason = ignored_when.get(param, (False, ""))
+    if ignored:
+        raise ConfigurationError(f"sweep --param {param}: every run would ignore "
+                                 f"it, since {reason}")
     cfgs = []
     for value in values:
         where = f"sweep value {param}={value}"

@@ -244,8 +244,8 @@ def total_loss(model: VisualDecoder, adapters: AdapterSet | None,
     if labels is None or not labels.segments:
         raise ConfigurationError("alignment requested but no weak labels supplied")
     ratios = attn.all_visual_ratios(out.attention, rows)
-    selection = attn.select_heads(ratios, cfg.heads_r)
-    refined = attn.refined_map(out.attention, rows, selection)
+    selected = attn.select_heads(ratios, cfg.heads_r)
+    refined = attn.refined_map(out.attention, rows, selected)
     align, _ = alignment_loss(refined, labels)
     total = ad.add(llm, ad.mul(align, cfg.lambda_align))
     return total, LossBreakdown(llm=float(llm.data), align=float(align.data),
@@ -260,7 +260,6 @@ def total_loss(model: VisualDecoder, adapters: AdapterSet | None,
 class TrainResult:
     adapters: AdapterSet
     epoch_logs: list[dict]
-    final_metrics: dict
 
 
 def train(model: VisualDecoder, train_samples: Sequence[SyntheticSample],
@@ -358,9 +357,7 @@ def train(model: VisualDecoder, train_samples: Sequence[SyntheticSample],
 
     if out_dir is not None:
         _write_run_dir(Path(out_dir), model, adapters, cfg, epoch_logs)
-    final_metrics = {k: v for k, v in epoch_logs[-1].items() if k != "epoch"}
-    return TrainResult(adapters=adapters, epoch_logs=epoch_logs,
-                       final_metrics=final_metrics)
+    return TrainResult(adapters=adapters, epoch_logs=epoch_logs)
 
 
 def _pack(params: Sequence[Tensor]) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ import numpy as np
 from attnalign import autodiff as ad
 from attnalign.adapters import ExpertBank, GatingNetwork, kmoe_gate_weights, \
     qmoe_weights, topb_mask_rows
-from attnalign.attention import AttentionStack, HeadSelection
+from attnalign.attention import AttentionStack
 from attnalign.autodiff import Tensor
 from attnalign.errors import ConfigurationError, DegenerateAttentionError, \
     ParameterError, SelectionError, ShapeError
@@ -497,7 +497,7 @@ def qmoe_delta(h_prompt: Tensor, bank: ExpertBank,
     model's hot path applies the same mixture in factored form
     (`qmoe_apply`); both agree to 1e-12.
     """
-    alpha = qmoe_weights(h_prompt, range(h_prompt.shape[0]), bank, gate)
+    alpha = qmoe_weights(h_prompt, range(h_prompt.shape[0]), gate)
     return _mixture_delta(bank, alpha), alpha
 
 
@@ -505,7 +505,7 @@ def kmoe_delta_per_token(h_tokens: Tensor, bank: ExpertBank, gate: GatingNetwork
                          b: int) -> tuple[list[Tensor], Tensor]:
     """Materialized per-token deltas of the key-side mixture, and the
     masked gate weights that built them."""
-    weights = kmoe_gate_weights(h_tokens, h_tokens.shape[0], bank, gate, b)
+    weights = kmoe_gate_weights(h_tokens, h_tokens.shape[0], gate, b)
     o = n_experts(bank)
     deltas = [_mixture_delta(bank, reshape(take(weights, [c]), (o,)))
               for c in range(h_tokens.shape[0])]
@@ -547,7 +547,7 @@ def adapted_projection(x: Tensor, base_w: Tensor,
 
 
 def refined_map_all_heads(stack: AttentionStack, query_rows,
-                          selection: HeadSelection) -> Tensor:
+                          selected: np.ndarray) -> Tensor:
     """The refined map built from an L x H view: every head's [|Q| x N]
     submatrix is sliced first, then the selected ones are pooled in
     row-major (l, h) order."""
@@ -562,16 +562,16 @@ def refined_map_all_heads(stack: AttentionStack, query_rows,
     per_head = [[plane_submatrix(stack.planes[l], h, stack.plane_rows(l, rows), 0, n)
                  for h in range(stack.n_heads)]
                 for l in range(stack.n_layers)]
-    if selection.top_r < 1:
+    if not selected.any():
         raise ParameterError("refined_map needs at least one selected head")
     acc: Tensor | None = None
     for l in range(stack.n_layers):
         for h in range(stack.n_heads):
-            if not selection.selected[l, h]:
+            if not selected[l, h]:
                 continue
             v = mean_pool_rows(per_head[l][h])
             acc = v if acc is None else add(acc, v)
-    return mul(acc, 1.0 / selection.top_r)
+    return mul(acc, 1.0 / int(selected.sum()))
 
 
 def alignment_loss_composed(refined: Tensor, token_sets):

@@ -184,7 +184,7 @@ def test_a5_selection_sort_oracles():
         ratios = r.integers(0, 6, size=(4, 4)) / 6.0
         k = int(r.integers(0, 17))
         sel = select_heads(ratios, k)
-        got = sorted(np.flatnonzero(sel.selected.reshape(-1)))
+        got = sorted(np.flatnonzero(sel.reshape(-1)))
         assert got == topk_select_loop(ratios.reshape(-1), k)
 
     for _ in range(1000):

@@ -86,7 +86,7 @@ class TestQMoE:
     def test_alpha_probability_vector(self, rng):
         bank = make_bank(5, rng)
         gate = make_gate(5, rng)
-        alpha = qmoe_weights(Tensor(rng.normal(size=(3, D))), range(3), bank, gate)
+        alpha = qmoe_weights(Tensor(rng.normal(size=(3, D))), range(3), gate)
         assert np.all(alpha.data >= 0)
         assert abs(alpha.data.sum() - 1.0) < 1e-9
 
@@ -106,7 +106,7 @@ class TestQMoE:
         h = Tensor(rng.normal(size=(2, D)))
         x = Tensor(rng.normal(size=(5, D)))
         delta, _ = qmoe_delta(h, bank, gate)
-        alpha = qmoe_weights(h, range(2), bank, gate)
+        alpha = qmoe_weights(h, range(2), gate)
         fused = qmoe_apply(x, alpha, bank)
         direct = x.data @ delta.data.T
         assert np.max(np.abs(fused.data - direct)) < 1e-12
@@ -117,7 +117,7 @@ class TestKMoE:
         bank = make_bank(3, rng)
         gate = make_gate(3, rng)
         h = Tensor(rng.normal(size=(4, D)))
-        weights = kmoe_gate_weights(h, 4, bank, gate, b=3)
+        weights = kmoe_gate_weights(h, 4, gate, b=3)
         beta = kmoe_gate_softmax(h, 4, gate).data
         for c in range(4):
             assert weights.data[c].all()
@@ -162,7 +162,7 @@ class TestKMoE:
     def test_kept_weight_sum_at_most_one(self, rng):
         bank = make_bank(5, rng)
         gate = make_gate(5, rng)
-        weights = kmoe_gate_weights(Tensor(rng.normal(size=(6, D))), 6, bank, gate,
+        weights = kmoe_gate_weights(Tensor(rng.normal(size=(6, D))), 6, gate,
                                     b=2)
         for c in range(6):
             assert np.count_nonzero(weights.data[c]) == 2
@@ -172,15 +172,15 @@ class TestKMoE:
         bank = make_bank(3, rng)
         gate = make_gate(3, rng)
         with pytest.raises(ParameterError):
-            kmoe_gate_weights(Tensor(rng.normal(size=(2, D))), 2, bank, gate, b=4)
+            kmoe_gate_weights(Tensor(rng.normal(size=(2, D))), 2, gate, b=4)
         with pytest.raises(ParameterError):
-            kmoe_gate_weights(Tensor(rng.normal(size=(2, D))), 2, bank, gate, b=0)
+            kmoe_gate_weights(Tensor(rng.normal(size=(2, D))), 2, gate, b=0)
 
     def test_apply_matches_materialized_deltas(self, rng):
         bank = make_bank(4, rng)
         gate = make_gate(4, rng)
         h = Tensor(rng.normal(size=(5, D)))
-        weights = kmoe_gate_weights(h, 5, bank, gate, b=2)
+        weights = kmoe_gate_weights(h, 5, gate, b=2)
         fused = kmoe_apply(h, weights, bank)
         deltas, _ = kmoe_delta_per_token(h, bank, gate, b=2)
         for c in range(5):
@@ -202,7 +202,7 @@ class TestKMoE:
         h = Tensor(rng.normal(size=(4, D)), requires_grad=False)
 
         def f():
-            weights = kmoe_gate_weights(h, 4, bank, gate, b=2)
+            weights = kmoe_gate_weights(h, 4, gate, b=2)
             out = kmoe_apply(h, weights, bank)
             return sum_all(ad.mul(out, out))
 
@@ -246,7 +246,7 @@ class TestGateNodes:
         bank = make_bank(4, rng, d=WIDTH, rank=4)
         gate = a1_gate(4, rng, magnitude)
         g = rng.normal(size=4)
-        node = self.run(lambda: qmoe_weights(x, prompt, bank, gate), x, gate, g)
+        node = self.run(lambda: qmoe_weights(x, prompt, gate), x, gate, g)
         chain = self.run(lambda: qmoe_weights_chain(x, prompt, bank, gate),
                          x, gate, g)
         for actual, expected in zip(node, chain):
@@ -260,7 +260,7 @@ class TestGateNodes:
         bank = make_bank(8, rng, d=WIDTH, rank=4)
         gate = a1_gate(8, rng, magnitude, tie)
         g = rng.normal(size=(N_VISUAL, 8))
-        node = self.run(lambda: kmoe_gate_weights(x, N_VISUAL, bank, gate, 2),
+        node = self.run(lambda: kmoe_gate_weights(x, N_VISUAL, gate, 2),
                         x, gate, g)
         chain = self.run(lambda: kmoe_gate_weights_chain(x, N_VISUAL, bank, gate, 2),
                          x, gate, g)
@@ -283,8 +283,8 @@ class TestGateNodes:
         g_q, g_k = Tensor(rng.normal(size=3)), Tensor(rng.normal(size=(4, 3)))
 
         def f():
-            alpha = qmoe_weights(x, range(2, 5), bank, gate)
-            weights = kmoe_gate_weights(x, 4, bank, gate, 2)
+            alpha = qmoe_weights(x, range(2, 5), gate)
+            weights = kmoe_gate_weights(x, 4, gate, 2)
             return ad.add(sum_all(ad.mul(alpha, g_q)), sum_all(ad.mul(weights, g_k)))
 
         params = [x, gate.w1, gate.b1, gate.w2, gate.b2]
@@ -296,34 +296,34 @@ class TestGateNodes:
         gate, bank = make_gate(3, rng), make_bank(3, rng)
         for rows in (range(3, 3), range(4, 7), range(-1, 2)):
             with pytest.raises(ShapeError, match="router rows"):
-                qmoe_weights(x, rows, bank, gate)
+                qmoe_weights(x, rows, gate)
         for n_tokens in (0, 6):
             with pytest.raises(ShapeError, match="router rows"):
-                kmoe_gate_weights(x, n_tokens, bank, gate, 2)
+                kmoe_gate_weights(x, n_tokens, gate, 2)
 
     def test_one_node_with_parents_in_chain_order(self, rng):
         # the chain's MLP took (input, w1, b1, w2, b2); the tape sums the
         # gradients into x in an order that follows these parents
         x = Tensor(rng.normal(size=(5, D)), requires_grad=True)
         gate, bank = make_gate(3, rng), make_bank(3, rng)
-        alpha = qmoe_weights(x, range(2, 5), bank, gate)
-        weights = kmoe_gate_weights(x, 4, bank, gate, 2)
+        alpha = qmoe_weights(x, range(2, 5), gate)
+        weights = kmoe_gate_weights(x, 4, gate, 2)
         for node in (alpha, weights):
             assert node._parents == (x, gate.w1, gate.b1, gate.w2, gate.b2)
         with ad.no_grad():
-            assert not qmoe_weights(x, range(2, 5), bank, gate).requires_grad
+            assert not qmoe_weights(x, range(2, 5), gate).requires_grad
 
 
     def test_group_gates_match_each_sample(self, rng):
         x = rng.normal(size=(3, 7, D))
         gate, bank = make_gate(4, rng), make_bank(4, rng)
         with ad.no_grad():
-            alpha = qmoe_weights(Tensor(x), range(2, 5), bank, gate).data
-            beta = kmoe_gate_weights(Tensor(x), 4, bank, gate, 2).data
+            alpha = qmoe_weights(Tensor(x), range(2, 5), gate).data
+            beta = kmoe_gate_weights(Tensor(x), 4, gate, 2).data
             for i in range(3):
                 assert_bits(alpha[i],
-                            qmoe_weights(Tensor(x[i]), range(2, 5), bank, gate).data)
-                assert_bits(beta[i], kmoe_gate_weights(Tensor(x[i]), 4, bank, gate, 2).data)
+                            qmoe_weights(Tensor(x[i]), range(2, 5), gate).data)
+                assert_bits(beta[i], kmoe_gate_weights(Tensor(x[i]), 4, gate, 2).data)
 
 
 class TestMixtureWeightForms:

@@ -29,15 +29,16 @@ def make_stack(rng, n_layers=2, n_heads=2, n_visual=4, n_prompt=2, n_answer=3,
                 raw = rng.random(total) * visible
                 plane[h, q] = raw / raw.sum()
         planes.append(Tensor(plane, requires_grad=requires_grad))
-    return attn.AttentionStack(planes=planes, spans=spans)
+    return attn.AttentionStack(planes=planes, spans=spans,
+                               last_rows=tuple(range(total)))
 
 
 def head_selection(n_layers, n_heads, heads):
-    """A HeadSelection marking exactly the given (l, h) pairs."""
+    """The [L x H] bool grid marking exactly the given (l, h) pairs."""
     selected = np.zeros((n_layers, n_heads), dtype=bool)
     for l, h in heads:
         selected[l, h] = True
-    return attn.HeadSelection(selected=selected, top_r=len(heads))
+    return selected
 
 
 def all_heads(stack):
@@ -147,14 +148,16 @@ class TestVisualRatio:
         spans = attn.Spans(2, 2, 1)
         plane = np.zeros((1, 5, 5))
         plane[0, 4] = [0.3, 0.3, 0.2, 0.2, 0.0]
-        stack = attn.AttentionStack(planes=[Tensor(plane)], spans=spans)
+        stack = attn.AttentionStack(planes=[Tensor(plane)], spans=spans,
+                                    last_rows=tuple(range(5)))
         assert abs(attn.all_visual_ratios(stack, [4])[0, 0] - 0.6) < 1e-15
 
     def test_all_visual_boundary(self):
         spans = attn.Spans(2, 1, 1)
         plane = np.zeros((1, 4, 4))
         plane[0, 3] = [0.5, 0.5, 0.0, 0.0]
-        stack = attn.AttentionStack(planes=[Tensor(plane)], spans=spans)
+        stack = attn.AttentionStack(planes=[Tensor(plane)], spans=spans,
+                                    last_rows=tuple(range(4)))
         assert attn.all_visual_ratios(stack, [3])[0, 0] == 1.0
 
     def test_matches_double_sum_oracle(self, rng):
@@ -179,15 +182,24 @@ class TestVisualRatio:
 class TestSelectHeads:
     def test_all_selected_boundary(self):
         sel = attn.select_heads(np.array([[0.1, 0.2], [0.3, 0.4]]), 4)
-        assert sel.selected.all() and sel.top_r == 4
+        assert sel.dtype == bool and sel.all()
 
     def test_none_selected_alignment_disabled(self):
         sel = attn.select_heads(np.array([[0.1, 0.2], [0.3, 0.4]]), 0)
-        assert not sel.selected.any()
+        assert not sel.any()
 
     def test_tie_break_row_major(self):
         sel = attn.select_heads(np.full((2, 4), 0.5), 3)
-        assert sel.pairs() == [(0, 0), (0, 1), (0, 2)]
+        assert np.argwhere(sel).tolist() == [[0, 0], [0, 1], [0, 2]]
+
+    def test_grid_holds_exactly_r_heads(self, rng):
+        # the refined map takes R from the grid, so the grid must hold R
+        for ratios in (rng.random((3, 4)), np.full((3, 4), 0.5),
+                       rng.integers(0, 3, size=(3, 4)) / 3.0):
+            for r in range(13):
+                sel = attn.select_heads(ratios, r)
+                assert sel.shape == (3, 4) and sel.dtype == bool
+                assert int(sel.sum()) == r
 
     def test_out_of_range(self):
         with pytest.raises(ParameterError):
@@ -200,7 +212,7 @@ class TestSelectHeads:
             ratios = rng.integers(0, 5, size=(3, 4)) / 5.0
             r = int(rng.integers(0, 13))
             sel = attn.select_heads(ratios, r)
-            flat_selected = sorted(np.flatnonzero(sel.selected.reshape(-1)))
+            flat_selected = sorted(np.flatnonzero(sel.reshape(-1)))
             assert flat_selected == topk_select_loop(ratios.reshape(-1), r)
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.1, 10.0))
@@ -210,17 +222,14 @@ class TestSelectHeads:
         ratios = r.random((2, 3))
         a = attn.select_heads(ratios, 3)
         b = attn.select_heads(ratios * scale, 3)
-        assert np.array_equal(a.selected, b.selected)
+        assert np.array_equal(a, b)
 
 
 class TestRefinedMap:
     def test_single_head_identity(self, rng):
         stack = make_stack(rng)
         rows = attn.answer_query_rows(stack.spans)
-        selected = np.zeros((2, 2), dtype=bool)
-        selected[1, 0] = True
-        sel = attn.HeadSelection(selected=selected, top_r=1)
-        out = attn.refined_map(stack, rows, sel)
+        out = attn.refined_map(stack, rows, head_selection(2, 2, [(1, 0)]))
         expected = stack.planes[1].data[0][list(rows), :4].mean(axis=0)
         assert np.max(np.abs(out.data - expected)) < 1e-15
 
@@ -237,7 +246,7 @@ class TestRefinedMap:
         ratios = attn.all_visual_ratios(stack, rows)
         sel = attn.select_heads(ratios, 2)
         out = attn.refined_map(stack, rows, sel)
-        oracle = refined_map_loop(visual_views(stack, rows), sel.selected)
+        oracle = refined_map_loop(visual_views(stack, rows), sel)
         assert np.max(np.abs(out.data - oracle)) < 1e-12
 
     def test_zero_heads_rejected(self, rng):
@@ -245,6 +254,13 @@ class TestRefinedMap:
         sel = attn.select_heads(np.ones((2, 2)), 0)
         with pytest.raises(ParameterError):
             attn.refined_map(stack, attn.answer_query_rows(stack.spans), sel)
+
+    def test_all_false_grid_rejected(self, rng):
+        stack = make_stack(rng)
+        with pytest.raises(ParameterError,
+                           match="refined_map needs at least one selected head"):
+            attn.refined_map(stack, attn.answer_query_rows(stack.spans),
+                             np.zeros((2, 2), dtype=bool))
 
     @pytest.mark.parametrize("heads", [
         [(1, 2)],                                            # R = 1
@@ -275,17 +291,18 @@ class TestRefinedMap:
         rows = attn.answer_query_rows(stack.spans)
         sel = attn.select_heads(attn.all_visual_ratios(stack, rows), r)
         out = attn.refined_map(stack, rows, sel)
-        layers = sorted({l for l, _ in sel.pairs()})
+        pairs = np.argwhere(sel).tolist()
+        layers = sorted({l for l, _ in pairs})
         assert out._parents == tuple(stack.planes[l] for l in layers)
         support = gradient_support(out, stack)
-        assert support == set().union(*(block(l, h, rows, 4) for l, h in sel.pairs()))
+        assert support == set().union(*(block(l, h, rows, 4) for l, h in pairs))
         assert len({(l, h) for l, h, _, _ in support}) == r
         # no unread entry is read either: NaN outside the R blocks changes nothing
         poisoned = [np.full_like(p.data, np.nan) for p in stack.planes]
-        for l, h in sel.pairs():
+        for l, h in pairs:
             poisoned[l][h][list(rows), :4] = stack.planes[l].data[h][list(rows), :4]
-        again = attn.refined_map(
-            attn.AttentionStack([Tensor(p) for p in poisoned], stack.spans), rows, sel)
+        again = attn.refined_map(attn.AttentionStack(
+            [Tensor(p) for p in poisoned], stack.spans, stack.last_rows), rows, sel)
         assert np.array_equal(again.data, out.data)
 
 
@@ -338,7 +355,7 @@ def favour_head(rng, stack, row, l, h):
 class TestGeneratedMaps:
     def test_mean_map_matches_loop(self, rng):
         stacks, rows = greedy_steps(rng)
-        out = attn.generated_query_mean_map(stacks, rows)
+        out = attn.generated_query_mean_map(stacks)
         assert np.max(np.abs(out - mean_map_loop(step_views(stacks, rows)))) < 1e-12
 
     def test_heads_ranked_per_step(self, rng):
@@ -350,23 +367,23 @@ class TestGeneratedMaps:
             favour_head(rng, stack, row, l, h)
         assert [topk_select_loop(step_ratios([s], [r]), 1)
                 for s, r in zip(stacks, rows)] == [[0], [3]]
-        out = attn.generated_query_refined_map(stacks, rows, 1)
+        out = attn.generated_query_refined_map(stacks, 1)
         assert np.max(np.abs(out - refined_per_step_loop(stacks, rows, 1))) < 1e-12
 
     @pytest.mark.parametrize("top_r", [1, 2, 4])
     def test_refined_map_matches_loop(self, rng, top_r):
         stacks, rows = greedy_steps(rng)
-        out = attn.generated_query_refined_map(stacks, rows, top_r)
+        out = attn.generated_query_refined_map(stacks, top_r)
         assert np.max(np.abs(out - refined_per_step_loop(stacks, rows, top_r))) \
             < 1e-12
 
     @pytest.mark.parametrize("maps", [
         attn.generated_query_mean_map,
-        lambda stacks, rows: attn.generated_query_refined_map(stacks, rows, 1),
+        lambda stacks: attn.generated_query_refined_map(stacks, 1),
     ], ids=["mean", "refined"])
     def test_no_steps(self, maps):
         with pytest.raises(SelectionError, match="no generation steps"):
-            maps([], [])
+            maps([])
 
     def test_head_without_visual_or_prompt_mass(self, rng):
         stacks, rows = greedy_steps(rng, answers=(1, 2))
@@ -375,13 +392,13 @@ class TestGeneratedMaps:
             plane[row] = 0.0
             plane[row, row] = 1.0   # every step's emitting row reads only itself
         with pytest.raises(DegenerateRatioError):
-            attn.generated_query_refined_map(stacks, rows, 1)
+            attn.generated_query_refined_map(stacks, 1)
 
     def test_refined_map_needs_a_head(self, rng):
-        stacks, rows = greedy_steps(rng)
+        stacks, _ = greedy_steps(rng)
         with pytest.raises(ParameterError,
                            match="refined_map needs at least one selected head"):
-            attn.generated_query_refined_map(stacks, rows, 0)
+            attn.generated_query_refined_map(stacks, 0)
 
 
 class TestHeatmaps:

@@ -122,7 +122,8 @@ class TestEvaluate:
     def test_untrained_smoke_totality(self):
         model, test_s, _ = eval_setup()
         report = evaluate(model, None, test_s)
-        assert report.n == len(test_s)
+        assert len(report.per_sample) == len(test_s)
+        assert report.to_dict()["aggregates"]["n"] == len(test_s)
         assert np.isfinite([report.coverage, report.intensity,
                             report.accuracy]).all()
         assert report.coverage == pytest.approx(

@@ -284,12 +284,12 @@ class TestKeptRows:
         prompt, answer = (1, 2, 3), (4, 5)
         full = model.forward(v, prompt, answer, adapters)
         total = full.attention.spans.total
-        assert full.rows == tuple(range(total))
+        assert full.attention.last_rows == tuple(range(total))
         for keep in [(total - 1,), (total - 4, total - 3), (total - 2, 0, total - 2),
                      (cfg.n_visual, cfg.n_visual + 2)]:
             rows = sorted(set(keep))
             out = model.forward(v, prompt, answer, adapters, keep_rows=keep)
-            assert out.rows == tuple(rows)
+            assert out.attention.last_rows == tuple(rows)
             assert out.logits.shape == (len(rows), cfg.vocab_size)
             assert np.max(np.abs(out.logits.data - full.logits.data[rows])) < 1e-14
             *early, last = out.attention.planes
@@ -319,11 +319,13 @@ class TestKeptRows:
         with pytest.raises(SelectionError, match="row 4 is not among"):
             refined_map(stack, (4,), sel)
         with pytest.raises(SelectionError, match="row 4 is not among"):
-            generated_query_mean_map([stack], (4,))
-        with pytest.raises(SelectionError, match="row 4 is not among"):
-            generated_query_refined_map([stack], (4,), 2)
-        with pytest.raises(SelectionError, match="row 4 is not among"):
             out.logit_rows((4,))
+        # the generated maps read each step's last row, here row 6
+        early = model.forward(v, (1, 2), (3,), adapters, keep_rows=(4, 5)).attention
+        with pytest.raises(SelectionError, match="row 6 is not among"):
+            generated_query_mean_map([early])
+        with pytest.raises(SelectionError, match="row 6 is not among"):
+            generated_query_refined_map([early], 2)
 
     def test_greedy_tokens_equal_the_full_rows_tokens(self):
         cfg = ModelConfig(n_layers=3, n_heads=2, d_visual=6, d_model=16,
@@ -340,9 +342,10 @@ class TestKeptRows:
                     out = model.forward(v, prompt, tuple(tokens), adapters)
                     tokens.append(int(np.argmax(out.logits.data[-1])))
             assert gen.tokens == tuple(tokens)
-            for stack, row in zip(gen.stacks, gen.step_rows):
+            for step, stack in enumerate(gen.stacks):
+                row = cfg.n_visual + len(prompt) + step - 1
                 assert stack.planes[-1].shape == (cfg.n_heads, 1, row + 1)
-                assert stack.last_rows == (row,)
+                assert stack.last_rows == (row,) == (stack.spans.total - 1,)
 
 
 class TestGroupedGeneration:
@@ -372,18 +375,34 @@ class TestGroupedGeneration:
             for (v, p, _), gen in zip(group, gens):
                 (alone,) = model.generate_greedy(v[None], [p], n, adapters)
                 assert gen.tokens == alone.tokens
-                assert gen.step_rows == alone.step_rows
                 assert len(gen.stacks) == len(alone.stacks) == n
                 for step, (stack, solo) in enumerate(zip(gen.stacks, alone.stacks)):
                     assert (stack.spans, stack.last_rows) == (solo.spans, solo.last_rows)
                     with ad.no_grad():   # the one-sample arrays training runs
                         out = model.forward(v, p, gen.tokens[:step], adapters,
-                                            keep_rows=(gen.step_rows[step],))
+                                            keep_rows=stack.last_rows)
                     assert gen.tokens[step] == int(np.argmax(out.logits.data[0]))
                     for a, b, c in zip(stack.planes, solo.planes, out.attention.planes):
                         assert np.array_equal(a.data, b.data)
                         assert np.array_equal(a.data, c.data)
                         assert a.shape == c.shape
+
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_each_step_keeps_only_its_last_row(self, rng, steps):
+        # the generated maps take a step's last row as the row that emits
+        model, adapters = make_model_and_adapters(randomize=True)
+        prompts = [(1, 2), (3, 1), (2, 2)]
+        features = np.stack([make_visual(TINY_MODEL, rng) for _ in prompts])
+        grouped = model.generate_greedy(features, prompts, steps, adapters)
+        alone = [gen for f, p in zip(features, prompts)
+                 for gen in model.generate_greedy(f[None], [p], steps, adapters)]
+        for gen in grouped + alone:
+            assert len(gen.stacks) == steps
+            for step, stack in enumerate(gen.stacks):
+                assert stack.spans.total == TINY_MODEL.n_visual + 2 + step
+                assert stack.last_rows == (stack.spans.total - 1,)
+                assert stack.planes[-1].shape == (TINY_MODEL.n_heads, 1,
+                                                  stack.spans.total)
 
     def test_a_recorded_graph_refuses_a_group(self, rng):
         model, adapters = make_model_and_adapters(randomize=True)

@@ -882,6 +882,92 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("section,field,value,param,reason", [
+        ("adapter", "use_kmoe", False, "B", "use_kmoe is false"),
+        ("train", "lambda_align", 0, "K",
+         "alignment is off at lambda_align=0 and heads_r=1"),
+        ("train", "heads_r", 0, "K",
+         "alignment is off at lambda_align=0.1 and heads_r=0"),
+        ("train", "lambda_align", 0, "R", "lambda_align is 0"),
+        ("train", "heads_r", 0, "lambda", "heads_r is 0"),
+    ], ids=["B-without-kmoe", "K-at-lambda-0", "K-at-R-0", "R-at-lambda-0",
+            "lambda-at-R-0"])
+    def test_sweep_of_a_param_the_run_ignores_refused(
+            self, tmp_path, data_dir, train_config_file, capsys, no_training,
+            section, field, value, param, reason):
+        # B without K-MoE and K at lambda = 0 trained every value and wrote
+        # identical CSV rows
+        doc = json.loads(train_config_file.read_text())
+        doc[section][field] = value
+        train_config_file.write_text(json.dumps(doc))
+        out = tmp_path / "sweep.csv"
+        rc = cli.main(["sweep", "--param", param, "--values", "1,2", "--data",
+                       str(data_dir), "--out", str(out), "--config",
+                       str(train_config_file)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: sweep --param {param}: every run would ignore it, since "
+            f"{reason}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["n_train", "n_test"])
+    def test_gen_data_refuses_a_negative_split(self, tmp_path, capsys, field):
+        # n_train = -3 wrote 0 train samples and exited 0
+        cfg = tmp_path / "data.json"
+        cfg.write_text(json.dumps({field: -3}))
+        rc = cli.main(["gen-data", "--out", str(tmp_path / "d"), "--config",
+                       str(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: config file {cfg}: {field} must be >= 0, got -3\n"
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("split", ["train.jsonl", "test.jsonl"])
+    def test_train_and_sweep_refuse_an_empty_split(
+            self, tmp_path, data_dir, train_config_file, capsys, no_training,
+            split):
+        # an empty test split trained a whole epoch, then stopped with
+        # "error: evaluation needs at least one sample", naming no file
+        (data_dir / split).write_text("")
+        for verb in (["train"], ["sweep", "--param", "R", "--values", "1"]):
+            out = tmp_path / "out"
+            rc = cli.main(verb + ["--data", str(data_dir), "--out", str(out),
+                                  "--config", str(train_config_file)])
+            assert rc == 1
+            assert capsys.readouterr().err == \
+                f"error: {data_dir / split} holds no samples\n"
+            assert not out.exists()
+
+    def test_zero_test_samples_generated_then_refused_by_train(
+            self, tmp_path, train_config_file, capsys, no_training):
+        cfg = tmp_path / "data.json"
+        cfg.write_text(json.dumps({"n_train": 4, "n_test": 0, "grid": 3,
+                                   "d_visual": 8, "n_concepts": 3,
+                                   "n_segments": 2, "n_labels": 3,
+                                   "seg_side_min": 1, "seg_side_max": 1}))
+        data = tmp_path / "d"
+        assert cli.main(["gen-data", "--out", str(data), "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", str(data), "--out", str(tmp_path / "out"),
+                       "--config", str(train_config_file)])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: {data / 'test.jsonl'} holds no samples\n"
+
+    @pytest.mark.parametrize("verb", ["evaluate", "visualize"])
+    def test_evaluate_and_visualize_refuse_an_empty_data_file(
+            self, tmp_path, data_dir, capsys, verb):
+        ckpt = tmp_path / "checkpoint.json"
+        save_checkpoint(ckpt, VisualDecoder(SMALL_MODEL, seed=0))
+        path = data_dir / "test.jsonl"
+        path.write_text("")
+        out = tmp_path / "out"
+        rc = cli.main([verb, "--checkpoint", str(ckpt), "--data", str(path),
+                       "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {path} holds no samples\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv,message", [
         (["gen-data", "--seed", "-1"], "option --seed: seed must be >= 0, got -1"),
         (["weaklabels", "--topk", "0"], "option --topk: k must be >= 1, got 0"),

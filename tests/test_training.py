@@ -138,7 +138,8 @@ class TestLmLoss:
             def __init__(self):
                 self.logits = logits
                 # no visual rows and one prompt row: answer logit rows 0, 1, 2
-                self.attention = attn.AttentionStack([], attn.Spans(0, 1, 3))
+                self.attention = attn.AttentionStack([], attn.Spans(0, 1, 3),
+                                                     (0, 1, 2, 3))
 
             def logit_rows(self, rows):     # every row was kept
                 return rows
@@ -496,7 +497,7 @@ class TestTrainLoop:
             (gen,) = model.generate_greedy(s.features[None], [s.prompt],
                                            max_len=len(s.answer),
                                            adapters=result.adapters)
-            heat = attn.generated_query_mean_map(gen.stacks, gen.step_rows)
+            heat = attn.generated_query_mean_map(gen.stacks)
             attn.export_heatmaps(tmp_path / "in-memory", s.id, "mean", heat, s.grid)
         write_samples(tmp_path / "train.jsonl", train_s)
         assert cli.main(["visualize", "--checkpoint", str(run / "checkpoint.json"),
