@@ -67,7 +67,7 @@ from .metrics import MetricsReport, coverage_score, evaluate, intensity_alignmen
 from .model import ModelConfig, VisualDecoder, load_checkpoint, save_checkpoint
 from .training import TASK_PROFILES, AdamW, LossBreakdown, TrainConfig, \
     alignment_loss, compute_weak_labels, total_loss, train
-from .weaklabels import Segment, SyntheticOracleBackend, WeakLabelSet, \
-    cosine_sim, select_weak_labels
+from .weaklabels import Segment, SyntheticOracleBackend, cosine_sim, \
+    select_weak_labels
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """Command-line entry points.
 
-Verbs: gen-data, weaklabels, train, sweep, evaluate, visualize. The first
-four accept --seed and --config; the process exits 0 only when the whole
-requested operation succeeded.
+Verbs: gen-data, train, sweep, evaluate, visualize. The first three accept
+--seed and --config; the process exits 0 only when the whole requested
+operation succeeded.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from .model import ModelConfig, VisualDecoder, load_checkpoint
 from .sweeps import SWEEPABLE, sweep
 from .training import TASK_PROFILES, TrainConfig, check_heads, \
     compute_weak_labels, oracle_backend, train
-from .weaklabels import load_weak_label_cache, save_weak_label_cache, \
-    weak_labels_to_record
 
 
 # the top-level keys of a train or sweep --config file, with their types
@@ -34,14 +32,14 @@ TRAIN_CONFIG_KEYS = {"model": dict, "adapter": dict, "train": dict,
                      "model_seed": int}
 
 
-def _load_config(path: str | None, hints: dict) -> dict:
-    """The JSON object of a --config file, whose keys must be among those of
-    ``hints``, each holding a value of its type there."""
+def _load_config(path: str | None) -> dict:
+    """The JSON object of a train or sweep --config file, whose keys must be
+    among ``TRAIN_CONFIG_KEYS``, each holding a value of its type there."""
     if not path:
         return {}
     where = f"config file {path}"
     doc = read_json(path, where)
-    require_fields(doc, hints, where, partial=True)
+    require_fields(doc, TRAIN_CONFIG_KEYS, where, partial=True)
     return doc
 
 
@@ -104,33 +102,6 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def cmd_weaklabels(args) -> int:
-    doc = _load_config(args.config, {"topk": int, "noise": float, "seed": int})
-
-    def setting(option, key, default):   # an option wins over the config file
-        if option is not None:
-            return option, f"option --{key}"
-        return doc.get(key, default), f"key {key!r} of config file {args.config}"
-    (k, k_where), (noise, noise_where), (seed, seed_where) = (
-        setting(args.topk, "topk", 4), setting(args.noise, "noise", 0.0),
-        setting(args.seed, "seed", 0))
-    if k < 1:
-        raise ParameterError(f"{k_where}: k must be >= 1, got {k}")
-    samples = read_samples(args.data)
-    spec = read_meta(args.meta)
-    with named(noise_where):   # the backend checks the noise, then the seed
-        oracle_backend(spec, noise=noise)
-    with named(seed_where):
-        backend_id = oracle_backend(spec, noise=noise, seed=seed).backend_id
-    labels = compute_weak_labels(samples, spec, k, noise=noise, seed=seed)
-    records = [weak_labels_to_record(s.id, s.prompt_id, labels[s.id],
-                                     backend_id)
-               for s in samples]
-    save_weak_label_cache(args.out, records)
-    print(f"wrote {len(records)} weak-label records to {args.out}")
-    return 0
-
-
 def _read_data_dir(path: str, model: VisualDecoder):
     """Both splits and the spec of a dataset directory, every sample checked
     against the model before any training starts."""
@@ -143,33 +114,16 @@ def _read_data_dir(path: str, model: VisualDecoder):
 
 
 def cmd_train(args) -> int:
-    doc = _load_config(args.config, TRAIN_CONFIG_KEYS)
+    doc = _load_config(args.config)
     model_cfg, cfg, model_seed = _build_train_config(doc, args)
     model = VisualDecoder(model_cfg, seed=model_seed)
     train_samples, test_samples, spec = _read_data_dir(args.data, model)
 
     with named("option --weak-noise"):   # the backend checks the noise
-        backend_id = oracle_backend(spec, noise=args.weak_noise,
-                                    seed=cfg.seed).backend_id
-    weak_labels = None
-    if cfg.aligned:
-        if args.weak_cache:
-            # only records of this run's K and backend may stand in for it
-            cache = load_weak_label_cache(args.weak_cache, model_cfg.n_visual)
-            weak_labels = {}
-            for s in train_samples:
-                labels = cache.get((s.id, s.prompt_id, cfg.weak_k,
-                                    backend_id))
-                if labels is None:
-                    raise AttnAlignError(
-                        f"weak-label cache {args.weak_cache} has no "
-                        f"K={cfg.weak_k} record from backend {backend_id} "
-                        f"for sample {s.id}")
-                weak_labels[s.id] = labels
-        else:
-            weak_labels = compute_weak_labels(train_samples, spec, cfg.weak_k,
-                                              noise=args.weak_noise,
-                                              seed=cfg.seed)
+        oracle_backend(spec, noise=args.weak_noise)
+    weak_labels = (compute_weak_labels(train_samples, spec, cfg.weak_k,
+                                       noise=args.weak_noise, seed=cfg.seed)
+                   if cfg.aligned else None)
 
     def eval_fn(m, adapters):
         report = metricsmod.evaluate(m, adapters, test_samples)
@@ -196,7 +150,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     values = [_sweep_value(args.param, v) for v in args.values.split(",") if v]
-    doc = _load_config(args.config, TRAIN_CONFIG_KEYS)
+    doc = _load_config(args.config)
     model_cfg, cfg, model_seed = _build_train_config(doc, args)
     train_samples, test_samples, spec = _read_data_dir(
         args.data, VisualDecoder(model_cfg, seed=model_seed))
@@ -268,15 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen_data)
 
-    p = verbs.add_parser("weaklabels", help="precompute the weak-label cache")
-    common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--meta", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--topk", type=int, default=None)
-    p.add_argument("--noise", type=float, default=None)
-    p.set_defaults(fn=cmd_weaklabels)
-
     p = verbs.add_parser("train", help="fine-tune adapters on a dataset directory")
     common(p)
     p.add_argument("--data", required=True)
@@ -285,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heads", type=int, default=None)
     p.add_argument("--topk", type=int, default=None)
     p.add_argument("--profile", choices=sorted(TASK_PROFILES), default=None)
-    p.add_argument("--weak-cache", default=None)
     p.add_argument("--weak-noise", type=float, default=0.0)
     p.add_argument("--no-qmoe", action="store_true")
     p.add_argument("--no-kmoe", action="store_true")

@@ -111,10 +111,6 @@ class SyntheticSample:
     answer: tuple[int, ...]
     roi: tuple[int, ...]
 
-    @property
-    def prompt_id(self) -> str:
-        return "p" + "-".join(str(t) for t in self.prompt)
-
 
 def _place_rectangles(rng: np.random.Generator, spec: DataSpec) -> list[tuple[int, ...]]:
     """Disjoint rectangles as token-index tuples; raises when packing fails."""

@@ -50,7 +50,7 @@ class DegenerateAttentionError(AttnAlignError):
 
 
 class DegenerateEmbeddingError(AttnAlignError):
-    """Cosine similarity requested for a zero vector."""
+    """Cosine similarity requested for a zero or non-finite vector."""
 
 
 class BackendError(AttnAlignError):

@@ -38,7 +38,7 @@ from .data import DataSpec, SyntheticSample, propose_segments
 from .errors import CompatibilityError, ConfigurationError, \
     DegenerateAttentionError, DivergenceError, ParameterError
 from .model import ForwardOutput, ModelConfig, VisualDecoder, save_checkpoint
-from .weaklabels import SyntheticOracleBackend, WeakLabelSet, select_weak_labels
+from .weaklabels import Segment, SyntheticOracleBackend, select_weak_labels
 
 
 # published per-dataset fine-tuning settings (full-scale reference)
@@ -144,8 +144,8 @@ def oracle_backend(spec: DataSpec, noise: float = 0.0,
 
 def compute_weak_labels(samples: Sequence[SyntheticSample], spec: DataSpec,
                         k: int, noise: float = 0.0,
-                        seed: int = 0) -> dict[str, WeakLabelSet]:
-    """Weak labels for every sample, fixed before training and cacheable.
+                        seed: int = 0) -> dict[str, tuple[Segment, ...]]:
+    """The weak-label segments of every sample, fixed before training.
 
     Each sample's candidates are its planted segments plus the dataset's
     ``n_background_segments`` background distractors.
@@ -163,16 +163,15 @@ def compute_weak_labels(samples: Sequence[SyntheticSample], spec: DataSpec,
 # losses
 
 
-def alignment_loss(refined: Tensor,
-                   labels: WeakLabelSet | Sequence) -> tuple[Tensor, tuple[float, ...]]:
+def alignment_loss(refined: Tensor, token_sets: Sequence[Sequence[int]]
+                   ) -> tuple[Tensor, tuple[float, ...]]:
     """Sum over segments of (1 - captured mass fraction)^2, as one tape node.
 
-    ``refined`` is a nonnegative length-N map; the fraction normalizes
-    by its total mass, so the penalty only cares how attention is
-    distributed across visual tokens.
+    ``refined`` is a nonnegative length-N map and ``token_sets`` holds each
+    segment's visual-token indices; the fraction normalizes by the map's
+    total mass, so the penalty only cares how attention is distributed
+    across visual tokens.
     """
-    token_sets = labels.token_sets() if isinstance(labels, WeakLabelSet) else \
-        [tuple(s) for s in labels]
     if not token_sets:
         raise ConfigurationError("alignment loss needs at least one segment")
     n = refined.shape[0]
@@ -223,7 +222,7 @@ def lm_loss(output: ForwardOutput, answer: Sequence[int]) -> Tensor:
 
 
 def total_loss(model: VisualDecoder, adapters: AdapterSet | None,
-               sample: SyntheticSample, labels: WeakLabelSet | None,
+               sample: SyntheticSample, labels: Sequence[Segment] | None,
                cfg: TrainConfig) -> tuple[Tensor, LossBreakdown]:
     """One shared forward pass feeding both loss terms.
 
@@ -241,12 +240,12 @@ def total_loss(model: VisualDecoder, adapters: AdapterSet | None,
         return llm, LossBreakdown(llm=float(llm.data), align=0.0,
                                   total=float(llm.data))
 
-    if labels is None or not labels.segments:
+    if not labels:
         raise ConfigurationError("alignment requested but no weak labels supplied")
     ratios = attn.all_visual_ratios(out.attention, rows)
     selected = attn.select_heads(ratios, cfg.heads_r)
     refined = attn.refined_map(out.attention, rows, selected)
-    align, _ = alignment_loss(refined, labels)
+    align, _ = alignment_loss(refined, [s.token_indices for s in labels])
     total = ad.add(llm, ad.mul(align, cfg.lambda_align))
     return total, LossBreakdown(llm=float(llm.data), align=float(align.data),
                                 total=float(total.data))
@@ -264,7 +263,7 @@ class TrainResult:
 
 def train(model: VisualDecoder, train_samples: Sequence[SyntheticSample],
           cfg: TrainConfig,
-          weak_labels: dict[str, WeakLabelSet] | None = None,
+          weak_labels: dict[str, tuple[Segment, ...]] | None = None,
           eval_fn: Callable[[VisualDecoder, AdapterSet], dict] | None = None,
           out_dir: str | Path | None = None) -> TrainResult:
     """Train adapters; deterministic for a fixed seed.

@@ -11,15 +11,13 @@ encoders so the whole pipeline is verifiable at desk scale.
 from __future__ import annotations
 
 import hashlib
-import json
+import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BackendError, CompatibilityError, DegenerateEmbeddingError, \
-    ParameterError, read_json_lines, require_fields
+from .errors import BackendError, DegenerateEmbeddingError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -38,31 +36,23 @@ class Segment:
         object.__setattr__(self, "token_indices", idx)
 
 
-@dataclass
-class WeakLabelSet:
-    """Selected segments with their similarities and the threshold used."""
-
-    segments: tuple[Segment, ...]
-    similarities: dict[str, float]
-    tau: float
-    k: int
-
-    def token_sets(self) -> list[tuple[int, ...]]:
-        return [s.token_indices for s in self.segments]
-
-
 def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
         raise DegenerateEmbeddingError("cosine similarity of a zero vector")
-    return float(np.dot(u, v) / (nu * nv))
+    dot, norms = np.dot(u, v), nu * nv
+    if not (math.isfinite(dot) and math.isfinite(norms)):
+        raise DegenerateEmbeddingError(
+            "cosine similarity of vectors whose dot product or norms are not "
+            "finite")
+    return float(dot / norms)
 
 
 def select_weak_labels(candidates: Sequence[Segment], prompt: Sequence[int],
-                       image: np.ndarray, backend, k: int) -> WeakLabelSet:
-    """Keep the k most prompt-similar candidates.
+                       image: np.ndarray, backend, k: int) -> tuple[Segment, ...]:
+    """The k most prompt-similar candidates, most similar first.
 
     ``backend`` embeds the prompt (``embed_prompt``) and each candidate
     (``embed_segment``); a segment it fails on is named in a BackendError.
@@ -88,9 +78,7 @@ def select_weak_labels(candidates: Sequence[Segment], prompt: Sequence[int],
             raise BackendError(f"backend failed on segment {seg.id!r}: {exc}") from exc
 
     ranked = sorted(candidates, key=lambda s: (-sims[s.id], s.id))
-    chosen = ranked[: min(k, len(ranked))]
-    tau = sims[chosen[-1].id]
-    return WeakLabelSet(segments=tuple(chosen), similarities=sims, tau=tau, k=k)
+    return tuple(ranked[:k])
 
 
 class SyntheticOracleBackend:
@@ -106,16 +94,14 @@ class SyntheticOracleBackend:
                  noise: float = 0.0, seed: int = 0):
         if not noise >= 0:
             raise ParameterError(f"noise must be >= 0, got {noise}")
+        if not math.isfinite(noise):
+            raise ParameterError(f"noise must be finite, got {noise}")
         if seed < 0:
             raise ParameterError(f"seed must be >= 0, got {seed}")
         self.concept_vectors = np.asarray(concept_vectors, dtype=np.float64)
         self.concept_token_base = int(concept_token_base)
         self.noise = float(noise)
         self.seed = int(seed)
-
-    @property
-    def backend_id(self) -> str:
-        return f"synthetic-oracle(noise={self.noise},seed={self.seed})"
 
     def embed_segment(self, segment: Segment, image: np.ndarray) -> np.ndarray:
         image = np.asarray(image, dtype=np.float64)
@@ -134,61 +120,3 @@ class SyntheticOracleBackend:
             if 0 <= c < self.concept_vectors.shape[0]:
                 return self.concept_vectors[c].copy()
         raise BackendError(f"prompt {tuple(prompt_tokens)} names no known concept")
-
-
-# ---------------------------------------------------------------------------
-# cache file: one JSON record per (image, prompt, K, backend)
-
-def save_weak_label_cache(path: str | Path, records: Sequence[dict]) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def load_weak_label_cache(path: str | Path, n_visual: int) -> dict[tuple, WeakLabelSet]:
-    """The weak labels of a cache file by (image, prompt, K, backend). Each
-    line must hold exactly the keys that ``weak_labels_to_record`` writes,
-    with values of their types, and a nonempty weak-label set whose tokens
-    lie in the model's map of ``n_visual`` visual tokens."""
-    out = {}
-    for rec, where in read_json_lines(path):
-        require_fields(rec, {"image_id": str, "prompt_id": str, "K": int,
-                             "backend": str, "segments": list, "tau_K": float},
-                       where)
-        for i, seg in enumerate(rec["segments"]):
-            require_fields(seg, {"id": str, "token_indices": list[int],
-                                 "similarity": float}, f"{where} segment {i}")
-        if not rec["segments"]:
-            raise CompatibilityError(f"key 'segments' of {where} is [], not a "
-                                     "nonempty list")
-        try:
-            segments = tuple(Segment(e["id"], tuple(e["token_indices"]))
-                             for e in rec["segments"])
-        except ParameterError as exc:
-            raise CompatibilityError(f"{where}: {exc}") from None
-        for s in segments:
-            if s.token_indices[-1] >= n_visual:
-                raise CompatibilityError(
-                    f"{where}: segment {s.id!r} has token {s.token_indices[-1]} "
-                    f"outside the map of {n_visual} visual tokens")
-        sims = {e["id"]: float(e["similarity"]) for e in rec["segments"]}
-        key = (rec["image_id"], rec["prompt_id"], rec["K"], rec["backend"])
-        out[key] = WeakLabelSet(segments, sims, float(rec["tau_K"]), rec["K"])
-    return out
-
-
-def weak_labels_to_record(image_id: str, prompt_id: str, labels: WeakLabelSet,
-                          backend_id: str) -> dict:
-    return {
-        "image_id": image_id,
-        "prompt_id": prompt_id,
-        "K": labels.k,
-        "backend": backend_id,
-        "segments": [
-            {"id": s.id, "token_indices": list(s.token_indices),
-             "similarity": labels.similarities[s.id]}
-            for s in labels.segments
-        ],
-        "tau_K": labels.tau,
-    }
-

@@ -204,11 +204,10 @@ def test_a5_selection_sort_oracles():
         k = int(r.integers(1, n + 2))
         out = select_weak_labels(candidates, (0,), image, backend, k)
         expected = sorted(sims, key=lambda sid: (-sims[sid], sid))[:min(k, n)]
-        assert [s.id for s in out.segments] == expected
+        assert [s.id for s in out] == expected
         if k + 1 <= n:
             larger = select_weak_labels(candidates, (0,), image, backend, k + 1)
-            assert {s.id for s in out.segments} \
-                <= {s.id for s in larger.segments}
+            assert {s.id for s in out} <= {s.id for s in larger}
     report("A5", "select_heads / top-B / weak labels match sort oracles on "
                  "1000 tie-heavy instances each; K-monotonicity holds")
 

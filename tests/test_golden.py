@@ -86,10 +86,8 @@ def test_cli_outputs_match_golden_digests(tmp_path, golden, arm):
     data_cfg.write_text(json.dumps(DATA))
     train_cfg.write_text(json.dumps({"train": TRAIN}))
     run(["gen-data", "--out", data, "--config", data_cfg])
-    run(["weaklabels", "--data", data / "train.jsonl", "--meta",
-         data / "meta.json", "--out", tmp_path / "cache.jsonl", "--topk", 1])
     run(["train", "--data", data, "--out", run_dir, "--config", train_cfg,
-         "--weak-cache", tmp_path / "cache.jsonl", *ARMS[arm]])
+         *ARMS[arm]])
     run(["evaluate", "--checkpoint", run_dir / "checkpoint.json", "--data",
          data / "test.jsonl", "--out", run_dir / "report.json"])
     digests = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()

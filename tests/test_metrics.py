@@ -22,6 +22,10 @@ class TestCoverage:
         m[roi] = [0.2, 0.16, 0.1, 0.05]
         assert coverage_score(m, roi, 0.15) == 0.5
 
+    def test_patch_exactly_at_tau_counts(self):
+        assert coverage_score(np.array([0.15, 0.1, 0.2, 0.0]), [0, 1],
+                              tau=0.15) == 0.5
+
     def test_uniform_below_threshold(self):
         m = np.full(64, 1 / 64)
         assert coverage_score(m, [5, 9, 13], 0.15) == 0.0

@@ -204,11 +204,9 @@ class TestVisualEquivariance:
 
         tcfg = TrainConfig(lambda_align=0.1, heads_r=1, weak_k=1,
                            adapter=TINY_ADAPTER)
-        from attnalign.weaklabels import Segment, WeakLabelSet
+        from attnalign.weaklabels import Segment
         def labels_for(tokens):
-            seg = Segment(id="s", token_indices=tokens)
-            return WeakLabelSet(segments=(seg,), similarities={"s": 1.0},
-                                tau=1.0, k=1)
+            return (Segment(id="s", token_indices=tokens),)
 
         class FakeSample:
             def __init__(self, vis, roi):

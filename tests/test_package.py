@@ -2,8 +2,9 @@
 of a package dataclass that the package never reads, no public function or
 class that only tests call, a frozen base of plain arrays whose tape
 reaches only the adapters, no CLI option that its verb ignores, JSON parsed
-in errors.py alone, a CLI that turns only package and OS errors into an
-error line, and a package that the benchmark's span tracer still fits."""
+in errors.py alone, a CLI docstring that names the parser's verbs, a CLI
+that turns only package and OS errors into an error line, and a package
+that the benchmark's span tracer still fits."""
 
 import argparse
 import ast
@@ -12,6 +13,7 @@ import dataclasses
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -184,18 +186,37 @@ def cli_options_read() -> dict[str, set[str]]:
     return {name: closure(name, set()) for name in funcs}
 
 
+def cli_verbs() -> dict[str, argparse.ArgumentParser]:
+    """The parser of each subcommand, by name."""
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_every_cli_option_is_read_by_its_verb():
     # an option that its command never reads is accepted and silently
     # ignored, as evaluate's and visualize's --config and --seed once were
     read = cli_options_read()
-    verbs = next(a for a in cli.build_parser()._actions
-                 if isinstance(a, argparse._SubParsersAction)).choices
+    verbs = cli_verbs()
     unread = [f"{verb} {action.dest}"
               for verb, parser in verbs.items()
               for action in parser._actions
               if action.dest != "help"
               and action.dest not in read[parser.get_default("fn").__name__]]
     assert unread == []
+
+
+def test_cli_docstring_names_the_verbs_and_their_shared_options():
+    doc = " ".join(cli.__doc__.split())
+    found = re.search(r"Verbs: ([\w, -]+)\. The first (\w+) accept --seed "
+                      r"and --config", doc)
+    assert found, "cli.py's docstring lost its verb sentence"
+    listed = found[1].split(", ")
+    n = ["one", "two", "three", "four", "five", "six"].index(found[2]) + 1
+    verbs = cli_verbs()
+    assert sorted(listed) == sorted(verbs)   # the parser registers another order
+    assert set(listed[:n]) == {
+        name for name, parser in verbs.items()
+        if {"--seed", "--config"} <= parser._option_string_actions.keys()}
 
 
 def test_only_errors_py_parses_json():

@@ -1,8 +1,8 @@
 """Every JSON file the CLI reads, changed in one way, either still works or
 stops its verb with exactly one ``error:`` line that names the file.
 
-The six kinds are a ``gen-data`` config file, ``meta.json``, a sample
-line, a checkpoint, a weak-label cache line and a ``train`` config file.
+The five kinds are a ``gen-data`` config file, ``meta.json``, a sample
+line, a checkpoint and a ``train`` config file.
 Each change drops or adds a key, replaces a value by null, a string, a
 float, a list, 0 or -1, truncates base64, or writes bytes that are not
 JSON or not UTF-8. Any other exception, or an exit code other than 0 and
@@ -45,17 +45,14 @@ KINDS = {
     "config": ("data.json", False,
                ["gen-data", "--config", "{d}/data.json", "--out", "{d}/gen"]),
     "meta": ("data/meta.json", False,
-             ["weaklabels", "--data", "{d}/data/train.jsonl", "--meta",
-              "{d}/data/meta.json", "--out", "{d}/cache2.jsonl"]),
+             ["train", "--data", "{d}/data", "--config", "{d}/train.json",
+              "--out", "{d}/run"]),
     "samples": ("data/test.jsonl", True,
                 ["evaluate", "--checkpoint", "{d}/checkpoint.json", "--data",
                  "{d}/data/test.jsonl", "--out", "{d}/report.json"]),
     "checkpoint": ("checkpoint.json", False,
                    ["evaluate", "--checkpoint", "{d}/checkpoint.json", "--data",
                     "{d}/data/test.jsonl", "--out", "{d}/report.json"]),
-    "cache": ("cache.jsonl", True,
-              ["train", "--data", "{d}/data", "--config", "{d}/train.json",
-               "--weak-cache", "{d}/cache.jsonl", "--out", "{d}/run"]),
     "train-config": ("train.json", False,
                      ["train", "--data", "{d}/data", "--config", "{d}/train.json",
                       "--out", "{d}/run"]),
@@ -64,7 +61,7 @@ KINDS = {
 
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
-    """A directory of valid files of all six kinds."""
+    """A directory of valid files of all five kinds."""
     d = tmp_path_factory.mktemp("valid")
     (d / "data.json").write_text(json.dumps(DATA))
     train_s, test_s, spec = generate_dataset(DataSpec(**DATA))
@@ -76,9 +73,6 @@ def valid_files(tmp_path_factory):
                     AdapterSet(MODEL.n_layers, MODEL.d_model, MODEL.d_ff,
                                ADAPTER, seed=1))
     (d / "train.json").write_text(json.dumps(TRAIN))
-    assert run(["weaklabels", "--data", str(d / "data" / "train.jsonl"),
-                "--meta", str(d / "data" / "meta.json"), "--out",
-                str(d / "cache.jsonl"), "--topk", "1"]) == (0, "")
     return d
 
 

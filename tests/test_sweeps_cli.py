@@ -180,34 +180,6 @@ class TestCli:
         assert rc == 0
         assert len(list(heat_dir.glob("*.refined.pgm"))) == 1
 
-    def test_weaklabels_cache_and_reuse(self, tmp_path, data_dir,
-                                        train_config_file):
-        cache = tmp_path / "cache.jsonl"
-        rc = cli.main(["weaklabels", "--data", str(data_dir / "train.jsonl"),
-                       "--meta", str(data_dir / "meta.json"), "--out",
-                       str(cache), "--topk", "1"])
-        assert rc == 0
-        assert len(cache.read_text().splitlines()) == 8
-
-        rc = cli.main(["train", "--data", str(data_dir), "--out",
-                       str(tmp_path / "run2"), "--config",
-                       str(train_config_file), "--weak-cache", str(cache)])
-        assert rc == 0
-
-    def test_weak_cache_with_other_k_rejected(self, tmp_path, data_dir,
-                                              train_config_file, capsys):
-        cache = tmp_path / "cache.jsonl"
-        rc = cli.main(["weaklabels", "--data", str(data_dir / "train.jsonl"),
-                       "--meta", str(data_dir / "meta.json"), "--out",
-                       str(cache), "--topk", "1"])
-        assert rc == 0
-        rc = cli.main(["train", "--data", str(data_dir), "--out",
-                       str(tmp_path / "run"), "--config",
-                       str(train_config_file), "--weak-cache", str(cache),
-                       "--topk", "2"])
-        assert rc == 1
-        assert "no K=2 record" in capsys.readouterr().err
-
     @pytest.mark.parametrize("verb", [
         ["train"],
         ["sweep", "--param", "lambda", "--values", "0,0.1"],
@@ -224,23 +196,6 @@ class TestCli:
         assert "dataset token 12 outside model vocabulary 12" in capsys.readouterr().err
         assert not out.exists()
         assert not list(tmp_path.rglob("metrics.jsonl"))
-
-    def test_weak_cache_from_other_backend_rejected(self, tmp_path, data_dir,
-                                                    train_config_file, capsys):
-        cache = tmp_path / "cache.jsonl"
-        rc = cli.main(["weaklabels", "--data", str(data_dir / "train.jsonl"),
-                       "--meta", str(data_dir / "meta.json"), "--out",
-                       str(cache), "--topk", "1", "--noise", "5.0", "--seed", "7"])
-        assert rc == 0
-        out = tmp_path / "run"
-        rc = cli.main(["train", "--data", str(data_dir), "--out", str(out),
-                       "--config", str(train_config_file), "--weak-cache",
-                       str(cache)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "no K=1 record" in err
-        assert "synthetic-oracle(noise=0.0,seed=0)" in err
-        assert not (out / "metrics.jsonl").exists()
 
     @pytest.mark.parametrize("verb", [
         ["train"],
@@ -350,7 +305,7 @@ class TestCli:
                          str(tmp_path / "report.json")]) == 0
 
     # {m} is the meta file as error lines name it, {s} its 'spec' section
-    @pytest.mark.parametrize("verb", ["train", "weaklabels"])
+    @pytest.mark.parametrize("verb", ["train", "sweep"])
     @pytest.mark.parametrize("edit,message", [
         (lambda doc: doc["spec"].update(bogus=1),
          "DataSpec field 'bogus' unexpected in {s}"),
@@ -389,11 +344,10 @@ class TestCli:
             doc = edit   # the whole document replaced
         path.write_text(json.dumps(doc))
         out = tmp_path / "out"
-        argv = {"train": ["train", "--data", str(data_dir), "--out", str(out),
-                          "--config", str(train_config_file)],
-                "weaklabels": ["weaklabels", "--data", str(data_dir / "train.jsonl"),
-                               "--meta", str(path), "--out", str(out)]}[verb]
-        assert cli.main(argv) == 1
+        argv = {"train": ["train"],
+                "sweep": ["sweep", "--param", "lambda", "--values", "0,0.1"]}[verb]
+        assert cli.main(argv + ["--data", str(data_dir), "--out", str(out),
+                                "--config", str(train_config_file)]) == 1
         m = f"dataset meta {path}"
         spec = f"section 'spec' of {m}"
         assert capsys.readouterr().err == \
@@ -601,26 +555,6 @@ class TestCli:
         assert err.count("\n") == 1
         assert not (tmp_path / "report.json").exists()
 
-    @pytest.mark.parametrize("doc,message", [
-        ([], "config file {cfg} is [], not a JSON object"),
-        ({"topk": 1, "tpok": 2}, "key 'tpok' unexpected in config file {cfg}"),
-        # these three used to end in a TypeError traceback or run on
-        ({"topk": "2"}, "key 'topk' of config file {cfg} is '2', not an int"),
-        ({"noise": "0"}, "key 'noise' of config file {cfg} is '0', not a number"),
-        ({"seed": 1.5}, "key 'seed' of config file {cfg} is 1.5, not an int"),
-    ], ids=["list", "unknown-key", "string-topk", "string-noise", "float-seed"])
-    def test_weaklabels_config_must_be_an_object_of_known_keys(
-            self, tmp_path, data_dir, capsys, doc, message):
-        cfg = tmp_path / "wl.json"
-        cfg.write_text(json.dumps(doc))
-        out = tmp_path / "cache.jsonl"
-        rc = cli.main(["weaklabels", "--data", str(data_dir / "train.jsonl"),
-                       "--meta", str(data_dir / "meta.json"), "--out", str(out),
-                       "--config", str(cfg)])
-        assert rc == 1
-        assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
-        assert not out.exists()
-
     @pytest.mark.parametrize("value,kind", [("x", "an int"), (1.7, "an int"),
                                             (True, "an int"), (-1, ">= 0")],
                              ids=["string", "float", "bool", "negative"])
@@ -638,56 +572,6 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: key 'model_seed' of config file {train_config_file} "
             f"is {value!r}, not {kind}\n")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("edit,message", [
-        (lambda rec: rec.pop("K"), "key 'K' missing from {where}"),
-        (lambda rec: rec["segments"][0].update(token_indices="x"),
-         "key 'token_indices' of {where} segment 0 is 'x', not a list"),
-        (lambda rec: rec["segments"][0].update(token_indices=[1, "2"]),
-         "item 1 of key 'token_indices' of {where} segment 0 is '2', not an int"),
-        (lambda rec: rec.update(K=True), "key 'K' of {where} is True, not an int"),
-        ('{"image_id": ', "{where} is not valid JSON: "),
-        ("[]", "{where} is [], not a JSON object"),
-        (lambda rec: rec.update(segments=[]),
-         "key 'segments' of {where} is [], not a nonempty list\n"),
-        (lambda rec: rec["segments"][0].update(id="s", token_indices=[]),
-         "{where}: segment 's' has no tokens\n"),
-        (lambda rec: rec["segments"][0].update(id="s", token_indices=[99]),
-         "{where}: segment 's' has token 99 outside the map of 9 visual "
-         "tokens\n"),
-    ], ids=["missing-key", "string-indices", "string-index", "bool-k",
-            "bad-json", "not-object", "no-segments", "no-tokens",
-            "token-outside-map"])
-    def test_weak_cache_lines_are_checked_before_use(
-            self, tmp_path, data_dir, train_config_file, capsys, edit, message):
-        # these used to print "error: 'K'", int()'s own message and a bare
-        # decoder message, none of them naming the file; a record without
-        # segments, or with a token outside the model's map, stopped training
-        # with an error that named no file, and a segment without tokens with
-        # one from the Segment class
-        cache = tmp_path / "cache.jsonl"
-        rc = cli.main(["weaklabels", "--data", str(data_dir / "train.jsonl"),
-                       "--meta", str(data_dir / "meta.json"), "--out",
-                       str(cache), "--topk", "1"])
-        assert rc == 0
-        lines = cache.read_text().splitlines()
-        if callable(edit):
-            rec = json.loads(lines[1])
-            edit(rec)
-            lines[1] = json.dumps(rec, sort_keys=True)
-        else:
-            lines[1] = edit   # the whole line replaced
-        cache.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        out = tmp_path / "run"
-        rc = cli.main(["train", "--data", str(data_dir), "--out", str(out),
-                       "--config", str(train_config_file), "--weak-cache",
-                       str(cache)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: " + message.format(where=f"{cache} line 2"))
-        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_gen_data_config_must_be_an_object(self, tmp_path, capsys):
@@ -970,11 +854,6 @@ class TestCli:
 
     @pytest.mark.parametrize("argv,message", [
         (["gen-data", "--seed", "-1"], "option --seed: seed must be >= 0, got -1"),
-        (["weaklabels", "--topk", "0"], "option --topk: k must be >= 1, got 0"),
-        (["weaklabels", "--config", "{config}"],
-         "key 'topk' of config file {config}: k must be >= 1, got 0"),
-        (["weaklabels", "--noise", "-1"],
-         "option --noise: noise must be >= 0, got -1.0"),
         (["visualize", "--kind", "refined", "--heads", "40"],
          "option --heads: top_r=40 outside [1, 2], the L x H heads of the model"),
         (["visualize", "--kind", "refined", "--heads", "0"],
@@ -991,22 +870,20 @@ class TestCli:
          "option --first: 0 is not a sample count >= 1"),
         (["train", "--config", "{train_config}", "--weak-noise", "-1"],
          "option --weak-noise: noise must be >= 0, got -1.0"),
+        (["train", "--config", "{train_config}", "--weak-noise", "inf"],
+         "option --weak-noise: noise must be finite, got inf"),
         (["visualize", "--ids", "te000000,,nope"],
          "option --ids: no sample has the id 'nope'"),
         (["visualize", "--ids", "nope"],
          "option --ids: no sample has the id 'nope'"),
         (["visualize", "--ids", ","], "option --ids: ',' names no sample id"),
         (["visualize", "--ids", ""], "option --ids: '' names no sample id"),
-        (["weaklabels", "--seed", "-1"], "option --seed: seed must be >= 0, got -1"),
-        (["weaklabels", "--config", "{seed_config}"],
-         "key 'seed' of config file {seed_config}: seed must be >= 0, got -1"),
-    ], ids=["gen-data-seed", "weaklabels-topk", "weaklabels-config-topk",
-            "weaklabels-noise", "visualize-heads-40", "visualize-heads-0",
+    ], ids=["gen-data-seed", "visualize-heads-40", "visualize-heads-0",
             "evaluate-tau-negative", "evaluate-tau-nan", "evaluate-tau-2",
             "visualize-first-negative", "visualize-first-0", "train-weak-noise",
-            "visualize-ids-one-unknown", "visualize-ids-all-unknown",
-            "visualize-ids-comma", "visualize-ids-empty",
-            "weaklabels-seed", "weaklabels-config-seed"])
+            "train-weak-noise-inf", "visualize-ids-one-unknown",
+            "visualize-ids-all-unknown", "visualize-ids-comma",
+            "visualize-ids-empty"])
     def test_options_outside_train_config_named_when_refused(
             self, tmp_path, data_dir, train_config_file, capsys, no_training,
             argv, message):
@@ -1014,25 +891,19 @@ class TestCli:
         # nan and 2 exited 0 with a coverage of 1 or 0, as visualize's
         # --first -1 did with heatmaps of all samples but the last, --ids
         # with those of the ids that name a sample (--ids , and --ids '' named
-        # no option), and weaklabels' --seed -1 with records no train run can use
-        config = tmp_path / "weaklabels.json"
-        config.write_text(json.dumps({"topk": 0}))
-        seed_config = tmp_path / "weaklabels-seed.json"
-        seed_config.write_text(json.dumps({"seed": -1}))
+        # no option), and train's --weak-noise inf with a run on weak labels
+        # ranked by NaN similarities
         checkpoint = tmp_path / "checkpoint.json"
         save_checkpoint(checkpoint, VisualDecoder(SMALL_MODEL),
                         AdapterSet(1, 8, 32, SMALL_ADAPTER))
         inputs = {"gen-data": [],
-                  "weaklabels": ["--data", str(data_dir / "train.jsonl"),
-                                 "--meta", str(data_dir / "meta.json")],
                   "visualize": ["--checkpoint", str(checkpoint),
                                 "--data", str(data_dir / "test.jsonl")],
                   "evaluate": ["--checkpoint", str(checkpoint),
                                "--data", str(data_dir / "test.jsonl")],
                   "train": ["--data", str(data_dir)]}
         out = tmp_path / "out"
-        names = dict(config=config, seed_config=seed_config,
-                     train_config=train_config_file)
+        names = dict(train_config=train_config_file)
         argv = [a.format(**names) for a in argv]
         rc = cli.main(argv + inputs[argv[0]] + ["--out", str(out)])
         assert rc == 1

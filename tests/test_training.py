@@ -10,14 +10,15 @@ from attnalign import autodiff as ad
 from attnalign import cli, training
 from attnalign.adapters import AdapterConfig, AdapterSet
 from attnalign.autodiff import Tensor
-from attnalign.data import DataSpec, generate_dataset, write_samples
+from attnalign.data import DataSpec, generate_dataset, propose_segments, \
+    write_samples
 from attnalign.errors import CompatibilityError, ConfigurationError, \
     DegenerateAttentionError, DivergenceError, ParameterError
 from attnalign.metrics import evaluate
 from attnalign.model import ModelConfig, VisualDecoder
 from attnalign.training import TASK_PROFILES, AdamW, TrainConfig, check_heads, \
     alignment_loss, compute_weak_labels, lm_loss, total_loss, train
-from attnalign.weaklabels import Segment, WeakLabelSet
+from attnalign.weaklabels import Segment
 
 from conftest import assert_no_children, make_visual
 from oracles import finite_diff_check, finite_diff_check_params
@@ -26,11 +27,9 @@ from references import PerTensorAdamW, alignment_loss_composed, \
 
 
 def labels_of(*token_sets):
-    segs = tuple(Segment(id=f"s{i}", token_indices=ts)
-                 for i, ts in enumerate(token_sets))
-    sims = {s.id: 1.0 for s in segs}
-    return WeakLabelSet(segments=segs, similarities=sims, tau=1.0,
-                        k=len(segs))
+    """The token sets of weak-label segments, each sorted as a Segment keeps it."""
+    return [Segment(id=f"s{i}", token_indices=ts).token_indices
+            for i, ts in enumerate(token_sets)]
 
 
 def small_task(n_train=6, seed=0, n_test=2, **spec_kw):
@@ -111,7 +110,7 @@ class TestAlignmentLoss:
             results = []
             labels = labels_of(*segs)
             for build in (lambda m: alignment_loss(m, labels),
-                          lambda m: alignment_loss_composed(m, labels.token_sets())):
+                          lambda m: alignment_loss_composed(m, labels)):
                 m = Tensor(data.copy(), requires_grad=True)
                 loss, fracs = build(m)
                 ad.mul(loss, scale).backward()
@@ -256,7 +255,7 @@ class TestFusedAlignmentPath:
         for _, t in adapters.params():
             t.data = r.normal(0.0, 0.3, size=t.data.shape)
         labels = compute_weak_labels(train_s, meta, k=k)
-        assert all(len(labels[s.id].segments) == k for s in train_s)
+        assert all(len(labels[s.id]) == k for s in train_s)
         return model, adapters, train_s, labels
 
     @pytest.mark.parametrize("k", [1, 4])
@@ -279,8 +278,7 @@ class TestFusedAlignmentPath:
 
         fused = run()
         monkeypatch.setattr(attn, "refined_map", refined_map_all_heads)
-        monkeypatch.setattr(training, "alignment_loss",
-                            lambda m, ls: alignment_loss_composed(m, ls.token_sets()))
+        monkeypatch.setattr(training, "alignment_loss", alignment_loss_composed)
         assert run() == fused
 
     @pytest.mark.parametrize("k", [1, 4])
@@ -406,10 +404,11 @@ class TestComputeWeakLabels:
     def test_background_count_comes_from_the_dataset(self, n_background):
         train_s, _, meta = generate_dataset(DataSpec(
             n_train=4, n_test=1, seed=1, n_background_segments=n_background))
-        labels = compute_weak_labels(train_s, meta, k=1)
+        labels = compute_weak_labels(train_s, meta, k=10)   # keeps them all
         for s in train_s:
             assert len(s.segments) == 3
-            assert len(labels[s.id].similarities) == 3 + n_background
+            candidates = propose_segments(s, n_background)
+            assert len(candidates) == len(labels[s.id]) == 3 + n_background
 
 
 class TestTrainLoop:
@@ -445,6 +444,21 @@ class TestTrainLoop:
             base_losses.append(bd.llm)
         assert abs(result.epoch_logs[0]["train_llm"] - np.mean(base_losses)) \
             < 1e-12
+
+    def test_partial_last_batch_scaled_by_its_own_size(self, monkeypatch):
+        scales = []
+        step = AdamW.step
+
+        def recording_step(self, grad, grad_scale=1.0):
+            scales.append(grad_scale)
+            step(self, grad, grad_scale)
+
+        monkeypatch.setattr(AdamW, "step", recording_step)
+        train_s, _, _ = small_task(n_train=10)   # batches of 8 and 2
+        cfg = TrainConfig(lambda_align=0.0, epochs=1, batch_size=8,
+                          adapter=SMALL_ADAPTER)
+        train(small_model(), train_s, cfg)
+        assert scales == [1 / 8, 1 / 2]
 
     def test_profiles_table(self):
         assert TASK_PROFILES["slake"]["epochs"] == 6
@@ -599,7 +613,7 @@ class TestSplitAcrossProcesses:
             train_s, _, cfg, labels = self.task()
             # the last sample of the first batch falls in a helper's chunk
             victim = train_s[shuffled_order(cfg, len(train_s))[2]]
-            labels[victim.id] = replace(labels[victim.id], segments=())
+            labels[victim.id] = ()
             with pytest.raises(ConfigurationError) as info:
                 train(small_model(), train_s, cfg, weak_labels=labels)
             assert_no_children()
