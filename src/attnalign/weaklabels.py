@@ -39,10 +39,11 @@ class Segment:
 def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise DegenerateEmbeddingError("cosine similarity of a zero vector")
-    dot, norms = np.dot(u, v), nu * nv
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below instead
+        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+        if nu == 0.0 or nv == 0.0:
+            raise DegenerateEmbeddingError("cosine similarity of a zero vector")
+        dot, norms = np.dot(u, v), nu * nv
     if not (math.isfinite(dot) and math.isfinite(norms)):
         raise DegenerateEmbeddingError(
             "cosine similarity of vectors whose dot product or norms are not "
@@ -111,7 +112,8 @@ class SyntheticOracleBackend:
                 str(self.seed).encode(), segment.id.encode(),
                 np.asarray(segment.token_indices).tobytes(), image.tobytes()])).digest()
             rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
-            vec = vec + self.noise * rng.normal(size=vec.shape)
+            with np.errstate(over="ignore"):   # cosine_sim refuses an inf
+                vec = vec + self.noise * rng.normal(size=vec.shape)
         return vec
 
     def embed_prompt(self, prompt_tokens: Sequence[int]) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Every JSON file the CLI reads, changed in one way, either still works or
 stops its verb with exactly one ``error:`` line that names the file.
 
-The five kinds are a ``gen-data`` config file, ``meta.json``, a sample
-line, a checkpoint and a ``train`` config file.
+The six kinds are a ``gen-data`` config file, ``meta.json``, a test
+sample line, a train sample line (the only source of weak labels), a
+checkpoint and a ``train`` config file.
 Each change drops or adds a key, replaces a value by null, a string, a
 float, a list, 0 or -1, truncates base64, or writes bytes that are not
 JSON or not UTF-8. Any other exception, or an exit code other than 0 and
@@ -50,6 +51,9 @@ KINDS = {
     "samples": ("data/test.jsonl", True,
                 ["evaluate", "--checkpoint", "{d}/checkpoint.json", "--data",
                  "{d}/data/test.jsonl", "--out", "{d}/report.json"]),
+    "train-samples": ("data/train.jsonl", True,
+                      ["train", "--data", "{d}/data", "--config",
+                       "{d}/train.json", "--out", "{d}/run"]),
     "checkpoint": ("checkpoint.json", False,
                    ["evaluate", "--checkpoint", "{d}/checkpoint.json", "--data",
                     "{d}/data/test.jsonl", "--out", "{d}/report.json"]),
@@ -61,7 +65,7 @@ KINDS = {
 
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
-    """A directory of valid files of all five kinds."""
+    """A directory of valid files of all six kinds."""
     d = tmp_path_factory.mktemp("valid")
     (d / "data.json").write_text(json.dumps(DATA))
     train_s, test_s, spec = generate_dataset(DataSpec(**DATA))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -872,6 +873,10 @@ class TestCli:
          "option --weak-noise: noise must be >= 0, got -1.0"),
         (["train", "--config", "{train_config}", "--weak-noise", "inf"],
          "option --weak-noise: noise must be finite, got inf"),
+        (["train", "--config", "{train_config}", "--weak-noise=-inf"],
+         "option --weak-noise: noise must be >= 0, got -inf"),
+        (["train", "--config", "{train_config}", "--weak-noise", "nan"],
+         "option --weak-noise: noise must be >= 0, got nan"),
         (["visualize", "--ids", "te000000,,nope"],
          "option --ids: no sample has the id 'nope'"),
         (["visualize", "--ids", "nope"],
@@ -881,7 +886,8 @@ class TestCli:
     ], ids=["gen-data-seed", "visualize-heads-40", "visualize-heads-0",
             "evaluate-tau-negative", "evaluate-tau-nan", "evaluate-tau-2",
             "visualize-first-negative", "visualize-first-0", "train-weak-noise",
-            "train-weak-noise-inf", "visualize-ids-one-unknown",
+            "train-weak-noise-inf", "train-weak-noise-negative-inf",
+            "train-weak-noise-nan", "visualize-ids-one-unknown",
             "visualize-ids-all-unknown", "visualize-ids-comma",
             "visualize-ids-empty"])
     def test_options_outside_train_config_named_when_refused(
@@ -908,6 +914,26 @@ class TestCli:
         rc = cli.main(argv + inputs[argv[0]] + ["--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message.format(**names)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("noise", ["1e200", "1e308"],
+                             ids=["norm-overflows", "noise-overflows"])
+    def test_weak_noise_that_overflows_an_embedding_gives_one_error_line(
+            self, tmp_path, data_dir, train_config_file, capsys, no_training,
+            noise):
+        # a finite noise this large makes a segment's embedding or its norm
+        # inf; numpy's overflow warnings used to come before the error line
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["train", "--data", str(data_dir), "--out", str(out),
+                           "--config", str(train_config_file),
+                           "--weak-noise", noise])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: backend failed on segment 'seg0': cosine similarity of "
+            "vectors whose dot product or norms are not finite\n")
+        assert [str(w.message) for w in caught] == []
         assert not out.exists()
 
     def test_error_exit_code(self, tmp_path):

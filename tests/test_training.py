@@ -18,7 +18,8 @@ from attnalign.metrics import evaluate
 from attnalign.model import ModelConfig, VisualDecoder
 from attnalign.training import TASK_PROFILES, AdamW, TrainConfig, check_heads, \
     alignment_loss, compute_weak_labels, lm_loss, total_loss, train
-from attnalign.weaklabels import Segment
+from attnalign.weaklabels import Segment, SyntheticOracleBackend, \
+    select_weak_labels
 
 from conftest import assert_no_children, make_visual
 from oracles import finite_diff_check, finite_diff_check_params
@@ -75,6 +76,11 @@ class TestAlignmentLoss:
             loss, _ = alignment_loss(m, labels_of(*segs))
             assert 0.0 <= float(loss.data) <= len(segs)
 
+    def test_no_segment_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match="^alignment loss needs at least one segment$"):
+            alignment_loss(Tensor(np.full(4, 0.25)), [])
+
     def test_zero_mass_rejected(self):
         with pytest.raises(DegenerateAttentionError):
             alignment_loss(Tensor(np.zeros(4)), labels_of((0,)))
@@ -87,6 +93,21 @@ class TestAlignmentLoss:
         with pytest.raises(CompatibilityError,
                            match=f"weak-label token {bad} outside the map of 4 "):
             alignment_loss(Tensor(np.full(4, 0.25)), labels)
+
+    @pytest.mark.parametrize("form", [
+        list, np.array, lambda ts: np.array(ts, dtype=np.int32)],
+        ids=["lists", "arrays", "int32-arrays"])
+    def test_any_sequence_of_token_indices_gives_the_same_bits(self, rng,
+                                                              form):
+        data = rng.random(6) + 0.1
+        sets = labels_of((0, 3), (5,), (1, 2, 4))
+        results = []
+        for token_sets in (sets, [form(ts) for ts in sets]):
+            m = Tensor(data.copy(), requires_grad=True)
+            loss, fracs = alignment_loss(m, token_sets)
+            loss.backward()
+            results.append((loss.data.tobytes(), fracs, m.grad.tobytes()))
+        assert results[0] == results[1]
 
     def test_differentiable(self, rng):
         m = Tensor(rng.random(5) + 0.1, requires_grad=True)
@@ -411,6 +432,27 @@ class TestComputeWeakLabels:
             assert len(candidates) == len(labels[s.id]) == 3 + n_background
 
 
+    def test_one_tuple_of_segments_per_sample(self):
+        train_s, _, meta = small_task()
+        labels = compute_weak_labels(train_s, meta, k=2)
+        assert list(labels) == [s.id for s in train_s]
+        for s in train_s:
+            assert isinstance(labels[s.id], tuple) and len(labels[s.id]) == 2
+            assert all(isinstance(g, Segment) for g in labels[s.id])
+            assert labels[s.id][0].token_indices == s.roi   # at noise 0
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_noise_and_seed_reach_the_backend(self, seed):
+        train_s, _, meta = small_task()
+        labels = compute_weak_labels(train_s, meta, k=2, noise=0.5, seed=seed)
+        backend = SyntheticOracleBackend(meta.concept_vectors,
+                                         meta.concept_base, 0.5, seed)
+        for s in train_s:
+            candidates = propose_segments(s, meta.n_background_segments)
+            assert labels[s.id] == select_weak_labels(
+                candidates, s.prompt, s.features, backend, 2)
+
+
 class TestTrainLoop:
     def run_small(self, lam=0.0, epochs=2, lr=1e-3, seed=0, **kw):
         train_s, test_s, meta = small_task(seed=3)
@@ -445,7 +487,9 @@ class TestTrainLoop:
         assert abs(result.epoch_logs[0]["train_llm"] - np.mean(base_losses)) \
             < 1e-12
 
-    def test_partial_last_batch_scaled_by_its_own_size(self, monkeypatch):
+    @staticmethod
+    def step_scales(monkeypatch, n_train, batch_size):
+        """The gradient scale of each optimizer step of a one-epoch run."""
         scales = []
         step = AdamW.step
 
@@ -454,11 +498,24 @@ class TestTrainLoop:
             step(self, grad, grad_scale)
 
         monkeypatch.setattr(AdamW, "step", recording_step)
-        train_s, _, _ = small_task(n_train=10)   # batches of 8 and 2
-        cfg = TrainConfig(lambda_align=0.0, epochs=1, batch_size=8,
+        train_s, _, _ = small_task(n_train=n_train)
+        cfg = TrainConfig(lambda_align=0.0, epochs=1, batch_size=batch_size,
                           adapter=SMALL_ADAPTER)
         train(small_model(), train_s, cfg)
-        assert scales == [1 / 8, 1 / 2]
+        return scales
+
+    def test_partial_last_batch_scaled_by_its_own_size(self, monkeypatch):
+        # batches of 8 and 2
+        assert self.step_scales(monkeypatch, 10, 8) == [1 / 8, 1 / 2]
+
+    @pytest.mark.parametrize("n_train,batch_size,scales", [
+        (9, 4, [1 / 4, 1 / 4, 1.0]),
+        (8, 4, [1 / 4, 1 / 4]),
+        (3, 8, [1 / 3]),
+    ], ids=["last-batch-of-one", "no-partial-batch", "one-short-batch"])
+    def test_each_batch_scaled_by_its_own_size(self, monkeypatch, n_train,
+                                               batch_size, scales):
+        assert self.step_scales(monkeypatch, n_train, batch_size) == scales
 
     def test_profiles_table(self):
         assert TASK_PROFILES["slake"]["epochs"] == 6

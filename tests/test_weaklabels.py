@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,13 +44,36 @@ class TestCosine:
         with pytest.raises(DegenerateEmbeddingError):
             cosine_sim([0.0, 0.0], [1.0, 0.0])
 
-    @pytest.mark.parametrize("u", [[np.inf, 1.0], [1e200, 1e200]],
-                             ids=["inf", "norm-overflows"])
+    NON_FINITE = pytest.mark.parametrize(
+        "u", [[np.inf, 1.0], [1e200, 1e200], [-np.inf, 1.0], [np.nan, 1.0]],
+        ids=["inf", "norm-overflows", "negative-inf", "nan"])
+
+    @NON_FINITE
     def test_non_finite_vector(self, u):
         # used to return nan for [inf, 1], and 0.0 for [1e200, 1e200],
         # whose squared norm overflows
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DegenerateEmbeddingError, match="not finite"):
+                cosine_sim(u, [1.0, 1.0])
+        assert [str(w.message) for w in caught] == []
+
+    @NON_FINITE
+    def test_non_finite_vector_second(self, u):
         with pytest.raises(DegenerateEmbeddingError, match="not finite"):
-            cosine_sim(u, [1.0, 1.0])
+            cosine_sim([1.0, 1.0], u)
+
+    @given(st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=6),
+           st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_finite_vectors_keep_the_plain_quotient(self, u, v):
+        # the finiteness checks change no bit of a similarity they let through
+        n = min(len(u), len(v))
+        u, v = np.array(u[:n]), np.array(v[:n])
+        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+        if nu == 0.0 or nv == 0.0:
+            return
+        assert cosine_sim(u, v) == float(np.dot(u, v) / (nu * nv))
 
 
 def seg(sid, tokens=(0,)):
@@ -224,6 +249,38 @@ class TestSyntheticOracle:
                 seg0, sample.features) for seed in (0, 1, 0))
         assert not np.array_equal(a, b)
         assert np.array_equal(a, again)
+
+    @pytest.mark.parametrize("noise,message", [
+        (-np.inf, "noise must be >= 0, got -inf"),
+        (np.nan, "noise must be >= 0, got nan"),
+        (-0.5, "noise must be >= 0, got -0.5"),
+    ], ids=["negative-inf", "nan", "negative"])
+    def test_noise_outside_the_finite_nonnegatives_rejected(self, noise,
+                                                            message):
+        _, meta, _ = self.make_case()
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            SyntheticOracleBackend(meta.concept_vectors, meta.concept_base,
+                                   noise, 0)
+
+    def test_negative_seed_rejected(self):
+        _, meta, _ = self.make_case()
+        with pytest.raises(ParameterError, match="^seed must be >= 0, got -1$"):
+            SyntheticOracleBackend(meta.concept_vectors, meta.concept_base,
+                                   0.5, -1)
+
+    def test_overflowing_noise_refused_without_warnings(self):
+        # noise * N(0, 1) overflows to inf; selection names the segment
+        train, meta, _ = self.make_case()
+        sample = train[0]
+        backend = SyntheticOracleBackend(meta.concept_vectors,
+                                         meta.concept_base, 1e308, 0)
+        candidates = propose_segments(sample, meta.n_background_segments)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(BackendError, match="not finite"):
+                select_weak_labels(candidates, sample.prompt, sample.features,
+                                   backend, 1)
+        assert [str(w.message) for w in caught] == []
 
     def test_infinite_noise_rejected(self):
         # used to be accepted, and to rank segments by NaN similarities
