@@ -1,9 +1,9 @@
 """Head statistics, refined and generated visual maps, heatmap export.
 
 One forward pass yields an AttentionStack of L*H row-stochastic maps
-over the full sequence; the last layer's maps hold only the query rows
-that the pass kept. We rank heads by the share of attention their text
-queries put on visual keys, then carve the text-query x visual-key
+over the full sequence; the last layer's maps hold only the last query
+rows, those the pass kept. We rank heads by the share of attention their
+text queries put on visual keys, then carve the text-query x visual-key
 submatrices of the top-R heads only and fold them into the refined map
 that the alignment loss consumes. Every reader names sequence rows, and
 ``AttentionStack.plane_rows`` translates them into rows of a plane.
@@ -48,32 +48,24 @@ class Spans:
         return range(self.n_visual, self.total)
 
 
-def kept_positions(kept: Sequence[int], rows: Sequence[int], what: str) -> np.ndarray:
-    """The positions in ``kept`` of the sequence rows ``rows``; a row that
-    was not kept raises SelectionError."""
-    pos = {r: i for i, r in enumerate(kept)}
-    try:
-        return np.array([pos[r] for r in rows], dtype=np.intp)
-    except KeyError as exc:
-        raise SelectionError(f"sequence row {exc.args[0]} is not among the rows "
-                             f"{tuple(kept)} kept in {what}") from None
-
-
 @dataclass
 class AttentionStack:
     """Per-layer attention planes from one forward pass: [H x S x S] for every
-    layer but the last, whose [H x m x S] plane holds the m query rows the
-    pass kept, row i being sequence row ``last_rows[i]``."""
+    layer but the last, whose [H x m x S] plane holds the last m query rows,
+    those the pass kept."""
 
     planes: list[Tensor]
     spans: Spans
-    last_rows: tuple[int, ...]
 
     def plane_rows(self, layer: int, rows: Sequence[int]) -> np.ndarray:
-        """The rows of plane ``layer`` that hold the sequence rows ``rows``."""
-        if layer < self.n_layers - 1:
-            return np.asarray(rows, dtype=np.intp)
-        return kept_positions(self.last_rows, rows, "the last layer's attention")
+        """The rows of plane ``layer`` that hold the sequence rows ``rows``; a
+        row before the ones it kept raises SelectionError."""
+        rows = np.asarray(rows, dtype=np.intp)
+        first = self.spans.total - self.planes[layer].shape[-2]
+        if rows.size and rows.min() < first:
+            raise SelectionError(f"sequence row {rows.min()} is before row "
+                                 f"{first}, the first that layer {layer} kept")
+        return rows - first
 
     @property
     def n_layers(self) -> int:
@@ -183,16 +175,16 @@ def refined_map(stack: AttentionStack, query_rows: Sequence[int],
 
 def generated_query_mean_map(stacks: Sequence[AttentionStack]) -> np.ndarray:
     """Mean map over the emitting row of each greedy step (inference view):
-    a step's last sequence row emits the next token."""
+    a step's last sequence row emits the next token, and it is the last
+    row of every plane, since every plane keeps a suffix of rows."""
     if not stacks:
         raise SelectionError("no generation steps to average")
     n = stacks[0].spans.n_visual
     acc = np.zeros(n)
     count = 0
     for stack in stacks:
-        for l, plane in enumerate(stack.planes):
-            (r,) = stack.plane_rows(l, (stack.spans.total - 1,))
-            acc += plane.data[:, r, :n].sum(axis=0)
+        for plane in stack.planes:
+            acc += plane.data[:, -1, :n].sum(axis=0)
             count += plane.shape[0]
     return acc / count
 

@@ -207,21 +207,19 @@ def mul(a, b) -> Tensor:
     return _wrap(a.data * b.data, (a, b), back)
 
 
-def gather_rows(a, rows) -> Tensor:
-    """The given rows (axis -2) of a matrix, in order; the backward scatters
-    g into zeros of a's shape, a repeated row accumulating."""
+def tail_rows(a, m: int) -> Tensor:
+    """The last m rows (axis -2) of a matrix; the backward adds g into the
+    tail of zeros of a's shape."""
     a = _as_tensor(a)
-    idx = np.asarray(rows, dtype=np.intp)
-    if len(a.shape) < 2 or idx.ndim != 1 \
-            or (idx.size and (idx.min() < 0 or idx.max() >= a.shape[-2])):
-        raise ShapeError(f"gather_rows: rows {idx.tolist()} do not index {a.shape}")
+    if len(a.shape) < 2 or not 1 <= m <= a.shape[-2]:
+        raise ShapeError(f"tail_rows: the last {m} rows of {a.shape}")
 
     def back(g, sink):
         z = np.zeros_like(a.data)
-        np.add.at(z, idx, g)
+        z[..., -m:, :] += g
         sink(a, z)
 
-    return _wrap(a.data[..., idx, :], (a,), back)
+    return _wrap(a.data[..., -m:, :], (a,), back)
 
 
 # ---------------------------------------------------------------------------

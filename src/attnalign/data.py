@@ -51,6 +51,9 @@ class DataSpec:
         for name in ("seed", "feature_noise", "n_train", "n_test"):
             if not getattr(self, name) >= 0:
                 raise GenerationError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("feature_noise", "concept_scale", "label_scale"):
+            if not np.isfinite(getattr(self, name)):
+                raise GenerationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_segments < 1 or not 1 <= self.seg_side_min <= self.seg_side_max:
             raise GenerationError("need n_segments >= 1 and "
                                   "1 <= seg_side_min <= seg_side_max")

@@ -8,12 +8,12 @@ arrays: the embedding front is numpy, wrapped once in a constant tensor,
 and the decoder's ops read the base weights as data, so all learning,
 and every gradient, belongs to the adapters.
 
-A forward pass returns the logits of the sequence rows its caller keeps
+A forward pass returns the logits of the last rows its caller keeps
 (all by default, like ``logits_to_keep`` in causal-LM inference code)
 plus the per-layer, per-head attention stack. Every layer but the last
 computes all rows, which become the next layer's keys and values; the
 last computes its keys and values on every row and the rest, from the
-queries to the LM head, on the kept rows only. A ``no_grad`` pass may
+queries to the LM head, on the kept suffix only. A ``no_grad`` pass may
 run a group of same-shape samples at once, every array gaining a leading
 group axis; greedy decoding does so and hands each sample views of the
 group's planes.
@@ -31,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .adapters import AdapterConfig, AdapterSet, kmoe_apply, kmoe_gate_weights, \
     qmoe_apply, qmoe_weights
-from .attention import AttentionStack, Spans, kept_positions
+from .attention import AttentionStack, Spans
 from .autodiff import Tensor
 from .errors import CapacityError, CompatibilityError, ShapeError, decode_floats, \
     encode_floats, read_document, require_fields, stored_config
@@ -69,12 +69,12 @@ class ModelConfig:
 
 @dataclass
 class ForwardOutput:
-    logits: Tensor                     # [m x V], one row per kept sequence row
-    attention: AttentionStack          # its last_rows are the logits' rows
+    logits: Tensor                     # [m x V], the last m sequence rows
+    attention: AttentionStack          # its last plane keeps the same rows
 
     def logit_rows(self, rows: Sequence[int]) -> np.ndarray:
         """The rows of ``logits`` that hold the given sequence rows."""
-        return kept_positions(self.attention.last_rows, rows, "the logits")
+        return self.attention.plane_rows(self.attention.n_layers - 1, rows)
 
 
 @dataclass
@@ -161,9 +161,9 @@ class VisualDecoder:
     def forward(self, features: np.ndarray, prompt: tuple[int, ...],
                 answer: tuple[int, ...] = (),
                 adapters: AdapterSet | None = None,
-                keep_rows: Sequence[int] | None = None) -> ForwardOutput:
-        """Logits and attention of the sequence rows ``keep_rows`` (sorted,
-        once each), or of every row when it is None.
+                keep_last: int | None = None) -> ForwardOutput:
+        """Logits and attention of the last ``keep_last`` sequence rows, or of
+        every row when it is None.
 
         One sample's [N x d_visual] features come with its prompt and answer
         tokens. Under ``no_grad``, a group's [B x N x d_visual] features may
@@ -182,14 +182,9 @@ class VisualDecoder:
         if not prompt.shape[-1]:
             raise ShapeError("prompt must contain at least one token")
         spans = Spans(c.n_visual, prompt.shape[-1], answer.shape[-1])
-        keep = None
-        rows = tuple(range(spans.total))
-        if keep_rows is not None:
-            rows = tuple(sorted({int(r) for r in keep_rows}))
-            if not rows or rows[0] < 0 or rows[-1] >= spans.total:
-                raise ShapeError(f"rows to keep {rows} outside the "
-                                 f"{spans.total}-row sequence")
-            keep = np.asarray(rows, dtype=np.intp)
+        if keep_last is not None and not 1 <= keep_last <= spans.total:
+            raise ShapeError(f"keep_last={keep_last} outside the "
+                             f"{spans.total}-row sequence")
 
         # the frozen embedding front records nothing: one constant tensor
         text = np.concatenate([prompt, answer], axis=-1)
@@ -201,16 +196,16 @@ class VisualDecoder:
         for l in range(c.n_layers):
             last = l == c.n_layers - 1
             x, att = self._layer(l, x, spans, mask, adapters,
-                                 keep if last else None)
+                                 keep_last if last else None)
             planes.append(att)
         x = ad.layer_norm_rows(x, self.params["ln_f.g"], self.params["ln_f.b"])
         logits = ad.linear_with_lora(x, self.params["w_out"])
-        return ForwardOutput(logits, AttentionStack(planes, spans, rows))
+        return ForwardOutput(logits, AttentionStack(planes, spans))
 
     def _layer(self, l: int, x: Tensor, spans: Spans, mask: np.ndarray,
-               adapters: AdapterSet | None, keep: np.ndarray | None):
+               adapters: AdapterSet | None, keep: int | None):
         """One decoder layer; with ``keep``, the rows it returns and the
-        query rows of its plane are those rows only."""
+        query rows of its plane are the last ``keep`` rows only."""
         c = self.config
         p = self.params
         pre = f"layer{l}."
@@ -225,7 +220,7 @@ class VisualDecoder:
 
         h = ad.layer_norm_rows(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
         # keys and values need every row; queries and the rest only the kept
-        hq = h if keep is None else ad.gather_rows(h, keep)
+        hq = h if keep is None else ad.tail_rows(h, keep)
 
         q = lwl(hq, p[pre + "wq"], "lora_q")
         if la is not None and acfg.use_qmoe:
@@ -240,8 +235,8 @@ class VisualDecoder:
             k = ad.add(kmoe_apply(h, weights, la.k_bank), k)
 
         if keep is not None:
-            mask = mask[keep]
-            x = ad.gather_rows(x, keep)
+            mask = mask[-keep:]
+            x = ad.tail_rows(x, keep)
         att = ad.attention_planes(q, k, c.n_heads, mask)
         merged = ad.attend(att, lwl(h, p[pre + "wv"], "lora_v"))
         out = lwl(merged, p[pre + "wo"], "lora_o")
@@ -272,14 +267,13 @@ class VisualDecoder:
         with ad.no_grad():
             for _ in range(max_len):
                 # only the last row emits, so only it is computed in full
-                row = self.config.n_visual + prompts.shape[1] + generated.shape[1] - 1
                 out = self.forward(features, prompts, generated, adapters,
-                                   keep_rows=(row,))
+                                   keep_last=1)
                 nxt = np.argmax(out.logits.data[:, 0], axis=-1)
                 for i, steps in enumerate(stacks):
                     steps.append(AttentionStack(
                         [Tensor(p.data[i]) for p in out.attention.planes],
-                        out.attention.spans, out.attention.last_rows))
+                        out.attention.spans))
                 generated = np.concatenate([generated, nxt[:, None]], axis=1)
         return [GenerationResult(tokens=tuple(int(t) for t in tokens), stacks=steps)
                 for tokens, steps in zip(generated, stacks)]

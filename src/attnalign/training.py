@@ -69,6 +69,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not value >= low:      # NaN fails too
                 raise ParameterError(f"{name} must be >= {low}, got {value}")
+            if value == np.inf:
+                raise ParameterError(f"{name} must be finite, got {value}")
 
     @property
     def aligned(self) -> bool:
@@ -181,7 +183,9 @@ def alignment_loss(refined: Tensor, token_sets: Sequence[Sequence[int]]
     total = data.sum()
     if total <= 0:
         raise DegenerateAttentionError("refined map has zero total mass")
-    for ts in token_sets:
+    for i, ts in enumerate(token_sets):
+        if not len(ts):
+            raise ConfigurationError(f"alignment loss segment {i} has no tokens")
         for t in (min(ts), max(ts)):
             if not 0 <= t < n:
                 raise CompatibilityError(
@@ -228,12 +232,11 @@ def total_loss(model: VisualDecoder, adapters: AdapterSet | None,
 
     The top-R heads are ranked again on every pass. The pass keeps only
     the rows the two terms read: the answer-predicting logit rows and the
-    answer query rows.
+    answer query rows, which are the last n_answer + 1 rows.
     """
-    spans = attn.Spans(model.config.n_visual, len(sample.prompt), len(sample.answer))
-    rows = attn.answer_query_rows(spans)
     out = model.forward(sample.features, sample.prompt, sample.answer, adapters,
-                        keep_rows=attn.answer_logit_rows(spans) + rows)
+                        keep_last=len(sample.answer) + 1)
+    rows = attn.answer_query_rows(out.attention.spans)
     llm = lm_loss(out, sample.answer)
 
     if not cfg.aligned:

@@ -29,8 +29,7 @@ def make_stack(rng, n_layers=2, n_heads=2, n_visual=4, n_prompt=2, n_answer=3,
                 raw = rng.random(total) * visible
                 plane[h, q] = raw / raw.sum()
         planes.append(Tensor(plane, requires_grad=requires_grad))
-    return attn.AttentionStack(planes=planes, spans=spans,
-                               last_rows=tuple(range(total)))
+    return attn.AttentionStack(planes=planes, spans=spans)
 
 
 def head_selection(n_layers, n_heads, heads):
@@ -148,16 +147,14 @@ class TestVisualRatio:
         spans = attn.Spans(2, 2, 1)
         plane = np.zeros((1, 5, 5))
         plane[0, 4] = [0.3, 0.3, 0.2, 0.2, 0.0]
-        stack = attn.AttentionStack(planes=[Tensor(plane)], spans=spans,
-                                    last_rows=tuple(range(5)))
+        stack = attn.AttentionStack(planes=[Tensor(plane)], spans=spans)
         assert abs(attn.all_visual_ratios(stack, [4])[0, 0] - 0.6) < 1e-15
 
     def test_all_visual_boundary(self):
         spans = attn.Spans(2, 1, 1)
         plane = np.zeros((1, 4, 4))
         plane[0, 3] = [0.5, 0.5, 0.0, 0.0]
-        stack = attn.AttentionStack(planes=[Tensor(plane)], spans=spans,
-                                    last_rows=tuple(range(4)))
+        stack = attn.AttentionStack(planes=[Tensor(plane)], spans=spans)
         assert attn.all_visual_ratios(stack, [3])[0, 0] == 1.0
 
     def test_matches_double_sum_oracle(self, rng):
@@ -302,7 +299,7 @@ class TestRefinedMap:
         for l, h in pairs:
             poisoned[l][h][list(rows), :4] = stack.planes[l].data[h][list(rows), :4]
         again = attn.refined_map(attn.AttentionStack(
-            [Tensor(p) for p in poisoned], stack.spans, stack.last_rows), rows, sel)
+            [Tensor(p) for p in poisoned], stack.spans), rows, sel)
         assert np.array_equal(again.data, out.data)
 
 

@@ -338,27 +338,36 @@ def assert_bits(actual, expected):
 MAGNITUDES = [1.0, 30.0]
 
 
-class TestGatherRows:
-    @pytest.mark.parametrize("rows", [[65, 66], [66], [3, 0, 3]])
-    def test_bit_exact_against_take(self, rng, rows):
-        (x,) = leaves(rng, [(67, 8)], 1.0)
-        g = rng.normal(size=(len(rows), 8))
-        results = []
-        for gather in (ad.gather_rows, take):
-            x.grad = None
-            out = gather(x, rows)
-            backward_with(out, g)
-            results.append((out.data, x.grad))
-        for actual, expected in zip(*results):
-            assert_bits(actual, expected)
+class TestTailRows:
+    """The suffix op against the index-gather oracle: its backward adds g into
+    zeros exactly as np.add.at does, so a -0.0 in g leaves 0.0."""
 
-    @pytest.mark.parametrize("x,rows", [
-        (np.zeros((4, 2)), [4]), (np.zeros((4, 2)), [-1]),
-        (np.zeros(4), [0]), (np.zeros((4, 2)), [[0]]),
-    ], ids=["past-end", "negative", "vector", "2-d-rows"])
-    def test_shape_errors(self, x, rows):
-        with pytest.raises(ShapeError, match="gather_rows"):
-            ad.gather_rows(ad.Tensor(x), rows)
+    @pytest.mark.parametrize("group", [(), (3,)], ids=["matrix", "group"])
+    @pytest.mark.parametrize("m", [1, 2, 67])
+    def test_bit_exact_against_take(self, rng, group, m):
+        (x,) = leaves(rng, [group + (67, 8)], 1.0)
+        x.data[..., -1, :2] = -0.0
+        g = rng.normal(size=group + (m, 8))
+        g[..., 0, 3:5] = -0.0
+        out = ad.tail_rows(x, m)
+        backward_with(out, g)
+        for i in np.ndindex(group):
+            xi = ad.Tensor(x.data[i], requires_grad=True)
+            ref = take(xi, range(67 - m, 67))
+            backward_with(ref, g[i])
+            assert out.data[i].tobytes() == ref.data.tobytes()
+            assert x.grad[i].tobytes() == xi.grad.tobytes()
+        assert np.signbit(out.data[..., -1, :2]).all()
+        assert not np.signbit(x.grad[..., -m, 3:5]).any()
+        assert not np.signbit(x.grad[..., :67 - m, :]).any()
+
+    @pytest.mark.parametrize("x,m", [
+        (np.zeros((4, 2)), 5), (np.zeros((4, 2)), 0), (np.zeros((4, 2)), -1),
+        (np.zeros(4), 1),
+    ], ids=["past-start", "zero", "negative", "vector"])
+    def test_shape_errors(self, x, m):
+        with pytest.raises(ShapeError, match=f"^tail_rows: the last {m} rows of "):
+            ad.tail_rows(ad.Tensor(x), m)
 
 
 class TestKernelsBitExact:
@@ -665,7 +674,7 @@ class TestGroupAxis:
         self.each(lambda t: ad.layer_norm_rows(t, gain, bias), x)
         self.each(lambda t: ad.linear_with_lora(t, w, a, b), x)
         self.each(lambda t: ad.linear_with_lora(t, w), x[:, 6:])
-        self.each(lambda t: ad.gather_rows(t, [6, 0, 6]), x)
+        self.each(lambda t: ad.tail_rows(t, 2), x)
         self.each(ad.gelu, x)
         self.each(ad.add, x, y)
 
@@ -697,7 +706,7 @@ class TestGroupAxis:
                  ["(2, 5, 7)", "(4, 8)"]),
                 (lambda: ad.layer_norm_rows(z(2, 5, 7), np.ones(8), np.zeros(8)),
                  ["(2, 5, 7)", "(8,)"]),
-                (lambda: ad.gather_rows(z(2, 5, 7), [5]), ["[5]", "(2, 5, 7)"])]:
+                (lambda: ad.tail_rows(z(2, 5, 7), 6), ["6", "(2, 5, 7)"])]:
             with pytest.raises(ShapeError) as info:
                 call()
             assert all(shape in str(info.value) for shape in shapes), info.value

@@ -14,7 +14,7 @@ from attnalign.errors import CapacityError, CompatibilityError, SelectionError, 
     ShapeError
 from attnalign.model import ModelConfig, VisualDecoder, load_checkpoint, \
     save_checkpoint
-from attnalign.training import total_loss, TrainConfig
+from attnalign.training import lm_loss, total_loss, TrainConfig
 
 from conftest import TINY_ADAPTER, TINY_MODEL, make_model_and_adapters, make_visual
 from oracles import straight_line_forward
@@ -271,59 +271,59 @@ ARMS = {"aligned": TINY_ADAPTER,
 
 
 class TestKeptRows:
-    """The last layer computes only the kept rows; everything read of them
-    matches the all-rows pass, which is the default."""
+    """The last layer computes only the last ``keep_last`` rows; everything
+    read of them matches the all-rows pass, which is the default."""
 
     @pytest.mark.parametrize("cfg", [TINY_MODEL, A1_MODEL], ids=["tiny", "a1"])
     @pytest.mark.parametrize("arm", sorted(ARMS))
-    def test_kept_rows_match_the_full_forward(self, rng, cfg, arm):
+    def test_every_suffix_matches_the_full_forward(self, rng, cfg, arm):
         model, adapters = make_model_and_adapters(cfg, ARMS[arm], randomize=True)
         v = make_visual(cfg, rng)
         prompt, answer = (1, 2, 3), (4, 5)
         full = model.forward(v, prompt, answer, adapters)
         total = full.attention.spans.total
-        assert full.attention.last_rows == tuple(range(total))
-        for keep in [(total - 1,), (total - 4, total - 3), (total - 2, 0, total - 2),
-                     (cfg.n_visual, cfg.n_visual + 2)]:
-            rows = sorted(set(keep))
-            out = model.forward(v, prompt, answer, adapters, keep_rows=keep)
-            assert out.attention.last_rows == tuple(rows)
-            assert out.logits.shape == (len(rows), cfg.vocab_size)
-            assert np.max(np.abs(out.logits.data - full.logits.data[rows])) < 1e-14
+        assert full.logits.shape == (total, cfg.vocab_size)
+        for m in range(1, total + 1):
+            out = model.forward(v, prompt, answer, adapters, keep_last=m)
+            assert out.logits.shape == (m, cfg.vocab_size)
+            assert np.max(np.abs(out.logits.data - full.logits.data[-m:])) < 1e-14
+            assert out.logit_rows(range(total - m, total)).tolist() == list(range(m))
             *early, last = out.attention.planes
-            assert last.shape == (cfg.n_heads, len(rows), total)
-            assert np.max(np.abs(last.data - full.attention.planes[-1].data[:, rows])) \
+            assert last.shape == (cfg.n_heads, m, total)
+            assert np.max(np.abs(last.data - full.attention.planes[-1].data[:, -m:])) \
                 < 1e-14
             for a, b in zip(early, full.attention.planes):
                 assert np.array_equal(a.data, b.data)
 
-    def test_rows_outside_the_sequence_rejected(self, rng):
+    @pytest.mark.parametrize("keep", [0, -1, TINY_MODEL.n_visual + 4])
+    def test_suffix_outside_the_sequence_rejected(self, rng, keep):
         model = VisualDecoder(TINY_MODEL, seed=0)
-        v = make_visual(TINY_MODEL, rng)
-        total = TINY_MODEL.n_visual + 3
-        for keep in [(), (total,), (-1, 2)]:
-            with pytest.raises(ShapeError, match="rows to keep"):
-                model.forward(v, (1, 2), (3,), keep_rows=keep)
+        with pytest.raises(ShapeError, match=f"^keep_last={keep} outside the "
+                                             f"{TINY_MODEL.n_visual + 3}-row sequence$"):
+            model.forward(make_visual(TINY_MODEL, rng), (1, 2), (3,), keep_last=keep)
 
-    def test_rows_not_kept_are_never_read(self, rng):
+    def test_rows_before_the_suffix_are_never_read(self, rng):
+        # rows 0..6: the answer's logit row is 5, its query row 6
         model, adapters = make_model_and_adapters(randomize=True)
         v = make_visual(TINY_MODEL, rng)
-        out = model.forward(v, (1, 2), (3,), adapters, keep_rows=(5, 6))
+        out = model.forward(v, (1, 2), (3,), adapters, keep_last=2)
         stack = out.attention
         sel = select_heads(all_visual_ratios(stack, (6,)), 2)
         assert refined_map(stack, (6,), sel).shape == (TINY_MODEL.n_visual,)
-        with pytest.raises(SelectionError, match="row 4 is not among"):
-            all_visual_ratios(stack, (4, 6))
-        with pytest.raises(SelectionError, match="row 4 is not among"):
+        before = "^sequence row 4 is before row 5, the first that layer 1 kept$"
+        with pytest.raises(SelectionError, match=before):
+            all_visual_ratios(stack, (6, 4))
+        with pytest.raises(SelectionError, match=before):
             refined_map(stack, (4,), sel)
-        with pytest.raises(SelectionError, match="row 4 is not among"):
-            out.logit_rows((4,))
-        # the generated maps read each step's last row, here row 6
-        early = model.forward(v, (1, 2), (3,), adapters, keep_rows=(4, 5)).attention
-        with pytest.raises(SelectionError, match="row 6 is not among"):
-            generated_query_mean_map([early])
-        with pytest.raises(SelectionError, match="row 6 is not among"):
-            generated_query_refined_map([early], 2)
+        with pytest.raises(SelectionError, match=before):
+            out.logit_rows((5, 4))
+        last = model.forward(v, (1, 2), (3,), adapters, keep_last=1)
+        with pytest.raises(SelectionError, match="^sequence row 5 is before row 6"):
+            lm_loss(last, (3,))
+        # the generated maps read each step's last row, which every suffix keeps
+        assert generated_query_mean_map([last.attention]).shape == \
+            generated_query_refined_map([last.attention], 2).shape == \
+            (TINY_MODEL.n_visual,)
 
     def test_greedy_tokens_equal_the_full_rows_tokens(self):
         cfg = ModelConfig(n_layers=3, n_heads=2, d_visual=6, d_model=16,
@@ -342,8 +342,9 @@ class TestKeptRows:
             assert gen.tokens == tuple(tokens)
             for step, stack in enumerate(gen.stacks):
                 row = cfg.n_visual + len(prompt) + step - 1
+                assert row == stack.spans.total - 1
                 assert stack.planes[-1].shape == (cfg.n_heads, 1, row + 1)
-                assert stack.last_rows == (row,) == (stack.spans.total - 1,)
+                assert stack.plane_rows(cfg.n_layers - 1, (row,)).tolist() == [0]
 
 
 class TestGroupedGeneration:
@@ -375,10 +376,10 @@ class TestGroupedGeneration:
                 assert gen.tokens == alone.tokens
                 assert len(gen.stacks) == len(alone.stacks) == n
                 for step, (stack, solo) in enumerate(zip(gen.stacks, alone.stacks)):
-                    assert (stack.spans, stack.last_rows) == (solo.spans, solo.last_rows)
+                    assert stack.spans == solo.spans
                     with ad.no_grad():   # the one-sample arrays training runs
                         out = model.forward(v, p, gen.tokens[:step], adapters,
-                                            keep_rows=stack.last_rows)
+                                            keep_last=1)
                     assert gen.tokens[step] == int(np.argmax(out.logits.data[0]))
                     for a, b, c in zip(stack.planes, solo.planes, out.attention.planes):
                         assert np.array_equal(a.data, b.data)
@@ -398,7 +399,6 @@ class TestGroupedGeneration:
             assert len(gen.stacks) == steps
             for step, stack in enumerate(gen.stacks):
                 assert stack.spans.total == TINY_MODEL.n_visual + 2 + step
-                assert stack.last_rows == (stack.spans.total - 1,)
                 assert stack.planes[-1].shape == (TINY_MODEL.n_heads, 1,
                                                   stack.spans.total)
 

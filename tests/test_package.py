@@ -293,8 +293,8 @@ def test_gradients_reach_only_the_adapters():
 def test_wrap_calls_per_a1_total_loss(monkeypatch, arm, calls_expected):
     # 90 and 62 while the embedding front and the row gather in front of
     # the cross entropy were tape ops, 83 and 55 before the last layer kept
-    # only the rows read (two gather_rows nodes); a change here is a change
-    # of design
+    # only the suffix of rows read (two tail_rows nodes); a change here is a
+    # change of design
     calls = []
     wrap = autodiff._wrap
 

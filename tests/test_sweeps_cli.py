@@ -726,6 +726,31 @@ class TestCli:
             f"{message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", [
+        ["train"],
+        ["sweep", "--param", "lambda", "--values", "0,0.1"],
+    ])
+    @pytest.mark.parametrize("field", ["lr", "lambda_align"])
+    def test_config_values_that_overflow_refused_before_training(
+            self, tmp_path, data_dir, train_config_file, capsys, no_training,
+            verb, field):
+        # 1e999 reads as inf; an lr of inf trained 8 steps behind a numpy
+        # RuntimeWarning, then stopped at a non-finite loss
+        doc = json.loads(train_config_file.read_text())
+        doc["train"][field] = "inf"
+        train_config_file.write_text(json.dumps(doc).replace('"inf"', "1e999"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(verb + ["--data", str(data_dir), "--out", str(out),
+                                  "--config", str(train_config_file)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: section 'train' of config file {train_config_file}: "
+            f"{field} must be finite, got inf\n")
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("option,message", [
         (["--topk", "0"], "option --topk: weak_k must be >= 1, got 0"),
         (["--heads", "-1"], "option --heads: heads_r must be >= 0, got -1"),
@@ -733,15 +758,17 @@ class TestCli:
                             "attention heads of the model"),
         (["--lambda", "-0.5"],
          "option --lambda: lambda_align must be >= 0, got -0.5"),
+        (["--lambda", "inf"], "option --lambda: lambda_align must be finite, got inf"),
         (["--seed", "-1"], "option --seed: seed must be >= 0, got -1"),
     ], ids=["zero-k", "negative-r", "too-many-heads", "negative-lambda",
-            "negative-seed"])
+            "infinite-lambda", "negative-seed"])
     def test_options_out_of_range_refused_before_training(
             self, tmp_path, data_dir, train_config_file, capsys, no_training,
             option, message):
         # --topk 0 printed "error: k must be >= 1, got 0", naming no option,
         # --heads -1 the misleading "lambda > 0 needs a weak-label set per
-        # sample", and --heads 40 stopped only at the first batch
+        # sample", --heads 40 stopped only at the first batch and --lambda
+        # inf trained a step, then stopped at a non-finite loss
         out = tmp_path / "out"
         rc = cli.main(["train", "--data", str(data_dir), "--out", str(out),
                        "--config", str(train_config_file), *option])
@@ -805,6 +832,20 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err == \
             f"error: config file {cfg}: {field} must be >= 0, got -3\n"
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("field", ["feature_noise", "concept_scale",
+                                       "label_scale"])
+    def test_gen_data_refuses_a_value_that_overflows(self, tmp_path, capsys, field):
+        # a feature_noise of 1e999 (inf) wrote non-finite features and exited
+        # 0; train then failed naming only weak-label segment 'seg0'
+        cfg = tmp_path / "data.json"
+        cfg.write_text(f'{{"{field}": 1e999}}')
+        rc = cli.main(["gen-data", "--out", str(tmp_path / "d"), "--config",
+                       str(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: config file {cfg}: {field} must be finite, got inf\n"
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("split", ["train.jsonl", "test.jsonl"])

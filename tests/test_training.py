@@ -81,6 +81,12 @@ class TestAlignmentLoss:
                            match="^alignment loss needs at least one segment$"):
             alignment_loss(Tensor(np.full(4, 0.25)), [])
 
+    def test_empty_segment_rejected(self):
+        # used to raise "ValueError: min() arg is an empty sequence"
+        with pytest.raises(ConfigurationError,
+                           match="^alignment loss segment 1 has no tokens$"):
+            alignment_loss(Tensor(np.full(4, 0.25)), [[0], []])
+
     def test_zero_mass_rejected(self):
         with pytest.raises(DegenerateAttentionError):
             alignment_loss(Tensor(np.zeros(4)), labels_of((0,)))
@@ -158,8 +164,7 @@ class TestLmLoss:
             def __init__(self):
                 self.logits = logits
                 # no visual rows and one prompt row: answer logit rows 0, 1, 2
-                self.attention = attn.AttentionStack([], attn.Spans(0, 1, 3),
-                                                     (0, 1, 2, 3))
+                self.attention = attn.AttentionStack([], attn.Spans(0, 1, 3))
 
             def logit_rows(self, rows):     # every row was kept
                 return rows
@@ -176,6 +181,11 @@ class TestTrainConfig:
     def test_bounds_checked_when_built(self, name, value):
         with pytest.raises(ParameterError, match=f"{name} must be >= "):
             TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["lambda_align", "lr"])
+    def test_infinity_refused(self, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be finite, got inf$"):
+            TrainConfig(**{name: math.inf})
 
     def test_lowest_values_accepted(self):
         cfg = TrainConfig(lambda_align=0.0, lr=0.0, seed=0, heads_r=0, epochs=1,
@@ -341,9 +351,9 @@ class TestKeptRowsLoss:
         kept = []
         forward = VisualDecoder.forward
 
-        def spy(self, *args, keep_rows=None):
-            kept.append(tuple(keep_rows))
-            return forward(self, *args, keep_rows=keep_rows)
+        def spy(self, *args, keep_last=None):
+            kept.append(keep_last)
+            return forward(self, *args, keep_last=keep_last)
 
         def run():
             out = []
@@ -357,10 +367,10 @@ class TestKeptRowsLoss:
 
         monkeypatch.setattr(VisualDecoder, "forward", spy)
         cut = run()
-        logit_row = model.config.n_visual + 1      # two prompt tokens, one answer
-        assert kept == [(logit_row, logit_row + 1)] * 3
+        # two prompt tokens and one answer: the answer's logit and query rows
+        assert kept == [2] * 3
         monkeypatch.setattr(VisualDecoder, "forward",
-                            lambda self, *args, keep_rows=None: forward(self, *args))
+                            lambda self, *args, keep_last=None: forward(self, *args))
         for (b_cut, g_cut), (b_all, g_all) in zip(cut, run()):
             assert abs(b_cut.total - b_all.total) < 1e-14
             assert abs(b_cut.align - b_all.align) < 1e-14
