@@ -5,8 +5,9 @@ over the full sequence; the last layer's maps hold only the last query
 rows, those the pass kept. We rank heads by the share of attention their
 text queries put on visual keys, then carve the text-query x visual-key
 submatrices of the top-R heads only and fold them into the refined map
-that the alignment loss consumes. Every reader names sequence rows, and
-``AttentionStack.plane_rows`` translates them into rows of a plane.
+that the alignment loss consumes. Every reader takes a count q and reads
+the last q query rows of each plane: the answer rows in training, the
+emitting row of a greedy step.
 """
 
 from __future__ import annotations
@@ -39,14 +40,6 @@ class Spans:
     def prompt_range(self) -> range:
         return range(self.n_visual, self.n_visual + self.n_prompt)
 
-    @property
-    def answer_range(self) -> range:
-        return range(self.n_visual + self.n_prompt, self.total)
-
-    @property
-    def text_range(self) -> range:
-        return range(self.n_visual, self.total)
-
 
 @dataclass
 class AttentionStack:
@@ -57,15 +50,13 @@ class AttentionStack:
     planes: list[Tensor]
     spans: Spans
 
-    def plane_rows(self, layer: int, rows: Sequence[int]) -> np.ndarray:
-        """The rows of plane ``layer`` that hold the sequence rows ``rows``; a
-        row before the ones it kept raises SelectionError."""
-        rows = np.asarray(rows, dtype=np.intp)
-        first = self.spans.total - self.planes[layer].shape[-2]
-        if rows.size and rows.min() < first:
-            raise SelectionError(f"sequence row {rows.min()} is before row "
-                                 f"{first}, the first that layer {layer} kept")
-        return rows - first
+    def check_rows(self, q: int) -> None:
+        """Refuse a count of trailing query rows that some plane did not
+        keep or that reaches back into the visual rows."""
+        top = min(self.planes[-1].shape[-2], self.spans.n_prompt + self.spans.n_answer)
+        if not 1 <= q <= top:
+            raise SelectionError(f"{q} query rows outside 1..{top}, the text "
+                                 "rows every layer kept")
 
     @property
     def n_layers(self) -> int:
@@ -76,35 +67,25 @@ class AttentionStack:
         return self.planes[0].shape[0]
 
 
-def answer_logit_rows(spans: Spans) -> tuple[int, ...]:
-    """Rows whose logits predict the answer tokens, in order."""
-    first = spans.n_visual + spans.n_prompt - 1
-    return tuple(range(first, first + spans.n_answer))
-
-
-def answer_query_rows(spans: Spans) -> tuple[int, ...]:
-    """Query rows used during teacher-forced training: the answer positions."""
-    return tuple(spans.answer_range)
-
-
-def all_visual_ratios(stack: AttentionStack,
-                      query_rows: Sequence[int]) -> np.ndarray:
-    """The [L x H] grid of visual attention ratios (vectorized)."""
-    rows = list(query_rows)
-    if not rows:
-        raise SelectionError("query set is empty")
-    spans = stack.spans
+def all_visual_ratios(stack: AttentionStack, q: int) -> np.ndarray:
+    """The [L x H] grid of visual attention ratios over the last q query
+    rows (vectorized)."""
+    stack.check_rows(q)
+    n = stack.spans.n_visual
+    prompt = slice(n, n + stack.spans.n_prompt)
     out = np.empty((stack.n_layers, stack.n_heads))
     for l, plane in enumerate(stack.planes):
-        view = plane.data[:, stack.plane_rows(l, rows), :]
-        vis = view[:, :, : spans.n_visual].sum(axis=(1, 2))
-        prm = view[:, :, spans.n_visual: spans.n_visual + spans.n_prompt].sum(axis=(1, 2))
+        # each row's sums, then the rows in order: numpy sums a slice of two
+        # or more rows over both axes in another order, an ulp away
+        vis = prm = 0.0
+        for row in plane.data[:, -q:, :].swapaxes(0, 1):
+            vis = vis + row[:, :n].sum(axis=1)
+            prm = prm + row[:, prompt].sum(axis=1)
         denom = vis + prm
         if (denom == 0.0).any():
             bad = int(np.flatnonzero(denom == 0.0)[0])
-            raise DegenerateRatioError(
-                f"head ({l},{bad}) has zero visual+prompt mass on rows {rows}"
-            )
+            raise DegenerateRatioError(f"head ({l},{bad}) has zero visual+prompt "
+                                       f"mass on the last {q} query rows")
         out[l] = vis / denom
     return out
 
@@ -124,41 +105,30 @@ def select_heads(ratios: np.ndarray, top_r: int) -> np.ndarray:
     return selected.reshape(n_layers, n_heads)
 
 
-def refined_map(stack: AttentionStack, query_rows: Sequence[int],
-                selected: np.ndarray) -> Tensor:
-    """Average the query-mean visual vectors of the heads ``selected`` marks
-    in its [L x H] bool grid into a length-N map.
+def refined_map(stack: AttentionStack, q: int, selected: np.ndarray) -> Tensor:
+    """Average over the heads ``selected`` marks in its [L x H] bool grid
+    the mean visual vector of each head's last q query rows: a length-N map.
 
     One tape node over the planes of the layers holding a selected head.
-    Only the selected heads' [|Q| x N] submatrices (query rows x visual
+    Only the selected heads' [q x N] submatrices (query rows x visual
     key columns) are read, in row-major (l, h) order, and only they
     receive gradient. Differentiable in the attention values; the
     selection itself is a constant of the pass.
     """
-    rows = tuple(int(r) for r in query_rows)
-    if not rows:
-        raise SelectionError("query set is empty")
-    text = stack.spans.text_range
-    for r in rows:
-        if r not in text:
-            raise SelectionError(f"query row {r} outside text spans {text}")
+    stack.check_rows(q)
     pairs = np.argwhere(selected)
     if not len(pairs):
         raise ParameterError("refined_map needs at least one selected head")
     n = stack.spans.n_visual
     layers = sorted({l for l, _ in pairs})
-    # every layer's rows, so a row the last layer did not keep always raises
-    idx = [stack.plane_rows(l, rows) for l in range(stack.n_layers)]
     acc = None
     for l, h in pairs:
-        v = stack.planes[l].data[h][idx[l], :n].mean(axis=0)
+        v = stack.planes[l].data[h, -q:, :n].mean(axis=0)
         acc = v if acc is None else acc + v
 
     def back(g, sink):
-        # (g / R) / |Q| into each selected block, one zeroed plane per layer;
-        # add.at keeps repeated query rows accumulating
-        block = np.broadcast_to(g * (1.0 / len(pairs)) / len(rows),
-                                (len(rows), n))
+        # (g / R) / q into each selected block, one zeroed plane per layer
+        block = g * (1.0 / len(pairs)) / q
         for l in layers:
             plane = stack.planes[l]
             if not plane.requires_grad:
@@ -166,7 +136,7 @@ def refined_map(stack: AttentionStack, query_rows: Sequence[int],
             z = np.zeros_like(plane.data)
             for pl, h in pairs:
                 if pl == l:
-                    np.add.at(z[h, :, :n], idx[l], block)
+                    z[h, -q:, :n] += block
             sink(plane, z)
 
     return ad._wrap(acc * (1.0 / len(pairs)), [stack.planes[l] for l in layers],
@@ -196,9 +166,8 @@ def generated_query_refined_map(stacks: Sequence[AttentionStack],
     ``total_loss`` does on every pass, and the steps' maps are averaged."""
     if not stacks:
         raise SelectionError("no generation steps to average")
-    rows = [(s.spans.total - 1,) for s in stacks]
-    maps = [refined_map(s, r, select_heads(all_visual_ratios(s, r), top_r)).data
-            for s, r in zip(stacks, rows)]
+    maps = [refined_map(s, 1, select_heads(all_visual_ratios(s, 1), top_r)).data
+            for s in stacks]
     return np.mean(maps, axis=0)
 
 

@@ -340,25 +340,18 @@ def layer_norm_rows(a, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) ->
     return _wrap(y, (a,), back)
 
 
-def cross_entropy(logits, rows, targets) -> Tensor:
+def cross_entropy(logits, targets) -> Tensor:
     """Mean negative log-likelihood of integer targets under the softmax of
-    the given rows of logits; target i belongs to row ``rows[i]``, and a
-    row may appear more than once."""
+    the first rows of logits; target i belongs to row i."""
     logits = _as_tensor(logits)
-    idx = np.asarray(rows, dtype=np.intp)
     tgt = np.asarray(targets, dtype=np.intp)
-    if len(logits.shape) != 2 or idx.ndim != 1 or tgt.shape != idx.shape:
-        raise ShapeError(
-            f"cross_entropy: logits {logits.shape}, rows {idx.shape} and "
-            f"targets {tgt.shape} disagree"
-        )
-    s, v = logits.shape
-    if idx.size and (idx.min() < 0 or idx.max() >= s):
-        raise ShapeError(f"cross_entropy: row outside [0, {s})")
-    if tgt.size and (tgt.min() < 0 or tgt.max() >= v):
+    if len(logits.shape) != 2 or tgt.ndim != 1 or not 0 < tgt.size <= logits.shape[0]:
+        raise ShapeError(f"cross_entropy: logits {logits.shape} and targets "
+                         f"{tgt.shape} disagree; need 1 to {logits.shape[0]} targets")
+    t, v = tgt.size, logits.shape[1]
+    if tgt.min() < 0 or tgt.max() >= v:
         raise ShapeError(f"cross_entropy: target outside [0, {v})")
-    t = idx.size
-    picked = logits.data[idx]
+    picked = logits.data[:t]
     z = picked - picked.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - lse
@@ -368,7 +361,7 @@ def cross_entropy(logits, rows, targets) -> Tensor:
         p = np.exp(logp)
         p[np.arange(t), tgt] -= 1.0
         grad = np.zeros_like(logits.data)
-        np.add.at(grad, idx, g * p / t)    # repeated rows accumulate
+        grad[:t] += g * p / t
         sink(logits, grad)
 
     return _wrap(np.asarray(loss), (logits,), back)

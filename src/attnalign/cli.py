@@ -131,7 +131,8 @@ def cmd_train(args) -> int:
                 "accuracy": report.accuracy}
 
     result = train(model, train_samples, cfg, weak_labels=weak_labels,
-                   eval_fn=eval_fn, out_dir=args.out)
+                   eval_fn=eval_fn, out_dir=args.out,
+                   recorded={"model_seed": model_seed, "weak_noise": args.weak_noise})
     final = {k: v for k, v in result.epoch_logs[-1].items() if k != "epoch"}
     print(f"final metrics: {json.dumps(final, sort_keys=True)}")
     return 0

@@ -143,11 +143,12 @@ def evaluate(model: VisualDecoder, adapters: AdapterSet | None,
 def check_compatibility(model: VisualDecoder, samples: Sequence[SyntheticSample],
                         source: str | Path = "the dataset") -> None:
     """``source`` holds samples, and sample n, its line n, must fit the model:
-    grid, feature width, prompt and answer, and nonempty RoI and segments of
-    patches of the grid."""
+    an id no earlier line holds, grid, feature width, prompt and answer, and
+    nonempty RoI and segments of distinct patches of the grid."""
     if not samples:
         raise CompatibilityError(f"{source} holds no samples")
     c = model.config
+    lines: dict[str, int] = {}
     for n, s in enumerate(samples, start=1):
         tokens = list(s.prompt) + list(s.answer)
         bad = [t for t in tokens if not 0 <= t < c.vocab_size]
@@ -156,7 +157,10 @@ def check_compatibility(model: VisualDecoder, samples: Sequence[SyntheticSample]
                        for i, g in enumerate(s.segments))
         outside = [name for name, p in regions.items()
                    if not p or min(p) < 0 or max(p) >= c.n_visual]
-        if s.grid != c.grid:
+        repeats = [name for name, p in regions.items() if len(set(p)) < len(p)]
+        if s.id in lines:
+            problem = f"sample id {s.id!r} is also the id of line {lines[s.id]}"
+        elif s.grid != c.grid:
             problem = f"dataset grid {s.grid} != model grid {c.grid}"
         elif s.features.shape[1] != c.d_visual:
             problem = (f"dataset feature width {s.features.shape[1]} != model "
@@ -172,7 +176,11 @@ def check_compatibility(model: VisualDecoder, samples: Sequence[SyntheticSample]
         elif outside:
             problem = (f"{outside[0]} is {list(regions[outside[0]])}, not a nonempty "
                        f"list of patches in [0, {c.n_visual})")
+        elif repeats:
+            problem = (f"{repeats[0]} is {list(regions[repeats[0]])}, which "
+                       "repeats a patch")
         else:
+            lines[s.id] = n
             continue
         raise CompatibilityError(f"{source} line {n}: {problem}")
 

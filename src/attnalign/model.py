@@ -13,10 +13,11 @@ A forward pass returns the logits of the last rows its caller keeps
 plus the per-layer, per-head attention stack. Every layer but the last
 computes all rows, which become the next layer's keys and values; the
 last computes its keys and values on every row and the rest, from the
-queries to the LM head, on the kept suffix only. A ``no_grad`` pass may
-run a group of same-shape samples at once, every array gaining a leading
-group axis; greedy decoding does so and hands each sample views of the
-group's planes.
+queries to the LM head, on the kept suffix only. Readers index the kept
+rows from the front (the logits) or the back (the planes), never by
+sequence row. A ``no_grad`` pass may run a group of same-shape samples
+at once, every array gaining a leading group axis; greedy decoding does
+so and hands each sample views of the group's planes.
 """
 
 from __future__ import annotations
@@ -71,10 +72,6 @@ class ModelConfig:
 class ForwardOutput:
     logits: Tensor                     # [m x V], the last m sequence rows
     attention: AttentionStack          # its last plane keeps the same rows
-
-    def logit_rows(self, rows: Sequence[int]) -> np.ndarray:
-        """The rows of ``logits`` that hold the given sequence rows."""
-        return self.attention.plane_rows(self.attention.n_layers - 1, rows)
 
 
 @dataclass

@@ -36,7 +36,8 @@ from .adapters import AdapterConfig, AdapterSet
 from .autodiff import Tensor
 from .data import DataSpec, SyntheticSample, propose_segments
 from .errors import CompatibilityError, ConfigurationError, \
-    DegenerateAttentionError, DivergenceError, ParameterError
+    DegenerateAttentionError, DivergenceError, ParameterError, \
+    SelectionError
 from .model import ForwardOutput, ModelConfig, VisualDecoder, save_checkpoint
 from .weaklabels import Segment, SyntheticOracleBackend, select_weak_labels
 
@@ -220,9 +221,12 @@ def alignment_loss(refined: Tensor, token_sets: Sequence[Sequence[int]]
 
 
 def lm_loss(output: ForwardOutput, answer: Sequence[int]) -> Tensor:
-    """Mean answer-token cross entropy from the predicting rows."""
-    rows = attn.answer_logit_rows(output.attention.spans)
-    return ad.cross_entropy(output.logits, output.logit_rows(rows), list(answer))
+    """Mean answer-token cross entropy from the predicting rows: a pass that
+    kept the last n_answer + 1 rows, whose first n_answer predict the answer."""
+    if output.logits.shape[0] != len(answer) + 1:
+        raise SelectionError(f"lm_loss reads the last {len(answer) + 1} rows; "
+                             f"the pass kept {output.logits.shape[0]}")
+    return ad.cross_entropy(output.logits, answer)
 
 
 def total_loss(model: VisualDecoder, adapters: AdapterSet | None,
@@ -234,9 +238,9 @@ def total_loss(model: VisualDecoder, adapters: AdapterSet | None,
     the rows the two terms read: the answer-predicting logit rows and the
     answer query rows, which are the last n_answer + 1 rows.
     """
+    q = len(sample.answer)
     out = model.forward(sample.features, sample.prompt, sample.answer, adapters,
-                        keep_last=len(sample.answer) + 1)
-    rows = attn.answer_query_rows(out.attention.spans)
+                        keep_last=q + 1)
     llm = lm_loss(out, sample.answer)
 
     if not cfg.aligned:
@@ -245,9 +249,9 @@ def total_loss(model: VisualDecoder, adapters: AdapterSet | None,
 
     if not labels:
         raise ConfigurationError("alignment requested but no weak labels supplied")
-    ratios = attn.all_visual_ratios(out.attention, rows)
+    ratios = attn.all_visual_ratios(out.attention, q)
     selected = attn.select_heads(ratios, cfg.heads_r)
-    refined = attn.refined_map(out.attention, rows, selected)
+    refined = attn.refined_map(out.attention, q, selected)
     align, _ = alignment_loss(refined, [s.token_indices for s in labels])
     total = ad.add(llm, ad.mul(align, cfg.lambda_align))
     return total, LossBreakdown(llm=float(llm.data), align=float(align.data),
@@ -268,13 +272,15 @@ def train(model: VisualDecoder, train_samples: Sequence[SyntheticSample],
           cfg: TrainConfig,
           weak_labels: dict[str, tuple[Segment, ...]] | None = None,
           eval_fn: Callable[[VisualDecoder, AdapterSet], dict] | None = None,
-          out_dir: str | Path | None = None) -> TrainResult:
+          out_dir: str | Path | None = None,
+          recorded: dict | None = None) -> TrainResult:
     """Train adapters; deterministic for a fixed seed.
 
     ``eval_fn`` runs after every epoch on the current adapters and its
     dict lands in the epoch log (coverage / intensity / accuracy on a
-    held-out split, typically). Run artifacts carry no timestamps or
-    paths so reruns are byte-identical.
+    held-out split, typically). ``recorded`` adds what else made the run,
+    such as the model seed, to its config.json. Run artifacts carry no
+    timestamps or paths so reruns are byte-identical.
     """
     if not train_samples:
         raise ConfigurationError("empty training set")
@@ -358,7 +364,8 @@ def train(model: VisualDecoder, train_samples: Sequence[SyntheticSample],
     del optimizer, flat, rows
 
     if out_dir is not None:
-        _write_run_dir(Path(out_dir), model, adapters, cfg, epoch_logs)
+        _write_run_dir(Path(out_dir), model, adapters, cfg, epoch_logs,
+                       recorded or {})
     return TrainResult(adapters=adapters, epoch_logs=epoch_logs)
 
 
@@ -379,9 +386,9 @@ def _pack(params: Sequence[Tensor]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _write_run_dir(out_dir: Path, model: VisualDecoder, adapters: AdapterSet,
-                   cfg: TrainConfig, epoch_logs: list[dict]) -> None:
+                   cfg: TrainConfig, epoch_logs: list[dict], recorded: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    snapshot = {**asdict(cfg), "model": asdict(model.config)}
+    snapshot = {**asdict(cfg), "model": asdict(model.config), **recorded}
     (out_dir / "config.json").write_text(
         json.dumps(snapshot, sort_keys=True, indent=1) + "\n")
     with open(out_dir / "metrics.jsonl", "w") as fh:

@@ -4,8 +4,10 @@ Unlike ``oracles.py``, these share ops with the package: they are the
 materialized or unfused forms of what the hot path computes in factored
 or pruned form, kept so tests can compare the two. The generic ops that
 left the package (the broadcasting ``add`` and ``mul``, ``matmul``,
-``concat_rows``, ``take`` and the two-argument ``cross_entropy``, among
-others) live here too, because these compositions are their only callers.
+``concat_rows``, ``take`` and the ``cross_entropy`` over every row, among
+others) live here too, because these compositions are their only callers,
+and so do the readers that named sequence rows before the package's took
+a count of trailing rows.
 """
 
 import math
@@ -16,10 +18,11 @@ import numpy as np
 from attnalign import autodiff as ad
 from attnalign.adapters import ExpertBank, GatingNetwork, kmoe_gate_weights, \
     qmoe_weights, topb_mask_rows
-from attnalign.attention import AttentionStack
+from attnalign.attention import AttentionStack, Spans, select_heads
 from attnalign.autodiff import Tensor
 from attnalign.errors import ConfigurationError, DegenerateAttentionError, \
     ParameterError, SelectionError, ShapeError
+from attnalign.training import alignment_loss
 
 
 # the package's ops before its frozen base became plain arrays: add and mul
@@ -164,8 +167,8 @@ def cross_entropy(logits, targets) -> Tensor:
 
 
 def lm_loss_chain(logits, rows, targets) -> Tensor:
-    """``ad.cross_entropy(logits, rows, targets)`` as the two nodes that
-    ``lm_loss`` built before: the row gather, then the cross entropy."""
+    """``cross_entropy_rows(logits, rows, targets)`` as the two nodes that
+    ``lm_loss`` built before it: the row gather, then the cross entropy."""
     return cross_entropy(take(logits, list(rows)), list(targets))
 
 
@@ -546,22 +549,17 @@ def adapted_projection(x: Tensor, base_w: Tensor,
     return out
 
 
-def refined_map_all_heads(stack: AttentionStack, query_rows,
+def refined_map_all_heads(stack: AttentionStack, q: int,
                           selected: np.ndarray) -> Tensor:
-    """The refined map built from an L x H view: every head's [|Q| x N]
+    """The refined map built from an L x H view: every head's [q x N]
     submatrix is sliced first, then the selected ones are pooled in
     row-major (l, h) order."""
-    rows = tuple(int(r) for r in query_rows)
-    if not rows:
-        raise SelectionError("query set is empty")
-    text = stack.spans.text_range
-    for r in rows:
-        if r not in text:
-            raise SelectionError(f"query row {r} outside text spans {text}")
+    stack.check_rows(q)
     n = stack.spans.n_visual
-    per_head = [[plane_submatrix(stack.planes[l], h, stack.plane_rows(l, rows), 0, n)
+    per_head = [[plane_submatrix(plane, h, range(plane.shape[1] - q, plane.shape[1]),
+                                 0, n)
                  for h in range(stack.n_heads)]
-                for l in range(stack.n_layers)]
+                for plane in stack.planes]
     if not selected.any():
         raise ParameterError("refined_map needs at least one selected head")
     acc: Tensor | None = None
@@ -572,6 +570,141 @@ def refined_map_all_heads(stack: AttentionStack, query_rows,
             v = mean_pool_rows(per_head[l][h])
             acc = v if acc is None else add(acc, v)
     return mul(acc, 1.0 / int(selected.sum()))
+
+
+# the readers as they were while they named sequence rows: any set of
+# them, translated into rows of a plane by ``plane_rows``, with repeats
+# allowed and the scatters of their backward passes accumulating them
+
+
+def answer_logit_rows(spans: Spans) -> tuple[int, ...]:
+    """Rows whose logits predict the answer tokens, in order."""
+    first = spans.n_visual + spans.n_prompt - 1
+    return tuple(range(first, first + spans.n_answer))
+
+
+def answer_query_rows(spans: Spans) -> tuple[int, ...]:
+    """Query rows used during teacher-forced training: the answer positions."""
+    return tuple(range(spans.n_visual + spans.n_prompt, spans.total))
+
+
+def plane_rows(stack: AttentionStack, layer: int, rows) -> np.ndarray:
+    """The rows of plane ``layer`` that hold the sequence rows ``rows``; a
+    row before the ones it kept raises SelectionError."""
+    rows = np.asarray(rows, dtype=np.intp)
+    first = stack.spans.total - stack.planes[layer].shape[-2]
+    if rows.size and rows.min() < first:
+        raise SelectionError(f"sequence row {rows.min()} is before row "
+                             f"{first}, the first that layer {layer} kept")
+    return rows - first
+
+
+def all_visual_ratios_rows(stack: AttentionStack, query_rows) -> np.ndarray:
+    """The [L x H] grid of visual attention ratios over the given rows."""
+    rows = list(query_rows)
+    if not rows:
+        raise SelectionError("query set is empty")
+    spans = stack.spans
+    out = np.empty((stack.n_layers, stack.n_heads))
+    for l, plane in enumerate(stack.planes):
+        view = plane.data[:, plane_rows(stack, l, rows), :]
+        vis = view[:, :, : spans.n_visual].sum(axis=(1, 2))
+        prm = view[:, :, spans.n_visual: spans.n_visual + spans.n_prompt].sum(axis=(1, 2))
+        out[l] = vis / (vis + prm)
+    return out
+
+
+def refined_map_rows(stack: AttentionStack, query_rows, selected: np.ndarray) -> Tensor:
+    """The refined map over the given text query rows, one tape node."""
+    rows = tuple(int(r) for r in query_rows)
+    if not rows:
+        raise SelectionError("query set is empty")
+    text = range(stack.spans.n_visual, stack.spans.total)
+    for r in rows:
+        if r not in text:
+            raise SelectionError(f"query row {r} outside text spans {text}")
+    pairs = np.argwhere(selected)
+    if not len(pairs):
+        raise ParameterError("refined_map needs at least one selected head")
+    n = stack.spans.n_visual
+    layers = sorted({l for l, _ in pairs})
+    idx = [plane_rows(stack, l, rows) for l in range(stack.n_layers)]
+    acc = None
+    for l, h in pairs:
+        v = stack.planes[l].data[h][idx[l], :n].mean(axis=0)
+        acc = v if acc is None else acc + v
+
+    def back(g, sink):
+        # (g / R) / |Q| into each selected block; add.at keeps repeated
+        # query rows accumulating
+        block = np.broadcast_to(g * (1.0 / len(pairs)) / len(rows),
+                                (len(rows), n))
+        for l in layers:
+            plane = stack.planes[l]
+            if not plane.requires_grad:
+                continue
+            z = np.zeros_like(plane.data)
+            for pl, h in pairs:
+                if pl == l:
+                    np.add.at(z[h, :, :n], idx[l], block)
+            sink(plane, z)
+
+    return ad._wrap(acc * (1.0 / len(pairs)), [stack.planes[l] for l in layers],
+                    back)
+
+
+def cross_entropy_rows(logits, rows, targets) -> Tensor:
+    """Mean negative log-likelihood of integer targets under the softmax of
+    the given rows of logits; target i belongs to row ``rows[i]``, and a
+    row may appear more than once."""
+    logits = ad._as_tensor(logits)
+    idx = np.asarray(rows, dtype=np.intp)
+    tgt = np.asarray(targets, dtype=np.intp)
+    if len(logits.shape) != 2 or idx.ndim != 1 or tgt.shape != idx.shape:
+        raise ShapeError(f"cross_entropy: logits {logits.shape}, rows {idx.shape} "
+                         f"and targets {tgt.shape} disagree")
+    t = idx.size
+    picked = logits.data[idx]
+    z = picked - picked.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    logp = z - lse
+    loss = -logp[np.arange(t), tgt].mean()
+
+    def back(g, sink):
+        p = np.exp(logp)
+        p[np.arange(t), tgt] -= 1.0
+        grad = np.zeros_like(logits.data)
+        np.add.at(grad, idx, g * p / t)    # repeated rows accumulate
+        sink(logits, grad)
+
+    return ad._wrap(np.asarray(loss), (logits,), back)
+
+
+def total_loss_rows(model, adapters, sample, labels, cfg,
+                    keep_last: int | None = None) -> Tensor:
+    """``training.total_loss`` through the row-set readers, over a pass that
+    keeps the last ``keep_last`` rows, or all of them when it is None."""
+    out = model.forward(sample.features, sample.prompt, sample.answer, adapters,
+                        keep_last=keep_last)
+    stack = out.attention
+    logit_rows = plane_rows(stack, stack.n_layers - 1, answer_logit_rows(stack.spans))
+    llm = cross_entropy_rows(out.logits, logit_rows, list(sample.answer))
+    if not cfg.aligned:
+        return llm
+    rows = answer_query_rows(stack.spans)
+    selected = select_heads(all_visual_ratios_rows(stack, rows), cfg.heads_r)
+    align, _ = alignment_loss(refined_map_rows(stack, rows, selected),
+                              [s.token_indices for s in labels])
+    return ad.add(llm, ad.mul(align, cfg.lambda_align))
+
+
+def generated_query_refined_map_rows(stacks, top_r: int) -> np.ndarray:
+    """``attention.generated_query_refined_map`` naming each greedy step's
+    emitting row, its last sequence row."""
+    rows = [(s.spans.total - 1,) for s in stacks]
+    maps = [refined_map_rows(s, r, select_heads(all_visual_ratios_rows(s, r), top_r)).data
+            for s, r in zip(stacks, rows)]
+    return np.mean(maps, axis=0)
 
 
 def alignment_loss_composed(refined: Tensor, token_sets):

@@ -15,7 +15,7 @@ from attnalign import autodiff as ad
 from attnalign import cli
 from attnalign.adapters import AdapterConfig, AdapterSet, ExpertBank, \
     GatingNetwork, topb_mask_rows
-from attnalign.attention import answer_query_rows, refined_map, select_heads
+from attnalign.attention import refined_map, select_heads
 from attnalign.autodiff import Tensor
 from attnalign.data import DataSpec, generate_dataset, write_meta, write_samples
 from attnalign.metrics import coverage_score, intensity_alignment
@@ -141,10 +141,10 @@ def test_a3_alignment_loss_hand_values():
 def test_a4_reduction_identities(rng):
     from test_attention import make_stack, visual_views
     stack = make_stack(rng, n_layers=2, n_heads=3)
-    rows = answer_query_rows(stack.spans)
+    q = stack.spans.n_answer
     sel = select_heads(np.ones((2, 3)), 6)
-    gap = np.max(np.abs(refined_map(stack, rows, sel).data
-                        - mean_map_loop(visual_views(stack, rows))))
+    gap = np.max(np.abs(refined_map(stack, q, sel).data
+                        - mean_map_loop(visual_views(stack, q))))
     assert gap <= 1e-12
 
     d = 6

@@ -9,7 +9,8 @@ from attnalign.errors import DegenerateRatioError, ParameterError, SelectionErro
 
 from oracles import generated_ratio_loop, mean_map_loop, refined_map_loop, \
     topk_select_loop, visual_ratio_loop
-from references import refined_map_all_heads, sum_all
+from references import all_visual_ratios_rows, refined_map_all_heads, \
+    refined_map_rows, sum_all
 
 
 def make_stack(rng, n_layers=2, n_heads=2, n_visual=4, n_prompt=2, n_answer=3,
@@ -45,10 +46,16 @@ def all_heads(stack):
                              stack.n_layers * stack.n_heads)
 
 
-def visual_views(stack, rows):
-    """Per-head [|Q| x N] numpy submatrices, the oracles' input."""
+def last_rows(stack, q):
+    """The sequence rows of the last q query rows."""
+    return list(range(stack.spans.total - q, stack.spans.total))
+
+
+def visual_views(stack, q):
+    """Per-head [q x N] numpy submatrices, the oracles' input."""
     n = stack.spans.n_visual
-    return [[stack.planes[l].data[h][list(rows), :n] for h in range(stack.n_heads)]
+    return [[stack.planes[l].data[h][last_rows(stack, q), :n]
+             for h in range(stack.n_heads)]
             for l in range(stack.n_layers)]
 
 
@@ -64,7 +71,7 @@ def gradient_support(out, stack):
 
 
 def block(l, h, rows, n):
-    """The (l, h, q, c) entries of head (l, h)'s [|Q| x N] visual block."""
+    """The (l, h, q, c) entries of head (l, h)'s [q x N] visual block."""
     return {(l, h, q, c) for q in rows for c in range(n)}
 
 
@@ -74,61 +81,106 @@ class TestExtractVisualView:
         row = stack.spans.total - 1
         for l in range(2):
             for h in range(2):
-                out = attn.refined_map(stack, [row], head_selection(2, 2, [(l, h)]))
+                out = attn.refined_map(stack, 1, head_selection(2, 2, [(l, h)]))
                 expected = stack.planes[l].data[h][row, :4]
                 assert np.array_equal(out.data, expected)
 
     def test_answer_rows_count(self, rng):
         stack = make_stack(rng, n_answer=3, requires_grad=True)
-        rows = attn.answer_query_rows(stack.spans)
-        out = attn.refined_map(stack, rows, head_selection(2, 2, [(0, 0)]))
+        out = attn.refined_map(stack, 3, head_selection(2, 2, [(0, 0)]))
         assert out._parents == (stack.planes[0],)
         # the gradient reaches exactly one [3 x 4] block: 3 query rows, 4 keys
-        assert gradient_support(out, stack) == block(0, 0, rows, 4)
+        assert gradient_support(out, stack) == block(0, 0, last_rows(stack, 3), 4)
 
     def test_matches_index_lookup_oracle(self, rng):
+        # rows 4..8: two prompt rows, then three answer rows
         stack = make_stack(rng, requires_grad=True)
-        rows = [4, 6, 7]
         for l in range(2):
             for h in range(2):
-                out = attn.refined_map(stack, rows, head_selection(2, 2, [(l, h)]))
+                out = attn.refined_map(stack, 5, head_selection(2, 2, [(l, h)]))
                 assert out._parents == (stack.planes[l],)
-                assert gradient_support(out, stack) == block(l, h, rows, 4)
+                assert gradient_support(out, stack) == block(l, h, range(4, 9), 4)
                 m = stack.planes[l].data[h]
                 for c in range(4):
-                    assert out.data[c] == (m[4, c] + m[6, c] + m[7, c]) / 3
+                    assert out.data[c] == \
+                        (m[4, c] + m[5, c] + m[6, c] + m[7, c] + m[8, c]) / 5
 
-    def test_empty_query_set(self, rng):
-        stack = make_stack(rng)
-        with pytest.raises(SelectionError):
-            attn.refined_map(stack, [], all_heads(stack))
 
-    def test_visual_row_rejected(self, rng):
-        stack = make_stack(rng)
-        with pytest.raises(SelectionError):
-            attn.refined_map(stack, [0], all_heads(stack))
+class TestQueryRowCount:
+    """Every reader takes the last q query rows, 1 <= q <= the text rows the
+    last plane kept."""
+
+    @staticmethod
+    def kept(stack, m):
+        """The stack as a pass keeping the last m rows leaves it."""
+        *early, last = stack.planes
+        return attn.AttentionStack(early + [Tensor(last.data[:, -m:])], stack.spans)
+
+    @pytest.mark.parametrize("m,q,top", [(9, 0, 5), (9, 6, 5), (9, -1, 5),
+                                         (4, 5, 4), (1, 2, 1)])
+    def test_outside_the_kept_text_rows_rejected(self, rng, m, q, top):
+        # nine rows: four visual, two prompt, three answer
+        stack = self.kept(make_stack(rng), m)
+        message = (f"^{q} query rows outside 1..{top}, the text rows every "
+                   "layer kept$")
+        with pytest.raises(SelectionError, match=message):
+            attn.all_visual_ratios(stack, q)
+        with pytest.raises(SelectionError, match=message):
+            attn.refined_map(stack, q, all_heads(stack))
+
+    @pytest.mark.parametrize("m", [9, 4, 2])
+    def test_a_kept_suffix_reads_as_the_full_stack(self, rng, m):
+        full = make_stack(rng)
+        stack = self.kept(full, m)
+        for q in range(1, min(m, 5) + 1):
+            assert np.array_equal(attn.all_visual_ratios(stack, q),
+                                  attn.all_visual_ratios(full, q))
+            assert np.array_equal(attn.refined_map(stack, q, all_heads(stack)).data,
+                                  attn.refined_map(full, q, all_heads(full)).data)
+
+    @pytest.mark.parametrize("n_answer", [1, 2, 3])
+    @pytest.mark.parametrize("heads", [[(1, 1)], [(0, 1), (1, 0)], "all"])
+    def test_bit_identical_to_the_row_set_readers(self, rng, n_answer, heads):
+        # the last q rows named as sequence rows, over the answer rows and
+        # over the answer rows with the last prompt row
+        stack = make_stack(rng, n_heads=2, n_answer=n_answer, requires_grad=True)
+        sel = all_heads(stack) if heads == "all" else head_selection(2, 2, heads)
+        weights = Tensor(rng.normal(size=4))
+        for q in (n_answer, n_answer + 1):
+            rows = last_rows(stack, q)
+            assert np.array_equal(attn.all_visual_ratios(stack, q),
+                                  all_visual_ratios_rows(stack, rows))
+            results = []
+            for build, arg in ((attn.refined_map, q), (refined_map_rows, rows)):
+                for plane in stack.planes:
+                    plane.grad = None
+                out = build(stack, arg, sel)
+                sum_all(ad.mul(out, weights)).backward()
+                results.append((out.data.tobytes(),
+                                [None if p.grad is None else p.grad.tobytes()
+                                 for p in stack.planes]))
+            assert results[0] == results[1]
 
 
 class TestMeanMap:
     def test_single_head_single_query_identity(self, rng):
         stack = make_stack(rng, n_layers=1, n_heads=1)
         row = stack.spans.total - 1
-        out = attn.refined_map(stack, [row], all_heads(stack))
+        out = attn.refined_map(stack, 1, all_heads(stack))
         assert np.max(np.abs(out.data - stack.planes[0].data[0][row, :4])) < 1e-15
 
     def test_two_heads_average(self, rng):
         stack = make_stack(rng, n_layers=1, n_heads=2)
         row = stack.spans.total - 1
-        out = attn.refined_map(stack, [row], all_heads(stack))
+        out = attn.refined_map(stack, 1, all_heads(stack))
         a = stack.planes[0].data[0][row, :4]
         b = stack.planes[0].data[1][row, :4]
         assert np.max(np.abs(out.data - (a + b) / 2)) < 1e-15
 
     def test_matches_triple_loop_oracle(self, rng):
         stack = make_stack(rng, n_layers=2, n_heads=2, n_answer=3)
-        rows = attn.answer_query_rows(stack.spans)
-        out = attn.refined_map(stack, rows, all_heads(stack))
-        oracle = mean_map_loop(visual_views(stack, rows))
+        out = attn.refined_map(stack, 3, all_heads(stack))
+        oracle = mean_map_loop(visual_views(stack, 3))
         assert np.max(np.abs(out.data - oracle)) < 1e-12
 
     @given(st.integers(0, 2**32 - 1))
@@ -136,8 +188,7 @@ class TestMeanMap:
     def test_nonnegative_and_mass_bounded(self, seed):
         r = np.random.default_rng(seed)
         stack = make_stack(r)
-        out = attn.refined_map(stack, attn.answer_query_rows(stack.spans),
-                               all_heads(stack)).data
+        out = attn.refined_map(stack, 3, all_heads(stack)).data
         assert np.all(out >= 0.0)
         assert out.sum() <= 1.0 + 1e-12
 
@@ -148,19 +199,19 @@ class TestVisualRatio:
         plane = np.zeros((1, 5, 5))
         plane[0, 4] = [0.3, 0.3, 0.2, 0.2, 0.0]
         stack = attn.AttentionStack(planes=[Tensor(plane)], spans=spans)
-        assert abs(attn.all_visual_ratios(stack, [4])[0, 0] - 0.6) < 1e-15
+        assert abs(attn.all_visual_ratios(stack, 1)[0, 0] - 0.6) < 1e-15
 
     def test_all_visual_boundary(self):
         spans = attn.Spans(2, 1, 1)
         plane = np.zeros((1, 4, 4))
         plane[0, 3] = [0.5, 0.5, 0.0, 0.0]
         stack = attn.AttentionStack(planes=[Tensor(plane)], spans=spans)
-        assert attn.all_visual_ratios(stack, [3])[0, 0] == 1.0
+        assert attn.all_visual_ratios(stack, 1)[0, 0] == 1.0
 
     def test_matches_double_sum_oracle(self, rng):
         stack = make_stack(rng)
-        rows = list(attn.answer_query_rows(stack.spans))
-        grid = attn.all_visual_ratios(stack, rows)
+        rows = last_rows(stack, 3)
+        grid = attn.all_visual_ratios(stack, 3)
         for l in range(2):
             for h in range(2):
                 want = visual_ratio_loop(stack.planes[l].data[h], rows, 4, 2)
@@ -171,8 +222,7 @@ class TestVisualRatio:
 
     def test_ratio_in_unit_interval(self, rng):
         stack = make_stack(rng)
-        grid = attn.all_visual_ratios(stack,
-                                      attn.answer_query_rows(stack.spans))
+        grid = attn.all_visual_ratios(stack, 3)
         assert np.all(grid >= 0.0) and np.all(grid <= 1.0)
 
 
@@ -225,39 +275,35 @@ class TestSelectHeads:
 class TestRefinedMap:
     def test_single_head_identity(self, rng):
         stack = make_stack(rng)
-        rows = attn.answer_query_rows(stack.spans)
-        out = attn.refined_map(stack, rows, head_selection(2, 2, [(1, 0)]))
-        expected = stack.planes[1].data[0][list(rows), :4].mean(axis=0)
+        out = attn.refined_map(stack, 3, head_selection(2, 2, [(1, 0)]))
+        expected = stack.planes[1].data[0][last_rows(stack, 3), :4].mean(axis=0)
         assert np.max(np.abs(out.data - expected)) < 1e-15
 
     def test_all_heads_equals_mean_map(self, rng):
         stack = make_stack(rng)
-        rows = attn.answer_query_rows(stack.spans)
         sel = attn.select_heads(np.ones((2, 2)), 4)
-        assert np.max(np.abs(attn.refined_map(stack, rows, sel).data
-                             - mean_map_loop(visual_views(stack, rows)))) < 1e-12
+        assert np.max(np.abs(attn.refined_map(stack, 3, sel).data
+                             - mean_map_loop(visual_views(stack, 3)))) < 1e-12
 
     def test_matches_masked_loop_oracle(self, rng):
         stack = make_stack(rng)
-        rows = attn.answer_query_rows(stack.spans)
-        ratios = attn.all_visual_ratios(stack, rows)
+        ratios = attn.all_visual_ratios(stack, 3)
         sel = attn.select_heads(ratios, 2)
-        out = attn.refined_map(stack, rows, sel)
-        oracle = refined_map_loop(visual_views(stack, rows), sel)
+        out = attn.refined_map(stack, 3, sel)
+        oracle = refined_map_loop(visual_views(stack, 3), sel)
         assert np.max(np.abs(out.data - oracle)) < 1e-12
 
     def test_zero_heads_rejected(self, rng):
         stack = make_stack(rng)
         sel = attn.select_heads(np.ones((2, 2)), 0)
         with pytest.raises(ParameterError):
-            attn.refined_map(stack, attn.answer_query_rows(stack.spans), sel)
+            attn.refined_map(stack, 3, sel)
 
     def test_all_false_grid_rejected(self, rng):
         stack = make_stack(rng)
         with pytest.raises(ParameterError,
                            match="refined_map needs at least one selected head"):
-            attn.refined_map(stack, attn.answer_query_rows(stack.spans),
-                             np.zeros((2, 2), dtype=bool))
+            attn.refined_map(stack, 3, np.zeros((2, 2), dtype=bool))
 
     @pytest.mark.parametrize("heads", [
         [(1, 2)],                                            # R = 1
@@ -266,14 +312,13 @@ class TestRefinedMap:
     ])
     def test_bit_identical_to_all_head_view(self, rng, heads):
         stack = make_stack(rng, n_heads=3, requires_grad=True)
-        rows = attn.answer_query_rows(stack.spans)
         sel = head_selection(2, 3, heads)
         weights = Tensor(rng.normal(size=4))
         results = []
         for build in (attn.refined_map, refined_map_all_heads):
             for plane in stack.planes:
                 plane.grad = None
-            out = build(stack, rows, sel)
+            out = build(stack, 3, sel)
             sum_all(ad.mul(out, weights)).backward()
             results.append((out.data, [None if p.grad is None else p.grad.copy()
                                        for p in stack.planes]))
@@ -285,9 +330,9 @@ class TestRefinedMap:
     @pytest.mark.parametrize("r", [1, 2, 6])
     def test_graph_holds_only_selected_submatrices(self, rng, r):
         stack = make_stack(rng, n_heads=3, requires_grad=True)
-        rows = attn.answer_query_rows(stack.spans)
-        sel = attn.select_heads(attn.all_visual_ratios(stack, rows), r)
-        out = attn.refined_map(stack, rows, sel)
+        rows = last_rows(stack, 3)
+        sel = attn.select_heads(attn.all_visual_ratios(stack, 3), r)
+        out = attn.refined_map(stack, 3, sel)
         pairs = np.argwhere(sel).tolist()
         layers = sorted({l for l, _ in pairs})
         assert out._parents == tuple(stack.planes[l] for l in layers)
@@ -297,9 +342,9 @@ class TestRefinedMap:
         # no unread entry is read either: NaN outside the R blocks changes nothing
         poisoned = [np.full_like(p.data, np.nan) for p in stack.planes]
         for l, h in pairs:
-            poisoned[l][h][list(rows), :4] = stack.planes[l].data[h][list(rows), :4]
+            poisoned[l][h][rows, :4] = stack.planes[l].data[h][rows, :4]
         again = attn.refined_map(attn.AttentionStack(
-            [Tensor(p) for p in poisoned], stack.spans), rows, sel)
+            [Tensor(p) for p in poisoned], stack.spans), 3, sel)
         assert np.array_equal(again.data, out.data)
 
 

@@ -10,9 +10,9 @@ from attnalign.training import AdamW
 from oracles import NumericError, adamw_ref, finite_diff_check, \
     finite_diff_check_params, gelu_value_slope, layer_norm_ref, \
     linear_with_lora_ref, mlp_two_layer_ref, softmax_ref, softmax_row_decimal
-from references import attention_chain, bmm, concat_rows, lm_loss_chain, matmul, \
-    mean_pool_rows, merge_heads, mlp_two_layer, mul, slice_rows, softmax_heads, \
-    softmax_rows, split_heads, sum_all, take
+from references import attention_chain, bmm, concat_rows, cross_entropy_rows, \
+    lm_loss_chain, matmul, mean_pool_rows, merge_heads, mlp_two_layer, mul, \
+    slice_rows, softmax_heads, softmax_rows, split_heads, sum_all, take
 
 
 def scalar_of(t):
@@ -117,57 +117,54 @@ class TestMeanPoolRows:
 class TestCrossEntropy:
     def test_uniform_logits_ln_v(self):
         v = 7
-        loss = ad.cross_entropy(ad.Tensor(np.zeros((3, v))), [0, 1, 2], [0, 3, 6])
+        loss = ad.cross_entropy(ad.Tensor(np.zeros((3, v))), [0, 3, 6])
         assert abs(float(loss.data) - np.log(v)) < 1e-12
 
     def test_one_hot_limit(self):
         logits = np.zeros((1, 5))
         logits[0, 2] = 1e6
-        loss = ad.cross_entropy(ad.Tensor(logits), [0], [2])
+        loss = ad.cross_entropy(ad.Tensor(logits), [2])
         assert float(loss.data) < 1e-9
 
     def test_gradient_vs_finite_differences(self, rng):
         logits = ad.Tensor(rng.normal(size=(4, 7)), requires_grad=True)
         targets = [1, 0, 6, 3]
-        err = finite_diff_check(lambda t: ad.cross_entropy(t, [0, 1, 2, 3], targets),
-                                logits, 1e-5)
+        err = finite_diff_check(lambda t: ad.cross_entropy(t, targets), logits, 1e-5)
         assert err < 1e-4
 
     def test_out_of_range_target(self):
         with pytest.raises(ShapeError, match=r"target outside \[0, 4\)"):
-            ad.cross_entropy(ad.Tensor(np.zeros((2, 4))), [0, 1], [0, 4])
+            ad.cross_entropy(ad.Tensor(np.zeros((2, 4))), [0, 4])
 
-    @pytest.mark.parametrize("rows", [[0, 2], [-1, 0]])
-    def test_out_of_range_row(self, rows):
-        # an IndexError once, from the row gather in front of the loss
-        with pytest.raises(ShapeError, match=r"row outside \[0, 2\)"):
-            ad.cross_entropy(ad.Tensor(np.zeros((2, 4))), rows, [0, 1])
-
-    def test_rows_and_targets_must_pair(self):
-        with pytest.raises(ShapeError, match="disagree"):
-            ad.cross_entropy(ad.Tensor(np.zeros((2, 4))), [0, 1], [0])
+    @pytest.mark.parametrize("targets", [[], [0, 1, 2], [[0], [1]]],
+                             ids=["none", "more-than-rows", "2-d"])
+    def test_targets_must_fit_the_rows(self, targets):
+        # no targets gave NaN after two numpy RuntimeWarnings
+        with pytest.raises(ShapeError, match=r"need 1 to 2 targets$"):
+            ad.cross_entropy(ad.Tensor(np.zeros((2, 4))), targets)
 
     @pytest.mark.parametrize("magnitude", [1.0, 30.0])
-    def test_bit_exact_against_gather_then_loss(self, rng, magnitude):
-        # A1 shape: 67 rows of 64 logits; row 66 appears twice, so its
-        # gradient is the sum of two scattered contributions
-        rows, targets = [65, 66, 3, 66], [7, 0, 63, 7]
-        data = rng.uniform(-magnitude, magnitude, size=(67, 64))
+    def test_bit_exact_against_row_set_readers(self, rng, magnitude):
+        # A1 shape at three answer tokens: 4 kept rows of 64 logits, the
+        # first 3 predicting; the row-set readers named the rows
+        targets = [7, 0, 63]
+        data = rng.uniform(-magnitude, magnitude, size=(4, 64))
         results = []
-        for build in (ad.cross_entropy, lm_loss_chain):
+        for build in (lambda t: ad.cross_entropy(t, targets),
+                      lambda t: cross_entropy_rows(t, [0, 1, 2], targets),
+                      lambda t: lm_loss_chain(t, [0, 1, 2], targets)):
             logits = ad.Tensor(data.copy(), requires_grad=True)
-            loss = build(logits, rows, targets)
+            loss = build(logits)
             ad.mul(loss, 0.37).backward()
             results.append((loss.data, logits.grad))
-        (loss, grad), (chain_loss, chain_grad) = results
-        assert_bits(loss, chain_loss)
-        assert_bits(grad, chain_grad)
-        assert not grad[:3].any() and grad[66].any()
+        for loss, grad in results[1:]:
+            assert_bits(results[0][0], loss)
+            assert_bits(results[0][1], grad)
+        assert results[0][1][:3].all() and not results[0][1][3].any()
 
-    def test_repeated_row_gradient_vs_finite_differences(self, rng):
+    def test_fewer_targets_than_rows_vs_finite_differences(self, rng):
         logits = ad.Tensor(rng.normal(size=(5, 6)), requires_grad=True)
-        err = finite_diff_check(lambda t: ad.cross_entropy(t, [4, 1, 4], [2, 0, 5]),
-                                logits, 1e-5)
+        err = finite_diff_check(lambda t: ad.cross_entropy(t, [2, 0, 5]), logits, 1e-5)
         assert err < 1e-6
 
 
@@ -183,7 +180,7 @@ class TestFiniteDiffCheck:
         w = ad.Tensor(rng.normal(size=(5, 5)))
 
         def f(t):
-            return ad.cross_entropy(matmul(t, w), [0, 1, 2], [0, 2, 4])
+            return ad.cross_entropy(matmul(t, w), [0, 2, 4])
 
         assert finite_diff_check(f, x, 1e-5) < 1e-4
 

@@ -7,9 +7,8 @@ import pytest
 
 from attnalign import autodiff as ad
 from attnalign.adapters import AdapterConfig
-from attnalign.attention import all_visual_ratios, answer_logit_rows, \
-    generated_query_mean_map, generated_query_refined_map, refined_map, \
-    select_heads
+from attnalign.attention import all_visual_ratios, generated_query_mean_map, \
+    generated_query_refined_map, refined_map, select_heads
 from attnalign.errors import CapacityError, CompatibilityError, SelectionError, \
     ShapeError
 from attnalign.model import ModelConfig, VisualDecoder, load_checkpoint, \
@@ -18,7 +17,7 @@ from attnalign.training import lm_loss, total_loss, TrainConfig
 
 from conftest import TINY_ADAPTER, TINY_MODEL, make_model_and_adapters, make_visual
 from oracles import straight_line_forward
-from references import embedding_front_chain
+from references import embedding_front_chain, generated_query_refined_map_rows
 
 
 class TestEncodeAndProject:
@@ -254,9 +253,8 @@ class TestGenerateGreedy:
         model, adapters = make_model_and_adapters(randomize=True)
         v = make_visual(TINY_MODEL, rng)
         (gen,) = model.generate_greedy(v[None], [(1, 2)], 3, adapters)
-        out = model.forward(v, (1, 2), gen.tokens, adapters)
-        rows = answer_logit_rows(out.attention.spans)
-        replay = tuple(int(np.argmax(out.logits.data[r])) for r in rows)
+        out = model.forward(v, (1, 2), gen.tokens, adapters, keep_last=4)
+        replay = tuple(int(np.argmax(row)) for row in out.logits.data[:3])
         assert replay == gen.tokens
 
     def test_max_len_zero_rejected(self, rng):
@@ -287,7 +285,6 @@ class TestKeptRows:
             out = model.forward(v, prompt, answer, adapters, keep_last=m)
             assert out.logits.shape == (m, cfg.vocab_size)
             assert np.max(np.abs(out.logits.data - full.logits.data[-m:])) < 1e-14
-            assert out.logit_rows(range(total - m, total)).tolist() == list(range(m))
             *early, last = out.attention.planes
             assert last.shape == (cfg.n_heads, m, total)
             assert np.max(np.abs(last.data - full.attention.planes[-1].data[:, -m:])) \
@@ -308,22 +305,30 @@ class TestKeptRows:
         v = make_visual(TINY_MODEL, rng)
         out = model.forward(v, (1, 2), (3,), adapters, keep_last=2)
         stack = out.attention
-        sel = select_heads(all_visual_ratios(stack, (6,)), 2)
-        assert refined_map(stack, (6,), sel).shape == (TINY_MODEL.n_visual,)
-        before = "^sequence row 4 is before row 5, the first that layer 1 kept$"
+        sel = select_heads(all_visual_ratios(stack, 2), 2)
+        assert refined_map(stack, 2, sel).shape == (TINY_MODEL.n_visual,)
+        before = "^3 query rows outside 1..2, the text rows every layer kept$"
         with pytest.raises(SelectionError, match=before):
-            all_visual_ratios(stack, (6, 4))
+            all_visual_ratios(stack, 3)
         with pytest.raises(SelectionError, match=before):
-            refined_map(stack, (4,), sel)
-        with pytest.raises(SelectionError, match=before):
-            out.logit_rows((5, 4))
+            refined_map(stack, 3, sel)
         last = model.forward(v, (1, 2), (3,), adapters, keep_last=1)
-        with pytest.raises(SelectionError, match="^sequence row 5 is before row 6"):
+        with pytest.raises(SelectionError, match="^lm_loss reads the last 2 rows"):
             lm_loss(last, (3,))
         # the generated maps read each step's last row, which every suffix keeps
         assert generated_query_mean_map([last.attention]).shape == \
             generated_query_refined_map([last.attention], 2).shape == \
             (TINY_MODEL.n_visual,)
+
+    @pytest.mark.parametrize("n_answer", [1, 2, 3])
+    def test_generated_map_matches_the_row_set_readers(self, rng, n_answer):
+        # every step's emitting row, named as a sequence row before
+        model, adapters = make_model_and_adapters(randomize=True)
+        (gen,) = model.generate_greedy(make_visual(TINY_MODEL, rng)[None], [(1, 2)],
+                                       n_answer, adapters)
+        for top_r in (1, 2, 4):
+            assert np.array_equal(generated_query_refined_map(gen.stacks, top_r),
+                                  generated_query_refined_map_rows(gen.stacks, top_r))
 
     def test_greedy_tokens_equal_the_full_rows_tokens(self):
         cfg = ModelConfig(n_layers=3, n_heads=2, d_visual=6, d_model=16,
@@ -344,7 +349,6 @@ class TestKeptRows:
                 row = cfg.n_visual + len(prompt) + step - 1
                 assert row == stack.spans.total - 1
                 assert stack.planes[-1].shape == (cfg.n_heads, 1, row + 1)
-                assert stack.plane_rows(cfg.n_layers - 1, (row,)).tolist() == [0]
 
 
 class TestGroupedGeneration:

@@ -556,6 +556,81 @@ class TestCli:
         assert err.count("\n") == 1
         assert not (tmp_path / "report.json").exists()
 
+    @staticmethod
+    def edit_line_2(path, edit):
+        """Rewrite line 2 of a samples file by ``edit(line 2, line 1)``."""
+        lines = path.read_text().splitlines()
+        first, doc = json.loads(lines[0]), json.loads(lines[1])
+        edit(doc, first)
+        lines[1] = json.dumps(doc, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        return doc
+
+    def refused(self, verb, tmp_path, data_dir, train_config_file, capsys,
+                message):
+        """Run train or evaluate on the data and check it fails with
+        ``message``, naming the edited file, before any output is made."""
+        out = tmp_path / "out"
+        if verb == "train":
+            argv = ["train", "--data", str(data_dir), "--out", str(out),
+                    "--config", str(train_config_file)]
+        else:
+            ckpt = tmp_path / "checkpoint.json"
+            save_checkpoint(ckpt, VisualDecoder(SMALL_MODEL, seed=0))
+            argv = ["evaluate", "--checkpoint", str(ckpt), "--data",
+                    str(data_dir / "test.jsonl"), "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb,split", [("train", "train.jsonl"),
+                                            ("evaluate", "test.jsonl")])
+    def test_repeated_sample_id_refused(self, tmp_path, data_dir, train_config_file,
+                                        capsys, no_training, verb, split):
+        # weak labels are keyed by id: line 1 used to train on line 2's
+        # labels, and train exited 0
+        path = data_dir / split
+        doc = self.edit_line_2(path, lambda doc, first: doc.update(id=first["id"]))
+        self.refused(verb, tmp_path, data_dir, train_config_file, capsys,
+                     f"{path} line 2: sample id {doc['id']!r} is also the id "
+                     "of line 1")
+
+    @pytest.mark.parametrize("verb,split", [("train", "train.jsonl"),
+                                            ("evaluate", "test.jsonl")])
+    @pytest.mark.parametrize("key", ["roi", "segment"])
+    def test_repeated_patch_refused(self, tmp_path, data_dir, train_config_file,
+                                    capsys, no_training, verb, split, key):
+        # a doubled segment failed late with "segment 'seg0' has bad token
+        # indices", naming no file or line; a tripled RoI was scored, its
+        # patch counted three times in coverage and intensity
+        path = data_dir / split
+
+        def edit(doc, _):
+            if key == "roi":
+                doc["roi"] = doc["roi"] * 3
+            else:
+                doc["segments"][0]["tokens"] = doc["segments"][0]["tokens"] * 2
+
+        doc = self.edit_line_2(path, edit)
+        name, patches = (("key 'roi'", doc["roi"]) if key == "roi" else
+                         ("key 'tokens' of segment 0", doc["segments"][0]["tokens"]))
+        self.refused(verb, tmp_path, data_dir, train_config_file, capsys,
+                     f"{path} line 2: {name} is {patches}, which repeats a patch")
+
+    def test_config_json_records_model_seed_and_weak_noise(self, tmp_path, data_dir,
+                                                           train_config_file):
+        # neither the 3 nor the 0.5 was anywhere in the run's config.json
+        doc = json.loads(train_config_file.read_text())
+        doc["model_seed"] = 3
+        train_config_file.write_text(json.dumps(doc))
+        run = tmp_path / "run"
+        assert cli.main(["train", "--data", str(data_dir), "--out", str(run),
+                         "--config", str(train_config_file),
+                         "--weak-noise", "0.5"]) == 0
+        cfg = json.loads((run / "config.json").read_text())
+        assert cfg["model_seed"] == 3 and cfg["weak_noise"] == 0.5
+        assert cfg["seed"] == 0 and cfg["model"] == doc["model"]
+
     @pytest.mark.parametrize("value,kind", [("x", "an int"), (1.7, "an int"),
                                             (True, "an int"), (-1, ">= 0")],
                              ids=["string", "float", "bool", "negative"])

@@ -13,9 +13,9 @@ from attnalign.autodiff import Tensor
 from attnalign.data import DataSpec, generate_dataset, propose_segments, \
     write_samples
 from attnalign.errors import CompatibilityError, ConfigurationError, \
-    DegenerateAttentionError, DivergenceError, ParameterError
+    DegenerateAttentionError, DivergenceError, ParameterError, SelectionError
 from attnalign.metrics import evaluate
-from attnalign.model import ModelConfig, VisualDecoder
+from attnalign.model import ForwardOutput, ModelConfig, VisualDecoder
 from attnalign.training import TASK_PROFILES, AdamW, TrainConfig, check_heads, \
     alignment_loss, compute_weak_labels, lm_loss, total_loss, train
 from attnalign.weaklabels import Segment, SyntheticOracleBackend, \
@@ -24,7 +24,7 @@ from attnalign.weaklabels import Segment, SyntheticOracleBackend, \
 from conftest import assert_no_children, make_visual
 from oracles import finite_diff_check, finite_diff_check_params
 from references import PerTensorAdamW, alignment_loss_composed, \
-    refined_map_all_heads
+    refined_map_all_heads, total_loss_rows
 
 
 def labels_of(*token_sets):
@@ -153,24 +153,26 @@ class TestLmLoss:
         model.params["ln_f.g"] = np.zeros(8)
         model.params["w_out"] = np.zeros_like(model.params["w_out"])
         rng = np.random.default_rng(0)
-        out = model.forward(make_visual(model.config, rng), (1, 2), (3,))
+        out = model.forward(make_visual(model.config, rng), (1, 2), (3,), keep_last=2)
         loss = lm_loss(out, (3,))
         assert abs(float(loss.data) - np.log(model.config.vocab_size)) < 1e-12
 
     def test_gradient_check(self, rng):
-        logits = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
-
-        class Out:
-            def __init__(self):
-                self.logits = logits
-                # no visual rows and one prompt row: answer logit rows 0, 1, 2
-                self.attention = attn.AttentionStack([], attn.Spans(0, 1, 3))
-
-            def logit_rows(self, rows):     # every row was kept
-                return rows
-
-        err = finite_diff_check(lambda t: lm_loss(Out(), [1, 2, 3]), logits, 1e-5)
+        # three answer tokens: the pass keeps 4 rows, and the first 3 predict
+        logits = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
+        err = finite_diff_check(lambda t: lm_loss(ForwardOutput(t, None), [1, 2, 3]),
+                                logits, 1e-5)
         assert err < 1e-4
+
+    @pytest.mark.parametrize("keep", [1, 3, None])
+    def test_pass_must_keep_the_answer_rows(self, rng, keep):
+        # a pass keeping one row has the answer's query row only; cross
+        # entropy over its first row would score the wrong row
+        model = small_model()
+        out = model.forward(make_visual(model.config, rng), (1, 2), (3,), keep_last=keep)
+        message = f"^lm_loss reads the last 2 rows; the pass kept {out.logits.shape[0]}$"
+        with pytest.raises(SelectionError, match=message):
+            lm_loss(out, (3,))
 
 
 class TestTrainConfig:
@@ -326,7 +328,8 @@ class TestFusedAlignmentPath:
 
 class TestKeptRowsLoss:
     """total_loss keeps only the answer-logit and answer query rows of the
-    last layer, and matches the all-rows pass."""
+    last layer, and matches the row-set readers on them and on the all-rows
+    pass."""
 
     ARMS = {"aligned": (SMALL_ADAPTER, 0.1),
             "dense": (replace(SMALL_ADAPTER, use_qmoe=False, use_kmoe=False), 0.0)}
@@ -344,10 +347,17 @@ class TestKeptRowsLoss:
         cfg = TrainConfig(lambda_align=lam, heads_r=2, weak_k=k, adapter=acfg)
         return model, adapters, train_s, compute_weak_labels(train_s, meta, k=k), cfg
 
+    @pytest.mark.parametrize("n_answer", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 4])
     @pytest.mark.parametrize("arm", sorted(ARMS))
-    def test_loss_and_gradients_match_all_rows(self, monkeypatch, arm, k):
+    def test_loss_and_gradients_match_the_row_set_readers(self, monkeypatch, arm, k,
+                                                          n_answer):
+        # bit for bit over the same suffix, and within 1e-14 of the
+        # all-rows pass, the readers naming the answer rows in both
         model, adapters, train_s, labels, cfg = self.setup_case(arm, k)
+        r = np.random.default_rng(n_answer)
+        samples = [replace(s, answer=tuple(int(t) for t in r.integers(0, 12, n_answer)))
+                   for s in train_s[:3]]
         kept = []
         forward = VisualDecoder.forward
 
@@ -355,25 +365,29 @@ class TestKeptRowsLoss:
             kept.append(keep_last)
             return forward(self, *args, keep_last=keep_last)
 
-        def run():
+        def run(build):
             out = []
-            for s in train_s[:3]:
+            for s in samples:
                 for _, t in adapters.params():
                     t.grad = None
-                loss, breakdown = total_loss(model, adapters, s, labels[s.id], cfg)
+                loss = build(s)
                 loss.backward()
-                out.append((breakdown, [t.grad for _, t in adapters.params()]))
+                out.append((loss.data.tobytes(),
+                            [t.grad.copy() for _, t in adapters.params()]))
             return out
 
         monkeypatch.setattr(VisualDecoder, "forward", spy)
-        cut = run()
-        # two prompt tokens and one answer: the answer's logit and query rows
-        assert kept == [2] * 3
-        monkeypatch.setattr(VisualDecoder, "forward",
-                            lambda self, *args, keep_last=None: forward(self, *args))
-        for (b_cut, g_cut), (b_all, g_all) in zip(cut, run()):
-            assert abs(b_cut.total - b_all.total) < 1e-14
-            assert abs(b_cut.align - b_all.align) < 1e-14
+        cut = run(lambda s: total_loss(model, adapters, s, labels[s.id], cfg)[0])
+        # two prompt tokens: the answer's logit and query rows
+        assert kept == [n_answer + 1] * 3
+        same = run(lambda s: total_loss_rows(model, adapters, s, labels[s.id], cfg,
+                                             keep_last=n_answer + 1))
+        full = run(lambda s: total_loss_rows(model, adapters, s, labels[s.id], cfg))
+        assert kept == [n_answer + 1] * 6 + [None] * 3
+        for (l_cut, g_cut), (l_same, g_same), (l_all, g_all) in zip(cut, same, full):
+            assert l_cut == l_same
+            assert all(np.array_equal(a, b) for a, b in zip(g_cut, g_same))
+            assert abs(np.frombuffer(l_cut)[0] - np.frombuffer(l_all)[0]) < 1e-14
             for a, b in zip(g_cut, g_all):
                 assert np.max(np.abs(a - b)) < 1e-14
 
