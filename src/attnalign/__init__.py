@@ -4,7 +4,7 @@ A small vision-text decoder whose query/key projections carry routed
 low-rank expert adapters, trained so that the visual attention of its
 most visually active heads concentrates on prompt-selected weak-label
 regions. Includes the synthetic planted-RoI benchmark, attention
-metrics, and sweep/ablation drivers used to verify the mechanism.
+metrics, and the sweep driver used to verify the mechanism.
 """
 
 import os as _os

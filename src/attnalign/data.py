@@ -48,9 +48,10 @@ class DataSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("seed", "feature_noise", "n_train", "n_test"):
-            if not getattr(self, name) >= 0:
-                raise GenerationError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name, low in dict(seed=0, feature_noise=0, n_train=0, n_test=0,
+                              n_background_segments=0, grid=1).items():
+            if not getattr(self, name) >= low:
+                raise GenerationError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("feature_noise", "concept_scale", "label_scale"):
             if not np.isfinite(getattr(self, name)):
                 raise GenerationError(f"{name} must be finite, got {getattr(self, name)}")

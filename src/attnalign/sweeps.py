@@ -1,4 +1,4 @@
-"""Hyperparameter sweep and ablation drivers.
+"""Hyperparameter sweep driver.
 
 One training run per value with a shared seed, results flattened into a
 CSV table (`param,value,coverage,intensity,accuracy,L_llm,L_align`).

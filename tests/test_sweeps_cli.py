@@ -11,12 +11,14 @@ import pytest
 
 from attnalign.adapters import AdapterConfig, AdapterSet
 from attnalign.data import DataSpec, generate_dataset, write_meta, write_samples
-from attnalign.errors import ParameterError
+from attnalign.errors import ParameterError, read_json, stored_config
 from attnalign.metrics import evaluate
 from attnalign.model import ModelConfig, VisualDecoder, save_checkpoint
 from attnalign.sweeps import SWEEP_HEADER, apply_sweep_value, run_single, sweep
 from attnalign.training import TASK_PROFILES, TrainConfig
 from attnalign import cli, sweeps
+
+from test_acceptance import A1_DATA, A1_TRAIN
 
 
 SMALL_ADAPTER = AdapterConfig(dense_rank=2, expert_rank=2, n_q_experts=2,
@@ -897,16 +899,22 @@ class TestCli:
             f"{reason}\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("field", ["n_train", "n_test"])
-    def test_gen_data_refuses_a_negative_split(self, tmp_path, capsys, field):
-        # n_train = -3 wrote 0 train samples and exited 0
+    @pytest.mark.parametrize("field, value, low", [
+        ("n_train", -3, 0), ("n_test", -3, 0), ("grid", -8, 1),
+        ("n_background_segments", -2, 0)],
+        ids=["n_train", "n_test", "grid", "n_background_segments"])
+    def test_gen_data_refuses_a_negative_split(self, tmp_path, capsys, field,
+                                               value, low):
+        # n_train = -3 wrote 0 train samples and exited 0; grid = -8 ended in
+        # a numpy traceback; n_background_segments = -2 proposed no background
+        # segment and exited 0
         cfg = tmp_path / "data.json"
-        cfg.write_text(json.dumps({field: -3}))
+        cfg.write_text(json.dumps({"n_train": 2, "n_test": 1, field: value}))
         rc = cli.main(["gen-data", "--out", str(tmp_path / "d"), "--config",
                        str(cfg)])
         assert rc == 1
         assert capsys.readouterr().err == \
-            f"error: config file {cfg}: {field} must be >= 0, got -3\n"
+            f"error: config file {cfg}: {field} must be >= {low}, got {value}\n"
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("field", ["feature_noise", "concept_scale",
@@ -1103,3 +1111,63 @@ def test_train_bytes_do_not_depend_on_the_core_count(tmp_path, data_dir,
         written.append([(out / name).read_bytes()
                         for name in ("metrics.jsonl", "checkpoint.json")])
     assert written[1] == written[0]
+
+
+A1_DIR = Path(__file__).resolve().parents[1] / "experiments" / "a1"
+
+
+class TestA1Config:
+    """`experiments/a1/` holds A1's setting as the `gen-data` and the
+    `train`/`sweep` config files; the acceptance module's literals are the
+    reference they must equal."""
+
+    def test_files_hold_a1(self):
+        where = f"config file {A1_DIR / 'data.json'}"
+        assert stored_config(DataSpec, read_json(A1_DIR / "data.json", where),
+                             where) == A1_DATA
+        config = str(A1_DIR / "train.json")
+        args = cli.build_parser().parse_args(
+            ["train", "--data", "d", "--out", "o", "--config", config])
+        model_cfg, cfg, model_seed = cli._build_train_config(
+            cli._load_config(config), args)
+        assert model_cfg == ModelConfig()
+        assert cfg == TrainConfig(lambda_align=0.1, **A1_TRAIN)
+        assert model_seed == 0
+
+    def test_cli_runs_equal_run_single(self, tmp_path):
+        # A1's paired runs and an ablation arm at 32/8 samples and 2 epochs:
+        # gen-data, train and evaluate score and train as run_single does
+        data_cfg, train_cfg = tmp_path / "data.json", tmp_path / "train.json"
+        data_cfg.write_text(json.dumps(
+            {**json.loads((A1_DIR / "data.json").read_text()),
+             "n_train": 32, "n_test": 8}))
+        doc = json.loads((A1_DIR / "train.json").read_text())
+        doc["train"]["epochs"] = 2
+        train_cfg.write_text(json.dumps(doc))
+        data = tmp_path / "data"
+        assert cli.main(["gen-data", "--config", str(data_cfg), "--out",
+                         str(data)]) == 0
+        train_s, test_s, spec = generate_dataset(
+            dataclasses.replace(A1_DATA, n_train=32, n_test=8))
+        arms = {"lambda-0": (["--lambda", "0"], dict(lambda_align=0.0)),
+                "lambda-0.1": ([], dict(lambda_align=0.1)),
+                "no-qmoe": (["--no-qmoe"], dict(
+                    lambda_align=0.1, adapter=AdapterConfig(use_qmoe=False)))}
+        for name, (options, fields) in arms.items():
+            run = tmp_path / name
+            assert cli.main(["train", "--config", str(train_cfg), "--data",
+                             str(data), "--out", str(run), *options]) == 0
+            assert cli.main(["evaluate", "--checkpoint",
+                             str(run / "checkpoint.json"), "--data",
+                             str(data / "test.jsonl"), "--out",
+                             str(run / "report.json")]) == 0
+            scores = json.loads((run / "report.json").read_text())["aggregates"]
+            last = json.loads((run / "metrics.jsonl").read_text().splitlines()[-1])
+
+            cfg = TrainConfig(**{**A1_TRAIN, "epochs": 2, **fields})
+            result, report = run_single(VisualDecoder(ModelConfig(), seed=0),
+                                        train_s, test_s, spec, cfg)
+            assert [scores[k] for k in ("coverage", "intensity", "accuracy")] \
+                == [report.coverage, report.intensity, report.accuracy], name
+            assert [last["train_llm"], last["train_align"]] == \
+                [result.epoch_logs[-1][k] for k in ("train_llm", "train_align")], name
