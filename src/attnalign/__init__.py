@@ -65,8 +65,8 @@ from .autodiff import Tensor, no_grad
 from .data import DataSpec, SyntheticSample, generate_dataset
 from .metrics import MetricsReport, coverage_score, evaluate, intensity_alignment
 from .model import ModelConfig, VisualDecoder, load_checkpoint, save_checkpoint
-from .training import TASK_PROFILES, AdamW, LossBreakdown, TrainConfig, \
-    alignment_loss, compute_weak_labels, total_loss, train
+from .training import AdamW, LossBreakdown, TrainConfig, alignment_loss, \
+    compute_weak_labels, total_loss, train
 from .weaklabels import Segment, SyntheticOracleBackend, cosine_sim, \
     select_weak_labels
 

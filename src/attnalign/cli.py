@@ -23,8 +23,8 @@ from .errors import AttnAlignError, ConfigurationError, ParameterError, named, \
     read_json, require_fields, stored_config
 from .model import ModelConfig, VisualDecoder, load_checkpoint
 from .sweeps import SWEEPABLE, sweep
-from .training import TASK_PROFILES, TrainConfig, check_heads, \
-    compute_weak_labels, oracle_backend, train
+from .training import TrainConfig, check_heads, compute_weak_labels, \
+    oracle_backend, train
 
 
 # the top-level keys of a train or sweep --config file, with their types
@@ -54,17 +54,8 @@ def _build_train_config(doc: dict, args) -> tuple[ModelConfig, TrainConfig, int]
     kmoe = a3moe and not getattr(args, "no_kmoe", False)
     adapter_cfg = replace(adapter_cfg, use_qmoe=adapter_cfg.use_qmoe and qmoe,
                           use_kmoe=adapter_cfg.use_kmoe and kmoe)
-    train_doc = dict(doc.get("train", {}))
-    profile = train_doc.pop("profile", None)
-    if profile is not None and (not isinstance(profile, str)
-                                or profile not in TASK_PROFILES):
-        raise ConfigurationError(
-            f"field 'profile' of {where.format('train')} is {profile!r}, "
-            f"not one of {sorted(TASK_PROFILES)}")
-    profile = getattr(args, "profile", None) or profile   # the option wins
-    if profile:   # under the file's own epochs and lambda_align
-        train_doc = {**TASK_PROFILES[profile], **train_doc}
-    cfg = stored_config(TrainConfig, {**train_doc, "adapter": adapter_cfg},
+    cfg = stored_config(TrainConfig,
+                        {**doc.get("train", {}), "adapter": adapter_cfg},
                         where.format("train"), partial=True)
 
     heads = getattr(args, "heads", None)
@@ -230,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lambda_align", type=float, default=None)
     p.add_argument("--heads", type=int, default=None)
     p.add_argument("--topk", type=int, default=None)
-    p.add_argument("--profile", choices=sorted(TASK_PROFILES), default=None)
     p.add_argument("--weak-noise", type=float, default=0.0)
     p.add_argument("--no-qmoe", action="store_true")
     p.add_argument("--no-kmoe", action="store_true")

@@ -22,7 +22,12 @@ from .errors import GenerationError, decode_floats, encode_floats, \
     read_document, read_json_lines, require_fields, stored_config
 from .weaklabels import Segment
 
-DATASET_SCHEMA = "attnalign-dataset-2"
+DATASET_SCHEMA = "attnalign-dataset-3"
+
+# concept channels dominate so prompt-segment cosine ranks the queried
+# segment first even with label mass and feature noise present
+CONCEPT_SCALE = 3.0
+LABEL_SCALE = 1.0
 
 
 @dataclass(frozen=True)
@@ -40,10 +45,6 @@ class DataSpec:
     seg_side_min: int = 2
     seg_side_max: int = 2
     feature_noise: float = 0.1
-    # concept channels dominate so prompt-segment cosine ranks the queried
-    # segment first even with label mass and feature noise present
-    concept_scale: float = 3.0
-    label_scale: float = 1.0
     n_background_segments: int = 3
     seed: int = 0
 
@@ -52,9 +53,8 @@ class DataSpec:
                               n_background_segments=0, grid=1).items():
             if not getattr(self, name) >= low:
                 raise GenerationError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        for name in ("feature_noise", "concept_scale", "label_scale"):
-            if not np.isfinite(getattr(self, name)):
-                raise GenerationError(f"{name} must be finite, got {getattr(self, name)}")
+        if not np.isfinite(self.feature_noise):
+            raise GenerationError(f"feature_noise must be finite, got {self.feature_noise}")
         if self.n_segments < 1 or not 1 <= self.seg_side_min <= self.seg_side_max:
             raise GenerationError("need n_segments >= 1 and "
                                   "1 <= seg_side_min <= seg_side_max")
@@ -152,8 +152,8 @@ def _make_sample(idx: int, prefix: str, rng: np.random.Generator,
     features = rng.normal(0.0, spec.feature_noise, size=(n, spec.d_visual))
     segments = []
     for tokens, concept, label in zip(rects, concepts, labels):
-        features[list(tokens), int(concept)] += spec.concept_scale
-        features[list(tokens), spec.n_concepts + int(label)] += spec.label_scale
+        features[list(tokens), int(concept)] += CONCEPT_SCALE
+        features[list(tokens), spec.n_concepts + int(label)] += LABEL_SCALE
         segments.append(PlantedSegment(token_indices=tokens,
                                        concept=int(concept), label=int(label)))
 

@@ -42,17 +42,6 @@ from .model import ForwardOutput, ModelConfig, VisualDecoder, save_checkpoint
 from .weaklabels import Segment, SyntheticOracleBackend, select_weak_labels
 
 
-# published per-dataset fine-tuning settings (full-scale reference)
-TASK_PROFILES: dict[str, dict] = {
-    "slake": dict(epochs=6, lambda_align=0.1),
-    "vqa-rad": dict(epochs=9, lambda_align=0.06),
-    "pathvqa": dict(epochs=3, lambda_align=0.02),
-    "iu-xray": dict(epochs=6, lambda_align=0.12),
-    "omnimedvqa": dict(epochs=3, lambda_align=0.03),
-    "iu-xray-report": dict(epochs=12, lambda_align=0.08),
-    "mimic-cxr": dict(epochs=12, lambda_align=0.05),
-}
-
 @dataclass(frozen=True)
 class TrainConfig:
     lambda_align: float = 0.1

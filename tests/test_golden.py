@@ -10,6 +10,7 @@ updates the value here in the same commit and says why.
 import ctypes
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,12 +18,11 @@ import pytest
 import attnalign
 from attnalign import cli
 
-# A1's data distribution and optimizer settings, at 16 train / 4 test samples
-DATA = dict(n_train=16, n_test=4, grid=8, d_visual=16, n_concepts=4,
-            n_segments=3, n_labels=4, seg_side_min=1, seg_side_max=1,
-            feature_noise=0.2, seed=11)
-TRAIN = dict(epochs=2, lr=3e-3, batch_size=8, weak_k=1, heads_r=2,
-             lambda_align=0.1)
+# A1's committed setting, at 16 train / 4 test samples and 2 epochs
+A1 = Path(__file__).resolve().parents[1] / "experiments" / "a1"
+DATA = {**json.loads((A1 / "data.json").read_text()), "n_train": 16, "n_test": 4}
+TRAIN = json.loads((A1 / "train.json").read_text())
+TRAIN["train"]["epochs"] = 2
 ARMS = {"aligned": [], "dense": ["--no-a3moe", "--lambda", "0"]}
 FILES = ("metrics.jsonl", "checkpoint.json", "report.json")
 KINDS = ("mean", "refined")   # visualize --kind, at the default --heads 2
@@ -84,7 +84,7 @@ def test_cli_outputs_match_golden_digests(tmp_path, golden, arm):
     data, run_dir = tmp_path / "data", tmp_path / "run"
     data_cfg, train_cfg = tmp_path / "data.json", tmp_path / "train.json"
     data_cfg.write_text(json.dumps(DATA))
-    train_cfg.write_text(json.dumps({"train": TRAIN}))
+    train_cfg.write_text(json.dumps(TRAIN))
     run(["gen-data", "--out", data, "--config", data_cfg])
     run(["train", "--data", data, "--out", run_dir, "--config", train_cfg,
          *ARMS[arm]])

@@ -219,6 +219,36 @@ def test_cli_docstring_names_the_verbs_and_their_shared_options():
         if {"--seed", "--config"} <= parser._option_string_actions.keys()}
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[tuple[str, list[str]]]:
+    """The verb and the ``--options`` of each ``attnalign <verb> ...`` line
+    of README.md, with comments dropped, continuation lines joined and
+    shell-variable tokens (``--$arm``) skipped."""
+    text = re.sub(r"[ \t]+#.*", "", README.read_text())
+    commands = []
+    for line in text.replace("\\\n", " ").splitlines():
+        words = line.split()
+        if len(words) > 1 and words[0] == "attnalign":
+            options = [w.strip("[]|") for w in words[2:]]
+            commands.append((words[1], [o for o in options
+                                        if o.startswith("--") and "$" not in o]))
+    return commands
+
+
+def test_readme_commands_use_registered_options():
+    # nothing else ties the README's command lines to the parser, so an
+    # option it no longer registers would go on being shown
+    verbs = cli_verbs()
+    commands = readme_commands()
+    assert {verb for verb, _ in commands} == set(verbs)
+    unknown = [f"{verb} {option}" for verb, options in commands
+               for option in options
+               if option not in verbs[verb]._option_string_actions]
+    assert unknown == []
+
+
 def test_only_errors_py_parses_json():
     # one parser turns every decode error into an error line that names the
     # file; a json.load(s) elsewhere would print a bare decoder message
@@ -255,10 +285,10 @@ def test_the_frozen_base_is_plain_arrays(tmp_path):
     assert list(reloaded.params) == list(model.params)
 
 
-# one A1-shaped sample and its K = 1 weak label
-A1_SAMPLE = DataSpec(n_train=1, n_test=1, grid=8, d_visual=16, n_concepts=4,
-                     n_segments=3, n_labels=4, seg_side_min=1, seg_side_max=1,
-                     feature_noise=0.2, seed=11)
+# one sample of A1's committed data setting, and its K = 1 weak label
+A1_DATA_FILE = Path(__file__).resolve().parents[1] / "experiments" / "a1" / "data.json"
+A1_SAMPLE = DataSpec(**{**json.loads(A1_DATA_FILE.read_text()), "n_train": 1,
+                        "n_test": 1})
 ARMS = {"aligned": (AdapterConfig(), 0.1),
         "dense": (AdapterConfig(use_qmoe=False, use_kmoe=False), 0.0)}
 

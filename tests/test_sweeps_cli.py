@@ -15,7 +15,7 @@ from attnalign.errors import ParameterError, read_json, stored_config
 from attnalign.metrics import evaluate
 from attnalign.model import ModelConfig, VisualDecoder, save_checkpoint
 from attnalign.sweeps import SWEEP_HEADER, apply_sweep_value, run_single, sweep
-from attnalign.training import TASK_PROFILES, TrainConfig
+from attnalign.training import TrainConfig
 from attnalign import cli, sweeps
 
 from test_acceptance import A1_DATA, A1_TRAIN
@@ -320,6 +320,11 @@ class TestCli:
          "unknown dataset meta schema 'attnalign-dataset-0' in {path}"),
         (lambda doc: doc.update(schema_1_meta(doc["spec"])),
          "unknown dataset meta schema 'attnalign-dataset-1' in {path}"),
+        (lambda doc: doc.update(schema="attnalign-dataset-2", spec={
+            **doc["spec"], "concept_scale": 3.0, "label_scale": 1.0}),
+         "unknown dataset meta schema 'attnalign-dataset-2' in {path}"),
+        (lambda doc: doc["spec"].update(concept_scale=3.0),
+         "DataSpec field 'concept_scale' unexpected in {s}"),
         (lambda doc: doc["spec"].update(d_visual=4),
          "{s}: d_visual=4 too small for 3 concepts + 3 labels"),
         ([], "{m} is [], not a JSON object"),
@@ -328,8 +333,8 @@ class TestCli:
         (lambda doc: doc["spec"].update(grid="8"),
          "DataSpec field 'grid' of {s} is '8', not an int"),
     ], ids=["unknown-field", "missing-field", "stored-layout", "schema-0",
-            "schema-1", "invalid-spec", "not-an-object", "null-spec",
-            "string-int"])
+            "schema-1", "schema-2", "removed-scale", "invalid-spec",
+            "not-an-object", "null-spec", "string-int"])
     def test_meta_must_match_field_for_field(self, tmp_path, data_dir,
                                              train_config_file, capsys, verb,
                                              edit, message):
@@ -389,12 +394,16 @@ class TestCli:
         (lambda doc: [], "config file {path} is [], not a JSON object"),
         (lambda doc: {**doc, "trian": {"epochs": 1}},
          "key 'trian' unexpected in config file {path}"),
-    ], ids=["list", "misspelt-section"])
+        (lambda doc: {**doc, "train": {**doc["train"], "profile": "slake"}},
+         "TrainConfig field 'profile' unexpected in section 'train' of "
+         "config file {path}"),
+    ], ids=["list", "misspelt-section", "removed-profile"])
     def test_train_config_must_be_an_object_of_known_sections(
             self, tmp_path, data_dir, train_config_file, capsys, verb, edit,
             message):
         # a list ended in an AttributeError traceback, and a misspelt section
-        # trained on the defaults and exited 0
+        # trained on the defaults and exited 0; a train section holds only
+        # TrainConfig's fields, so the task profiles' old field is refused
         doc = edit(json.loads(train_config_file.read_text()))
         train_config_file.write_text(json.dumps(doc))
         out = tmp_path / "out"
@@ -473,40 +482,6 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: section 'model' of config file {train_config_file}: "
             "n_heads must be positive\n")
-        assert not out.exists()
-
-    def test_unknown_config_profile_names_file_field_and_choices(
-            self, tmp_path, data_dir, train_config_file, capsys):
-        # used to print "error: 'nope'", a bare KeyError from TASK_PROFILES
-        doc = json.loads(train_config_file.read_text())
-        doc["train"]["profile"] = "nope"
-        train_config_file.write_text(json.dumps(doc))
-        out = tmp_path / "out"
-        rc = cli.main(["train", "--data", str(data_dir), "--out", str(out),
-                       "--config", str(train_config_file)])
-        assert rc == 1
-        assert capsys.readouterr().err == (
-            f"error: field 'profile' of section 'train' of config file "
-            f"{train_config_file} is 'nope', not one of "
-            f"{sorted(TASK_PROFILES)}\n")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("profile", [False, "", 0])
-    def test_config_profile_must_name_a_profile(self, tmp_path, data_dir,
-                                                train_config_file, capsys,
-                                                profile):
-        # each was read as no profile, and trained
-        doc = json.loads(train_config_file.read_text())
-        doc["train"]["profile"] = profile
-        train_config_file.write_text(json.dumps(doc))
-        out = tmp_path / "out"
-        rc = cli.main(["train", "--data", str(data_dir), "--out", str(out),
-                       "--config", str(train_config_file)])
-        assert rc == 1
-        assert capsys.readouterr().err == (
-            f"error: field 'profile' of section 'train' of config file "
-            f"{train_config_file} is {profile!r}, not one of "
-            f"{sorted(TASK_PROFILES)}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("edit,message", [
@@ -734,39 +709,17 @@ class TestCli:
         assert cfg["lambda_align"] == 0.0
         assert cfg["heads_r"] == 2 and cfg["weak_k"] == 2
 
-    def test_profile_lookup(self, tmp_path, data_dir):
-        doc = {"model": {"n_layers": 1, "n_heads": 2, "d_visual": 8,
-                         "d_model": 8, "vocab_size": 12, "grid": 3,
-                         "max_text_len": 6},
-               "adapter": {"dense_rank": 2, "expert_rank": 2,
-                           "n_q_experts": 2, "n_k_experts": 3, "top_b": 2},
-               "train": {"lr": 1e-3, "batch_size": 4, "weak_k": 1,
-                         "heads_r": 1, "epochs": 1}}
-        cfgf = tmp_path / "t.json"
-        cfgf.write_text(json.dumps(doc))
-        rc = cli.main(["train", "--data", str(data_dir), "--out",
-                       str(tmp_path / "rp"), "--config", str(cfgf),
-                       "--profile", "pathvqa"])
-        assert rc == 0
-        cfg = json.loads((tmp_path / "rp" / "config.json").read_text())
-        assert cfg["lambda_align"] == 0.02
-        assert cfg["epochs"] == 1  # explicit value wins over the profile
-
-    def test_profile_option_wins_over_the_config_file(self, tmp_path, data_dir,
-                                                      train_config_file):
-        # the file's profile used to win, as no other option lets it: with
-        # "pathvqa" there and --profile mimic-cxr, 3 epochs trained, not 12
-        doc = json.loads(train_config_file.read_text())
-        doc["train"]["profile"] = "pathvqa"
-        del doc["train"]["lambda_align"]
-        train_config_file.write_text(json.dumps(doc))
+    def test_profile_option_refused(self, tmp_path, data_dir,
+                                    train_config_file, capsys):
+        # --profile is gone with the task profiles; argparse refuses it
         run = tmp_path / "run"
-        assert cli.main(["train", "--data", str(data_dir), "--out", str(run),
-                         "--config", str(train_config_file), "--profile",
-                         "mimic-cxr"]) == 0
-        cfg = json.loads((run / "config.json").read_text())
-        assert cfg["lambda_align"] == TASK_PROFILES["mimic-cxr"]["lambda_align"]
-        assert cfg["epochs"] == 1
+        with pytest.raises(SystemExit) as info:
+            cli.main(["train", "--data", str(data_dir), "--out", str(run),
+                      "--config", str(train_config_file), "--profile",
+                      "slake"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --profile slake" in capsys.readouterr().err
+        assert not run.exists()
 
     @pytest.mark.parametrize("verb", [
         ["train"],
@@ -917,8 +870,7 @@ class TestCli:
             f"error: config file {cfg}: {field} must be >= {low}, got {value}\n"
         assert not (tmp_path / "d").exists()
 
-    @pytest.mark.parametrize("field", ["feature_noise", "concept_scale",
-                                       "label_scale"])
+    @pytest.mark.parametrize("field", ["feature_noise"])
     def test_gen_data_refuses_a_value_that_overflows(self, tmp_path, capsys, field):
         # a feature_noise of 1e999 (inf) wrote non-finite features and exited
         # 0; train then failed naming only weak-label segment 'seg0'
@@ -929,6 +881,18 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err == \
             f"error: config file {cfg}: {field} must be finite, got inf\n"
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("field", ["concept_scale", "label_scale"])
+    def test_gen_data_refuses_a_removed_scale(self, tmp_path, capsys, field):
+        # the concept and label scales are constants of data.py now
+        cfg = tmp_path / "data.json"
+        cfg.write_text(json.dumps({"n_train": 2, "n_test": 1, field: 3.0}))
+        rc = cli.main(["gen-data", "--out", str(tmp_path / "d"), "--config",
+                       str(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: DataSpec field {field!r} unexpected in config file {cfg}\n"
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("split", ["train.jsonl", "test.jsonl"])

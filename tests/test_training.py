@@ -16,8 +16,8 @@ from attnalign.errors import CompatibilityError, ConfigurationError, \
     DegenerateAttentionError, DivergenceError, ParameterError, SelectionError
 from attnalign.metrics import evaluate
 from attnalign.model import ForwardOutput, ModelConfig, VisualDecoder
-from attnalign.training import TASK_PROFILES, AdamW, TrainConfig, check_heads, \
-    alignment_loss, compute_weak_labels, lm_loss, total_loss, train
+from attnalign.training import AdamW, TrainConfig, check_heads, alignment_loss, \
+    compute_weak_labels, lm_loss, total_loss, train
 from attnalign.weaklabels import Segment, SyntheticOracleBackend, \
     select_weak_labels
 
@@ -541,12 +541,6 @@ class TestTrainLoop:
                                                batch_size, scales):
         assert self.step_scales(monkeypatch, n_train, batch_size) == scales
 
-    def test_profiles_table(self):
-        assert TASK_PROFILES["slake"]["epochs"] == 6
-        assert TASK_PROFILES["slake"]["lambda_align"] == 0.1
-        assert TASK_PROFILES["vqa-rad"]["lambda_align"] == 0.06
-        assert TASK_PROFILES["mimic-cxr"]["epochs"] == 12
-
     def test_deterministic_training(self, tmp_path):
         from attnalign.model import save_checkpoint
         paths = []
@@ -702,10 +696,14 @@ class TestSplitAcrossProcesses:
         assert messages[1] == messages[0]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_divergence_in_a_helper_names_the_step(self, processes, n):
+    @pytest.mark.parametrize("pos", [0, 2], ids=["main-chunk", "helper-chunk"])
+    def test_divergence_in_a_helper_names_the_step(self, processes, n, pos):
+        # position 2 falls in a helper's chunk; position 0 is the main
+        # process's own, whose loss raises while the helpers still owe
+        # their results
         processes(n)
         train_s, _, cfg, labels = self.task()
-        train_s[shuffled_order(cfg, len(train_s))[2]].features[0, 0] = np.nan
-        with pytest.raises(DivergenceError, match="step 2$"):
+        train_s[shuffled_order(cfg, len(train_s))[pos]].features[0, 0] = np.nan
+        with pytest.raises(DivergenceError, match=f"step {pos}$"):
             train(small_model(), train_s, cfg, weak_labels=labels)
         assert_no_children()
