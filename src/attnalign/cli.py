@@ -54,9 +54,9 @@ def _build_train_config(doc: dict, args) -> tuple[ModelConfig, TrainConfig, int]
     kmoe = a3moe and not getattr(args, "no_kmoe", False)
     adapter_cfg = replace(adapter_cfg, use_qmoe=adapter_cfg.use_qmoe and qmoe,
                           use_kmoe=adapter_cfg.use_kmoe and kmoe)
-    cfg = stored_config(TrainConfig,
-                        {**doc.get("train", {}), "adapter": adapter_cfg},
-                        where.format("train"), partial=True)
+    cfg = replace(stored_config(TrainConfig, doc.get("train", {}),
+                                where.format("train"), partial=True),
+                  adapter=adapter_cfg)
 
     heads = getattr(args, "heads", None)
     for option, name, value in (
@@ -95,12 +95,13 @@ def cmd_gen_data(args) -> int:
 
 def _read_data_dir(path: str, model: VisualDecoder):
     """Both splits and the spec of a dataset directory, every sample checked
-    against the model before any training starts."""
+    against the model and the spec before any training starts."""
     splits = [Path(path) / name for name in ("train.jsonl", "test.jsonl")]
     samples = [read_samples(split) for split in splits]
-    spec = read_meta(Path(path) / "meta.json")
+    spec = read_meta(meta := Path(path) / "meta.json")
     for split, split_samples in zip(splits, samples):
         metricsmod.check_compatibility(model, split_samples, split)
+        spec.check_samples(split_samples, split, f"dataset meta {meta}")
     return *samples, spec
 
 

@@ -2,10 +2,10 @@
 
 Each sample is a patch grid carrying a few disjoint rectangular
 segments. Every segment encodes a concept and a label in dedicated
-feature channels; the prompt asks for one concept and the answer is the
-label token planted in that concept's segment. Distractor segments
-carry conflicting labels, so the answer is only recoverable by reading
-the queried segment's patches.
+feature channels, the only place they are kept; the prompt asks for one
+concept and the answer is the label token planted in that concept's
+segment. Distractor segments carry conflicting labels, so the answer is
+only recoverable by reading the queried segment's patches.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GenerationError, decode_floats, encode_floats, \
-    read_document, read_json_lines, require_fields, stored_config
+from .errors import CompatibilityError, GenerationError, decode_floats, \
+    encode_floats, read_document, read_json_lines, require_fields, stored_config
 from .weaklabels import Segment
 
-DATASET_SCHEMA = "attnalign-dataset-3"
+DATASET_SCHEMA = "attnalign-dataset-4"
 
 # concept channels dominate so prompt-segment cosine ranks the queried
 # segment first even with label mass and feature noise present
@@ -96,12 +96,22 @@ class DataSpec:
         """[n_concepts x d_visual] channel signatures: concept c is channel c."""
         return np.eye(self.n_concepts, self.d_visual)
 
-
-@dataclass(frozen=True)
-class PlantedSegment:
-    token_indices: tuple[int, ...]
-    concept: int
-    label: int
+    def check_samples(self, samples: Sequence[SyntheticSample],
+                      source: str | Path, meta: str) -> None:
+        """Sample n of ``source``, its line n, must be one that this spec,
+        which ``meta`` names, generates: of its grid and feature width, an
+        ask for one of its concepts, answered by one of its labels."""
+        allowed = {"grid": {self.grid}, "feature width": {self.d_visual},
+                   "prompt": {(self.ask_token, self.concept_token(c))
+                              for c in range(self.n_concepts)},
+                   "answer": {(self.label_token(i),) for i in range(self.n_labels)}}
+        for n, s in enumerate(samples, start=1):
+            got = {"grid": s.grid, "feature width": s.features.shape[1],
+                   "prompt": s.prompt, "answer": s.answer}
+            if bad := [part for part in allowed if got[part] not in allowed[part]]:
+                raise CompatibilityError(
+                    f"{source} line {n} does not fit {meta}: its {bad[0]} is "
+                    f"{got[bad[0]]}, not one of {sorted(allowed[bad[0]])}")
 
 
 @dataclass
@@ -109,8 +119,7 @@ class SyntheticSample:
     id: str
     grid: int
     features: np.ndarray               # [N x d_visual]
-    segments: tuple[PlantedSegment, ...]
-    queried_concept: int
+    segments: tuple[tuple[int, ...], ...]   # the planted patches; one is the RoI
     prompt: tuple[int, ...]
     answer: tuple[int, ...]
     roi: tuple[int, ...]
@@ -150,20 +159,14 @@ def _make_sample(idx: int, prefix: str, rng: np.random.Generator,
     queried_slot = int(rng.integers(0, spec.n_segments))
 
     features = rng.normal(0.0, spec.feature_noise, size=(n, spec.d_visual))
-    segments = []
     for tokens, concept, label in zip(rects, concepts, labels):
-        features[list(tokens), int(concept)] += CONCEPT_SCALE
-        features[list(tokens), spec.n_concepts + int(label)] += LABEL_SCALE
-        segments.append(PlantedSegment(token_indices=tokens,
-                                       concept=int(concept), label=int(label)))
-
-    queried = segments[queried_slot]
-    prompt = (spec.ask_token, spec.concept_token(queried.concept))
-    answer = (spec.label_token(queried.label),)
-    return SyntheticSample(id=f"{prefix}{idx:06d}", grid=spec.grid,
-                           features=features, segments=tuple(segments),
-                           queried_concept=queried.concept, prompt=prompt,
-                           answer=answer, roi=queried.token_indices)
+        features[list(tokens), concept] += CONCEPT_SCALE
+        features[list(tokens), spec.n_concepts + label] += LABEL_SCALE
+    return SyntheticSample(
+        id=f"{prefix}{idx:06d}", grid=spec.grid, features=features,
+        segments=tuple(rects), roi=rects[queried_slot],
+        prompt=(spec.ask_token, spec.concept_token(int(concepts[queried_slot]))),
+        answer=(spec.label_token(int(labels[queried_slot])),))
 
 
 def generate_dataset(spec: DataSpec) -> tuple[list[SyntheticSample],
@@ -189,11 +192,9 @@ def propose_segments(sample: SyntheticSample, n_background: int) -> list[Segment
     that respects region boundaries; partial overlaps would otherwise
     inherit concept signal from the planted region.
     """
-    out = [Segment(id=f"seg{i}", token_indices=s.token_indices)
+    out = [Segment(id=f"seg{i}", token_indices=s)
            for i, s in enumerate(sample.segments)]
-    planted = set()
-    for s in sample.segments:
-        planted.update(s.token_indices)
+    planted = set().union(*sample.segments)
     # stable across processes, unlike the builtin string hash
     digest = hashlib.sha256(("bg:" + sample.id).encode()).digest()
     rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
@@ -218,11 +219,10 @@ def propose_segments(sample: SyntheticSample, n_background: int) -> list[Segment
 # file round trips (JSON-lines samples, JSON meta)
 
 
-# the keys of a sample line and of each of its segments, with their types
-SAMPLE_KEYS = {"id": str, "grid": int, "d_visual": int, "queried_concept": int,
-               "prompt": list[int], "answer": list[int], "roi": list[int],
-               "segments": list, "features_b64": str}
-SEGMENT_KEYS = {"tokens": list[int], "concept": int, "label": int}
+# the keys of a sample line, with their types
+SAMPLE_KEYS = {"id": str, "grid": int, "d_visual": int, "prompt": list[int],
+               "answer": list[int], "roi": list[int],
+               "segments": list[list[int]], "features_b64": str}
 
 
 def _sample_to_dict(sample: SyntheticSample) -> dict:
@@ -230,12 +230,10 @@ def _sample_to_dict(sample: SyntheticSample) -> dict:
         "id": sample.id,
         "grid": sample.grid,
         "d_visual": sample.features.shape[1],
-        "queried_concept": sample.queried_concept,
         "prompt": list(sample.prompt),
         "answer": list(sample.answer),
         "roi": list(sample.roi),
-        "segments": [{"tokens": list(s.token_indices), "concept": s.concept,
-                      "label": s.label} for s in sample.segments],
+        "segments": [list(s) for s in sample.segments],
         "features_b64": encode_floats(sample.features),
     }
 
@@ -245,15 +243,12 @@ def _sample_from_dict(doc: dict, where: str) -> SyntheticSample:
     The line must hold exactly the keys that ``_sample_to_dict`` writes,
     with values of their types."""
     require_fields(doc, SAMPLE_KEYS, where)
-    for i, seg in enumerate(doc["segments"]):
-        require_fields(seg, SEGMENT_KEYS, f"{where} segment {i}")
     g = doc["grid"]
     return SyntheticSample(
-        id=doc["id"], grid=g, queried_concept=doc["queried_concept"],
+        id=doc["id"], grid=g,
         features=decode_floats(doc["features_b64"], (g * g, doc["d_visual"]),
                                f"key 'features_b64' of {where}"),
-        segments=tuple(PlantedSegment(tuple(s["tokens"]), s["concept"], s["label"])
-                       for s in doc["segments"]),
+        segments=tuple(tuple(s) for s in doc["segments"]),
         prompt=tuple(doc["prompt"]), answer=tuple(doc["answer"]),
         roi=tuple(doc["roi"]))
 

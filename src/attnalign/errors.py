@@ -126,10 +126,13 @@ def require_fields(doc, hints: dict, where: str, partial: bool = False,
 
 def stored_config(cls, stored, where: str, partial: bool = False):
     """The config dataclass ``cls`` from ``stored``, which ``where`` names: a
-    JSON object of exactly its fields (with ``partial``, some of them, the
-    rest keeping their defaults) of their types, that the dataclass takes."""
-    require_fields(stored, get_type_hints(cls), where, partial,
-                   f"{cls.__name__} field")
+    JSON object of exactly its fields of JSON types (with ``partial``, some
+    of them, the rest keeping their defaults), each of its type, that the
+    dataclass takes."""
+    # a field of another type, such as a nested config, is never stored
+    hints = {name: hint for name, hint in get_type_hints(cls).items()
+             if _JSON_TYPES.keys() & {hint, *get_args(hint)}}
+    require_fields(stored, hints, where, partial, f"{cls.__name__} field")
     with named(where):
         return cls(**stored)
 

@@ -153,7 +153,7 @@ def check_compatibility(model: VisualDecoder, samples: Sequence[SyntheticSample]
         tokens = list(s.prompt) + list(s.answer)
         bad = [t for t in tokens if not 0 <= t < c.vocab_size]
         regions = {"key 'roi'": s.roi}
-        regions.update((f"key 'tokens' of segment {i}", g.token_indices)
+        regions.update((f"item {i} of key 'segments'", g)
                        for i, g in enumerate(s.segments))
         outside = [name for name, p in regions.items()
                    if not p or min(p) < 0 or max(p) >= c.n_visual]

@@ -3,11 +3,27 @@ import json
 import numpy as np
 import pytest
 
-from attnalign.data import DataSpec, generate_dataset, read_meta, read_samples, \
-    write_meta, write_samples
+from attnalign.data import CONCEPT_SCALE, LABEL_SCALE, DataSpec, \
+    generate_dataset, read_meta, read_samples, write_meta, write_samples
 from attnalign.errors import GenerationError
 
 from oracles import blind_majority_token, classifier_accuracy, roi_oracle_predict
+
+
+def planted(sample, spec) -> dict:
+    """(concept, label) of each planted segment of a sample generated at
+    ``feature_noise`` 0, read from its features: every patch of a segment
+    holds exactly CONCEPT_SCALE in its concept's channel and LABEL_SCALE in
+    its label's, and every other value is 0."""
+    out, expected = {}, np.zeros_like(sample.features)
+    for seg in sample.segments:
+        (concept,) = np.flatnonzero(sample.features[seg[0], :spec.n_concepts])
+        (label,) = np.flatnonzero(sample.features[seg[0], spec.n_concepts:])
+        expected[list(seg), concept] = CONCEPT_SCALE
+        expected[list(seg), spec.n_concepts + label] = LABEL_SCALE
+        out[seg] = int(concept), int(label)
+    assert np.array_equal(sample.features, expected)
+    return out
 
 
 class TestGeneration:
@@ -36,25 +52,24 @@ class TestGeneration:
 
     def test_segments_disjoint_and_queried_once(self):
         train, test, meta = generate_dataset(DataSpec(n_train=50, n_test=5,
-                                                      seed=3))
+                                                      seed=3, feature_noise=0))
         for s in train + test:
             seen = set()
             for seg in s.segments:
-                assert not seen.intersection(seg.token_indices)
-                seen.update(seg.token_indices)
-            queried = [seg for seg in s.segments
-                       if seg.concept == s.queried_concept]
-            assert len(queried) == 1
-            assert queried[0].token_indices == s.roi
-            labels = [seg.label for seg in s.segments]
+                assert not seen.intersection(seg)
+                seen.update(seg)
+            assert s.segments.count(s.roi) == 1
+            concepts, labels = zip(*planted(s, meta).values())
+            assert len(set(concepts)) == len(concepts)
             assert len(set(labels)) == len(labels)
 
     def test_answer_is_queried_segment_label(self):
-        train, _, meta = generate_dataset(DataSpec(n_train=30, n_test=1, seed=9))
+        train, _, meta = generate_dataset(DataSpec(n_train=30, n_test=1, seed=9,
+                                                   feature_noise=0))
         for s in train:
-            queried = next(seg for seg in s.segments
-                           if seg.concept == s.queried_concept)
-            assert s.answer == (meta.label_token(queried.label),)
+            concept, label = planted(s, meta)[s.roi]
+            assert s.prompt == (meta.ask_token, meta.concept_token(concept))
+            assert s.answer == (meta.label_token(label),)
 
 
 class TestReferenceClassifiers:

@@ -1,10 +1,10 @@
 """Package-wide properties: the BLAS thread pin at import time, no field
-of a package dataclass that the package never reads, no public function or
-class that only tests call, a frozen base of plain arrays whose tape
-reaches only the adapters, no CLI option that its verb ignores, JSON parsed
-in errors.py alone, a CLI docstring that names the parser's verbs, a CLI
-that turns only package and OS errors into an error line, and a package
-that the benchmark's span tracer still fits."""
+of a package dataclass that the package only writes or never reads, no
+public function or class that only tests call, a frozen base of plain
+arrays whose tape reaches only the adapters, no CLI option that its verb
+ignores, JSON parsed in errors.py alone, a CLI docstring that names the
+parser's verbs, a CLI that turns only package and OS errors into an error
+line, and a package that the benchmark's span tracer still fits."""
 
 import argparse
 import ast
@@ -58,13 +58,26 @@ def test_pin_holds_when_numpy_is_imported_first(setting, expected):
     assert out.stdout.strip() == expected
 
 
+# functions that only write a file or build the dict that is written: a
+# field that only they load is output, not read
+WRITER = re.compile(r"^_?(write|save|export)_|to_dict$")
+
+
 def attributes_read_in_package() -> set[str]:
-    """Every attribute name the package's source loads (``x.name``)."""
+    """Every attribute name the package's source loads (``x.name``) outside
+    the functions that ``WRITER`` names."""
     names = set()
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and WRITER.search(node.name):
+            return
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
     for path in Path(attnalign.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                names.add(node.attr)
+        visit(ast.parse(path.read_text()))
     return names
 
 

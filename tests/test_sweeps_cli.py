@@ -323,6 +323,8 @@ class TestCli:
         (lambda doc: doc.update(schema="attnalign-dataset-2", spec={
             **doc["spec"], "concept_scale": 3.0, "label_scale": 1.0}),
          "unknown dataset meta schema 'attnalign-dataset-2' in {path}"),
+        (lambda doc: doc.update(schema="attnalign-dataset-3"),
+         "unknown dataset meta schema 'attnalign-dataset-3' in {path}"),
         (lambda doc: doc["spec"].update(concept_scale=3.0),
          "DataSpec field 'concept_scale' unexpected in {s}"),
         (lambda doc: doc["spec"].update(d_visual=4),
@@ -333,7 +335,7 @@ class TestCli:
         (lambda doc: doc["spec"].update(grid="8"),
          "DataSpec field 'grid' of {s} is '8', not an int"),
     ], ids=["unknown-field", "missing-field", "stored-layout", "schema-0",
-            "schema-1", "schema-2", "removed-scale", "invalid-spec",
+            "schema-1", "schema-2", "schema-3", "removed-scale", "invalid-spec",
             "not-an-object", "null-spec", "string-int"])
     def test_meta_must_match_field_for_field(self, tmp_path, data_dir,
                                              train_config_file, capsys, verb,
@@ -362,6 +364,36 @@ class TestCli:
             f"error: {message.format(m=m, s=spec, path=path)}\n"
         assert not out.exists()
         assert not list(tmp_path.rglob("metrics.jsonl"))
+
+    @pytest.mark.parametrize("verb", ["train", "sweep"])
+    @pytest.mark.parametrize("field,value,message", [
+        ("n_concepts", 4, "its prompt is (6, 3), not one of "
+                          "[(7, 3), (7, 4), (7, 5), (7, 6)]"),
+        ("n_labels", 2, "its prompt is (6, 3), not one of [(5, 2), (5, 3), (5, 4)]"),
+        ("d_visual", 9, "its feature width is 8, not one of [9]"),
+    ], ids=["n_concepts", "n_labels", "d_visual"])
+    def test_meta_must_describe_its_samples(self, tmp_path, data_dir,
+                                            train_config_file, capsys,
+                                            no_training, verb, field, value,
+                                            message):
+        # a valid spec that did not describe its samples was used on them:
+        # with n_concepts 4 of 3 training started, every prompt embedded as
+        # a label channel; n_labels 2 of 3 ended in "prompt (6, 5) names no
+        # known concept" and d_visual 9 of 8 in a backend shape error, both
+        # naming no file
+        path = data_dir / "meta.json"
+        doc = json.loads(path.read_text())
+        doc["spec"][field] = value
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = {"train": ["train"],
+                "sweep": ["sweep", "--param", "lambda", "--values", "0,0.1"]}[verb]
+        assert cli.main(argv + ["--data", str(data_dir), "--out", str(out),
+                                "--config", str(train_config_file)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data_dir / 'train.jsonl'} line 1 does not fit dataset "
+            f"meta {path}: {message}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("cut,fragment", [
         (lambda b64: b64[:-8], "holds 570 bytes, its shape (9, 8) needs 576"),
@@ -397,13 +429,19 @@ class TestCli:
         (lambda doc: {**doc, "train": {**doc["train"], "profile": "slake"}},
          "TrainConfig field 'profile' unexpected in section 'train' of "
          "config file {path}"),
-    ], ids=["list", "misspelt-section", "removed-profile"])
+        (lambda doc: {**doc, "train": {**doc["train"],
+                                       "adapter": {"dense_rank": 99}}},
+         "TrainConfig field 'adapter' unexpected in section 'train' of "
+         "config file {path}"),
+    ], ids=["list", "misspelt-section", "removed-profile", "adapter-in-train"])
     def test_train_config_must_be_an_object_of_known_sections(
             self, tmp_path, data_dir, train_config_file, capsys, verb, edit,
             message):
         # a list ended in an AttributeError traceback, and a misspelt section
         # trained on the defaults and exited 0; a train section holds only
-        # TrainConfig's fields, so the task profiles' old field is refused
+        # TrainConfig's JSON fields, so the task profiles' old field is
+        # refused, and so is an adapter there, which the top-level "adapter"
+        # section used to overwrite silently
         doc = edit(json.loads(train_config_file.read_text()))
         train_config_file.write_text(json.dumps(doc))
         out = tmp_path / "out"
@@ -488,8 +526,9 @@ class TestCli:
         (lambda doc: doc.pop("features_b64"),
          "key 'features_b64' missing from {where}"),
         (lambda doc: doc.update(extra=1), "key 'extra' unexpected in {where}"),
-        (lambda doc: doc["segments"][1].pop("label"),
-         "key 'label' missing from {where} segment 1"),
+        (lambda doc: doc.update(segments=[doc["segments"][0],
+                                          {"tokens": doc["segments"][1]}]),
+         "item 1 of key 'segments' of {where} is {{'tokens': ["),
         ('{"id": "te000001",', "{where} is not valid JSON: "),
         ("[]", "{where} is [], not a JSON object"),
         (lambda doc: doc.update(grid="8"), "key 'grid' of {where} is '8', not an int"),
@@ -499,21 +538,27 @@ class TestCli:
          "item 0 of key 'roi' of {where} is 1.5, not an int\n"),
         (lambda doc: doc.update(roi=[-1]),
          "{where}: key 'roi' is [-1], not a nonempty list of patches in [0, 9)\n"),
-        (lambda doc: doc["segments"][0].update(tokens=[9]),
-         "{where}: key 'tokens' of segment 0 is [9], not a nonempty list of "
+        (lambda doc: doc.update(segments=[[9], doc["segments"][1]]),
+         "{where}: item 0 of key 'segments' is [9], not a nonempty list of "
          "patches in [0, 9)\n"),
         (lambda doc: doc.update(answer=[]),
          "{where}: dataset sample te000001 has an empty answer\n"),
+        (lambda doc: doc.update(queried_concept=doc["prompt"][1] - 3, segments=[
+            {"tokens": t, "concept": c, "label": c} for c, t in
+            enumerate(doc["segments"])]),
+         "key 'queried_concept' unexpected in {where}\n"),
     ], ids=["missing-key", "extra-key", "segment-key", "bad-json", "not-object",
             "string-grid", "string-prompt", "float-roi", "negative-roi",
-            "token-outside-grid", "empty-answer"])
+            "token-outside-grid", "empty-answer", "schema-3-line"])
     def test_sample_lines_are_checked_before_use(self, tmp_path, data_dir, capsys,
                                                  edit, message):
         # a missing key used to print "error: 'features_b64'", naming
         # neither the file nor the line, and bad JSON a bare decoder message;
         # string prompt tokens ended in a TypeError traceback, a float RoI
         # patch was scored as its integer part and -1 as the last patch, and
-        # an empty answer ended in an error that named no file
+        # an empty answer ended in an error that named no file. A schema-3
+        # line also held the queried concept and each segment's concept and
+        # label; evaluate reads no meta.json, so its keys tell the old schema
         ckpt = tmp_path / "checkpoint.json"
         save_checkpoint(ckpt, VisualDecoder(SMALL_MODEL, seed=0))
         path = data_dir / "test.jsonl"
@@ -586,13 +631,24 @@ class TestCli:
             if key == "roi":
                 doc["roi"] = doc["roi"] * 3
             else:
-                doc["segments"][0]["tokens"] = doc["segments"][0]["tokens"] * 2
+                doc["segments"][0] = doc["segments"][0] * 2
 
         doc = self.edit_line_2(path, edit)
         name, patches = (("key 'roi'", doc["roi"]) if key == "roi" else
-                         ("key 'tokens' of segment 0", doc["segments"][0]["tokens"]))
+                         ("item 0 of key 'segments'", doc["segments"][0]))
         self.refused(verb, tmp_path, data_dir, train_config_file, capsys,
                      f"{path} line 2: {name} is {patches}, which repeats a patch")
+
+    def test_answer_outside_the_labels_refused(self, tmp_path, data_dir,
+                                               train_config_file, capsys,
+                                               no_training):
+        # a concept token as a test sample's answer was taken for a label
+        path = data_dir / "test.jsonl"
+        self.edit_line_2(path, lambda doc, _: doc.update(answer=[3]))
+        self.refused("train", tmp_path, data_dir, train_config_file, capsys,
+                     f"{path} line 2 does not fit dataset meta "
+                     f"{data_dir / 'meta.json'}: its answer is (3,), not one "
+                     "of [(0,), (1,), (2,)]")
 
     def test_config_json_records_model_seed_and_weak_noise(self, tmp_path, data_dir,
                                                            train_config_file):
