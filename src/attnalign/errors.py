@@ -141,7 +141,9 @@ def read_json(path: str | Path, where: str, raw: bytes | None = None):
     """The JSON value of ``raw``, by default the bytes of the file at ``path``;
     bytes that are not UTF-8 JSON are an error that names ``where``."""
     try:
-        return json.loads(Path(path).read_bytes() if raw is None else raw)
+        # decoded here, as json.loads would also take UTF-16, UTF-32 or a BOM
+        text = (Path(path).read_bytes() if raw is None else raw).decode("utf-8")
+        return json.loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CompatibilityError(f"{where} is not valid JSON: {exc}") from None
 
@@ -155,24 +157,33 @@ def read_json_lines(path: str | Path):
             yield read_json(path, where, line), where
 
 
-def read_document(path: str | Path, schema: str, kind: str,
-                  hints: dict) -> tuple[dict, str]:
-    """The JSON object at ``path``, a ``kind`` of schema ``schema`` and of
-    exactly the other sections of ``hints``, and the words naming the file."""
-    where = f"{kind} {path}"
-    doc = read_json(path, where)
+def require_header(doc, schema: str, kind: str, hints: dict,
+                   at: str | Path) -> None:
+    """``doc``, the ``kind`` at ``at``, must be a JSON object of schema
+    ``schema`` and of exactly the other sections of ``hints``; the schema is
+    checked first, so an old file reads as an old schema."""
+    where = f"{kind} {at}"
     require_type(doc, dict, where)
     if doc.get("schema") != schema:
         raise CompatibilityError(
-            f"unknown {kind} schema {reprlib.repr(doc.get('schema'))} in {path}")
+            f"unknown {kind} schema {reprlib.repr(doc.get('schema'))} in {at}")
     require_fields(doc, {"schema": str, **hints}, where, kind="section")
+
+
+def read_document(path: str | Path, schema: str, kind: str,
+                  hints: dict) -> tuple[dict, str]:
+    """The JSON object at ``path``, held to ``require_header``, and the words
+    naming the file."""
+    where = f"{kind} {path}"
+    doc = read_json(path, where)
+    require_header(doc, schema, kind, hints, path)
     return doc, where
 
 
 def encode_floats(a) -> str:
     """Base64 of the float64 bytes of ``a`` in C order."""
     arr = np.ascontiguousarray(a, dtype=np.float64)
-    return base64.b64encode(arr.tobytes()).decode("ascii")
+    return base64.b64encode(arr).decode("ascii")
 
 
 def decode_floats(text, shape, where: str) -> np.ndarray:

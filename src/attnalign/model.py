@@ -35,9 +35,9 @@ from .adapters import AdapterConfig, AdapterSet, kmoe_apply, kmoe_gate_weights, 
 from .attention import AttentionStack, Spans
 from .autodiff import Tensor
 from .errors import CapacityError, CompatibilityError, ShapeError, decode_floats, \
-    encode_floats, read_document, require_fields, stored_config
+    encode_floats, read_json_lines, require_fields, require_header, stored_config
 
-CHECKPOINT_SCHEMA = "attnalign-checkpoint-3"
+CHECKPOINT_SCHEMA = "attnalign-checkpoint-4"
 
 
 @dataclass(frozen=True)
@@ -277,66 +277,80 @@ class VisualDecoder:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint round trip
+# checkpoint round trip: a JSON-lines file of a header line, then one line
+# per tensor, written and read a line at a time
 
 
-def _encode_array(a: np.ndarray) -> dict:
-    return {"shape": list(np.shape(a)), "data": encode_floats(a)}
-
-
-# the sections of a checkpoint besides its schema, with their types
+# the sections of a checkpoint's header besides its schema, with their types
 CHECKPOINT_SECTIONS = {"model_config": dict, "adapter_config": dict | None,
-                       "extra": dict, "tensors": dict, "adapter_tensors": dict}
+                       "extra": dict}
+TENSOR_KEYS = {"name": str, "shape": list[int], "data": str}
+
+
+def _tensors(model: VisualDecoder, adapters: AdapterSet | None) -> dict:
+    """Every array a checkpoint stores, by name, in the order of its lines:
+    the base's sorted by name, then the adapters' in ``params()`` order."""
+    out = dict(sorted(model.params.items()))
+    if adapters is not None:
+        out.update((name, t.data) for name, t in adapters.params())
+    return out
 
 
 def save_checkpoint(path: str | Path, model: VisualDecoder,
                     adapters: AdapterSet | None = None,
                     extra: dict | None = None) -> None:
-    doc = {
+    header = {
         "schema": CHECKPOINT_SCHEMA,
         "model_config": asdict(model.config),
         "adapter_config": asdict(adapters.cfg) if adapters is not None else None,
         "extra": extra or {},
-        "tensors": {name: _encode_array(a) for name, a in sorted(model.params.items())},
-        "adapter_tensors": ({name: _encode_array(t.data)
-                             for name, t in adapters.params()}
-                            if adapters is not None else {}),
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=0) + "\n")
+    with open(path, "w") as fh:
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        for name, a in _tensors(model, adapters).items():
+            fh.write(json.dumps({"name": name, "shape": list(a.shape),
+                                 "data": encode_floats(a)}))
+            fh.write("\n")   # apart, so the line is not copied once more
 
 
 def load_checkpoint(path: str | Path) -> tuple[VisualDecoder, AdapterSet | None, dict]:
-    doc, where = read_document(path, CHECKPOINT_SCHEMA, "checkpoint",
-                               CHECKPOINT_SECTIONS)
-    section = "section {!r} of " + where
-    config = stored_config(ModelConfig, doc["model_config"],
+    lines = read_json_lines(path)
+    first = next(lines, None)
+    if first is None:
+        raise CompatibilityError(f"checkpoint {path} is empty")
+    header, at = first
+    require_header(header, CHECKPOINT_SCHEMA, "checkpoint", CHECKPOINT_SECTIONS, at)
+    section = "section {!r} of checkpoint " + at
+    config = stored_config(ModelConfig, header["model_config"],
                            section.format("model_config"))
     model = VisualDecoder(config)
-    model.params = _restore(model.params, doc["tensors"], section.format("tensors"))
     adapters = None
-    if doc["adapter_config"] is not None:
+    if header["adapter_config"] is not None:
         adapters = AdapterSet(config.n_layers, config.d_model, config.d_ff,
-                              stored_config(AdapterConfig, doc["adapter_config"],
+                              stored_config(AdapterConfig, header["adapter_config"],
                                             section.format("adapter_config")))
     tensors = dict(adapters.params()) if adapters is not None else {}
-    for name, data in _restore(tensors, doc["adapter_tensors"],
-                               section.format("adapter_tensors")).items():
-        tensors[name].data = data
-    return model, adapters, doc["extra"]
-
-
-def _restore(expected: dict, entries: dict, where: str) -> dict[str, np.ndarray]:
-    """The decoded entry of each name in ``expected``, in its order; the
-    entries, which ``where`` names, must hold exactly those names, each an
-    object of exactly {shape, data} with the shape of its array or tensor in
-    ``expected`` and base64 of exactly that many float64 values."""
-    require_fields(entries, dict.fromkeys(expected, dict), where, kind="tensor")
-    out = {}
-    for name, t in expected.items():
+    # the shape of each tensor no line has held yet
+    todo = {name: a.shape for name, a in _tensors(model, adapters).items()}
+    for doc, at in lines:
+        where = "checkpoint " + at
+        require_fields(doc, TENSOR_KEYS, where)
+        name = doc["name"]
+        if name not in todo:
+            state = "repeated" if name in model.params or name in tensors \
+                else "unexpected"
+            raise CompatibilityError(f"tensor {name!r} {state} in {where}")
+        shape = todo.pop(name)
         tensor = f"tensor {name!r} of {where}"
-        require_fields(entries[name], {"shape": list[int], "data": str}, tensor)
-        if tuple(entries[name]["shape"]) != t.shape:
-            raise CompatibilityError(f"{tensor} has shape {entries[name]['shape']}, "
-                                     f"model needs {list(t.shape)}")
-        out[name] = decode_floats(entries[name]["data"], t.shape, tensor)
-    return out
+        if tuple(doc["shape"]) != shape:
+            raise CompatibilityError(f"{tensor} has shape {doc['shape']}, "
+                                     f"model needs {list(shape)}")
+        data = decode_floats(doc["data"], shape, tensor)
+        if name in tensors:
+            tensors[name].data = data
+        else:
+            model.params[name] = data
+    if todo:
+        raise CompatibilityError(
+            f"tensor {next(iter(todo))!r} missing from checkpoint {path}")
+    return model, adapters, header["extra"]

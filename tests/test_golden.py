@@ -34,7 +34,7 @@ GOLDEN = {
             "metrics.jsonl":
                 "7b400e90a30d4f9d1f0117a3c69660b48cd2f1859909f92371cf4c6fe2d690fe",
             "checkpoint.json":
-                "9abfd8b93cf1acaf89bd7ccc35d6dd077343801dc6d6e1ee70a79af3d1114a33",
+                "ab7362a2f91785fb08c3d291a0d2f5b367e773be592042d522cf26f3f21f8391",
             "report.json":
                 "5057a4c8703a4463dcbdc26e82044c4ad2fec739e8585d1cea9d1ddaa20668bd",
             "heatmaps.mean":
@@ -46,7 +46,7 @@ GOLDEN = {
             "metrics.jsonl":
                 "735f47039628cf87461c32ec123725793254a688de908bd6612efc1a70ece661",
             "checkpoint.json":
-                "93a0d9a568e532f7d16c443ef7034fd197bad30aa7f5e8593e2e6ae05a70edc6",
+                "a2d4b34d60bde2544c9b66a1a451b682d060c35524927f71dd834bacf7a559df",
             "report.json":
                 "014a4f915f99760cfcc2af33881ec12d8dbcba8b4124d6c8602378dbd26fde96",
             "heatmaps.mean":

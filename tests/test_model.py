@@ -1,14 +1,17 @@
 import dataclasses
 import json
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from attnalign import autodiff as ad
-from attnalign.adapters import AdapterConfig
+from attnalign import autodiff as ad, cli
+from attnalign.adapters import AdapterConfig, AdapterSet
 from attnalign.attention import all_visual_ratios, generated_query_mean_map, \
     generated_query_refined_map, refined_map, select_heads
+from attnalign.data import SyntheticSample, write_samples
 from attnalign.errors import CapacityError, CompatibilityError, SelectionError, \
     ShapeError
 from attnalign.model import ModelConfig, VisualDecoder, load_checkpoint, \
@@ -457,37 +460,122 @@ class TestCheckpoint:
         after = m2.forward(v, (1, 2), (3,), a2).logits.data
         assert np.array_equal(before, after)
 
-    def test_other_schema_rejected(self, tmp_path):
-        model, adapters = make_model_and_adapters()
+    def test_one_line_per_tensor_in_a_fixed_order(self, tmp_path):
+        model, adapters = make_model_and_adapters(randomize=True)
         path = tmp_path / "c.json"
-        save_checkpoint(path, model, adapters)
-        doc = json.loads(path.read_text())
-        doc["schema"] = "attnalign-checkpoint-2"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CompatibilityError, match="'attnalign-checkpoint-2'"):
-            load_checkpoint(path)
+        save_checkpoint(path, model, adapters, extra={"note": 1})
+        header, *tensors = map(json.loads, path.read_bytes().splitlines())
+        assert header == {"schema": "attnalign-checkpoint-4",
+                          "model_config": dataclasses.asdict(TINY_MODEL),
+                          "adapter_config": dataclasses.asdict(TINY_ADAPTER),
+                          "extra": {"note": 1}}
+        assert [list(t) for t in tensors] == [["name", "shape", "data"]] * len(tensors)
+        assert [t["name"] for t in tensors] == \
+            sorted(model.params) + [name for name, _ in adapters.params()]
 
-    @pytest.mark.parametrize("section,name,source", [
-        ("adapter_tensors", "adapter.layer0.kmoe.B", None),   # missing
-        ("tensors", "layer9.wq", "layer0.wq"),                # extra base
-        ("adapter_tensors", "adapter.layer0.zmoe.A",          # unknown adapter
-         "adapter.layer0.qmoe.A"),
-        ("adapter_tensors", "adapter.layer0.qmoe.A",          # wrong shape
-         "adapter.layer0.qmoe.B"),
-    ])
-    def test_tensor_names_and_shapes_must_match(self, tmp_path, section, name,
-                                                source):
+    # each edit gets the checkpoint's lines and the index of each tensor's
+    # line; {p} is the checkpoint, {end} the number of the line after its
+    # last, and {q} the number of the line of 'adapter.layer0.qmoe.A'
+    @pytest.mark.parametrize("edit,message", [
+        (lambda ls, at: ls[:at["adapter.layer0.kmoe.B"]]
+         + ls[at["adapter.layer0.kmoe.B"] + 1:],
+         "tensor 'adapter.layer0.kmoe.B' missing from checkpoint {p}"),
+        (lambda ls, at: ls + [renamed(ls[at["layer0.wq"]], "layer9.wq")],
+         "tensor 'layer9.wq' unexpected in checkpoint {p} line {end}"),
+        (lambda ls, at: ls + [renamed(ls[at["adapter.layer0.qmoe.A"]],
+                                      "adapter.layer0.zmoe.A")],
+         "tensor 'adapter.layer0.zmoe.A' unexpected in checkpoint {p} line {end}"),
+        (lambda ls, at: ls + [ls[at["w_out"]]],
+         "tensor 'w_out' repeated in checkpoint {p} line {end}"),
+        (lambda ls, at: ls[:at["adapter.layer0.qmoe.A"]]
+         + [renamed(ls[at["adapter.layer0.qmoe.B"]], "adapter.layer0.qmoe.A")]
+         + ls[at["adapter.layer0.qmoe.A"] + 1:],
+         "tensor 'adapter.layer0.qmoe.A' of checkpoint {p} line {q} has shape "
+         "[8, 4], model needs [4, 8]"),
+        (lambda ls, at: ls[1:] + ls[:1],
+         "unknown checkpoint schema None in {p} line 1"),
+        (lambda ls, at: ls[:1] + ls,
+         "key 'adapter_config' unexpected in checkpoint {p} line 2"),
+        (lambda ls, at: schema_3(ls, indent=0),
+         "{p} line 1 is not valid JSON: Expecting property name "
+         "enclosed in double quotes: line 2 column 1 (char 2)"),
+        (lambda ls, at: schema_3(ls, indent=None),
+         "unknown checkpoint schema 'attnalign-checkpoint-3' in {p} line 1"),
+        (lambda ls, at: [], "checkpoint {p} is empty"),
+    ], ids=["missing", "extra-base", "unknown-adapter", "repeated", "wrong-shape",
+            "header-last", "header-twice", "schema-3", "schema-3-one-line",
+            "empty"])
+    def test_tampered_lines_give_one_error_line(self, tmp_path, capsys, edit,
+                                                message):
         model, adapters = make_model_and_adapters()
         path = tmp_path / "c.json"
         save_checkpoint(path, model, adapters)
-        doc = json.loads(path.read_text())
-        if source is None:
-            del doc[section][name]
-        else:
-            doc[section][name] = doc[section][source]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CompatibilityError, match=re.escape(name)):
-            load_checkpoint(path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        at = {json.loads(line)["name"]: i for i, line in enumerate(lines) if i}
+        path.write_bytes(b"".join(edit(lines, at)))
+        data = tmp_path / "test.jsonl"
+        write_samples(data, [SyntheticSample(
+            "s0", TINY_MODEL.grid, np.zeros((TINY_MODEL.n_visual, TINY_MODEL.d_visual)),
+            segments=((0,), (1,)), prompt=(1, 2), answer=(3,), roi=(0,))])
+        rc = cli.main(["evaluate", "--checkpoint", str(path), "--data", str(data),
+                       "--out", str(tmp_path / "report.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: " + message.format(
+            p=path, end=len(lines) + 1, q=at["adapter.layer0.qmoe.A"] + 1) + "\n"
+        assert not (tmp_path / "report.json").exists()
+
+
+def renamed(line: bytes, name: str) -> bytes:
+    """A checkpoint's tensor line, with its name changed to ``name``."""
+    doc = json.loads(line)
+    doc["name"] = name
+    return json.dumps(doc).encode() + b"\n"
+
+
+def schema_3(lines: list[bytes], indent: int | None) -> list[bytes]:
+    """The checkpoint of ``lines`` as schema 3 stored it: one document of the
+    header's sections plus a 'tensors' and an 'adapter_tensors' section, each
+    mapping a name to {shape, data}."""
+    doc, *tensors = map(json.loads, lines)
+    entries = {t.pop("name"): t for t in tensors}
+    doc.update(schema="attnalign-checkpoint-3",
+               tensors={k: v for k, v in entries.items() if not k.startswith("adapter.")},
+               adapter_tensors={k: v for k, v in entries.items()
+                                if k.startswith("adapter.")})
+    return [(json.dumps(doc, sort_keys=True, indent=indent) + "\n").encode()]
+
+
+# A1's committed model and adapter shapes
+A1_TRAIN = json.loads((Path(__file__).resolve().parents[1] / "experiments" / "a1"
+                       / "train.json").read_text())
+
+
+@pytest.mark.parametrize("arm", ["aligned", "dense"])
+def test_checkpoint_io_holds_one_tensor_at_a_time(tmp_path, arm):
+    # a checkpoint written or read as one JSON document peaked at 7.6 to
+    # 8.9 MiB to write and about 4 MiB past what loading returns, and so
+    # set a training run's peak memory
+    cfg = ModelConfig(**A1_TRAIN["model"])
+    acfg = AdapterConfig(**A1_TRAIN["adapter"])
+    if arm == "dense":
+        acfg = dataclasses.replace(acfg, use_qmoe=False, use_kmoe=False)
+    model = VisualDecoder(cfg)
+    adapters = AdapterSet(cfg.n_layers, cfg.d_model, cfg.d_ff, acfg, seed=1)
+    path = tmp_path / "checkpoint.json"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        save_checkpoint(path, model, adapters,
+                        extra={"train_config": A1_TRAIN["train"]})
+        save_peak = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        loaded = load_checkpoint(path)
+        kept, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert save_peak < 2 ** 20
+    assert load_peak - kept < 2 ** 20
+    assert list(loaded[0].params) == list(model.params)
 
 
 class TestConfigValidation:

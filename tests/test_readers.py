@@ -3,7 +3,7 @@ stops its verb with exactly one ``error:`` line that names the file.
 
 The six kinds are a ``gen-data`` config file, ``meta.json``, a test
 sample line, a train sample line (the only source of weak labels), a
-checkpoint and a ``train`` config file.
+checkpoint line and a ``train`` config file.
 Each change drops or adds a key, replaces a value by null, a string, a
 float, a list, 0 or -1, truncates base64, or writes bytes that are not
 JSON or not UTF-8. Any other exception, or an exit code other than 0 and
@@ -54,7 +54,7 @@ KINDS = {
     "train-samples": ("data/train.jsonl", True,
                       ["train", "--data", "{d}/data", "--config",
                        "{d}/train.json", "--out", "{d}/run"]),
-    "checkpoint": ("checkpoint.json", False,
+    "checkpoint": ("checkpoint.json", True,
                    ["evaluate", "--checkpoint", "{d}/checkpoint.json", "--data",
                     "{d}/data/test.jsonl", "--out", "{d}/report.json"]),
     "train-config": ("train.json", False,

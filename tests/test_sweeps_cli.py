@@ -223,52 +223,55 @@ class TestCli:
         assert not out.exists()
         assert not list(tmp_path.rglob("metrics.jsonl"))
 
-    # {c} is the checkpoint as error lines name it, {t} its tensor 'w_out'
+    # each edit changes the checkpoint's parsed lines in place, given the
+    # index of each tensor's line; {c} is its header line as error lines
+    # name it, {w} the line of tensor 'w_out', {t} that tensor and {k} the
+    # line of tensor 'adapter.layer0.kgate.b1'
     @pytest.mark.parametrize("edit,message", [
-        (lambda doc: doc["adapter_config"].update(bogus=1),
+        (lambda ls, at: ls[0]["adapter_config"].update(bogus=1),
          "AdapterConfig field 'bogus' unexpected in section 'adapter_config' of {c}"),
-        (lambda doc: doc["model_config"].pop("max_text_len"),
+        (lambda ls, at: ls[0]["model_config"].pop("max_text_len"),
          "ModelConfig field 'max_text_len' missing from section 'model_config' "
          "of {c}"),
-        (lambda doc: doc.pop("tensors"), "section 'tensors' missing from {c}"),
-        (lambda doc: doc.update(schema="attnalign-checkpoint-2"),
-         "unknown checkpoint schema 'attnalign-checkpoint-2' in {path}"),
-        ([], "{c} is [], not a JSON object"),
-        (lambda doc: doc.update(model_config=None),
+        (lambda ls, at: ls[0].update(tensors={}),
+         "section 'tensors' unexpected in {c}"),
+        (lambda ls, at: ls[0].update(schema="attnalign-checkpoint-2"),
+         "unknown checkpoint schema 'attnalign-checkpoint-2' in {path} line 1"),
+        (lambda ls, at: ls.__setitem__(0, []), "{c} is [], not a JSON object"),
+        (lambda ls, at: ls[0].update(model_config=None),
          "section 'model_config' of {c} is None, not a JSON object"),
-        (lambda doc: doc.update(adapter_tensors=[]),
-         "section 'adapter_tensors' of {c} is [], not a JSON object"),
-        (lambda doc: doc.update(adapter_config=[]),
+        (lambda ls, at: ls[0].update(extra=[]),
+         "section 'extra' of {c} is [], not a JSON object"),
+        (lambda ls, at: ls[0].update(adapter_config=[]),
          "section 'adapter_config' of {c} is [], not a JSON object"),
-        (lambda doc: doc["tensors"].update(w_out=None),
-         "{t} is None, not a JSON object"),
-        (lambda doc: doc["tensors"].update(w_out="x"),
-         "{t} is 'x', not a JSON object"),
-        (lambda doc: doc["tensors"]["w_out"].pop("data"),
-         "key 'data' missing from {t}"),
-        (lambda doc: doc["tensors"]["w_out"].update(
-            data=doc["tensors"]["w_out"]["data"][:-8]),
+        (lambda ls, at: ls.__setitem__(at["w_out"], None),
+         "{w} is None, not a JSON object"),
+        (lambda ls, at: ls.__setitem__(at["w_out"], "x"),
+         "{w} is 'x', not a JSON object"),
+        (lambda ls, at: ls[at["w_out"]].pop("data"), "key 'data' missing from {w}"),
+        (lambda ls, at: ls[at["w_out"]].update(name=None),
+         "key 'name' of {w} is None, not a string"),
+        (lambda ls, at: ls[at["w_out"]].update(data=ls[at["w_out"]]["data"][:-8]),
          "{t} holds 762 bytes, its shape (12, 8) needs 768"),
-        (lambda doc: doc["tensors"]["w_out"].update(shape=[12, -8]),
+        (lambda ls, at: ls[at["w_out"]].update(shape=[12, -8]),
          "{t} has shape [12, -8], model needs [12, 8]"),
-        (lambda doc: doc["tensors"]["w_out"].update(shape=[12, "8"]),
-         "item 1 of key 'shape' of {t} is '8', not an int"),
-        (lambda doc: doc["tensors"]["w_out"].update(data="@@@@"),
+        (lambda ls, at: ls[at["w_out"]].update(shape=[12, "8"]),
+         "item 1 of key 'shape' of {w} is '8', not an int"),
+        (lambda ls, at: ls[at["w_out"]].update(data="@@@@"),
          "{t} has data that is not base64"),
-        (lambda doc: next(iter(doc["adapter_tensors"].values())).update(data=1),
-         "key 'data' of tensor 'adapter.layer0.kgate.b1' of section "
-         "'adapter_tensors' of {c} is 1, not a string"),
-        (lambda doc: doc["model_config"].update(n_heads=0),
+        (lambda ls, at: ls[at["adapter.layer0.kgate.b1"]].update(data=1),
+         "key 'data' of {k} is 1, not a string"),
+        (lambda ls, at: ls[0]["model_config"].update(n_heads=0),
          "section 'model_config' of {c}: n_heads must be positive"),
-        (lambda doc: doc.pop("extra"), "section 'extra' missing from {c}"),
-        (lambda doc: doc["adapter_config"].update(dense_rank=0),
+        (lambda ls, at: ls[0].pop("extra"), "section 'extra' missing from {c}"),
+        (lambda ls, at: ls[0]["adapter_config"].update(dense_rank=0),
          "section 'adapter_config' of {c}: dense_rank must be >= 1, got 0"),
-    ], ids=["extra-field", "missing-field", "missing-section", "old-schema",
+    ], ids=["extra-field", "missing-field", "schema-3-section", "old-schema",
             "not-an-object", "null-config", "list-section", "list-config",
             "null-tensor", "string-tensor", "tensor-without-data",
-            "truncated-data", "negative-dimension", "string-dimension",
-            "data-not-base64", "adapter-data-not-a-string", "zero-heads",
-            "missing-extra", "zero-rank"])
+            "null-name", "truncated-data", "negative-dimension",
+            "string-dimension", "data-not-base64", "adapter-data-not-a-string",
+            "zero-heads", "missing-extra", "zero-rank"])
     def test_checkpoint_must_match_field_for_field(self, tmp_path, data_dir,
                                                    capsys, edit, message):
         # a top level or a section that is not an object used to end in an
@@ -282,27 +285,27 @@ class TestCli:
                               SMALL_MODEL.d_ff, SMALL_ADAPTER)
         ckpt = tmp_path / "checkpoint.json"
         save_checkpoint(ckpt, model, adapters)
-        doc = json.loads(ckpt.read_text())
-        if callable(edit):
-            edit(doc)
-        else:
-            doc = edit   # the whole document replaced
-        ckpt.write_text(json.dumps(doc))
+        lines = [json.loads(line) for line in ckpt.read_bytes().splitlines()]
+        at = {line["name"]: i for i, line in enumerate(lines) if i}
+        edit(lines, at)
+        ckpt.write_text("".join(json.dumps(line) + "\n" for line in lines))
         rc = cli.main(["evaluate", "--checkpoint", str(ckpt), "--data",
                        str(data_dir / "test.jsonl"), "--out",
                        str(tmp_path / "report.json")])
         assert rc == 1
-        c = f"checkpoint {ckpt}"
-        t = f"tensor 'w_out' of section 'tensors' of {c}"
-        assert capsys.readouterr().err == \
-            f"error: {message.format(c=c, t=t, path=ckpt)}\n"
+        c = f"checkpoint {ckpt} line"
+        w = f"{c} {at['w_out'] + 1}"
+        assert capsys.readouterr().err == "error: " + message.format(
+            c=f"{c} 1", w=w, t=f"tensor 'w_out' of {w}", path=ckpt,
+            k=f"{c} {at['adapter.layer0.kgate.b1'] + 1}") + "\n"
         assert not (tmp_path / "report.json").exists()
 
     def test_checkpoint_without_adapters_stores_null_config(self, tmp_path,
                                                              data_dir):
         ckpt = tmp_path / "checkpoint.json"
         save_checkpoint(ckpt, VisualDecoder(SMALL_MODEL, seed=0))
-        assert json.loads(ckpt.read_text())["adapter_config"] is None
+        header = json.loads(ckpt.read_bytes().splitlines()[0])
+        assert header["adapter_config"] is None
         assert cli.main(["evaluate", "--checkpoint", str(ckpt), "--data",
                          str(data_dir / "test.jsonl"), "--out",
                          str(tmp_path / "report.json")]) == 0
@@ -705,6 +708,30 @@ class TestCli:
             f"error: DataSpec field 'grid' of config file {cfg} is '8', "
             "not an int\n")
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-32", "utf-16-le",
+                                          "utf-8-sig"])
+    @pytest.mark.parametrize("kind", ["config", "meta"])
+    def test_json_that_is_not_utf8_refused(self, tmp_path, data_dir,
+                                           train_config_file, capsys, encoding,
+                                           kind):
+        # json.loads takes UTF-16 and UTF-32 and skips a BOM: a UTF-16
+        # data.json used to generate 4/2 samples and exit 0
+        out = tmp_path / "out"
+        if kind == "config":
+            path = tmp_path / "data.json"
+            path.write_bytes(json.dumps({"n_train": 4, "n_test": 2}).encode(encoding))
+            argv = ["gen-data", "--out", str(out), "--config", str(path)]
+        else:
+            path = data_dir / "meta.json"
+            path.write_bytes(path.read_text().encode(encoding))
+            argv = ["train", "--data", str(data_dir), "--out", str(out),
+                    "--config", str(train_config_file)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{path} is not valid JSON: " in err
+        assert not out.exists()
 
     def test_ablation_flags(self, tmp_path, data_dir, train_config_file):
         for flag in ("--no-qmoe", "--no-kmoe", "--no-a3moe"):
