@@ -19,7 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CompatibilityError, GenerationError, decode_floats, \
-    encode_floats, read_document, read_json_lines, require_fields, stored_config
+    encode_floats, read_json, read_json_lines, require_fields, require_header, \
+    stored_config
 from .weaklabels import Segment
 
 DATASET_SCHEMA = "attnalign-dataset-4"
@@ -271,6 +272,7 @@ def write_meta(path: str | Path, spec: DataSpec) -> None:
 def read_meta(path: str | Path) -> DataSpec:
     """The spec of a meta.json, held to the rules of a checkpoint: the
     current schema, exactly its sections and fields, and a valid spec."""
-    doc, where = read_document(path, DATASET_SCHEMA, "dataset meta",
-                               {"spec": dict})
+    where = f"dataset meta {path}"
+    doc = read_json(path, where)
+    require_header(doc, DATASET_SCHEMA, "dataset meta", {"spec": dict}, path)
     return stored_config(DataSpec, doc["spec"], f"section 'spec' of {where}")

@@ -92,13 +92,8 @@ _JSON_TYPES = {bool: "a bool", int: "an int", float: "a number", str: "a string"
 
 def require_type(value, hint, what: str) -> None:
     """``value``, which ``what`` names, must be of type ``hint`` when that is
-    a JSON type, where a bool is not an int and an int counts as a float.
-    ``X | None`` also takes null, and the items of a ``list[X]`` are
-    checked one by one."""
-    if type(None) in get_args(hint):
-        if value is None:
-            return
-        hint = get_args(hint)[0]
+    a JSON type, where a bool is not an int and an int counts as a float;
+    the items of a ``list[X]`` are checked one by one."""
     if get_origin(hint) is list:
         require_type(value, list, what)
         for i, item in enumerate(value):
@@ -131,7 +126,7 @@ def stored_config(cls, stored, where: str, partial: bool = False):
     dataclass takes."""
     # a field of another type, such as a nested config, is never stored
     hints = {name: hint for name, hint in get_type_hints(cls).items()
-             if _JSON_TYPES.keys() & {hint, *get_args(hint)}}
+             if hint in _JSON_TYPES}
     require_fields(stored, hints, where, partial, f"{cls.__name__} field")
     with named(where):
         return cls(**stored)
@@ -170,16 +165,6 @@ def require_header(doc, schema: str, kind: str, hints: dict,
     require_fields(doc, {"schema": str, **hints}, where, kind="section")
 
 
-def read_document(path: str | Path, schema: str, kind: str,
-                  hints: dict) -> tuple[dict, str]:
-    """The JSON object at ``path``, held to ``require_header``, and the words
-    naming the file."""
-    where = f"{kind} {path}"
-    doc = read_json(path, where)
-    require_header(doc, schema, kind, hints, path)
-    return doc, where
-
-
 def encode_floats(a) -> str:
     """Base64 of the float64 bytes of ``a`` in C order."""
     arr = np.ascontiguousarray(a, dtype=np.float64)
@@ -188,7 +173,8 @@ def encode_floats(a) -> str:
 
 def decode_floats(text, shape, where: str) -> np.ndarray:
     """The float64 array of ``shape`` that ``text`` encodes: strict base64 of
-    exactly prod(shape) values, or a CompatibilityError naming ``where``."""
+    exactly prod(shape) finite values, or a CompatibilityError naming
+    ``where``."""
     try:
         raw = base64.b64decode(text, validate=True)
     except ValueError:
@@ -197,4 +183,8 @@ def decode_floats(text, shape, where: str) -> np.ndarray:
     if len(raw) != size:
         raise CompatibilityError(
             f"{where} holds {len(raw)} bytes, its shape {tuple(shape)} needs {size}")
-    return np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
+    a = np.frombuffer(raw, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise CompatibilityError(
+            f"{where} holds {a[~np.isfinite(a)][0]}, not a finite number")
+    return a.reshape(shape).copy()

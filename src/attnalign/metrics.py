@@ -143,8 +143,9 @@ def evaluate(model: VisualDecoder, adapters: AdapterSet | None,
 def check_compatibility(model: VisualDecoder, samples: Sequence[SyntheticSample],
                         source: str | Path = "the dataset") -> None:
     """``source`` holds samples, and sample n, its line n, must fit the model:
-    an id no earlier line holds, grid, feature width, prompt and answer, and
-    nonempty RoI and segments of distinct patches of the grid."""
+    an id that is a file name (heatmaps are named by it) and that no earlier
+    line holds, grid, feature width, prompt and answer, and nonempty RoI and
+    segments of distinct patches of the grid."""
     if not samples:
         raise CompatibilityError(f"{source} holds no samples")
     c = model.config
@@ -158,7 +159,9 @@ def check_compatibility(model: VisualDecoder, samples: Sequence[SyntheticSample]
         outside = [name for name, p in regions.items()
                    if not p or min(p) < 0 or max(p) >= c.n_visual]
         repeats = [name for name, p in regions.items() if len(set(p)) < len(p)]
-        if s.id in lines:
+        if s.id in ("", ".", "..") or any(ch in s.id for ch in "/\\\0"):
+            problem = f"sample id {s.id!r} is not a file name"
+        elif s.id in lines:
             problem = f"sample id {s.id!r} is also the id of line {lines[s.id]}"
         elif s.grid != c.grid:
             problem = f"dataset grid {s.grid} != model grid {c.grid}"

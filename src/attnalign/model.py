@@ -105,7 +105,7 @@ class VisualDecoder:
         freq = np.exp(-np.log(10000.0) * np.arange(0, c.d_model, 2) / c.d_model)
         pos = np.zeros((c.max_text_len, c.d_model))
         pos[:, 0::2] = np.sin(t * freq)
-        pos[:, 1::2] = np.cos(t * freq)
+        pos[:, 1::2] = np.cos(t * freq[: c.d_model // 2])
 
         self.params: dict[str, np.ndarray] = {
             "w_align": rng.normal(0.0, 1.0 / np.sqrt(c.d_visual),
@@ -282,27 +282,24 @@ class VisualDecoder:
 
 
 # the sections of a checkpoint's header besides its schema, with their types
-CHECKPOINT_SECTIONS = {"model_config": dict, "adapter_config": dict | None,
-                       "extra": dict}
+CHECKPOINT_SECTIONS = {"model_config": dict, "adapter_config": dict, "extra": dict}
 TENSOR_KEYS = {"name": str, "shape": list[int], "data": str}
 
 
-def _tensors(model: VisualDecoder, adapters: AdapterSet | None) -> dict:
+def _tensors(model: VisualDecoder, adapters: AdapterSet) -> dict:
     """Every array a checkpoint stores, by name, in the order of its lines:
     the base's sorted by name, then the adapters' in ``params()`` order."""
     out = dict(sorted(model.params.items()))
-    if adapters is not None:
-        out.update((name, t.data) for name, t in adapters.params())
+    out.update((name, t.data) for name, t in adapters.params())
     return out
 
 
-def save_checkpoint(path: str | Path, model: VisualDecoder,
-                    adapters: AdapterSet | None = None,
+def save_checkpoint(path: str | Path, model: VisualDecoder, adapters: AdapterSet,
                     extra: dict | None = None) -> None:
     header = {
         "schema": CHECKPOINT_SCHEMA,
         "model_config": asdict(model.config),
-        "adapter_config": asdict(adapters.cfg) if adapters is not None else None,
+        "adapter_config": asdict(adapters.cfg),
         "extra": extra or {},
     }
     with open(path, "w") as fh:
@@ -313,7 +310,7 @@ def save_checkpoint(path: str | Path, model: VisualDecoder,
             fh.write("\n")   # apart, so the line is not copied once more
 
 
-def load_checkpoint(path: str | Path) -> tuple[VisualDecoder, AdapterSet | None, dict]:
+def load_checkpoint(path: str | Path) -> tuple[VisualDecoder, AdapterSet, dict]:
     lines = read_json_lines(path)
     first = next(lines, None)
     if first is None:
@@ -324,12 +321,10 @@ def load_checkpoint(path: str | Path) -> tuple[VisualDecoder, AdapterSet | None,
     config = stored_config(ModelConfig, header["model_config"],
                            section.format("model_config"))
     model = VisualDecoder(config)
-    adapters = None
-    if header["adapter_config"] is not None:
-        adapters = AdapterSet(config.n_layers, config.d_model, config.d_ff,
-                              stored_config(AdapterConfig, header["adapter_config"],
-                                            section.format("adapter_config")))
-    tensors = dict(adapters.params()) if adapters is not None else {}
+    adapters = AdapterSet(config.n_layers, config.d_model, config.d_ff,
+                          stored_config(AdapterConfig, header["adapter_config"],
+                                        section.format("adapter_config")))
+    tensors = dict(adapters.params())
     # the shape of each tensor no line has held yet
     todo = {name: a.shape for name, a in _tensors(model, adapters).items()}
     for doc, at in lines:

@@ -170,6 +170,36 @@ class TestEmbeddingFront:
         assert not x.requires_grad and x._parents == () and x._backward is None
 
 
+class TestPositionTable:
+    @pytest.mark.parametrize("d_model", [1, 2, 3, 5, 8, 9, 64])
+    def test_sin_cos_at_every_width(self, d_model):
+        # an odd width once raised a numpy ValueError here, its cosine half
+        # having one column fewer than its sine half
+        cfg = ModelConfig(n_heads=1, d_model=d_model, max_text_len=7)
+        t = np.arange(cfg.max_text_len)[:, None]
+        j = np.arange(d_model)[None, :]
+        angle = t / 10000.0 ** (2 * (j // 2) / d_model)
+        expected = np.where(j % 2 == 0, np.sin(angle), np.cos(angle))
+        np.testing.assert_allclose(VisualDecoder(cfg).params["pos_emb"], expected,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d_model", [1, 2, 3, 5, 7, 9])
+    def test_aligned_loss_and_backward_at_every_width(self, d_model, rng):
+        cfg = dataclasses.replace(TINY_MODEL, n_heads=1, d_model=d_model)
+        model, adapters = make_model_and_adapters(cfg)
+        sample = SyntheticSample("x", cfg.grid, make_visual(cfg, rng),
+                                 segments=((0, 3),), prompt=(1, 2), answer=(3,),
+                                 roi=(0, 3))
+        from attnalign.weaklabels import Segment
+        tcfg = TrainConfig(lambda_align=0.1, heads_r=1, weak_k=1,
+                           adapter=TINY_ADAPTER)
+        loss, _ = total_loss(model, adapters, sample,
+                             (Segment(id="s", token_indices=(0, 3)),), tcfg)
+        loss.backward()
+        assert np.isfinite(loss.data)
+        assert all(np.isfinite(t.grad).all() for _, t in adapters.params())
+
+
 class TestMaskInvariants:
     def test_later_text_zero_visual_never_masked(self, rng):
         model, adapters = make_model_and_adapters(randomize=True)

@@ -262,6 +262,27 @@ def test_readme_commands_use_registered_options():
     assert unknown == []
 
 
+def readme_train_configs() -> list[str]:
+    """The text of each train config README.md shows: its ```json blocks and
+    the `train` sections of its table of paper settings."""
+    text = README.read_text()
+    blocks = re.findall(r"^```json\n(.*?)^```", text, re.M | re.S)
+    cells = re.findall(r"^\| `[\w-]+` \| `(\{.*\})` \|$", text, re.M)
+    assert blocks and cells
+    return blocks + cells
+
+
+def test_readme_train_configs_load(tmp_path):
+    # nothing else ties the README's config examples to the loader, so a
+    # renamed or removed field would go on being shown
+    path = tmp_path / "train.json"
+    for text in readme_train_configs():
+        path.write_text(text)
+        args = cli_verbs()["train"].parse_args(
+            ["--data", "d", "--out", "o", "--config", str(path)])
+        cli._build_train_config(cli._load_config(args.config), args)
+
+
 def test_only_errors_py_parses_json():
     # one parser turns every decode error into an error line that names the
     # file; a json.load(s) elsewhere would print a bare decoder message
@@ -290,8 +311,10 @@ def test_cli_main_catches_only_package_and_os_errors():
 def test_the_frozen_base_is_plain_arrays(tmp_path):
     # only the adapters train, so the base weights are data, not tensors,
     # and no op carries gradient code for them
-    model = VisualDecoder(ModelConfig())
-    save_checkpoint(tmp_path / "c.json", model)
+    c = ModelConfig()
+    model = VisualDecoder(c)
+    save_checkpoint(tmp_path / "c.json", model,
+                    AdapterSet(c.n_layers, c.d_model, c.d_ff, AdapterConfig()))
     reloaded, _, _ = load_checkpoint(tmp_path / "c.json")
     for params in (model.params, reloaded.params):
         assert {type(a) for a in params.values()} == {np.ndarray}

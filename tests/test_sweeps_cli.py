@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,8 @@ import pytest
 
 from attnalign.adapters import AdapterConfig, AdapterSet
 from attnalign.data import DataSpec, generate_dataset, write_meta, write_samples
-from attnalign.errors import ParameterError, read_json, stored_config
+from attnalign.errors import ParameterError, decode_floats, encode_floats, \
+    read_json, stored_config
 from attnalign.metrics import evaluate
 from attnalign.model import ModelConfig, VisualDecoder, save_checkpoint
 from attnalign.sweeps import SWEEP_HEADER, apply_sweep_value, run_single, sweep
@@ -25,6 +27,13 @@ SMALL_ADAPTER = AdapterConfig(dense_rank=2, expert_rank=2, n_q_experts=2,
                               n_k_experts=3, top_b=2)
 SMALL_MODEL = ModelConfig(n_layers=1, n_heads=2, d_visual=8, d_model=8,
                           vocab_size=12, grid=3, max_text_len=6)
+
+
+def save_small_checkpoint(path):
+    """A checkpoint of the small model's base and fresh adapters."""
+    save_checkpoint(path, VisualDecoder(SMALL_MODEL, seed=0),
+                    AdapterSet(SMALL_MODEL.n_layers, SMALL_MODEL.d_model,
+                               SMALL_MODEL.d_ff, SMALL_ADAPTER))
 
 
 def small_data(n_train=8, n_test=4, seed=3):
@@ -244,6 +253,8 @@ class TestCli:
          "section 'extra' of {c} is [], not a JSON object"),
         (lambda ls, at: ls[0].update(adapter_config=[]),
          "section 'adapter_config' of {c} is [], not a JSON object"),
+        (lambda ls, at: ls[0].update(adapter_config=None),
+         "section 'adapter_config' of {c} is None, not a JSON object"),
         (lambda ls, at: ls.__setitem__(at["w_out"], None),
          "{w} is None, not a JSON object"),
         (lambda ls, at: ls.__setitem__(at["w_out"], "x"),
@@ -259,6 +270,8 @@ class TestCli:
          "item 1 of key 'shape' of {w} is '8', not an int"),
         (lambda ls, at: ls[at["w_out"]].update(data="@@@@"),
          "{t} has data that is not base64"),
+        (lambda ls, at: ls[at["w_out"]].update(data=encode_floats([math.inf] * 96)),
+         "{t} holds inf, not a finite number"),
         (lambda ls, at: ls[at["adapter.layer0.kgate.b1"]].update(data=1),
          "key 'data' of {k} is 1, not a string"),
         (lambda ls, at: ls[0]["model_config"].update(n_heads=0),
@@ -268,9 +281,10 @@ class TestCli:
          "section 'adapter_config' of {c}: dense_rank must be >= 1, got 0"),
     ], ids=["extra-field", "missing-field", "schema-3-section", "old-schema",
             "not-an-object", "null-config", "list-section", "list-config",
-            "null-tensor", "string-tensor", "tensor-without-data",
-            "null-name", "truncated-data", "negative-dimension",
-            "string-dimension", "data-not-base64", "adapter-data-not-a-string",
+            "null-adapter-config", "null-tensor", "string-tensor",
+            "tensor-without-data", "null-name", "truncated-data",
+            "negative-dimension", "string-dimension", "data-not-base64",
+            "infinite-tensor", "adapter-data-not-a-string",
             "zero-heads", "missing-extra", "zero-rank"])
     def test_checkpoint_must_match_field_for_field(self, tmp_path, data_dir,
                                                    capsys, edit, message):
@@ -280,11 +294,8 @@ class TestCli:
         # neither the checkpoint nor the tensor; "n_heads": 0 in a
         # ZeroDivisionError traceback, and "dense_rank": 0 in an error line
         # that named no file
-        model = VisualDecoder(SMALL_MODEL, seed=0)
-        adapters = AdapterSet(SMALL_MODEL.n_layers, SMALL_MODEL.d_model,
-                              SMALL_MODEL.d_ff, SMALL_ADAPTER)
         ckpt = tmp_path / "checkpoint.json"
-        save_checkpoint(ckpt, model, adapters)
+        save_small_checkpoint(ckpt)
         lines = [json.loads(line) for line in ckpt.read_bytes().splitlines()]
         at = {line["name"]: i for i, line in enumerate(lines) if i}
         edit(lines, at)
@@ -299,16 +310,6 @@ class TestCli:
             c=f"{c} 1", w=w, t=f"tensor 'w_out' of {w}", path=ckpt,
             k=f"{c} {at['adapter.layer0.kgate.b1'] + 1}") + "\n"
         assert not (tmp_path / "report.json").exists()
-
-    def test_checkpoint_without_adapters_stores_null_config(self, tmp_path,
-                                                             data_dir):
-        ckpt = tmp_path / "checkpoint.json"
-        save_checkpoint(ckpt, VisualDecoder(SMALL_MODEL, seed=0))
-        header = json.loads(ckpt.read_bytes().splitlines()[0])
-        assert header["adapter_config"] is None
-        assert cli.main(["evaluate", "--checkpoint", str(ckpt), "--data",
-                         str(data_dir / "test.jsonl"), "--out",
-                         str(tmp_path / "report.json")]) == 0
 
     # {m} is the meta file as error lines name it, {s} its 'spec' section
     @pytest.mark.parametrize("verb", ["train", "sweep"])
@@ -407,7 +408,7 @@ class TestCli:
         # a truncated features_b64 used to end in "error: buffer size must be
         # a multiple of element size", which named neither file nor field
         ckpt = tmp_path / "checkpoint.json"
-        save_checkpoint(ckpt, VisualDecoder(SMALL_MODEL, seed=0))
+        save_small_checkpoint(ckpt)
         path = data_dir / "test.jsonl"
         lines = path.read_text().splitlines()
         doc = json.loads(lines[2])
@@ -563,7 +564,7 @@ class TestCli:
         # line also held the queried concept and each segment's concept and
         # label; evaluate reads no meta.json, so its keys tell the old schema
         ckpt = tmp_path / "checkpoint.json"
-        save_checkpoint(ckpt, VisualDecoder(SMALL_MODEL, seed=0))
+        save_small_checkpoint(ckpt)
         path = data_dir / "test.jsonl"
         lines = path.read_text().splitlines()
         if callable(edit):
@@ -601,7 +602,7 @@ class TestCli:
                     "--config", str(train_config_file)]
         else:
             ckpt = tmp_path / "checkpoint.json"
-            save_checkpoint(ckpt, VisualDecoder(SMALL_MODEL, seed=0))
+            save_small_checkpoint(ckpt)
             argv = ["evaluate", "--checkpoint", str(ckpt), "--data",
                     str(data_dir / "test.jsonl"), "--out", str(out)]
         assert cli.main(argv) == 1
@@ -652,6 +653,57 @@ class TestCli:
                      f"{path} line 2 does not fit dataset meta "
                      f"{data_dir / 'meta.json'}: its answer is (3,), not one "
                      "of [(0,), (1,), (2,)]")
+
+    @pytest.mark.parametrize("verb,split", [("train", "train.jsonl"),
+                                            ("evaluate", "test.jsonl")])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_feature_refused(self, tmp_path, data_dir, train_config_file,
+                                        capsys, no_training, verb, split, value):
+        # a NaN feature was decoded and scored: evaluate printed
+        # intensity=nan, exited 0 and wrote NaN, which is not JSON, to its
+        # report
+        path = data_dir / split
+
+        def edit(doc, _):
+            features = decode_floats(doc["features_b64"], (9, 8), "features")
+            features[4, 2] = value
+            doc["features_b64"] = encode_floats(features)
+
+        self.edit_line_2(path, edit)
+        self.refused(verb, tmp_path, data_dir, train_config_file, capsys,
+                     f"key 'features_b64' of {path} line 2 holds {value}, not a "
+                     "finite number")
+
+    @pytest.mark.parametrize("sample_id", ["../../escaped", "", ".", "..", "a/b",
+                                           "a\\b", "a\0b"])
+    def test_visualize_refuses_an_id_that_is_not_a_file_name(
+            self, tmp_path, data_dir, capsys, sample_id):
+        # heatmaps are named by the id: "../../escaped" wrote
+        # A/escaped.mean.csv and .pgm, two directories above --out A/b/heat,
+        # and "" a hidden heat/.mean.csv, each with exit 0
+        path = data_dir / "test.jsonl"
+        lines = path.read_text().splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]), "id": sample_id})
+        path.write_text("\n".join(lines) + "\n")
+        ckpt = tmp_path / "checkpoint.json"
+        save_small_checkpoint(ckpt)
+        before = set(tmp_path.rglob("*"))
+        rc = cli.main(["visualize", "--checkpoint", str(ckpt), "--data", str(path),
+                       "--out", str(tmp_path / "A" / "b" / "heat")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {path} line 1: sample id {sample_id!r} is not a file name\n")
+        assert set(tmp_path.rglob("*")) == before
+
+    def test_odd_d_model_trains(self, tmp_path, data_dir, train_config_file):
+        # an odd width ended in a numpy ValueError traceback: the cosine half
+        # of the position table has one column fewer than the sine half
+        doc = json.loads(train_config_file.read_text())
+        doc["model"].update(d_model=5, n_heads=5)
+        train_config_file.write_text(json.dumps(doc))
+        assert cli.main(["train", "--data", str(data_dir), "--out",
+                         str(tmp_path / "run"), "--config",
+                         str(train_config_file)]) == 0
 
     def test_config_json_records_model_seed_and_weak_noise(self, tmp_path, data_dir,
                                                            train_config_file):
@@ -1014,7 +1066,7 @@ class TestCli:
     def test_evaluate_and_visualize_refuse_an_empty_data_file(
             self, tmp_path, data_dir, capsys, verb):
         ckpt = tmp_path / "checkpoint.json"
-        save_checkpoint(ckpt, VisualDecoder(SMALL_MODEL, seed=0))
+        save_small_checkpoint(ckpt)
         path = data_dir / "test.jsonl"
         path.write_text("")
         out = tmp_path / "out"
@@ -1071,8 +1123,7 @@ class TestCli:
         # no option), and train's --weak-noise inf with a run on weak labels
         # ranked by NaN similarities
         checkpoint = tmp_path / "checkpoint.json"
-        save_checkpoint(checkpoint, VisualDecoder(SMALL_MODEL),
-                        AdapterSet(1, 8, 32, SMALL_ADAPTER))
+        save_small_checkpoint(checkpoint)
         inputs = {"gen-data": [],
                   "visualize": ["--checkpoint", str(checkpoint),
                                 "--data", str(data_dir / "test.jsonl")],
